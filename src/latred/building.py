@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import gflinalg, matrices
 from .errors import (DimensionError, DomainError, InvalidPlaceError,
                      RankDeficiencyError, ScaleError)
-from .fq import FqRationalFunction, gf, poly, poly_one, poly_t
+from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power
 from .rings import is_prime_int
 
 NEIGHBOR_RESIDUE_LIMIT = 5
@@ -322,6 +322,7 @@ def count_chambers_on_edge(n, r, k, verify=None):
     """
     if not 1 <= k <= n - 1:
         raise DimensionError(f"label difference {k} out of range 1..{n - 1}")
+    prime_power(r)  # a residue field of size r must exist
     value = 1
     for i in range(1, k + 1):
         value *= (r ** i - 1) // (r - 1)
@@ -366,6 +367,8 @@ def _count_flags_through(n, r, k):
 def apartment_coords(m):
     """Orthogonal projection of an integer vector onto the sum-zero hyperplane."""
     n = len(m)
+    if n == 0:
+        raise DimensionError("apartment coordinates need a nonempty vector")
     mean = Fraction(sum(m), n)
     return tuple(Fraction(x) - mean for x in m)
 

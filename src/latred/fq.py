@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
-from .errors import DomainError, ZeroArgumentError
+from .errors import DomainError, ScaleError, ZeroArgumentError
 
 
 def _factor_small(n):
@@ -39,14 +39,25 @@ def _factor_small(n):
     return fs
 
 
+PRIME_POWER_LIMIT = 2 ** 40  # trial division up to 2^20 stays well under a second
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, or DomainError when q is not a prime power."""
+    if q > PRIME_POWER_LIMIT:
+        raise ScaleError(f"{q} exceeds the prime-power test limit {PRIME_POWER_LIMIT}")
+    fs = _factor_small(q)
+    if q < 2 or len(fs) != 1:
+        raise DomainError(f"{q} is not a prime power")
+    (p, e), = fs.items()
+    return p, e
+
+
 class GF:
     """Arithmetic context for F_q, q = p^e with q <= 2^16 (e > 1 needs q <= 256)."""
 
     def __init__(self, q):
-        fs = _factor_small(q)
-        if q < 2 or len(fs) != 1:
-            raise DomainError(f"{q} is not a prime power")
-        (p, e), = fs.items()
+        p, e = prime_power(q)
         if p > 2 ** 16 or (e > 1 and q > 256):
             raise DomainError(f"field size {q} out of supported range")
         self.q = q
@@ -91,16 +102,12 @@ class GF:
         # check gcd(x^(p^k) - x, mod) over all k <= e/2 via repeated powering
         x = [0, 1] + [0] * (e - 2) if e >= 2 else [1]
         xe = x[:]
-        for k in range(1, e // 2 + 1):
-            for _ in range(self._int_log_pow(p)):
-                xe = self._poly_mul_mod_pow(xe, mod)
+        for _ in range(e // 2):
+            xe = self._poly_mul_mod_pow(xe, mod)
             diff = [(a - b) % p for a, b in zip(xe, x + [0] * (e - len(x)))]
             if self._poly_gcd_nonunit(diff, mod):
                 return False
         return True
-
-    def _int_log_pow(self, p):
-        return 1  # x -> x^p applied once per k
 
     def _poly_mul_mod_pow(self, a, mod):
         # a -> a^p mod `mod`, by square-and-multiply on the exponent p

@@ -4,7 +4,7 @@ An inner product enters as an exact rational Gram matrix; the squared
 volume of a summand is the Gram determinant of any basis, kept as an exact
 rational, and log-volumes are `ExactLog` half-logs of those rationals.
 Floating point appears only in the Riemannian distance between inner
-products.
+products, and numpy is imported only when that distance is computed.
 
 Summand enumeration below a volume bound is complete by a box search: a
 certified rational lower bound mu on the smallest Gram eigenvalue confines
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import filtration, matrices
 from .errors import (DefinitenessError, DimensionError, RankDeficiencyError,
@@ -518,6 +516,7 @@ def spd_distance(s1, s2):
         raise DimensionError("mismatched ranks")
     if s1.gram == s2.gram:
         return 0.0
+    import numpy as np  # deferred: no other latred call needs numpy
     A = np.array([[float(x) for x in row] for row in s1.gram])
     B = np.array([[float(x) for x in row] for row in s2.gram])
     L = np.linalg.cholesky(A)

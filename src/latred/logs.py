@@ -196,10 +196,3 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)) and x == 0:
         return ExactLog.zero()
     raise TypeError(f"cannot compare ExactLog with {x!r}")
-
-
-def value_to_float(v):
-    """Float view of a log-volume value (Fraction on F_q[t] side, ExactLog on Z side)."""
-    if isinstance(v, ExactLog):
-        return v.to_float()
-    return float(v)

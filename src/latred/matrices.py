@@ -53,10 +53,6 @@ def mat_sub(A, B):
     return freeze([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
-def scale_rows(M, c):
-    return freeze([[c * x for x in row] for row in M])
-
-
 def stack(A, B):
     return tuple(A) + tuple(B)
 
@@ -328,11 +324,6 @@ def snf(ring, M):
             if norm != st.D[i][i]:
                 st.scale_row(i, _unit_inverse(R, unit))
     return freeze(st.U), freeze(st.D), freeze(st.V), freeze(st.Vinv)
-
-
-def smith_diagonal(ring, M):
-    _, D, _, _ = snf(ring, M)
-    return tuple(D[i][i] for i in range(min(shape(M))))
 
 
 def kernel(ring, M):

@@ -13,8 +13,9 @@ from latred.building import (BuildingContext, SimplexDecomposition, Vertex,
                              edge_length_sq, label_difference, neighbors,
                              relative_exponents, standard_vertex,
                              triangulate_point, vertices_adjacent_or_equal)
-from latred.errors import DimensionError, ScaleError
-from latred.fq import FqRationalFunction, poly, poly_one, poly_t
+from latred.errors import DimensionError, DomainError, ScaleError
+from latred.fq import (PRIME_POWER_LIMIT, FqRationalFunction, poly, poly_one,
+                       poly_t)
 from latred.gflinalg import count_subspaces
 
 
@@ -147,12 +148,25 @@ class TestChamberCounts:
         with pytest.raises(DimensionError):
             count_chambers_on_edge(3, 2, 3)
 
+    @pytest.mark.parametrize("r", [1, 6])
+    def test_residue_size_not_a_prime_power(self, r):
+        with pytest.raises(DomainError, match="is not a prime power"):
+            count_chambers_on_edge(3, r, 1)
+
+    def test_residue_size_beyond_limit(self):
+        with pytest.raises(ScaleError, match=str(PRIME_POWER_LIMIT)):
+            count_chambers_on_edge(3, 10 ** 30 + 57, 1)
+
 
 class TestApartment:
     def test_examples(self):
         assert apartment_coords([0, 0]) == (0, 0)
         assert apartment_coords([1, 0]) == (Fraction(1, 2), Fraction(-1, 2))
         assert apartment_coords([2, 2]) == (0, 0)
+
+    def test_empty_vector(self):
+        with pytest.raises(DimensionError):
+            apartment_coords([])
 
     def test_diagonal_invariance(self, rng):
         for _ in range(20):

@@ -1,7 +1,12 @@
 """End-to-end CLI: JSON in, JSON out, deterministic, correct exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from latred.cli import main
@@ -171,7 +176,37 @@ class TestContract:
         assert res.exit_code == 3
         assert json.loads(res.output)["kind"] == "domain"
 
+    @pytest.mark.parametrize("r", ["1", "6"])
+    def test_chamber_count_needs_prime_power(self, r):
+        res = run_cli(["chamber-count", "--n", "3", "--r", r, "--k", "1"])
+        assert res.exit_code == 3
+        data = json.loads(res.output)
+        assert data["kind"] == "domain"
+        assert "is not a prime power" in data["error"]
+
+    def test_empty_apartment_exits_3(self):
+        res = run_cli(["apartment"], {"m": []})
+        assert res.exit_code == 3
+        assert json.loads(res.output)["kind"] == "domain"
+
     def test_sl_mode_determinant_error(self):
         doc = {"ring": "z", "T": [2], "A": [["2", "0"], ["0", "1"]], "mode": "SL"}
         res = run_cli(["factorize"], doc)
         assert res.exit_code == 3
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_numpy_stays_off_the_import_path():
+    # numpy is imported only inside latz.spd_distance; a fresh interpreter
+    # loading the package and the CLI must not pull it in
+    probe = ("import sys, latred, latred.cli\n"
+             "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    from latred.latz import InnerProduct, spd_distance
+    d = spd_distance(InnerProduct.identity(2), InnerProduct.diagonal([2, 3]))
+    assert isinstance(d, float) and d > 0
