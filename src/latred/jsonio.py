@@ -104,7 +104,10 @@ def poly_to_coeffs(p):
 
 
 def poly_from_coeffs(q, coeffs):
-    return poly(gf(q), list(coeffs))
+    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+        raise ValidationError(f"polynomial {coeffs!r} must be a list of integer "
+                              "coefficients, lowest degree first ([0, 1] for t)")
+    return poly(gf(q), coeffs)
 
 
 def ratfunc_to_str(x):

@@ -9,6 +9,7 @@ by elimination) work on Fraction / FqRationalFunction entries directly.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import (DimensionError, DomainError, RankDeficiencyError,
                      SingularityError)
@@ -200,8 +201,6 @@ def hnf(ring, rows, ncols=None):
 
 
 def _unit_inverse(ring, u):
-    if hasattr(ring, "unit_inverse"):
-        return ring.unit_inverse(u)
     # units of Z are +-1; units of F_q[t] are the nonzero constants
     from .fq import FqPolynomial, poly
     if isinstance(u, int):
@@ -377,24 +376,20 @@ def fractional_hnf(ring, rows):
     rows = freeze(rows)
     if not rows:
         return ()
-    denom = ring.one()
-    for row in rows:
-        for x in row:
-            d = _field_denominator(ring, x)
-            g = ring.gcd(denom, d)
-            denom = ring.exact_div(ring.mul(denom, d), g)
-    _, denom = ring.unit_normalize(denom)
-    denom_f = ring.to_field(denom)
+    denom_f = ring.to_field(common_denominator(ring, rows))
     scaled = [[ring.from_field(denom_f * x) for x in row] for row in rows]
     H = hnf(ring, scaled)
     return freeze([[ring.to_field(x) / denom_f for x in row] for row in H])
 
 
-def _field_denominator(ring, x):
-    from fractions import Fraction as _F
-    if isinstance(x, _F):
-        return x.denominator
-    return x.den  # FqRationalFunction
+def common_denominator(ring, rows):
+    """Normalized lcm of the denominators of fraction-field matrix entries."""
+    denom = ring.one()
+    for row in rows:
+        for x in row:
+            d = x.denominator if isinstance(x, Fraction) else x.den
+            denom = ring.exact_div(ring.mul(denom, d), ring.gcd(denom, d))
+    return ring.unit_normalize(denom)[1]
 
 
 def completion_rows(ring, rows):

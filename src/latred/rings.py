@@ -297,31 +297,3 @@ def prime_part(z, primes, ring=ZZ):
             out = ring.mul(out, p)
     _, out = ring.unit_normalize(out)
     return out
-
-
-def fraction_prime_part(x, primes, ring=ZZ):
-    """T-part of a nonzero fraction-field element, as a field element.
-
-    Returns prod_{p in T} p^{nu_p(x)}; exponents may be negative.
-    """
-    if ring.field_is_zero(x):
-        raise ZeroArgumentError("prime part of zero is undefined")
-    if ring is ZZ or isinstance(ring, IntegerRing):
-        x = Fraction(x)
-        out = Fraction(1)
-        for p in primes:
-            v = valuation(x, p)
-            out *= Fraction(p) ** v
-        return out
-    x = FqRationalFunction.of(x)
-    out = ring.to_field(ring.one())
-    for p in primes:
-        v = valuation(x, p)
-        pf = ring.to_field(p)
-        if v >= 0:
-            for _ in range(v):
-                out = out * pf
-        else:
-            for _ in range(-v):
-                out = out / pf
-    return out

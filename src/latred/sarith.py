@@ -7,25 +7,28 @@ two localizations appear:
     Z_T      - everything except T inverted; integral structures are rank-n
                Z_T-submodules B of Q^n.
 
-Z[T^-1] is Euclidean (norm = the T-free part of an element), so the generic
-normal-form machinery applies verbatim; localized summands carry canonical
-Hermite bases over Z[T^-1].  Intersecting with an integral structure B is a
-rank-preserving lattice isomorphism onto the summands of the plain Z-module
-V cap B, which transports volumes and instability numbers to the localized
-setting, and every invertible matrix over Q splits into a GL_n(Z[T^-1])
-factor times a GL_n(Z_T) factor through the Smith form.
+A saturated Z[T^-1]-summand W is fixed by its Q-span, so W cap Z^n is a
+saturated Z-summand that determines it.  Spans, meets and joins therefore
+run on plain Z (or F_q[t]) Hermite and Smith forms, and only the canonical
+Hermite basis over Z[T^-1] is derived from the result: pivots T-free and
+normalized, entries above a pivot d reduced to canonical residues mod d.
+Intersecting with an integral structure B is a rank-preserving lattice
+isomorphism onto the summands of the plain Z-module V cap B, which
+transports volumes and instability numbers to the localized setting, and
+every invertible matrix over Q splits into a GL_n(Z[T^-1]) factor times a
+GL_n(Z_T) factor through the Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import latff, latz, matrices
 from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
-                     DomainError, InvalidPlaceError, SingularityError)
-from .fq import FqRationalFunction, poly_one
-from .rings import ZZ, IntegerRing, fraction_prime_part, poly_ring, valuation
+                     DomainError, InvalidPlaceError, SingularityError,
+                     ZeroArgumentError)
+from .fq import FqRationalFunction
+from .rings import ZZ, poly_ring
 
 
 @dataclass(frozen=True)
@@ -73,186 +76,85 @@ class LocalizedContext:
     def field_one(self):
         return self.base_ring().field_one()
 
+    def t_split(self, z):
+        """(T-part, T-free part) of a nonzero base-ring element.
+
+        The places were proved prime once, in __post_init__, so their
+        valuations are read off directly.
+        """
+        ring = self.base_ring()
+        tp = ring.one()
+        for p in self.T:
+            tp = ring.mul(tp, p ** ring.element_valuation(z, p))
+        return tp, ring.exact_div(z, tp)
+
     def t_part(self, x):
         """prod_{p in T} p^{nu_p(x)} of a nonzero field element."""
-        return fraction_prime_part(x, self.T, ring=self.base_ring())
+        ring = self.base_ring()
+        if ring.field_is_zero(x):
+            raise ZeroArgumentError("prime part of zero is undefined")
+        num, den = _num_den(ring.to_field(x))
+        return ring.to_field(self.t_split(num)[0]) / ring.to_field(self.t_split(den)[0])
+
+    def _denominator_split(self, x):
+        return self.t_split(_num_den(self.base_ring().to_field(x))[1])
 
     def in_t_inverted(self, x):
         """Membership in Z[T^-1] (denominator supported in T)."""
-        ring = self.base_ring()
-        if ring.field_is_zero(x):
-            return True
-        den = x.denominator if isinstance(x, (int, Fraction)) else x.den
-        if isinstance(x, int):
-            return True
-        reduced = den
-        for p in self.T:
-            v = ring.element_valuation(reduced, p)
-            for _ in range(v):
-                reduced = ring.exact_div(reduced, p)
-        return ring.is_unit(reduced)
+        return self.base_ring().is_unit(self._denominator_split(x)[1])
 
     def in_t_integral(self, x):
         """Membership in Z_T = Z[(P \\ T)^-1] (no T-primes downstairs)."""
-        ring = self.base_ring()
-        if ring.field_is_zero(x):
-            return True
-        return all(valuation(_lift(ring, x), p) >= 0 for p in self.T)
-
-    def localized_ring(self):
-        return LocalizedRing(self)
+        return self.base_ring().is_unit(self._denominator_split(x)[0])
 
 
-def _lift(ring, x):
-    if isinstance(ring, IntegerRing):
-        return Fraction(x)
-    return FqRationalFunction.of(x)
+def _num_den(x):
+    """Reduced numerator and denominator of a fraction-field element."""
+    if isinstance(x, FqRationalFunction):
+        return x.num, x.den
+    return x.numerator, x.denominator
 
 
-class LocalizedRing:
-    """Z[T^-1] as a Euclidean ring on fraction-field elements.
+def _integral_rows(ring, rows):
+    """Each row times its common denominator: the same Z[T^-1]-span, in Z^n."""
+    out = []
+    for row in rows:
+        den = ring.to_field(matrices.common_denominator(ring, [row]))
+        out.append([ring.from_field(den * x) for x in row])
+    return out
 
-    The Euclidean norm of x is its T-free part; division produces canonical
-    remainders (a T-free residue in the canonical system mod the divisor's
-    T-free part), which makes Hermite forms over Z[T^-1] canonical.
+
+def _inverse_mod(ring, a, m):
+    """The inverse of a modulo m, reduced mod m (a coprime to m)."""
+    r0, r1, x0, x1 = m, ring.divmod(a, m)[1], ring.zero(), ring.one()
+    while not ring.is_zero(r1):
+        q, r = ring.divmod(r0, r1)
+        r0, r1, x0, x1 = r1, r, x1, ring.sub(x0, ring.mul(q, x1))
+    return ring.divmod(ring.exact_div(x0, r0), m)[1]  # r0 is a unit
+
+
+def _localized_hermite(ctx, H):
+    """The canonical Z[T^-1] Hermite basis of the span of a base-ring HNF.
+
+    Top row to bottom: divide each row by the T-part of its pivot, which
+    leaves the pivot T-free and normalized, then move every entry above the
+    pivot d to its canonical residue num * den^-1 mod d.
     """
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.base = ctx.base_ring()
-        self.name = f"{self.base.name}[T^-1]"
-
-    def zero(self):
-        return self.base.field_zero()
-
-    def one(self):
-        return self.base.field_one()
-
-    def is_zero(self, x):
-        return self.base.field_is_zero(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def _split(self, x):
-        """x = unit * m with m the normalized T-free part (a base-ring element)."""
-        if self.is_zero(x):
-            return self.one(), self.base.zero()
-        tp = self.ctx.t_part(x)
-        m_field = x / tp
-        m = self.base.from_field(m_field)  # T-free by construction
-        unit, m = self.base.unit_normalize(m)
-        u = tp * self.base.to_field(unit)
-        return u, m
-
-    def unit_normalize(self, x):
-        u, m = self._split(x)
-        return u, self.base.to_field(m)
-
-    def is_unit(self, x):
-        if self.is_zero(x):
-            return False
-        _, m = self._split(x)
-        return self.base.is_unit(m)
-
-    def unit_inverse(self, u):
-        return self.one() / u
-
-    def norm_key(self, x):
-        _, m = self._split(x)
-        return self.base.norm_key(m)
-
-    def divmod(self, a, b):
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero in Z[T^-1]")
-        _, d = self._split(b)
-        if self.base.is_unit(d):
-            return a / b, self.zero()
-        r = self._canonical_residue(a, d)
-        q = (a - r) / b
-        return q, r
-
-    def _canonical_residue(self, a, d):
-        """Canonical representative of a mod d*Z[T^-1], d a T-free base element."""
-        base = self.base
-        if self.is_zero(a):
-            return self.zero()
-        if isinstance(base, IntegerRing):
-            a = Fraction(a)
-            tau = a.denominator  # supported in T by the ring invariant
-            num = a.numerator
-            r = (num * pow(tau, -1, d)) % d
-            return Fraction(r)
-        a = FqRationalFunction.of(a)
-        tau = a.den
-        inv = _poly_modinv(tau, d)
-        r = (a.num * inv) % d
-        return FqRationalFunction.of(r)
-
-    def exact_div(self, a, b):
-        q = a / b
-        if not self.ctx.in_t_inverted(q):
-            raise DomainError("inexact division in Z[T^-1]")
-        return q
-
-    def gcd(self, a, b):
-        _, ma = self._split(a)
-        _, mb = self._split(b)
-        g = self.base.gcd(ma, mb)
-        return self.base.to_field(g)
-
-    # fraction field: the elements are already field elements
-    def to_field(self, x):
-        return x
-
-    def field_zero(self):
-        return self.zero()
-
-    def field_one(self):
-        return self.one()
-
-    def field_is_zero(self, x):
-        return self.is_zero(x)
-
-    def from_field(self, x):
-        if not self.ctx.in_t_inverted(x):
-            raise DomainError(f"{x} is not in Z[T^-1]")
-        return x
-
-    def is_integral_field_elt(self, x):
-        return self.ctx.in_t_inverted(x)
-
-    def __repr__(self):
-        return self.name
-
-
-def _poly_modinv(a, m):
-    """Inverse of a modulo m over F_q[t] (gcd(a, m) must be a unit)."""
-    F = a.field
-    r0, r1 = m, a % m
-    x0, x1 = _zero_poly(F), poly_one(F.q)
-    while not r1.is_zero():
-        qq, rr = divmod(r0, r1)
-        r0, r1 = r1, rr
-        x0, x1 = x1, x0 - qq * x1
-    if r0.degree != 0:
-        raise DomainError("element not invertible modulo m")
-    inv_lc = F.inv(r0.coeffs[0])
-    return (x0 * inv_lc) % m
-
-
-def _zero_poly(F):
-    from .fq import poly
-    return poly(F, [])
+    ring = ctx.base_ring()
+    rows = []
+    for h in H:
+        c = next(j for j, x in enumerate(h) if not ring.is_zero(x))
+        tp, d = ctx.t_split(h[c])
+        tpf = ring.to_field(tp)
+        row = [ring.to_field(x) / tpf for x in h]
+        for above in rows:
+            num, den = _num_den(above[c])
+            r = ring.divmod(ring.mul(num, _inverse_mod(ring, den, d)), d)[1]
+            f = (above[c] - ring.to_field(r)) / row[c]
+            if not ring.field_is_zero(f):
+                above[:] = [x - f * y for x, y in zip(above, row)]
+        rows.append(row)
+    return matrices.freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +171,7 @@ class IntegralStructure:
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
-        rows = matrices.freeze([[_lift(ring, x) for x in row] for row in self.basis])
+        rows = matrices.freeze([[ring.to_field(x) for x in row] for row in self.basis])
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise DimensionError("integral structure must be n x n")
         d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
@@ -285,15 +187,14 @@ class IntegralStructure:
                                           for i in range(n)])
 
     def scaled(self, factor):
-        ring = self.ctx.base_ring()
-        f = _lift(ring, ring.to_field(factor) if not isinstance(factor, (Fraction, FqRationalFunction)) else factor)
+        f = self.ctx.base_ring().to_field(factor)
         return IntegralStructure(self.ctx, self.n,
                                  [[f * x for x in row] for row in self.basis])
 
     def right_multiplied(self, k_rows):
         """B . K for K integral over Z_T with T-unit determinant bounds checked by caller."""
         ring = self.ctx.base_ring()
-        K = matrices.freeze([[_lift(ring, x) for x in row] for row in k_rows])
+        K = matrices.freeze([[ring.to_field(x) for x in row] for row in k_rows])
         new = matrices.matmul(self.basis, K, ring.field_zero())
         return IntegralStructure(self.ctx, self.n, new)
 
@@ -308,7 +209,7 @@ class LocSummand:
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
-        rows = matrices.freeze([[_lift(ring, x) for x in row] for row in self.basis])
+        rows = matrices.freeze([[ring.to_field(x) for x in row] for row in self.basis])
         if any(len(r) != self.n for r in rows):
             raise DimensionError("basis row length != ambient rank")
         object.__setattr__(self, "basis", rows)
@@ -316,8 +217,7 @@ class LocSummand:
     @staticmethod
     def from_rows(ctx, n, rows):
         ring = ctx.base_ring()
-        loc = ctx.localized_ring()
-        lifted = [[_lift(ring, x) for x in row] for row in rows]
+        lifted = [[ring.to_field(x) for x in row] for row in rows]
         lifted = [r for r in lifted if any(not ring.field_is_zero(x) for x in r)]
         if not lifted:
             return LocSummand(ctx, n, ())
@@ -325,7 +225,8 @@ class LocSummand:
             for x in row:
                 if not ctx.in_t_inverted(x):
                     raise DomainError(f"entry {x} is not in Z[T^-1]")
-        return LocSummand(ctx, n, matrices.saturate(loc, lifted, n))
+        sat = matrices.saturate(ring, _integral_rows(ring, lifted), n)
+        return LocSummand(ctx, n, _localized_hermite(ctx, sat))
 
     @staticmethod
     def zero(ctx, n):
@@ -358,17 +259,21 @@ class LocSummand:
             == self.rank
 
     def meet(self, other):
-        loc = self.ctx.localized_ring()
-        rows = matrices.lattice_intersect(loc, self.basis, other.basis)
-        return LocSummand(self.ctx, self.n, rows)
+        # localization commutes with intersection, so any Z-lattices with
+        # the right Z[T^-1]-spans will do
+        ring = self.ctx.base_ring()
+        rows = matrices.lattice_intersect(ring, _integral_rows(ring, self.basis),
+                                          _integral_rows(ring, other.basis))
+        return LocSummand(self.ctx, self.n, _localized_hermite(self.ctx, rows))
 
     def join(self, other):
-        loc = self.ctx.localized_ring()
-        rows = [r for r in self.basis + other.basis]
+        rows = self.basis + other.basis
         if not rows:
             return LocSummand.zero(self.ctx, self.n)
-        hull = matrices.hnf(loc, rows)
-        return LocSummand(self.ctx, self.n, matrices.saturate(loc, hull, self.n))
+        ring = self.ctx.base_ring()
+        hull = matrices.hnf(ring, _integral_rows(ring, rows))
+        sat = matrices.saturate(ring, hull, self.n)
+        return LocSummand(self.ctx, self.n, _localized_hermite(self.ctx, sat))
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +284,9 @@ def full_intersection(ctx, B):
     """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
     ring = ctx.base_ring()
     n = B.n
-    denom = ring.one()
-    for row in B.basis:
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else x.den
-            g = ring.gcd(denom, d)
-            denom = ring.exact_div(ring.mul(denom, d), g)
-    zB = [[ring.from_field(ring.to_field(denom) * x) for x in row] for row in B.basis]
+    denf = ring.to_field(matrices.common_denominator(ring, B.basis))
+    zB = [[ring.from_field(denf * x) for x in row] for row in B.basis]
     U, D, _, _ = matrices.snf(ring, zB)
-    denf = ring.to_field(denom)
     gs = []
     for i in range(n):
         di = D[i][i]
@@ -416,13 +315,7 @@ def intersect_integral(w, B):
     zero, one = ring.field_zero(), ring.field_one()
     K = matrices.field_kernel(w.basis, zero, one)  # annihilator of the Q-span
     M = matrices.matmul(L, matrices.transpose(K), zero)
-    denom = ring.one()
-    for row in M:
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else x.den
-            g = ring.gcd(denom, d)
-            denom = ring.exact_div(ring.mul(denom, d), g)
-    denf = ring.to_field(denom)
+    denf = ring.to_field(matrices.common_denominator(ring, M))
     Mi = [[ring.from_field(denf * x) for x in row] for row in M]
     coeffs = matrices.kernel(ring, matrices.transpose(matrices.freeze(Mi)))
     rows = []
@@ -519,7 +412,7 @@ def factorize(A, ctx, mode="GL"):
     into its T-part and its T-free part.
     """
     ring = ctx.base_ring()
-    A = matrices.freeze([[_lift(ring, x) for x in row] for row in A])
+    A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     n = len(A)
     zero, one = ring.field_zero(), ring.field_one()
     detA = matrices.det_field(A, zero, one)
@@ -529,13 +422,7 @@ def factorize(A, ctx, mode="GL"):
         raise DomainError(f"unknown factorization mode {mode!r}")
     if mode == "SL" and detA != one:
         raise DeterminantError("SL-mode factorization needs determinant 1")
-    denom = ring.one()
-    for row in A:
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else x.den
-            g = ring.gcd(denom, d)
-            denom = ring.exact_div(ring.mul(denom, d), g)
-    denf = ring.to_field(denom)
+    denf = ring.to_field(matrices.common_denominator(ring, A))
     mA = [[ring.from_field(denf * x) for x in row] for row in A]
     U, D, V, _ = matrices.snf(ring, mA)
     Uf = [[ring.to_field(x) for x in row] for row in U]
@@ -570,10 +457,10 @@ def factorize_conjugated(A, ctx, conjugator):
     """Split A in SL_n(Q) as (SL_n(Z[T^-1]) factor) * (g SL_n(Z_T) g^-1 factor)."""
     ring = ctx.base_ring()
     zero, one = ring.field_zero(), ring.field_one()
-    G = matrices.freeze([[_lift(ring, x) for x in row] for row in conjugator])
+    G = matrices.freeze([[ring.to_field(x) for x in row] for row in conjugator])
     B1, _ = factorize(G, ctx, mode="GL")
     B1inv = matrices.inverse_field(B1, zero, one)
-    A = matrices.freeze([[_lift(ring, x) for x in row] for row in A])
+    A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     inner = matrices.matmul(matrices.matmul(B1inv, A, zero), B1, zero)
     P, Q = factorize(inner, ctx, mode="SL")
     Pc = matrices.matmul(matrices.matmul(B1, P, zero), B1inv, zero)

@@ -189,6 +189,39 @@ class TestContract:
         assert res.exit_code == 3
         assert json.loads(res.output)["kind"] == "domain"
 
+    @pytest.mark.parametrize("ctx,rows", [
+        ({"ring": "z", "T": [2, 3]}, [["1", "2"], ["2", "4"]]),
+        ({"ring": "ff", "q": 2, "T": [[0, 1]]}, [["1", "t"], ["t", "t^2"]]),
+    ], ids=["Z", "FF"])
+    def test_intersect_dependent_rows_exits_3(self, ctx, rows):
+        doc = dict(ctx, B={"n": 2, "basis": [["1", "0"], ["0", "1"]]},
+                   summand={"basis": rows})
+        res = run_cli(["intersect"], doc)
+        assert res.exit_code == 3
+        assert res.output == ('{"error":"rows are dependent over the fraction '
+                              'field","kind":"domain"}\n')
+
+    @pytest.mark.parametrize("ctx,entry", [
+        ({"ring": "z", "T": [2, 3]}, "1/5"),
+        ({"ring": "ff", "q": 2, "T": [[0, 1]]}, "1/(t+1)"),
+    ], ids=["Z", "FF"])
+    def test_intersect_denominator_outside_t_exits_3(self, ctx, entry):
+        doc = dict(ctx, B={"n": 2, "basis": [["1", "0"], ["0", "1"]]},
+                   summand={"basis": [[entry, "0"]]})
+        res = run_cli(["intersect"], doc)
+        assert res.exit_code == 3
+        data = json.loads(res.output)
+        assert data == {"error": f"entry {entry} is not in Z[T^-1]", "kind": "domain"}
+
+    def test_string_place_is_a_validation_error(self):
+        doc = {"ring": "ff", "q": 2, "T": ["t"],
+               "B": {"n": 1, "basis": [["1"]]}, "summand": {"basis": [["1"]]}}
+        res = run_cli(["intersect"], doc)
+        assert res.exit_code == 2
+        data = json.loads(res.output)
+        assert data["kind"] == "validation"
+        assert "'t'" in data["error"] and "[0, 1]" in data["error"]
+
     def test_sl_mode_determinant_error(self):
         doc = {"ring": "z", "T": [2], "A": [["2", "0"], ["0", "1"]], "mode": "SL"}
         res = run_cli(["factorize"], doc)

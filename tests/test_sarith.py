@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from latred import matrices
-from latred.errors import DeterminantError, DomainError, SingularityError
+from latred.errors import (DeterminantError, DomainError, RankDeficiencyError,
+                           SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import VolumeSpace, ff_logvol
 from latred.latz import InnerProduct
@@ -16,8 +17,9 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            intersect_integral, loc_c, loc_logvol,
                            span_localized)
 
-from conftest import (random_invertible_rational, random_ratfunc, random_spd,
-                      random_unimodular_z, random_volume_space)
+from conftest import (random_invertible_rational, random_poly, random_ratfunc,
+                      random_spd, random_unimodular_poly, random_unimodular_z,
+                      random_volume_space)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -29,6 +31,145 @@ def _Q(*args):
 
 def _structure(ctx, rows):
     return IntegralStructure(ctx, len(rows), rows)
+
+
+T3 = poly_t(3)
+ONE3 = poly_one(3)
+F3_CTX = LocalizedContext.function_field(3, [T3, T3 * T3 + ONE3])
+F2_CTX = LocalizedContext.function_field(2, [poly_t(2)])
+
+
+def _t_unit(rng, ctx):
+    """A random unit of Z[T^-1]: a sign or scalar times a signed T-power."""
+    ring = ctx.base_ring()
+    u = ring.field_one()
+    for p in ctx.T:
+        e = rng.randint(-1, 1)
+        u = u * ring.to_field(p ** e) if e >= 0 else u / ring.to_field(p)
+    if ctx.kind == "Z":
+        return u * rng.choice([1, -1])
+    return u * ring.to_field(poly(3, [rng.randint(1, 2)]))
+
+
+def _t_fraction(rng, ctx):
+    """A random element of Z[T^-1] with a T-power denominator."""
+    ring = ctx.base_ring()
+    den = ring.one()
+    for p in ctx.T:
+        den = ring.mul(den, p ** rng.randint(0, 2))
+    num = rng.randint(-12, 12) if ctx.kind == "Z" else random_poly(rng, 3, 3)
+    return ring.to_field(num) / ring.to_field(den)
+
+
+def _t_rows(rng, ctx, n, k):
+    ring = ctx.base_ring()
+    while True:
+        rows = matrices.freeze([[_t_fraction(rng, ctx) for _ in range(n)]
+                                for _ in range(k)])
+        if matrices.rank_field(rows, ring.field_zero(), ring.field_one()) == k:
+            return rows
+
+
+def _loc_unimodular(rng, ctx, k):
+    """(integral unimodular) x (diagonal of T-units), as field entries."""
+    ring = ctx.base_ring()
+    G = random_unimodular_z(rng, k) if ctx.kind == "Z" else \
+        random_unimodular_poly(rng, 3, k)
+    D = [[_t_unit(rng, ctx) if i == j else ring.field_zero() for j in range(k)]
+         for i in range(k)]
+    Gf = matrices.freeze([[ring.to_field(x) for x in row] for row in G])
+    return matrices.matmul(Gf, matrices.freeze(D), ring.field_zero())
+
+
+def _pivots(ctx, w):
+    ring = ctx.base_ring()
+    return [next(j for j, x in enumerate(row) if not ring.field_is_zero(x))
+            for row in w.basis]
+
+
+def _is_residue(ctx, x, d):
+    """x lies in the canonical residue system mod the T-free pivot d."""
+    if ctx.kind == "Z":
+        return x.denominator == 1 and 0 <= x < d
+    return x.den.degree == 0 and x.num.degree < d.num.degree
+
+
+@pytest.mark.parametrize("ctx", [CTX23, F3_CTX], ids=["Z[1/6]", "F3[t][T^-1]"])
+class TestCanonicalBasis:
+    def test_unit_invariance(self, ctx, rng):
+        ring = ctx.base_ring()
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            k = rng.randint(1, n)
+            R = _t_rows(rng, ctx, n, k)
+            U = _loc_unimodular(rng, ctx, k)
+            UR = matrices.matmul(U, R, ring.field_zero())
+            assert span_localized(ctx, n, UR) == span_localized(ctx, n, R)
+
+    def test_pivots_and_residues(self, ctx, rng):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            w = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n)))
+            pivots = _pivots(ctx, w)
+            assert pivots == sorted(set(pivots))
+            for i, (row, c) in enumerate(zip(w.basis, pivots)):
+                d = row[c]
+                assert ctx.t_part(d) == ctx.field_one()  # T-free
+                if ctx.kind == "Z":
+                    assert d.denominator == 1 and d > 0
+                else:
+                    assert d.den.degree == 0 and d.num == d.num.monic()
+                assert all(_is_residue(ctx, above[c], d) for above in w.basis[:i])
+
+    def test_lattice_laws(self, ctx, rng):
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            a = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n - 1)))
+            b = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n - 1)))
+            join = a.join(b)
+            assert join == b.join(a)
+            assert a.meet(join) == a
+            assert a.join(a.meet(b)) == a
+            assert join.contains(a) and join.contains(b)
+            assert join.rank + a.meet(b).rank == a.rank + b.rank
+
+
+class TestLocalizedErrors:
+    @pytest.mark.parametrize("ctx,rows", [
+        (CTX23, [[1, 2], [2, 4]]),
+        (F2_CTX, [[poly_one(2), poly_t(2)], [poly_t(2), poly_t(2) ** 2]]),
+    ], ids=["Z", "FF"])
+    def test_dependent_rows(self, ctx, rows):
+        with pytest.raises(RankDeficiencyError,
+                           match="rows are dependent over the fraction field"):
+            LocSummand.from_rows(ctx, 2, rows)
+
+    @pytest.mark.parametrize("ctx,entry", [
+        (CTX23, _Q(1, 5)),
+        (F2_CTX, FqRationalFunction(poly_one(2), poly(2, [1, 1]))),
+    ], ids=["Z", "FF"])
+    def test_denominator_outside_t(self, ctx, entry):
+        zero = ctx.field_zero()
+        with pytest.raises(DomainError, match=r"is not in Z\[T\^-1\]"):
+            LocSummand.from_rows(ctx, 2, [[entry, zero]])
+
+    def test_known_bases(self):
+        # pinned byte for byte: these bases are the JSON contract
+        def enc(w):
+            return [[str(x) for x in row] for row in w.basis]
+        assert enc(LocSummand.from_rows(CTX23, 3, [[3, _Q(5, 2), 7]])) == \
+            [["1", "5/6", "7/3"]]
+        assert enc(LocSummand.from_rows(
+            CTX23, 3, [[9, _Q(1, 4), 0], [0, 10, _Q(7, 3)]])) == \
+            [["1", "1", "49/216"], ["0", "5", "7/6"]]
+        assert enc(LocSummand.from_rows(
+            CTX23, 3, [[5, 7, 11], [0, 25, _Q(1, 2)]])) == \
+            [["5", "7", "11"], ["0", "25", "1/2"]]
+        zero = poly(3, [])
+        rows = [[T3 * T3 + 2 * ONE3, T3, zero],
+                [zero, T3 + ONE3, FqRationalFunction(T3 + 2 * ONE3, T3)]]
+        assert enc(LocSummand.from_rows(F3_CTX, 3, rows)) == \
+            [["t+1", "2", "1/t"], ["0", "t+1", "(t+2)/t"]]
 
 
 class TestIntersect:
