@@ -161,18 +161,11 @@ def _chain_with_values(x):
 def _localized_chain_with_values(x_part, B):
     ctx = B.ctx
     n = B.n
-    L = sarith.full_intersection(ctx, B)
-    ring = ctx.base_ring()
-    zero = ring.field_zero()
+    L, _, x_new = sarith.lattice_frame(x_part, B)
     if ctx.kind == "Z":
-        G = latz.InnerProduct(n, matrices.matmul(
-            matrices.matmul(L, x_part.gram, zero), matrices.transpose(L), zero))
-        rep = latz.canonical_filtration_z(G)
+        rep = latz.canonical_filtration_z(x_new)
     else:
-        Linv = matrices.inverse_field(L, zero, ring.field_one())
-        cols = matrices.matmul(matrices.transpose(Linv), x_part.basis, zero)
-        vs = latff.VolumeSpace(ctx.q, n, cols)
-        _, rep = latff.ff_invariants_and_filtration(vs)
+        _, rep = latff.ff_invariants_and_filtration(x_new)
     out = []
     for w in rep.interior_chain():
         loc = _pull_back_summand(ctx, n, w, L)

@@ -7,7 +7,9 @@ tables built once per field.
 
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros; the zero polynomial has an empty tuple.  Rational functions are kept
-reduced with a monic denominator.  The degree valuation
+reduced with a monic denominator; the reducing gcd runs only when the
+denominator is not constant, since a constant one is already coprime to
+every numerator.  The degree valuation
 
     nu(p/q) = deg(q) - deg(p),    nu(0) = +infinity
 
@@ -302,6 +304,8 @@ class FqPolynomial:
         return other
 
     def __add__(self, other):
+        if isinstance(other, FqRationalFunction):
+            return NotImplemented
         other = self._check(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
@@ -323,6 +327,8 @@ class FqPolynomial:
         if isinstance(other, int):  # scalar from F_q
             F = self.field
             return FqPolynomial(F, tuple(F.mul(c, other % F.q) for c in self.coeffs))
+        if isinstance(other, FqRationalFunction):
+            return NotImplemented
         other = self._check(other)
         F = self.field
         if self.is_zero() or other.is_zero():
@@ -417,7 +423,13 @@ def poly_t(field_or_q):
 
 
 def poly_one(field_or_q):
-    return poly(field_or_q, [1])
+    """The constant 1, one shared instance per field."""
+    return _poly_one(field_or_q if isinstance(field_or_q, GF) else gf(field_or_q))
+
+
+@lru_cache(maxsize=None)
+def _poly_one(F):
+    return FqPolynomial(F, (1,))
 
 
 def monic_irreducibles(field_or_q, max_degree):
@@ -456,11 +468,12 @@ class FqRationalFunction:
         if num.field != den.field:
             raise TypeError("mixed fields in rational function")
         if num.is_zero():
-            num, den = num, poly_one(num.field)
+            den = poly_one(num.field)
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lc = den.leading()
             if lc != 1:
                 inv = den.field.inv(lc)
@@ -513,8 +526,14 @@ class FqRationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FqRationalFunction(self.num * other.den + other.num * self.den,
-                                  self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return FqRationalFunction(a + c, b)
+        if d.degree == 0:  # monic, so d is 1
+            return FqRationalFunction(a + c * b, b)
+        if b.degree == 0:
+            return FqRationalFunction(a * d + c, d)
+        return FqRationalFunction(a * d + c * b, b * d)
 
     __radd__ = __add__
 

@@ -280,8 +280,12 @@ class LocSummand:
 # intersection with integral structures
 # ---------------------------------------------------------------------------
 
-def full_intersection(ctx, B):
-    """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
+def _t_lattice(ctx, B):
+    """Z-basis rows of Z[T^-1]^n cap B, not in Hermite form.
+
+    Clears B's denominators, takes the Smith form of the cleared basis and
+    scales each invariant direction by the T-part of its invariant factor.
+    """
     ring = ctx.base_ring()
     n = B.n
     denf = ring.to_field(matrices.common_denominator(ring, B.basis))
@@ -293,10 +297,12 @@ def full_intersection(ctx, B):
         if ring.is_zero(di):  # pragma: no cover - B is invertible
             raise SingularityError("integral structure degenerated")
         gs.append(ctx.t_part(ring.to_field(di) / denf))
-    rows = []
-    for i in range(n):
-        rows.append(tuple(gs[i] * ring.to_field(U[j][i]) for j in range(n)))
-    return matrices.fractional_hnf(ring, rows)
+    return [tuple(gs[i] * ring.to_field(U[j][i]) for j in range(n)) for i in range(n)]
+
+
+def full_intersection(ctx, B):
+    """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
+    return matrices.fractional_hnf(ctx.base_ring(), _t_lattice(ctx, B))
 
 
 def intersect_integral(w, B):
@@ -305,13 +311,16 @@ def intersect_integral(w, B):
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
     W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).
     """
-    ctx = w.ctx
-    ring = ctx.base_ring()
     if w.is_zero():
         return ()
-    L = full_intersection(ctx, B)
     if w.is_full():
-        return L
+        return full_intersection(w.ctx, B)
+    return _intersect_lattice(w, _t_lattice(w.ctx, B))
+
+
+def _intersect_lattice(w, L):
+    """Canonical Z-basis rows of (Q-span of W) cap L, for any Z-basis rows L."""
+    ring = w.ctx.base_ring()
     zero, one = ring.field_zero(), ring.field_one()
     K = matrices.field_kernel(w.basis, zero, one)  # annihilator of the Q-span
     M = matrices.matmul(L, matrices.transpose(K), zero)
@@ -350,27 +359,34 @@ def loc_logvol(w, x, B):
     return latff.ff_logvol(x, rows)
 
 
+def lattice_frame(x, B):
+    """(L, L^-1, x in L-coordinates) for the canonical Z-basis L of Z[T^-1]^n cap B.
+
+    The point moves with the basis: a Gram matrix becomes L . gram . L^T, and
+    a volume space's columns become L^-T . columns.
+    """
+    ctx = B.ctx
+    ring = ctx.base_ring()
+    zero = ring.field_zero()
+    L = full_intersection(ctx, B)
+    Linv = matrices.inverse_field(L, zero, ring.field_one())
+    if ctx.kind == "Z":
+        G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
+        return L, Linv, latz.InnerProduct(B.n, G)
+    cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
+    return L, Linv, latff.VolumeSpace(ctx.q, B.n, cols)
+
+
 def _transport(w, x, B):
     """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates."""
     ctx = w.ctx
     ring = ctx.base_ring()
-    n = w.n
-    L = full_intersection(ctx, B)
-    zero, one = ring.field_zero(), ring.field_one()
-    Linv = matrices.inverse_field(L, zero, one)
-    WB = intersect_integral(w, B)
-    coords = matrices.matmul(WB, Linv, zero)
+    L, Linv, x_new = lattice_frame(x, B)
+    coords = matrices.matmul(_intersect_lattice(w, L), Linv, ring.field_zero())
     int_rows = matrices.freeze([[ring.from_field(xx) for xx in row] for row in coords])
     if ctx.kind == "Z":
-        G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        s_new = latz.InnerProduct(n, G)
-        w_new = latz.ZSummand(n, matrices.hnf(ZZ, int_rows))
-        return s_new, w_new
-    LinvT = matrices.transpose(Linv)
-    s_cols = matrices.matmul(LinvT, x.basis, zero)
-    vs_new = latff.VolumeSpace(ctx.q, n, s_cols)
-    w_new = latff.FFSummand(ctx.q, n, matrices.hnf(ring, int_rows))
-    return vs_new, w_new
+        return x_new, latz.ZSummand(w.n, matrices.hnf(ZZ, int_rows))
+    return x_new, latff.FFSummand(ctx.q, w.n, matrices.hnf(ring, int_rows))
 
 
 def loc_c(w, x, B):

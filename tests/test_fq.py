@@ -1,0 +1,112 @@
+"""F_q(t) arithmetic: canonical form of every result, mixed operand types."""
+
+import operator
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latred.fq import FqRationalFunction, gf, monic_irreducibles, poly, poly_one, poly_t
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _coeffs(q, max_len):
+    return st.lists(st.integers(0, q - 1), max_size=max_len)
+
+
+@st.composite
+def _operand_pair(draw):
+    """q and two raw (num, den) pairs in one of four denominator shapes."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    shape = draw(st.sampled_from(["constant", "equal", "zero", "general"]))
+    nums = [poly(q, draw(_coeffs(q, 4))) for _ in range(2)]
+    if shape == "constant":
+        dens = [poly(q, [draw(st.integers(1, q - 1))]) for _ in range(2)]
+    elif shape == "equal":
+        # an irreducible denominator stays unreduced beside any numerator it
+        # does not divide, so both operands keep it
+        den = draw(st.sampled_from(monic_irreducibles(q, 2)))
+        den = den * draw(st.integers(1, q - 1))
+        nums = [n if (n % den) else n + poly_one(q) for n in nums]
+        dens = [den, den]
+    else:
+        dens = []
+        for _ in range(2):
+            d = poly(q, draw(_coeffs(q, 3)))
+            dens.append(d if d else poly_t(q))
+        if shape == "zero":
+            nums[draw(st.integers(0, 1))] = poly(q, [])
+    return q, (nums[0], dens[0]), (nums[1], dens[1])
+
+
+def _coprime(a, b):
+    """Plain Euclid: gcd(a, b) is a nonzero constant."""
+    while b:
+        a, b = b, a % b
+    return a.degree == 0
+
+
+def _cross(op, a, b, c, d):
+    """Unreduced (num, den) of a/b op c/d."""
+    if op == "+":
+        return a * d + c * b, b * d
+    if op == "-":
+        return a * d - c * b, b * d
+    if op == "*":
+        return a * c, b * d
+    return a * d, b * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pair(), st.sampled_from(sorted(OPS)))
+def test_results_are_canonical(pair, op):
+    q, (a, b), (c, d) = pair
+    x, y = FqRationalFunction(a, b), FqRationalFunction(c, d)
+    if op == "/" and not c:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    r = OPS[op](x, y)
+    assert r.den.leading() == 1
+    if r.num:
+        assert _coprime(r.num, r.den)
+    else:
+        assert r.den == poly_one(q)
+    num, den = _cross(op, a, b, c, d)
+    assert r.num * den == num * r.den
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operand_pair())
+def test_operands_are_canonical(pair):
+    q, (a, b), _ = pair
+    x = FqRationalFunction(a, b)
+    assert x.den.leading() == 1
+    assert _coprime(x.num, x.den) if x.num else x.den == poly_one(q)
+    assert x.num * b == a * x.den
+
+
+class TestMixedOperands:
+    Q = 3
+    P = poly(3, [1, 2, 1])
+    R = FqRationalFunction(poly(3, [2, 1]), poly(3, [1, 1, 1]))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_polynomial_then_rational_function(self, op):
+        want = OPS[op](FqRationalFunction.of(self.P), self.R)
+        assert OPS[op](self.P, self.R) == want
+        assert OPS[op](self.R, self.P) == OPS[op](self.R, FqRationalFunction.of(self.P))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_mixed_fields_still_raise(self, op):
+        other = FqRationalFunction(poly(2, [1, 1]), poly(2, [0, 1]))
+        with pytest.raises(TypeError):
+            OPS[op](self.P, other)
+        with pytest.raises(TypeError):
+            OPS[op](other, self.P)
+
+
+def test_poly_one_is_shared():
+    assert poly_one(4) is poly_one(gf(4))
+    assert poly_one(4) == poly(4, [1])

@@ -1,5 +1,6 @@
 """Localized modules: intersections, volumes, scaling laws, factorizations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from latred import matrices
 from latred.errors import (DeterminantError, DomainError, RankDeficiencyError,
                            SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
+from latred.jsonio import value_to_json
 from latred.latff import VolumeSpace, ff_logvol
 from latred.latz import InnerProduct
 from latred.logs import ExactLog
@@ -170,6 +172,95 @@ class TestLocalizedErrors:
                 [zero, T3 + ONE3, FqRationalFunction(T3 + 2 * ONE3, T3)]]
         assert enc(LocSummand.from_rows(F3_CTX, 3, rows)) == \
             [["t+1", "2", "1/t"], ["0", "t+1", "(t+2)/t"]]
+
+
+PIN_CTXS = {"Z[1/6]": CTX23, "F2[t][1/t]": F2_CTX, "F3[t][T^-1]": F3_CTX}
+
+# intersect_integral rows and loc_c values of _pin_cases, frozen before the
+# lattice Z[T^-1]^n cap B was built once per loc_c
+PINNED = {
+    "F2[t][1/t]": [
+        ([["0", "t^4+t^3", "t^3"]], "-7"),
+        ([["0", "1/t^2", "(t^2+t+1)/t^3"]], "-3"),
+        ([["t+1", "(t^2+1)/t", "1/t"]], "-5"),
+        ([["1/t", "(t+1)/t", "0"]], "-4"),
+        ([["1", "1"]], "-1"),
+        ([["1/t", "0", "0"]], "-2"),
+    ],
+    "F3[t][T^-1]": [
+        ([["0", "1", "0"]], "1"),
+        ([["1", "(t+2)/t", "0"]], "-4"),
+        ([["0", "1/t"]], "0"),
+        ([["1/t^3", "1/t", "2/t^3"], ["0", "(t^3+2*t^2+2)/t^2", "1/t"]], "-6"),
+        ([["t^2", "t^2", "2*t^4+2*t^3+t^2"]], "-7"),
+        ([["(t^3+2*t^2+t+2)/t^2", "(t^2+1)/t^2"]], "-7"),
+    ],
+    "Z[1/6]": [
+        ([["1/4", "-1/4", "3/4"]], {"c_sq_ratio": "3/3844"}),
+        ([["0", "9/4"]], {"c_sq_ratio": "5/2916"}),
+        ([["1", "3", "1"]], {"log_arg": "13/147456000", "log_index": 4}),
+        ([["1/4", "1/12", "-1/12"], ["0", "5/24", "1/6"]], {"c_sq_ratio": "385/394272"}),
+        ([["3/4", "1/4", "3/4"], ["0", "5/4", "-3/2"]], {"c_sq_ratio": "5/317583"}),
+        ([["3", "0"]], {"c_sq_ratio": "4/3"}),
+    ],
+}
+
+
+def _pin_cases(name):
+    """Seeded (W, x, B) triples: proper W, B with T- and non-T denominators."""
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    zero, one = ring.field_zero(), ring.field_one()
+    rng = random.Random(f"sarith-pins/{name}")
+    for _ in range(len(PINNED[name])):
+        n = rng.randint(2, 3)
+        if ctx.kind == "Z":
+            B = random_invertible_rational(rng, n, 4, 6)
+            x = random_spd(rng, n, spread=1)
+        else:
+            while True:
+                B = matrices.freeze([[random_ratfunc(rng, ctx.q, 1) for _ in range(n)]
+                                     for _ in range(n)])
+                if not ring.field_is_zero(matrices.det_field(B, zero, one)):
+                    break
+            x = random_volume_space(rng, ctx.q, n, maxdeg=1)
+        k = rng.randint(1, n - 1)
+        while True:
+            rows = [[rng.randint(-3, 3) if ctx.kind == "Z" else random_poly(rng, ctx.q, 2)
+                     for _ in range(n)] for _ in range(k)]
+            lifted = matrices.freeze([[ring.to_field(v) for v in r] for r in rows])
+            if matrices.rank_field(lifted, zero, one) == k:
+                break
+        scale = one / ring.to_field(ctx.T[0] ** rng.randint(0, 2))
+        yield (LocSummand.from_rows(ctx, n, rows), x,
+               IntegralStructure(ctx, n, B).scaled(scale))
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+class TestPinnedOutputs:
+    def test_intersect_and_c(self, name):
+        got = [([[str(v) for v in row] for row in intersect_integral(w, B)],
+                value_to_json(loc_c(w, x, B), decimals=False))
+               for w, x, B in _pin_cases(name)]
+        assert got == PINNED[name]
+
+    def test_one_lattice_build_per_c(self, name, monkeypatch):
+        # Z[T^-1]^n cap B costs a Smith form of B's cleared basis; one loc_c
+        # needs it once
+        ring = PIN_CTXS[name].base_ring()
+        cleared = []
+        snf = matrices.snf
+
+        def counting_snf(r, M):
+            cleared.append([list(row) for row in M])
+            return snf(r, M)
+        monkeypatch.setattr(matrices, "snf", counting_snf)
+        for w, x, B in _pin_cases(name):
+            den = ring.to_field(matrices.common_denominator(ring, B.basis))
+            zB = [[ring.from_field(den * v) for v in row] for row in B.basis]
+            cleared.clear()
+            loc_c(w, x, B)
+            assert cleared.count(zB) == 1
 
 
 class TestIntersect:
