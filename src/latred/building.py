@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gflinalg, matrices
-from .errors import (DimensionError, DomainError, InvalidPlaceError,
-                     RankDeficiencyError, ScaleError)
+from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
 from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power
 from .rings import is_prime_int
 
@@ -152,31 +151,11 @@ class Vertex:
 
 def _column_reduce(ctx, cols):
     """Upper-triangular O-basis (as columns) of the column span."""
-    n = ctx.n
     cols = [list(c) for c in cols]
-    chosen = [None] * n
-    avail = list(range(len(cols)))
-    for i in range(n - 1, -1, -1):
-        piv, piv_val = None, None
-        for j in avail:
-            v = ctx.val(cols[j][i])
-            if v != math.inf and (piv is None or v < piv_val):
-                piv, piv_val = j, v
-        if piv is None:
-            raise RankDeficiencyError("columns do not span a full lattice")
-        pivcol = cols[piv]
-        unit = pivcol[i] * ctx.unif_pow(-piv_val)
-        inv_unit = ctx.one() / unit
-        pivcol = [x * inv_unit for x in pivcol]
-        cols[piv] = pivcol
-        for j in avail:
-            if j != piv:
-                x = cols[j][i]
-                if ctx.val(x) != math.inf:
-                    f = x / pivcol[i]
-                    cols[j] = [a - f * b for a, b in zip(cols[j], pivcol)]
-        chosen[i] = pivcol
-        avail.remove(piv)
+    chosen = [None] * ctx.n
+    for i, p, v in matrices.dvr_column_reduce(cols, range(ctx.n - 1, -1, -1), ctx.val):
+        inv_unit = ctx.one() / (cols[p][i] * ctx.unif_pow(-v))
+        chosen[i] = [x * inv_unit for x in cols[p]]
     return chosen
 
 
@@ -271,35 +250,10 @@ def relative_exponents(v1, v2, ctx=None):
     ctx = ctx or v1.ctx
     zero, one = ctx.zero(), ctx.one()
     M1inv = matrices.inverse_field(v1.matrix, zero, one)
-    A = [list(r) for r in matrices.matmul(M1inv, v2.matrix, zero)]
-    n = ctx.n
-    exps = []
-    rows = list(range(n))
-    colsn = list(range(n))
-    while rows:
-        piv, pv = None, None
-        for i in rows:
-            for j in colsn:
-                v = ctx.val(A[i][j])
-                if v != math.inf and (piv is None or v < pv):
-                    piv, pv = (i, j), v
-        if piv is None:
-            raise RankDeficiencyError("singular base change")
-        (pi_, pj) = piv
-        pivval = A[pi_][pj]
-        for i in rows:
-            if i != pi_ and ctx.val(A[i][pj]) != math.inf:
-                f = A[i][pj] / pivval
-                A[i] = [a - f * b for a, b in zip(A[i], A[pi_])]
-        for j in colsn:
-            if j != pj and ctx.val(A[pi_][j]) != math.inf:
-                f = A[pi_][j] / pivval
-                for i in rows:
-                    A[i][j] = A[i][j] - f * A[i][pj]
-        exps.append(pv)
-        rows.remove(pi_)
-        colsn.remove(pj)
-    return tuple(sorted(exps))
+    A = matrices.matmul(M1inv, v2.matrix, zero)
+    cols = [list(c) for c in matrices.transpose(A)]
+    steps = matrices.dvr_column_reduce(cols, range(ctx.n), ctx.val, any_row=True)
+    return tuple(sorted(v for _, _, v in steps))
 
 
 def vertices_adjacent_or_equal(v1, v2, ctx=None):

@@ -236,9 +236,6 @@ class GF:
             return pow(a, -1, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q
 
@@ -569,15 +566,6 @@ class FqRationalFunction:
 
     def __rtruediv__(self, other):
         return FqRationalFunction.of(other) / self
-
-    def laurent_coefficient(self, k):
-        """Coefficient of t^k in the Laurent expansion at infinity (in 1/t)."""
-        if self.is_zero():
-            return 0
-        top = -self.nu()  # largest exponent with a (possibly) nonzero coefficient
-        if k > top:
-            return 0
-        return self.laurent_coefficients(k, top)[0]
 
     def laurent_coefficients(self, lo, hi):
         """Coefficients of t^lo .. t^hi of the expansion at infinity, ascending."""

@@ -135,28 +135,6 @@ def matrix_to_json(M):
     return out
 
 
-def matrix_from_json(doc):
-    try:
-        ring = doc["ring"]
-        entries = doc["entries"]
-        q = doc.get("q")
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad matrix document: {exc}") from None
-    rows = doc.get("rows", len(entries))
-    cols = doc.get("cols", len(entries[0]) if entries else 0)
-    if ring == "Z":
-        ent = [[int(x) for x in row] for row in entries]
-    elif ring == "Q":
-        ent = [[rational_from_str(x) for x in row] for row in entries]
-    elif ring == "Fq[t]":
-        ent = [[poly_from_coeffs(q, x) for x in row] for row in entries]
-    elif ring == "Fq(t)":
-        ent = [[ratfunc_from_str(q, x) for x in row] for row in entries]
-    else:
-        raise ValidationError(f"unknown matrix ring {ring!r}")
-    return ExactMatrix(ring, rows, cols, ent, q=q)
-
-
 # ---------------------------------------------------------------------------
 # module-level payloads
 # ---------------------------------------------------------------------------
@@ -170,10 +148,6 @@ def inner_product_from_json(doc):
     return InnerProduct(n, gram)
 
 
-def inner_product_to_json(s):
-    return {"n": s.n, "gram": [[rational_to_str(x) for x in row] for row in s.gram]}
-
-
 def volume_space_from_json(doc):
     try:
         q = int(doc["q"])
@@ -182,11 +156,6 @@ def volume_space_from_json(doc):
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad volume space: {exc}") from None
     return VolumeSpace(q, n, rows)
-
-
-def volume_space_to_json(vs):
-    return {"q": vs.q, "n": vs.n,
-            "S_basis": [[ratfunc_to_str(x) for x in row] for row in vs.basis]}
 
 
 def z_summand_from_json(doc, n):

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import filtration, gflinalg, matrices
-from .errors import (DimensionError, DomainError, ProjectivityError,
-                     RankDeficiencyError, ScaleError, SingularityError)
+from .errors import (DimensionError, DomainError, ProjectivityError, ScaleError,
+                     SingularityError)
 from .fq import FqRationalFunction, gf, poly, poly_one, poly_t
 from .rings import poly_ring
 
@@ -202,14 +202,18 @@ class FFSummand:
 
 
 # ---------------------------------------------------------------------------
-# log-volume by the minor formula
+# log-volume by valuation-ring column reduction
 # ---------------------------------------------------------------------------
 
 def ff_logvol(vs, submodule):
     """Integer log-volume of a submodule (any independent basis rows).
 
     Expresses the rows in the lattice basis and maximizes -nu over the
-    maximal minors of the coefficient matrix.
+    maximal minors of that coefficient matrix.  R-column operations keep
+    the least nu of a maximal minor, and column reduction leaves one
+    nonzero maximal minor, the product of the pivots: the log-volume is
+    minus the sum of the pivot valuations.  Dependent rows (or more rows
+    than n) leave a row without a pivot and raise RankDeficiencyError.
     """
     if isinstance(submodule, FFSummand):
         rows = submodule.basis
@@ -219,19 +223,11 @@ def ff_logvol(vs, submodule):
         return 0
     ring = poly_ring(vs.q)
     rows = _as_ratfunc_rows(vs.q, rows)
-    m = len(rows)
-    Hinv = vs.inverse_basis()
-    lam = matrices.matmul(rows, matrices.transpose(Hinv), ring.field_zero())
-    best = None
-    for mn in matrices.minors(lam, m, lambda S: matrices.det_field(
-            S, ring.field_zero(), ring.field_one())).values():
-        if not mn.is_zero():
-            val = -mn.nu()
-            if best is None or val > best:
-                best = val
-    if best is None:
-        raise RankDeficiencyError("submodule basis rows are dependent")
-    return best
+    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()),
+                          ring.field_zero())
+    cols = [list(c) for c in matrices.transpose(lam)]
+    steps = matrices.dvr_column_reduce(cols, range(len(rows)), FqRationalFunction.nu)
+    return -sum(v for _, _, v in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +269,10 @@ def sub_quotient(vs, w):
     coords = matrices.matmul(Minv, vs.basis, ring.field_zero())
     cols = [list(col) for col in matrices.transpose(coords)]
     # valuation-ring column reduction: clear the bottom (n-m) rows
-    available = list(range(n))
-    pivots = []
-    for i in range(n - 1, m - 1, -1):
-        piv = None
-        piv_nu = None
-        for j in available:
-            x = cols[j][i]
-            if not x.is_zero():
-                nv = x.nu()
-                if piv is None or nv < piv_nu or (nv == piv_nu and j < piv):
-                    piv, piv_nu = j, nv
-        if piv is None:
-            raise SingularityError("degenerate lattice basis")  # pragma: no cover
-        for j in available:
-            if j != piv and not cols[j][i].is_zero():
-                f = cols[j][i] / cols[piv][i]
-                cols[j] = [a - f * b for a, b in zip(cols[j], cols[piv])]
-        available.remove(piv)
-        pivots.append(piv)
-    pivots.reverse()
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1),
+                                       FqRationalFunction.nu)
+    pivots = [j for _, j, _ in reversed(steps)]
+    available = [j for j in range(n) if j not in pivots]
     res_cols = [cols[j] for j in available]
     res_rows = [[res_cols[j][i] for j in range(m)] for i in range(m)]
     quot_rows = [[cols[pivots[j]][m + i] for j in range(n - m)] for i in range(n - m)]

@@ -9,6 +9,7 @@ by elimination) work on Fraction / FqRationalFunction entries directly.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (DimensionError, DomainError, RankDeficiencyError,
@@ -506,6 +507,38 @@ def field_kernel(M, zero, one):
             v[pc] = -a[r][j]
         basis.append(tuple(v))
     return freeze(basis)
+
+
+def dvr_column_reduce(cols, rows, val, any_row=False):
+    """Column reduction over the valuation ring of `val` (val(0) = inf).
+
+    `cols` are mutable column lists over the fraction field.  Each step
+    clears one of `rows`, the next in order (with `any_row`, whichever
+    remaining row holds the least entry): it pivots on the least-valuation
+    entry among the unused columns, the first one on a tie, and subtracts
+    multiples of the pivot column, each of valuation >= 0, from the other
+    unused columns.  Returns the steps as (row, pivot column, valuation);
+    a row without a pivot raises RankDeficiencyError.
+    """
+    avail = list(range(len(cols)))
+    todo = list(rows)
+    steps = []
+    while todo:
+        vals = {(i, j): val(cols[j][i])
+                for i in (todo if any_row else todo[:1]) for j in avail}
+        (i, p), v = min(vals.items(), key=lambda kv: kv[1],
+                        default=((None, None), math.inf))
+        if v == math.inf:
+            raise RankDeficiencyError("columns do not span a full lattice")
+        piv = cols[p]
+        for j in avail:
+            if j != p and vals[i, j] != math.inf:
+                f = cols[j][i] / piv[i]
+                cols[j] = [a - f * b for a, b in zip(cols[j], piv)]
+        avail.remove(p)
+        todo.remove(i)
+        steps.append((i, p, v))
+    return steps
 
 
 def inverse_unimodular(ring, U):

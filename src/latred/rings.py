@@ -130,9 +130,6 @@ class IntegerRing:
             raise DomainError(f"{x} is not integral")
         return x.numerator
 
-    def is_integral_field_elt(self, x):
-        return Fraction(x).denominator == 1
-
     def __repr__(self):
         return "ZZ"
 
@@ -220,9 +217,6 @@ class PolynomialRing:
 
     def from_field(self, x):
         return FqRationalFunction.of(x).as_polynomial()
-
-    def is_integral_field_elt(self, x):
-        return FqRationalFunction.of(x).is_integral()
 
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and other.q == self.q

@@ -1,12 +1,14 @@
 """Lattice-class vertices, neighbors, labels, chambers, apartments."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latred import matrices
 from latred.building import (BuildingContext, SimplexDecomposition, Vertex,
                              apartment_coords, canonical_vertex,
                              count_chambers_on_edge, edge_length,
@@ -17,6 +19,8 @@ from latred.errors import DimensionError, DomainError, ScaleError
 from latred.fq import (PRIME_POWER_LIMIT, FqRationalFunction, poly, poly_one,
                        poly_t)
 from latred.gflinalg import count_subspaces
+
+from conftest import random_poly
 
 
 CTX22 = BuildingContext.p_adic(2, 2)
@@ -95,6 +99,75 @@ class TestNeighbors:
             neighbors(standard_vertex(BuildingContext.p_adic(7, 2)))
 
 
+def _lattice_cols(rng, ctx, extra=0):
+    """Spanning columns of a random lattice: p-power denominators, or F_q[t]
+    entries; `extra` columns beyond the rank."""
+    n = ctx.n
+    while True:
+        if ctx.kind == "p-adic":
+            cols = [[Fraction(rng.randint(-6, 6) * ctx.p ** rng.randint(0, 2),
+                              ctx.p ** rng.randint(0, 2)) for _ in range(n)]
+                    for _ in range(n + extra)]
+        else:
+            cols = [[FqRationalFunction.of(random_poly(rng, ctx.q, 2)) for _ in range(n)]
+                    for _ in range(n + extra)]
+        if matrices.rank_field(cols, ctx.zero(), ctx.one()) == n:
+            return cols
+
+
+VERTEX_PIN_CTXS = [BuildingContext.p_adic(2, 3), BuildingContext.p_adic(3, 2),
+                   BuildingContext.p_adic(5, 4), CTX32]
+
+
+def _vertex_pins():
+    """Seeded column lists (some with a redundant column) and their contexts."""
+    rng = random.Random("building-vertex-pins")
+    for ctx in VERTEX_PIN_CTXS:
+        for extra in (0, 0, 1, 1):
+            yield _lattice_cols(rng, ctx, extra), ctx
+
+
+# canonical_vertex matrices of _vertex_pins, frozen before the valuation-ring
+# column reduction became one kernel
+VERTEX_PINS = [
+    [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "4"]],
+    [["16", "0", "4"], ["0", "4", "2"], ["0", "0", "1"]],
+    [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "2"]],
+    [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "2"]],
+    [["1", "0"], ["0", "9"]],
+    [["1", "2/3"], ["0", "1"]],
+    [["1", "0"], ["0", "9"]],
+    [["1", "0"], ["0", "3"]],
+    [["625", "125", "375", "125"],
+     ["0", "25", "0", "0"],
+     ["0", "0", "1", "0"],
+     ["0", "0", "0", "1"]],
+    [["1", "0", "0", "0"],
+     ["0", "25", "0", "0"],
+     ["0", "0", "1", "0"],
+     ["0", "0", "0", "1"]],
+    [["5", "0", "0", "0"],
+     ["0", "5", "0", "0"],
+     ["0", "0", "25", "0"],
+     ["0", "0", "0", "1"]],
+    [["25", "5", "5", "0"],
+     ["0", "1", "0", "0"],
+     ["0", "0", "5", "0"],
+     ["0", "0", "0", "1"]],
+    [["1/t^3", "1/t^2", "0"], ["0", "1", "0"], ["0", "0", "1/t"]],
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    [["1/t", "0", "0"], ["0", "1", "0"], ["0", "0", "1/t"]],
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1/t"]],
+]
+
+
+class TestPinnedVertices:
+    def test_outputs(self):
+        got = [[[str(x) for x in row] for row in canonical_vertex(cols, ctx).matrix]
+               for cols, ctx in _vertex_pins()]
+        assert got == VERTEX_PINS
+
+
 class TestLabelDifference:
     def test_same_vertex(self):
         v = standard_vertex(CTX22)
@@ -112,6 +185,24 @@ class TestLabelDifference:
                                 for i in range(3)] for j in range(3)], ctx)
         assert v1 == v2
         assert label_difference(v1, v2) == 0
+
+    @pytest.mark.parametrize("ctx", [BuildingContext.p_adic(p, n)
+                                     for p in (2, 3, 5) for n in (1, 2, 3, 4)] + [CTX32],
+                             ids=lambda ctx: f"{ctx.kind}-{ctx.residue_size}-{ctx.n}")
+    def test_relative_exponents_are_determinantal_divisor_steps(self, ctx):
+        # d_k = least valuation of a k x k minor of M1^-1 M2; the elementary
+        # divisor exponents are d_k - d_{k-1}, already ascending
+        rng = random.Random(f"relexp/{ctx}")
+        zero, one = ctx.zero(), ctx.one()
+        for _ in range(4):
+            v1, v2 = (canonical_vertex(_lattice_cols(rng, ctx), ctx) for _ in range(2))
+            A = matrices.matmul(matrices.inverse_field(v1.matrix, zero, one),
+                                v2.matrix, zero)
+            d = [0] + [min(ctx.val(x) for x in matrices.minors(
+                A, k, lambda S: matrices.det_field(S, zero, one)).values())
+                for k in range(1, ctx.n + 1)]
+            assert relative_exponents(v1, v2) == tuple(
+                d[k] - d[k - 1] for k in range(1, ctx.n + 1))
 
     def test_adjacency_predicate(self):
         v0 = standard_vertex(CTX32)

@@ -189,6 +189,13 @@ class TestContract:
         assert res.exit_code == 3
         assert json.loads(res.output)["kind"] == "domain"
 
+    def test_singular_vertex_exits_3(self):
+        res = run_cli(["building-neighbors", "--p", "2", "--n", "2"],
+                      {"matrix": [["1", "2"], ["2", "4"]]})
+        assert res.exit_code == 3
+        assert res.output == ('{"error":"columns do not span a full lattice",'
+                              '"kind":"domain"}\n')
+
     @pytest.mark.parametrize("ctx,rows", [
         ({"ring": "z", "T": [2, 3]}, [["1", "2"], ["2", "4"]]),
         ({"ring": "ff", "q": 2, "T": [[0, 1]]}, [["1", "t"], ["t", "t^2"]]),

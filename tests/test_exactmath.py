@@ -266,3 +266,36 @@ class TestKernelAndIntersection:
     def test_lattice_intersection_membership(self):
         got = matrices.lattice_intersect(ZZ, [[2, 0], [0, 1]], [[1, 1]])
         assert got == ((2, 2),)
+
+
+def _val2(x):
+    return valuation(x, 2)
+
+
+class TestDvrColumnReduce:
+    def test_pivot_valuations(self):
+        # columns (4, 2) and (2, 12); det 44 has 2-adic valuation 2 = 1 + 1
+        cols = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(12)]]
+        assert matrices.dvr_column_reduce(cols, [1, 0], _val2) == [(1, 0, 1), (0, 1, 1)]
+        assert cols == [[4, 2], [-22, 0]]
+
+    def test_any_row_pivots_on_the_least_remaining_entry(self):
+        cols = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(12)]]
+        steps = matrices.dvr_column_reduce(cols, [0, 1], _val2, any_row=True)
+        assert steps == [(0, 1, 1), (1, 0, 1)]
+        assert cols == [[0, -22], [2, 12]]
+
+    def test_least_valuation_then_first_column(self):
+        cols = [[Fraction(2)], [Fraction(3)], [Fraction(5)]]
+        assert matrices.dvr_column_reduce(cols, [0], _val2) == [(0, 1, 0)]
+        assert cols == [[0], [3], [0]]
+        cols = [[Fraction(3)], [Fraction(1)], [Fraction(4)]]
+        assert matrices.dvr_column_reduce(cols, [0], _val2) == [(0, 0, 0)]
+        assert cols == [[3], [0], [0]]
+
+    def test_dependent_row_raises(self):
+        cols = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(RankDeficiencyError, match="columns do not span a full lattice"):
+            matrices.dvr_column_reduce(cols, [1, 0], _val2)
+        with pytest.raises(RankDeficiencyError):
+            matrices.dvr_column_reduce([[Fraction(1), Fraction(0)]], [1, 0], _val2)

@@ -1,5 +1,6 @@
 """Function-field volume spaces: minors, subquotients, diagonal bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,17 @@ def _rf(p):
     return FqRationalFunction.of(p)
 
 
+def _logvol_by_minors(vs, rows):
+    """Reference log-volume: the largest -nu of a maximal minor of rows . S^-T
+    (None when every maximal minor vanishes)."""
+    ring = poly_ring(vs.q)
+    zero, one = ring.field_zero(), ring.field_one()
+    rows = [[_rf(x) for x in row] for row in rows]
+    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()), zero)
+    table = matrices.minors(lam, len(rows), lambda S: matrices.det_field(S, zero, one))
+    return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
+
+
 class TestLogVolume:
     def test_examples(self):
         vs = _standard(2)
@@ -46,6 +58,26 @@ class TestLogVolume:
     def test_dependent_rows_rejected(self):
         with pytest.raises(RankDeficiencyError):
             ff_logvol(_standard(2), [[ONE, T], [T, T * T]])
+
+    def test_more_rows_than_rank_rejected(self):
+        with pytest.raises(RankDeficiencyError):
+            ff_logvol(_standard(2), [[ONE, ZERO], [ZERO, ONE], [T, ONE]])
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_minor_oracle(self, q):
+        rng = random.Random(f"logvol-minors/{q}")
+        for n in range(2, 6):
+            vs = random_volume_space(rng, q, n, maxdeg=1)
+            for m in range(1, n + 1):
+                saturated = random_ff_summand(rng, q, n, m).basis
+                raw = [[random_poly(rng, q, 2) for _ in range(n)] for _ in range(m)]
+                for rows in (saturated, raw):
+                    expected = _logvol_by_minors(vs, rows)
+                    if expected is None:
+                        with pytest.raises(RankDeficiencyError):
+                            ff_logvol(vs, rows)
+                    else:
+                        assert ff_logvol(vs, rows) == expected
 
     def test_basis_independence(self, rng):
         # unimodular change of the submodule basis and R-unimodular change
@@ -152,6 +184,52 @@ class TestSubQuotient:
                 sq.quot, matrices.identity_rows(3 - w.rank, ONE, ZERO))
             assert total == res_total + quot_total
             assert res_total == ff_logvol(vs, w)
+
+
+def _sub_quotient_pins():
+    """Seeded (volume space, summand) pairs over F_2, F_3 and F_4."""
+    rng = random.Random("latff-subquotient-pins")
+    for q, n in ((2, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)):
+        vs = random_volume_space(rng, q, n, maxdeg=1)
+        yield vs, random_ff_summand(rng, q, n, rng.randint(1, n - 1), maxdeg=1)
+
+
+def _strs(M):
+    return [[str(x) for x in row] for row in M]
+
+
+# restriction bases, quotient bases and quotient lifts of _sub_quotient_pins,
+# frozen before the valuation-ring column reduction became one kernel
+SUB_QUOTIENT_PINS = [
+    [[["0", "1"], ["(t+1)/t", "t"]],
+     [["1"]],
+     [["1", "0", "0"]]],
+    [[["(t+1)/t", "1/(t+1)"], ["(t+1)/t", "1/t"]],
+     [["1"]],
+     [["1", "1/(t+1)", "1"]]],
+    [[["1/t"]],
+     [["2*t/(t^2+2*t+2)", "2*t^2+t"], ["0", "t^2+2*t+2"]],
+     [["2*t/(t^2+2*t+2)", "0", "2/(t^2+2*t+2)"], ["2", "0", "2*t+1"]]],
+    [[["(3*t^2+3*t+3)/(t^2+1)"]],
+     [["2*t+2", "t+3"], ["0", "2"]],
+     [["3", "2*t+1", "3"], ["0", "t+3", "2"]]],
+    [[["0", "1/(t^3+1)"], ["1/(t+1)", "(t+1)/(t^2+t+1)"]],
+     [["(t^2+t+1)/(t^2+1)", "t^2"], ["0", "t^2+t"]],
+     [["1", "1/(t+1)", "1/(t^2+1)", "1"], ["0", "0", "t", "0"]]],
+    [[["(t^4+2*t^3+t+1)/(t^6+t^4+2*t^2+t+2)"]],
+     [["(2*t^6+2*t^4+t^2+2*t+1)/(t^6+t^4+t^3+t^2+2*t)", "(2*t^2+t+1)/(t+1)",
+      "(2*t+1)/(t+1)"], ["0", "(2*t^3+t+2)/(t^2+2)", "2"], ["0", "0", "(2*t+1)/t"]],
+     [["0", "(2*t+2)/(t+2)", "(t^4+2*t^3+t+1)/(t^5+2*t^4+2*t^3+2*t^2+2*t)",
+      "(t^4+2*t^3+t+1)/(t^6+t^4+t^3+t^2+2*t)"], ["0", "0", "2/(t+1)",
+      "(t^2+2*t+2)/(t^2+2)"], ["(2*t+1)/t", "0", "0", "1/(t+1)"]]],
+]
+
+
+class TestPinnedSubQuotient:
+    def test_outputs(self):
+        got = [[_strs(sq.res.basis), _strs(sq.quot.basis), _strs(sq.quot_lift_cols)]
+               for sq in (sub_quotient(vs, w) for vs, w in _sub_quotient_pins())]
+        assert got == SUB_QUOTIENT_PINS
 
 
 class TestDiagonalBasis:
