@@ -209,7 +209,8 @@ def neighbors(v, ctx=None):
     n = ctx.n
     r = ctx.residue_size
     if r > NEIGHBOR_RESIDUE_LIMIT or n > NEIGHBOR_RANK_LIMIT:
-        raise ScaleError("neighbor enumeration beyond desk scale")
+        raise ScaleError(f"neighbor enumeration at residue field size {r}, rank {n} exceeds "
+                         f"the limits {NEIGHBOR_RESIDUE_LIMIT}, {NEIGHBOR_RANK_LIMIT}")
     F = ctx.residue_field()
     cols = [list(c) for c in v.columns()]
     inv_pi = ctx.unif_pow(-1)

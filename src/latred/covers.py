@@ -189,7 +189,8 @@ def cover_membership(x, sys, with_values=False):
     At most one summand per rank is possible; the result is sorted by rank.
     """
     if sys.n > CORE_RANK_LIMIT:
-        raise ScaleError("cover membership beyond desk scale")
+        raise ScaleError(f"cover system rank {sys.n} exceeds the desk-scale limit "
+                         f"{CORE_RANK_LIMIT}")
     hits = [(w, c) for w, c in _chain_with_values(x) if sys.exceeded_by(c)]
     hits.sort(key=lambda wc: _rank_of(wc[0]))
     ranks = [_rank_of(w) for w, _ in hits]

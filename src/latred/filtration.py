@@ -20,15 +20,20 @@ is positive.  Log-volume values are exact: `Fraction` on ultrametric sides,
 Oracle protocol (duck-typed)::
 
     top_rank : int
-    zero() / one()                      -> handles of the extreme elements
+    zero() / one()             -> handles of the extreme elements
     rank(h) -> int
     logvol(h) -> Fraction | ExactLog
-    leq(a, b) -> bool                   poset order
-    meet(a, b) / join(a, b) -> handle
-    summands_of_rank_below(m, bound)    complete list of rank-m handles
-                                        with logvol <= bound
-    min_logvol_below(w, m)  [optional]  min logvol over rank-m elements < w
-    min_logvol_above(w, m)  [optional]  min logvol over rank-m elements > w
+    leq(a, b) -> bool          poset order
+    rank_minima(m)             -> (handles, value): every rank-m handle of
+                                  least logvol, in the oracle's enumeration
+                                  order, and that least logvol
+    min_logvol_below(w, m)     min logvol over rank-m elements <= w
+    min_logvol_above(w, m)     min logvol over rank-m elements >= w
+
+The oracle owns the search for minima.  `ZOracle` and `FFOracle` answer
+with one complete enumeration at a bound certified by a reduced basis
+(exact LLL over Z, the diagonal basis over F_q[t]), so the engine runs no
+volume-window loop.
 """
 
 from __future__ import annotations
@@ -70,13 +75,6 @@ def _is_zero_value(v):
     if isinstance(v, ExactLog):
         return v.is_zero()
     return v == 0
-
-
-def _bound_step(v):
-    """Strictly enlarge an exact bound (stays in the same value domain)."""
-    if isinstance(v, ExactLog):
-        return v + ExactLog.log(4)
-    return v + 2
 
 
 def slope(point_hi, point_lo):
@@ -123,43 +121,6 @@ def canonical_plot(points, top_rank=None):
 # instability numbers
 # ---------------------------------------------------------------------------
 
-def _constrained_min(oracle, m, predicate):
-    """Min log-volume among rank-m elements satisfying the predicate.
-
-    Starts the volume window at the normalization level and widens it
-    geometrically, so the final (dominant) enumeration is no larger than
-    one step beyond the true minimum.
-    """
-    bound = oracle.logvol(oracle.zero())
-    while True:
-        cands = [h for h in oracle.summands_of_rank_below(m, bound)
-                 if predicate(h)]
-        if cands:
-            vals = [oracle.logvol(h) for h in cands]
-            best = vals[0]
-            for v in vals[1:]:
-                if v < best:
-                    best = v
-            return best
-        bound = _bound_step(bound)
-
-
-def _min_logvol_below(oracle, w, m):
-    if hasattr(oracle, "min_logvol_below"):
-        return oracle.min_logvol_below(w, m)
-    if m == 0:
-        return oracle.logvol(oracle.zero())
-    return _constrained_min(oracle, m, lambda h: oracle.leq(h, w))
-
-
-def _min_logvol_above(oracle, w, m):
-    if hasattr(oracle, "min_logvol_above"):
-        return oracle.min_logvol_above(w, m)
-    if m == oracle.top_rank:
-        return oracle.logvol(oracle.one())
-    return _constrained_min(oracle, m, lambda h: oracle.leq(w, h))
-
-
 def c_value(oracle, w):
     """Exact instability number of a proper nonzero summand.
 
@@ -173,13 +134,13 @@ def c_value(oracle, w):
     lv_w = oracle.logvol(w)
     incoming = None
     for k in range(m):
-        val = _min_logvol_below(oracle, w, k)
+        val = oracle.min_logvol_below(w, k)
         s = (lv_w - val) * Fraction(1, m - k)
         if incoming is None or s > incoming:
             incoming = s
     outgoing = None
     for k in range(m + 1, n + 1):
-        val = _min_logvol_above(oracle, w, k)
+        val = oracle.min_logvol_above(w, k)
         s = (val - lv_w) * Fraction(1, k - m)
         if outgoing is None or s < outgoing:
             outgoing = s
@@ -189,22 +150,6 @@ def c_value(oracle, w):
 # ---------------------------------------------------------------------------
 # the canonical filtration
 # ---------------------------------------------------------------------------
-
-def _rank_minima(oracle, m):
-    """All handles of rank m achieving the minimal log-volume, plus that value."""
-    bound = oracle.logvol(oracle.zero())
-    while True:
-        cands = list(oracle.summands_of_rank_below(m, bound))
-        if cands:
-            vals = [oracle.logvol(h) for h in cands]
-            best = vals[0]
-            for v in vals[1:]:
-                if v < best:
-                    best = v
-            reps = [h for h, v in zip(cands, vals) if v == best]
-            return reps, best
-        bound = _bound_step(bound)
-
 
 def canonical_filtration(oracle):
     """Compute the canonical filtration of the oracle's graded lattice.
@@ -218,7 +163,7 @@ def canonical_filtration(oracle):
     minima_reps = {0: ([zero], oracle.logvol(zero)),
                    n: ([one], oracle.logvol(one))}
     for m in range(1, n):
-        minima_reps[m] = _rank_minima(oracle, m)
+        minima_reps[m] = oracle.rank_minima(m)
     points = [GradedPoint(minima_reps[m][0][0], m, minima_reps[m][1])
               for m in range(n + 1)]
     report = canonical_plot(points, n)
@@ -227,13 +172,12 @@ def canonical_filtration(oracle):
     path = report.path
     for idx, vertex in enumerate(path):
         m = vertex.rank
-        reps, best = minima_reps[m]
+        reps = minima_reps[m][0]
         if 0 < m < n:
-            witnesses = [h for h in reps]
-            if len(witnesses) > 1:
+            if len(reps) > 1:
                 raise ViolatedUniquenessError(
                     f"two rank-{m} minima represent one path vertex")
-            c_values[witnesses[0]] = slope(path[idx + 1], vertex) - slope(vertex, path[idx - 1])
+            c_values[reps[0]] = slope(path[idx + 1], vertex) - slope(vertex, path[idx - 1])
         chain.append(reps[0])
     for a, b in zip(chain, chain[1:]):
         if not oracle.leq(a, b):

@@ -480,6 +480,14 @@ class FqRationalFunction:
         object.__setattr__(self, "den", den)
 
     @staticmethod
+    def _reduced(num, den):
+        """Wrap a fraction already in lowest terms with a monic denominator."""
+        out = object.__new__(FqRationalFunction)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @staticmethod
     def of(x):
         if isinstance(x, FqRationalFunction):
             return x
@@ -535,7 +543,7 @@ class FqRationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return FqRationalFunction(-self.num, self.den)
+        return FqRationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -547,8 +555,9 @@ class FqRationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return FqRationalFunction(self.num * other, self.den)
+        if isinstance(other, int):  # a unit keeps lowest terms; zero is 0/1
+            num = self.num * other
+            return FqRationalFunction._reduced(num, self.den if num else poly_one(self.field))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

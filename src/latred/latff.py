@@ -36,6 +36,7 @@ from .fq import FqRationalFunction, gf, poly, poly_one, poly_t
 from .rings import poly_ring
 
 ENUM_SPACE_LIMIT = 1 << 13
+ENUM_LINE_LIMIT = 700
 
 
 def _as_ratfunc_rows(q, rows):
@@ -589,7 +590,6 @@ class FFOracle:
     def __init__(self, vs):
         self.vs = vs
         self.top_rank = vs.n
-        self._r1 = None
         self._rho_cache = {}
 
     def zero(self):
@@ -607,32 +607,34 @@ class FFOracle:
     def leq(self, a, b):
         return b.contains(a)
 
-    def meet(self, a, b):
-        return a.meet(b)
+    def _r_vector(self, kind, w):
+        key = (kind, w.basis)
+        if key not in self._rho_cache:
+            rv = restricted_r_vector if kind == "rho" else quotient_r_vector
+            self._rho_cache[key] = rv(self.vs, w)
+        return self._rho_cache[key]
 
-    def join(self, a, b):
-        return a.join(b)
+    def rank_minima(self, m):
+        """Rank-m minimizers from one enumeration at the diagonal-basis bound.
+
+        The r-vector only bounds the search; the minimum and its witnesses
+        come from `enumerate_ff_summands`.
+        """
+        r = self._r_vector("sigma", self.zero())
+        cands = enumerate_ff_summands(self.vs, m, sum(r[:m]), r1=r[0])
+        vals = [self.logvol(h) for h in cands]
+        best = min(vals)
+        return [h for h, v in zip(cands, vals) if v == best], best
 
     def min_logvol_below(self, w, m):
         if m == 0:
             return Fraction(0)
-        key = ("rho", w.basis)
-        if key not in self._rho_cache:
-            self._rho_cache[key] = restricted_r_vector(self.vs, w)
-        return Fraction(sum(self._rho_cache[key][:m]))
+        return Fraction(sum(self._r_vector("rho", w)[:m]))
 
     def min_logvol_above(self, w, m):
         if m == self.top_rank:
             return self.logvol(self.one())
-        key = ("sigma", w.basis)
-        if key not in self._rho_cache:
-            self._rho_cache[key] = quotient_r_vector(self.vs, w)
-        return self.logvol(w) + Fraction(sum(self._rho_cache[key][:m - w.rank]))
-
-    def summands_of_rank_below(self, m, bound):
-        if self._r1 is None:
-            self._r1 = shortest_vector(self.vs)[1]
-        return enumerate_ff_summands(self.vs, m, bound, r1=self._r1)
+        return self.logvol(w) + Fraction(sum(self._r_vector("sigma", w)[:m - w.rank]))
 
 
 def restricted_r_vector(vs, w):
@@ -685,8 +687,8 @@ def enumerate_ff_summands(vs, m, bound, r1=None):
     pool_bound = bound - (m - 1) * min(r1, 0) if m > 1 else bound
     space = _logvol_solution_space(vs, pool_bound)
     vectors = _projective_points(vs.q, space, ring)
-    if len(vectors) > 700:
-        raise ScaleError(f"{len(vectors)} candidate lines exceed brute desk scale")
+    if len(vectors) > ENUM_LINE_LIMIT:
+        raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")
     level = {}
     for v in vectors:  # rank 1: one saturated line per primitive direction
         content = ring.zero()
@@ -720,7 +722,8 @@ def _projective_points(q, basis, ring):
     F = gf(q)
     k = len(basis)
     if q ** k > ENUM_SPACE_LIMIT:
-        raise ScaleError("short-vector space too large to enumerate")
+        raise ScaleError(f"short-vector space of {q ** k} vectors exceeds the limit "
+                         f"{ENUM_SPACE_LIMIT}")
     n = len(basis[0])
     seen = []
     for coeffs in itertools.product(range(q), repeat=k):

@@ -6,17 +6,21 @@ rational, and log-volumes are `ExactLog` half-logs of those rationals.
 Floating point appears only in the Riemannian distance between inner
 products, and numpy is imported only when that distance is computed.
 
-Summand enumeration below a volume bound is complete by a box search: a
-certified rational lower bound mu on the smallest Gram eigenvalue confines
-coordinates of short vectors, and Minkowski-type bounds on successive
-minima confine the generators of any low-volume summand.
+Summand enumeration below a volume bound is complete: a Fincke-Pohst
+descent over the exact LDL^T cone finds every short vector, and
+Minkowski-type bounds on successive minima confine the generators of any
+low-volume summand.  Per-rank minima take one such enumeration at a
+certified upper bound, the least principal minor of an exact LLL-reduced
+Gram matrix, so their cost does not depend on the scale or the basis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import filtration, matrices
 from .errors import (DefinitenessError, DimensionError, RankDeficiencyError,
@@ -73,6 +77,10 @@ class InnerProduct:
         G = matrices.matmul(matrices.matmul(P, self.gram, Fraction(0)),
                             matrices.transpose(P), Fraction(0))
         return InnerProduct(len(P), G)
+
+    @cached_property
+    def _reduced_gram(self):
+        return _lll_gram(self.gram)
 
 
 @dataclass(frozen=True)
@@ -164,31 +172,6 @@ def gram_logvol(s, summand):
     return ExactLog.half_log(gram_vol2(s, rows))
 
 
-def min_eigenvalue_bound(s):
-    """Certified rational 0 < mu <= lambda_min(gram), by bisection on PD tests."""
-    n = s.n
-    hi = min(s.gram[i][i] for i in range(n))
-    lo = Fraction(0)
-    ident = matrices.identity_rows(n, Fraction(1), Fraction(0))
-
-    def pd_after_shift(t):
-        shifted = matrices.freeze([[s.gram[i][j] - t * ident[i][j] for j in range(n)]
-                                   for i in range(n)])
-        return _leading_minors_positive(shifted)
-
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if pd_after_shift(mid):
-            lo = mid
-        else:
-            hi = mid
-        if lo > 0 and hi - lo < lo:
-            break
-    if lo == 0:  # pragma: no cover - PD matrices always admit a positive shift
-        raise DefinitenessError("failed to certify a positive eigenvalue bound")
-    return lo
-
-
 def _ldl(gram):
     """Exact LDL^T data: Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2."""
     n = len(gram)
@@ -206,6 +189,50 @@ def _ldl(gram):
                 g[j][k] -= d[i] * u[i][j] * u[i][k]
                 g[k][j] = g[j][k]
     return d, u
+
+
+def _lll_gram(gram):
+    """Gram matrix of an LLL-reduced basis of (Z^n, gram), delta = 3/4, exact.
+
+    Gram-Schmidt data are recomputed from the current Gram matrix at every
+    step; n is at most DESK_RANK_LIMIT.
+    """
+    g = [list(row) for row in gram]
+    n = len(g)
+    k = 1
+    while k < n:
+        d, u = _ldl(g)  # mu[k][j] = u[j][k], |b*_i|^2 = d[i]
+        for j in range(k - 1, -1, -1):
+            q = round(u[j][k])
+            if q:  # b_k -= q b_j
+                for i in range(n):
+                    g[k][i] -= q * g[j][i]
+                for i in range(n):
+                    g[i][k] -= q * g[i][j]
+                for i in range(j):
+                    u[i][k] -= q * u[i][j]
+                u[j][k] -= q
+        mu = u[k - 1][k]
+        if d[k] < (Fraction(3, 4) - mu * mu) * d[k - 1]:  # Lovasz condition fails
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return g
+
+
+def _rank_bound(s, m):
+    """Squared volume of the least-volume summand spanned by m reduced basis vectors.
+
+    A certified upper bound on the rank-m minimum: any m vectors of a basis
+    of Z^n span a direct summand.
+    """
+    g = s._reduced_gram
+    return min(matrices.det_field(matrices.freeze([[g[i][j] for j in idx] for i in idx]),
+                                  Fraction(0), Fraction(1))
+               for idx in itertools.combinations(range(s.n), m))
 
 
 def _int_range_abs_le(center, bound_sq):
@@ -228,12 +255,12 @@ def _int_range_abs_le(center, bound_sq):
     return lo, hi
 
 
-def short_vectors(s, norm2_bound, mu=None):
+def short_vectors(s, norm2_bound):
     """All +-classes of nonzero integer vectors with s(v,v) <= norm2_bound.
 
     Representatives have a positive first nonzero coordinate.  Complete by
     construction: recursive enumeration over the exact LDL^T cone with
-    per-coordinate budgets (no eigenvalue box needed).
+    per-coordinate budgets.
     """
     n = s.n
     if n > DESK_RANK_LIMIT:
@@ -273,7 +300,7 @@ def short_vectors(s, norm2_bound, mu=None):
 
 def shortest_norm2(s):
     """Exact minimal value of s(v,v) over nonzero integer vectors."""
-    budget = min(s.gram[i][i] for i in range(s.n))
+    budget = _rank_bound(s, 1)
     vecs = short_vectors(s, budget)
     best = None
     for v in vecs:
@@ -281,45 +308,50 @@ def shortest_norm2(s):
                 for i in range(s.n) for j in range(s.n))
         if best is None or q < best:
             best = q
-    return best  # nonempty: the coordinate vectors are candidates
+    return best  # nonempty: a reduced basis vector is a candidate
 
 
-def _vol2_bound_from(s, bound):
-    """Rational X with {lv <= bound} contained in {vol^2 <= X}."""
+def _lv_cmp(vol2, bound):
+    """Sign of ln sqrt(vol2) - bound, exact for an ExactLog or rational bound."""
+    lv = ExactLog.half_log(vol2)
     if isinstance(bound, ExactLog):
-        f = min(bound.to_float(), 700.0)
-        X = Fraction(max(math.exp(2 * f) * 1.125, 1e-9)).limit_denominator(10 ** 12)
-        if X <= 0:
-            X = Fraction(1, 10 ** 9)
-        while ExactLog.half_log(X) < bound:
-            X *= 4
-        return X
-    # plain real bound C on ln vol: X >= exp(2C)
-    f = min(float(bound), 700.0)
-    X = Fraction(max(math.exp(2 * f) * 1.125, 1e-12)).limit_denominator(10 ** 12)
-    while ExactLog.half_log(X).compare_to_real(bound) < 0:
-        X *= 4
+        return (lv - bound).sign()
+    return lv.compare_to_real(Fraction(bound))
+
+
+def _vol2_bound_from(bound):
+    """A power of two X >= exp(2 bound), within a factor 4 of it.
+
+    {lv <= bound} is then contained in {vol^2 <= X}.
+    """
+    f = bound.to_float() if isinstance(bound, ExactLog) else float(bound)
+    X = Fraction(2) ** math.floor(2 * f / math.log(2))
+    while _lv_cmp(X, bound) < 0:
+        X *= 2
     return X
 
 
-def _lv_le(vol2, bound):
-    if isinstance(bound, ExactLog):
-        return ExactLog.half_log(vol2) <= bound
-    return ExactLog.half_log(vol2).compare_to_real(bound) <= 0
+def _candidates(s, X, m, lam1):
+    """Saturated rank-m spans (0 < m < n) that include every summand of vol^2 <= X.
+
+    A rank-m summand of squared volume <= X contains m independent vectors
+    of squared norm <= (4/3)^{m(m-1)/2} X / lam1^{m-1}, lam1 the squared
+    length of a shortest vector; their saturated span recovers it.
+    """
+    R2 = Fraction(4, 3) ** (m * (m - 1) // 2) * X / (lam1 ** (m - 1) if m > 1 else 1)
+    return _assemble_summands(s.n, short_vectors(s, R2), m)
 
 
 def enumerate_summands(s, bound, ranks=None):
     """All direct summands with ln vol <= bound, grouped as a flat sorted list.
 
     `bound` may be a float/Fraction (a bound on ln vol) or an ExactLog value;
-    membership is always decided exactly.  Complete via Minkowski bounds: a
-    rank-m summand of volume <= V contains m independent vectors of squared
-    norm <= (4/3)^{m(m-1)/2} V^2 / mu^{m-1}, whose saturation recovers it.
+    membership is always decided exactly.
     """
     n = s.n
     if n > DESK_RANK_LIMIT:
         raise ScaleError(f"rank {n} exceeds the desk-scale limit {DESK_RANK_LIMIT}")
-    X = _vol2_bound_from(s, bound)
+    X = _vol2_bound_from(bound)
     lam1 = None
     want_ranks = range(0, n + 1) if ranks is None else sorted(set(ranks))
     found = []
@@ -329,19 +361,33 @@ def enumerate_summands(s, bound, ranks=None):
             found.append(ZSummand.zero(n))
             continue
         if m == n:
-            if _lv_le(gram_vol2(s, ZSummand.full(n).basis), bound):
+            if _lv_cmp(gram_vol2(s, ZSummand.full(n).basis), bound) <= 0:
                 found.append(ZSummand.full(n))
             continue
         if m > 1 and lam1 is None:
             lam1 = shortest_norm2(s)
-        R2 = Fraction(4, 3) ** (m * (m - 1) // 2) * X / (lam1 ** (m - 1) if m > 1 else 1)
-        pool = short_vectors(s, R2)
-        level = _assemble_summands(n, pool, m)
-        for sat in level:
-            if _lv_le(gram_vol2(s, sat), bound):
+        for sat in _candidates(s, X, m, lam1):
+            if _lv_cmp(gram_vol2(s, sat), bound) <= 0:
                 found.append(ZSummand(n, sat))
     found.sort(key=lambda w: (w.rank, w.basis))
     return found
+
+
+def _rank_minima(s, m):
+    """All rank-m summands of least volume, sorted by basis, and that log-volume.
+
+    One enumeration at the certified bound `_rank_bound(s, m)`.
+    """
+    n = s.n
+    if m == 0:
+        return [ZSummand.zero(n)], ExactLog.zero()
+    if m == n:
+        return [ZSummand.full(n)], gram_logvol(s, ZSummand.full(n))
+    lam1 = shortest_norm2(s) if m > 1 else None
+    vols = {sat: gram_vol2(s, sat) for sat in _candidates(s, _rank_bound(s, m), m, lam1)}
+    best = min(vols.values())
+    return ([ZSummand(n, sat) for sat in sorted(sat for sat, v in vols.items() if v == best)],
+            ExactLog.half_log(best))
 
 
 def _primitive_signed(v):
@@ -402,7 +448,6 @@ class ZOracle:
     def __init__(self, s):
         self.s = s
         self.top_rank = s.n
-        self._mu = None
 
     def zero(self):
         return ZSummand.zero(self.s.n)
@@ -419,28 +464,20 @@ class ZOracle:
     def leq(self, a, b):
         return b.contains(a)
 
-    def meet(self, a, b):
-        return a.meet(b)
+    def rank_minima(self, m):
+        return _rank_minima(self.s, m)
 
-    def join(self, a, b):
-        return a.join(b)
-
-    def summands_of_rank_below(self, m, bound):
-        return enumerate_summands(self.s, bound, ranks=[m])
-
-    # -- fast constrained minima ------------------------------------------
     def min_logvol_below(self, w, m):
         """Min log-volume over rank-m summands contained in w."""
         if m == 0:
             return ExactLog.zero()
-        return _min_rank_value(_restricted_form(self.s, w), m)
+        return _rank_minima(_restricted_form(self.s, w), m)[1]
 
     def min_logvol_above(self, w, m):
         """Min log-volume over rank-m summands containing w."""
         if m == self.top_rank:
             return self.logvol(self.one())
-        quot = _quotient_form(self.s, w)
-        return self.logvol(w) + _min_rank_value(quot, m - w.rank)
+        return self.logvol(w) + _rank_minima(_quotient_form(self.s, w), m - w.rank)[1]
 
 
 def _restricted_form(s, w):
@@ -465,27 +502,6 @@ def _quotient_form(s, w):
     corr = matrices.matmul(matrices.matmul(Bt, Ainv, Fraction(0)), B, Fraction(0))
     Q = matrices.mat_sub(D, corr)
     return InnerProduct(n - r, Q)
-
-
-def _min_rank_value(s, m):
-    """Min log-volume over rank-m summands of (Z^k, s), by bounded search."""
-    if m == 0:
-        return ExactLog.zero()
-    if m == s.n:
-        return gram_logvol(s, ZSummand.full(s.n))
-    bound = gram_logvol(s, ZSummand.full(s.n))
-    if bound < ExactLog.zero():
-        bound = ExactLog.zero()
-    while True:
-        cands = enumerate_summands(s, bound, ranks=[m])
-        if cands:
-            vals = [gram_logvol(s, w) for w in cands]
-            best = vals[0]
-            for v in vals[1:]:
-                if v < best:
-                    best = v
-            return best
-        bound = bound + ExactLog.log(4)
 
 
 def canonical_filtration_z(s):

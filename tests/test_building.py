@@ -98,6 +98,10 @@ class TestNeighbors:
         with pytest.raises(ScaleError):
             neighbors(standard_vertex(BuildingContext.p_adic(7, 2)))
 
+    def test_scale_guard_names_sizes_and_limits(self):
+        with pytest.raises(ScaleError, match=r"size 7, rank 2 .* limits 5, 4"):
+            neighbors(standard_vertex(BuildingContext.p_adic(7, 2)))
+
 
 def _lattice_cols(rng, ctx, extra=0):
     """Spanning columns of a random lattice: p-power denominators, or F_q[t]

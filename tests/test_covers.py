@@ -185,6 +185,10 @@ class TestCoreOrbitReps:
             assert 0 <= sum(r) <= 2
             assert all(0 <= b - a <= 2 for a, b in zip(r, r[1:]))
 
+    def test_membership_scale_guard_names_rank_and_limit(self):
+        with pytest.raises(ScaleError, match=r"rank 7 .* limit 6"):
+            cover_membership(InnerProduct.identity(7), CoverSystem.semistability(7))
+
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
             core_orbit_reps(7, 1)

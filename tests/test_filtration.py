@@ -64,7 +64,11 @@ class TestCanonicalPlot:
 
 
 class BruteZOracle:
-    """Oracle using only complete enumeration; no constrained-minimum shortcuts."""
+    """Oracle using only complete enumeration; no reduction bound.
+
+    Each minimum opens a volume window at logvol(0) = 0 and widens it by
+    ln 4 until some candidate satisfies the predicate.
+    """
 
     def __init__(self, s):
         self.s = s
@@ -85,14 +89,24 @@ class BruteZOracle:
     def leq(self, a, b):
         return b.contains(a)
 
-    def meet(self, a, b):
-        return a.meet(b)
+    def _constrained_min(self, m, predicate):
+        bound = ExactLog.zero()
+        while True:
+            cands = [h for h in enumerate_summands(self.s, bound, ranks=[m])
+                     if predicate(h)]
+            if cands:
+                best = min(self.logvol(h) for h in cands)
+                return [h for h in cands if self.logvol(h) == best], best
+            bound = bound + ExactLog.log(4)
 
-    def join(self, a, b):
-        return a.join(b)
+    def rank_minima(self, m):
+        return self._constrained_min(m, lambda h: True)
 
-    def summands_of_rank_below(self, m, bound):
-        return enumerate_summands(self.s, bound, ranks=[m])
+    def min_logvol_below(self, w, m):
+        return self._constrained_min(m, lambda h: self.leq(h, w))[1]
+
+    def min_logvol_above(self, w, m):
+        return self._constrained_min(m, lambda h: self.leq(w, h))[1]
 
 
 class TestInstability:
@@ -152,9 +166,8 @@ class TestCanonicalFiltration:
             def leq(self, x, y):
                 return x == y or x == "0" or y == "1"
 
-            def summands_of_rank_below(self, m, bound):
-                return [h for h in ("a", "b") if self.rank(h) == m
-                        and self.logvol(h) <= bound]
+            def rank_minima(self, m):
+                return ["a", "b"], Fraction(-1)
 
         with pytest.raises(ViolatedUniquenessError):
             canonical_filtration(BrokenOracle())

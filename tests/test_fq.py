@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latred.fq import FqRationalFunction, gf, monic_irreducibles, poly, poly_one, poly_t
+from latred.fq import (FqPolynomial, FqRationalFunction, gf, monic_irreducibles, poly,
+                       poly_one, poly_t)
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -110,3 +111,30 @@ class TestMixedOperands:
 def test_poly_one_is_shared():
     assert poly_one(4) is poly_one(gf(4))
     assert poly_one(4) == poly(4, [1])
+
+
+class TestGcdFreeOperations:
+    """Negation and int scaling keep lowest terms, so they run no gcd."""
+
+    R = FqRationalFunction(poly(3, [1, 2]), poly(3, [1, 0, 1]))  # (2t+1)/(t^2+1)
+    S = FqRationalFunction(poly(3, [1]), poly(3, [1, 1]))  # 1/(t+1)
+
+    def test_gcd_calls(self, monkeypatch):
+        calls = []
+        gcd = FqPolynomial.gcd
+        monkeypatch.setattr(FqPolynomial, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        R, S = self.R, self.S
+        for op, want in ((lambda: -R, 0), (lambda: R - S, 1), (lambda: R * 2, 0)):
+            calls.clear()
+            op()
+            assert len(calls) == want
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_results_are_canonical(self, q):
+        x = FqRationalFunction(poly(q, [1, 2]), poly(q, [1, 0, 1]))
+        assert -x == FqRationalFunction(-x.num, x.den)
+        assert x + (-x) == FqRationalFunction.of(poly(q, []))
+        for c in range(-1, q + 2):
+            y = x * c
+            assert y == FqRationalFunction(x.num * c, x.den)
+            assert y.den == (x.den if y.num else poly_one(q))

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from latred import filtration, matrices
-from latred.errors import ProjectivityError, RankDeficiencyError
+from latred.errors import ProjectivityError, RankDeficiencyError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
-from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
-                          enumerate_ff_summands, ff_invariants_and_filtration,
-                          ff_logvol, instability_ff, quotient_r_vector,
-                          restricted_r_vector, short_vector_space_dim,
-                          shortest_vector, sub_quotient)
+from latred.latff import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, FFOracle, FFSummand,
+                          VolumeSpace, diagonal_basis, enumerate_ff_summands,
+                          ff_invariants_and_filtration, ff_logvol, instability_ff,
+                          quotient_r_vector, restricted_r_vector,
+                          short_vector_space_dim, shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
 from conftest import (random_ff_summand, random_poly, random_unimodular_poly,
@@ -369,3 +369,15 @@ class TestConstrainedMinima:
             sigma = quotient_r_vector(vs, w)
             assert sum(rho) == ff_logvol(vs, w)
             assert instability_ff(vs, w) == sigma[0] - rho[-1]
+
+
+class TestEnumerationLimits:
+    # on the standard lattice over F_2 at n = 2, vectors of logvol <= b span
+    # an F_2-space of dimension 2(b + 1)
+    def test_line_limit_names_count_and_limit(self):
+        with pytest.raises(ScaleError, match=rf"1023 candidate lines .* {ENUM_LINE_LIMIT}"):
+            enumerate_ff_summands(VolumeSpace.standard(2, 2), 1, 4)
+
+    def test_space_limit_names_size_and_limit(self):
+        with pytest.raises(ScaleError, match=rf"16384 vectors .* {ENUM_SPACE_LIMIT}"):
+            enumerate_ff_summands(VolumeSpace.standard(2, 2), 1, 6)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 
 from latred import matrices
 from latred.errors import DefinitenessError, RankDeficiencyError, ScaleError
-from latred.latz import (InnerProduct, ZOracle, ZSummand, canonical_filtration_z,
-                         enumerate_summands, gram_logvol, gram_vol2,
-                         instability_z, min_eigenvalue_bound, spd_distance)
+from latred.latz import (InnerProduct, ZOracle, ZSummand, _vol2_bound_from,
+                         canonical_filtration_z, enumerate_summands, gram_logvol,
+                         gram_vol2, instability_z, spd_distance)
 from latred.logs import ExactLog
 from latred.rings import ZZ
 
@@ -35,14 +37,6 @@ class TestVolumes:
             InnerProduct(2, [[1, 2], [2, 1]])
         with pytest.raises(DefinitenessError):
             InnerProduct(2, [[1, 2], [3, 4]])
-
-    def test_eigenvalue_bound_certifies(self, rng):
-        for _ in range(10):
-            s = random_spd(rng, 3)
-            mu = min_eigenvalue_bound(s)
-            assert mu > 0
-            arr = np.array([[float(x) for x in row] for row in s.gram])
-            assert float(mu) <= np.linalg.eigvalsh(arr)[0] + 1e-9
 
 
 class TestEnumeration:
@@ -126,6 +120,56 @@ class TestFiltrationZ:
             rep_g = canonical_filtration_z(pulled)
             images = [w.apply(g) for w in rep_g.chain]
             assert [w.basis for w in images] == [w.basis for w in rep.chain]
+
+
+# the n = 3 form of the CLI corpus request `canfilt-z-n3`
+CORPUS_N3 = InnerProduct(3, [[2, 1, 0], [1, 3, 1], [0, 1, 5]])
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
+class TestCertifiedRankMinima:
+    """Per-rank minima cost the same at every scale and in every basis."""
+
+    @pytest.mark.parametrize("s", [InnerProduct.diagonal([1, 4]), CORPUS_N3,
+                                   InnerProduct.identity(2)], ids=["diag14", "n3", "id2"])
+    def test_scaled_forms_share_chain_and_c_values(self, s):
+        base = canonical_filtration_z(s)
+        for lam in (Fraction(1, 10 ** 12), 1, 10 ** 12):
+            rep, seconds = _timed(canonical_filtration_z, s.scaled(lam))
+            assert seconds < 1.0
+            assert [w.basis for w in rep.chain] == [w.basis for w in base.chain]
+            assert len(rep.c_values) == len(base.c_values)
+            assert all(rep.c_values[w] == c for w, c in base.c_values.items())
+
+    def test_badly_based_form_gives_the_image_chain(self):
+        g = [[1, 3, 5], [11, 34, 62], [13, 43, 94]]  # unimodular, det 1
+        assert matrices.det_ring(ZZ, g) == 1
+        s = InnerProduct.diagonal([1, 1, 100])
+        rep, seconds = _timed(canonical_filtration_z, s.pulled_back(g))
+        assert seconds < 2.0
+        want = canonical_filtration_z(s)
+        assert [w.apply(g).basis for w in rep.chain] == [w.basis for w in want.chain]
+
+    def test_rank_four_forms(self):
+        rng = random.Random(5)
+        for s in [random_spd(rng, 4, spread=1) for _ in range(4)]:
+            start = time.perf_counter()
+            rep = canonical_filtration_z(s)
+            for w in rep.interior_chain():
+                c = rep.c_values[w]
+                assert c.sign() > 0
+                assert instability_z(s, w) == c
+            assert time.perf_counter() - start < 5.0
+
+    def test_vol2_bound_tracks_small_bounds(self):
+        for k in range(31):
+            v2 = Fraction(1, 10 ** k)
+            assert v2 <= _vol2_bound_from(ExactLog.half_log(v2)) <= 4 * v2
 
 
 class TestScalingAndSubadditivity:
