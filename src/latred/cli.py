@@ -140,11 +140,7 @@ def intersect():
         B = jsonio.integral_structure_from_json(ctx, doc["B"])
         w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
         rows = sarith.intersect_integral(w, B)
-        if ctx.kind == "Z":
-            basis = [[jsonio.rational_to_str(x) for x in row] for row in rows]
-        else:
-            basis = [[jsonio.ratfunc_to_str(x) for x in row] for row in rows]
-        return {"basis": basis}
+        return {"basis": [[jsonio.field_to_json(x) for x in row] for row in rows]}
     _run(go)
 
 
@@ -171,17 +167,10 @@ def factorize():
     def go():
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
-        mode = doc.get("mode", "GL")
-        if ctx.kind == "Z":
-            A = [[jsonio.rational_from_str(x) for x in row] for row in doc["A"]]
-            Bm, Cm = sarith.factorize(A, ctx, mode=mode)
-            enc = jsonio.rational_to_str
-        else:
-            A = [[jsonio.ratfunc_from_str(ctx.q, x) for x in row] for row in doc["A"]]
-            Bm, Cm = sarith.factorize(A, ctx, mode=mode)
-            enc = jsonio.ratfunc_to_str
-        return {"B": [[enc(x) for x in row] for row in Bm],
-                "C": [[enc(x) for x in row] for row in Cm]}
+        A = [[jsonio.field_from_json(ctx.q, x) for x in row] for row in doc["A"]]
+        Bm, Cm = sarith.factorize(A, ctx, mode=doc.get("mode", "GL"))
+        return {"B": [[jsonio.field_to_json(x) for x in row] for row in Bm],
+                "C": [[jsonio.field_to_json(x) for x in row] for row in Cm]}
     _run(go)
 
 

@@ -53,25 +53,11 @@ class ExactMatrix:
         object.__setattr__(self, "entries", ent)
 
     @staticmethod
-    def integer(rows_entries):
-        ent = matrices.freeze(rows_entries)
-        r = len(ent)
-        c = len(ent[0]) if ent else 0
-        return ExactMatrix("Z", r, c, ent)
-
-    @staticmethod
     def rational(rows_entries):
         ent = matrices.freeze([[Fraction(x) for x in row] for row in rows_entries])
         r = len(ent)
         c = len(ent[0]) if ent else 0
         return ExactMatrix("Q", r, c, ent)
-
-    @staticmethod
-    def over_poly_ring(q, rows_entries):
-        ent = matrices.freeze(rows_entries)
-        r = len(ent)
-        c = len(ent[0]) if ent else 0
-        return ExactMatrix("Fq[t]", r, c, ent, q=q)
 
     def base_ring(self):
         if self.ring == "Z":

@@ -114,6 +114,27 @@ def ratfunc_to_str(x):
     return str(FqRationalFunction.of(x))
 
 
+def field_to_json(x):
+    """A fraction-field scalar: rational or rational-function string."""
+    if isinstance(x, FqRationalFunction):
+        return ratfunc_to_str(x)
+    return rational_to_str(x)
+
+
+def field_from_json(q, s):
+    """Parse a fraction-field scalar: rational when q is None, else over F_q(t)."""
+    return rational_from_str(s) if q is None else ratfunc_from_str(q, s)
+
+
+def _rows(rows, n, field, square=False):
+    """rows, checked to be a list of length-n lists (n of them when square)."""
+    if (not isinstance(rows, list) or (square and len(rows) != n)
+            or not all(isinstance(r, list) and len(r) == n for r in rows)):
+        count = f"{n} rows" if square else "rows"
+        raise ValidationError(f"{field} must be a list of {count} of length {n}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # exact matrices
 # ---------------------------------------------------------------------------
@@ -142,7 +163,8 @@ def matrix_to_json(M):
 def inner_product_from_json(doc):
     try:
         n = int(doc["n"])
-        gram = [[rational_from_str(x) for x in row] for row in doc["gram"]]
+        gram = [[rational_from_str(x) for x in row]
+                for row in _rows(doc["gram"], n, "gram", square=True)]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad inner product: {exc}") from None
     return InnerProduct(n, gram)
@@ -152,7 +174,8 @@ def volume_space_from_json(doc):
     try:
         q = int(doc["q"])
         n = int(doc["n"])
-        rows = [[ratfunc_from_str(q, x) for x in row] for row in doc["S_basis"]]
+        rows = [[ratfunc_from_str(q, x) for x in row]
+                for row in _rows(doc["S_basis"], n, "S_basis", square=True)]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad volume space: {exc}") from None
     return VolumeSpace(q, n, rows)
@@ -160,37 +183,32 @@ def volume_space_from_json(doc):
 
 def z_summand_from_json(doc, n):
     try:
-        basis = [[int(x) for x in row] for row in doc["basis"]]
+        basis = [[int(x) for x in row]
+                 for row in _rows(doc["basis"], n, "summand basis")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad summand: {exc}") from None
     return ZSummand.from_rows(n, basis)
 
 
-def z_summand_to_json(w):
-    return {"rank": w.rank, "basis": [[int(x) for x in row] for row in w.basis]}
-
-
 def ff_summand_from_json(doc, q, n):
     try:
-        basis = [[poly_from_coeffs(q, x) for x in row] for row in doc["basis"]]
+        basis = [[poly_from_coeffs(q, x) for x in row]
+                 for row in _rows(doc["basis"], n, "summand basis")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad summand: {exc}") from None
     return FFSummand.from_rows(q, n, basis)
 
 
-def ff_summand_to_json(w):
-    return {"rank": w.rank,
-            "basis": [[poly_to_coeffs(x) for x in row] for row in w.basis]}
-
-
 def summand_to_json(w):
-    if isinstance(w, ZSummand):
-        return z_summand_to_json(w)
-    if isinstance(w, FFSummand):
-        return ff_summand_to_json(w)
     if isinstance(w, LocSummand):
         return loc_summand_to_json(w)
-    raise ValidationError(f"unknown summand type {type(w).__name__}")
+    if isinstance(w, ZSummand):
+        enc = int
+    elif isinstance(w, FFSummand):
+        enc = poly_to_coeffs
+    else:
+        raise ValidationError(f"unknown summand type {type(w).__name__}")
+    return {"rank": w.rank, "basis": [[enc(x) for x in row] for row in w.basis]}
 
 
 def localized_context_from_json(doc):
@@ -205,54 +223,38 @@ def localized_context_from_json(doc):
 def integral_structure_from_json(ctx, doc):
     try:
         n = int(doc["n"])
-        rows = doc["basis"]
+        rows = _rows(doc["basis"], n, "integral structure basis", square=True)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad integral structure: {exc}") from None
-    if ctx.kind == "Z":
-        ent = [[rational_from_str(x) for x in row] for row in rows]
-    else:
-        ent = [[ratfunc_from_str(ctx.q, x) for x in row] for row in rows]
-    return IntegralStructure(ctx, n, ent)
+    return IntegralStructure(ctx, n, [[field_from_json(ctx.q, x) for x in row]
+                                      for row in rows])
 
 
 def loc_summand_from_json(ctx, n, doc):
-    rows = doc["basis"]
-    if ctx.kind == "Z":
-        ent = [[rational_from_str(x) for x in row] for row in rows]
-    else:
-        ent = [[ratfunc_from_str(ctx.q, x) for x in row] for row in rows]
-    return LocSummand.from_rows(ctx, n, ent)
+    rows = _rows(doc["basis"], n, "summand basis")
+    return LocSummand.from_rows(ctx, n, [[field_from_json(ctx.q, x) for x in row]
+                                         for row in rows])
 
 
 def loc_summand_to_json(w):
-    if w.ctx.kind == "Z":
-        basis = [[rational_to_str(x) for x in row] for row in w.basis]
-    else:
-        basis = [[ratfunc_to_str(x) for x in row] for row in w.basis]
-    return {"rank": w.rank, "basis": basis}
+    return {"rank": w.rank,
+            "basis": [[field_to_json(x) for x in row] for row in w.basis]}
 
 
 def vertex_from_json(ctx, doc):
     try:
-        rows = doc["matrix"] if "matrix" in doc else doc["basis"]
+        field = "matrix" if "matrix" in doc else "basis"
+        rows = _rows(doc[field], ctx.n, field, square=True)
     except TypeError as exc:
         raise ValidationError(f"bad vertex: {exc}") from None
-    if ctx.kind == "p-adic":
-        cols = [[rational_from_str(rows[i][j]) for i in range(ctx.n)]
-                for j in range(ctx.n)]
-    else:
-        cols = [[ratfunc_from_str(ctx.q, rows[i][j]) for i in range(ctx.n)]
-                for j in range(ctx.n)]
+    cols = [[field_from_json(ctx.q, rows[i][j]) for i in range(ctx.n)]
+            for j in range(ctx.n)]
     from .building import canonical_vertex
     return canonical_vertex(cols, ctx)
 
 
 def vertex_to_json(v):
-    if v.ctx.kind == "p-adic":
-        rows = [[rational_to_str(x) for x in row] for row in v.matrix]
-    else:
-        rows = [[ratfunc_to_str(x) for x in row] for row in v.matrix]
-    return {"matrix": rows}
+    return {"matrix": [[field_to_json(x) for x in row] for row in v.matrix]}
 
 
 # ---------------------------------------------------------------------------

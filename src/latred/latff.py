@@ -87,10 +87,6 @@ class VolumeSpace:
     def column(self, j):
         return tuple(self.basis[i][j] for i in range(self.n))
 
-    def det(self):
-        ring = poly_ring(self.q)
-        return matrices.det_field(self.basis, ring.field_zero(), ring.field_one())
-
     def scaled(self, lam):
         """The lattice lam * S for a nonzero scalar lam in F_q(t)."""
         lam = FqRationalFunction.of(lam)
@@ -123,26 +119,20 @@ class VolumeSpace:
 
 
 @dataclass(frozen=True)
-class FFSummand:
+class FFSummand(matrices.Summand):
     """Saturated F_q[t]-submodule of F_q[t]^n in canonical HNF basis form."""
 
     q: int
     n: int
     basis: tuple
 
-    def __post_init__(self):
-        rows = matrices.freeze(self.basis)
-        if any(len(r) != self.n for r in rows):
-            raise DimensionError("basis row length != ambient rank")
-        object.__setattr__(self, "basis", rows)
+    @property
+    def ring(self):
+        return poly_ring(self.q)
 
     @staticmethod
     def from_rows(q, n, rows):
-        ring = poly_ring(q)
-        rows = [r for r in rows if any(not ring.is_zero(x) for x in r)]
-        if not rows:
-            return FFSummand(q, n, ())
-        return FFSummand(q, n, matrices.saturate(ring, rows, n))
+        return FFSummand.zero(q, n)._span(rows)
 
     @staticmethod
     def zero(q, n):
@@ -152,54 +142,6 @@ class FFSummand:
     def full(q, n):
         ring = poly_ring(q)
         return FFSummand(q, n, matrices.identity_rows(n, ring.one(), ring.zero()))
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def is_zero(self):
-        return not self.basis
-
-    def is_full(self):
-        return self.rank == self.n
-
-    def _ring(self):
-        return poly_ring(self.q)
-
-    def contains(self, other):
-        if other.rank > self.rank:
-            return False
-        if not other.basis:
-            return True
-        ring = self._ring()
-        stacked = matrices.stack(self.basis, other.basis)
-        return matrices.rank_over_field(ring, stacked) == self.rank
-
-    def meet(self, other):
-        ring = self._ring()
-        rows = matrices.lattice_intersect(ring, self.basis, other.basis)
-        return FFSummand(self.q, self.n, rows)
-
-    def join(self, other):
-        ring = self._ring()
-        rows = [r for r in self.basis + other.basis]
-        if not rows:
-            return FFSummand.zero(self.q, self.n)
-        hull = matrices.hnf(ring, rows)
-        return FFSummand(self.q, self.n, matrices.saturate(ring, hull, self.n))
-
-    def apply(self, g_rows):
-        if self.is_zero():
-            return self
-        ring = self._ring()
-        img = matrices.matmul(self.basis, matrices.freeze(g_rows), ring.zero())
-        return FFSummand.from_rows(self.q, self.n, img)
-
-    def is_saturated_form(self):
-        if self.is_zero():
-            return True
-        ring = self._ring()
-        return matrices.saturate(ring, self.basis, self.n) == self.basis
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +199,10 @@ def sub_quotient(vs, w):
     """
     if not isinstance(w, FFSummand):
         w = FFSummand.from_rows(vs.q, vs.n, w)
-    if not w.is_saturated_form():
-        raise ProjectivityError("quotient by a non-saturated submodule")
     ring = poly_ring(vs.q)
     n, m = vs.n, w.rank
+    if m and matrices.saturate(ring, w.basis, n) != w.basis:
+        raise ProjectivityError("quotient by a non-saturated submodule")
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
@@ -689,28 +631,8 @@ def enumerate_ff_summands(vs, m, bound, r1=None):
     vectors = _projective_points(vs.q, space, ring)
     if len(vectors) > ENUM_LINE_LIMIT:
         raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")
-    level = {}
-    for v in vectors:  # rank 1: one saturated line per primitive direction
-        content = ring.zero()
-        for x in v:
-            content = ring.gcd(content, x)
-        prim = tuple(ring.exact_div(x, content) for x in v)
-        sat = matrices.hnf(ring, (prim,))
-        level[sat] = sat
-    for _ in range(m - 1):
-        nxt = {}
-        for rows in level.values():
-            for v in vectors:
-                cand = list(rows) + [v]
-                if matrices.rank_over_field(ring, matrices.freeze(cand)) != len(cand):
-                    continue
-                sat = matrices.saturate(ring, cand, n)
-                nxt[sat] = sat
-        level = nxt
-    out = []
-    for sat in level.values():
-        if ff_logvol(vs, sat) <= bound:
-            out.append(FFSummand(vs.q, n, sat))
+    spans = matrices.assemble_summands(ring, n, vectors, m)
+    out = [FFSummand(vs.q, n, sat) for sat in spans if ff_logvol(vs, sat) <= bound]
     out.sort(key=lambda w: tuple(tuple(str(x) for x in row) for row in w.basis))
     return out
 

@@ -84,24 +84,17 @@ class InnerProduct:
 
 
 @dataclass(frozen=True)
-class ZSummand:
+class ZSummand(matrices.Summand):
     """Saturated direct summand of Z^n, stored as its canonical HNF basis."""
 
     n: int
     basis: tuple
 
-    def __post_init__(self):
-        rows = matrices.freeze(self.basis)
-        if any(len(r) != self.n for r in rows):
-            raise DimensionError("basis row length != ambient rank")
-        object.__setattr__(self, "basis", rows)
+    ring = ZZ
 
     @staticmethod
     def from_rows(n, rows):
-        rows = [r for r in rows if any(x != 0 for x in r)]
-        if not rows:
-            return ZSummand(n, ())
-        return ZSummand(n, matrices.saturate(ZZ, rows, n))
+        return ZSummand.zero(n)._span(rows)
 
     @staticmethod
     def zero(n):
@@ -110,43 +103,6 @@ class ZSummand:
     @staticmethod
     def full(n):
         return ZSummand(n, matrices.identity_rows(n, 1, 0))
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def is_zero(self):
-        return not self.basis
-
-    def is_full(self):
-        return self.rank == self.n
-
-    def contains(self, other):
-        if other.rank > self.rank:
-            return False
-        if not other.basis:
-            return True
-        stacked = matrices.stack(self.basis, other.basis)
-        lifted = matrices.freeze([[Fraction(x) for x in r] for r in stacked])
-        return matrices.rank_field(lifted, Fraction(0), Fraction(1)) == self.rank
-
-    def meet(self, other):
-        rows = matrices.lattice_intersect(ZZ, self.basis, other.basis)
-        return ZSummand(self.n, rows)
-
-    def join(self, other):
-        rows = [r for r in self.basis + other.basis]
-        if not rows:
-            return ZSummand.zero(self.n)
-        hull = matrices.hnf(ZZ, rows)
-        return ZSummand(self.n, matrices.saturate(ZZ, hull, self.n))
-
-    def apply(self, phi_rows):
-        """Image under the automorphism with matrix rows phi (basis * phi)."""
-        if self.is_zero():
-            return self
-        img = matrices.matmul(self.basis, matrices.freeze(phi_rows), 0)
-        return ZSummand.from_rows(self.n, img)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +295,7 @@ def _candidates(s, X, m, lam1):
     length of a shortest vector; their saturated span recovers it.
     """
     R2 = Fraction(4, 3) ** (m * (m - 1) // 2) * X / (lam1 ** (m - 1) if m > 1 else 1)
-    return _assemble_summands(s.n, short_vectors(s, R2), m)
+    return matrices.assemble_summands(ZZ, s.n, short_vectors(s, R2), m)
 
 
 def enumerate_summands(s, bound, ranks=None):
@@ -388,54 +344,6 @@ def _rank_minima(s, m):
     best = min(vols.values())
     return ([ZSummand(n, sat) for sat in sorted(sat for sat, v in vols.items() if v == best)],
             ExactLog.half_log(best))
-
-
-def _primitive_signed(v):
-    """v divided by its content, sign-fixed to a positive leading entry."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        return None
-    w = tuple(x // g for x in v)
-    for x in w:
-        if x:
-            return w if x > 0 else tuple(-y for y in w)
-    return None
-
-
-def _assemble_summands(n, pool, m):
-    """Saturations of all rank-m spans of pool vectors, deduplicated.
-
-    Extensions are keyed by the primitive quotient class of the new vector:
-    for saturated W, saturate(W + v) only depends on the saturated line of
-    v's image in Z^n / W.
-    """
-    level = [()]
-    for step in range(m):
-        nxt = {}
-        if step == 0:
-            for v in pool:
-                prim = _primitive_signed(v)
-                if prim is not None:
-                    nxt[(prim,)] = matrices.hnf(ZZ, (prim,))
-        else:
-            for rows in level:
-                U = matrices.completion_rows(ZZ, rows)
-                Uinv = matrices.inverse_unimodular(ZZ, U)
-                k = len(rows)
-                seen = set()
-                for v in pool:
-                    coords = [sum(v[i] * Uinv[i][j] for i in range(n))
-                              for j in range(k, n)]
-                    key = _primitive_signed(coords)
-                    if key is None or key in seen:
-                        continue
-                    seen.add(key)
-                    sat = matrices.saturate(ZZ, list(rows) + [v], n)
-                    nxt[sat] = sat
-        level = list(nxt.values())
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -175,14 +175,6 @@ class ExactLog:
                 getcontext().prec = ctx_prec
         raise DomainError("comparison against real threshold did not resolve")
 
-    def exceeds(self, threshold):
-        """Exact `self > threshold` for rational thresholds, guarded otherwise."""
-        if isinstance(threshold, ExactLog):
-            return self > threshold
-        if isinstance(threshold, (int, Fraction)) and threshold == 0:
-            return self.sign() > 0
-        return self.compare_to_real(threshold) > 0
-
     def __repr__(self):
         if not self.terms:
             return "ExactLog(0)"

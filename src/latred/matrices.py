@@ -8,6 +8,7 @@ by elimination) work on Fraction / FqRationalFunction entries directly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -377,20 +378,24 @@ def fractional_hnf(ring, rows):
     rows = freeze(rows)
     if not rows:
         return ()
-    denom_f = ring.to_field(common_denominator(ring, rows))
-    scaled = [[ring.from_field(denom_f * x) for x in row] for row in rows]
+    den, scaled = clear_denominators(ring, rows)
     H = hnf(ring, scaled)
-    return freeze([[ring.to_field(x) / denom_f for x in row] for row in H])
+    return freeze([[ring.to_field(x) / den for x in row] for row in H])
 
 
-def common_denominator(ring, rows):
-    """Normalized lcm of the denominators of fraction-field matrix entries."""
-    denom = ring.one()
+def clear_denominators(ring, rows):
+    """(den, den * rows) for fraction-field rows: the ring rows they scale to.
+
+    `den` is the normalized lcm of the entries' denominators, as a
+    fraction-field element.
+    """
+    den = ring.one()
     for row in rows:
         for x in row:
             d = x.denominator if isinstance(x, Fraction) else x.den
-            denom = ring.exact_div(ring.mul(denom, d), ring.gcd(denom, d))
-    return ring.unit_normalize(denom)[1]
+            den = ring.exact_div(ring.mul(den, d), ring.gcd(den, d))
+    den = ring.to_field(ring.unit_normalize(den)[1])
+    return den, freeze([[ring.from_field(den * x) for x in row] for row in rows])
 
 
 def completion_rows(ring, rows):
@@ -421,6 +426,125 @@ def lattice_intersect(ring, A, B):
                 v[j] = ring.add(v[j], ring.mul(coef, x))
         vecs.append(v)
     return hnf(ring, vecs)
+
+
+# ---------------------------------------------------------------------------
+# saturated summands and spans of vector pools
+# ---------------------------------------------------------------------------
+
+class Summand:
+    """Saturated summand of R^n, kept as its canonical basis rows.
+
+    The base of the Z, F_q[t] and Z[T^-1] summands: frozen dataclasses with
+    fields `n` and `basis` and an attribute `ring`, the Euclidean ring R (the
+    base ring for Z[T^-1]).  Containment, meets, joins and images run here
+    on ring rows.  Z and F_q[t] are the case T = {} of Z[T^-1], where both
+    hooks are the identity; a localized summand overrides them.
+    """
+
+    def __post_init__(self):
+        rows = freeze(self.basis)
+        if any(len(r) != self.n for r in rows):
+            raise DimensionError("basis row length != ambient rank")
+        object.__setattr__(self, "basis", rows)
+
+    @property
+    def rank(self):
+        return len(self.basis)
+
+    def is_zero(self):
+        return not self.basis
+
+    def is_full(self):
+        return self.rank == self.n
+
+    def _integral_rows(self, rows):
+        """Rows over R with the same span as `rows`."""
+        return rows
+
+    def _localized_hermite(self, H):
+        """The canonical basis of the span of an HNF over R."""
+        return H
+
+    def _saturated(self, rows):
+        """The summand spanned by independent, nonempty rows over R."""
+        sat = saturate(self.ring, rows, self.n)
+        return dataclasses.replace(self, basis=self._localized_hermite(sat))
+
+    def _span(self, rows):
+        """The summand spanned by independent rows (zero rows are dropped)."""
+        ring = self.ring
+        rows = [r for r in self._integral_rows(rows)
+                if any(not ring.is_zero(x) for x in r)]
+        return self._saturated(rows) if rows else dataclasses.replace(self, basis=())
+
+    def contains(self, other):
+        if other.rank > self.rank:
+            return False
+        if not other.basis:
+            return True
+        return rank_over_field(self.ring, stack(self.basis, other.basis)) == self.rank
+
+    def meet(self, other):
+        # intersection commutes with localization, so any ring rows with the
+        # right spans will do
+        rows = lattice_intersect(self.ring, self._integral_rows(self.basis),
+                                 self._integral_rows(other.basis))
+        return dataclasses.replace(self, basis=self._localized_hermite(rows))
+
+    def join(self, other):
+        rows = self._integral_rows(self.basis + other.basis)
+        if not rows:
+            return dataclasses.replace(self, basis=())
+        return self._saturated(hnf(self.ring, rows))
+
+    def apply(self, phi_rows):
+        """Image under the automorphism with matrix rows phi (basis * phi)."""
+        if self.is_zero():
+            return self
+        return self._span(matmul(self.basis, freeze(phi_rows), self.ring.zero()))
+
+
+def primitive(ring, v):
+    """v divided by its content, normalized at its first nonzero entry.
+
+    Positive there over Z, monic over F_q[t]; None for the zero vector.  Two
+    vectors span the same saturated line exactly when these agree.
+    """
+    g = ring.zero()
+    for x in v:
+        g = ring.gcd(g, x)
+    if ring.is_zero(g):
+        return None
+    lead = next(x for x in v if not ring.is_zero(x))
+    g = ring.mul(g, ring.unit_normalize(lead)[0])
+    return tuple(ring.exact_div(x, g) for x in v)
+
+
+def assemble_summands(ring, n, pool, m):
+    """Saturations of all rank-m spans of pool vectors in R^n, deduplicated.
+
+    Extensions are keyed by the primitive quotient class of the new vector:
+    for saturated W, saturate(W + v) only depends on the saturated line of
+    v's image in R^n / W.
+    """
+    pool = freeze(pool)
+    lines = (primitive(ring, v) for v in pool)
+    level = list(dict.fromkeys((prim,) for prim in lines if prim is not None))
+    for k in range(1, m):
+        nxt = {}
+        for rows in level:
+            Uinv = inverse_unimodular(ring, completion_rows(ring, rows))
+            coords = matmul(pool, tuple(row[k:] for row in Uinv), ring.zero())
+            seen = set()
+            for v, c in zip(pool, coords):
+                key = primitive(ring, c)
+                if key is None or key in seen:
+                    continue
+                seen.add(key)
+                nxt[saturate(ring, list(rows) + [v], n)] = None
+        level = list(nxt)
+    return level
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Fraction-field elements are `fractions.Fraction` on the integer side and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from .errors import DomainError, InvalidPlaceError, ZeroArgumentError
 from .fq import (FqPolynomial, FqRationalFunction, gf, is_irreducible_poly, poly,
@@ -70,10 +70,7 @@ class IntegerRing:
         return -a
 
     def divmod(self, a, b):
-        q, r = divmod(a, b)
-        # symmetric-ish remainder keeps HNF/SNF entries small enough; plain
-        # floor division is fine and keeps remainders canonical in [0, |b|)
-        return q, r
+        return divmod(a, b)
 
     def is_unit(self, x):
         return x in (1, -1)
@@ -93,10 +90,7 @@ class IntegerRing:
             raise DomainError("inexact ring division")
         return q
 
-    def gcd(self, a, b):
-        while b:
-            a, b = b, a % b
-        return abs(a)
+    gcd = staticmethod(gcd)
 
     def is_prime(self, p):
         return isinstance(p, int) and is_prime_int(p)

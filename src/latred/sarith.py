@@ -8,15 +8,18 @@ two localizations appear:
                Z_T-submodules B of Q^n.
 
 A saturated Z[T^-1]-summand W is fixed by its Q-span, so W cap Z^n is a
-saturated Z-summand that determines it.  Spans, meets and joins therefore
-run on plain Z (or F_q[t]) Hermite and Smith forms, and only the canonical
-Hermite basis over Z[T^-1] is derived from the result: pivots T-free and
-normalized, entries above a pivot d reduced to canonical residues mod d.
+saturated Z-summand that determines it.  `LocSummand` therefore shares the
+summand algebra of Z and F_q[t] (`matrices.Summand`): spans, meets and
+joins run on plain Z (or F_q[t]) Hermite and Smith forms of rows cleared
+of their denominators, and only the canonical Hermite basis over Z[T^-1]
+is derived from the result: pivots T-free and normalized, entries above a
+pivot d reduced to canonical residues mod d.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting, and
 every invertible matrix over Q splits into a GL_n(Z[T^-1]) factor times a
-GL_n(Z_T) factor through the Smith form.
+GL_n(Z_T) factor through the Smith form of its cleared matrix
+(`matrices.clear_denominators`).
 """
 
 from __future__ import annotations
@@ -115,15 +118,6 @@ def _num_den(x):
     return x.numerator, x.denominator
 
 
-def _integral_rows(ring, rows):
-    """Each row times its common denominator: the same Z[T^-1]-span, in Z^n."""
-    out = []
-    for row in rows:
-        den = ring.to_field(matrices.common_denominator(ring, [row]))
-        out.append([ring.from_field(den * x) for x in row])
-    return out
-
-
 def _inverse_mod(ring, a, m):
     """The inverse of a modulo m, reduced mod m (a coprime to m)."""
     r0, r1, x0, x1 = m, ring.divmod(a, m)[1], ring.zero(), ring.one()
@@ -131,30 +125,6 @@ def _inverse_mod(ring, a, m):
         q, r = ring.divmod(r0, r1)
         r0, r1, x0, x1 = r1, r, x1, ring.sub(x0, ring.mul(q, x1))
     return ring.divmod(ring.exact_div(x0, r0), m)[1]  # r0 is a unit
-
-
-def _localized_hermite(ctx, H):
-    """The canonical Z[T^-1] Hermite basis of the span of a base-ring HNF.
-
-    Top row to bottom: divide each row by the T-part of its pivot, which
-    leaves the pivot T-free and normalized, then move every entry above the
-    pivot d to its canonical residue num * den^-1 mod d.
-    """
-    ring = ctx.base_ring()
-    rows = []
-    for h in H:
-        c = next(j for j, x in enumerate(h) if not ring.is_zero(x))
-        tp, d = ctx.t_split(h[c])
-        tpf = ring.to_field(tp)
-        row = [ring.to_field(x) / tpf for x in h]
-        for above in rows:
-            num, den = _num_den(above[c])
-            r = ring.divmod(ring.mul(num, _inverse_mod(ring, den, d)), d)[1]
-            f = (above[c] - ring.to_field(r)) / row[c]
-            if not ring.field_is_zero(f):
-                above[:] = [x - f * y for x, y in zip(above, row)]
-        rows.append(row)
-    return matrices.freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +170,7 @@ class IntegralStructure:
 
 
 @dataclass(frozen=True)
-class LocSummand:
+class LocSummand(matrices.Summand):
     """Saturated Z[T^-1]-summand of Z[T^-1]^n in canonical Hermite form."""
 
     ctx: LocalizedContext
@@ -209,24 +179,23 @@ class LocSummand:
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
-        rows = matrices.freeze([[ring.to_field(x) for x in row] for row in self.basis])
-        if any(len(r) != self.n for r in rows):
-            raise DimensionError("basis row length != ambient rank")
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "basis", [[ring.to_field(x) for x in row]
+                                           for row in self.basis])
+        super().__post_init__()
+
+    @property
+    def ring(self):
+        return self.ctx.base_ring()
 
     @staticmethod
     def from_rows(ctx, n, rows):
         ring = ctx.base_ring()
         lifted = [[ring.to_field(x) for x in row] for row in rows]
-        lifted = [r for r in lifted if any(not ring.field_is_zero(x) for x in r)]
-        if not lifted:
-            return LocSummand(ctx, n, ())
         for row in lifted:
             for x in row:
                 if not ctx.in_t_inverted(x):
                     raise DomainError(f"entry {x} is not in Z[T^-1]")
-        sat = matrices.saturate(ring, _integral_rows(ring, lifted), n)
-        return LocSummand(ctx, n, _localized_hermite(ctx, sat))
+        return LocSummand.zero(ctx, n)._span(lifted)
 
     @staticmethod
     def zero(ctx, n):
@@ -238,42 +207,33 @@ class LocSummand:
         one, zero = ring.field_one(), ring.field_zero()
         return LocSummand(ctx, n, matrices.identity_rows(n, one, zero))
 
-    @property
-    def rank(self):
-        return len(self.basis)
+    def _integral_rows(self, rows):
+        """Each row times its common denominator: the same Z[T^-1]-span, in Z^n."""
+        ring = self.ring
+        return [matrices.clear_denominators(ring, (row,))[1][0] for row in rows]
 
-    def is_zero(self):
-        return not self.basis
+    def _localized_hermite(self, H):
+        """The canonical Z[T^-1] Hermite basis of the span of a base-ring HNF.
 
-    def is_full(self):
-        return self.rank == self.n
-
-    def contains(self, other):
-        if other.rank > self.rank:
-            return False
-        if not other.basis:
-            return True
-        ring = self.ctx.base_ring()
-        stacked = matrices.stack(self.basis, other.basis)
-        return matrices.rank_field(stacked, ring.field_zero(), ring.field_one()) \
-            == self.rank
-
-    def meet(self, other):
-        # localization commutes with intersection, so any Z-lattices with
-        # the right Z[T^-1]-spans will do
-        ring = self.ctx.base_ring()
-        rows = matrices.lattice_intersect(ring, _integral_rows(ring, self.basis),
-                                          _integral_rows(ring, other.basis))
-        return LocSummand(self.ctx, self.n, _localized_hermite(self.ctx, rows))
-
-    def join(self, other):
-        rows = self.basis + other.basis
-        if not rows:
-            return LocSummand.zero(self.ctx, self.n)
-        ring = self.ctx.base_ring()
-        hull = matrices.hnf(ring, _integral_rows(ring, rows))
-        sat = matrices.saturate(ring, hull, self.n)
-        return LocSummand(self.ctx, self.n, _localized_hermite(self.ctx, sat))
+        Top row to bottom: divide each row by the T-part of its pivot, which
+        leaves the pivot T-free and normalized, then move every entry above
+        the pivot d to its canonical residue num * den^-1 mod d.
+        """
+        ctx, ring = self.ctx, self.ring
+        rows = []
+        for h in H:
+            c = next(j for j, x in enumerate(h) if not ring.is_zero(x))
+            tp, d = ctx.t_split(h[c])
+            tpf = ring.to_field(tp)
+            row = [ring.to_field(x) / tpf for x in h]
+            for above in rows:
+                num, den = _num_den(above[c])
+                r = ring.divmod(ring.mul(num, _inverse_mod(ring, den, d)), d)[1]
+                f = (above[c] - ring.to_field(r)) / row[c]
+                if not ring.field_is_zero(f):
+                    above[:] = [x - f * y for x, y in zip(above, row)]
+            rows.append(row)
+        return matrices.freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +248,7 @@ def _t_lattice(ctx, B):
     """
     ring = ctx.base_ring()
     n = B.n
-    denf = ring.to_field(matrices.common_denominator(ring, B.basis))
-    zB = [[ring.from_field(denf * x) for x in row] for row in B.basis]
+    denf, zB = matrices.clear_denominators(ring, B.basis)
     U, D, _, _ = matrices.snf(ring, zB)
     gs = []
     for i in range(n):
@@ -324,9 +283,8 @@ def _intersect_lattice(w, L):
     zero, one = ring.field_zero(), ring.field_one()
     K = matrices.field_kernel(w.basis, zero, one)  # annihilator of the Q-span
     M = matrices.matmul(L, matrices.transpose(K), zero)
-    denf = ring.to_field(matrices.common_denominator(ring, M))
-    Mi = [[ring.from_field(denf * x) for x in row] for row in M]
-    coeffs = matrices.kernel(ring, matrices.transpose(matrices.freeze(Mi)))
+    _, Mi = matrices.clear_denominators(ring, M)
+    coeffs = matrices.kernel(ring, matrices.transpose(Mi))
     rows = []
     for c in coeffs:
         v = [zero] * w.n
@@ -438,8 +396,7 @@ def factorize(A, ctx, mode="GL"):
         raise DomainError(f"unknown factorization mode {mode!r}")
     if mode == "SL" and detA != one:
         raise DeterminantError("SL-mode factorization needs determinant 1")
-    denf = ring.to_field(matrices.common_denominator(ring, A))
-    mA = [[ring.from_field(denf * x) for x in row] for row in A]
+    denf, mA = matrices.clear_denominators(ring, A)
     U, D, V, _ = matrices.snf(ring, mA)
     Uf = [[ring.to_field(x) for x in row] for row in U]
     Vf = [[ring.to_field(x) for x in row] for row in V]

@@ -146,12 +146,12 @@ class TestContract:
         data = json.loads(res.output)
         for item in data["chain"]:
             w = jsonio.z_summand_from_json(item, 2)
-            assert jsonio.z_summand_to_json(w) == item
+            assert jsonio.summand_to_json(w) == item
         res = run_cli(["ff-invariants"], VS_T2)
         data = json.loads(res.output)
         for item in data["filtration"]["chain"]:
             w = jsonio.ff_summand_from_json(item, 2, 2)
-            assert jsonio.ff_summand_to_json(w) == item
+            assert jsonio.summand_to_json(w) == item
 
     def test_shape_errors_exit_2(self):
         for verb, payload in [
@@ -160,6 +160,22 @@ class TestContract:
             (["apartment"], {"m": "x"}),
             (["triangulate"], []),
             (["intersect"], {"T": [2]}),
+            # request documents of the wrong shape are bad input, not bad
+            # mathematics
+            (["canfilt", "--ring", "z"], {"n": 7, "gram": []}),
+            (["ff-invariants"], {"q": 2, "n": 2, "S_basis": [["1", "0"]]}),
+            (["volume", "--ring", "z"],
+             {"x": {"n": 2, "gram": [["1", "0"], ["0", "1"]]},
+              "summand": {"basis": [[1, 0, 0]]}}),
+            (["volume", "--ring", "ff"],
+             {"x": {"q": 2, "n": 2, "S_basis": [["1", "0"], ["0", "1"]]},
+              "summand": {"basis": [[[1]]]}}),
+            (["intersect"], {"T": [2], "B": {"n": 2, "basis": [["1", "0"]]},
+                             "summand": {"basis": [["1", "0"]]}}),
+            (["intersect"], {"T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},
+                             "summand": {"basis": [["1"]]}}),
+            (["building-neighbors", "--p", "2", "--n", "2"],
+             {"matrix": [["1", "0", "5"], ["0", "1", "7"]]}),
         ]:
             res = run_cli(verb, payload)
             assert res.exit_code == 2, (verb, res.output)

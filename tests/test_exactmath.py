@@ -1,5 +1,6 @@
 """Scalars, valuations, normal forms and minors."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,9 @@ from latred.errors import (DimensionError, InvalidPlaceError,
 from latred.exactmath import (ExactMatrix, hermite_normal_form, minors,
                               prime_part, saturate, smith_normal_form,
                               valuation)
+from latred.filtration import canonical_filtration
 from latred.fq import poly, poly_t, ratfunc
+from latred.latff import FFOracle, VolumeSpace, ff_invariants_and_filtration
 from latred.rings import ZZ, poly_ring
 
 P2 = poly_ring(2)
@@ -299,3 +302,51 @@ class TestDvrColumnReduce:
             matrices.dvr_column_reduce(cols, [1, 0], _val2)
         with pytest.raises(RankDeficiencyError):
             matrices.dvr_column_reduce([[Fraction(1), Fraction(0)]], [1, 0], _val2)
+
+
+class TestAssembleSummands:
+    """The shared span assembler against saturating every independent m-subset."""
+
+    @staticmethod
+    def _brute(ring, n, pool, m):
+        out = set()
+        for sub in itertools.combinations(pool, m):
+            if matrices.rank_over_field(ring, matrices.freeze(sub)) == m:
+                out.add(matrices.saturate(ring, sub, n))
+        return out
+
+    @pytest.mark.parametrize("q", [None, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_against_brute_force(self, q, n):
+        rng = random.Random(100 * n + (q or 0))
+        if q is None:
+            ring = ZZ
+            draw = lambda: rng.randint(-2, 2)  # noqa: E731
+        else:
+            ring = poly_ring(q)
+            draw = lambda: poly(q, [rng.randrange(q) for _ in range(2)])  # noqa: E731
+        pool = [tuple(draw() for _ in range(n)) for _ in range(8)]
+        pool += [pool[0], tuple(ring.zero() for _ in range(n))]  # repeat and zero
+        for m in range(1, n):
+            got = matrices.assemble_summands(ring, n, pool, m)
+            assert len(set(got)) == len(got)
+            assert set(got) == self._brute(ring, n, pool, m)
+
+    def test_primitive(self):
+        assert matrices.primitive(ZZ, (0, -4, 6)) == (0, 2, -3)
+        assert matrices.primitive(ZZ, (0, 0)) is None
+        # over F_3[t]: content t, then monic at the first nonzero entry
+        v = (poly(3, [0, 2]), poly(3, [0, 1, 1]))
+        assert matrices.primitive(poly_ring(3), v) == (poly(3, [1]), poly(3, [2, 2]))
+
+    def test_ff_oracle_matches_diagonal_filtration_at_rank_3(self):
+        # r = (0, 1, 2): a full flag, so the oracle assembles rank-1 and rank-2 spans
+        inv = ratfunc(2, [1], [1, 1])  # 1/(t+1)
+        vs = VolumeSpace(2, 3, [[ratfunc(2, [1, 1]), ratfunc(2, [1, 1], [0, 1]), inv],
+                                [inv, ratfunc(2, []), ratfunc(2, [1])],
+                                [ratfunc(2, []), inv, ratfunc(2, [0, 1])]])
+        r, report = ff_invariants_and_filtration(vs)
+        assert r == (0, 1, 2)
+        oracle = canonical_filtration(FFOracle(vs))
+        assert [w.basis for w in oracle.chain] == [w.basis for w in report.chain]
+        assert oracle.c_values == report.c_values

@@ -256,8 +256,7 @@ class TestPinnedOutputs:
             return snf(r, M)
         monkeypatch.setattr(matrices, "snf", counting_snf)
         for w, x, B in _pin_cases(name):
-            den = ring.to_field(matrices.common_denominator(ring, B.basis))
-            zB = [[ring.from_field(den * v) for v in row] for row in B.basis]
+            zB = [list(row) for row in matrices.clear_denominators(ring, B.basis)[1]]
             cleared.clear()
             loc_c(w, x, B)
             assert cleared.count(zB) == 1
