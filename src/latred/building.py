@@ -365,17 +365,15 @@ def triangulate_point(x):
     vectors.
     """
     x = [Fraction(v) for v in x]
+    if not x:
+        raise DimensionError("simplicial decomposition needs a nonempty point")
     base = [Fraction(math.floor(v)) for v in x]
     frac = [v - b for v, b in zip(x, base)]
     levels = sorted(set(frac), reverse=True)
-    points = []
-    coeffs = []
-    prev = Fraction(1)
     # indicator of {frac > threshold}, thresholds sweeping down the levels
-    thresholds = levels[1:] + ([Fraction(-1)] if levels and levels[-1] > 0 else [])
-    first = tuple(int(f > levels[0]) for f in frac) if levels else tuple(0 for _ in x)
-    points.append(first)
-    coeffs.append(Fraction(1) - levels[0] if levels else Fraction(1))
+    thresholds = levels[1:] + ([Fraction(-1)] if levels[-1] > 0 else [])
+    points = [tuple(int(f > levels[0]) for f in frac)]
+    coeffs = [Fraction(1) - levels[0]]
     for idx, thr in enumerate(thresholds):
         pt = tuple(int(f > thr) for f in frac)
         weight = levels[idx] - (thr if thr >= 0 else Fraction(0))

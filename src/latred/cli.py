@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 malformed input, 3 domain error.  Output is
 deterministic byte-for-byte for a fixed input document.
+
+Each verb imports the layers it calls, so a request loads only those.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ from fractions import Fraction
 
 import click
 
-from . import building, covers, jsonio, latff, latz, sarith
 from .errors import DomainError, LatredError, ValidationError
-from .exactmath import smith_normal_form
-from .fq import FqRationalFunction
-from .logs import ExactLog
 
 
 def _emit(payload):
@@ -61,11 +59,14 @@ def main():
 def canfilt(ring):
     """Canonical filtration of an inner product (z) or volume space (ff)."""
     def go():
+        from . import jsonio
         doc = _read_stdin()
         if ring == "z":
+            from . import latz
             s = jsonio.inner_product_from_json(doc)
             report = latz.canonical_filtration_z(s)
         else:
+            from . import latff
             vs = jsonio.volume_space_from_json(doc)
             _, report = latff.ff_invariants_and_filtration(vs)
         return jsonio.report_to_json(report)
@@ -77,14 +78,18 @@ def canfilt(ring):
 def volume(ring):
     """Log-volume of a summand: {"x": ..., "summand": ...}."""
     def go():
+        from . import jsonio
         doc = _read_stdin()
         if ring == "z":
+            from . import latz
+            from .logs import ExactLog
             s = jsonio.inner_product_from_json(doc["x"])
             w = jsonio.z_summand_from_json(doc["summand"], s.n)
             v2 = latz.gram_vol2(s, w.basis)
             return {"vol_sq": jsonio.ratio_to_str(v2),
                     "logvol": jsonio.value_to_json(ExactLog.half_log(v2),
                                                    tag="vol_sq")}
+        from . import latff
         vs = jsonio.volume_space_from_json(doc["x"])
         w = jsonio.ff_summand_from_json(doc["summand"], vs.q, vs.n)
         return {"logvol": latff.ff_logvol(vs, w)}
@@ -96,11 +101,14 @@ def volume(ring):
 def cvalue(ring):
     """Instability number of a proper nonzero summand."""
     def go():
+        from . import jsonio
         doc = _read_stdin()
         if ring == "z":
+            from . import latz
             s = jsonio.inner_product_from_json(doc["x"])
             w = jsonio.z_summand_from_json(doc["summand"], s.n)
             return {"c": jsonio.value_to_json(latz.instability_z(s, w))}
+        from . import latff
         vs = jsonio.volume_space_from_json(doc["x"])
         w = jsonio.ff_summand_from_json(doc["summand"], vs.q, vs.n)
         return {"c": str(latff.instability_ff(vs, w))}
@@ -111,6 +119,7 @@ def cvalue(ring):
 def ff_invariants():
     """Orbit r-vector and canonical filtration of a volume space."""
     def go():
+        from . import jsonio, latff
         vs = jsonio.volume_space_from_json(_read_stdin())
         r, report = latff.ff_invariants_and_filtration(vs)
         return {"r": list(r), "filtration": jsonio.report_to_json(report)}
@@ -121,6 +130,7 @@ def ff_invariants():
 def diagonal_basis_cmd():
     """Diagonal bases w_i = t^{r_i} b_i of a volume space."""
     def go():
+        from . import jsonio, latff
         vs = jsonio.volume_space_from_json(_read_stdin())
         diag = latff.diagonal_basis(vs)
         return {
@@ -135,6 +145,7 @@ def diagonal_basis_cmd():
 def intersect():
     """W cap B for a localized summand and an integral structure."""
     def go():
+        from . import jsonio, sarith
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
         B = jsonio.integral_structure_from_json(ctx, doc["B"])
@@ -148,6 +159,7 @@ def intersect():
 def loc_volume():
     """Localized log-volume of (W, x, B)."""
     def go():
+        from . import jsonio, sarith
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
         B = jsonio.integral_structure_from_json(ctx, doc["B"])
@@ -165,6 +177,7 @@ def loc_volume():
 def factorize():
     """Split A in GL_n(Q) into GL_n(Z[T^-1]) * GL_n(Z_T) factors."""
     def go():
+        from . import jsonio, sarith
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
         A = [[jsonio.field_from_json(ctx.q, x) for x in row] for row in doc["A"]]
@@ -177,12 +190,14 @@ def factorize():
 def _building_ctx(p, q, n):
     if (p is None) == (q is None):
         raise ValidationError("specify exactly one of --p (p-adic) or --q (F_q(t))")
+    from . import building
     if p is not None:
         return building.BuildingContext.p_adic(p, n)
     return building.BuildingContext.function_field(q, n)
 
 
 def _neighbors_payload(p, q, n):
+    from . import building, jsonio
     ctx = _building_ctx(p, q, n)
     v = jsonio.vertex_from_json(ctx, _read_stdin())
     nbs = building.neighbors(v, ctx)
@@ -222,6 +237,7 @@ def building_neighbors_alias(p, q, n):
 def label_diff(p, q, n):
     """Label difference of two vertices: {"v1": ..., "v2": ...}."""
     def go():
+        from . import building, jsonio
         ctx = _building_ctx(p, q, n)
         doc = _read_stdin()
         v1 = jsonio.vertex_from_json(ctx, doc["v1"])
@@ -237,6 +253,7 @@ def label_diff(p, q, n):
 def chamber_count(n, r, k):
     """Chambers through an edge of label difference k (with verification)."""
     def go():
+        from . import building
         count, verified = building.count_chambers_on_edge(n, r, k)
         return {"count": count, "verified": verified}
     _run(go)
@@ -246,6 +263,7 @@ def chamber_count(n, r, k):
 def apartment():
     """Apartment coordinates of an integer exponent vector: {"m": [...]}."""
     def go():
+        from . import building, jsonio
         doc = _read_stdin()
         coords = building.apartment_coords([int(x) for x in doc["m"]])
         return {"coords": [jsonio.rational_to_str(c) for c in coords]}
@@ -256,6 +274,7 @@ def apartment():
 def triangulate():
     """Simplicial decomposition of a rational point: {"x": [...]}."""
     def go():
+        from . import building, jsonio
         doc = _read_stdin()
         dec = building.triangulate_point([jsonio.rational_from_str(v)
                                           for v in doc["x"]])
@@ -265,6 +284,7 @@ def triangulate():
 
 
 def _cover_point_and_system(doc):
+    from . import building, covers, jsonio
     side = doc.get("side", "z")
     if side == "z":
         x = jsonio.inner_product_from_json(doc["x"])
@@ -297,6 +317,7 @@ def _cover_point_and_system(doc):
 def cover_membership_cmd():
     """Summands whose instability at the point exceeds the threshold."""
     def go():
+        from . import covers, jsonio
         doc = _read_stdin()
         x, sys_ = _cover_point_and_system(doc)
         hits = covers.cover_membership(x, sys_, with_values=True)
@@ -309,6 +330,7 @@ def cover_membership_cmd():
 def core_test_cmd():
     """Whether the point lies in the cocompact core (no set exceeds theta)."""
     def go():
+        from . import covers
         doc = _read_stdin()
         x, sys_ = _cover_point_and_system(doc)
         return {"in_core": covers.core_test(x, sys_)}
@@ -320,6 +342,7 @@ def core_test_cmd():
 @click.option("--theta", type=int, required=True)
 def core_reps(n, theta):
     """Normalized r-vectors classifying core lattice classes."""
+    from . import covers
     _run(lambda: {"reps": [list(r) for r in covers.core_orbit_reps(n, theta)]})
 
 
@@ -329,6 +352,8 @@ def core_reps(n, theta):
 def selfcheck(seed, scale):
     """Randomized cross-checks of the closed forms against brute oracles."""
     def go():
+        if scale < 1:
+            raise ValidationError(f"--scale must be at least 1, got {scale}")
         rng = random.Random(seed)
         checks = []
         checks.append(_check_snf(rng, scale))
@@ -343,6 +368,7 @@ def selfcheck(seed, scale):
 
 def _check_snf(rng, scale):
     from . import matrices
+    from .exactmath import smith_normal_form
     good = 0
     for _ in range(scale):
         m = rng.randint(1, 4)
@@ -357,6 +383,7 @@ def _check_snf(rng, scale):
 
 
 def _check_hull_vs_instability(rng, scale):
+    from . import latz
     good = 0
     for _ in range(scale):
         n = 2 if rng.random() < 0.7 else 3
@@ -376,8 +403,8 @@ def _check_hull_vs_instability(rng, scale):
 
 
 def _check_ff_agreement(rng, scale):
-    from . import filtration
-    from .fq import poly
+    from . import filtration, latff
+    from .fq import FqRationalFunction, poly
     good = 0
     for _ in range(scale):
         n = 2
@@ -398,7 +425,7 @@ def _check_ff_agreement(rng, scale):
 
 
 def _check_factorization(rng, scale):
-    from . import matrices
+    from . import matrices, sarith
     ctx = sarith.LocalizedContext.integers([2, 3])
     good = 0
     for _ in range(scale):
@@ -415,6 +442,7 @@ def _check_factorization(rng, scale):
 
 
 def _check_chambers():
+    from . import building
     ok = True
     for n in range(2, 5):
         for r in (2, 3):

@@ -7,6 +7,9 @@ Conventions:
     * rational functions as strings like "t^2/(t^3+1)",
     * matrices as {"ring", "rows", "cols", "entries"} with row-major nested
       arrays (plus "q" for the function-field rings).
+
+The Z, F_q[t] and localized layers are imported by the functions that build
+their objects, so a verb that never touches a layer does not load it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactmath import ExactMatrix
 from .fq import FqRationalFunction, gf, poly
-from .latff import FFSummand, VolumeSpace
-from .latz import InnerProduct, ZSummand
 from .logs import ExactLog
-from .sarith import IntegralStructure, LocalizedContext, LocSummand
+from .matrices import Summand
 
 
 def rational_to_str(x):
@@ -140,6 +140,7 @@ def _rows(rows, n, field, square=False):
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(M):
+    from .exactmath import ExactMatrix
     if not isinstance(M, ExactMatrix):
         raise ValidationError("matrix_to_json expects an ExactMatrix")
     if M.ring == "Z":
@@ -161,6 +162,7 @@ def matrix_to_json(M):
 # ---------------------------------------------------------------------------
 
 def inner_product_from_json(doc):
+    from .latz import InnerProduct
     try:
         n = int(doc["n"])
         gram = [[rational_from_str(x) for x in row]
@@ -171,6 +173,7 @@ def inner_product_from_json(doc):
 
 
 def volume_space_from_json(doc):
+    from .latff import VolumeSpace
     try:
         q = int(doc["q"])
         n = int(doc["n"])
@@ -182,6 +185,7 @@ def volume_space_from_json(doc):
 
 
 def z_summand_from_json(doc, n):
+    from .latz import ZSummand
     try:
         basis = [[int(x) for x in row]
                  for row in _rows(doc["basis"], n, "summand basis")]
@@ -191,6 +195,7 @@ def z_summand_from_json(doc, n):
 
 
 def ff_summand_from_json(doc, q, n):
+    from .latff import FFSummand
     try:
         basis = [[poly_from_coeffs(q, x) for x in row]
                  for row in _rows(doc["basis"], n, "summand basis")]
@@ -200,18 +205,18 @@ def ff_summand_from_json(doc, q, n):
 
 
 def summand_to_json(w):
-    if isinstance(w, LocSummand):
-        return loc_summand_to_json(w)
-    if isinstance(w, ZSummand):
-        enc = int
-    elif isinstance(w, FFSummand):
-        enc = poly_to_coeffs
-    else:
+    # told apart by their fields, so no summand layer need be imported: a
+    # localized summand carries its context, an F_q[t] one its field size
+    if not isinstance(w, Summand):
         raise ValidationError(f"unknown summand type {type(w).__name__}")
+    if hasattr(w, "ctx"):
+        return loc_summand_to_json(w)
+    enc = poly_to_coeffs if hasattr(w, "q") else int
     return {"rank": w.rank, "basis": [[enc(x) for x in row] for row in w.basis]}
 
 
 def localized_context_from_json(doc):
+    from .sarith import LocalizedContext
     kind = doc.get("ring", "z").lower()
     if kind in ("z", "int", "integers"):
         return LocalizedContext.integers([int(p) for p in doc["T"]])
@@ -221,6 +226,7 @@ def localized_context_from_json(doc):
 
 
 def integral_structure_from_json(ctx, doc):
+    from .sarith import IntegralStructure
     try:
         n = int(doc["n"])
         rows = _rows(doc["basis"], n, "integral structure basis", square=True)
@@ -231,6 +237,7 @@ def integral_structure_from_json(ctx, doc):
 
 
 def loc_summand_from_json(ctx, n, doc):
+    from .sarith import LocSummand
     rows = _rows(doc["basis"], n, "summand basis")
     return LocSummand.from_rows(ctx, n, [[field_from_json(ctx.q, x) for x in row]
                                          for row in rows])

@@ -20,13 +20,16 @@ transports volumes and instability numbers to the localized setting, and
 every invertible matrix over Q splits into a GL_n(Z[T^-1]) factor times a
 GL_n(Z_T) factor through the Smith form of its cleared matrix
 (`matrices.clear_denominators`).
+
+The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
+context uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import latff, latz, matrices
+from . import matrices
 from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
                      DomainError, InvalidPlaceError, SingularityError,
                      ZeroArgumentError)
@@ -309,9 +312,11 @@ def loc_logvol(w, x, B):
     """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side."""
     rows = intersect_integral(w, B)
     if w.ctx.kind == "Z":
+        from . import latz
         if not isinstance(x, latz.InnerProduct):
             raise DomainError("integer-side localized volume needs an InnerProduct")
         return latz.gram_logvol(x, rows)
+    from . import latff
     if not isinstance(x, latff.VolumeSpace):
         raise DomainError("function-field localized volume needs a VolumeSpace")
     return latff.ff_logvol(x, rows)
@@ -329,8 +334,10 @@ def lattice_frame(x, B):
     L = full_intersection(ctx, B)
     Linv = matrices.inverse_field(L, zero, ring.field_one())
     if ctx.kind == "Z":
+        from . import latz
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
         return L, Linv, latz.InnerProduct(B.n, G)
+    from . import latff
     cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
     return L, Linv, latff.VolumeSpace(ctx.q, B.n, cols)
 
@@ -343,7 +350,9 @@ def _transport(w, x, B):
     coords = matrices.matmul(_intersect_lattice(w, L), Linv, ring.field_zero())
     int_rows = matrices.freeze([[ring.from_field(xx) for xx in row] for row in coords])
     if ctx.kind == "Z":
+        from . import latz
         return x_new, latz.ZSummand(w.n, matrices.hnf(ZZ, int_rows))
+    from . import latff
     return x_new, latff.FFSummand(ctx.q, w.n, matrices.hnf(ring, int_rows))
 
 
@@ -353,7 +362,9 @@ def loc_c(w, x, B):
         raise BoundaryModuleError("c is undefined for the bottom and top element")
     xs, ws = _transport(w, x, B)
     if w.ctx.kind == "Z":
+        from . import latz
         return latz.instability_z(xs, ws)
+    from . import latff
     return latff.instability_ff(xs, ws)
 
 

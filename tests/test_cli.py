@@ -205,6 +205,19 @@ class TestContract:
         assert res.exit_code == 3
         assert json.loads(res.output)["kind"] == "domain"
 
+    def test_empty_triangulate_exits_3(self):
+        res = run_cli(["triangulate"], {"x": []})
+        assert res.exit_code == 3
+        assert json.loads(res.output)["kind"] == "domain"
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_selfcheck_scale_below_one_exits_2(self, scale):
+        res = run_cli(["selfcheck", "--scale", scale])
+        assert res.exit_code == 2
+        assert json.loads(res.output) == {
+            "error": f"--scale must be at least 1, got {scale}",
+            "kind": "validation"}
+
     def test_singular_vertex_exits_3(self):
         res = run_cli(["building-neighbors", "--p", "2", "--n", "2"],
                       {"matrix": [["1", "2"], ["2", "4"]]})
@@ -253,16 +266,98 @@ class TestContract:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Runs in a fresh interpreter: `import latred`, then (unless argv[1] is
+# "null") `import latred.cli` and the verb argv[1] with stdin argv[2]; the
+# last stdout line lists the latred modules loaded and whether numpy was.
+IMPORT_PROBE = """
+import io, json, sys
+args = json.loads(sys.argv[1])
+import latred
+if args is not None:
+    import latred.cli
+    if args:
+        sys.stdin = io.StringIO(sys.argv[2])
+        try:
+            latred.cli.main(args, prog_name="latred")
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("latred.")),
+                  "numpy" in sys.modules]))
+"""
+ALL_LAYERS = {"building", "cli", "covers", "errors", "exactmath", "filtration",
+              "fq", "gflinalg", "jsonio", "latff", "latz", "logs", "matrices",
+              "rings", "sarith"}
 
-def test_numpy_stays_off_the_import_path():
-    # numpy is imported only inside latz.spd_distance; a fresh interpreter
-    # loading the package and the CLI must not pull it in
-    probe = ("import sys, latred, latred.cli\n"
-             "print('numpy' in sys.modules)\n")
+
+@pytest.mark.parametrize("args,stdin,unloaded", [
+    (None, "", ALL_LAYERS),
+    ([], "", ALL_LAYERS - {"cli", "errors"}),
+    (["chamber-count", "--n", "3", "--r", "2", "--k", "1"], "",
+     {"latz", "latff", "sarith", "covers", "filtration", "logs"}),
+    (["canfilt", "--ring", "z"], json.dumps(DIAG14),
+     {"latff", "sarith", "building", "covers", "gflinalg"}),
+], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z"])
+def test_import_set(args, stdin, unloaded):
+    # each verb loads only the layers it calls, and numpy (imported inside
+    # latz.spd_distance) never; module sets are checked, never times
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(args), stdin],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    modules, numpy_loaded = json.loads(out.splitlines()[-1])
+    loaded = {m.removeprefix("latred.") for m in modules}
+    assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)
+    assert not numpy_loaded
+
+
+def test_spd_distance_loads_numpy_on_demand():
     from latred.latz import InnerProduct, spd_distance
     d = spd_distance(InnerProduct.identity(2), InnerProduct.diagonal([2, 3]))
     assert isinstance(d, float) and d > 0
+
+
+# the names the package exported when it imported every layer eagerly
+EAGER_EXPORTS = {
+    "exactmath": ["ExactMatrix", "SNFDecomposition", "hermite_normal_form",
+                  "minors", "prime_part", "saturate", "smith_normal_form",
+                  "valuation"],
+    "filtration": ["FiltrationReport", "GradedPoint", "c_value",
+                   "canonical_filtration", "canonical_plot"],
+    "latz": ["InnerProduct", "ZSummand", "canonical_filtration_z",
+             "enumerate_summands", "gram_logvol", "gram_vol2", "instability_z",
+             "spd_distance"],
+    "latff": ["DiagonalBasisResult", "FFSummand", "VolumeSpace",
+              "diagonal_basis", "ff_invariants_and_filtration", "ff_logvol",
+              "instability_ff", "sub_quotient"],
+    "logs": ["ExactLog"],
+    "sarith": ["IntegralStructure", "LocalizedContext", "LocSummand",
+               "factorize", "factorize_conjugated", "intersect_integral",
+               "loc_c", "loc_logvol"],
+    "building": ["BuildingContext", "SimplexDecomposition", "Vertex",
+                 "apartment_coords", "canonical_vertex",
+                 "count_chambers_on_edge", "edge_length", "edge_length_sq",
+                 "label_difference", "neighbors", "triangulate_point"],
+    "covers": ["CoverSystem", "SimplexPoint", "core_orbit_reps", "core_test",
+               "cover_membership", "thinned_membership"],
+}
+EAGER_SUBMODULES = ["building", "covers", "errors", "exactmath", "filtration",
+                    "fq", "gflinalg", "latff", "latz", "logs", "matrices",
+                    "rings", "sarith"]
+
+
+def test_lazy_namespace_matches_the_eager_one():
+    import importlib
+
+    import latred
+    names = [n for names in EAGER_EXPORTS.values() for n in names]
+    assert latred.__all__ == sorted(names + EAGER_SUBMODULES)
+    assert len(latred.__all__) == 68
+    for module, exported in EAGER_EXPORTS.items():
+        mod = importlib.import_module(f"latred.{module}")
+        for name in exported:
+            assert getattr(latred, name) is getattr(mod, name), name
+    for module in EAGER_SUBMODULES:
+        assert getattr(latred, module) is importlib.import_module(f"latred.{module}")
+    assert set(latred.__all__) <= set(dir(latred))
+    from latred import ExactLog, canonical_filtration_z  # noqa: F401
+    with pytest.raises(AttributeError):
+        latred.no_such_name
