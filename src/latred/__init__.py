@@ -12,9 +12,6 @@ layers it touches.
 import sys
 
 _EXPORTS = {
-    "exactmath": ("ExactMatrix", "SNFDecomposition", "hermite_normal_form",
-                  "minors", "prime_part", "saturate", "smith_normal_form",
-                  "valuation"),
     "filtration": ("FiltrationReport", "GradedPoint", "c_value",
                    "canonical_filtration", "canonical_plot"),
     "latz": ("InnerProduct", "ZSummand", "canonical_filtration_z",
@@ -33,10 +30,10 @@ _EXPORTS = {
                  "label_difference", "neighbors", "triangulate_point"),
     "covers": ("CoverSystem", "SimplexPoint", "core_orbit_reps", "core_test",
                "cover_membership", "thinned_membership"),
+    "rings": ("prime_part", "valuation"),
 }
-_SUBMODULES = ("building", "covers", "errors", "exactmath", "filtration", "fq",
-               "gflinalg", "latff", "latz", "logs", "matrices", "rings",
-               "sarith")
+_SUBMODULES = ("building", "covers", "errors", "filtration", "fq", "gflinalg",
+               "latff", "latz", "logs", "matrices", "rings", "sarith")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_HOME, *_SUBMODULES])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
 from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power
-from .rings import is_prime_int
+from .rings import ZZ, is_prime_int
 
 NEIGHBOR_RESIDUE_LIMIT = 5
 NEIGHBOR_RANK_LIMIT = 4
@@ -67,17 +67,8 @@ class BuildingContext:
         """Valuation with respect to the fixed uniformizer."""
         if self.kind == "p-adic":
             x = Fraction(x)
-            if x == 0:
-                return math.inf
-            v = 0
-            num, den = x.numerator, x.denominator
-            while num % self.p == 0:
-                num //= self.p
-                v += 1
-            while den % self.p == 0:
-                den //= self.p
-                v -= 1
-            return v
+            return (ZZ.element_valuation(x.numerator, self.p)
+                    - ZZ.element_valuation(x.denominator, self.p))
         x = FqRationalFunction.of(x)
         return x.nu()
 

@@ -15,6 +15,9 @@ at most one summand per rank can ever exceed a nonnegative threshold.
 
 Thresholds carry an exact-log part and a rational part so that the
 localized integer-side preset 4n(ln(prod T) + 1) stays decidable.
+
+The Z, F_q[t], localized and building layers are imported by the functions
+that use them, so `core_orbit_reps` loads none of them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import building, latff, latz, matrices, sarith
 from .errors import DimensionError, DomainError, ScaleError
 from .logs import ExactLog
 from .rings import valuation
@@ -97,6 +99,7 @@ class SimplexPoint:
             raise DimensionError("one coefficient per vertex required")
         if any(c <= 0 for c in cs) or sum(cs) != 1:
             raise DomainError("coefficients must be positive and sum to 1")
+        from . import building
         vs = self.vertices
         for a, b in itertools.combinations(vs, 2):
             if a == b or not building.vertices_adjacent_or_equal(a, b):
@@ -106,12 +109,14 @@ class SimplexPoint:
 
 def vertex_volume_space(v):
     """The lattice class of a function-field building vertex, as a volume space."""
+    from . import latff
     if v.ctx.kind != "FF":
         raise DomainError("only degree-valuation vertices carry volume spaces")
     return latff.VolumeSpace(v.ctx.q, v.ctx.n, v.matrix)
 
 
 def vertex_r_vector(v):
+    from . import latff
     return latff.diagonal_basis(vertex_volume_space(v)).r
 
 
@@ -129,6 +134,7 @@ def normalize_r_vector(r):
 
 def _chain_with_values(x):
     """Interior canonical-chain members of a point with their c-values."""
+    from . import building, latff, latz
     if isinstance(x, latz.InnerProduct):
         rep = latz.canonical_filtration_z(x)
         return [(w, rep.c_values[w]) for w in rep.interior_chain()]
@@ -159,6 +165,7 @@ def _chain_with_values(x):
 
 
 def _localized_chain_with_values(x_part, B):
+    from . import latff, latz, sarith
     ctx = B.ctx
     n = B.n
     L, _, x_new = sarith.lattice_frame(x_part, B)
@@ -175,6 +182,7 @@ def _localized_chain_with_values(x_part, B):
 
 def _pull_back_summand(ctx, n, w_coords, L):
     """Localized summand whose intersection with B has the given L-coordinates."""
+    from . import matrices, sarith
     ring = ctx.base_ring()
     zero = ring.field_zero()
     rows = matrices.matmul(
@@ -192,8 +200,8 @@ def cover_membership(x, sys, with_values=False):
         raise ScaleError(f"cover system rank {sys.n} exceeds the desk-scale limit "
                          f"{CORE_RANK_LIMIT}")
     hits = [(w, c) for w, c in _chain_with_values(x) if sys.exceeded_by(c)]
-    hits.sort(key=lambda wc: _rank_of(wc[0]))
-    ranks = [_rank_of(w) for w, _ in hits]
+    hits.sort(key=lambda wc: wc[0].rank)
+    ranks = [w.rank for w, _ in hits]
     if len(set(ranks)) != len(ranks):  # pragma: no cover - excluded by theory
         raise DomainError("two summands of equal rank exceeded the threshold")
     if with_values:
@@ -201,12 +209,9 @@ def cover_membership(x, sys, with_values=False):
     return [w for w, _ in hits]
 
 
-def _rank_of(w):
-    return w.rank
-
-
 def core_test(x, sys):
     """Whether x lies in the beta = 0 cocompact core (no set of the system)."""
+    from . import building
     if isinstance(x, building.Vertex):
         r = vertex_r_vector(x)
         return all(not sys.exceeded_by(Fraction(b - a))
@@ -248,6 +253,7 @@ def core_orbit_reps(n, threshold, window=None):
 
 def core_test_via_reps(x, sys, reps=None):
     """Vertex core test by normalized r-vector lookup (cross-check path)."""
+    from . import building
     if not isinstance(x, building.Vertex):
         raise DomainError("representative lookup needs a building vertex")
     r = normalize_r_vector(vertex_r_vector(x))

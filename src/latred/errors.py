@@ -26,10 +26,6 @@ class ZeroArgumentError(DomainError):
     """An operation that requires a nonzero argument got zero."""
 
 
-class UnsupportedRingError(DomainError):
-    """Operation not defined over the tagged ring."""
-
-
 class DimensionError(DomainError):
     """Out-of-range size parameter (minor order, label difference, ...)."""
 

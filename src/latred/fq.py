@@ -1,9 +1,10 @@
 """Finite fields F_q, polynomials over them, and rational functions F_q(t).
 
 Field elements are integers 0..q-1.  For prime q they are residues mod p;
-for prime powers q = p^e (q <= 256) an element encodes a polynomial in a
-fixed generator via base-p digits, and multiplication runs through exp/log
-tables built once per field.
+for prime powers q = p^e (q <= 256) an element's base-p digits are the
+coefficients of a polynomial over F_p, taken modulo the first monic
+irreducible of degree e, and multiplication runs through exp/log tables
+built once per field with the polynomial arithmetic below.
 
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros; the zero polynomial has an empty tuple.  Rational functions are kept
@@ -68,129 +69,29 @@ class GF:
         if e > 1:
             self._build_tables()
 
-    def _poly_mul_mod(self, a, b, modulus):
-        # a, b, modulus: ascending digit lists over F_p
-        p = self.p
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce mod the monic modulus of degree e
-        e = len(modulus) - 1
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-        prod = prod[:e]
-        prod += [0] * (e - len(prod))
-        return prod
-
-    def _find_irreducible(self):
-        # monic irreducible of degree e over F_p, by exhaustive root/factor probing
-        p, e = self.p, self.e
-        for tail in itertools.product(range(p), repeat=e):
-            mod = list(tail) + [1]
-            if self._is_irreducible(mod):
-                return mod
-        raise DomainError("no irreducible polynomial found")  # pragma: no cover
-
-    def _is_irreducible(self, mod):
-        p, e = self.p, self.e
-        if mod[0] == 0:
-            return False
-        # check gcd(x^(p^k) - x, mod) over all k <= e/2 via repeated powering
-        x = [0, 1] + [0] * (e - 2) if e >= 2 else [1]
-        xe = x[:]
-        for _ in range(e // 2):
-            xe = self._poly_mul_mod_pow(xe, mod)
-            diff = [(a - b) % p for a, b in zip(xe, x + [0] * (e - len(x)))]
-            if self._poly_gcd_nonunit(diff, mod):
-                return False
-        return True
-
-    def _poly_mul_mod_pow(self, a, mod):
-        # a -> a^p mod `mod`, by square-and-multiply on the exponent p
-        result = [1] + [0] * (len(a) - 1)
-        base = a[:]
-        n = self.p
-        while n:
-            if n & 1:
-                result = self._poly_mul_mod(result, base, mod)
-            base = self._poly_mul_mod(base, base, mod)
-            n >>= 1
-        return result
-
-    def _poly_gcd_nonunit(self, a, mod):
-        # True when gcd(a, mod) has positive degree
-        p = self.p
-
-        def deg(c):
-            for i in range(len(c) - 1, -1, -1):
-                if c[i]:
-                    return i
-            return -1
-
-        a = a[:]
-        b = mod[:]
-        while True:
-            da, db = deg(a), deg(b)
-            if da < 0:
-                return db > 0
-            if db < 0:
-                return da > 0
-            if da < db:
-                a, b = b, a
-                da, db = db, da
-            inv = pow(b[db], -1, p)
-            c = (a[da] * inv) % p
-            shift = da - db
-            for i in range(db + 1):
-                a[i + shift] = (a[i + shift] - c * b[i]) % p
-
     def _build_tables(self):
+        # F_q = F_p[x] / (modulus), the first monic irreducible of degree e;
+        # an element's base-p digits are its coefficients in x
         p, e, q = self.p, self.e, self.q
-        modulus = self._find_irreducible()
-        self._modulus = tuple(modulus)
-
-        def to_digits(x):
-            ds = []
-            for _ in range(e):
-                ds.append(x % p)
-                x //= p
-            return ds
-
-        def from_digits(ds):
-            x = 0
-            for d in reversed(ds):
-                x = x * p + d
-            return x
-
-        def raw_mul(x, y):
-            return from_digits(self._poly_mul_mod(to_digits(x), to_digits(y), modulus))
-
-        # find a multiplicative generator and build exp/log tables
+        Fp = gf(p)
+        modulus = next(f for f in monic_irreducibles(Fp, e) if f.degree == e)
+        self._modulus = modulus.coeffs
+        one = poly_one(Fp)
+        # the first g >= 2 of multiplicative order q - 1 generates F_q^*
         for g in range(2, q):
-            seen = set()
-            acc = 1
-            for _ in range(q - 1):
-                acc = raw_mul(acc, g)
-                seen.add(acc)
-            if len(seen) == q - 1:
+            x = poly(Fp, [g // p ** i % p for i in range(e)])
+            powers, acc = [one], x
+            while acc != one:
+                powers.append(acc)
+                acc = acc * x % modulus
+            if len(powers) == q - 1:
                 break
         else:  # pragma: no cover
             raise DomainError("no generator found")
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(1, q - 1):
-            acc = raw_mul(acc, g)
-            exp[i] = acc
-            log[acc] = i
-        self._exp = exp
-        self._log = log
+        self._exp = [sum(c * p ** i for i, c in enumerate(f.coeffs)) for f in powers]
+        self._log = [0] * q
+        for i, y in enumerate(self._exp):
+            self._log[y] = i
 
     # -- element arithmetic ------------------------------------------------
     def add(self, a, b):

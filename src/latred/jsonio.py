@@ -4,9 +4,7 @@ Conventions:
     * rationals as strings "p/q" or "p",
     * F_q elements as integers 0..q-1,
     * polynomials over F_q as ascending coefficient arrays,
-    * rational functions as strings like "t^2/(t^3+1)",
-    * matrices as {"ring", "rows", "cols", "entries"} with row-major nested
-      arrays (plus "q" for the function-field rings).
+    * rational functions as strings like "t^2/(t^3+1)".
 
 The Z, F_q[t] and localized layers are imported by the functions that build
 their objects, so a verb that never touches a layer does not load it.
@@ -133,28 +131,6 @@ def _rows(rows, n, field, square=False):
         count = f"{n} rows" if square else "rows"
         raise ValidationError(f"{field} must be a list of {count} of length {n}")
     return rows
-
-
-# ---------------------------------------------------------------------------
-# exact matrices
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(M):
-    from .exactmath import ExactMatrix
-    if not isinstance(M, ExactMatrix):
-        raise ValidationError("matrix_to_json expects an ExactMatrix")
-    if M.ring == "Z":
-        entries = [[int(x) for x in row] for row in M.entries]
-    elif M.ring == "Q":
-        entries = [[rational_to_str(x) for x in row] for row in M.entries]
-    elif M.ring == "Fq[t]":
-        entries = [[poly_to_coeffs(x) for x in row] for row in M.entries]
-    else:
-        entries = [[ratfunc_to_str(x) for x in row] for row in M.entries]
-    out = {"ring": M.ring, "rows": M.rows, "cols": M.cols, "entries": entries}
-    if M.q is not None:
-        out["q"] = M.q
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -307,10 +307,9 @@ def _logvol_solution_space(vs, D, gens=None):
         ps = [poly(F, cs) for cs in pcoeffs]
         vec = [ring.zero()] * n
         for j in range(k):
-            if not ring.is_zero(ps[j]):
+            if ps[j]:
                 for col in range(n):
-                    g_entry = gens[j][col]
-                    vec[col] = ring.add(vec[col], ring.mul(ps[j], g_entry))
+                    vec[col] = vec[col] + ps[j] * gens[j][col]
         vectors.append(tuple(vec))
     return vectors
 
@@ -430,10 +429,9 @@ def diagonal_basis(vs):
         wbar = inner.w[i]
         w_i = [ring.zero()] * n
         for kidx in range(n - 1):
-            if not ring.is_zero(wbar[kidx]):
+            if wbar[kidx]:
                 for col in range(n):
-                    w_i[col] = ring.add(w_i[col],
-                                        ring.mul(wbar[kidx], comp_rows[kidx][col]))
+                    w_i[col] = w_i[col] + wbar[kidx] * comp_rows[kidx][col]
         bbar = inner.b[i]
         kappa = [sum((quot_inv[a][c] * bbar[c] for c in range(n - 1)),
                      ring.field_zero()) for a in range(n - 1)]
@@ -454,7 +452,7 @@ def diagonal_basis(vs):
             # subtract the integral multiple (head / t^{r1}) * w_1
             mult = (head / _t_power(vs.q, r1)).as_polynomial()
             for col in range(n):
-                w_i[col] = ring.sub(w_i[col], ring.mul(mult, v[col]))
+                w_i[col] = w_i[col] - mult * v[col]
             s_i = s_i - head
         if r_i < r1:  # pragma: no cover - contradicts shortest choice
             raise DomainError("quotient produced a shorter vector")
@@ -656,6 +654,6 @@ def _projective_points(q, basis, ring):
         for c, row in zip(coeffs, basis):
             if c:
                 for j in range(n):
-                    vec[j] = ring.add(vec[j], ring.mul(row[j], poly(F, [c])))
+                    vec[j] = vec[j] + row[j] * poly(F, [c])
         seen.append(tuple(vec))
     return seen

@@ -1,15 +1,16 @@
 """Exact matrix algebra over Z, F_q[t] and their fraction fields.
 
-Matrices are immutable tuples of row tuples.  Algorithms that need ring
+Matrices are immutable tuples of row tuples, and entries are added,
+multiplied and divided with the operators.  Algorithms that need more ring
 structure (Hermite/Smith forms, kernels, saturation) take one of the ring
-objects from `rings`; fraction-field routines (rank, inverse, determinant
-by elimination) work on Fraction / FqRationalFunction entries directly.
+objects from `rings` for its units, norm and gcd; fraction-field routines
+(rank, inverse, determinant by elimination) work on Fraction /
+FqRationalFunction entries directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ def stack(A, B):
 
 
 # ---------------------------------------------------------------------------
-# determinants and minors
+# determinants
 # ---------------------------------------------------------------------------
 
 def det_ring(ring, M):
@@ -75,9 +76,9 @@ def det_ring(ring, M):
     sign = False
     prev = ring.one()
     for k in range(n - 1):
-        if ring.is_zero(a[k][k]):
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not ring.is_zero(a[i][k]):
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = not sign
                     break
@@ -85,13 +86,11 @@ def det_ring(ring, M):
                 return ring.zero()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = ring.sub(ring.mul(a[i][j], a[k][k]),
-                               ring.mul(a[i][k], a[k][j]))
-                a[i][j] = ring.exact_div(num, prev)
+                a[i][j] = ring.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
             a[i][k] = ring.zero()
         prev = a[k][k]
     d = a[n - 1][n - 1]
-    return ring.neg(d) if sign else d
+    return -d if sign else d
 
 
 def det_field(M, zero, one):
@@ -125,28 +124,6 @@ def det_field(M, zero, one):
     return -det if negate else det
 
 
-def minors(M, m, det):
-    """All m x m minors keyed by 1-based index tuples in lexicographic order.
-
-    When the matrix has exactly m rows the keys are column subsets; otherwise
-    each key is the concatenated (row subset, column subset) tuple.
-    """
-    nrows, ncols = shape(M)
-    if m < 1 or m > min(nrows, ncols):
-        raise DimensionError(f"minor order {m} out of range for {nrows}x{ncols}")
-    out = {}
-    row_sets = ([tuple(range(nrows))] if nrows == m
-                else list(itertools.combinations(range(nrows), m)))
-    col_sets = list(itertools.combinations(range(ncols), m))
-    for rs in row_sets:
-        for cs in col_sets:
-            sub = freeze([[M[i][j] for j in cs] for i in rs])
-            key = (tuple(c + 1 for c in cs) if nrows == m
-                   else tuple(r + 1 for r in rs) + tuple(c + 1 for c in cs))
-            out[key] = det(sub)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style, canonical)
 # ---------------------------------------------------------------------------
@@ -166,22 +143,19 @@ def hnf(ring, rows, ncols=None):
     pivot_row = 0
     for col in range(ncols):
         while True:
-            nz = [i for i in range(pivot_row, nrows)
-                  if not ring.is_zero(work[i][col])]
+            nz = [i for i in range(pivot_row, nrows) if work[i][col]]
             if len(nz) <= 1:
                 break
             nz.sort(key=lambda i: ring.norm_key(work[i][col]))
             base = nz[0]
             for i in nz[1:]:
-                q, _ = ring.divmod(work[i][col], work[base][col])
-                if not ring.is_zero(q):
-                    work[i] = [ring.sub(a, ring.mul(q, b))
-                               for a, b in zip(work[i], work[base])]
+                q = work[i][col] // work[base][col]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[base])]
                 else:
                     work[i], work[base] = work[base], work[i]
                     base = i
-        nz = [i for i in range(pivot_row, nrows)
-              if not ring.is_zero(work[i][col])]
+        nz = [i for i in range(pivot_row, nrows) if work[i][col]]
         if not nz:
             continue
         i0 = nz[0]
@@ -190,19 +164,18 @@ def hnf(ring, rows, ncols=None):
         if not ring.is_unit(unit):
             raise DomainError("unit normalization failed")  # pragma: no cover
         if normalized != work[pivot_row][col]:
-            inv = _unit_inverse(ring, unit)
-            work[pivot_row] = [ring.mul(inv, x) for x in work[pivot_row]]
+            inv = _unit_inverse(unit)
+            work[pivot_row] = [inv * x for x in work[pivot_row]]
         piv = work[pivot_row][col]
         for i in range(pivot_row):
-            q, _ = ring.divmod(work[i][col], piv)
-            if not ring.is_zero(q):
-                work[i] = [ring.sub(a, ring.mul(q, b))
-                           for a, b in zip(work[i], work[pivot_row])]
+            q = work[i][col] // piv
+            if q:
+                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
         pivot_row += 1
     return freeze(work[:pivot_row])
 
 
-def _unit_inverse(ring, u):
+def _unit_inverse(u):
     # units of Z are +-1; units of F_q[t] are the nonzero constants
     from .fq import FqPolynomial, poly
     if isinstance(u, int):
@@ -218,7 +191,6 @@ def _unit_inverse(ring, u):
 
 class _SNFState:
     def __init__(self, ring, M):
-        self.ring = ring
         m, n = shape(M)
         one, zero = ring.one(), ring.zero()
         self.D = [list(r) for r in M]
@@ -242,27 +214,24 @@ class _SNFState:
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j on D."""
-        R = self.ring
-        self.D[i] = [R.sub(a, R.mul(q, b)) for a, b in zip(self.D[i], self.D[j])]
+        self.D[i] = [a - q * b for a, b in zip(self.D[i], self.D[j])]
         for row in self.U:
-            row[j] = R.add(row[j], R.mul(q, row[i]))
+            row[j] = row[j] + q * row[i]
 
     def col_sub(self, i, j, q):
         """col_i -= q * col_j on D."""
-        R = self.ring
         for row in self.D:
-            row[i] = R.sub(row[i], R.mul(q, row[j]))
-        self.V[j] = [R.add(a, R.mul(q, b)) for a, b in zip(self.V[j], self.V[i])]
+            row[i] = row[i] - q * row[j]
+        self.V[j] = [a + q * b for a, b in zip(self.V[j], self.V[i])]
         for row in self.Vinv:
-            row[i] = R.sub(row[i], R.mul(q, row[j]))
+            row[i] = row[i] - q * row[j]
 
     def scale_row(self, i, unit):
         """row_i *= unit on D (unit invertible)."""
-        R = self.ring
-        inv = _unit_inverse(R, unit)
-        self.D[i] = [R.mul(unit, x) for x in self.D[i]]
+        inv = _unit_inverse(unit)
+        self.D[i] = [unit * x for x in self.D[i]]
         for row in self.U:
-            row[i] = R.mul(row[i], inv)
+            row[i] = row[i] * inv
 
 
 def snf(ring, M):
@@ -273,15 +242,14 @@ def snf(ring, M):
     """
     st = _SNFState(ring, M)
     m, n = st.m, st.n
-    R = ring
     k = 0
     while k < min(m, n):
         piv = None
         best = None
         for i in range(k, m):
             for j in range(k, n):
-                if not R.is_zero(st.D[i][j]):
-                    key = R.norm_key(st.D[i][j])
+                if st.D[i][j]:
+                    key = ring.norm_key(st.D[i][j])
                     if best is None or key < best:
                         best = key
                         piv = (i, j)
@@ -291,16 +259,16 @@ def snf(ring, M):
         st.swap_cols(k, piv[1])
         dirty = False
         for i in range(k + 1, m):
-            if not R.is_zero(st.D[i][k]):
-                q, r = R.divmod(st.D[i][k], st.D[k][k])
+            if st.D[i][k]:
+                q, r = divmod(st.D[i][k], st.D[k][k])
                 st.row_sub(i, k, q)
-                if not R.is_zero(r):
+                if r:
                     dirty = True
         for j in range(k + 1, n):
-            if not R.is_zero(st.D[k][j]):
-                q, r = R.divmod(st.D[k][j], st.D[k][k])
+            if st.D[k][j]:
+                q, r = divmod(st.D[k][j], st.D[k][k])
                 st.col_sub(j, k, q)
-                if not R.is_zero(r):
+                if r:
                     dirty = True
         if dirty:
             continue
@@ -308,22 +276,20 @@ def snf(ring, M):
         fix = None
         for i in range(k + 1, m):
             for j in range(k + 1, n):
-                if not R.is_zero(st.D[i][j]):
-                    _, r = R.divmod(st.D[i][j], st.D[k][k])
-                    if not R.is_zero(r):
-                        fix = i
-                        break
+                if st.D[i][j] and st.D[i][j] % st.D[k][k]:
+                    fix = i
+                    break
             if fix is not None:
                 break
         if fix is not None:
-            st.row_sub(k, fix, R.neg(R.one()))  # add row `fix` to row k
+            st.row_sub(k, fix, -ring.one())  # add row `fix` to row k
             continue
         k += 1
     for i in range(min(m, n)):
-        if not R.is_zero(st.D[i][i]):
-            unit, norm = R.unit_normalize(st.D[i][i])
+        if st.D[i][i]:
+            unit, norm = ring.unit_normalize(st.D[i][i])
             if norm != st.D[i][i]:
-                st.scale_row(i, _unit_inverse(R, unit))
+                st.scale_row(i, _unit_inverse(unit))
     return freeze(st.U), freeze(st.D), freeze(st.V), freeze(st.Vinv)
 
 
@@ -335,7 +301,7 @@ def kernel(ring, M):
     if m == 0:
         return identity_rows(n, ring.one(), ring.zero())
     _, D, _, Vinv = snf(ring, M)
-    rank = sum(1 for i in range(min(m, n)) if not ring.is_zero(D[i][i]))
+    rank = sum(1 for i in range(min(m, n)) if D[i][i])
     cols = transpose(Vinv)
     return freeze([cols[j] for j in range(rank, n)])
 
@@ -363,7 +329,7 @@ def saturate(ring, rows, ncols=None):
     if ncols is not None and ncols != n:
         raise DimensionError("ambient rank mismatch")
     _, D, V, _ = snf(ring, rows)
-    rank = sum(1 for i in range(min(m, n)) if not ring.is_zero(D[i][i]))
+    rank = sum(1 for i in range(min(m, n)) if D[i][i])
     if rank != m:
         raise RankDeficiencyError("rows are dependent over the fraction field")
     return hnf(ring, V[:m])
@@ -393,7 +359,7 @@ def clear_denominators(ring, rows):
     for row in rows:
         for x in row:
             d = x.denominator if isinstance(x, Fraction) else x.den
-            den = ring.exact_div(ring.mul(den, d), ring.gcd(den, d))
+            den = ring.exact_div(den * d, ring.gcd(den, d))
     den = ring.to_field(ring.unit_normalize(den)[1])
     return den, freeze([[ring.from_field(den * x) for x in row] for row in rows])
 
@@ -423,7 +389,7 @@ def lattice_intersect(ring, A, B):
         v = [zero] * len(A[0])
         for coef, row in zip(c, A):
             for j, x in enumerate(row):
-                v[j] = ring.add(v[j], ring.mul(coef, x))
+                v[j] = v[j] + coef * x
         vecs.append(v)
     return hnf(ring, vecs)
 
@@ -473,9 +439,7 @@ class Summand:
 
     def _span(self, rows):
         """The summand spanned by independent rows (zero rows are dropped)."""
-        ring = self.ring
-        rows = [r for r in self._integral_rows(rows)
-                if any(not ring.is_zero(x) for x in r)]
+        rows = [r for r in self._integral_rows(rows) if any(r)]
         return self._saturated(rows) if rows else dataclasses.replace(self, basis=())
 
     def contains(self, other):
@@ -514,10 +478,10 @@ def primitive(ring, v):
     g = ring.zero()
     for x in v:
         g = ring.gcd(g, x)
-    if ring.is_zero(g):
+    if not g:
         return None
-    lead = next(x for x in v if not ring.is_zero(x))
-    g = ring.mul(g, ring.unit_normalize(lead)[0])
+    lead = next(x for x in v if x)
+    g = g * ring.unit_normalize(lead)[0]
     return tuple(ring.exact_div(x, g) for x in v)
 
 

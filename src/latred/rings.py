@@ -1,14 +1,18 @@
 """The two Euclidean ground rings: Z and F_q[t], and their fraction fields.
 
-Matrix algorithms elsewhere are generic over a small ring object providing
-ring arithmetic, Euclidean division, unit normalization and valuations.
-Fraction-field elements are `fractions.Fraction` on the integer side and
+Ring elements are `int` and `FqPolynomial`, and the matrix algorithms do
+their arithmetic with the operators: `+`, `-`, `*`, `divmod` and truth
+value.  A ring object carries only what the operators cannot say: zero and
+one, units and their normalization, the Euclidean norm, gcds, primality,
+exact division, prime valuations and the embedding into the fraction field,
+whose elements are `fractions.Fraction` on the integer side and
 `FqRationalFunction` on the function-field side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf
 
 from .errors import DomainError, InvalidPlaceError, ZeroArgumentError
@@ -43,7 +47,28 @@ def is_prime_int(n):
     return True
 
 
-class IntegerRing:
+class _EuclideanRing:
+    """Exact division and prime valuations, the same on Z and on F_q[t]."""
+
+    def exact_div(self, a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise DomainError("inexact ring division")
+        return q
+
+    def element_valuation(self, x, p):
+        """Exponent of the prime p in the ring element x; +infinity at 0."""
+        if not x:
+            return inf
+        v = 0
+        while True:
+            q, r = divmod(x, p)
+            if r:
+                return v
+            x, v = q, v + 1
+
+
+class IntegerRing(_EuclideanRing):
     """Z with absolute-value Euclidean norm; units are +-1, normalized > 0."""
 
     name = "Z"
@@ -53,24 +78,6 @@ class IntegerRing:
 
     def one(self):
         return 1
-
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def divmod(self, a, b):
-        return divmod(a, b)
 
     def is_unit(self, x):
         return x in (1, -1)
@@ -84,26 +91,10 @@ class IntegerRing:
     def norm_key(self, x):
         return abs(x)
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise DomainError("inexact ring division")
-        return q
-
     gcd = staticmethod(gcd)
 
     def is_prime(self, p):
         return isinstance(p, int) and is_prime_int(p)
-
-    def element_valuation(self, x, p):
-        """Exponent of the prime p in the nonzero ring element x."""
-        if x == 0:
-            return inf
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
 
     # -- fraction field ------------------------------------------------------
     def to_field(self, x):
@@ -115,9 +106,6 @@ class IntegerRing:
     def field_one(self):
         return Fraction(1)
 
-    def field_is_zero(self, x):
-        return x == 0
-
     def from_field(self, x):
         x = Fraction(x)
         if x.denominator != 1:
@@ -128,7 +116,7 @@ class IntegerRing:
         return "ZZ"
 
 
-class PolynomialRing:
+class PolynomialRing(_EuclideanRing):
     """F_q[t] with degree Euclidean norm; units F_q^*, normalized = monic."""
 
     def __init__(self, q):
@@ -142,59 +130,22 @@ class PolynomialRing:
     def one(self):
         return poly_one(self.field)
 
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def divmod(self, a, b):
-        return divmod(a, b)
-
     def is_unit(self, x):
-        return not x.is_zero() and x.degree == 0
+        return x.degree == 0
 
     def unit_normalize(self, x):
-        if x.is_zero():
+        if not x:
             return self.one(), x
-        lc = x.leading()
-        unit = poly(self.field, [lc])
-        return unit, x.monic()
+        return poly(self.field, [x.leading()]), x.monic()
 
     def norm_key(self, x):
-        return x.degree if not x.is_zero() else -1
-
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if not r.is_zero():
-            raise DomainError("inexact ring division")
-        return q
+        return x.degree
 
     def gcd(self, a, b):
         return a.gcd(b)
 
     def is_prime(self, p):
         return isinstance(p, FqPolynomial) and is_irreducible_poly(p)
-
-    def element_valuation(self, x, p):
-        if x.is_zero():
-            return inf
-        v = 0
-        while True:
-            q, r = divmod(x, p)
-            if not r.is_zero():
-                return v
-            x = q
-            v += 1
 
     # -- fraction field ------------------------------------------------------
     def to_field(self, x):
@@ -206,17 +157,8 @@ class PolynomialRing:
     def field_one(self):
         return FqRationalFunction.of(self.one())
 
-    def field_is_zero(self, x):
-        return x.is_zero()
-
     def from_field(self, x):
         return FqRationalFunction.of(x).as_polynomial()
-
-    def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PolynomialRing", self.q))
 
     def __repr__(self):
         return f"PolyRing(F{self.q})"
@@ -225,7 +167,9 @@ class PolynomialRing:
 ZZ = IntegerRing()
 
 
+@lru_cache(maxsize=None)
 def poly_ring(q):
+    """Shared ring context for F_q[t], one per q."""
     return PolynomialRing(q)
 
 
@@ -248,8 +192,6 @@ def valuation(x, place):
     if isinstance(x, Fraction):
         if not isinstance(place, int) or not is_prime_int(place):
             raise InvalidPlaceError(f"{place!r} is not a prime of Z")
-        if x == 0:
-            return inf
         return (ZZ.element_valuation(x.numerator, place)
                 - ZZ.element_valuation(x.denominator, place))
     if isinstance(x, FqRationalFunction):
@@ -260,9 +202,7 @@ def valuation(x, place):
         pl = place.monic()
         if not is_irreducible_poly(pl):
             raise InvalidPlaceError(f"{place} is not irreducible")
-        if x.is_zero():
-            return inf
-        ring = PolynomialRing(x.field.q)
+        ring = poly_ring(x.field.q)
         return ring.element_valuation(x.num, pl) - ring.element_valuation(x.den, pl)
     raise InvalidPlaceError(f"unsupported scalar {x!r}")
 
@@ -273,15 +213,13 @@ def prime_part(z, primes, ring=ZZ):
     The result is normalized: positive over Z, monic over F_q[t].  Only the
     listed primes are ever divided out, so no general factorization is needed.
     """
-    if ring.is_zero(z):
+    if not z:
         raise ZeroArgumentError("prime part of zero is undefined")
     out = ring.one()
     for p in primes:
         _, p = ring.unit_normalize(p)
         if not ring.is_prime(p):
             raise InvalidPlaceError(f"{p} is not prime")
-        v = ring.element_valuation(z, p)
-        for _ in range(v):
-            out = ring.mul(out, p)
+        out = out * p ** ring.element_valuation(z, p)
     _, out = ring.unit_normalize(out)
     return out

@@ -91,13 +91,13 @@ class LocalizedContext:
         ring = self.base_ring()
         tp = ring.one()
         for p in self.T:
-            tp = ring.mul(tp, p ** ring.element_valuation(z, p))
+            tp = tp * p ** ring.element_valuation(z, p)
         return tp, ring.exact_div(z, tp)
 
     def t_part(self, x):
         """prod_{p in T} p^{nu_p(x)} of a nonzero field element."""
         ring = self.base_ring()
-        if ring.field_is_zero(x):
+        if not x:
             raise ZeroArgumentError("prime part of zero is undefined")
         num, den = _num_den(ring.to_field(x))
         return ring.to_field(self.t_split(num)[0]) / ring.to_field(self.t_split(den)[0])
@@ -123,11 +123,11 @@ def _num_den(x):
 
 def _inverse_mod(ring, a, m):
     """The inverse of a modulo m, reduced mod m (a coprime to m)."""
-    r0, r1, x0, x1 = m, ring.divmod(a, m)[1], ring.zero(), ring.one()
-    while not ring.is_zero(r1):
-        q, r = ring.divmod(r0, r1)
-        r0, r1, x0, x1 = r1, r, x1, ring.sub(x0, ring.mul(q, x1))
-    return ring.divmod(ring.exact_div(x0, r0), m)[1]  # r0 is a unit
+    r0, r1, x0, x1 = m, a % m, ring.zero(), ring.one()
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1, x0, x1 = r1, r, x1, x0 - q * x1
+    return ring.exact_div(x0, r0) % m  # r0 is a unit
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ class IntegralStructure:
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise DimensionError("integral structure must be n x n")
         d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
-        if ring.field_is_zero(d):
+        if not d:
             raise SingularityError("integral structure basis is singular")
         object.__setattr__(self, "basis", rows)
 
@@ -225,15 +225,15 @@ class LocSummand(matrices.Summand):
         ctx, ring = self.ctx, self.ring
         rows = []
         for h in H:
-            c = next(j for j, x in enumerate(h) if not ring.is_zero(x))
+            c = next(j for j, x in enumerate(h) if x)
             tp, d = ctx.t_split(h[c])
             tpf = ring.to_field(tp)
             row = [ring.to_field(x) / tpf for x in h]
             for above in rows:
                 num, den = _num_den(above[c])
-                r = ring.divmod(ring.mul(num, _inverse_mod(ring, den, d)), d)[1]
+                r = num * _inverse_mod(ring, den, d) % d
                 f = (above[c] - ring.to_field(r)) / row[c]
-                if not ring.field_is_zero(f):
+                if f:
                     above[:] = [x - f * y for x, y in zip(above, row)]
             rows.append(row)
         return matrices.freeze(rows)
@@ -256,7 +256,7 @@ def _t_lattice(ctx, B):
     gs = []
     for i in range(n):
         di = D[i][i]
-        if ring.is_zero(di):  # pragma: no cover - B is invertible
+        if not di:  # pragma: no cover - B is invertible
             raise SingularityError("integral structure degenerated")
         gs.append(ctx.t_part(ring.to_field(di) / denf))
     return [tuple(gs[i] * ring.to_field(U[j][i]) for j in range(n)) for i in range(n)]
@@ -379,13 +379,9 @@ def _gl_membership(ctx, rows, side):
     if not all(member(x) for row in rows for x in row):
         return False
     d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
-    if ring.field_is_zero(d):
+    if not d:
         return False
-    return member(d) and member(_field_inv(ring, d))
-
-
-def _field_inv(ring, x):
-    return ring.field_one() / x
+    return member(d) and member(ring.field_one() / d)
 
 
 def factorize(A, ctx, mode="GL"):
@@ -401,7 +397,7 @@ def factorize(A, ctx, mode="GL"):
     n = len(A)
     zero, one = ring.field_zero(), ring.field_one()
     detA = matrices.det_field(A, zero, one)
-    if ring.field_is_zero(detA):
+    if not detA:
         raise SingularityError("factorization needs an invertible matrix")
     if mode not in ("GL", "SL"):
         raise DomainError(f"unknown factorization mode {mode!r}")
@@ -425,7 +421,7 @@ def factorize(A, ctx, mode="GL"):
         dB = matrices.det_field(Bm, zero, one)
         if dB != one:
             # det(B) is a unit of both rings, i.e. a unit of Z; push it into C
-            fix = _field_inv(ring, dB)
+            fix = one / dB
             Bm = matrices.freeze([[x * fix if j == 0 else x
                                    for j, x in enumerate(row)] for row in Bm])
             Cm = matrices.freeze([[x * dB if i == 0 else x for x in row]

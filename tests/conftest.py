@@ -1,11 +1,12 @@
-"""Shared random generators for the exact-arithmetic test suite."""
+"""Shared random generators and reference helpers for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from latred.errors import LatredError
+from latred.errors import DimensionError, LatredError
 from latred.fq import FqRationalFunction, poly
 from latred.latff import FFSummand, VolumeSpace
 from latred.latz import InnerProduct, ZSummand
@@ -90,7 +91,7 @@ def random_unimodular_poly(rng, q, n, steps=5, maxdeg=1):
         if i != j:
             c = random_poly(rng, q, maxdeg)
             for k in range(n):
-                g[i][k] = ring.add(g[i][k], ring.mul(c, g[j][k]))
+                g[i][k] = g[i][k] + c * g[j][k]
     return matrices.freeze(g)
 
 
@@ -100,3 +101,25 @@ def random_invertible_rational(rng, n, num_max=9, den_max=9):
               for _ in range(n)] for _ in range(n)]
         if matrices.det_field(matrices.freeze(A), Fraction(0), Fraction(1)) != 0:
             return matrices.freeze(A)
+
+
+def minors(M, m, det):
+    """All m x m minors keyed by 1-based index tuples in lexicographic order.
+
+    When the matrix has exactly m rows the keys are column subsets; otherwise
+    each key is the concatenated (row subset, column subset) tuple.
+    """
+    nrows, ncols = matrices.shape(M)
+    if m < 1 or m > min(nrows, ncols):
+        raise DimensionError(f"minor order {m} out of range for {nrows}x{ncols}")
+    out = {}
+    row_sets = ([tuple(range(nrows))] if nrows == m
+                else list(itertools.combinations(range(nrows), m)))
+    col_sets = list(itertools.combinations(range(ncols), m))
+    for rs in row_sets:
+        for cs in col_sets:
+            sub = matrices.freeze([[M[i][j] for j in cs] for i in rs])
+            key = (tuple(c + 1 for c in cs) if nrows == m
+                   else tuple(r + 1 for r in rs) + tuple(c + 1 for c in cs))
+            out[key] = det(sub)
+    return out

@@ -20,7 +20,7 @@ from latred.fq import (PRIME_POWER_LIMIT, FqRationalFunction, poly, poly_one,
                        poly_t)
 from latred.gflinalg import count_subspaces
 
-from conftest import random_poly
+from conftest import minors, random_poly
 
 
 CTX22 = BuildingContext.p_adic(2, 2)
@@ -202,7 +202,7 @@ class TestLabelDifference:
             v1, v2 = (canonical_vertex(_lattice_cols(rng, ctx), ctx) for _ in range(2))
             A = matrices.matmul(matrices.inverse_field(v1.matrix, zero, one),
                                 v2.matrix, zero)
-            d = [0] + [min(ctx.val(x) for x in matrices.minors(
+            d = [0] + [min(ctx.val(x) for x in minors(
                 A, k, lambda S: matrices.det_field(S, zero, one)).values())
                 for k in range(1, ctx.n + 1)]
             assert relative_exponents(v1, v2) == tuple(

@@ -284,9 +284,9 @@ if args is not None:
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("latred.")),
                   "numpy" in sys.modules]))
 """
-ALL_LAYERS = {"building", "cli", "covers", "errors", "exactmath", "filtration",
-              "fq", "gflinalg", "jsonio", "latff", "latz", "logs", "matrices",
-              "rings", "sarith"}
+ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
+              "gflinalg", "jsonio", "latff", "latz", "logs", "matrices", "rings",
+              "sarith"}
 
 
 @pytest.mark.parametrize("args,stdin,unloaded", [
@@ -296,7 +296,9 @@ ALL_LAYERS = {"building", "cli", "covers", "errors", "exactmath", "filtration",
      {"latz", "latff", "sarith", "covers", "filtration", "logs"}),
     (["canfilt", "--ring", "z"], json.dumps(DIAG14),
      {"latff", "sarith", "building", "covers", "gflinalg"}),
-], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z"])
+    (["core-reps", "--n", "3", "--theta", "2"], "",
+     {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg"}),
+], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z", "core-reps"])
 def test_import_set(args, stdin, unloaded):
     # each verb loads only the layers it calls, and numpy (imported inside
     # latz.spd_distance) never; module sets are checked, never times
@@ -315,11 +317,9 @@ def test_spd_distance_loads_numpy_on_demand():
     assert isinstance(d, float) and d > 0
 
 
-# the names the package exported when it imported every layer eagerly
+# the names the package exports, by defining module: what importing every
+# layer eagerly would bind
 EAGER_EXPORTS = {
-    "exactmath": ["ExactMatrix", "SNFDecomposition", "hermite_normal_form",
-                  "minors", "prime_part", "saturate", "smith_normal_form",
-                  "valuation"],
     "filtration": ["FiltrationReport", "GradedPoint", "c_value",
                    "canonical_filtration", "canonical_plot"],
     "latz": ["InnerProduct", "ZSummand", "canonical_filtration_z",
@@ -338,10 +338,11 @@ EAGER_EXPORTS = {
                  "label_difference", "neighbors", "triangulate_point"],
     "covers": ["CoverSystem", "SimplexPoint", "core_orbit_reps", "core_test",
                "cover_membership", "thinned_membership"],
+    "rings": ["prime_part", "valuation"],
 }
-EAGER_SUBMODULES = ["building", "covers", "errors", "exactmath", "filtration",
-                    "fq", "gflinalg", "latff", "latz", "logs", "matrices",
-                    "rings", "sarith"]
+EAGER_SUBMODULES = ["building", "covers", "errors", "filtration", "fq",
+                    "gflinalg", "latff", "latz", "logs", "matrices", "rings",
+                    "sarith"]
 
 
 def test_lazy_namespace_matches_the_eager_one():
@@ -350,7 +351,7 @@ def test_lazy_namespace_matches_the_eager_one():
     import latred
     names = [n for names in EAGER_EXPORTS.values() for n in names]
     assert latred.__all__ == sorted(names + EAGER_SUBMODULES)
-    assert len(latred.__all__) == 68
+    assert len(latred.__all__) == 61
     for module, exported in EAGER_EXPORTS.items():
         mod = importlib.import_module(f"latred.{module}")
         for name in exported:

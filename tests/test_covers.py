@@ -15,6 +15,7 @@ from latred.errors import DomainError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import diagonal_basis, instability_ff
 from latred.latz import InnerProduct
+from latred.logs import ExactLog
 from latred.sarith import IntegralStructure, LocalizedContext, LocSummand
 
 from conftest import (random_invertible_rational, random_spd,
@@ -172,6 +173,34 @@ class TestCoreTest:
         assert normalize_r_vector((-2, 0)) == (-1, 1)
         assert normalize_r_vector((5, 5)) == (0, 0)
         assert normalize_r_vector((0, 1)) == (0, 1)
+
+
+class TestLocalizedPreset:
+    """theta = 4n(R + 1), R the log-size of the prime set, on each side of it."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_integer_primes(self, n):
+        sys_ = CoverSystem.localized_preset(n, LocalizedContext.integers([3, 2]))
+        assert sys_.threshold_const == 4 * n
+        assert sys_.threshold_log == ExactLog.log(6, 4 * n)
+        theta = 4 * n * (math.log(6) + 1)  # irrational: picks the test points only
+        assert not sys_.exceeded_by(Fraction(math.floor(theta)))
+        assert sys_.exceeded_by(Fraction(math.ceil(theta)))
+        # 4n ln(6 * 27/10) < theta < 4n ln(6 * 28/10), since 2.7 < e < 2.8
+        assert not sys_.exceeded_by(ExactLog.log(Fraction(6 * 27, 10), 4 * n))
+        assert sys_.exceeded_by(ExactLog.log(Fraction(6 * 28, 10), 4 * n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_function_field_primes(self, n):
+        t = poly_t(2)
+        ctx = LocalizedContext.function_field(2, [t, t * t + t + poly_one(2)])
+        sys_ = CoverSystem.localized_preset(n, ctx)
+        # R = deg t + deg(t^2 + t + 1) = 3
+        assert sys_.threshold_const == 4 * n * (3 + 1)
+        assert not sys_.threshold_log.terms
+        assert not sys_.exceeded_by(16 * n)
+        assert sys_.exceeded_by(Fraction(160 * n + 1, 10))
+        assert not sys_.exceeded_by(Fraction(160 * n - 1, 10))
 
 
 class TestCoreOrbitReps:

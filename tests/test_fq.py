@@ -1,13 +1,16 @@
 """F_q(t) arithmetic: canonical form of every result, mixed operand types."""
 
+import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latred.errors import DomainError
 from latred.fq import (FqPolynomial, FqRationalFunction, gf, monic_irreducibles, poly,
-                       poly_one, poly_t)
+                       poly_one, poly_t, prime_power)
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -138,3 +141,64 @@ class TestGcdFreeOperations:
             y = x * c
             assert y == FqRationalFunction(x.num * c, x.den)
             assert y.den == (x.den if y.num else poly_one(q))
+
+
+def _extension_fields():
+    out = []
+    for q in range(4, 257):
+        try:
+            _, e = prime_power(q)
+        except DomainError:
+            continue
+        if e > 1:
+            out.append(q)
+    return out
+
+
+EXTENSION_FIELDS = _extension_fields()
+# F_{p^e} = F_p[x] / (modulus), ascending coefficients.  Pinned: another
+# modulus re-encodes every F_{p^e} element, and so the CLI's output bytes
+PINNED_MODULI = {
+    4: (1, 1, 1),
+    8: (1, 0, 1, 1),
+    9: (1, 0, 1),
+    16: (1, 0, 0, 1, 1),
+    25: (1, 1, 1),
+    27: (1, 0, 2, 1),
+    256: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+}
+
+
+class TestFieldTables:
+    """The exp/log tables of F_{p^e} against polynomial arithmetic over F_p."""
+
+    def test_extension_fields_up_to_256(self):
+        assert len(EXTENSION_FIELDS) == 16
+
+    @pytest.mark.parametrize("q", EXTENSION_FIELDS)
+    def test_modulus_is_the_first_irreducible(self, q):
+        p, e = prime_power(q)
+        first = next(f for f in monic_irreducibles(gf(p), e) if f.degree == e)
+        assert gf(q)._modulus == first.coeffs
+
+    @pytest.mark.parametrize("q", sorted(PINNED_MODULI))
+    def test_pinned_moduli(self, q):
+        assert gf(q)._modulus == PINNED_MODULI[q]
+
+    @pytest.mark.parametrize("q", EXTENSION_FIELDS)
+    def test_mul_is_the_product_modulo_the_modulus(self, q):
+        F = gf(q)
+        p, e = F.p, F.e
+        modulus = poly(p, F._modulus)
+
+        def as_poly(x):
+            return poly(p, [x // p ** i % p for i in range(e)])
+
+        if q <= 32:
+            pairs = itertools.product(range(q), repeat=2)
+        else:
+            rng = random.Random(f"gf-mul/{q}")
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+        for a, b in pairs:
+            prod = as_poly(a) * as_poly(b) % modulus
+            assert F.mul(a, b) == sum(c * p ** i for i, c in enumerate(prod.coeffs))

@@ -15,8 +15,8 @@ from latred.latff import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, FFOracle, FFSummand
                           short_vector_space_dim, shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
-from conftest import (random_ff_summand, random_poly, random_unimodular_poly,
-                      random_volume_space)
+from conftest import (minors, random_ff_summand, random_poly,
+                      random_unimodular_poly, random_volume_space)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -43,7 +43,7 @@ def _logvol_by_minors(vs, rows):
     zero, one = ring.field_zero(), ring.field_one()
     rows = [[_rf(x) for x in row] for row in rows]
     lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()), zero)
-    table = matrices.minors(lam, len(rows), lambda S: matrices.det_field(S, zero, one))
+    table = minors(lam, len(rows), lambda S: matrices.det_field(S, zero, one))
     return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
 
 
