@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
-from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power
+from .fq import FqRationalFunction, gf, poly, poly_one, prime_power, t_power
 from .rings import ZZ, is_prime_int
 
 NEIGHBOR_RESIDUE_LIMIT = 5
@@ -76,10 +76,7 @@ class BuildingContext:
         """pi^k: p^k on the integer side, t^{-k} on the function-field side."""
         if self.kind == "p-adic":
             return Fraction(self.p) ** k
-        t = poly_t(self.q)
-        if k <= 0:
-            return FqRationalFunction.of(t ** (-k))
-        return FqRationalFunction(poly_one(self.q), t ** k)
+        return t_power(self.q, -k)
 
     def zero(self):
         return Fraction(0) if self.kind == "p-adic" else \

@@ -168,7 +168,7 @@ def _localized_chain_with_values(x_part, B):
     from . import latff, latz, sarith
     ctx = B.ctx
     n = B.n
-    L, _, x_new = sarith.lattice_frame(x_part, B)
+    L, x_new = sarith.lattice_frame(x_part, B)
     if ctx.kind == "Z":
         rep = latz.canonical_filtration_z(x_new)
     else:

@@ -534,3 +534,11 @@ class FqRationalFunction:
 def ratfunc(field_or_q, num_coeffs, den_coeffs=(1,)):
     F = field_or_q if isinstance(field_or_q, GF) else gf(field_or_q)
     return FqRationalFunction(poly(F, num_coeffs), poly(F, den_coeffs))
+
+
+def t_power(q, k):
+    """t^k in F_q(t), for any integer k."""
+    t = poly_t(q)
+    if k >= 0:
+        return FqRationalFunction.of(t ** k)
+    return FqRationalFunction(poly_one(q), t ** (-k))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import filtration, gflinalg, matrices
 from .errors import (DimensionError, DomainError, ProjectivityError, ScaleError,
                      SingularityError)
-from .fq import FqRationalFunction, gf, poly, poly_one, poly_t
+from .fq import FqRationalFunction, gf, poly, poly_one, t_power
 from .rings import poly_ring
 
 ENUM_SPACE_LIMIT = 1 << 13
@@ -371,18 +371,15 @@ class DiagonalBasisResult:
         vs = self.space
         ring = poly_ring(vs.q)
         n = vs.n
-        t = poly_t(vs.q)
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        for i in range(n):
-            ri = self.r[i]
-            scale = FqRationalFunction.of(t ** ri) if ri >= 0 \
-                else FqRationalFunction(poly_one(vs.q), t ** (-ri))
-            for a, bb in zip(self.w[i], self.b[i]):
-                if FqRationalFunction.of(a) != scale * bb:
-                    raise DomainError("w_i != t^{r_i} b_i")
-        dw = matrices.det_ring(ring, self.w)
-        if dw.is_zero() or dw.degree != 0:
+        for w_i, b_i, r_i in zip(self.w, self.b, self.r):
+            scale = t_power(vs.q, r_i)
+            if any(FqRationalFunction.of(a) != scale * bb for a, bb in zip(w_i, b_i)):
+                raise DomainError("w_i != t^{r_i} b_i")
+        dw = matrices.det_field(_as_ratfunc_rows(vs.q, self.w), ring.field_zero(),
+                                ring.field_one())
+        if not dw.is_integral() or dw.num.degree != 0:
             raise DomainError("w is not unimodular over F_q[t]")
         coeff = matrices.matmul(vs.inverse_basis(),
                                 matrices.transpose(_as_ratfunc_rows(vs.q, self.b)),
@@ -406,20 +403,18 @@ def diagonal_basis(vs):
     """
     ring = poly_ring(vs.q)
     n = vs.n
-    t = poly_t(vs.q)
     if n == 1:
         lv = ff_logvol(vs, ((ring.one(),),))
         r1 = lv
         w = ((ring.one(),),)
-        b = ((_t_power(vs.q, -r1),),)
+        b = ((t_power(vs.q, -r1),),)
         return DiagonalBasisResult(vs, w, b, (r1,))
     v, r1 = shortest_vector(vs)
-    b1 = tuple(_t_power(vs.q, -r1) * FqRationalFunction.of(x) for x in v)
+    b1 = tuple(t_power(vs.q, -r1) * FqRationalFunction.of(x) for x in v)
     line = FFSummand.from_rows(vs.q, n, [v])
     sq = sub_quotient(vs, line)
     inner = diagonal_basis(sq.quot)
     comp_rows = sq.full_rows[1:]
-    quot_basis = sq.quot.basis
     quot_inv = sq.quot.inverse_basis()
     w_rows = [tuple(v)]
     b_rows = [b1]
@@ -444,13 +439,13 @@ def diagonal_basis(vs):
                     b_i[col] = b_i[col] + kappa[kidx] * sq.quot_lift_cols[kidx][col]
         r_i = inner.r[i]
         # w_i - t^{r_i} b_i lies on the split-off line; clear its coefficient
-        scale = _t_power(vs.q, r_i)
+        scale = t_power(vs.q, r_i)
         delta = [FqRationalFunction.of(a) - scale * bb for a, bb in zip(w_i, b_i)]
         s_i = _proportionality(delta, b1, ring)
         if not s_i.is_zero() and -s_i.nu() >= r1:
             head = s_i.truncate_at_infinity(r1)
             # subtract the integral multiple (head / t^{r1}) * w_1
-            mult = (head / _t_power(vs.q, r1)).as_polynomial()
+            mult = (head / t_power(vs.q, r1)).as_polynomial()
             for col in range(n):
                 w_i[col] = w_i[col] - mult * v[col]
             s_i = s_i - head
@@ -459,7 +454,7 @@ def diagonal_basis(vs):
         if not s_i.is_zero():
             if -s_i.nu() >= r1:  # pragma: no cover
                 raise DomainError("tail reduction failed")
-            shift = s_i / _t_power(vs.q, r_i)
+            shift = s_i / t_power(vs.q, r_i)
             b_i = [bb + shift * b1c for bb, b1c in zip(b_i, b1)]
         w_rows.append(tuple(w_i))
         b_rows.append(tuple(b_i))
@@ -472,13 +467,6 @@ def diagonal_basis(vs):
         tuple(r_list[i] for i in order),
     )
     return result
-
-
-def _t_power(q, k):
-    t = poly_t(q)
-    if k >= 0:
-        return FqRationalFunction.of(t ** k)
-    return FqRationalFunction(poly_one(q), t ** (-k))
 
 
 def _proportionality(delta, b1, ring):
@@ -515,7 +503,7 @@ def ff_invariants_and_filtration(vs):
     report = filtration.canonical_plot(minima, n)
     chain = []
     c_values = {}
-    for idx, pt in enumerate(report.path):
+    for pt in report.path:
         chain.append(pt.id)
         m = pt.rank
         if 0 < m < n:

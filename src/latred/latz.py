@@ -31,15 +31,6 @@ from .rings import ZZ
 DESK_RANK_LIMIT = 6
 
 
-def _leading_minors_positive(gram):
-    n = len(gram)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in gram[:k]]
-        if matrices.det_field(matrices.freeze(sub), Fraction(0), Fraction(1)) <= 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class InnerProduct:
     """Symmetric positive-definite rational form on R^n, checked exactly."""
@@ -53,8 +44,7 @@ class InnerProduct:
             raise DimensionError("Gram matrix shape mismatch")
         if g != matrices.transpose(g):
             raise DefinitenessError("Gram matrix is not symmetric")
-        if not _leading_minors_positive(g):
-            raise DefinitenessError("Gram matrix is not positive definite")
+        _ldl(g)  # positive pivots, i.e. positive leading minors
         object.__setattr__(self, "gram", g)
 
     @staticmethod
@@ -128,23 +118,30 @@ def gram_logvol(s, summand):
     return ExactLog.half_log(gram_vol2(s, rows))
 
 
-def _ldl(gram):
-    """Exact LDL^T data: Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2."""
+def _ldl(gram, pivots=None):
+    """Exact LDL^T data: Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2.
+
+    Returns (d, u, rest).  With `pivots` = r < n, only the first r pivots
+    are taken and `rest` is the trailing (n-r) x (n-r) block, the Schur
+    complement D - B^T A^-1 B of the leading r x r block A.  A pivot <= 0
+    means the form is not positive definite.
+    """
     n = len(gram)
+    r = n if pivots is None else pivots
     g = [[Fraction(x) for x in row] for row in gram]
     d = [Fraction(0)] * n
     u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
+    for i in range(r):
         d[i] = g[i][i]
-        if d[i] <= 0:  # pragma: no cover - inputs are SPD
-            raise DefinitenessError("LDL pivot failed")
+        if d[i] <= 0:
+            raise DefinitenessError("Gram matrix is not positive definite")
         for j in range(i + 1, n):
             u[i][j] = g[i][j] / d[i]
         for j in range(i + 1, n):
             for k in range(j, n):
                 g[j][k] -= d[i] * u[i][j] * u[i][k]
                 g[k][j] = g[j][k]
-    return d, u
+    return d, u, [row[r:] for row in g[r:]]
 
 
 def _lll_gram(gram):
@@ -157,7 +154,7 @@ def _lll_gram(gram):
     n = len(g)
     k = 1
     while k < n:
-        d, u = _ldl(g)  # mu[k][j] = u[j][k], |b*_i|^2 = d[i]
+        d, u, _ = _ldl(g)  # mu[k][j] = u[j][k], |b*_i|^2 = d[i]
         for j in range(k - 1, -1, -1):
             q = round(u[j][k])
             if q:  # b_k -= q b_j
@@ -224,7 +221,7 @@ def short_vectors(s, norm2_bound):
     X = Fraction(norm2_bound)
     if X <= 0:
         return []
-    d, u = _ldl(s.gram)
+    d, u, _ = _ldl(s.gram)
     out = []
     vec = [0] * n
 
@@ -394,22 +391,13 @@ def _restricted_form(s, w):
 
 
 def _quotient_form(s, w):
-    """Inner product induced on Z^n / w (Schur complement metric)."""
+    """Inner product induced on Z^n / w: the Schur complement of w's block.
+
+    In a basis of Z^n that starts with w's basis, the trailing block left
+    after rank(w) LDL^T pivots is D - B^T A^-1 B.
+    """
     U = matrices.completion_rows(ZZ, w.basis)
-    GU = matrices.matmul(matrices.matmul(
-        matrices.freeze([[Fraction(x) for x in row] for row in U]), s.gram, Fraction(0)),
-        matrices.transpose(matrices.freeze([[Fraction(x) for x in row] for row in U])),
-        Fraction(0))
-    r = w.rank
-    n = w.n
-    A = matrices.freeze([row[:r] for row in GU[:r]])
-    B = matrices.freeze([row[r:] for row in GU[:r]])
-    D = matrices.freeze([row[r:] for row in GU[r:]])
-    Ainv = matrices.inverse_field(A, Fraction(0), Fraction(1))
-    Bt = matrices.transpose(B)
-    corr = matrices.matmul(matrices.matmul(Bt, Ainv, Fraction(0)), B, Fraction(0))
-    Q = matrices.mat_sub(D, corr)
-    return InnerProduct(n - r, Q)
+    return InnerProduct(w.n - w.rank, _ldl(s.pulled_back(U).gram, w.rank)[2])
 
 
 def canonical_filtration_z(s):

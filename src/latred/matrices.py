@@ -3,9 +3,10 @@
 Matrices are immutable tuples of row tuples, and entries are added,
 multiplied and divided with the operators.  Algorithms that need more ring
 structure (Hermite/Smith forms, kernels, saturation) take one of the ring
-objects from `rings` for its units, norm and gcd; fraction-field routines
-(rank, inverse, determinant by elimination) work on Fraction /
-FqRationalFunction entries directly.
+objects from `rings` for its units, norm and gcd.  The fraction-field
+routines (determinant, rank, inverse, kernel) work on Fraction /
+FqRationalFunction entries directly and share one forward elimination and
+one back substitution.
 """
 
 from __future__ import annotations
@@ -53,75 +54,102 @@ def matmul(A, B, zero):
     return tuple(out)
 
 
-def mat_sub(A, B):
-    return freeze([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
 def stack(A, B):
     return tuple(A) + tuple(B)
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# fraction-field linear algebra: one forward elimination, one back substitution
 # ---------------------------------------------------------------------------
 
-def det_ring(ring, M):
-    """Fraction-free Bareiss determinant over an integral domain."""
-    n, m = shape(M)
-    if n != m:
-        raise DimensionError("determinant of a non-square matrix")
-    if n == 0:
-        return ring.one()
+def _echelon(M, zero, one):
+    """Forward Gaussian elimination over a field.
+
+    Returns (rows, pivot columns, swap parity): each column's pivot is its
+    first nonzero entry at or below the next pivot row, and the entries
+    below it are cleared, updating only the columns from the pivot onwards.
+    Stops once every row holds a pivot.
+    """
+    m, n = shape(M)
     a = [list(row) for row in M]
-    sign = False
-    prev = ring.one()
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = not sign
-                    break
-            else:
-                return ring.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = ring.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = ring.zero()
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign else d
+    pivots = []
+    odd = False
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col] != zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            odd = not odd
+        inv = one / a[r][col]
+        for i in range(r + 1, m):
+            if a[i][col] != zero:
+                f = a[i][col] * inv
+                for j in range(col, n):
+                    a[i][j] = a[i][j] - f * a[r][j]
+        pivots.append(col)
+    return a, pivots, odd
+
+
+def _back_substitute(a, pivots, zero, one):
+    """Turn forward-eliminated rows into reduced row echelon form, in place."""
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        inv = one / a[r][col]
+        a[r][col:] = [x * inv for x in a[r][col:]]
+        for i in range(r):
+            f = a[i][col]
+            if f != zero:
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
 
 
 def det_field(M, zero, one):
-    """Gaussian-elimination determinant over a field."""
+    """Determinant over a field: the product of the echelon pivots."""
     n, m = shape(M)
     if n != m:
         raise DimensionError("determinant of a non-square matrix")
-    if n == 0:
-        return one
-    a = [list(row) for row in M]
-    det = one
-    negate = False
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != zero:
-                piv = i
-                break
-        if piv is None:
-            return zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            negate = not negate
-        det = det * a[k][k]
-        inv_head = one / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != zero:
-                f = a[i][k] * inv_head
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-    return -det if negate else det
+    a, pivots, odd = _echelon(M, zero, one)
+    if len(pivots) < n:
+        return zero
+    det = math.prod((row[i] for i, row in enumerate(a)), start=one)
+    return -det if odd else det
+
+
+def rank_field(M, zero, one):
+    return len(_echelon(M, zero, one)[1])
+
+
+def inverse_field(M, zero, one):
+    """Inverse by elimination on [M | I]; M is singular when a pivot lands in I."""
+    n, m = shape(M)
+    if n != m:
+        raise DimensionError("inverse of a non-square matrix")
+    ident = identity_rows(n, one, zero)
+    a, pivots, _ = _echelon([row + e for row, e in zip(freeze(M), ident)], zero, one)
+    if pivots != list(range(n)):
+        raise SingularityError("matrix is singular")
+    _back_substitute(a, pivots, zero, one)
+    return freeze([row[n:] for row in a])
+
+
+def field_kernel(M, zero, one):
+    """Basis rows of the right kernel over a field, read off the reduced echelon form."""
+    n = shape(M)[1]
+    a, pivots, _ = _echelon(M, zero, one)
+    _back_substitute(a, pivots, zero, one)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [zero] * n
+        v[j] = one
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][j]
+        basis.append(tuple(v))
+    return freeze(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +334,17 @@ def kernel(ring, M):
     return freeze([cols[j] for j in range(rank, n)])
 
 
-def left_kernel(ring, M):
-    return kernel(ring, transpose(M))
-
-
 def rank_over_field(ring, M):
     """Rank of a ring matrix over its fraction field."""
     lifted = freeze([[ring.to_field(x) for x in row] for row in M])
     return rank_field(lifted, ring.field_zero(), ring.field_one())
+
+
+def inverse_unimodular(ring, U):
+    """Inverse of a unimodular ring matrix, with integral entries."""
+    lifted = freeze([[ring.to_field(x) for x in row] for row in U])
+    inv = inverse_field(lifted, ring.field_zero(), ring.field_one())
+    return freeze([[ring.from_field(x) for x in row] for row in inv])
 
 
 def saturate(ring, rows, ncols=None):
@@ -367,7 +398,7 @@ def clear_denominators(ring, rows):
 def completion_rows(ring, rows):
     """Extend a saturated basis to a unimodular square matrix (rows first)."""
     rows = freeze(rows)
-    m, n = shape(rows)
+    m = len(rows)
     _, D, V, _ = snf(ring, rows)
     for i in range(m):
         if not ring.is_unit(D[i][i]):
@@ -381,7 +412,7 @@ def lattice_intersect(ring, A, B):
     if not A or not B:
         return ()
     stacked = stack(A, B)
-    rels = left_kernel(ring, stacked)
+    rels = kernel(ring, transpose(stacked))
     zero = ring.zero()
     vecs = []
     for rel in rels:
@@ -512,90 +543,8 @@ def assemble_summands(ring, n, pool, m):
 
 
 # ---------------------------------------------------------------------------
-# fraction-field linear algebra
+# column reduction over a valuation ring
 # ---------------------------------------------------------------------------
-
-def rank_field(M, zero, one):
-    m, n = shape(M)
-    a = [list(row) for row in M]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = one / a[rank][col]
-        for i in range(rank + 1, m):
-            if a[i][col] != zero:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] = a[i][j] - f * a[rank][j]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def inverse_field(M, zero, one):
-    m, n = shape(M)
-    if m != n:
-        raise DimensionError("inverse of a non-square matrix")
-    a = [list(row) + list(identity_rows(n, one, zero)[i]) for i, row in enumerate(M)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            raise SingularityError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = one / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != zero:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return freeze([row[n:] for row in a])
-
-
-def field_kernel(M, zero, one):
-    """Basis rows of the right kernel over a field."""
-    m, n = shape(M)
-    a = [list(row) for row in M]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = one / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != zero:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [zero] * n
-        v[j] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][j]
-        basis.append(tuple(v))
-    return freeze(basis)
-
 
 def dvr_column_reduce(cols, rows, val, any_row=False):
     """Column reduction over the valuation ring of `val` (val(0) = inf).
@@ -627,10 +576,3 @@ def dvr_column_reduce(cols, rows, val, any_row=False):
         todo.remove(i)
         steps.append((i, p, v))
     return steps
-
-
-def inverse_unimodular(ring, U):
-    """Inverse of a unimodular ring matrix, with integral entries."""
-    lifted = freeze([[ring.to_field(x) for x in row] for row in U])
-    inv = inverse_field(lifted, ring.field_zero(), ring.field_one())
-    return freeze([[ring.from_field(x) for x in row] for row in inv])

@@ -280,23 +280,22 @@ def intersect_integral(w, B):
     return _intersect_lattice(w, _t_lattice(w.ctx, B))
 
 
-def _intersect_lattice(w, L):
-    """Canonical Z-basis rows of (Q-span of W) cap L, for any Z-basis rows L."""
+def _lattice_coords(w, L):
+    """Z-basis of (Q-span of W) cap L in coordinates over the Z-basis rows L."""
     ring = w.ctx.base_ring()
     zero, one = ring.field_zero(), ring.field_one()
     K = matrices.field_kernel(w.basis, zero, one)  # annihilator of the Q-span
     M = matrices.matmul(L, matrices.transpose(K), zero)
     _, Mi = matrices.clear_denominators(ring, M)
-    coeffs = matrices.kernel(ring, matrices.transpose(Mi))
-    rows = []
-    for c in coeffs:
-        v = [zero] * w.n
-        for ci, Lrow in zip(c, L):
-            cf = ring.to_field(ci)
-            for j in range(w.n):
-                v[j] = v[j] + cf * Lrow[j]
-        rows.append(tuple(v))
-    return matrices.fractional_hnf(ring, rows)
+    return matrices.kernel(ring, matrices.transpose(Mi))
+
+
+def _intersect_lattice(w, L):
+    """Canonical Z-basis rows of (Q-span of W) cap L, for any Z-basis rows L."""
+    ring = w.ctx.base_ring()
+    coeffs = matrices.freeze([[ring.to_field(c) for c in row]
+                              for row in _lattice_coords(w, L)])
+    return matrices.fractional_hnf(ring, matrices.matmul(coeffs, L, ring.field_zero()))
 
 
 def span_localized(ctx, n, z_rows):
@@ -323,7 +322,7 @@ def loc_logvol(w, x, B):
 
 
 def lattice_frame(x, B):
-    """(L, L^-1, x in L-coordinates) for the canonical Z-basis L of Z[T^-1]^n cap B.
+    """(L, x in L-coordinates) for the canonical Z-basis L of Z[T^-1]^n cap B.
 
     The point moves with the basis: a Gram matrix becomes L . gram . L^T, and
     a volume space's columns become L^-T . columns.
@@ -332,28 +331,27 @@ def lattice_frame(x, B):
     ring = ctx.base_ring()
     zero = ring.field_zero()
     L = full_intersection(ctx, B)
-    Linv = matrices.inverse_field(L, zero, ring.field_one())
     if ctx.kind == "Z":
         from . import latz
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        return L, Linv, latz.InnerProduct(B.n, G)
+        return L, latz.InnerProduct(B.n, G)
     from . import latff
+    Linv = matrices.inverse_field(L, zero, ring.field_one())
     cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
-    return L, Linv, latff.VolumeSpace(ctx.q, B.n, cols)
+    return L, latff.VolumeSpace(ctx.q, B.n, cols)
 
 
 def _transport(w, x, B):
     """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates."""
     ctx = w.ctx
     ring = ctx.base_ring()
-    L, Linv, x_new = lattice_frame(x, B)
-    coords = matrices.matmul(_intersect_lattice(w, L), Linv, ring.field_zero())
-    int_rows = matrices.freeze([[ring.from_field(xx) for xx in row] for row in coords])
+    L, x_new = lattice_frame(x, B)
+    H = matrices.hnf(ring, _lattice_coords(w, L))
     if ctx.kind == "Z":
         from . import latz
-        return x_new, latz.ZSummand(w.n, matrices.hnf(ZZ, int_rows))
+        return x_new, latz.ZSummand(w.n, H)
     from . import latff
-    return x_new, latff.FFSummand(ctx.q, w.n, matrices.hnf(ring, int_rows))
+    return x_new, latff.FFSummand(ctx.q, w.n, H)
 
 
 def loc_c(w, x, B):

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from latred import matrices
 from latred.errors import (DimensionError, InvalidPlaceError,
-                           RankDeficiencyError, ZeroArgumentError)
+                           RankDeficiencyError, SingularityError,
+                           ZeroArgumentError)
 from latred.filtration import canonical_filtration
 from latred.fq import poly, poly_t, ratfunc
 from latred.latff import FFOracle, VolumeSpace, ff_invariants_and_filtration
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import minors
+from conftest import minors, random_ratfunc
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -32,8 +33,25 @@ def snf_diagonal(ring, A):
     return tuple(D[i][i] for i in range(min(matrices.shape(D))))
 
 
+def int_det(M):
+    lifted = matrices.freeze([[Fraction(x) for x in row] for row in M])
+    return matrices.det_field(lifted, Fraction(0), Fraction(1))
+
+
 def int_minors(M, m):
-    return minors(M, m, lambda S: matrices.det_ring(ZZ, S))
+    return minors(M, m, int_det)
+
+
+def leibniz_det(M, zero, one):
+    """Determinant as the signed sum over permutations."""
+    total = zero
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * M[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 class TestValuation:
@@ -103,8 +121,8 @@ class TestSmithNormalForm:
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         U, D, V, _ = matrices.snf(ZZ, A)
         assert matrices.matmul(matrices.matmul(U, D, 0), V, 0) == matrices.freeze(A)
-        assert abs(matrices.det_ring(ZZ, U)) == 1
-        assert abs(matrices.det_ring(ZZ, V)) == 1
+        assert abs(int_det(U)) == 1
+        assert abs(int_det(V)) == 1
         diag = tuple(D[i][i] for i in range(min(m, n)))
         for a, b in zip(diag, diag[1:]):
             if a == 0:
@@ -125,6 +143,82 @@ class TestSmithNormalForm:
                 assert d.is_zero() or d.leading() == 1
 
 
+def _field(kind):
+    """(zero, one, random nonzero-or-zero entry) for Q or F_q(t)."""
+    if kind == "Q":
+        return (Fraction(0), Fraction(1),
+                lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    ring = poly_ring(kind)
+    return ring.field_zero(), ring.field_one(), lambda rng: random_ratfunc(rng, kind, 1)
+
+
+def random_field_matrices(kind, square, count=12):
+    """Seeded m x n matrices with m, n <= 4, some of them rank-deficient products."""
+    zero, _, entry = _field(kind)
+    rng = random.Random(f"{kind}-{square}")
+
+    def draw(rows, cols):
+        return matrices.freeze([[zero if rng.random() < 0.3 else entry(rng)
+                                 for _ in range(cols)] for _ in range(rows)])
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = m if square else rng.randint(1, 4)
+        if min(m, n) > 1 and rng.random() < 0.4:
+            r = rng.randint(1, min(m, n) - 1)
+            out.append(matrices.matmul(draw(m, r), draw(r, n), zero))
+        else:
+            out.append(draw(m, n))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["Q", 2, 3])
+class TestFieldElimination:
+    def test_det_matches_leibniz(self, kind):
+        zero, one, _ = _field(kind)
+        for M in random_field_matrices(kind, square=True):
+            assert matrices.det_field(M, zero, one) == leibniz_det(M, zero, one)
+        with pytest.raises(DimensionError):
+            matrices.det_field(((one, zero),), zero, one)
+
+    def test_inverse_or_singular(self, kind):
+        zero, one, _ = _field(kind)
+        cases = random_field_matrices(kind, square=True)
+        singular = 0
+        for M in cases:
+            if leibniz_det(M, zero, one) == zero:
+                singular += 1
+                with pytest.raises(SingularityError):
+                    matrices.inverse_field(M, zero, one)
+                continue
+            inv = matrices.inverse_field(M, zero, one)
+            ident = matrices.identity_rows(len(M), one, zero)
+            assert matrices.matmul(inv, M, zero) == ident
+        assert 0 < singular < len(cases)
+
+    def test_kernel_rows_annihilate(self, kind):
+        zero, one, _ = _field(kind)
+        for M in random_field_matrices(kind, square=False):
+            n = matrices.shape(M)[1]
+            K = matrices.field_kernel(M, zero, one)
+            for k in K:
+                column = matrices.matmul(M, tuple((x,) for x in k), zero)
+                assert all(row[0] == zero for row in column)
+            assert matrices.rank_field(M, zero, one) + len(K) == n
+            if K:
+                assert matrices.rank_field(K, zero, one) == len(K)
+
+    def test_rank_is_largest_nonzero_minor(self, kind):
+        zero, one, _ = _field(kind)
+        for M in random_field_matrices(kind, square=False):
+            m, n = matrices.shape(M)
+            want = max((k for k in range(1, min(m, n) + 1)
+                        if any(x != zero for x in minors(
+                            M, k, lambda S: leibniz_det(S, zero, one)).values())),
+                       default=0)
+            assert matrices.rank_field(M, zero, one) == want
+
+
 class TestMinors:
     def test_keyed_examples(self):
         assert int_minors([[1, 0, 2], [0, 1, 3]], 2) == {(1, 2): 1, (1, 3): 3, (2, 3): -2}
@@ -143,7 +237,7 @@ class TestMinors:
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         top = int_minors(M, n)
         assert list(top) == [tuple(range(1, n + 1))]
-        assert top[tuple(range(1, n + 1))] == matrices.det_ring(ZZ, M)
+        assert top[tuple(range(1, n + 1))] == leibniz_det(M, 0, 1)
 
     def test_laplace_consistency(self, rng):
         # expansion along the first row against the 1x1/2x2 minor tables
@@ -152,7 +246,7 @@ class TestMinors:
             subs = int_minors([row[:] for row in M[1:]], 2)
             expansion = sum((-1) ** j * M[0][j] * subs[tuple(sorted({1, 2, 3} - {j + 1}))]
                             for j in range(3))
-            assert expansion == matrices.det_ring(ZZ, M)
+            assert expansion == int_det(M)
 
 
 class TestSaturate:

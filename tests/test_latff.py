@@ -1,12 +1,13 @@
 """Function-field volume spaces: minors, subquotients, diagonal bases."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from latred import filtration, matrices
-from latred.errors import ProjectivityError, RankDeficiencyError, ScaleError
+from latred.errors import DomainError, ProjectivityError, RankDeficiencyError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, FFOracle, FFSummand,
                           VolumeSpace, diagonal_basis, enumerate_ff_summands,
@@ -251,6 +252,14 @@ class TestDiagonalBasis:
         diag.validate()
         assert diag.r == (-1, 0)
         assert diag.w[0] == (ZERO, ONE)
+
+    def test_validation_rejects_a_non_unimodular_w(self):
+        diag = diagonal_basis(_standard(2))
+        # w_2 -> t w_2 with r_2 -> r_2 + 1 keeps w_i = t^{r_i} b_i; det w becomes t
+        bad = dataclasses.replace(diag, w=(diag.w[0], tuple(T * x for x in diag.w[1])),
+                                  r=(diag.r[0], diag.r[1] + 1))
+        with pytest.raises(DomainError, match="not unimodular"):
+            bad.validate()
 
     def test_random_validation(self, rng):
         for _ in range(15):

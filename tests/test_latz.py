@@ -11,9 +11,9 @@ import pytest
 
 from latred import matrices
 from latred.errors import DefinitenessError, RankDeficiencyError, ScaleError
-from latred.latz import (InnerProduct, ZOracle, ZSummand, _vol2_bound_from,
-                         canonical_filtration_z, enumerate_summands, gram_logvol,
-                         gram_vol2, instability_z, spd_distance)
+from latred.latz import (InnerProduct, ZOracle, ZSummand, _quotient_form,
+                         _vol2_bound_from, canonical_filtration_z, enumerate_summands,
+                         gram_logvol, gram_vol2, instability_z, spd_distance)
 from latred.logs import ExactLog
 from latred.rings import ZZ
 
@@ -33,10 +33,32 @@ class TestVolumes:
             gram_vol2(InnerProduct.identity(2), [[1, 1], [2, 2]])
 
     def test_rejects_non_spd(self):
-        with pytest.raises(DefinitenessError):
-            InnerProduct(2, [[1, 2], [2, 1]])
-        with pytest.raises(DefinitenessError):
+        for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[-1, 0], [0, 1]],
+                     [[1, 0, 1], [0, 1, 1], [1, 1, 1]]):  # the last: minors 1, 1, -1
+            with pytest.raises(DefinitenessError,
+                               match="^Gram matrix is not positive definite$"):
+                InnerProduct(len(gram), gram)
+        with pytest.raises(DefinitenessError, match="not symmetric"):
             InnerProduct(2, [[1, 2], [3, 4]])
+
+    def test_quotient_form_is_the_schur_complement(self, rng):
+        for n in (2, 3, 4):
+            for r in range(1, n):
+                s = random_spd(rng, n)
+                w = random_z_summand(rng, n, r)
+                U = matrices.freeze([[Fraction(x) for x in row]
+                                     for row in matrices.completion_rows(ZZ, w.basis)])
+                G = matrices.matmul(matrices.matmul(U, s.gram, Fraction(0)),
+                                    matrices.transpose(U), Fraction(0))
+                A = [row[:r] for row in G[:r]]
+                B = [row[r:] for row in G[:r]]
+                D = [row[r:] for row in G[r:]]
+                Ainv_B = matrices.matmul(
+                    matrices.inverse_field(matrices.freeze(A), Fraction(0), Fraction(1)),
+                    matrices.freeze(B), Fraction(0))
+                want = [[D[i][j] - sum(B[k][i] * Ainv_B[k][j] for k in range(r))
+                         for j in range(n - r)] for i in range(n - r)]
+                assert _quotient_form(s, w).gram == matrices.freeze(want)
 
 
 class TestEnumeration:
@@ -148,7 +170,8 @@ class TestCertifiedRankMinima:
 
     def test_badly_based_form_gives_the_image_chain(self):
         g = [[1, 3, 5], [11, 34, 62], [13, 43, 94]]  # unimodular, det 1
-        assert matrices.det_ring(ZZ, g) == 1
+        lifted = matrices.freeze([[Fraction(x) for x in row] for row in g])
+        assert matrices.det_field(lifted, Fraction(0), Fraction(1)) == 1
         s = InnerProduct.diagonal([1, 1, 100])
         rep, seconds = _timed(canonical_filtration_z, s.pulled_back(g))
         assert seconds < 2.0
