@@ -168,26 +168,26 @@ def _localized_chain_with_values(x_part, B):
     from . import latff, latz, sarith
     ctx = B.ctx
     n = B.n
-    L, x_new = sarith.lattice_frame(x_part, B)
+    H, x_new = sarith.lattice_frame(x_part, B)
     if ctx.kind == "Z":
         rep = latz.canonical_filtration_z(x_new)
     else:
         _, rep = latff.ff_invariants_and_filtration(x_new)
     out = []
     for w in rep.interior_chain():
-        loc = _pull_back_summand(ctx, n, w, L)
+        loc = _pull_back_summand(ctx, n, w, H)
         out.append((loc, rep.c_values[w]))
     return out
 
 
-def _pull_back_summand(ctx, n, w_coords, L):
-    """Localized summand whose intersection with B has the given L-coordinates."""
+def _pull_back_summand(ctx, n, w_coords, H):
+    """Localized summand whose intersection with B has the given coordinates.
+
+    The coordinates are over the Hermite rows H of `sarith.lattice_frame`,
+    a scalar multiple of the lattice basis, so the span is the same.
+    """
     from . import matrices, sarith
-    ring = ctx.base_ring()
-    zero = ring.field_zero()
-    rows = matrices.matmul(
-        matrices.freeze([[ring.to_field(x) for x in row] for row in w_coords.basis]),
-        L, zero)
+    rows = matrices.matmul(w_coords.basis, H, ctx.base_ring().zero())
     return sarith.LocSummand.from_rows(ctx, n, rows)
 
 

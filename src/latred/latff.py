@@ -39,12 +39,8 @@ ENUM_SPACE_LIMIT = 1 << 13
 ENUM_LINE_LIMIT = 700
 
 
-def _as_ratfunc_rows(q, rows):
-    out = []
-    for row in rows:
-        out.append(tuple(FqRationalFunction.of(x) if not isinstance(x, FqRationalFunction)
-                         else x for x in row))
-    return tuple(out)
+def _as_ratfunc_rows(rows):
+    return tuple(tuple(FqRationalFunction.of(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class VolumeSpace:
     basis: tuple
 
     def __post_init__(self):
-        rows = _as_ratfunc_rows(self.q, self.basis)
+        rows = _as_ratfunc_rows(self.basis)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise DimensionError("basis matrix must be n x n")
         ring = poly_ring(self.q)
@@ -97,7 +93,7 @@ class VolumeSpace:
 
     def transformed(self, g_rows):
         """The lattice g(S) for g acting on V by the matrix with the given rows."""
-        G = _as_ratfunc_rows(self.q, g_rows)
+        G = _as_ratfunc_rows(g_rows)
         ring = poly_ring(self.q)
         new = matrices.matmul(G, self.basis, ring.field_zero())
         return VolumeSpace(self.q, self.n, new)
@@ -165,7 +161,7 @@ def ff_logvol(vs, submodule):
     if not rows:
         return 0
     ring = poly_ring(vs.q)
-    rows = _as_ratfunc_rows(vs.q, rows)
+    rows = _as_ratfunc_rows(rows)
     lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()),
                           ring.field_zero())
     cols = [list(c) for c in matrices.transpose(lam)]
@@ -206,7 +202,7 @@ def sub_quotient(vs, w):
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
-    full_rat = _as_ratfunc_rows(vs.q, full)
+    full_rat = _as_ratfunc_rows(full)
     Minv = matrices.inverse_field(matrices.transpose(full_rat),
                                   ring.field_zero(), ring.field_one())
     coords = matrices.matmul(Minv, vs.basis, ring.field_zero())
@@ -377,12 +373,12 @@ class DiagonalBasisResult:
             scale = t_power(vs.q, r_i)
             if any(FqRationalFunction.of(a) != scale * bb for a, bb in zip(w_i, b_i)):
                 raise DomainError("w_i != t^{r_i} b_i")
-        dw = matrices.det_field(_as_ratfunc_rows(vs.q, self.w), ring.field_zero(),
+        dw = matrices.det_field(_as_ratfunc_rows(self.w), ring.field_zero(),
                                 ring.field_one())
         if not dw.is_integral() or dw.num.degree != 0:
             raise DomainError("w is not unimodular over F_q[t]")
         coeff = matrices.matmul(vs.inverse_basis(),
-                                matrices.transpose(_as_ratfunc_rows(vs.q, self.b)),
+                                matrices.transpose(_as_ratfunc_rows(self.b)),
                                 ring.field_zero())
         if any(x.nu() < 0 for row in coeff for x in row):
             raise DomainError("b is not contained in the lattice")
@@ -441,7 +437,7 @@ def diagonal_basis(vs):
         # w_i - t^{r_i} b_i lies on the split-off line; clear its coefficient
         scale = t_power(vs.q, r_i)
         delta = [FqRationalFunction.of(a) - scale * bb for a, bb in zip(w_i, b_i)]
-        s_i = _proportionality(delta, b1, ring)
+        s_i = _proportionality(delta, b1)
         if not s_i.is_zero() and -s_i.nu() >= r1:
             head = s_i.truncate_at_infinity(r1)
             # subtract the integral multiple (head / t^{r1}) * w_1
@@ -469,7 +465,7 @@ def diagonal_basis(vs):
     return result
 
 
-def _proportionality(delta, b1, ring):
+def _proportionality(delta, b1):
     """The scalar s with delta = s * b1 (delta known to lie on the line)."""
     s = None
     for d, c in zip(delta, b1):

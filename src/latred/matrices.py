@@ -366,33 +366,23 @@ def saturate(ring, rows, ncols=None):
     return hnf(ring, V[:m])
 
 
-def fractional_hnf(ring, rows):
-    """Canonical HNF of a lattice given by fraction-field rows.
-
-    Scales by a common denominator, runs the integral HNF, and scales back;
-    canonical because the HNF commutes with normalized scalar scaling.
-    """
-    rows = freeze(rows)
-    if not rows:
-        return ()
-    den, scaled = clear_denominators(ring, rows)
-    H = hnf(ring, scaled)
-    return freeze([[ring.to_field(x) / den for x in row] for row in H])
-
-
 def clear_denominators(ring, rows):
     """(den, den * rows) for fraction-field rows: the ring rows they scale to.
 
     `den` is the normalized lcm of the entries' denominators, as a
-    fraction-field element.
+    fraction-field element.  An entry num/d becomes num * (den // d), so no
+    fraction-field product is formed.
     """
+    pairs = [[(x.numerator, x.denominator) if isinstance(x, Fraction) else (x.num, x.den)
+              for x in row] for row in rows]
     den = ring.one()
-    for row in rows:
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else x.den
-            den = ring.exact_div(den * d, ring.gcd(den, d))
-    den = ring.to_field(ring.unit_normalize(den)[1])
-    return den, freeze([[ring.from_field(den * x) for x in row] for row in rows])
+    for row in pairs:
+        for _, d in row:
+            if den % d:
+                den = den * (d // ring.gcd(den, d))
+    den = ring.unit_normalize(den)[1]
+    return ring.to_field(den), freeze([[num * (den // d) for num, d in row]
+                                       for row in pairs])
 
 
 def completion_rows(ring, rows):

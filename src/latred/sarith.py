@@ -16,10 +16,12 @@ is derived from the result: pivots T-free and normalized, entries above a
 pivot d reduced to canonical residues mod d.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
-transports volumes and instability numbers to the localized setting, and
-every invertible matrix over Q splits into a GL_n(Z[T^-1]) factor times a
-GL_n(Z_T) factor through the Smith form of its cleared matrix
-(`matrices.clear_denominators`).
+transports volumes and instability numbers to the localized setting.  That
+lattice path stays on base-ring rows over one denominator, the T-part of
+B's cleared denominator, from the Smith form of B to the final Hermite
+form, and divides by it once, at the end.  Every invertible matrix over Q
+splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor through the
+Smith form of its cleared matrix (`matrices.clear_denominators`).
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
 context uses.
@@ -244,58 +246,59 @@ class LocSummand(matrices.Summand):
 # ---------------------------------------------------------------------------
 
 def _t_lattice(ctx, B):
-    """Z-basis rows of Z[T^-1]^n cap B, not in Hermite form.
+    """(den, rows): Z[T^-1]^n cap B is the Z-span of rows / den, rows over Z.
 
-    Clears B's denominators, takes the Smith form of the cleared basis and
-    scales each invariant direction by the T-part of its invariant factor.
+    Clears B's denominators and takes the Smith form U D V of the cleared
+    basis.  Row i is the T-part of D_ii times column i of U, and den is the
+    T-part of the cleared denominator: the T-part is multiplicative, so the
+    scale t_part(D_ii / den) of each invariant direction is never formed.
     """
     ring = ctx.base_ring()
-    n = B.n
     denf, zB = matrices.clear_denominators(ring, B.basis)
     U, D, _, _ = matrices.snf(ring, zB)
-    gs = []
-    for i in range(n):
-        di = D[i][i]
-        if not di:  # pragma: no cover - B is invertible
-            raise SingularityError("integral structure degenerated")
-        gs.append(ctx.t_part(ring.to_field(di) / denf))
-    return [tuple(gs[i] * ring.to_field(U[j][i]) for j in range(n)) for i in range(n)]
+    rows = [tuple(ctx.t_split(D[i][i])[0] * u for u in col)
+            for i, col in enumerate(matrices.transpose(U))]
+    return ring.to_field(ctx.t_split(_num_den(denf)[0])[0]), rows
+
+
+def _divided(ring, den, H):
+    """The fraction-field rows H / den, one division per entry."""
+    return matrices.freeze([[ring.to_field(x) / den for x in row] for row in H])
 
 
 def full_intersection(ctx, B):
     """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
-    return matrices.fractional_hnf(ctx.base_ring(), _t_lattice(ctx, B))
+    return intersect_integral(LocSummand.full(ctx, B.n), B)
 
 
 def intersect_integral(w, B):
     """Canonical Z-basis rows of W cap B for a localized summand W.
 
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
-    W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).
+    W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  The lattice stays on
+    ring rows over one denominator until the final Hermite form, which is
+    canonical because hnf(c M) = c hnf(M) for a normalized scalar c.
     """
     if w.is_zero():
         return ()
-    if w.is_full():
-        return full_intersection(w.ctx, B)
-    return _intersect_lattice(w, _t_lattice(w.ctx, B))
+    ring = w.ring
+    den, rows = _t_lattice(w.ctx, B)
+    if not w.is_full():
+        rows = matrices.matmul(_lattice_coords(w, rows), rows, ring.zero())
+    return _divided(ring, den, matrices.hnf(ring, rows))
 
 
-def _lattice_coords(w, L):
-    """Z-basis of (Q-span of W) cap L in coordinates over the Z-basis rows L."""
-    ring = w.ctx.base_ring()
-    zero, one = ring.field_zero(), ring.field_one()
-    K = matrices.field_kernel(w.basis, zero, one)  # annihilator of the Q-span
-    M = matrices.matmul(L, matrices.transpose(K), zero)
-    _, Mi = matrices.clear_denominators(ring, M)
-    return matrices.kernel(ring, matrices.transpose(Mi))
+def _lattice_coords(w, R):
+    """Z-basis of (Q-span of W) cap (Z-span of R) in coordinates over the rows R.
 
-
-def _intersect_lattice(w, L):
-    """Canonical Z-basis rows of (Q-span of W) cap L, for any Z-basis rows L."""
-    ring = w.ctx.base_ring()
-    coeffs = matrices.freeze([[ring.to_field(c) for c in row]
-                              for row in _lattice_coords(w, L)])
-    return matrices.fractional_hnf(ring, matrices.matmul(coeffs, L, ring.field_zero()))
+    R is over the base ring; so is the annihilator of W's span once its
+    denominators are cleared, and the product and its kernel stay there.
+    """
+    ring = w.ring
+    K = matrices.field_kernel(w.basis, ring.field_zero(), ring.field_one())
+    _, Kz = matrices.clear_denominators(ring, K)
+    M = matrices.matmul(R, matrices.transpose(Kz), ring.zero())
+    return matrices.kernel(ring, matrices.transpose(M))
 
 
 def span_localized(ctx, n, z_rows):
@@ -322,36 +325,40 @@ def loc_logvol(w, x, B):
 
 
 def lattice_frame(x, B):
-    """(L, x in L-coordinates) for the canonical Z-basis L of Z[T^-1]^n cap B.
+    """(H, x in L-coordinates), L = H / den the canonical basis of Z[T^-1]^n cap B.
 
-    The point moves with the basis: a Gram matrix becomes L . gram . L^T, and
-    a volume space's columns become L^-T . columns.
+    H is L's Hermite form over the base ring, so coordinates and spans in L
+    can be taken on ring rows.  The point moves with the basis: a Gram
+    matrix becomes L . gram . L^T, and a volume space's columns become
+    L^-T . columns.
     """
     ctx = B.ctx
     ring = ctx.base_ring()
     zero = ring.field_zero()
-    L = full_intersection(ctx, B)
+    den, rows = _t_lattice(ctx, B)
+    H = matrices.hnf(ring, rows)
+    L = _divided(ring, den, H)
     if ctx.kind == "Z":
         from . import latz
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        return L, latz.InnerProduct(B.n, G)
+        return H, latz.InnerProduct(B.n, G)
     from . import latff
     Linv = matrices.inverse_field(L, zero, ring.field_one())
     cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
-    return L, latff.VolumeSpace(ctx.q, B.n, cols)
+    return H, latff.VolumeSpace(ctx.q, B.n, cols)
 
 
 def _transport(w, x, B):
     """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates."""
     ctx = w.ctx
     ring = ctx.base_ring()
-    L, x_new = lattice_frame(x, B)
-    H = matrices.hnf(ring, _lattice_coords(w, L))
+    H, x_new = lattice_frame(x, B)
+    Hw = matrices.hnf(ring, _lattice_coords(w, H))
     if ctx.kind == "Z":
         from . import latz
-        return x_new, latz.ZSummand(w.n, H)
+        return x_new, latz.ZSummand(w.n, Hw)
     from . import latff
-    return x_new, latff.FFSummand(ctx.q, w.n, H)
+    return x_new, latff.FFSummand(ctx.q, w.n, Hw)
 
 
 def loc_c(w, x, B):

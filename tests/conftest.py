@@ -123,3 +123,16 @@ def minors(M, m, det):
                    else tuple(r + 1 for r in rs) + tuple(c + 1 for c in cs))
             out[key] = det(sub)
     return out
+
+
+def fractional_hnf(ring, rows):
+    """Canonical HNF of a lattice given by fraction-field rows.
+
+    Scales by a common denominator, runs the integral HNF, and scales back;
+    canonical because the HNF commutes with normalized scalar scaling.
+    """
+    if not rows:
+        return ()
+    den, scaled = matrices.clear_denominators(ring, matrices.freeze(rows))
+    return matrices.freeze([[ring.to_field(x) / den for x in row]
+                            for row in matrices.hnf(ring, scaled)])

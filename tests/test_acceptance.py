@@ -29,7 +29,7 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, loc_c, span_localized)
 
-from conftest import (random_ff_summand, random_invertible_rational,
+from conftest import (fractional_hnf, random_ff_summand, random_invertible_rational,
                       random_spd, random_unimodular_z, random_volume_space,
                       random_z_summand)
 
@@ -407,8 +407,7 @@ def _rational_intersect(A, B):
     Ai = [[int(x * denom) for x in row] for row in A]
     Bi = [[int(x * denom) for x in row] for row in B]
     inter = matrices.lattice_intersect(ZZ, Ai, Bi)
-    return matrices.fractional_hnf(ZZ, [[Fraction(x, denom) for x in row]
-                                        for row in inter])
+    return fractional_hnf(ZZ, [[Fraction(x, denom) for x in row] for row in inter])
 
 
 def test_criterion_11_core_classification():

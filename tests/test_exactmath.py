@@ -21,7 +21,7 @@ from latred.fq import poly, poly_t, ratfunc
 from latred.latff import FFOracle, VolumeSpace, ff_invariants_and_filtration
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import minors, random_ratfunc
+from conftest import minors, random_poly, random_ratfunc
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -217,6 +217,68 @@ class TestFieldElimination:
                             M, k, lambda S: leibniz_det(S, zero, one)).values())),
                        default=0)
             assert matrices.rank_field(M, zero, one) == want
+
+
+def _clear_by_field_products(ring, rows):
+    """Reference clearing: den = lcm of the denominators, each entry den * x."""
+    den = ring.one()
+    for row in rows:
+        for x in row:
+            d = x.denominator if isinstance(x, Fraction) else x.den
+            den = ring.exact_div(den * d, ring.gcd(den, d))
+    den = ring.to_field(ring.unit_normalize(den)[1])
+    return den, matrices.freeze([[ring.from_field(den * x) for x in row] for row in rows])
+
+
+def random_rows_to_clear(kind, count=40):
+    """Seeded fraction-field rows: zeros, negatives, coprime and shared denominators."""
+    rng = random.Random(f"clear-{kind}")
+    if kind == "Z":
+        ring = ZZ
+        dens = [1, 2, 3, 4, 5, 6, 7, 12, 35]
+
+        def entry(den):
+            return Fraction(rng.randint(-9, 9), den if den else rng.choice(dens))
+    else:
+        ring = poly_ring(kind)
+        dens = [random_poly(rng, kind, 2) for _ in range(4)]
+        dens = [d for d in dens if not d.is_zero()] + [ring.one()]
+
+        def entry(den):
+            x = random_ratfunc(rng, kind, 2)
+            return x if den is None else x / ring.to_field(den)
+    out = [()]
+    for _ in range(count):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        shared = rng.choice(dens) if rng.random() < 0.3 else None
+        out.append(matrices.freeze([[ring.field_zero() if rng.random() < 0.2 else entry(shared)
+                                     for _ in range(n)] for _ in range(m)]))
+    return ring, out
+
+
+@pytest.mark.parametrize("kind", ["Z", 2, 3, 4])
+class TestClearDenominators:
+    def test_matches_field_products(self, kind):
+        ring, cases = random_rows_to_clear(kind)
+        for rows in cases:
+            assert matrices.clear_denominators(ring, rows) == \
+                _clear_by_field_products(ring, rows)
+
+    def test_den_normalized_minimal_and_rows_integral(self, kind):
+        ring, cases = random_rows_to_clear(kind)
+        ring_type = int if kind == "Z" else type(ring.one())
+        for rows in cases:
+            den, cleared = matrices.clear_denominators(ring, rows)
+            d = ring.from_field(den)
+            assert ring.unit_normalize(d)[1] == d
+            # minimal: no prime of den divides every cleared entry
+            g = d
+            for row, crow in zip(rows, cleared):
+                for x, c in zip(row, crow):
+                    assert type(c) is ring_type
+                    assert ring.to_field(c) == den * x
+                    g = ring.gcd(g, c)
+            assert ring.is_unit(g)
 
 
 class TestMinors:

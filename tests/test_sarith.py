@@ -19,9 +19,9 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            intersect_integral, loc_c, loc_logvol,
                            span_localized)
 
-from conftest import (random_invertible_rational, random_poly, random_ratfunc,
-                      random_spd, random_unimodular_poly, random_unimodular_z,
-                      random_volume_space)
+from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
+                      random_ratfunc, random_spd, random_unimodular_poly,
+                      random_unimodular_z, random_volume_space)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -312,10 +312,9 @@ class TestIntersect:
                     join_img = intersect_integral(a.join(b), B)
                     ia, ib = intersect_integral(a, B), intersect_integral(b, B)
                     from latred.rings import ZZ
-                    inter = matrices.fractional_hnf(
-                        ZZ, _rational_lattice_intersect(ia, ib))
+                    inter = fractional_hnf(ZZ, _rational_lattice_intersect(ia, ib))
                     assert matrices.freeze(inter) == meet_img
-                    hull = matrices.fractional_hnf(ZZ, ia + ib)
+                    hull = fractional_hnf(ZZ, ia + ib)
                     # join image contains the sum with finite index: same span
                     assert matrices.rank_field(
                         matrices.freeze(list(hull) + list(join_img)),
@@ -334,6 +333,122 @@ def _rational_lattice_intersect(A, B):
     Bi = [[int(x * denom) for x in row] for row in B]
     inter = matrices.lattice_intersect(ZZ, Ai, Bi)
     return [[Fraction(x, denom) for x in row] for row in inter]
+
+
+def _t_free(ctx, x):
+    """A nonzero base-ring element with every prime of T divided out."""
+    for p in ctx.T:
+        while not x % p:
+            x = x // p
+    return x
+
+
+def _num_den(x):
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x.num, x.den
+
+
+def _normalized(ctx, x):
+    """x up to a unit of the base ring: |x| over Z, monic numerator over F_q."""
+    if ctx.kind == "Z":
+        return abs(x)
+    return FqRationalFunction(x.num.monic(), x.den)
+
+
+def _oracle_t_part(ctx, x):
+    ring = ctx.base_ring()
+    num, den = _num_den(x)
+    return _normalized(ctx, ring.to_field(num // _t_free(ctx, num))
+                       / ring.to_field(den // _t_free(ctx, den)))
+
+
+def _outside_t_cases(name):
+    """Seeded (B, W) with B's denominators carrying primes outside T.
+
+    Over Z[1/6] the denominators include 5 and 35, over F_2[t][1/t] t + 1
+    and t^2 + t + 1, over F_3[t] with T = {t, t^2 + 1} t + 1 and t + 2.
+    """
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    zero, one = ring.field_zero(), ring.field_one()
+    rng = random.Random(f"sarith-outside-T/{name}")
+    if ctx.kind == "Z":
+        dens = [1, 2, 3, 4, 5, 35, 10, 105]
+    else:
+        t, e = poly_t(ctx.q), poly_one(ctx.q)
+        dens = [e, t, t + e, t * (t + e), t * t + t + e, (t + e) ** 2]
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        while True:
+            B = matrices.freeze([[ring.to_field(rng.randint(-6, 6) if ctx.kind == "Z"
+                                                else random_poly(rng, ctx.q, 2))
+                                  / ring.to_field(rng.choice(dens)) for _ in range(n)]
+                                 for _ in range(n)])
+            if matrices.det_field(B, zero, one):
+                break
+        k = rng.randint(1, n - 1)
+        while True:
+            rows = matrices.freeze([[ring.to_field(rng.randint(-3, 3) if ctx.kind == "Z"
+                                                   else random_poly(rng, ctx.q, 1))
+                                     for _ in range(n)] for _ in range(k)])
+            if matrices.rank_field(rows, zero, one) == k:
+                break
+        yield IntegralStructure(ctx, n, B), LocSummand.from_rows(ctx, n, rows)
+
+
+def _assert_lattice_in_t_inverted_and_b(ctx, B, rows):
+    """Entries in Z[T^-1]; coordinates over B's basis columns in Z_T."""
+    ring = ctx.base_ring()
+    for row in rows:
+        for x in row:
+            assert ring.is_unit(_t_free(ctx, _num_den(x)[1]))
+    Binv = matrices.inverse_field(B.basis, ring.field_zero(), ring.field_one())
+    coords = matrices.matmul(Binv, matrices.transpose(rows), ring.field_zero())
+    for row in coords:
+        for x in row:
+            assert all(_num_den(x)[1] % p for p in ctx.T)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+class TestDenominatorsOutsideT:
+    """Z[T^-1]^n cap B and W cap B when B has denominators outside T.
+
+    Only the T-part of B's denominators may reach the lattice: a prime
+    outside T is a unit of Z_T, so it changes B but not the intersection.
+    """
+
+    def test_full_intersection(self, name):
+        ctx = PIN_CTXS[name]
+        ring = ctx.base_ring()
+        zero, one = ring.field_zero(), ring.field_one()
+        for B, _ in _outside_t_cases(name):
+            L = full_intersection(ctx, B)
+            assert len(L) == B.n
+            _assert_lattice_in_t_inverted_and_b(ctx, B, L)
+            # a sublattice of Z[T^-1]^n cap B with its covolume is all of it
+            assert _normalized(ctx, matrices.det_field(L, zero, one)) == \
+                _oracle_t_part(ctx, matrices.det_field(B.basis, zero, one))
+            assert fractional_hnf(ring, L) == L
+
+    def test_intersect_integral(self, name):
+        ctx = PIN_CTXS[name]
+        ring = ctx.base_ring()
+        zero, one = ring.field_zero(), ring.field_one()
+        for B, w in _outside_t_cases(name):
+            rows = intersect_integral(w, B)
+            assert len(rows) == w.rank
+            _assert_lattice_in_t_inverted_and_b(ctx, B, rows)
+            assert matrices.rank_field(w.basis + rows, zero, one) == w.rank
+            # saturated in Z[T^-1]^n cap B: integral coordinates over its
+            # basis whose maximal minors have a unit gcd
+            L = full_intersection(ctx, B)
+            C = matrices.matmul(rows, matrices.inverse_field(L, zero, one), zero)
+            g = ring.zero()
+            for m in minors(C, w.rank, lambda sub: matrices.det_field(sub, zero, one)).values():
+                g = ring.gcd(g, ring.from_field(m))
+            assert ring.is_unit(g)
+            assert fractional_hnf(ring, rows) == rows
 
 
 class TestLocalizedVolume:
