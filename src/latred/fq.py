@@ -6,11 +6,17 @@ coefficients of a polynomial over F_p, taken modulo the first monic
 irreducible of degree e, and multiplication runs through exp/log tables
 built once per field with the polynomial arithmetic below.
 
-Polynomials are stored as ascending coefficient tuples with no trailing
-zeros; the zero polynomial has an empty tuple.  Rational functions are kept
-reduced with a monic denominator; the reducing gcd runs only when the
-denominator is not constant, since a constant one is already coprime to
-every numerator.  The degree valuation
+A polynomial over F_2 stores its coefficients as the bits of one int (bit
+i is the coefficient of t^i), so its arithmetic is shift-and-XOR on ints
+(von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4); over
+every other field they are an ascending tuple with no trailing zeros.
+Either way `coeffs` reads the ascending tuple, empty for the zero
+polynomial, and equality, hashing and printing depend only on it and the
+field.  Over F_{2^e}, field addition and negation are XOR and the identity.
+
+Rational functions are kept reduced with a monic denominator; the reducing
+gcd runs only when the denominator is not constant, since a constant one
+is already coprime to every numerator.  The degree valuation
 
     nu(p/q) = deg(q) - deg(p),    nu(0) = +infinity
 
@@ -97,6 +103,8 @@ class GF:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         p = self.p
         out = 0
         mult = 1
@@ -110,6 +118,8 @@ class GF:
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         out = 0
         mult = 1
@@ -120,6 +130,8 @@ class GF:
         return out
 
     def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
@@ -153,51 +165,113 @@ def gf(q):
     return GF(q)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _bits_divmod(a, b):
+    """Quotient and remainder of F_2 polynomials given as bits, b nonzero."""
+    db = b.bit_length()
+    quot = 0
+    while (s := a.bit_length() - db) >= 0:
+        quot |= 1 << s
+        a ^= b << s
+    return quot, a
+
+
+def _from_bits(F, bits):
+    """The polynomial over F = F_2 whose coefficient of t^i is bit i of bits."""
+    out = _new(FqPolynomial)
+    _set(out, "field", F)
+    _set(out, "_c", bits)
+    return out
+
+
 class FqPolynomial:
-    """Polynomial over F_q in the variable t, ascending coefficients."""
+    """Polynomial over F_q in the variable t, immutable.
 
-    field: GF
-    coeffs: tuple
+    Built from ascending coefficients (elements 0..q-1 of F_q).  Over F_2 it
+    stores them as the bits of one int, bit i the coefficient of t^i, and
+    its arithmetic is shift-and-XOR; over every other field they are an
+    ascending tuple with no trailing zeros.  `coeffs` is that tuple in both
+    cases.
+    """
 
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    __slots__ = ("field", "_c")
+
+    def __init__(self, field, coeffs):
+        if field.q == 2:
+            c = sum(1 << i for i, x in enumerate(coeffs) if x)
+        else:
+            c = tuple(coeffs)
+            while c and c[-1] == 0:
+                c = c[:-1]
+        _set(self, "field", field)
+        _set(self, "_c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return FqPolynomial, (self.field, self.coeffs)
+
+    @property
+    def coeffs(self):
+        """Ascending coefficient tuple with no trailing zeros; () for zero."""
+        c = self._c
+        if c.__class__ is int:
+            return tuple(map(int, reversed(bin(c)[2:]))) if c else ()
+        return c
+
+    def __eq__(self, other):
+        if not isinstance(other, FqPolynomial):
+            return NotImplemented
+        return self._c == other._c and (self.field is other.field
+                                        or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field.q, self._c))
 
     # -- basics ------------------------------------------------------------
     @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        c = self._c
+        return c.bit_length() - 1 if c.__class__ is int else len(c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def is_unit(self):
         return self.degree == 0
 
     def leading(self):
-        if self.is_zero():
+        c = self._c
+        if not c:
             raise ZeroArgumentError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return 1 if c.__class__ is int else c[-1]
 
     def monic(self):
-        if self.is_zero():
+        c = self._c
+        if not c or c.__class__ is int:
             return self
-        lc = self.leading()
+        lc = c[-1]
         if lc == 1:
             return self
-        inv = self.field.inv(lc)
-        return FqPolynomial(self.field, tuple(self.field.mul(c, inv) for c in self.coeffs))
+        F = self.field
+        inv = F.inv(lc)
+        return FqPolynomial(F, tuple(F.mul(x, inv) for x in c))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._c)
 
     # -- ring operations ----------------------------------------------------
     def _check(self, other):
-        if not isinstance(other, FqPolynomial) or other.field != self.field:
+        if not isinstance(other, FqPolynomial) or (
+                other.field is not self.field and other.field != self.field):
             raise TypeError("mixed polynomial fields")
         return other
 
@@ -206,7 +280,9 @@ class FqPolynomial:
             return NotImplemented
         other = self._check(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
+        if a.__class__ is int:
+            return _from_bits(F, a ^ b)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -215,46 +291,65 @@ class FqPolynomial:
         return FqPolynomial(F, tuple(out))
 
     def __neg__(self):
+        c = self._c
+        if c.__class__ is int:
+            return self
         F = self.field
-        return FqPolynomial(F, tuple(F.neg(c) for c in self.coeffs))
+        return FqPolynomial(F, tuple(F.neg(x) for x in c))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        F = self.field
+        a = self._c
         if isinstance(other, int):  # scalar from F_q
-            F = self.field
-            return FqPolynomial(F, tuple(F.mul(c, other % F.q) for c in self.coeffs))
+            if a.__class__ is int:
+                return self if other & 1 else _from_bits(F, 0)
+            return FqPolynomial(F, tuple(F.mul(c, other % F.q) for c in a))
         if isinstance(other, FqRationalFunction):
             return NotImplemented
-        other = self._check(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
+        b = self._check(other)._c
+        if a.__class__ is int:
+            # XOR b shifted to each set bit of the sparser factor a
+            if a.bit_count() > b.bit_count():
+                a, b = b, a
+            out = 0
+            while a:
+                low = a & -a
+                out ^= b << (low.bit_length() - 1)
+                a ^= low
+            return _from_bits(F, out)
+        if not a or not b:
             return FqPolynomial(F, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
         return FqPolynomial(F, tuple(out))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         other = self._check(other)
-        if other.is_zero():
+        if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = F.inv(other.leading())
+        a, b = self._c, other._c
+        if a.__class__ is int:
+            quot, rem = _bits_divmod(a, b)
+            return _from_bits(F, quot), _from_bits(F, rem)
+        rem = list(a)
+        db = len(b) - 1
+        inv_lead = F.inv(b[-1])
         quot = [0] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
                 factor = F.mul(c, inv_lead)
                 quot[i - db] = factor
-                for j, bcoef in enumerate(other.coeffs):
+                for j, bcoef in enumerate(b):
                     rem[i - db + j] = F.sub(rem[i - db + j], F.mul(factor, bcoef))
         return FqPolynomial(F, tuple(quot)), FqPolynomial(F, tuple(rem))
 
@@ -270,18 +365,31 @@ class FqPolynomial:
         return FqRationalFunction(self, self._check(other))
 
     def gcd(self, other):
+        """Monic gcd; the zero polynomial when both are zero."""
         a, b = self, self._check(other)
+        if a._c.__class__ is int:
+            a, b = a._c, b._c
+            while b:
+                a, b = b, _bits_divmod(a, b)[1]
+            return _from_bits(self.field, a)
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
     def shift(self, k):
         """Multiply by t^k (k >= 0)."""
-        if self.is_zero():
+        if k < 0:
+            raise DomainError(f"shift by t^{k} leaves F_q[t]")
+        c = self._c
+        if c.__class__ is int:
+            return _from_bits(self.field, c << k)
+        if not c:
             return self
-        return FqPolynomial(self.field, (0,) * k + self.coeffs)
+        return FqPolynomial(self.field, (0,) * k + c)
 
     def __pow__(self, n):
+        if n < 0:
+            raise DomainError(f"negative power {n} leaves F_q[t]")
         out = FqPolynomial(self.field, (1,))
         base = self
         while n:
@@ -292,11 +400,12 @@ class FqPolynomial:
         return out
 
     def __str__(self):
-        if self.is_zero():
+        cs = self.coeffs
+        if not cs:
             return "0"
         terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -363,7 +472,7 @@ class FqRationalFunction:
         num, den = self.num, self.den
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.field != den.field:
+        if num.field is not den.field and num.field != den.field:
             raise TypeError("mixed fields in rational function")
         if num.is_zero():
             den = poly_one(num.field)

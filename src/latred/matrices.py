@@ -209,7 +209,7 @@ def _unit_inverse(u):
     if isinstance(u, int):
         return u
     if isinstance(u, FqPolynomial):
-        return poly(u.field, [u.field.inv(u.coeffs[0])])
+        return poly(u.field, [u.field.inv(u.leading())])
     raise DomainError(f"cannot invert unit {u!r}")  # pragma: no cover
 
 

@@ -394,8 +394,9 @@ def factorize(A, ctx, mode="GL"):
 
     Returns (Bm, Cm) with A = Bm * Cm, Bm in GL_n(Z[T^-1]) and Cm in
     GL_n(Z_T); in SL mode both determinants are exactly 1.  Clears
-    denominators, takes the Smith form, and splits each invariant factor
-    into its T-part and its T-free part.
+    denominators, takes the Smith form, and splits each invariant factor,
+    and the cleared denominator once, into a T-part and a T-free part over
+    the base ring.
     """
     ring = ctx.base_ring()
     A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
@@ -414,10 +415,12 @@ def factorize(A, ctx, mode="GL"):
     Vf = [[ring.to_field(x) for x in row] for row in V]
     left = [list(row) for row in Uf]
     right = [list(row) for row in Vf]
+    # D_ii / denf splits into its T-part and T-free part factor by factor
+    den_t, den_free = (ring.to_field(x) for x in ctx.t_split(_num_den(denf)[0]))
     for i in range(n):
-        di = ring.to_field(D[i][i]) / denf
-        u_i = ctx.t_part(di)       # unit of Z[T^-1]
-        v_i = di / u_i             # unit of Z_T
+        d_t, d_free = ctx.t_split(D[i][i])
+        u_i = ring.to_field(d_t) / den_t          # unit of Z[T^-1]
+        v_i = ring.to_field(d_free) / den_free    # unit of Z_T
         for r in range(n):
             left[r][i] = left[r][i] * u_i
         right[i] = [v_i * xx for xx in right[i]]

@@ -1,7 +1,10 @@
-"""F_q(t) arithmetic: canonical form of every result, mixed operand types."""
+"""F_q and F_q(t) arithmetic: field operations, polynomials against a schoolbook
+reference, canonical form of every result, mixed operand types."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latred.errors import DomainError
-from latred.fq import (FqPolynomial, FqRationalFunction, gf, monic_irreducibles, poly,
+from latred.fq import (GF, FqPolynomial, FqRationalFunction, gf, monic_irreducibles, poly,
                        poly_one, poly_t, prime_power)
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -202,3 +205,182 @@ class TestFieldTables:
         for a, b in pairs:
             prod = as_poly(a) * as_poly(b) % modulus
             assert F.mul(a, b) == sum(c * p ** i for i, c in enumerate(prod.coeffs))
+
+
+# -- the polynomial arithmetic against a schoolbook reference ---------------
+# Plain ascending tuples over gf(q) scalars, written here independently of the
+# storage FqPolynomial picks (the bits of one int over F_2, tuples otherwise).
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _trim(F.add(x, y) for x, y in zip(a, b))
+
+
+def _ref_neg(F, a):
+    return tuple(F.neg(x) for x in a)
+
+
+def _ref_mul(F, a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _trim(out)
+
+
+def _ref_divmod(F, a, b):
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = F.inv(b[-1])
+    while len(_trim(rem)) >= len(b):
+        rem = list(_trim(rem))
+        k = len(rem) - len(b)
+        c = F.mul(rem[-1], inv)
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = F.sub(rem[k + j], F.mul(c, y))
+    return _trim(quot), _trim(rem)
+
+
+def _ref_monic(F, a):
+    if not a:
+        return a
+    inv = F.inv(a[-1])
+    return tuple(F.mul(x, inv) for x in a)
+
+
+def _ref_gcd(F, a, b):
+    while b:
+        a, b = b, _ref_divmod(F, a, b)[1]
+    return _ref_monic(F, a)
+
+
+def _ref_pow(F, a, n):
+    out = (1,)
+    for _ in range(n):
+        out = _ref_mul(F, out, a)
+    return out
+
+
+def _ref_str(a):
+    terms = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c:
+            mono = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            terms.append(str(c) if not mono else mono if c == 1 else f"{c}*{mono}")
+    return "+".join(terms) or "0"
+
+
+@st.composite
+def _poly_pair(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    return q, draw(_coeffs(q, 9)), draw(_coeffs(q, 6))
+
+
+class TestPolynomialArithmetic:
+    """Every FqPolynomial operation equals the schoolbook tuple reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_poly_pair(), st.integers(-7, 7), st.integers(0, 5))
+    def test_against_reference(self, pair, c, k):
+        q, ca, cb = pair
+        F = gf(q)
+        a, b = _trim(ca), _trim(cb)
+        x, y = poly(q, ca), poly(q, cb)
+        assert x.coeffs == a and y.coeffs == b
+        assert x.degree == len(a) - 1 and x.is_zero() == (not a) and bool(x) == bool(a)
+        assert str(x) == _ref_str(a)
+        if a:
+            assert x.leading() == a[-1]
+        assert (x + y).coeffs == _ref_add(F, a, b)
+        assert (-x).coeffs == _ref_neg(F, a)
+        assert (x - y).coeffs == _ref_add(F, a, _ref_neg(F, b))
+        assert (x * y).coeffs == _ref_mul(F, a, b)
+        assert (x * c).coeffs == (c * x).coeffs == _ref_mul(F, a, (c % q,))
+        assert x.monic().coeffs == _ref_monic(F, a)
+        assert x.shift(k).coeffs == _trim((0,) * k + a)
+        assert (x ** k).coeffs == _ref_pow(F, a, k)
+        assert x.gcd(y).coeffs == _ref_gcd(F, a, b)
+        if b:
+            qt, r = divmod(x, y)
+            assert (qt.coeffs, r.coeffs) == _ref_divmod(F, a, b)
+            assert (x // y, x % y) == (qt, r)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                divmod(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly_pair())
+    def test_equality_agrees_with_hash(self, pair):
+        q, ca, cb = pair
+        x, y = poly(q, ca), poly(q, cb)
+        assert (x == y) == (_trim(ca) == _trim(cb))
+        padded = FqPolynomial(gf(q), tuple(ca) + (0, 0))
+        for z in (padded, x + poly(q, []), (x * y - x * y) + x):
+            assert z == x and hash(z) == hash(x)
+        other = FqPolynomial(GF(q), tuple(ca))  # a second context of the same field
+        assert other == x and hash(other) == hash(x)
+
+    def test_fields_differ(self):
+        assert poly(2, [1, 1]) != poly(3, [1, 1])
+        assert poly(2, [1, 1]) != poly(4, [1, 1])
+        assert poly(3, [1, 1]) != poly(5, [1, 1])
+        with pytest.raises(TypeError):
+            poly(2, [1, 1]) + poly(4, [1, 1])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_immutable_and_picklable(self, q):
+        x = poly(q, [1, 0, 1])
+        with pytest.raises(AttributeError):
+            x.field = gf(5)
+        with pytest.raises(AttributeError):
+            del x.field
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and y.coeffs == x.coeffs
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_negative_power_and_shift_raise(self, q):
+        x = poly(q, [1, 1])
+        with pytest.raises(DomainError):
+            x ** -1
+        with pytest.raises(DomainError):
+            x.shift(-1)
+        with pytest.raises(DomainError):
+            poly(q, []).shift(-2)
+
+
+def _digits(F, x):
+    return [x // F.p ** i % F.p for i in range(F.e)]
+
+
+def _from_digits(F, ds):
+    return sum(d * F.p ** i for i, d in enumerate(ds))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_extension_add_sub_neg_against_digits(q):
+    F = gf(q)
+    p = F.p
+    for a in range(q):
+        da = _digits(F, a)
+        assert F.neg(a) == _from_digits(F, [-x % p for x in da])
+        for b in range(q):
+            db = _digits(F, b)
+            assert F.add(a, b) == _from_digits(F, [(x + y) % p for x, y in zip(da, db)])
+            assert F.sub(a, b) == _from_digits(F, [(x - y) % p for x, y in zip(da, db)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_prime_field_sub(q):
+    F = gf(q)
+    for a in range(q):
+        for b in range(q):
+            assert F.sub(a, b) == (a - b) % q == F.add(a, F.neg(b))

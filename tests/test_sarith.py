@@ -450,6 +450,23 @@ class TestDenominatorsOutsideT:
             assert ring.is_unit(g)
             assert fractional_hnf(ring, rows) == rows
 
+    def test_factorize(self, name):
+        # against the invariant factors D_ii / den split one fraction at a time
+        ctx = PIN_CTXS[name]
+        ring = ctx.base_ring()
+        zero = ring.field_zero()
+        for B, _ in _outside_t_cases(name):
+            den, cleared = matrices.clear_denominators(ring, B.basis)
+            U, D, V, _ = matrices.snf(ring, cleared)
+            n = B.n
+            parts = [_oracle_t_part(ctx, ring.to_field(D[i][i]) / den) for i in range(n)]
+            left = [[ring.to_field(U[r][i]) * parts[i] for i in range(n)] for r in range(n)]
+            right = [[ring.to_field(x) * (ring.to_field(D[i][i]) / den / parts[i])
+                      for x in V[i]] for i in range(n)]
+            Bm, Cm = factorize(B.basis, ctx)
+            assert (Bm, Cm) == (matrices.freeze(left), matrices.freeze(right))
+            assert matrices.matmul(Bm, Cm, zero) == B.basis
+
 
 class TestLocalizedVolume:
     def test_examples(self):
