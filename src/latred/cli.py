@@ -374,7 +374,7 @@ def _check_snf(rng, scale):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         A = matrices.freeze([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        U, D, V, _ = matrices.snf(ZZ, A)
+        U, D, V = matrices.snf(ZZ, A)
         if matrices.matmul(matrices.matmul(U, D, 0), V, 0) == A:
             good += 1
     return {"name": "smith-normal-form", "instances": scale, "ok": good == scale}

@@ -72,6 +72,7 @@ class GF:
         self.q = q
         self.p = p
         self.e = e
+        self.poly_one = FqPolynomial(self, (1,))  # shared by fq.poly_one
         if e > 1:
             self._build_tables()
 
@@ -154,6 +155,9 @@ class GF:
 
     def __hash__(self):
         return hash(("GF", self.q))
+
+    def __reduce__(self):  # pickle and copy return the shared context
+        return gf, (self.q,)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -431,12 +435,7 @@ def poly_t(field_or_q):
 
 def poly_one(field_or_q):
     """The constant 1, one shared instance per field."""
-    return _poly_one(field_or_q if isinstance(field_or_q, GF) else gf(field_or_q))
-
-
-@lru_cache(maxsize=None)
-def _poly_one(F):
-    return FqPolynomial(F, (1,))
+    return (field_or_q if isinstance(field_or_q, GF) else gf(field_or_q)).poly_one
 
 
 def monic_irreducibles(field_or_q, max_degree):

@@ -224,10 +224,9 @@ class _SNFState:
         self.D = [list(r) for r in M]
         self.U = [list(r) for r in identity_rows(m, one, zero)]
         self.V = [list(r) for r in identity_rows(n, one, zero)]
-        self.Vinv = [list(r) for r in identity_rows(n, one, zero)]
         self.m, self.n = m, n
 
-    # maintain U*D*V = M; Vinv tracks V^{-1} for kernel extraction
+    # maintain U*D*V = M
     def swap_rows(self, i, j):
         self.D[i], self.D[j] = self.D[j], self.D[i]
         for row in self.U:
@@ -237,8 +236,6 @@ class _SNFState:
         for row in self.D:
             row[i], row[j] = row[j], row[i]
         self.V[i], self.V[j] = self.V[j], self.V[i]
-        for row in self.Vinv:
-            row[i], row[j] = row[j], row[i]
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j on D."""
@@ -251,8 +248,6 @@ class _SNFState:
         for row in self.D:
             row[i] = row[i] - q * row[j]
         self.V[j] = [a + q * b for a, b in zip(self.V[j], self.V[i])]
-        for row in self.Vinv:
-            row[i] = row[i] - q * row[j]
 
     def scale_row(self, i, unit):
         """row_i *= unit on D (unit invertible)."""
@@ -318,20 +313,26 @@ def snf(ring, M):
             unit, norm = ring.unit_normalize(st.D[i][i])
             if norm != st.D[i][i]:
                 st.scale_row(i, _unit_inverse(unit))
-    return freeze(st.U), freeze(st.D), freeze(st.V), freeze(st.Vinv)
+    return freeze(st.U), freeze(st.D), freeze(st.V)
+
+
+def split_hnf(ring, A, R):
+    """Canonical HNF basis of the row module {x R : x A = 0}.
+
+    A and R have one row per generator.  These are the rows of hnf([A | R])
+    that are zero on the A block, read on the R block: the rows above them
+    have independent A parts, so no combination involving them vanishes
+    there.  A with no columns leaves hnf(R).
+    """
+    k = shape(A)[1]
+    H = hnf(ring, [tuple(a) + tuple(r) for a, r in zip(A, R)] if k else R)
+    return freeze(h[k:] for h in H if not any(h[:k]))
 
 
 def kernel(ring, M):
-    """Basis rows of the right kernel {x : M x = 0} over the ring."""
-    m, n = shape(M)
-    if n == 0:
-        return ()
-    if m == 0:
-        return identity_rows(n, ring.one(), ring.zero())
-    _, D, _, Vinv = snf(ring, M)
-    rank = sum(1 for i in range(min(m, n)) if D[i][i])
-    cols = transpose(Vinv)
-    return freeze([cols[j] for j in range(rank, n)])
+    """Canonical HNF basis rows of the right kernel {x : M x = 0} over the ring."""
+    n = shape(M)[1]
+    return split_hnf(ring, transpose(M), identity_rows(n, ring.one(), ring.zero()))
 
 
 def rank_over_field(ring, M):
@@ -359,7 +360,7 @@ def saturate(ring, rows, ncols=None):
     m, n = shape(rows)
     if ncols is not None and ncols != n:
         raise DimensionError("ambient rank mismatch")
-    _, D, V, _ = snf(ring, rows)
+    _, D, V = snf(ring, rows)
     rank = sum(1 for i in range(min(m, n)) if D[i][i])
     if rank != m:
         raise RankDeficiencyError("rows are dependent over the fraction field")
@@ -389,7 +390,7 @@ def completion_rows(ring, rows):
     """Extend a saturated basis to a unimodular square matrix (rows first)."""
     rows = freeze(rows)
     m = len(rows)
-    _, D, V, _ = snf(ring, rows)
+    _, D, V = snf(ring, rows)
     for i in range(m):
         if not ring.is_unit(D[i][i]):
             raise RankDeficiencyError("rows do not span a direct summand")
@@ -397,22 +398,16 @@ def completion_rows(ring, rows):
 
 
 def lattice_intersect(ring, A, B):
-    """HNF basis of the intersection of two row modules over the ring."""
+    """HNF basis of the intersection of two row modules over the ring.
+
+    x A lies in the span of B exactly when x A + y B = 0 for some y, so the
+    intersection is {(x, y) (A; 0) : (x, y) (A; B) = 0}.
+    """
     A, B = freeze(A), freeze(B)
     if not A or not B:
         return ()
-    stacked = stack(A, B)
-    rels = kernel(ring, transpose(stacked))
-    zero = ring.zero()
-    vecs = []
-    for rel in rels:
-        c = rel[:len(A)]
-        v = [zero] * len(A[0])
-        for coef, row in zip(c, A):
-            for j, x in enumerate(row):
-                v[j] = v[j] + coef * x
-        vecs.append(v)
-    return hnf(ring, vecs)
+    zeros = ((ring.zero(),) * len(A[0]),) * len(B)
+    return split_hnf(ring, stack(A, B), stack(A, zeros))
 
 
 # ---------------------------------------------------------------------------

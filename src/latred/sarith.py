@@ -17,9 +17,12 @@ pivot d reduced to canonical residues mod d.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting.  That
-lattice path stays on base-ring rows over one denominator, the T-part of
-B's cleared denominator, from the Smith form of B to the final Hermite
-form, and divides by it once, at the end.  Every invertible matrix over Q
+lattice path runs on Hermite forms alone: Z[T^-1]^n cap B is the Hermite
+form of B's cleared basis together with c I, c the T-part of its
+determinant, and W cap B the part of one Hermite form of [A | R] that is
+zero on A (`matrices.split_hnf`).  It stays on base-ring rows over one
+denominator, the T-part of B's cleared denominator, and divides by it
+once, at the end.  Every invertible matrix over Q
 splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor through the
 Smith form of its cleared matrix (`matrices.clear_denominators`).
 
@@ -29,7 +32,7 @@ context uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import matrices
 from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
@@ -138,11 +141,15 @@ def _inverse_mod(ring, a, m):
 
 @dataclass(frozen=True)
 class IntegralStructure:
-    """Rank-n Z_T-submodule of Q^n, spanned by the columns of `basis`."""
+    """Rank-n Z_T-submodule of Q^n, spanned by the columns of `basis`.
+
+    `det` is the determinant of `basis`, kept from the singularity check.
+    """
 
     ctx: LocalizedContext
     n: int
     basis: tuple
+    det: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
@@ -153,6 +160,7 @@ class IntegralStructure:
         if not d:
             raise SingularityError("integral structure basis is singular")
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "det", d)
 
     @staticmethod
     def standard(ctx, n):
@@ -248,17 +256,21 @@ class LocSummand(matrices.Summand):
 def _t_lattice(ctx, B):
     """(den, rows): Z[T^-1]^n cap B is the Z-span of rows / den, rows over Z.
 
-    Clears B's denominators and takes the Smith form U D V of the cleared
-    basis.  Row i is the T-part of D_ii times column i of U, and den is the
-    T-part of the cleared denominator: the T-part is multiplicative, so the
-    scale t_part(D_ii / den) of each invariant direction is never formed.
+    Let zB = den B be B's cleared basis and c the T-part of det zB =
+    den^n det B.  The lattice zB Z^n + c Z^n agrees with zB Z^n at every
+    place in T, where c Z^n lies inside it, and with Z^n at every other
+    place, where c is a unit.  Its generators are the columns of zB,
+    reduced mod c, and c times the unit vectors; den is the T-part of the
+    cleared denominator.
     """
     ring = ctx.base_ring()
     denf, zB = matrices.clear_denominators(ring, B.basis)
-    U, D, _, _ = matrices.snf(ring, zB)
-    rows = [tuple(ctx.t_split(D[i][i])[0] * u for u in col)
-            for i, col in enumerate(matrices.transpose(U))]
-    return ring.to_field(ctx.t_split(_num_den(denf)[0])[0]), rows
+    den = _num_den(denf)[0]
+    num, d = _num_den(B.det)
+    c = ctx.t_split(num * (den ** B.n // d))[0]
+    rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
+    rows += matrices.identity_rows(B.n, c, ring.zero())
+    return ring.to_field(ctx.t_split(den)[0]), rows
 
 
 def _divided(ring, den, H):
@@ -283,22 +295,20 @@ def intersect_integral(w, B):
         return ()
     ring = w.ring
     den, rows = _t_lattice(w.ctx, B)
-    if not w.is_full():
-        rows = matrices.matmul(_lattice_coords(w, rows), rows, ring.zero())
-    return _divided(ring, den, matrices.hnf(ring, rows))
+    return _divided(ring, den, _span_meet(w, rows, rows))
 
 
-def _lattice_coords(w, R):
-    """Z-basis of (Q-span of W) cap (Z-span of R) in coordinates over the rows R.
+def _span_meet(w, P, R):
+    """Hermite basis of {x R : x P in the Q-span of W} over the base ring.
 
-    R is over the base ring; so is the annihilator of W's span once its
-    denominators are cleared, and the product and its kernel stay there.
+    x P lies in the span exactly when x P K^T = 0, for K the annihilator of
+    W's span cleared of its denominators.
     """
     ring = w.ring
     K = matrices.field_kernel(w.basis, ring.field_zero(), ring.field_one())
     _, Kz = matrices.clear_denominators(ring, K)
-    M = matrices.matmul(R, matrices.transpose(Kz), ring.zero())
-    return matrices.kernel(ring, matrices.transpose(M))
+    PK = matrices.matmul(P, matrices.transpose(Kz), ring.zero())
+    return matrices.split_hnf(ring, PK, R)
 
 
 def span_localized(ctx, n, z_rows):
@@ -353,7 +363,7 @@ def _transport(w, x, B):
     ctx = w.ctx
     ring = ctx.base_ring()
     H, x_new = lattice_frame(x, B)
-    Hw = matrices.hnf(ring, _lattice_coords(w, H))
+    Hw = _span_meet(w, H, matrices.identity_rows(w.n, ring.one(), ring.zero()))
     if ctx.kind == "Z":
         from . import latz
         return x_new, latz.ZSummand(w.n, Hw)
@@ -410,7 +420,7 @@ def factorize(A, ctx, mode="GL"):
     if mode == "SL" and detA != one:
         raise DeterminantError("SL-mode factorization needs determinant 1")
     denf, mA = matrices.clear_denominators(ring, A)
-    U, D, V, _ = matrices.snf(ring, mA)
+    U, D, V = matrices.snf(ring, mA)
     Uf = [[ring.to_field(x) for x in row] for row in U]
     Vf = [[ring.to_field(x) for x in row] for row in V]
     left = [list(row) for row in Uf]

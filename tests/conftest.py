@@ -136,3 +136,19 @@ def fractional_hnf(ring, rows):
     den, scaled = matrices.clear_denominators(ring, matrices.freeze(rows))
     return matrices.freeze([[ring.to_field(x) / den for x in row]
                             for row in matrices.hnf(ring, scaled)])
+
+
+def snf_t_lattice(ctx, B):
+    """Reference (den, rows) for Z[T^-1]^n cap B from a Smith form.
+
+    Takes the Smith form U D V of B's cleared basis: row i is the T-part of
+    D_ii times column i of U, and den is the T-part of the cleared
+    denominator, so the lattice is the Z-span of rows / den.
+    """
+    ring = ctx.base_ring()
+    denf, zB = matrices.clear_denominators(ring, B.basis)
+    U, D, _ = matrices.snf(ring, zB)
+    rows = [tuple(ctx.t_split(D[i][i])[0] * u for u in col)
+            for i, col in enumerate(matrices.transpose(U))]
+    den = denf.numerator if isinstance(denf, Fraction) else denf.num
+    return ring.to_field(ctx.t_split(den)[0]), rows

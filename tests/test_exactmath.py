@@ -119,7 +119,7 @@ class TestSmithNormalForm:
     def test_random_decompositions(self, m, n, seed):
         rng = random.Random(seed)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        U, D, V, _ = matrices.snf(ZZ, A)
+        U, D, V = matrices.snf(ZZ, A)
         assert matrices.matmul(matrices.matmul(U, D, 0), V, 0) == matrices.freeze(A)
         assert abs(int_det(U)) == 1
         assert abs(int_det(V)) == 1
@@ -136,7 +136,7 @@ class TestSmithNormalForm:
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             A = [[poly(2, [rng.randrange(2) for _ in range(rng.randint(1, 3))])
                   for _ in range(n)] for _ in range(m)]
-            U, D, V, _ = matrices.snf(P2, A)
+            U, D, V = matrices.snf(P2, A)
             prod = matrices.matmul(matrices.matmul(U, D, P2.zero()), V, P2.zero())
             assert prod == matrices.freeze(A)
             for d in (D[i][i] for i in range(min(m, n))):
@@ -403,7 +403,7 @@ class TestExtensionFields:
             m, n = rng.randint(1, 2), rng.randint(1, 3)
             A = [[poly(4, [rng.randrange(4) for _ in range(rng.randint(1, 3))])
                   for _ in range(n)] for _ in range(m)]
-            U, D, V, _ = matrices.snf(P4, A)
+            U, D, V = matrices.snf(P4, A)
             prod = matrices.matmul(matrices.matmul(U, D, P4.zero()), V, P4.zero())
             assert prod == matrices.freeze(A)
 
@@ -421,6 +421,27 @@ class TestKernelAndIntersection:
                                  for _ in range(m)])
             for v in matrices.kernel(ZZ, A):
                 assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+
+    @pytest.mark.parametrize("q", [None, 2, 3, 4], ids=["Z", "F2", "F3", "F4"])
+    def test_kernel_is_a_saturated_hermite_basis(self, q):
+        ring = ZZ if q is None else poly_ring(q)
+        rng = random.Random(f"kernel/{q}")
+        assert matrices.kernel(ring, ()) == ()  # m = 0 rows (and so no columns)
+        for _ in range(25):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            # one zero row and one zero column, unless the index falls outside
+            zero_row, zero_col = rng.randrange(m + 1), rng.randrange(n + 1)
+            M = matrices.freeze(
+                [[ring.zero() if zero_row == i or zero_col == j
+                  else rng.randint(-4, 4) if q is None else random_poly(rng, q, 2)
+                  for j in range(n)] for i in range(m)])
+            K = matrices.kernel(ring, M)
+            assert matrices.hnf(ring, K) == K
+            for v in K:
+                assert all(not sum((a * x for a, x in zip(row, v)), ring.zero())
+                           for row in M)
+            assert matrices.rank_over_field(ring, M) + len(K) == n
+            assert matrices.saturate(ring, K, n) == K
 
     def test_lattice_intersection_membership(self):
         got = matrices.lattice_intersect(ZZ, [[2, 0], [0, 1]], [[1, 1]])

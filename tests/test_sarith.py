@@ -1,11 +1,12 @@
 """Localized modules: intersections, volumes, scaling laws, factorizations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from latred import matrices
+from latred import matrices, sarith
 from latred.errors import (DeterminantError, DomainError, RankDeficiencyError,
                            SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
@@ -21,7 +22,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
 
 from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
                       random_ratfunc, random_spd, random_unimodular_poly,
-                      random_unimodular_z, random_volume_space)
+                      random_unimodular_z, random_volume_space, snf_t_lattice)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -243,21 +244,32 @@ class TestPinnedOutputs:
         assert got == PINNED[name]
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
-        # Z[T^-1]^n cap B costs a Smith form of B's cleared basis; one loc_c
-        # needs it once
+        # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
+        # once per loc_c; moving W onto it takes no Smith form, and loc_c
+        # runs none on B's cleared basis
         ring = PIN_CTXS[name].base_ring()
-        cleared = []
-        snf = matrices.snf
+        builds, smith = [], []
+        t_lattice, snf = sarith._t_lattice, matrices.snf
+
+        def counting_t_lattice(ctx, B):
+            builds.append(B)
+            return t_lattice(ctx, B)
 
         def counting_snf(r, M):
-            cleared.append([list(row) for row in M])
+            smith.append(matrices.freeze(M))
             return snf(r, M)
+        monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
         monkeypatch.setattr(matrices, "snf", counting_snf)
         for w, x, B in _pin_cases(name):
-            zB = [list(row) for row in matrices.clear_denominators(ring, B.basis)[1]]
-            cleared.clear()
+            zB = matrices.clear_denominators(ring, B.basis)[1]
+            builds.clear()
+            smith.clear()
+            sarith._transport(w, x, B)
+            assert (builds, smith) == ([B], [])
+            builds.clear()
             loc_c(w, x, B)
-            assert cleared.count(zB) == 1
+            assert builds == [B]
+            assert zB not in smith
 
 
 class TestIntersect:
@@ -457,7 +469,7 @@ class TestDenominatorsOutsideT:
         zero = ring.field_zero()
         for B, _ in _outside_t_cases(name):
             den, cleared = matrices.clear_denominators(ring, B.basis)
-            U, D, V, _ = matrices.snf(ring, cleared)
+            U, D, V = matrices.snf(ring, cleared)
             n = B.n
             parts = [_oracle_t_part(ctx, ring.to_field(D[i][i]) / den) for i in range(n)]
             left = [[ring.to_field(U[r][i]) * parts[i] for i in range(n)] for r in range(n)]
@@ -466,6 +478,49 @@ class TestDenominatorsOutsideT:
             Bm, Cm = factorize(B.basis, ctx)
             assert (Bm, Cm) == (matrices.freeze(left), matrices.freeze(right))
             assert matrices.matmul(Bm, Cm, zero) == B.basis
+
+
+def _skewed_det_cases(name):
+    """Seeded B = U1 diag(d) U2 / den with det B of high T-power and T-free factors.
+
+    A random part of the factors (for Z[1/6]: 2^5 3^2 5 7) is spread over the
+    diagonal; den runs over T-powers and primes outside T.
+    """
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    rng = random.Random(f"sarith-skewed-det/{name}")
+    if ctx.kind == "Z":
+        factors, dens = [2] * 5 + [3] * 2 + [5, 7], [1, 2, 3, 4, 5, 35, 6, 84]
+    else:
+        t, e = poly_t(ctx.q), poly_one(ctx.q)
+        t_free = [t + e, t * t + t + e] if ctx.q == 2 else [t + e, t + 2 * e]
+        factors = [p for p in ctx.T for _ in range(5 // len(ctx.T))] + t_free
+        dens = [e, t, t_free[0], t * t_free[1], ctx.T[-1], t ** 3]
+    for i in range(8):
+        n = rng.randint(2, 3)
+        diag = [ring.one()] * n
+        for f in factors:
+            if i == 0 or rng.random() < 0.7:
+                j = rng.randrange(n)
+                diag[j] = diag[j] * f
+        U1, U2 = ((random_unimodular_z(rng, n) if ctx.kind == "Z"
+                   else random_unimodular_poly(rng, ctx.q, n)) for _ in range(2))
+        DU2 = [[d * x for x in row] for d, row in zip(diag, U2)]
+        den = ring.to_field(rng.choice(dens))
+        yield IntegralStructure(ctx, n, [[ring.to_field(x) / den for x in row]
+                                         for row in matrices.matmul(U1, DU2, ring.zero())])
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+def test_t_lattice_matches_smith_form(name):
+    # the Hermite form of zB Z^n + c Z^n against the Smith-form lattice
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    for B in itertools.chain(_skewed_det_cases(name), (b for b, _ in _outside_t_cases(name))):
+        den, rows = sarith._t_lattice(ctx, B)
+        ref_den, ref_rows = snf_t_lattice(ctx, B)
+        assert den == ref_den
+        assert matrices.hnf(ring, rows) == matrices.hnf(ring, ref_rows)
 
 
 class TestLocalizedVolume:
