@@ -265,7 +265,8 @@ def apartment():
     def go():
         from . import building, jsonio
         doc = _read_stdin()
-        coords = building.apartment_coords([int(x) for x in doc["m"]])
+        coords = building.apartment_coords([jsonio.int_from_json(x, "m entry")
+                                            for x in doc["m"]])
         return {"coords": [jsonio.rational_to_str(c) for c in coords]}
     _run(go)
 
@@ -290,7 +291,8 @@ def _cover_point_and_system(doc):
         x = jsonio.inner_product_from_json(doc["x"])
         n = x.n
     elif side == "ff":
-        ctx = building.BuildingContext.function_field(int(doc["q"]), int(doc["n"]))
+        ctx = building.BuildingContext.function_field(
+            jsonio.int_from_json(doc["q"], "q"), jsonio.int_from_json(doc["n"], "n"))
         x = jsonio.vertex_from_json(ctx, doc["x"])
         n = ctx.n
     elif side in ("loc-z", "loc-ff"):

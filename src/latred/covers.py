@@ -184,11 +184,13 @@ def _pull_back_summand(ctx, n, w_coords, H):
     """Localized summand whose intersection with B has the given coordinates.
 
     The coordinates are over the Hermite rows H of `sarith.lattice_frame`,
-    a scalar multiple of the lattice basis, so the span is the same.
+    a scalar multiple of the lattice basis, so the span is the same.  Those
+    rows are ring rows, so their saturation is the stored W cap Z^n.
     """
     from . import matrices, sarith
-    rows = matrices.matmul(w_coords.basis, H, ctx.base_ring().zero())
-    return sarith.LocSummand.from_rows(ctx, n, rows)
+    ring = ctx.base_ring()
+    rows = matrices.matmul(w_coords.basis, H, ring.zero())
+    return sarith.LocSummand(ctx, n, matrices.saturate(ring, rows, n))
 
 
 def cover_membership(x, sys, with_values=False):

@@ -4,7 +4,8 @@ Conventions:
     * rationals as strings "p/q" or "p",
     * F_q elements as integers 0..q-1,
     * polynomials over F_q as ascending coefficient arrays,
-    * rational functions as strings like "t^2/(t^3+1)".
+    * rational functions as strings like "t^2/(t^3+1)",
+    * integer fields (sizes, primes, exponents) as JSON integers only.
 
 The Z, F_q[t] and localized layers are imported by the functions that build
 their objects, so a verb that never touches a layer does not load it.
@@ -124,6 +125,13 @@ def field_from_json(q, s):
     return rational_from_str(s) if q is None else ratfunc_from_str(q, s)
 
 
+def int_from_json(x, field):
+    """x, checked to be a JSON integer: not a bool, a float or a string."""
+    if type(x) is not int:
+        raise ValidationError(f"{field} must be a JSON integer, got {x!r}")
+    return x
+
+
 def _rows(rows, n, field, square=False):
     """rows, checked to be a list of length-n lists (n of them when square)."""
     if (not isinstance(rows, list) or (square and len(rows) != n)
@@ -140,7 +148,7 @@ def _rows(rows, n, field, square=False):
 def inner_product_from_json(doc):
     from .latz import InnerProduct
     try:
-        n = int(doc["n"])
+        n = int_from_json(doc["n"], "n")
         gram = [[rational_from_str(x) for x in row]
                 for row in _rows(doc["gram"], n, "gram", square=True)]
     except (KeyError, TypeError) as exc:
@@ -151,8 +159,8 @@ def inner_product_from_json(doc):
 def volume_space_from_json(doc):
     from .latff import VolumeSpace
     try:
-        q = int(doc["q"])
-        n = int(doc["n"])
+        q = int_from_json(doc["q"], "q")
+        n = int_from_json(doc["n"], "n")
         rows = [[ratfunc_from_str(q, x) for x in row]
                 for row in _rows(doc["S_basis"], n, "S_basis", square=True)]
     except (KeyError, TypeError) as exc:
@@ -163,7 +171,7 @@ def volume_space_from_json(doc):
 def z_summand_from_json(doc, n):
     from .latz import ZSummand
     try:
-        basis = [[int(x) for x in row]
+        basis = [[int_from_json(x, "summand basis entry") for x in row]
                  for row in _rows(doc["basis"], n, "summand basis")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad summand: {exc}") from None
@@ -193,10 +201,14 @@ def summand_to_json(w):
 
 def localized_context_from_json(doc):
     from .sarith import LocalizedContext
-    kind = doc.get("ring", "z").lower()
+    ring = doc.get("ring", "z")
+    kind = ring.lower() if isinstance(ring, str) else ring
     if kind in ("z", "int", "integers"):
-        return LocalizedContext.integers([int(p) for p in doc["T"]])
-    q = int(doc["q"])
+        return LocalizedContext.integers([int_from_json(p, "T entry")
+                                          for p in doc["T"]])
+    if kind != "ff":
+        raise ValidationError(f"ring must be one of z, int, integers, ff, got {ring!r}")
+    q = int_from_json(doc["q"], "q")
     primes = [poly_from_coeffs(q, c) for c in doc["T"]]
     return LocalizedContext.function_field(q, primes)
 
@@ -204,7 +216,7 @@ def localized_context_from_json(doc):
 def integral_structure_from_json(ctx, doc):
     from .sarith import IntegralStructure
     try:
-        n = int(doc["n"])
+        n = int_from_json(doc["n"], "n")
         rows = _rows(doc["basis"], n, "integral structure basis", square=True)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad integral structure: {exc}") from None
@@ -220,8 +232,9 @@ def loc_summand_from_json(ctx, n, doc):
 
 
 def loc_summand_to_json(w):
+    from .sarith import localized_basis
     return {"rank": w.rank,
-            "basis": [[field_to_json(x) for x in row] for row in w.basis]}
+            "basis": [[field_to_json(x) for x in row] for row in localized_basis(w)]}
 
 
 def vertex_from_json(ctx, doc):

@@ -395,10 +395,13 @@ def diagonal_basis(vs):
 
     Finds a shortest primitive vector, splits off the saturated line it
     spans, recurses on the quotient, lifts, and clears the off-diagonal
-    coefficients by Laurent-tail reduction.
+    coefficients by Laurent-tail reduction.  A rank-0 space has the empty
+    diagonal basis.
     """
     ring = poly_ring(vs.q)
     n = vs.n
+    if n == 0:
+        return DiagonalBasisResult(vs, (), (), ())
     if n == 1:
         lv = ff_logvol(vs, ((ring.one(),),))
         r1 = lv

@@ -4,9 +4,8 @@ Matrices are immutable tuples of row tuples, and entries are added,
 multiplied and divided with the operators.  Algorithms that need more ring
 structure (Hermite/Smith forms, kernels, saturation) take one of the ring
 objects from `rings` for its units, norm and gcd.  The fraction-field
-routines (determinant, rank, inverse, kernel) work on Fraction /
-FqRationalFunction entries directly and share one forward elimination and
-one back substitution.
+routines (determinant, rank, inverse) work on Fraction /
+FqRationalFunction entries directly and share one forward elimination.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def stack(A, B):
 
 
 # ---------------------------------------------------------------------------
-# fraction-field linear algebra: one forward elimination, one back substitution
+# fraction-field linear algebra: one forward elimination
 # ---------------------------------------------------------------------------
 
 def _echelon(M, zero, one):
@@ -94,18 +93,6 @@ def _echelon(M, zero, one):
     return a, pivots, odd
 
 
-def _back_substitute(a, pivots, zero, one):
-    """Turn forward-eliminated rows into reduced row echelon form, in place."""
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        inv = one / a[r][col]
-        a[r][col:] = [x * inv for x in a[r][col:]]
-        for i in range(r):
-            f = a[i][col]
-            if f != zero:
-                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
-
-
 def det_field(M, zero, one):
     """Determinant over a field: the product of the echelon pivots."""
     n, m = shape(M)
@@ -131,25 +118,15 @@ def inverse_field(M, zero, one):
     a, pivots, _ = _echelon([row + e for row, e in zip(freeze(M), ident)], zero, one)
     if pivots != list(range(n)):
         raise SingularityError("matrix is singular")
-    _back_substitute(a, pivots, zero, one)
+    # back substitution: scale each pivot to 1, then clear the column above it
+    for r in range(n - 1, -1, -1):
+        inv = one / a[r][r]
+        a[r][r:] = [x * inv for x in a[r][r:]]
+        for i in range(r):
+            f = a[i][r]
+            if f != zero:
+                a[i][r:] = [x - f * y for x, y in zip(a[i][r:], a[r][r:])]
     return freeze([row[n:] for row in a])
-
-
-def field_kernel(M, zero, one):
-    """Basis rows of the right kernel over a field, read off the reduced echelon form."""
-    n = shape(M)[1]
-    a, pivots, _ = _echelon(M, zero, one)
-    _back_substitute(a, pivots, zero, one)
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = [zero] * n
-        v[j] = one
-        for r, col in enumerate(pivots):
-            v[col] = -a[r][j]
-        basis.append(tuple(v))
-    return freeze(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +396,11 @@ class Summand:
 
     The base of the Z, F_q[t] and Z[T^-1] summands: frozen dataclasses with
     fields `n` and `basis` and an attribute `ring`, the Euclidean ring R (the
-    base ring for Z[T^-1]).  Containment, meets, joins and images run here
-    on ring rows.  Z and F_q[t] are the case T = {} of Z[T^-1], where both
-    hooks are the identity; a localized summand overrides them.
+    base ring for Z[T^-1]).  `basis` is the Hermite form over R of the
+    summand's intersection with R^n, so containment, meets, joins and images
+    run here on ring rows.  The one hook, `_integral_rows`, turns spanning
+    rows into ring rows with the same span; it is the identity over Z and
+    F_q[t], and a localized summand clears T-denominators with it.
     """
 
     def __post_init__(self):
@@ -444,14 +423,9 @@ class Summand:
         """Rows over R with the same span as `rows`."""
         return rows
 
-    def _localized_hermite(self, H):
-        """The canonical basis of the span of an HNF over R."""
-        return H
-
     def _saturated(self, rows):
         """The summand spanned by independent, nonempty rows over R."""
-        sat = saturate(self.ring, rows, self.n)
-        return dataclasses.replace(self, basis=self._localized_hermite(sat))
+        return dataclasses.replace(self, basis=saturate(self.ring, rows, self.n))
 
     def _span(self, rows):
         """The summand spanned by independent rows (zero rows are dropped)."""
@@ -466,14 +440,13 @@ class Summand:
         return rank_over_field(self.ring, stack(self.basis, other.basis)) == self.rank
 
     def meet(self, other):
-        # intersection commutes with localization, so any ring rows with the
-        # right spans will do
-        rows = lattice_intersect(self.ring, self._integral_rows(self.basis),
-                                 self._integral_rows(other.basis))
-        return dataclasses.replace(self, basis=self._localized_hermite(rows))
+        # the intersection of two summands is a summand, and lattice_intersect
+        # returns its canonical Hermite form
+        return dataclasses.replace(
+            self, basis=lattice_intersect(self.ring, self.basis, other.basis))
 
     def join(self, other):
-        rows = self._integral_rows(self.basis + other.basis)
+        rows = self.basis + other.basis
         if not rows:
             return dataclasses.replace(self, basis=())
         return self._saturated(hnf(self.ring, rows))

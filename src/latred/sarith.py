@@ -8,23 +8,26 @@ two localizations appear:
                Z_T-submodules B of Q^n.
 
 A saturated Z[T^-1]-summand W is fixed by its Q-span, so W cap Z^n is a
-saturated Z-summand that determines it.  `LocSummand` therefore shares the
-summand algebra of Z and F_q[t] (`matrices.Summand`): spans, meets and
-joins run on plain Z (or F_q[t]) Hermite and Smith forms of rows cleared
-of their denominators, and only the canonical Hermite basis over Z[T^-1]
-is derived from the result: pivots T-free and normalized, entries above a
-pivot d reduced to canonical residues mod d.
+saturated Z-summand that determines it.  `LocSummand` therefore stores
+the Hermite form of W cap Z^n and shares the summand algebra of Z and
+F_q[t] (`matrices.Summand`): spans, meets and joins run on plain Z (or
+F_q[t]) Hermite and Smith forms, and spanning rows are cleared of their
+T-denominators on the way in.  The canonical Hermite basis over Z[T^-1]
+(pivots T-free and normalized, entries above a pivot d reduced to
+canonical residues mod d) is derived only for output, by
+`localized_basis`.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting.  That
 lattice path runs on Hermite forms alone: Z[T^-1]^n cap B is the Hermite
 form of B's cleared basis together with c I, c the T-part of its
-determinant, and W cap B the part of one Hermite form of [A | R] that is
-zero on A (`matrices.split_hnf`).  It stays on base-ring rows over one
-denominator, the T-part of B's cleared denominator, and divides by it
-once, at the end.  Every invertible matrix over Q
-splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor through the
-Smith form of its cleared matrix (`matrices.clear_denominators`).
+determinant, and W cap B its intersection with W cap Z^n, read off one
+Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
+stays on base-ring rows over one denominator, the T-part of B's cleared
+denominator, and divides by it once, at the end.  Every invertible matrix
+over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor
+through the Smith form of its cleared matrix
+(`matrices.clear_denominators`).
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
 context uses.
@@ -184,17 +187,14 @@ class IntegralStructure:
 
 @dataclass(frozen=True)
 class LocSummand(matrices.Summand):
-    """Saturated Z[T^-1]-summand of Z[T^-1]^n in canonical Hermite form."""
+    """Saturated Z[T^-1]-summand W, stored as the Hermite form of W cap Z^n.
+
+    `localized_basis` gives W's own canonical Hermite basis over Z[T^-1].
+    """
 
     ctx: LocalizedContext
     n: int
     basis: tuple
-
-    def __post_init__(self):
-        ring = self.ctx.base_ring()
-        object.__setattr__(self, "basis", [[ring.to_field(x) for x in row]
-                                           for row in self.basis])
-        super().__post_init__()
 
     @property
     def ring(self):
@@ -202,13 +202,11 @@ class LocSummand(matrices.Summand):
 
     @staticmethod
     def from_rows(ctx, n, rows):
-        ring = ctx.base_ring()
-        lifted = [[ring.to_field(x) for x in row] for row in rows]
-        for row in lifted:
+        for row in rows:
             for x in row:
                 if not ctx.in_t_inverted(x):
                     raise DomainError(f"entry {x} is not in Z[T^-1]")
-        return LocSummand.zero(ctx, n)._span(lifted)
+        return LocSummand.zero(ctx, n)._span(rows)
 
     @staticmethod
     def zero(ctx, n):
@@ -217,36 +215,38 @@ class LocSummand(matrices.Summand):
     @staticmethod
     def full(ctx, n):
         ring = ctx.base_ring()
-        one, zero = ring.field_one(), ring.field_zero()
-        return LocSummand(ctx, n, matrices.identity_rows(n, one, zero))
+        return LocSummand(ctx, n, matrices.identity_rows(n, ring.one(), ring.zero()))
 
     def _integral_rows(self, rows):
-        """Each row times its common denominator: the same Z[T^-1]-span, in Z^n."""
+        """The rows times their common T-denominator: the same span, in Z^n."""
         ring = self.ring
-        return [matrices.clear_denominators(ring, (row,))[1][0] for row in rows]
+        return matrices.clear_denominators(ring, [[ring.to_field(x) for x in row]
+                                                  for row in rows])[1]
 
-    def _localized_hermite(self, H):
-        """The canonical Z[T^-1] Hermite basis of the span of a base-ring HNF.
 
-        Top row to bottom: divide each row by the T-part of its pivot, which
-        leaves the pivot T-free and normalized, then move every entry above
-        the pivot d to its canonical residue num * den^-1 mod d.
-        """
-        ctx, ring = self.ctx, self.ring
-        rows = []
-        for h in H:
-            c = next(j for j, x in enumerate(h) if x)
-            tp, d = ctx.t_split(h[c])
-            tpf = ring.to_field(tp)
-            row = [ring.to_field(x) / tpf for x in h]
-            for above in rows:
-                num, den = _num_den(above[c])
-                r = num * _inverse_mod(ring, den, d) % d
-                f = (above[c] - ring.to_field(r)) / row[c]
-                if f:
-                    above[:] = [x - f * y for x, y in zip(above, row)]
-            rows.append(row)
-        return matrices.freeze(rows)
+def localized_basis(w):
+    """The canonical Hermite basis of W over Z[T^-1], as fraction-field rows.
+
+    Top row to bottom of the Hermite form of W cap Z^n: divide each row by
+    the T-part of its pivot, which leaves the pivot T-free and normalized,
+    then move every entry above the pivot d to its canonical residue
+    num * den^-1 mod d.
+    """
+    ctx, ring = w.ctx, w.ring
+    rows = []
+    for h in w.basis:
+        c = next(j for j, x in enumerate(h) if x)
+        tp, d = ctx.t_split(h[c])
+        tpf = ring.to_field(tp)
+        row = [ring.to_field(x) / tpf for x in h]
+        for above in rows:
+            num, den = _num_den(above[c])
+            r = num * _inverse_mod(ring, den, d) % d
+            f = (above[c] - ring.to_field(r)) / row[c]
+            if f:
+                above[:] = [x - f * y for x, y in zip(above, row)]
+        rows.append(row)
+    return matrices.freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +287,16 @@ def intersect_integral(w, B):
     """Canonical Z-basis rows of W cap B for a localized summand W.
 
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
-    W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  The lattice stays on
-    ring rows over one denominator until the final Hermite form, which is
-    canonical because hnf(c M) = c hnf(M) for a normalized scalar c.
+    W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  With that lattice on
+    ring rows over one denominator, its part in the Q-span of W is its
+    intersection with W cap Z^n.  The final Hermite form is canonical
+    because hnf(c M) = c hnf(M) for a normalized scalar c.
     """
     if w.is_zero():
         return ()
     ring = w.ring
     den, rows = _t_lattice(w.ctx, B)
-    return _divided(ring, den, _span_meet(w, rows, rows))
-
-
-def _span_meet(w, P, R):
-    """Hermite basis of {x R : x P in the Q-span of W} over the base ring.
-
-    x P lies in the span exactly when x P K^T = 0, for K the annihilator of
-    W's span cleared of its denominators.
-    """
-    ring = w.ring
-    K = matrices.field_kernel(w.basis, ring.field_zero(), ring.field_one())
-    _, Kz = matrices.clear_denominators(ring, K)
-    PK = matrices.matmul(P, matrices.transpose(Kz), ring.zero())
-    return matrices.split_hnf(ring, PK, R)
+    return _divided(ring, den, matrices.lattice_intersect(ring, rows, w.basis))
 
 
 def span_localized(ctx, n, z_rows):
@@ -359,11 +347,17 @@ def lattice_frame(x, B):
 
 
 def _transport(w, x, B):
-    """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates."""
+    """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates.
+
+    The coordinates of W cap B over the rows H are the x with x H in W cap
+    Z^n, that is x H + y W = 0 for some ring row y.
+    """
     ctx = w.ctx
     ring = ctx.base_ring()
+    zero = ring.zero()
     H, x_new = lattice_frame(x, B)
-    Hw = _span_meet(w, H, matrices.identity_rows(w.n, ring.one(), ring.zero()))
+    R = matrices.identity_rows(w.n, ring.one(), zero) + ((zero,) * w.n,) * w.rank
+    Hw = matrices.split_hnf(ring, matrices.stack(H, w.basis), R)
     if ctx.kind == "Z":
         from . import latz
         return x_new, latz.ZSummand(w.n, Hw)

@@ -152,3 +152,46 @@ def snf_t_lattice(ctx, B):
             for i, col in enumerate(matrices.transpose(U))]
     den = denf.numerator if isinstance(denf, Fraction) else denf.num
     return ring.to_field(ctx.t_split(den)[0]), rows
+
+
+def field_kernel(M, zero, one):
+    """Basis rows of the right kernel of M over a field, by Gauss-Jordan elimination."""
+    n = matrices.shape(M)[1]
+    a = [list(row) for row in M]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = one / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != zero:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [zero] * n
+        v[j] = one
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][j]
+        basis.append(tuple(v))
+    return matrices.freeze(basis)
+
+
+def span_meet(ring, W, P, R):
+    """Reference Hermite basis of {x R : x P in the Q-span of the rows W}.
+
+    x P lies in the span exactly when x P K^T = 0, for K the annihilator of
+    the span over the fraction field, cleared of its denominators.
+    """
+    lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in W])
+    K = field_kernel(lifted, ring.field_zero(), ring.field_one())
+    _, Kz = matrices.clear_denominators(ring, K)
+    PK = matrices.matmul(P, matrices.transpose(Kz), ring.zero())
+    return matrices.split_hnf(ring, PK, R)

@@ -134,6 +134,32 @@ class TestVerbExamples:
         assert all(c["ok"] for c in data["checks"])
 
 
+LOC_Z = {"ring": "z", "T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},
+         "summand": {"basis": [["1", "1"]]}}
+# requests whose integer field, or ring, is not one, with the error naming it
+FIELD_ERRORS = {
+    "summand-entry-float": (["volume", "--ring", "z"],
+                            {"x": DIAG14, "summand": {"basis": [[1.5, 0]]}},
+                            "summand basis entry must be a JSON integer, got 1.5"),
+    "T-entry-float": (["intersect"], dict(LOC_Z, T=[2.5]),
+                      "T entry must be a JSON integer, got 2.5"),
+    "n-bool": (["canfilt", "--ring", "z"], {"n": True, "gram": [["1"]]},
+               "n must be a JSON integer, got True"),
+    "q-string": (["ff-invariants"], dict(VS_T2, q="2"),
+                 "q must be a JSON integer, got '2'"),
+    "B-n-float": (["intersect"],
+                  dict(LOC_Z, B={"n": 2.0, "basis": [["1", "0"], ["0", "1"]]}),
+                  "n must be a JSON integer, got 2.0"),
+    "m-entry-float": (["apartment"], {"m": [1.0, 0]},
+                      "m entry must be a JSON integer, got 1.0"),
+    "cover-q-bool": (["cover-membership"],
+                     {"side": "ff", "q": False, "n": 2, "x": STD_VERTEX},
+                     "q must be a JSON integer, got False"),
+    "unknown-ring": (["intersect"], dict(LOC_Z, ring="zz"),
+                     "ring must be one of z, int, integers, ff, got 'zz'"),
+}
+
+
 class TestContract:
     def test_determinism(self):
         a = run_cli(["canfilt", "--ring", "z"], DIAG14).output
@@ -176,10 +202,43 @@ class TestContract:
                              "summand": {"basis": [["1"]]}}),
             (["building-neighbors", "--p", "2", "--n", "2"],
              {"matrix": [["1", "0", "5"], ["0", "1", "7"]]}),
+            # integer fields take JSON integers only, and the ring is named
+            *((verb, payload) for verb, payload, _ in FIELD_ERRORS.values()),
         ]:
             res = run_cli(verb, payload)
             assert res.exit_code == 2, (verb, res.output)
             assert json.loads(res.output)["kind"] == "validation"
+
+    @pytest.mark.parametrize("case", sorted(FIELD_ERRORS))
+    def test_bad_field_is_named(self, case):
+        verb, payload, error = FIELD_ERRORS[case]
+        res = run_cli(verb, payload)
+        assert res.exit_code == 2
+        assert json.loads(res.output) == {"error": error, "kind": "validation"}
+
+    @pytest.mark.parametrize("ring", ["z", "Int", "integers", "ff"])
+    def test_ring_spellings(self, ring):
+        doc = dict(LOC_Z, ring=ring)
+        if ring == "ff":
+            doc = dict(doc, q=2, T=[[0, 1]])
+        res = run_cli(["intersect"], doc)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["basis"] == [["1", "1"]]
+
+    def test_rank_zero_is_one_point_on_both_sides(self):
+        z = json.loads(run_cli(["canfilt", "--ring", "z"], {"n": 0, "gram": []}).output)
+        space = {"q": 2, "n": 0, "S_basis": []}
+        outputs = []
+        for verb in (["canfilt", "--ring", "ff"], ["ff-invariants"], ["diagonal-basis"]):
+            res = run_cli(verb, space)
+            assert res.exit_code == 0, res.output
+            outputs.append(json.loads(res.output))
+        ff, inv, diag = outputs
+        assert z["chain"] == ff["chain"] == [{"basis": [], "rank": 0}]
+        assert z["c_values"] == ff["c_values"] == {}
+        assert [p["rank"] for p in z["path"]] == [p["rank"] for p in ff["path"]] == [0]
+        assert inv == {"r": [], "filtration": ff}
+        assert diag == {"r": [], "w": [], "b": []}
 
     def test_malformed_json_exits_2(self):
         res = run_cli(["canfilt", "--ring", "z"], "{not json")

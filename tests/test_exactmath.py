@@ -196,18 +196,6 @@ class TestFieldElimination:
             assert matrices.matmul(inv, M, zero) == ident
         assert 0 < singular < len(cases)
 
-    def test_kernel_rows_annihilate(self, kind):
-        zero, one, _ = _field(kind)
-        for M in random_field_matrices(kind, square=False):
-            n = matrices.shape(M)[1]
-            K = matrices.field_kernel(M, zero, one)
-            for k in K:
-                column = matrices.matmul(M, tuple((x,) for x in k), zero)
-                assert all(row[0] == zero for row in column)
-            assert matrices.rank_field(M, zero, one) + len(K) == n
-            if K:
-                assert matrices.rank_field(K, zero, one) == len(K)
-
     def test_rank_is_largest_nonzero_minor(self, kind):
         zero, one, _ = _field(kind)
         for M in random_field_matrices(kind, square=False):

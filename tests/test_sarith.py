@@ -18,11 +18,12 @@ from latred.rings import poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, factorize_conjugated, full_intersection,
                            intersect_integral, loc_c, loc_logvol,
-                           span_localized)
+                           localized_basis, span_localized)
 
 from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
                       random_ratfunc, random_spd, random_unimodular_poly,
-                      random_unimodular_z, random_volume_space, snf_t_lattice)
+                      random_unimodular_z, random_volume_space, snf_t_lattice,
+                      span_meet)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -60,7 +61,7 @@ def _t_fraction(rng, ctx):
     den = ring.one()
     for p in ctx.T:
         den = den * p ** rng.randint(0, 2)
-    num = rng.randint(-12, 12) if ctx.kind == "Z" else random_poly(rng, 3, 3)
+    num = rng.randint(-12, 12) if ctx.kind == "Z" else random_poly(rng, ctx.q, 3)
     return ring.to_field(num) / ring.to_field(den)
 
 
@@ -85,7 +86,7 @@ def _loc_unimodular(rng, ctx, k):
 
 
 def _pivots(w):
-    return [next(j for j, x in enumerate(row) if x) for row in w.basis]
+    return [next(j for j, x in enumerate(row) if x) for row in localized_basis(w)]
 
 
 def _is_residue(ctx, x, d):
@@ -113,14 +114,15 @@ class TestCanonicalBasis:
             w = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n)))
             pivots = _pivots(w)
             assert pivots == sorted(set(pivots))
-            for i, (row, c) in enumerate(zip(w.basis, pivots)):
+            basis = localized_basis(w)
+            for i, (row, c) in enumerate(zip(basis, pivots)):
                 d = row[c]
                 assert ctx.t_part(d) == ctx.field_one()  # T-free
                 if ctx.kind == "Z":
                     assert d.denominator == 1 and d > 0
                 else:
                     assert d.den.degree == 0 and d.num == d.num.monic()
-                assert all(_is_residue(ctx, above[c], d) for above in w.basis[:i])
+                assert all(_is_residue(ctx, above[c], d) for above in basis[:i])
 
     def test_lattice_laws(self, ctx, rng):
         for _ in range(10):
@@ -133,6 +135,26 @@ class TestCanonicalBasis:
             assert a.join(a.meet(b)) == a
             assert join.contains(a) and join.contains(b)
             assert join.rank + a.meet(b).rank == a.rank + b.rank
+
+
+@pytest.mark.parametrize("ctx", [CTX23, F2_CTX, F3_CTX],
+                         ids=["Z[1/6]", "F2[t][1/t]", "F3[t][T^-1]"])
+def test_storage_is_w_cap_base_ring(ctx):
+    # a LocSummand stores the saturated Hermite basis of W cap Z^n, and its
+    # Z[T^-1] Hermite basis spans W again
+    ring = ctx.base_ring()
+    rng = random.Random(f"sarith-storage/{ctx.kind}/{ctx.q}")
+    family = []
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        a = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n - 1)))
+        b = span_localized(ctx, n, _t_rows(rng, ctx, n, rng.randint(1, n - 1)))
+        family += [a, b, a.meet(b), a.join(b)]
+    assert any(w.is_zero() for w in family) and any(w.is_full() for w in family)
+    for w in family:
+        assert matrices.saturate(ring, w.basis) == w.basis
+        assert all(isinstance(x, type(ring.zero())) for row in w.basis for x in row)
+        assert LocSummand.from_rows(ctx, w.n, localized_basis(w)) == w
 
 
 class TestLocalizedErrors:
@@ -157,7 +179,7 @@ class TestLocalizedErrors:
     def test_known_bases(self):
         # pinned byte for byte: these bases are the JSON contract
         def enc(w):
-            return [[str(x) for x in row] for row in w.basis]
+            return [[str(x) for x in row] for row in localized_basis(w)]
         assert enc(LocSummand.from_rows(CTX23, 3, [[3, _Q(5, 2), 7]])) == \
             [["1", "5/6", "7/3"]]
         assert enc(LocSummand.from_rows(
@@ -451,7 +473,7 @@ class TestDenominatorsOutsideT:
             rows = intersect_integral(w, B)
             assert len(rows) == w.rank
             _assert_lattice_in_t_inverted_and_b(ctx, B, rows)
-            assert matrices.rank_field(w.basis + rows, zero, one) == w.rank
+            assert matrices.rank_field(localized_basis(w) + rows, zero, one) == w.rank
             # saturated in Z[T^-1]^n cap B: integral coordinates over its
             # basis whose maximal minors have a unit gcd
             L = full_intersection(ctx, B)
@@ -478,6 +500,28 @@ class TestDenominatorsOutsideT:
             Bm, Cm = factorize(B.basis, ctx)
             assert (Bm, Cm) == (matrices.freeze(left), matrices.freeze(right))
             assert matrices.matmul(Bm, Cm, zero) == B.basis
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+def test_w_cap_b_matches_q_annihilator(name):
+    # W cap B and W's coordinates in the lattice frame, against the Q-kernel
+    # of W's span; B with T-denominators and with denominators outside T
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    rng = random.Random(f"sarith-annihilator/{name}")
+    cases = list(_pin_cases(name))
+    for B, w in _outside_t_cases(name):
+        x = random_spd(rng, B.n, spread=1) if ctx.kind == "Z" else \
+            random_volume_space(rng, ctx.q, B.n, maxdeg=1)
+        cases.append((w, x, B))
+    for w, x, B in cases:
+        den, rows = sarith._t_lattice(ctx, B)
+        want = [[ring.to_field(v) / den for v in row]
+                for row in span_meet(ring, w.basis, rows, rows)]
+        assert intersect_integral(w, B) == matrices.freeze(want)
+        H = sarith.lattice_frame(x, B)[0]
+        ident = matrices.identity_rows(w.n, ring.one(), ring.zero())
+        assert sarith._transport(w, x, B)[1].basis == span_meet(ring, w.basis, H, ident)
 
 
 def _skewed_det_cases(name):
