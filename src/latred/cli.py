@@ -296,7 +296,10 @@ def _cover_point_and_system(doc):
         x = jsonio.vertex_from_json(ctx, doc["x"])
         n = ctx.n
     elif side in ("loc-z", "loc-ff"):
-        lctx = jsonio.localized_context_from_json(doc)
+        # the side fixes the kind; "ring" may spell it but not contradict it
+        lctx = jsonio.localized_context_from_json(dict(doc, ring=doc.get("ring", side[4:])))
+        if lctx.kind != side[4:].upper():
+            raise ValidationError(f"ring {doc['ring']!r} contradicts side {side!r}")
         B = jsonio.integral_structure_from_json(lctx, doc["B"])
         if lctx.kind == "Z":
             xp = jsonio.inner_product_from_json(doc["x"])

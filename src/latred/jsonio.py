@@ -103,7 +103,7 @@ def poly_to_coeffs(p):
 
 
 def poly_from_coeffs(q, coeffs):
-    if not isinstance(coeffs, list) or not all(isinstance(c, int) for c in coeffs):
+    if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
         raise ValidationError(f"polynomial {coeffs!r} must be a list of integer "
                               "coefficients, lowest degree first ([0, 1] for t)")
     return poly(gf(q), coeffs)

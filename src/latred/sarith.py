@@ -24,7 +24,10 @@ form of B's cleared basis together with c I, c the T-part of its
 determinant, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
-denominator, and divides by it once, at the end.  Every invertible matrix
+denominator, and divides by it once, at the end.  Z[T^-1]^n cap B is
+built once per value of B and kept as its n-row Hermite form (`_lattice`,
+a bounded cache keyed on B's value), so every W intersected with one B
+meets the same n rows.  Every invertible matrix
 over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor
 through the Smith form of its cleared matrix
 (`matrices.clear_denominators`).
@@ -36,6 +39,8 @@ context uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 from . import matrices
 from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
@@ -165,6 +170,11 @@ class IntegralStructure:
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "det", d)
 
+    def __hash__(self):
+        # equal bases have equal determinants, so one entry's hash stands in
+        # for n^2 of them; equality still compares the whole basis
+        return hash((self.ctx, self.n, self.det))
+
     @staticmethod
     def standard(ctx, n):
         ring = ctx.base_ring()
@@ -273,14 +283,27 @@ def _t_lattice(ctx, B):
     return ring.to_field(ctx.t_split(den)[0]), rows
 
 
-def _divided(ring, den, H):
-    """The fraction-field rows H / den, one division per entry."""
-    return matrices.freeze([[ring.to_field(x) / den for x in row] for row in H])
+@lru_cache(maxsize=32)
+def _lattice(B):
+    """(den, H): Z[T^-1]^n cap B is the Z-span of the rows H / den.
+
+    H is the Hermite form of `_t_lattice`'s generators and den the T-part
+    of B's cleared denominator, as a ring element.  Kept for the last few
+    values of B: equal integral structures share one entry.
+    """
+    den, rows = _t_lattice(B.ctx, B)
+    return _num_den(den)[0], matrices.hnf(B.ctx.base_ring(), rows)
+
+
+def _divided(den, H):
+    """The fraction-field rows H / den, one constructor call per entry."""
+    frac = Fraction if isinstance(den, int) else FqRationalFunction
+    return matrices.freeze([[frac(x, den) for x in row] for row in H])
 
 
 def full_intersection(ctx, B):
     """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
-    return intersect_integral(LocSummand.full(ctx, B.n), B)
+    return _divided(*_lattice(B))
 
 
 def intersect_integral(w, B):
@@ -288,15 +311,14 @@ def intersect_integral(w, B):
 
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
     W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  With that lattice on
-    ring rows over one denominator, its part in the Q-span of W is its
-    intersection with W cap Z^n.  The final Hermite form is canonical
-    because hnf(c M) = c hnf(M) for a normalized scalar c.
+    the n Hermite rows H over one denominator, its part in the Q-span of W
+    is its intersection with W cap Z^n.  The final Hermite form is
+    canonical because hnf(c M) = c hnf(M) for a normalized scalar c.
     """
     if w.is_zero():
         return ()
-    ring = w.ring
-    den, rows = _t_lattice(w.ctx, B)
-    return _divided(ring, den, matrices.lattice_intersect(ring, rows, w.basis))
+    den, H = _lattice(B)
+    return _divided(den, matrices.lattice_intersect(w.ring, H, w.basis))
 
 
 def span_localized(ctx, n, z_rows):
@@ -325,17 +347,17 @@ def loc_logvol(w, x, B):
 def lattice_frame(x, B):
     """(H, x in L-coordinates), L = H / den the canonical basis of Z[T^-1]^n cap B.
 
-    H is L's Hermite form over the base ring, so coordinates and spans in L
-    can be taken on ring rows.  The point moves with the basis: a Gram
-    matrix becomes L . gram . L^T, and a volume space's columns become
+    H is L's Hermite form over the base ring, read from the lattice built
+    once per value of B (`_lattice`), so coordinates and spans in L can be
+    taken on ring rows.  The point moves with the basis: a Gram matrix
+    becomes L . gram . L^T, and a volume space's columns become
     L^-T . columns.
     """
     ctx = B.ctx
     ring = ctx.base_ring()
     zero = ring.field_zero()
-    den, rows = _t_lattice(ctx, B)
-    H = matrices.hnf(ring, rows)
-    L = _divided(ring, den, H)
+    den, H = _lattice(B)
+    L = _divided(den, H)
     if ctx.kind == "Z":
         from . import latz
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)

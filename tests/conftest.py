@@ -154,6 +154,22 @@ def snf_t_lattice(ctx, B):
     return ring.to_field(ctx.t_split(den)[0]), rows
 
 
+def uncached_intersect_integral(w, B):
+    """Reference W cap B, rebuilt from B on every call.
+
+    Meets W cap Z^n with the 2n raw generators of `sarith._t_lattice`
+    (B's cleared columns mod c and c I), not with their n-row Hermite form,
+    and divides by the T-part denominator one field division per entry.
+    """
+    from latred import sarith
+    if w.is_zero():
+        return ()
+    ring = w.ring
+    den, rows = sarith._t_lattice(w.ctx, B)
+    return matrices.freeze([[ring.to_field(x) / den for x in row]
+                            for row in matrices.lattice_intersect(ring, rows, w.basis)])
+
+
 def field_kernel(M, zero, one):
     """Basis rows of the right kernel of M over a field, by Gauss-Jordan elimination."""
     n = matrices.shape(M)[1]

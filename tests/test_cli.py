@@ -21,6 +21,12 @@ def run_cli(args, payload=None):
 DIAG14 = {"n": 2, "gram": [["1", "0"], ["0", "4"]]}
 VS_T2 = {"q": 2, "n": 2, "S_basis": [["1", "0"], ["0", "t^2"]]}
 STD_VERTEX = {"matrix": [["1", "0"], ["0", "1"]]}
+# localized cover points: a Z[1/2] and an F_2[t][1/t] one, each with its ring
+LOC_Z_POINT = {"ring": "z", "T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},
+               "x": DIAG14, "threshold": 0}
+LOC_FF_POINT = {"ring": "ff", "q": 2, "T": [[0, 1]],
+                "B": {"n": 2, "basis": [["1", "0"], ["0", "1/t"]]}, "x": VS_T2,
+                "threshold": 0}
 
 
 class TestVerbExamples:
@@ -123,6 +129,20 @@ class TestVerbExamples:
         assert len(data["members"]) == 1
         assert data["members"][0]["c"] == "10"
 
+    @pytest.mark.parametrize("side, point, member", [
+        ("loc-z", LOC_Z_POINT, {"c": {"c_sq_ratio": "4/1", "decimal": "0.69314718056"},
+                                "summand": {"basis": [["1", "0"]], "rank": 1}}),
+        ("loc-ff", LOC_FF_POINT, {"c": "3", "summand": {"basis": [["0", "1"]], "rank": 1}}),
+    ])
+    def test_cover_membership_side_fixes_ring(self, side, point, member):
+        # a missing ring follows the side; a ring naming the same kind agrees
+        want = {"members": [member]}
+        no_ring = {k: v for k, v in point.items() if k != "ring"}
+        for doc in (no_ring, point):
+            res = run_cli(["cover-membership"], dict(doc, side=side))
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.output) == want
+
     def test_core_reps(self):
         res = run_cli(["core-reps", "--n", "2", "--theta", "1"])
         assert json.loads(res.output)["reps"] == [[0, 0], [0, 1]]
@@ -157,6 +177,17 @@ FIELD_ERRORS = {
                      "q must be a JSON integer, got False"),
     "unknown-ring": (["intersect"], dict(LOC_Z, ring="zz"),
                      "ring must be one of z, int, integers, ff, got 'zz'"),
+    "ff-coeff-bool": (["cvalue", "--ring", "ff"],
+                      {"x": VS_T2, "summand": {"basis": [[[True], []]]}},
+                      "polynomial [True] must be a list of integer coefficients, "
+                      "lowest degree first ([0, 1] for t)"),
+    "ff-T-bool": (["intersect"], dict(LOC_Z, ring="ff", q=2, T=[[False, True]]),
+                  "polynomial [False, True] must be a list of integer coefficients, "
+                  "lowest degree first ([0, 1] for t)"),
+    "loc-ff-side-z-ring": (["cover-membership"], dict(LOC_Z_POINT, side="loc-ff"),
+                           "ring 'z' contradicts side 'loc-ff'"),
+    "loc-z-side-ff-ring": (["cover-membership"], dict(LOC_FF_POINT, side="loc-z"),
+                           "ring 'ff' contradicts side 'loc-z'"),
 }
 
 

@@ -23,7 +23,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
 from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
                       random_ratfunc, random_spd, random_unimodular_poly,
                       random_unimodular_z, random_volume_space, snf_t_lattice,
-                      span_meet)
+                      span_meet, uncached_intersect_integral)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -267,8 +267,9 @@ class TestPinnedOutputs:
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
         # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
-        # once per loc_c; moving W onto it takes no Smith form, and loc_c
-        # runs none on B's cleared basis
+        # once per value of B: _transport, loc_c and intersect_integral on
+        # fresh but equal B share it.  Moving W onto it takes no Smith form,
+        # and loc_c runs none on B's cleared basis
         ring = PIN_CTXS[name].base_ring()
         builds, smith = [], []
         t_lattice, snf = sarith._t_lattice, matrices.snf
@@ -282,16 +283,73 @@ class TestPinnedOutputs:
             return snf(r, M)
         monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
         monkeypatch.setattr(matrices, "snf", counting_snf)
-        for w, x, B in _pin_cases(name):
+        sarith._lattice.cache_clear()
+        cases = list(_pin_cases(name))
+        for w, x, B in cases:
             zB = matrices.clear_denominators(ring, B.basis)[1]
-            builds.clear()
             smith.clear()
-            sarith._transport(w, x, B)
-            assert (builds, smith) == ([B], [])
-            builds.clear()
-            loc_c(w, x, B)
-            assert builds == [B]
+            sarith._transport(w, x, _fresh(B))
+            assert smith == []
+            loc_c(w, x, _fresh(B))
+            intersect_integral(w, _fresh(B))
             assert zB not in smith
+        assert builds == list(dict.fromkeys(B for _, _, B in cases))
+
+
+def _fresh(B):
+    """A new IntegralStructure object equal to B, as a request would build."""
+    return IntegralStructure(B.ctx, B.n, B.basis)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+def test_cached_lattice_matches_uncached_path(name):
+    # W cap B and Z[T^-1]^n cap B through the cached n-row lattice, cold and
+    # warm, against the 2n raw generators rebuilt on every call
+    ctx = PIN_CTXS[name]
+    cases = [(w, B) for w, _, B in _pin_cases(name)]
+    cases += [(w, B) for B, w in _outside_t_cases(name)]
+    distinct = len({B for _, B in cases})
+    sarith._lattice.cache_clear()
+    for _ in ("cold", "warm"):
+        for w, B in cases:
+            assert intersect_integral(w, _fresh(B)) == uncached_intersect_integral(w, B)
+            assert full_intersection(ctx, _fresh(B)) == \
+                uncached_intersect_integral(LocSummand.full(ctx, B.n), B)
+        assert sarith._lattice.cache_info().misses == distinct
+
+
+def test_criterion_10_poset_builds_lattice_once(monkeypatch):
+    # 13 lines and 25 planes of a box over Z[1/6], each intersected with a
+    # fresh but equal B, as the loc-poset workload does
+    ctx, n = CTX23, 3
+    Bm = random_invertible_rational(random.Random("sarith-poset-cache"), n, 4, 4)
+    lines = {span_localized(ctx, n, [list(v)])
+             for v in itertools.product(range(-1, 2), repeat=n) if any(v)}
+    planes = {a.join(b) for a, b in itertools.combinations(lines, 2)}
+    assert (len(lines), len(planes)) == (13, 25)
+    builds = []
+    t_lattice = sarith._t_lattice
+
+    def counting_t_lattice(c, B):
+        builds.append(B)
+        return t_lattice(c, B)
+    monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
+    sarith._lattice.cache_clear()
+    for w in list(lines) + list(planes):
+        assert len(intersect_integral(w, IntegralStructure(ctx, n, Bm))) == w.rank
+    assert builds == [IntegralStructure(ctx, n, Bm)]
+
+
+def test_lattice_cache_is_bounded():
+    size = sarith._lattice.cache_parameters()["maxsize"]
+    sarith._lattice.cache_clear()
+    w = LocSummand.full(CTX2, 2)
+    for k in range(1, size + 6):
+        B = _structure(CTX2, [[_Q(k, 3), 0], [0, 1]])
+        assert intersect_integral(w, B) == full_intersection(CTX2, B)
+    info = sarith._lattice.cache_info()
+    assert info.misses == size + 5
+    assert info.currsize <= size
 
 
 class TestIntersect:
