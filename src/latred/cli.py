@@ -164,12 +164,11 @@ def loc_volume():
         ctx = jsonio.localized_context_from_json(doc)
         B = jsonio.integral_structure_from_json(ctx, doc["B"])
         w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
+        x = jsonio.loc_point_from_json(ctx, B.n, doc["x"])
+        logvol = sarith.loc_logvol(w, x, B)
         if ctx.kind == "Z":
-            s = jsonio.inner_product_from_json(doc["x"])
-            return {"logvol": jsonio.value_to_json(sarith.loc_logvol(w, s, B),
-                                                   tag="vol_sq")}
-        vs = jsonio.volume_space_from_json(doc["x"])
-        return {"logvol": sarith.loc_logvol(w, vs, B)}
+            return {"logvol": jsonio.value_to_json(logvol, tag="vol_sq")}
+        return {"logvol": logvol}
     _run(go)
 
 
@@ -301,11 +300,7 @@ def _cover_point_and_system(doc):
         if lctx.kind != side[4:].upper():
             raise ValidationError(f"ring {doc['ring']!r} contradicts side {side!r}")
         B = jsonio.integral_structure_from_json(lctx, doc["B"])
-        if lctx.kind == "Z":
-            xp = jsonio.inner_product_from_json(doc["x"])
-        else:
-            xp = jsonio.volume_space_from_json(doc["x"])
-        x = (xp, B)
+        x = (jsonio.loc_point_from_json(lctx, B.n, doc["x"]), B)
         n = B.n
     else:
         raise ValidationError(f"unknown side {side!r}")

@@ -139,9 +139,7 @@ def _chain_with_values(x):
         rep = latz.canonical_filtration_z(x)
         return [(w, rep.c_values[w]) for w in rep.interior_chain()]
     if isinstance(x, building.Vertex):
-        vs = vertex_volume_space(x)
-        _, rep = latff.ff_invariants_and_filtration(vs)
-        return [(w, rep.c_values[w]) for w in rep.interior_chain()]
+        x = vertex_volume_space(x)
     if isinstance(x, latff.VolumeSpace):
         _, rep = latff.ff_invariants_and_filtration(x)
         return [(w, rep.c_values[w]) for w in rep.interior_chain()]
@@ -166,31 +164,25 @@ def _chain_with_values(x):
 
 def _localized_chain_with_values(x_part, B):
     from . import latff, latz, sarith
-    ctx = B.ctx
-    n = B.n
-    H, x_new = sarith.lattice_frame(x_part, B)
-    if ctx.kind == "Z":
+    x_new = sarith.lattice_frame(x_part, B)
+    if B.ctx.kind == "Z":
         rep = latz.canonical_filtration_z(x_new)
     else:
         _, rep = latff.ff_invariants_and_filtration(x_new)
-    out = []
-    for w in rep.interior_chain():
-        loc = _pull_back_summand(ctx, n, w, H)
-        out.append((loc, rep.c_values[w]))
-    return out
+    return [(_pull_back_summand(w, B), rep.c_values[w]) for w in rep.interior_chain()]
 
 
-def _pull_back_summand(ctx, n, w_coords, H):
+def _pull_back_summand(w_coords, B):
     """Localized summand whose intersection with B has the given coordinates.
 
-    The coordinates are over the Hermite rows H of `sarith.lattice_frame`,
-    a scalar multiple of the lattice basis, so the span is the same.  Those
+    The coordinates are over B's Hermite rows B.H, a scalar multiple of the
+    lattice basis of `sarith.lattice_frame`, so the span is the same.  Those
     rows are ring rows, so their saturation is the stored W cap Z^n.
     """
     from . import matrices, sarith
-    ring = ctx.base_ring()
-    rows = matrices.matmul(w_coords.basis, H, ring.zero())
-    return sarith.LocSummand(ctx, n, matrices.saturate(ring, rows, n))
+    ring = B.ctx.base_ring()
+    rows = matrices.matmul(w_coords.basis, B.H, ring.zero())
+    return sarith.LocSummand(B.ctx, B.n, matrices.saturate(ring, rows, B.n))
 
 
 def cover_membership(x, sys, with_values=False):

@@ -231,6 +231,21 @@ def loc_summand_from_json(ctx, n, doc):
                                          for row in rows])
 
 
+def loc_point_from_json(ctx, n, doc):
+    """The point x of a localized request: an inner product on the Z side, a
+    volume space on the F_q[t] side, checked to have B's n and the context's q.
+    """
+    if ctx.kind == "Z":
+        x = inner_product_from_json(doc)
+    else:
+        x = volume_space_from_json(doc)
+        if x.q != ctx.q:
+            raise ValidationError(f"x has q = {x.q} but the context has q = {ctx.q}")
+    if x.n != n:
+        raise ValidationError(f"x has n = {x.n} but B has n = {n}")
+    return x
+
+
 def loc_summand_to_json(w):
     from .sarith import localized_basis
     return {"rank": w.rank,

@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import filtration, gflinalg, matrices
 from .errors import (DimensionError, DomainError, ProjectivityError, ScaleError,
@@ -98,19 +99,15 @@ class VolumeSpace:
         new = matrices.matmul(G, self.basis, ring.field_zero())
         return VolumeSpace(self.q, self.n, new)
 
+    @cached_property
     def inverse_basis(self):
-        cached = getattr(self, "_inv_cache", None)
-        if cached is None:
-            ring = poly_ring(self.q)
-            cached = matrices.inverse_field(self.basis, ring.field_zero(),
-                                            ring.field_one())
-            object.__setattr__(self, "_inv_cache", cached)
-        return cached
+        ring = poly_ring(self.q)
+        return matrices.inverse_field(self.basis, ring.field_zero(), ring.field_one())
 
     def contains_lattice(self, other):
         """Whether other's lattice is contained in this one (S' subset S)."""
         ring = poly_ring(self.q)
-        coeffs = matrices.matmul(self.inverse_basis(), other.basis, ring.field_zero())
+        coeffs = matrices.matmul(self.inverse_basis, other.basis, ring.field_zero())
         return all(x.nu() >= 0 for row in coeffs for x in row)
 
 
@@ -162,7 +159,7 @@ def ff_logvol(vs, submodule):
         return 0
     ring = poly_ring(vs.q)
     rows = _as_ratfunc_rows(rows)
-    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()),
+    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis),
                           ring.field_zero())
     cols = [list(c) for c in matrices.transpose(lam)]
     steps = matrices.dvr_column_reduce(cols, range(len(rows)), FqRationalFunction.nu)
@@ -252,7 +249,7 @@ def _logvol_solution_space(vs, D, gens=None):
         deg_slack = max(max((x.degree for x in row), default=0) for row in inv)
         deg_slack = max(deg_slack, 0)
     k = len(gens)
-    Hinv = vs.inverse_basis()
+    Hinv = vs.inverse_basis
     d_prime = max(max((-x.nu() if not x.is_zero() else -10 ** 9) for x in row)
                   for row in vs.basis)
     dmax = D + max(d_prime, 0) + deg_slack
@@ -377,7 +374,7 @@ class DiagonalBasisResult:
                                 ring.field_one())
         if not dw.is_integral() or dw.num.degree != 0:
             raise DomainError("w is not unimodular over F_q[t]")
-        coeff = matrices.matmul(vs.inverse_basis(),
+        coeff = matrices.matmul(vs.inverse_basis,
                                 matrices.transpose(_as_ratfunc_rows(self.b)),
                                 ring.field_zero())
         if any(x.nu() < 0 for row in coeff for x in row):
@@ -414,7 +411,7 @@ def diagonal_basis(vs):
     sq = sub_quotient(vs, line)
     inner = diagonal_basis(sq.quot)
     comp_rows = sq.full_rows[1:]
-    quot_inv = sq.quot.inverse_basis()
+    quot_inv = sq.quot.inverse_basis
     w_rows = [tuple(v)]
     b_rows = [b1]
     r_list = [r1]

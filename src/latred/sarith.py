@@ -24,9 +24,9 @@ form of B's cleared basis together with c I, c the T-part of its
 determinant, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
-denominator, and divides by it once, at the end.  Z[T^-1]^n cap B is
-built once per value of B and kept as its n-row Hermite form (`_lattice`,
-a bounded cache keyed on B's value), so every W intersected with one B
+denominator, and divides by it once, at the end.  An `IntegralStructure`
+is stored as that lattice: the denominator and the n-row Hermite form of
+Z[T^-1]^n cap B, built once when B is, so every W intersected with one B
 meets the same n rows.  Every invertible matrix
 over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor
 through the Smith form of its cleared matrix
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import matrices
 from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
@@ -149,15 +148,20 @@ def _inverse_mod(ring, a, m):
 
 @dataclass(frozen=True)
 class IntegralStructure:
-    """Rank-n Z_T-submodule of Q^n, spanned by the columns of `basis`.
+    """Rank-n Z_T-submodule B of Q^n, spanned by the columns of `basis`.
 
-    `det` is the determinant of `basis`, kept from the singularity check.
+    B is stored as its lattice Z[T^-1]^n cap B, the Z-span of the rows
+    H / den: den is the least T-power that clears B into Z_T^n, as a ring
+    element, and H the Hermite form of `_t_lattice`'s generators.  Both are
+    fixed by the module, not by its basis, so two integral structures are
+    equal exactly when they span the same Z_T-module.
     """
 
     ctx: LocalizedContext
     n: int
-    basis: tuple
-    det: object = field(init=False, repr=False, compare=False)
+    basis: tuple = field(compare=False)
+    den: object = field(init=False, repr=False)
+    H: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
@@ -167,13 +171,10 @@ class IntegralStructure:
         d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
         if not d:
             raise SingularityError("integral structure basis is singular")
+        den, gens = _t_lattice(self.ctx, rows, d)
         object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "det", d)
-
-    def __hash__(self):
-        # equal bases have equal determinants, so one entry's hash stands in
-        # for n^2 of them; equality still compares the whole basis
-        return hash((self.ctx, self.n, self.det))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "H", matrices.hnf(ring, gens))
 
     @staticmethod
     def standard(ctx, n):
@@ -263,47 +264,31 @@ def localized_basis(w):
 # intersection with integral structures
 # ---------------------------------------------------------------------------
 
-def _t_lattice(ctx, B):
+def _t_lattice(ctx, basis, det):
     """(den, rows): Z[T^-1]^n cap B is the Z-span of rows / den, rows over Z.
 
-    Let zB = den B be B's cleared basis and c the T-part of det zB =
-    den^n det B.  The lattice zB Z^n + c Z^n agrees with zB Z^n at every
-    place in T, where c Z^n lies inside it, and with Z^n at every other
-    place, where c is a unit.  Its generators are the columns of zB,
-    reduced mod c, and c times the unit vectors; den is the T-part of the
-    cleared denominator.
+    B is spanned by the columns of `basis`, of determinant det.  Let zB =
+    den B be B's cleared basis and c the T-part of det zB = den^n det B.
+    The lattice zB Z^n + c Z^n agrees with zB Z^n at every place in T,
+    where c Z^n lies inside it, and with Z^n at every other place, where c
+    is a unit.  Its generators are the columns of zB, reduced mod c, and c
+    times the unit vectors; den is the T-part of the cleared denominator,
+    as a ring element.
     """
     ring = ctx.base_ring()
-    denf, zB = matrices.clear_denominators(ring, B.basis)
+    denf, zB = matrices.clear_denominators(ring, basis)
     den = _num_den(denf)[0]
-    num, d = _num_den(B.det)
-    c = ctx.t_split(num * (den ** B.n // d))[0]
+    num, d = _num_den(det)
+    c = ctx.t_split(num * (den ** len(basis) // d))[0]
     rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
-    rows += matrices.identity_rows(B.n, c, ring.zero())
-    return ring.to_field(ctx.t_split(den)[0]), rows
-
-
-@lru_cache(maxsize=32)
-def _lattice(B):
-    """(den, H): Z[T^-1]^n cap B is the Z-span of the rows H / den.
-
-    H is the Hermite form of `_t_lattice`'s generators and den the T-part
-    of B's cleared denominator, as a ring element.  Kept for the last few
-    values of B: equal integral structures share one entry.
-    """
-    den, rows = _t_lattice(B.ctx, B)
-    return _num_den(den)[0], matrices.hnf(B.ctx.base_ring(), rows)
+    rows += matrices.identity_rows(len(basis), c, ring.zero())
+    return ctx.t_split(den)[0], rows
 
 
 def _divided(den, H):
     """The fraction-field rows H / den, one constructor call per entry."""
     frac = Fraction if isinstance(den, int) else FqRationalFunction
     return matrices.freeze([[frac(x, den) for x in row] for row in H])
-
-
-def full_intersection(ctx, B):
-    """Z-basis rows (canonical) of Z[T^-1]^n cap B."""
-    return _divided(*_lattice(B))
 
 
 def intersect_integral(w, B):
@@ -317,8 +302,7 @@ def intersect_integral(w, B):
     """
     if w.is_zero():
         return ()
-    den, H = _lattice(B)
-    return _divided(den, matrices.lattice_intersect(w.ring, H, w.basis))
+    return _divided(B.den, matrices.lattice_intersect(w.ring, B.H, w.basis))
 
 
 def span_localized(ctx, n, z_rows):
@@ -345,41 +329,38 @@ def loc_logvol(w, x, B):
 
 
 def lattice_frame(x, B):
-    """(H, x in L-coordinates), L = H / den the canonical basis of Z[T^-1]^n cap B.
+    """x in L-coordinates, L = B.H / B.den the canonical basis of Z[T^-1]^n cap B.
 
-    H is L's Hermite form over the base ring, read from the lattice built
-    once per value of B (`_lattice`), so coordinates and spans in L can be
-    taken on ring rows.  The point moves with the basis: a Gram matrix
-    becomes L . gram . L^T, and a volume space's columns become
-    L^-T . columns.
+    The point moves with the basis: a Gram matrix becomes L . gram . L^T,
+    and a volume space's columns become L^-T . columns.  Coordinates and
+    spans in L can be taken on B's ring rows B.H, a scalar multiple of L.
     """
     ctx = B.ctx
     ring = ctx.base_ring()
     zero = ring.field_zero()
-    den, H = _lattice(B)
-    L = _divided(den, H)
+    L = _divided(B.den, B.H)
     if ctx.kind == "Z":
         from . import latz
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        return H, latz.InnerProduct(B.n, G)
+        return latz.InnerProduct(B.n, G)
     from . import latff
     Linv = matrices.inverse_field(L, zero, ring.field_one())
     cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
-    return H, latff.VolumeSpace(ctx.q, B.n, cols)
+    return latff.VolumeSpace(ctx.q, B.n, cols)
 
 
 def _transport(w, x, B):
     """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates.
 
-    The coordinates of W cap B over the rows H are the x with x H in W cap
-    Z^n, that is x H + y W = 0 for some ring row y.
+    The coordinates of W cap B over the rows B.H are the x with x B.H in
+    W cap Z^n, that is x B.H + y W = 0 for some ring row y.
     """
     ctx = w.ctx
     ring = ctx.base_ring()
     zero = ring.zero()
-    H, x_new = lattice_frame(x, B)
+    x_new = lattice_frame(x, B)
     R = matrices.identity_rows(w.n, ring.one(), zero) + ((zero,) * w.n,) * w.rank
-    Hw = matrices.split_hnf(ring, matrices.stack(H, w.basis), R)
+    Hw = matrices.split_hnf(ring, matrices.stack(B.H, w.basis), R)
     if ctx.kind == "Z":
         from . import latz
         return x_new, latz.ZSummand(w.n, Hw)

@@ -143,7 +143,8 @@ def snf_t_lattice(ctx, B):
 
     Takes the Smith form U D V of B's cleared basis: row i is the T-part of
     D_ii times column i of U, and den is the T-part of the cleared
-    denominator, so the lattice is the Z-span of rows / den.
+    denominator, as a ring element, so the lattice is the Z-span of
+    rows / den.
     """
     ring = ctx.base_ring()
     denf, zB = matrices.clear_denominators(ring, B.basis)
@@ -151,21 +152,24 @@ def snf_t_lattice(ctx, B):
     rows = [tuple(ctx.t_split(D[i][i])[0] * u for u in col)
             for i, col in enumerate(matrices.transpose(U))]
     den = denf.numerator if isinstance(denf, Fraction) else denf.num
-    return ring.to_field(ctx.t_split(den)[0]), rows
+    return ctx.t_split(den)[0], rows
 
 
 def uncached_intersect_integral(w, B):
-    """Reference W cap B, rebuilt from B on every call.
+    """Reference W cap B, rebuilt from B's basis on every call.
 
     Meets W cap Z^n with the 2n raw generators of `sarith._t_lattice`
-    (B's cleared columns mod c and c I), not with their n-row Hermite form,
-    and divides by the T-part denominator one field division per entry.
+    (B's cleared columns mod c and c I), not with the n-row Hermite form
+    B stores, and divides by the T-part denominator one field division per
+    entry.
     """
     from latred import sarith
     if w.is_zero():
         return ()
     ring = w.ring
-    den, rows = sarith._t_lattice(w.ctx, B)
+    det = matrices.det_field(B.basis, ring.field_zero(), ring.field_one())
+    den, rows = sarith._t_lattice(w.ctx, B.basis, det)
+    den = ring.to_field(den)
     return matrices.freeze([[ring.to_field(x) / den for x in row]
                             for row in matrices.lattice_intersect(ring, rows, w.basis)])
 

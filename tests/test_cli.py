@@ -154,6 +154,7 @@ class TestVerbExamples:
         assert all(c["ok"] for c in data["checks"])
 
 
+GRAM3 = {"n": 3, "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 LOC_Z = {"ring": "z", "T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},
          "summand": {"basis": [["1", "1"]]}}
 # requests whose integer field, or ring, is not one, with the error naming it
@@ -188,6 +189,15 @@ FIELD_ERRORS = {
                            "ring 'z' contradicts side 'loc-ff'"),
     "loc-z-side-ff-ring": (["cover-membership"], dict(LOC_FF_POINT, side="loc-z"),
                            "ring 'ff' contradicts side 'loc-z'"),
+    "loc-volume-z-x-n": (["loc-volume"], dict(LOC_Z, x=GRAM3),
+                         "x has n = 3 but B has n = 2"),
+    "loc-z-point-x-n": (["cover-membership"], dict(LOC_Z_POINT, side="loc-z", x=GRAM3),
+                        "x has n = 3 but B has n = 2"),
+    "loc-volume-ff-x-q": (["loc-volume"], dict(LOC_Z, ring="ff", q=3, T=[[0, 1]], x=VS_T2),
+                          "x has q = 2 but the context has q = 3"),
+    "loc-ff-point-x-q": (["cover-membership"],
+                         dict(LOC_FF_POINT, side="loc-ff", x=dict(VS_T2, q=3)),
+                         "x has q = 3 but the context has q = 2"),
 }
 
 

@@ -43,7 +43,7 @@ def _logvol_by_minors(vs, rows):
     ring = poly_ring(vs.q)
     zero, one = ring.field_zero(), ring.field_one()
     rows = [[_rf(x) for x in row] for row in rows]
-    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis()), zero)
+    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis), zero)
     table = minors(lam, len(rows), lambda S: matrices.det_field(S, zero, one))
     return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
 

@@ -16,9 +16,8 @@ from latred.latz import InnerProduct
 from latred.logs import ExactLog
 from latred.rings import poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
-                           factorize, factorize_conjugated, full_intersection,
-                           intersect_integral, loc_c, loc_logvol,
-                           localized_basis, span_localized)
+                           factorize, factorize_conjugated, intersect_integral,
+                           loc_c, loc_logvol, localized_basis, span_localized)
 
 from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
                       random_ratfunc, random_spd, random_unimodular_poly,
@@ -267,60 +266,87 @@ class TestPinnedOutputs:
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
         # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
-        # once per value of B: _transport, loc_c and intersect_integral on
-        # fresh but equal B share it.  Moving W onto it takes no Smith form,
-        # and loc_c runs none on B's cleared basis
+        # when B is: _transport, loc_c and intersect_integral build none.
+        # Moving W onto it takes no Smith form, and loc_c runs none on B's
+        # cleared basis
         ring = PIN_CTXS[name].base_ring()
         builds, smith = [], []
         t_lattice, snf = sarith._t_lattice, matrices.snf
 
-        def counting_t_lattice(ctx, B):
-            builds.append(B)
-            return t_lattice(ctx, B)
+        def counting_t_lattice(ctx, basis, det):
+            builds.append(basis)
+            return t_lattice(ctx, basis, det)
 
         def counting_snf(r, M):
             smith.append(matrices.freeze(M))
             return snf(r, M)
         monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
         monkeypatch.setattr(matrices, "snf", counting_snf)
-        sarith._lattice.cache_clear()
-        cases = list(_pin_cases(name))
-        for w, x, B in cases:
+        for w, x, B in list(_pin_cases(name)):
             zB = matrices.clear_denominators(ring, B.basis)[1]
+            builds.clear()
+            B = IntegralStructure(B.ctx, B.n, B.basis)
+            assert builds == [B.basis]
             smith.clear()
-            sarith._transport(w, x, _fresh(B))
+            sarith._transport(w, x, B)
             assert smith == []
-            loc_c(w, x, _fresh(B))
-            intersect_integral(w, _fresh(B))
+            loc_c(w, x, B)
+            intersect_integral(w, B)
             assert zB not in smith
-        assert builds == list(dict.fromkeys(B for _, _, B in cases))
-
-
-def _fresh(B):
-    """A new IntegralStructure object equal to B, as a request would build."""
-    return IntegralStructure(B.ctx, B.n, B.basis)
+            assert builds == [B.basis]
 
 
 @pytest.mark.parametrize("name", sorted(PIN_CTXS))
-def test_cached_lattice_matches_uncached_path(name):
-    # W cap B and Z[T^-1]^n cap B through the cached n-row lattice, cold and
-    # warm, against the 2n raw generators rebuilt on every call
+def test_stored_lattice_matches_uncached_path(name):
+    # W cap B and Z[T^-1]^n cap B through the n Hermite rows stored on B,
+    # against the 2n raw generators rebuilt from B's basis on every call
     ctx = PIN_CTXS[name]
     cases = [(w, B) for w, _, B in _pin_cases(name)]
     cases += [(w, B) for B, w in _outside_t_cases(name)]
-    distinct = len({B for _, B in cases})
-    sarith._lattice.cache_clear()
-    for _ in ("cold", "warm"):
-        for w, B in cases:
-            assert intersect_integral(w, _fresh(B)) == uncached_intersect_integral(w, B)
-            assert full_intersection(ctx, _fresh(B)) == \
-                uncached_intersect_integral(LocSummand.full(ctx, B.n), B)
-        assert sarith._lattice.cache_info().misses == distinct
+    for w, B in cases:
+        full = LocSummand.full(ctx, B.n)
+        assert intersect_integral(w, B) == uncached_intersect_integral(w, B)
+        assert intersect_integral(full, B) == uncached_intersect_integral(full, B)
+
+
+def _t_integral_unimodular(rng, ctx, n):
+    """A seeded K in GL_n(Z_T): unimodular x (diagonal of T-free units) x unimodular."""
+    ring = ctx.base_ring()
+    if ctx.kind == "Z":
+        units = [Fraction(a, b) for a in (1, -1, 5, 7) for b in (1, 5, 7)]
+        U1, U2 = random_unimodular_z(rng, n), random_unimodular_z(rng, n)
+    else:
+        t, e = poly_t(ctx.q), poly_one(ctx.q)
+        free = [p for p in (e, t + e, t * t + t + e) if p not in ctx.T]
+        units = [ring.to_field(a) / ring.to_field(b) for a in free for b in free]
+        U1, U2 = (random_unimodular_poly(rng, ctx.q, n) for _ in range(2))
+    DU2 = [[rng.choice(units) * ring.to_field(x) for x in row] for row in U2]
+    U1f = matrices.freeze([[ring.to_field(x) for x in row] for row in U1])
+    return matrices.matmul(U1f, matrices.freeze(DU2), ring.field_zero())
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+def test_equal_exactly_as_z_t_modules(name):
+    # B K for K in GL_n(Z_T), and B scaled by a T-free unit, span the same
+    # Z_T-module as B: they equal B, hash alike and give the same W cap B
+    # and loc_c.  B scaled by a prime of T is a different module
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    rng = random.Random(f"sarith-module-equality/{name}")
+    unit = ring.to_field(5 if ctx.kind == "Z" else poly_t(ctx.q) + poly_one(ctx.q))
+    for w, x, B in _pin_cases(name):
+        for C in (B.right_multiplied(_t_integral_unimodular(rng, ctx, B.n)),
+                  B.scaled(unit)):
+            assert C.basis != B.basis
+            assert C == B and hash(C) == hash(B)
+            assert intersect_integral(w, C) == intersect_integral(w, B)
+            assert loc_c(w, x, C) == loc_c(w, x, B)
+        assert B.scaled(ctx.T[0]) != B
 
 
 def test_criterion_10_poset_builds_lattice_once(monkeypatch):
-    # 13 lines and 25 planes of a box over Z[1/6], each intersected with a
-    # fresh but equal B, as the loc-poset workload does
+    # 13 lines and 25 planes of a box over Z[1/6], each intersected with
+    # one B, as the loc-poset workload does: B's lattice is built once
     ctx, n = CTX23, 3
     Bm = random_invertible_rational(random.Random("sarith-poset-cache"), n, 4, 4)
     lines = {span_localized(ctx, n, [list(v)])
@@ -330,26 +356,14 @@ def test_criterion_10_poset_builds_lattice_once(monkeypatch):
     builds = []
     t_lattice = sarith._t_lattice
 
-    def counting_t_lattice(c, B):
-        builds.append(B)
-        return t_lattice(c, B)
+    def counting_t_lattice(c, basis, det):
+        builds.append(basis)
+        return t_lattice(c, basis, det)
     monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
-    sarith._lattice.cache_clear()
+    B = IntegralStructure(ctx, n, Bm)
     for w in list(lines) + list(planes):
-        assert len(intersect_integral(w, IntegralStructure(ctx, n, Bm))) == w.rank
-    assert builds == [IntegralStructure(ctx, n, Bm)]
-
-
-def test_lattice_cache_is_bounded():
-    size = sarith._lattice.cache_parameters()["maxsize"]
-    sarith._lattice.cache_clear()
-    w = LocSummand.full(CTX2, 2)
-    for k in range(1, size + 6):
-        B = _structure(CTX2, [[_Q(k, 3), 0], [0, 1]])
-        assert intersect_integral(w, B) == full_intersection(CTX2, B)
-    info = sarith._lattice.cache_info()
-    assert info.misses == size + 5
-    assert info.currsize <= size
+        assert len(intersect_integral(w, B)) == w.rank
+    assert builds == [B.basis]
 
 
 class TestIntersect:
@@ -515,7 +529,7 @@ class TestDenominatorsOutsideT:
         ring = ctx.base_ring()
         zero, one = ring.field_zero(), ring.field_one()
         for B, _ in _outside_t_cases(name):
-            L = full_intersection(ctx, B)
+            L = intersect_integral(LocSummand.full(ctx, B.n), B)
             assert len(L) == B.n
             _assert_lattice_in_t_inverted_and_b(ctx, B, L)
             # a sublattice of Z[T^-1]^n cap B with its covolume is all of it
@@ -534,7 +548,7 @@ class TestDenominatorsOutsideT:
             assert matrices.rank_field(localized_basis(w) + rows, zero, one) == w.rank
             # saturated in Z[T^-1]^n cap B: integral coordinates over its
             # basis whose maximal minors have a unit gcd
-            L = full_intersection(ctx, B)
+            L = intersect_integral(LocSummand.full(ctx, B.n), B)
             C = matrices.matmul(rows, matrices.inverse_field(L, zero, one), zero)
             g = ring.zero()
             for m in minors(C, w.rank, lambda sub: matrices.det_field(sub, zero, one)).values():
@@ -573,13 +587,13 @@ def test_w_cap_b_matches_q_annihilator(name):
             random_volume_space(rng, ctx.q, B.n, maxdeg=1)
         cases.append((w, x, B))
     for w, x, B in cases:
-        den, rows = sarith._t_lattice(ctx, B)
-        want = [[ring.to_field(v) / den for v in row]
+        den, rows = sarith._t_lattice(ctx, B.basis, matrices.det_field(
+            B.basis, ring.field_zero(), ring.field_one()))
+        want = [[ring.to_field(v) / ring.to_field(den) for v in row]
                 for row in span_meet(ring, w.basis, rows, rows)]
         assert intersect_integral(w, B) == matrices.freeze(want)
-        H = sarith.lattice_frame(x, B)[0]
         ident = matrices.identity_rows(w.n, ring.one(), ring.zero())
-        assert sarith._transport(w, x, B)[1].basis == span_meet(ring, w.basis, H, ident)
+        assert sarith._transport(w, x, B)[1].basis == span_meet(ring, w.basis, B.H, ident)
 
 
 def _skewed_det_cases(name):
@@ -619,7 +633,8 @@ def test_t_lattice_matches_smith_form(name):
     ctx = PIN_CTXS[name]
     ring = ctx.base_ring()
     for B in itertools.chain(_skewed_det_cases(name), (b for b, _ in _outside_t_cases(name))):
-        den, rows = sarith._t_lattice(ctx, B)
+        den, rows = sarith._t_lattice(ctx, B.basis, matrices.det_field(
+            B.basis, ring.field_zero(), ring.field_one()))
         ref_den, ref_rows = snf_t_lattice(ctx, B)
         assert den == ref_den
         assert matrices.hnf(ring, rows) == matrices.hnf(ring, ref_rows)
