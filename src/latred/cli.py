@@ -179,7 +179,7 @@ def factorize():
         from . import jsonio, sarith
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
-        A = [[jsonio.field_from_json(ctx.q, x) for x in row] for row in doc["A"]]
+        A = jsonio.square_matrix_from_json(ctx.q, doc["A"], "A")
         Bm, Cm = sarith.factorize(A, ctx, mode=doc.get("mode", "GL"))
         return {"B": [[jsonio.field_to_json(x) for x in row] for row in Bm],
                 "C": [[jsonio.field_to_json(x) for x in row] for row in Cm]}

@@ -226,9 +226,20 @@ def integral_structure_from_json(ctx, doc):
 
 def loc_summand_from_json(ctx, n, doc):
     from .sarith import LocSummand
-    rows = _rows(doc["basis"], n, "summand basis")
-    return LocSummand.from_rows(ctx, n, [[field_from_json(ctx.q, x) for x in row]
-                                         for row in rows])
+    try:
+        basis = [[field_from_json(ctx.q, x) for x in row]
+                 for row in _rows(doc["basis"], n, "summand basis")]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"bad summand: {exc}") from None
+    return LocSummand.from_rows(ctx, n, basis)
+
+
+def square_matrix_from_json(q, rows, field):
+    """A square matrix over the fraction field; its size is its row count."""
+    if not isinstance(rows, list):
+        raise ValidationError(f"{field} must be a square list of lists")
+    return [[field_from_json(q, x) for x in row]
+            for row in _rows(rows, len(rows), field, square=True)]
 
 
 def loc_point_from_json(ctx, n, doc):

@@ -157,7 +157,9 @@ class TestVerbExamples:
 GRAM3 = {"n": 3, "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 LOC_Z = {"ring": "z", "T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},
          "summand": {"basis": [["1", "1"]]}}
-# requests whose integer field, or ring, is not one, with the error naming it
+FACTORIZE_Z = {"ring": "z", "T": [2]}
+# requests whose integer field, ring or matrix shape is not one, with the
+# error naming it
 FIELD_ERRORS = {
     "summand-entry-float": (["volume", "--ring", "z"],
                             {"x": DIAG14, "summand": {"basis": [[1.5, 0]]}},
@@ -198,6 +200,15 @@ FIELD_ERRORS = {
     "loc-ff-point-x-q": (["cover-membership"],
                          dict(LOC_FF_POINT, side="loc-ff", x=dict(VS_T2, q=3)),
                          "x has q = 3 but the context has q = 2"),
+    "loc-summand-no-basis": (["intersect"], dict(LOC_Z, summand={}),
+                             "bad summand: 'basis'"),
+    "factorize-ragged-A": (["factorize"], dict(FACTORIZE_Z, A=[["1", "2"], ["3"]]),
+                           "A must be a list of 2 rows of length 2"),
+    "factorize-2x3-A": (["factorize"],
+                        dict(FACTORIZE_Z, A=[["1", "2", "3"], ["4", "5", "6"]]),
+                        "A must be a list of 2 rows of length 2"),
+    "factorize-string-A": (["factorize"], dict(FACTORIZE_Z, A="x"),
+                           "A must be a square list of lists"),
 }
 
 

@@ -116,7 +116,7 @@ class TestCanonicalBasis:
             basis = localized_basis(w)
             for i, (row, c) in enumerate(zip(basis, pivots)):
                 d = row[c]
-                assert ctx.t_part(d) == ctx.field_one()  # T-free
+                assert ctx.t_split(_num_den(d)[0])[0] == ctx.base_ring().one()  # T-free
                 if ctx.kind == "Z":
                     assert d.denominator == 1 and d > 0
                 else:
@@ -171,7 +171,7 @@ class TestLocalizedErrors:
         (F2_CTX, FqRationalFunction(poly_one(2), poly(2, [1, 1]))),
     ], ids=["Z", "FF"])
     def test_denominator_outside_t(self, ctx, entry):
-        zero = ctx.field_zero()
+        zero = ctx.base_ring().field_zero()
         with pytest.raises(DomainError, match=r"is not in Z\[T\^-1\]"):
             LocSummand.from_rows(ctx, 2, [[entry, zero]])
 
@@ -839,6 +839,29 @@ class TestFactorize:
             assert all(ctx.in_t_inverted(x) for row in Bm for x in row)
             assert all(ctx.in_t_integral(x) for row in Cm for x in row)
 
+    @pytest.mark.parametrize("mode", ["GL", "SL"])
+    @pytest.mark.parametrize("name", sorted(PIN_CTXS))
+    def test_factors_lie_in_their_groups(self, name, mode):
+        # factorize builds B in GL_n(Z[T^-1]) and C in GL_n(Z_T) without
+        # checking them; this is where that is checked
+        ctx = PIN_CTXS[name]
+        ring = ctx.base_ring()
+        zero, one = ring.field_zero(), ring.field_one()
+        rng = random.Random(f"factorize-groups/{name}/{mode}")
+        for n in (2, 3):
+            for _ in range(6):
+                A = _random_sl_over(rng, ctx, n) if mode == "SL" else \
+                    _random_gl_over(rng, ctx, n)
+                Bm, Cm = factorize(A, ctx, mode)
+                assert matrices.matmul(Bm, Cm, zero) == A
+                assert all(ctx.in_t_inverted(x) for row in Bm for x in row)
+                assert all(ctx.in_t_integral(x) for row in Cm for x in row)
+                dB, dC = (matrices.det_field(M, zero, one) for M in (Bm, Cm))
+                assert ctx.in_t_inverted(dB) and ctx.in_t_inverted(one / dB)
+                assert ctx.in_t_integral(dC) and ctx.in_t_integral(one / dC)
+                if mode == "SL":
+                    assert dB == dC == one
+
     def test_conjugated(self, rng):
         for _ in range(5):
             n = 2
@@ -868,4 +891,34 @@ def _random_sl(rng, n):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             for k in range(n):
                 out[i][k] += c * out[j][k]
+    return matrices.freeze(out)
+
+
+def _mixed_fraction(rng, ctx):
+    """A T-fraction times a random fraction: denominators in and outside T."""
+    other = Fraction(rng.randint(-5, 5), rng.randint(1, 7)) if ctx.kind == "Z" \
+        else random_ratfunc(rng, ctx.q, 2)
+    return _t_fraction(rng, ctx) * other
+
+
+def _random_gl_over(rng, ctx, n):
+    ring = ctx.base_ring()
+    while True:
+        A = matrices.freeze([[_mixed_fraction(rng, ctx) for _ in range(n)]
+                             for _ in range(n)])
+        if matrices.det_field(A, ring.field_zero(), ring.field_one()):
+            return A
+
+
+def _random_sl_over(rng, ctx, n):
+    """Shears with mixed entries, then rows 0 and 1 scaled by u and 1/u."""
+    ring = ctx.base_ring()
+    out = [list(r) for r in matrices.identity_rows(n, ring.field_one(), ring.field_zero())]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        c = _mixed_fraction(rng, ctx)
+        out[i] = [a + c * b for a, b in zip(out[i], out[j])]
+    u = _mixed_fraction(rng, ctx)
+    if u:
+        out[0], out[1] = [u * x for x in out[0]], [x / u for x in out[1]]
     return matrices.freeze(out)
