@@ -373,11 +373,7 @@ def triangulate_point(x):
         if c > 0:
             keep_points.append(tuple(int(b) + pi for b, pi in zip(base, p)))
             keep_coeffs.append(c)
-    dec = SimplexDecomposition(tuple(keep_points), tuple(keep_coeffs))
-    dec.validate()
-    if dec.reconstruct() != tuple(x):  # pragma: no cover - the cut is exact
-        raise DomainError("decomposition failed to reconstruct the point")
-    return dec
+    return SimplexDecomposition(tuple(keep_points), tuple(keep_coeffs))
 
 
 def edge_length_sq(k, n):

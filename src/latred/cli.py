@@ -39,9 +39,6 @@ def _run(fn):
     except DomainError as exc:
         _emit({"error": str(exc), "kind": "domain"})
         sys.exit(3)
-    except LatredError as exc:  # pragma: no cover
-        _emit({"error": str(exc), "kind": "error"})
-        sys.exit(3)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             ZeroDivisionError) as exc:
         # any shape mismatch while picking the request apart is bad input

@@ -195,9 +195,6 @@ def cover_membership(x, sys, with_values=False):
                          f"{CORE_RANK_LIMIT}")
     hits = [(w, c) for w, c in _chain_with_values(x) if sys.exceeded_by(c)]
     hits.sort(key=lambda wc: wc[0].rank)
-    ranks = [w.rank for w, _ in hits]
-    if len(set(ranks)) != len(ranks):  # pragma: no cover - excluded by theory
-        raise DomainError("two summands of equal rank exceeded the threshold")
     if with_values:
         return hits
     return [w for w, _ in hits]

@@ -4,7 +4,8 @@ A volume space is the free module V = F_q[t]^n together with a rank-n
 lattice S over the valuation ring R = {f/g : deg f <= deg g} of F_q(t),
 given by a basis matrix over F_q(t) whose columns span S.  Log-volumes are
 integers: the volume of a submodule W is the largest (-nu) of the maximal
-minors of the matrix expressing a basis of W in a basis of S.
+minors of the matrix expressing a basis of W in a basis of S.  For W = V
+that matrix is S^{-1}, so logvol(V) = nu(det S).
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -20,19 +21,21 @@ the quotient space.
 Short-vector searches never enumerate F_q[t]-points: the set of v in V with
 logvol<v> <= D is an F_q-vector space cut out by linear conditions on the
 Laurent tails of S^{-1} v, so a nullspace computation over F_q finds it.
+The least feasible D lies above nu_min - 1 (nu_min the least valuation of an
+entry of S) and at most at the average slope logvol(V) / n, and is found by
+bisection between the two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import filtration, gflinalg, matrices
-from .errors import (DimensionError, DomainError, ProjectivityError, ScaleError,
-                     SingularityError)
+from .errors import DimensionError, DomainError, ScaleError, SingularityError
 from .fq import FqRationalFunction, gf, poly, poly_one, t_power
 from .rings import poly_ring
 
@@ -50,12 +53,14 @@ class VolumeSpace:
 
     `basis` is an n x n matrix over F_q(t); its columns are an R-basis of
     the lattice S inside Q otimes V, written in the standard coordinates of
-    V = F_q[t]^n.
+    V = F_q[t]^n.  `logvol` is the total log-volume logvol(V) = nu(det S),
+    kept from the singularity check.
     """
 
     q: int
     n: int
     basis: tuple
+    logvol: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _as_ratfunc_rows(self.basis)
@@ -66,6 +71,7 @@ class VolumeSpace:
         if d.is_zero():
             raise SingularityError("lattice basis is singular")
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "logvol", d.nu())
 
     @staticmethod
     def standard(q, n):
@@ -194,8 +200,6 @@ def sub_quotient(vs, w):
         w = FFSummand.from_rows(vs.q, vs.n, w)
     ring = poly_ring(vs.q)
     n, m = vs.n, w.rank
-    if m and matrices.saturate(ring, w.basis, n) != w.basis:
-        raise ProjectivityError("quotient by a non-saturated submodule")
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
@@ -320,27 +324,23 @@ def shortest_vector(vs):
     """A primitive vector of minimal log-volume, with that minimum.
 
     Deterministic: the first vector of the echelonized solution space at the
-    minimal feasible bound.
+    minimal feasible bound.  That bound is bisected between nu_min - 1, which
+    no vector meets (S^{-1} v has an entry of valuation <= -nu_min), and the
+    average slope, which some vector always meets.
     """
-    ring = poly_ring(vs.q)
-    lv_total = ff_logvol(vs, matrices.identity_rows(vs.n, ring.one(), ring.zero()))
-    d = lv_total // vs.n  # the minimum is at most the average slope
-    basis = _logvol_solution_space(vs, d)
-    if not basis:  # pragma: no cover - the average bound is always feasible
-        raise DomainError("no vector at the average-slope bound")
-    while True:
-        lower = _logvol_solution_space(vs, d - 1)
-        if not lower:
-            break
-        basis = lower
-        d -= 1
-    v = basis[0]
-    content = ring.zero()
-    for x in v:
-        content = ring.gcd(content, x)
-    if not ring.is_unit(content):  # pragma: no cover - minimality forces primitivity
-        raise DomainError("shortest vector is imprimitive")
-    return v, d
+    lo = min(x.nu() for row in vs.basis for x in row if not x.is_zero()) - 1
+    hi = vs.logvol // vs.n
+    basis = None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = _logvol_solution_space(vs, mid)
+        if found:
+            hi, basis = mid, found
+        else:
+            lo = mid
+    if basis is None:
+        basis = _logvol_solution_space(vs, hi)
+    return basis[0], hi
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +400,11 @@ def diagonal_basis(vs):
     if n == 0:
         return DiagonalBasisResult(vs, (), (), ())
     if n == 1:
-        lv = ff_logvol(vs, ((ring.one(),),))
-        r1 = lv
-        w = ((ring.one(),),)
-        b = ((t_power(vs.q, -r1),),)
-        return DiagonalBasisResult(vs, w, b, (r1,))
+        r1 = vs.logvol
+        return DiagonalBasisResult(vs, ((ring.one(),),), ((t_power(vs.q, -r1),),), (r1,))
     v, r1 = shortest_vector(vs)
     b1 = tuple(t_power(vs.q, -r1) * FqRationalFunction.of(x) for x in v)
+    lead = next(j for j, x in enumerate(v) if x)
     line = FFSummand.from_rows(vs.q, n, [v])
     sq = sub_quotient(vs, line)
     inner = diagonal_basis(sq.quot)
@@ -426,18 +424,15 @@ def diagonal_basis(vs):
         bbar = inner.b[i]
         kappa = [sum((quot_inv[a][c] * bbar[c] for c in range(n - 1)),
                      ring.field_zero()) for a in range(n - 1)]
-        if any(x.nu() < 0 for x in kappa):  # pragma: no cover
-            raise DomainError("quotient basis coefficients not integral")
         b_i = [ring.field_zero()] * n
         for kidx in range(n - 1):
             if not kappa[kidx].is_zero():
                 for col in range(n):
                     b_i[col] = b_i[col] + kappa[kidx] * sq.quot_lift_cols[kidx][col]
         r_i = inner.r[i]
-        # w_i - t^{r_i} b_i lies on the split-off line; clear its coefficient
-        scale = t_power(vs.q, r_i)
-        delta = [FqRationalFunction.of(a) - scale * bb for a, bb in zip(w_i, b_i)]
-        s_i = _proportionality(delta, b1)
+        # w_i - t^{r_i} b_i = s_i b1 lies on the split-off line, so one
+        # coordinate where b1 is nonzero gives s_i; clear its coefficient
+        s_i = (FqRationalFunction.of(w_i[lead]) - t_power(vs.q, r_i) * b_i[lead]) / b1[lead]
         if not s_i.is_zero() and -s_i.nu() >= r1:
             head = s_i.truncate_at_infinity(r1)
             # subtract the integral multiple (head / t^{r1}) * w_1
@@ -445,11 +440,7 @@ def diagonal_basis(vs):
             for col in range(n):
                 w_i[col] = w_i[col] - mult * v[col]
             s_i = s_i - head
-        if r_i < r1:  # pragma: no cover - contradicts shortest choice
-            raise DomainError("quotient produced a shorter vector")
         if not s_i.is_zero():
-            if -s_i.nu() >= r1:  # pragma: no cover
-                raise DomainError("tail reduction failed")
             shift = s_i / t_power(vs.q, r_i)
             b_i = [bb + shift * b1c for bb, b1c in zip(b_i, b1)]
         w_rows.append(tuple(w_i))
@@ -463,23 +454,6 @@ def diagonal_basis(vs):
         tuple(r_list[i] for i in order),
     )
     return result
-
-
-def _proportionality(delta, b1):
-    """The scalar s with delta = s * b1 (delta known to lie on the line)."""
-    s = None
-    for d, c in zip(delta, b1):
-        if not c.is_zero():
-            cand = d / c
-            if s is None:
-                s = cand
-            elif cand != s:  # pragma: no cover
-                raise DomainError("vector not proportional to the line")
-        elif not d.is_zero():  # pragma: no cover
-            raise DomainError("vector not proportional to the line")
-    if s is None:  # pragma: no cover
-        raise DomainError("zero line vector")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +531,7 @@ class FFOracle:
 
     def min_logvol_above(self, w, m):
         if m == self.top_rank:
-            return self.logvol(self.one())
+            return Fraction(self.vs.logvol)
         return self.logvol(w) + Fraction(sum(self._r_vector("sigma", w)[:m - w.rank]))
 
 
@@ -601,9 +575,7 @@ def enumerate_ff_summands(vs, m, bound, r1=None):
         return [FFSummand.zero(vs.q, n)]
     ring = poly_ring(vs.q)
     if m == n:
-        full = FFSummand.full(vs.q, n)
-        lv = ff_logvol(vs, full)
-        return [full] if lv <= bound else []
+        return [FFSummand.full(vs.q, n)] if vs.logvol <= bound else []
     if r1 is None:
         r1 = shortest_vector(vs)[1]
     if m * r1 > bound:  # every rank-m volume is at least m * r1

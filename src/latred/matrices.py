@@ -14,8 +14,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .errors import (DimensionError, DomainError, RankDeficiencyError,
-                     SingularityError)
+from .errors import (DimensionError, DomainError, ProjectivityError,
+                     RankDeficiencyError, SingularityError)
 
 
 def freeze(rows):
@@ -166,8 +166,6 @@ def hnf(ring, rows, ncols=None):
         i0 = nz[0]
         work[pivot_row], work[i0] = work[i0], work[pivot_row]
         unit, normalized = ring.unit_normalize(work[pivot_row][col])
-        if not ring.is_unit(unit):
-            raise DomainError("unit normalization failed")  # pragma: no cover
         if normalized != work[pivot_row][col]:
             inv = _unit_inverse(unit)
             work[pivot_row] = [inv * x for x in work[pivot_row]]
@@ -370,7 +368,7 @@ def completion_rows(ring, rows):
     _, D, V = snf(ring, rows)
     for i in range(m):
         if not ring.is_unit(D[i][i]):
-            raise RankDeficiencyError("rows do not span a direct summand")
+            raise ProjectivityError("rows do not span a direct summand")
     return stack(rows, V[m:])
 
 

@@ -1,12 +1,13 @@
 """Function-field volume spaces: minors, subquotients, diagonal bases."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from latred import filtration, matrices
+from latred import filtration, latff, matrices
 from latred.errors import DomainError, ProjectivityError, RankDeficiencyError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, FFOracle, FFSummand,
@@ -16,7 +17,7 @@ from latred.latff import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, FFOracle, FFSummand
                           short_vector_space_dim, shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
-from conftest import (minors, random_ff_summand, random_poly,
+from conftest import (minors, random_ff_summand, random_poly, random_ratfunc,
                       random_unimodular_poly, random_volume_space)
 
 P2 = poly_ring(2)
@@ -118,7 +119,6 @@ class TestLogVolume:
             assert shift == a.degree  # = -nu(det) = dim_F(W/W')
 
     def test_homothety(self, rng):
-        from conftest import random_ratfunc
         for _ in range(10):
             vs = random_volume_space(rng, 2, 2, maxdeg=2)
             w = random_ff_summand(rng, 2, 2, rng.randint(1, 2))
@@ -282,6 +282,69 @@ class TestDiagonalBasis:
             _, r1 = shortest_vector(vs)
             assert short_vector_space_dim(vs, r1) > 0
             assert short_vector_space_dim(vs, r1 - 1) == 0
+
+
+def _gap_space(k):
+    """S with columns (t^k, 0) and (1, 1) over F_3: r = (-k, 0), a gap of k."""
+    return VolumeSpace(3, 2, [[FqRationalFunction.of(poly_t(3) ** k), poly_one(3)],
+                              [poly(3, []), poly_one(3)]])
+
+
+def _seeded_spaces(label, per_shape=2):
+    rng = random.Random(label)
+    for q in (2, 3, 4):
+        for n in range(1, 6):
+            for _ in range(per_shape):
+                yield random_volume_space(rng, q, n, maxdeg=1 if n > 3 else 2)
+
+
+def test_diagonal_basis_invariants():
+    # facts diagonal_basis relies on without checking them at run time: a
+    # valid diagonal shape, r_1 the least feasible short-vector bound, w_1
+    # primitive, and logvol<w_i> = r_i
+    for vs in [*_seeded_spaces("latff-diagonal-invariants"), _gap_space(200)]:
+        ring = poly_ring(vs.q)
+        diag = diagonal_basis(vs)
+        diag.validate()
+        assert short_vector_space_dim(vs, diag.r[0]) > 0
+        assert short_vector_space_dim(vs, diag.r[0] - 1) == 0
+        content = ring.zero()
+        for x in diag.w[0]:
+            content = ring.gcd(content, x)
+        assert ring.is_unit(content)
+        assert [ff_logvol(vs, [w_i]) for w_i in diag.w] == list(diag.r)
+
+
+def test_stored_logvol_laws():
+    rng = random.Random("latff-stored-logvol")
+    for vs in _seeded_spaces("latff-stored-logvol-spaces", per_shape=1):
+        ring = poly_ring(vs.q)
+        assert vs.logvol == ff_logvol(vs, matrices.identity_rows(
+            vs.n, ring.one(), ring.zero()))
+        lam = random_ratfunc(rng, vs.q, 2)
+        if not lam.is_zero():
+            assert vs.scaled(lam).logvol == vs.logvol + vs.n * lam.nu()
+        g = random_unimodular_poly(rng, vs.q, vs.n)
+        assert vs.transformed(g).logvol == vs.logvol
+
+
+def test_shortest_vector_bisects_the_instability_gap(monkeypatch):
+    # the bound is bisected between nu_min - 1 = -201 and the average
+    # slope -100, so the solves grow with the log of the gap, not the gap
+    calls = []
+    solve = latff._logvol_solution_space
+
+    def counted(vs, D, gens=None):
+        calls.append(D)
+        return solve(vs, D, gens)
+
+    monkeypatch.setattr(latff, "_logvol_solution_space", counted)
+    vs = _gap_space(200)
+    v, r1 = shortest_vector(vs)
+    assert r1 == -200 and ff_logvol(vs, [v]) == -200
+    assert len(calls) <= math.ceil(math.log2(-100 - (-201))) + 1
+    monkeypatch.undo()
+    assert diagonal_basis(vs).r == (-200, 0)
 
 
 class TestInvariantsAndFiltration:
