@@ -2,10 +2,14 @@
 
 Matrices are immutable tuples of row tuples, and entries are added,
 multiplied and divided with the operators.  Algorithms that need more ring
-structure (Hermite/Smith forms, kernels, saturation) take one of the ring
-objects from `rings` for its units, norm and gcd.  The fraction-field
-routines (determinant, rank, inverse) work on Fraction /
-FqRationalFunction entries directly and share one forward elimination.
+structure (Hermite and Smith forms, column reduction, saturation) take one
+of the ring objects from `rings` for its units, norm and gcd.  Saturation,
+basis completion and summand joins run on one rank-revealing column
+reduction M = [T | 0] V with V unimodular (`_column_echelon`); the Smith
+form is left to the callers that read its invariant factors,
+`sarith.factorize` and `selfcheck`.  The fraction-field routines
+(determinant, rank, inverse) work on Fraction / FqRationalFunction entries
+directly and share one forward elimination.
 """
 
 from __future__ import annotations
@@ -291,6 +295,44 @@ def snf(ring, M):
     return freeze(st.U), freeze(st.D), freeze(st.V)
 
 
+def _column_echelon(ring, M):
+    """Rank-revealing column reduction: (rank, T, V) with M = [T | 0] V exactly.
+
+    V is unimodular over the ring and T has `rank` columns.  Row by row,
+    the gcd steps of the Smith form's column pass clear the row right of
+    its pivot column, so each row holds a pivot in the next column or is
+    zero from it on: with independent rows, T is square lower triangular.
+    V tracks the column operations as `_SNFState.col_sub` does; there are
+    no row operations and no divisibility pass.
+    """
+    m, n = shape(M)
+    D = [list(r) for r in M]
+    V = [list(r) for r in identity_rows(n, ring.one(), ring.zero())]
+    k = 0
+    for i in range(m):
+        row, below = D[i], D[i:]
+        while True:
+            nz = [j for j in range(k, n) if row[j]]
+            if not nz:
+                break
+            p = min(nz, key=lambda j: ring.norm_key(row[j]))
+            if p != k:
+                for r in below:
+                    r[k], r[p] = r[p], r[k]
+                V[k], V[p] = V[p], V[k]
+            if len(nz) == 1:
+                k += 1
+                break
+            piv = row[k]
+            for j in range(k + 1, n):
+                if row[j]:
+                    q = row[j] // piv
+                    for r in below:
+                        r[j] = r[j] - q * r[k]
+                    V[k] = [a + q * b for a, b in zip(V[k], V[j])]
+    return k, freeze(r[:k] for r in D), freeze(V)
+
+
 def split_hnf(ring, A, R):
     """Canonical HNF basis of the row module {x R : x A = 0}.
 
@@ -302,12 +344,6 @@ def split_hnf(ring, A, R):
     k = shape(A)[1]
     H = hnf(ring, [tuple(a) + tuple(r) for a, r in zip(A, R)] if k else R)
     return freeze(h[k:] for h in H if not any(h[:k]))
-
-
-def kernel(ring, M):
-    """Canonical HNF basis rows of the right kernel {x : M x = 0} over the ring."""
-    n = shape(M)[1]
-    return split_hnf(ring, transpose(M), identity_rows(n, ring.one(), ring.zero()))
 
 
 def rank_over_field(ring, M):
@@ -327,7 +363,8 @@ def saturate(ring, rows, ncols=None):
     """Basis (in HNF) of the saturation of the row span inside the free module.
 
     The saturation is the smallest direct summand containing the row span;
-    rows must be independent over the fraction field.
+    rows must be independent over the fraction field.  With rows = T V[:m]
+    from `_column_echelon`, the first m rows of the unimodular V span it.
     """
     rows = freeze(rows)
     if not rows:
@@ -335,8 +372,7 @@ def saturate(ring, rows, ncols=None):
     m, n = shape(rows)
     if ncols is not None and ncols != n:
         raise DimensionError("ambient rank mismatch")
-    _, D, V = snf(ring, rows)
-    rank = sum(1 for i in range(min(m, n)) if D[i][i])
+    rank, _, V = _column_echelon(ring, rows)
     if rank != m:
         raise RankDeficiencyError("rows are dependent over the fraction field")
     return hnf(ring, V[:m])
@@ -362,13 +398,17 @@ def clear_denominators(ring, rows):
 
 
 def completion_rows(ring, rows):
-    """Extend a saturated basis to a unimodular square matrix (rows first)."""
+    """Extend a saturated basis to a unimodular square matrix (rows first).
+
+    rows = T V[:m] with T lower triangular, so the rows span a direct
+    summand exactly when every pivot of T is a unit, and then (rows; V[m:])
+    is T's block-diagonal extension times V.
+    """
     rows = freeze(rows)
     m = len(rows)
-    _, D, V = snf(ring, rows)
-    for i in range(m):
-        if not ring.is_unit(D[i][i]):
-            raise ProjectivityError("rows do not span a direct summand")
+    rank, T, V = _column_echelon(ring, rows)
+    if rank < m or not all(ring.is_unit(T[i][i]) for i in range(m)):
+        raise ProjectivityError("rows do not span a direct summand")
     return stack(rows, V[m:])
 
 
@@ -444,10 +484,9 @@ class Summand:
             self, basis=lattice_intersect(self.ring, self.basis, other.basis))
 
     def join(self, other):
-        rows = self.basis + other.basis
-        if not rows:
-            return dataclasses.replace(self, basis=())
-        return self._saturated(hnf(self.ring, rows))
+        # the first `rank` rows of V span the saturation of the (dependent) rows
+        rank, _, V = _column_echelon(self.ring, self.basis + other.basis)
+        return dataclasses.replace(self, basis=hnf(self.ring, V[:rank]))
 
     def apply(self, phi_rows):
         """Image under the automorphism with matrix rows phi (basis * phi)."""

@@ -11,11 +11,11 @@ A saturated Z[T^-1]-summand W is fixed by its Q-span, so W cap Z^n is a
 saturated Z-summand that determines it.  `LocSummand` therefore stores
 the Hermite form of W cap Z^n and shares the summand algebra of Z and
 F_q[t] (`matrices.Summand`): spans, meets and joins run on plain Z (or
-F_q[t]) Hermite and Smith forms, and spanning rows are cleared on the way
-in, where their one common denominator must be a T-power.  The canonical
-Hermite basis over Z[T^-1] (pivots T-free and normalized, entries above a
-pivot d reduced to canonical residues mod d) is derived only for output,
-by `localized_basis`.
+F_q[t]) Hermite forms and one column reduction, and spanning rows are
+cleared on the way in, where their one common denominator must be a
+T-power.  The canonical Hermite basis over Z[T^-1] (pivots T-free and
+normalized, entries above a pivot d reduced to canonical residues mod d)
+is derived only for output, by `localized_basis`.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting.  That
@@ -27,11 +27,14 @@ stays on base-ring rows over one denominator, the T-part of B's cleared
 denominator, and divides by it once, at the end.  An `IntegralStructure`
 is stored as that lattice: the denominator and the n-row Hermite form of
 Z[T^-1]^n cap B, built once when B is, so every W intersected with one B
-meets the same n rows.  Every invertible matrix over Q splits into a
-GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor, U diag(T-parts) and
-diag(T-free parts) V, from the Smith form U D V of its cleared matrix
-(`matrices.clear_denominators`); the split holds by construction and is
-checked by the test suite, not on every call.
+meets the same n rows, and a volume space changes frame by forward
+substitution on those triangular rows.  Every invertible matrix over Q
+splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor, U
+diag(T-parts) and diag(T-free parts) V, from the Smith form U D V of its
+cleared matrix (`matrices.clear_denominators`), whose diagonal also
+decides singularity; this is the one Smith form of the layer.  The split
+holds by construction and is checked by the test suite, not on every
+call.
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
 context uses.
@@ -324,20 +327,34 @@ def lattice_frame(x, B):
     """x in L-coordinates, L = B.H / B.den the canonical basis of Z[T^-1]^n cap B.
 
     The point moves with the basis: a Gram matrix becomes L . gram . L^T,
-    and a volume space's columns become L^-T . columns.  Coordinates and
-    spans in L can be taken on B's ring rows B.H, a scalar multiple of L.
+    and a volume space's columns become L^-T . columns = den H^-T . columns,
+    solved by forward substitution on the lower-triangular H^T.
+    Coordinates and spans in L can be taken on B's ring rows B.H, a scalar
+    multiple of L.
     """
     ctx = B.ctx
     ring = ctx.base_ring()
-    zero = ring.field_zero()
-    L = _divided(B.den, B.H)
     if ctx.kind == "Z":
         from . import latz
+        zero = ring.field_zero()
+        L = _divided(B.den, B.H)
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
         return latz.InnerProduct(B.n, G)
     from . import latff
-    Linv = matrices.inverse_field(L, zero, ring.field_one())
-    cols = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
+    H, one = B.H, ring.one()
+    cols = []
+    for i, row in enumerate(x.basis):
+        for k in range(i):
+            if H[k][i]:
+                h = ring.to_field(H[k][i])
+                row = [a - h * b if b else a for a, b in zip(row, cols[k])]
+        if H[i][i] != one:
+            p = ring.to_field(H[i][i])
+            row = [a / p if a else a for a in row]
+        cols.append(row)
+    if B.den != one:
+        d = ring.to_field(B.den)
+        cols = [[d * a if a else a for a in row] for row in cols]
     return latff.VolumeSpace(ctx.q, B.n, cols)
 
 
@@ -383,21 +400,23 @@ def factorize(A, ctx, mode="GL"):
     GL_n(Z_T); in SL mode both determinants are exactly 1.  Clears
     denominators, takes the Smith form, and splits each invariant factor,
     and the cleared denominator once, into a T-part and a T-free part over
-    the base ring.
+    the base ring.  A is singular exactly when an invariant factor is 0;
+    only SL mode computes det A, for its det = 1 check.
     """
     ring = ctx.base_ring()
     A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise DimensionError("factorization needs a square matrix")
     zero, one = ring.field_zero(), ring.field_one()
-    detA = matrices.det_field(A, zero, one)
-    if not detA:
+    denf, mA = matrices.clear_denominators(ring, A)
+    U, D, V = matrices.snf(ring, mA)
+    if not all(D[i][i] for i in range(n)):
         raise SingularityError("factorization needs an invertible matrix")
     if mode not in ("GL", "SL"):
         raise DomainError(f"unknown factorization mode {mode!r}")
-    if mode == "SL" and detA != one:
+    if mode == "SL" and matrices.det_field(A, zero, one) != one:
         raise DeterminantError("SL-mode factorization needs determinant 1")
-    denf, mA = matrices.clear_denominators(ring, A)
-    U, D, V = matrices.snf(ring, mA)
     # D_ii / denf splits into its T-part u_i, a unit of Z[T^-1], and its
     # T-free part v_i, a unit of Z_T; B = U diag(u) and C = diag(v) V
     den_t, den_free = (ring.to_field(x) for x in ctx.t_split(_num_den(denf)[0]))

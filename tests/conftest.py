@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from latred.errors import DimensionError, LatredError
+from latred.errors import (DimensionError, LatredError, ProjectivityError,
+                           RankDeficiencyError)
 from latred.fq import FqRationalFunction, poly
 from latred.latff import FFSummand, VolumeSpace
 from latred.latz import InnerProduct, ZSummand
@@ -136,6 +137,38 @@ def fractional_hnf(ring, rows):
     den, scaled = matrices.clear_denominators(ring, matrices.freeze(rows))
     return matrices.freeze([[ring.to_field(x) / den for x in row]
                             for row in matrices.hnf(ring, scaled)])
+
+
+def kernel(ring, M):
+    """Canonical HNF basis rows of the right kernel {x : M x = 0} over the ring."""
+    n = matrices.shape(M)[1]
+    return matrices.split_hnf(ring, matrices.transpose(M),
+                              matrices.identity_rows(n, ring.one(), ring.zero()))
+
+
+def smith_saturate(ring, rows, ncols=None):
+    """Reference saturation from a Smith form U D V: the HNF of V's first m rows."""
+    rows = matrices.freeze(rows)
+    if not rows:
+        return ()
+    m, n = matrices.shape(rows)
+    if ncols is not None and ncols != n:
+        raise DimensionError("ambient rank mismatch")
+    _, D, V = matrices.snf(ring, rows)
+    if sum(1 for i in range(min(m, n)) if D[i][i]) != m:
+        raise RankDeficiencyError("rows are dependent over the fraction field")
+    return matrices.hnf(ring, V[:m])
+
+
+def smith_completion_rows(ring, rows):
+    """Reference completion from a Smith form U D V: the rows, then V[m:]."""
+    rows = matrices.freeze(rows)
+    m = len(rows)
+    _, D, V = matrices.snf(ring, rows)
+    for i in range(m):
+        if not ring.is_unit(D[i][i]):
+            raise ProjectivityError("rows do not span a direct summand")
+    return matrices.stack(rows, V[m:])
 
 
 def snf_t_lattice(ctx, B):

@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latred import matrices
-from latred.errors import (DimensionError, InvalidPlaceError,
+from latred.errors import (DimensionError, InvalidPlaceError, ProjectivityError,
                            RankDeficiencyError, SingularityError,
                            ZeroArgumentError)
 from latred.filtration import canonical_filtration
 from latred.fq import poly, poly_t, ratfunc
-from latred.latff import FFOracle, VolumeSpace, ff_invariants_and_filtration
+from latred.latff import (FFOracle, FFSummand, VolumeSpace,
+                          ff_invariants_and_filtration)
+from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import minors, random_poly, random_ratfunc
+from conftest import (kernel, minors, random_poly, random_ratfunc, smith_completion_rows,
+                      smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -324,6 +327,101 @@ class TestSaturate:
             assert matrices.rank_field(stacked, Fraction(0), Fraction(1)) == m
 
 
+def _ring_and_draw(q, rng):
+    if q is None:
+        return ZZ, lambda: rng.randint(-4, 4)
+    return poly_ring(q), lambda: random_poly(rng, q, 2)
+
+
+@pytest.mark.parametrize("q", [None, 2, 3], ids=["Z", "F2", "F3"])
+class TestColumnEchelon:
+    """Saturation, completion and join share one column reduction; the
+    Smith-form versions they replaced are the references."""
+
+    def test_saturate_matches_smith_form(self, q):
+        rng = random.Random(f"column-echelon/saturate/{q}")
+        ring, draw = _ring_and_draw(q, rng)
+        nonunit = 2 if q is None else poly_t(q)
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, n)
+            rows = [[draw() for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.3:
+                rows[0] = [nonunit * x for x in rows[0]]
+            if rng.random() < 0.3:  # a combination of the other rows
+                c = [draw() for _ in rows]
+                dep = [sum((ci * r[j] for ci, r in zip(c, rows)), ring.zero())
+                       for j in range(n)]
+                rows.insert(rng.randrange(m + 1), dep)
+            try:
+                expected = smith_saturate(ring, rows, n)
+            except RankDeficiencyError:
+                outcomes.add("dependent")
+                with pytest.raises(RankDeficiencyError):
+                    matrices.saturate(ring, rows, n)
+                continue
+            outcomes.add("independent")
+            assert matrices.saturate(ring, rows, n) == expected
+        assert outcomes == {"dependent", "independent"}
+
+    def test_completion_is_unimodular_or_refused(self, q):
+        rng = random.Random(f"column-echelon/completion/{q}")
+        ring, draw = _ring_and_draw(q, rng)
+        nonunit = 2 if q is None else poly_t(q)
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, n)
+            rows = [[draw() for _ in range(n)] for _ in range(m)]
+            if matrices.rank_over_field(ring, matrices.freeze(rows)) < m:
+                continue
+            sat = matrices.saturate(ring, rows, n)
+            pick = rng.random()
+            if pick < 0.4:
+                rows = list(sat)
+            elif pick < 0.7:  # one imprimitive row
+                rows = list(sat)
+                i = rng.randrange(m)
+                rows[i] = [nonunit * x for x in rows[i]]
+            rows = matrices.freeze(rows)
+            if matrices.hnf(ring, rows) != sat:
+                outcomes.add("refused")
+                with pytest.raises(ProjectivityError):
+                    matrices.completion_rows(ring, rows)
+                with pytest.raises(ProjectivityError):
+                    smith_completion_rows(ring, rows)
+                continue
+            outcomes.add("completed")
+            full = matrices.completion_rows(ring, rows)
+            assert matrices.shape(full) == (n, n) and full[:m] == rows
+            lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in full])
+            det = matrices.det_field(lifted, ring.field_zero(), ring.field_one())
+            assert ring.is_unit(ring.from_field(det))
+        assert outcomes == {"completed", "refused"}
+
+    def test_join_matches_saturated_hermite_rows(self, q):
+        rng = random.Random(f"column-echelon/join/{q}")
+        ring, draw = _ring_and_draw(q, rng)
+        summand = (lambda n, rows: ZSummand.from_rows(n, rows)) if q is None else \
+            (lambda n, rows: FFSummand.from_rows(q, n, rows))
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            common = [[draw() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            a_rows = common + [[draw() for _ in range(n)] for _ in range(rng.randint(0, 1))]
+            b_rows = common + [[draw() for _ in range(n)] for _ in range(rng.randint(0, 1))]
+            if any(matrices.rank_over_field(ring, matrices.freeze(r)) < len(r)
+                   for r in (a_rows, b_rows)):
+                continue
+            a, b = summand(n, a_rows), summand(n, b_rows)
+            assert a.join(summand(n, [])) == a
+            for x, y in ((a, b), (b, a), (a, a)):
+                rows = x.basis + y.basis
+                assert matrices.rank_over_field(ring, rows) < len(rows)
+                expected = smith_saturate(ring, matrices.hnf(ring, rows), n)
+                assert x.join(y).basis == expected
+
+
 class TestHermite:
     def test_canonical_under_row_ops(self, rng):
         for _ in range(25):
@@ -407,14 +505,14 @@ class TestKernelAndIntersection:
             m, n = rng.randint(1, 3), rng.randint(2, 4)
             A = matrices.freeze([[rng.randint(-5, 5) for _ in range(n)]
                                  for _ in range(m)])
-            for v in matrices.kernel(ZZ, A):
+            for v in kernel(ZZ, A):
                 assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
 
     @pytest.mark.parametrize("q", [None, 2, 3, 4], ids=["Z", "F2", "F3", "F4"])
     def test_kernel_is_a_saturated_hermite_basis(self, q):
         ring = ZZ if q is None else poly_ring(q)
         rng = random.Random(f"kernel/{q}")
-        assert matrices.kernel(ring, ()) == ()  # m = 0 rows (and so no columns)
+        assert kernel(ring, ()) == ()  # m = 0 rows (and so no columns)
         for _ in range(25):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             # one zero row and one zero column, unless the index falls outside
@@ -423,7 +521,7 @@ class TestKernelAndIntersection:
                 [[ring.zero() if zero_row == i or zero_col == j
                   else rng.randint(-4, 4) if q is None else random_poly(rng, q, 2)
                   for j in range(n)] for i in range(m)])
-            K = matrices.kernel(ring, M)
+            K = kernel(ring, M)
             assert matrices.hnf(ring, K) == K
             for v in K:
                 assert all(not sum((a * x for a, x in zip(row, v)), ring.zero())

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from latred import matrices, sarith
-from latred.errors import (DeterminantError, DomainError, RankDeficiencyError,
-                           SingularityError)
+from latred.errors import (DeterminantError, DimensionError, DomainError,
+                           RankDeficiencyError, SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.jsonio import value_to_json
 from latred.latff import VolumeSpace, ff_logvol
@@ -749,6 +749,43 @@ def t_nu(t):
     return FqRationalFunction.of(t).nu()
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_lattice_frame_on_nontrivial_ff_structure(q):
+    # loc_c on F_q moves the volume space by L^-T = den H^-T, solved on the
+    # triangular Hermite rows; the workloads only meet the standard B, so
+    # here den != 1, some pivot of H is not a unit and H has entries above
+    # its diagonal
+    t = poly_t(q)
+    ctx = LocalizedContext.function_field(q, [t])
+    ring = ctx.base_ring()
+    zero, one = ring.field_zero(), ring.field_one()
+    rng = random.Random(f"lattice-frame/{q}")
+    checked = 0
+    for _ in range(400):
+        n = rng.choice([2, 3])
+        rows = [[random_ratfunc(rng, q, 2) for _ in range(n)] for _ in range(n)]
+        if not matrices.det_field(matrices.freeze(rows), zero, one):
+            continue
+        B = IntegralStructure(ctx, n, rows)
+        H = B.H
+        if B.den == ring.one() or all(ring.is_unit(H[i][i]) for i in range(n)) \
+                or not any(H[i][j] for i in range(n) for j in range(i + 1, n)):
+            continue
+        x = random_volume_space(rng, q, n, maxdeg=1)
+        den = ring.to_field(B.den)
+        L = matrices.freeze([[ring.to_field(h) / den for h in row] for row in H])
+        Linv = matrices.inverse_field(L, zero, one)
+        expected = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
+        assert sarith.lattice_frame(x, B).basis == expected
+        w = LocSummand.from_rows(ctx, n, [[random_poly(rng, q, 2) for _ in range(n)]])
+        if not w.is_zero():
+            assert loc_c(w, x, B) == loc_c(w, x, B.scaled(t))
+        checked += 1
+        if checked == 6:
+            break
+    assert checked == 6
+
+
 class TestNeighborBoundLocalized:
     def test_sandwiched_structures(self, rng):
         # zB subset B' subset B forces the volume window rk(W) * ln z
@@ -797,8 +834,15 @@ class TestFactorize:
                    for row in Bm for x in row)  # B is an integer matrix here
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularityError):
-            factorize([[1, 1], [1, 1]], CTX2)
+        # singularity is checked before the mode, and the mode before det = 1
+        for mode in ("GL", "SL", "XL"):
+            with pytest.raises(SingularityError, match="needs an invertible matrix"):
+                factorize([[1, 1], [1, 1]], CTX2, mode)
+        with pytest.raises(DomainError, match="unknown factorization mode 'XL'"):
+            factorize([[2, 0], [0, 1]], CTX2, "XL")
+        for A in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]):
+            with pytest.raises(DimensionError):
+                factorize(A, CTX2)
 
     def test_sl_mode_det_guard(self):
         with pytest.raises(DeterminantError):
