@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,10 +33,15 @@ DESK_RANK_LIMIT = 6
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """Symmetric positive-definite rational form on R^n, checked exactly."""
+    """Symmetric positive-definite rational form on R^n, checked exactly.
+
+    `det` is det(gram), the squared volume of Z^n: the product of the LDL^T
+    pivots that the positive-definiteness check computes.
+    """
 
     n: int
     gram: tuple
+    det: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = matrices.freeze([[Fraction(x) for x in row] for row in self.gram])
@@ -44,8 +49,9 @@ class InnerProduct:
             raise DimensionError("Gram matrix shape mismatch")
         if g != matrices.transpose(g):
             raise DefinitenessError("Gram matrix is not symmetric")
-        _ldl(g)  # positive pivots, i.e. positive leading minors
+        d = _ldl(g)[0]  # positive pivots, i.e. positive leading minors
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "det", math.prod(d, start=Fraction(1)))
 
     @staticmethod
     def identity(n):
@@ -314,7 +320,7 @@ def enumerate_summands(s, bound, ranks=None):
             found.append(ZSummand.zero(n))
             continue
         if m == n:
-            if _lv_cmp(gram_vol2(s, ZSummand.full(n).basis), bound) <= 0:
+            if _lv_cmp(s.det, bound) <= 0:
                 found.append(ZSummand.full(n))
             continue
         if m > 1 and lam1 is None:
@@ -335,7 +341,7 @@ def _rank_minima(s, m):
     if m == 0:
         return [ZSummand.zero(n)], ExactLog.zero()
     if m == n:
-        return [ZSummand.full(n)], gram_logvol(s, ZSummand.full(n))
+        return [ZSummand.full(n)], ExactLog.half_log(s.det)
     lam1 = shortest_norm2(s) if m > 1 else None
     vols = {sat: gram_vol2(s, sat) for sat in _candidates(s, _rank_bound(s, m), m, lam1)}
     best = min(vols.values())
@@ -381,7 +387,7 @@ class ZOracle:
     def min_logvol_above(self, w, m):
         """Min log-volume over rank-m summands containing w."""
         if m == self.top_rank:
-            return self.logvol(self.one())
+            return ExactLog.half_log(self.s.det)
         return self.logvol(w) + _rank_minima(_quotient_form(self.s, w), m - w.rank)[1]
 
 

@@ -7,9 +7,13 @@ of the ring objects from `rings` for its units, norm and gcd.  Saturation,
 basis completion and summand joins run on one rank-revealing column
 reduction M = [T | 0] V with V unimodular (`_column_echelon`); the Smith
 form is left to the callers that read its invariant factors,
-`sarith.factorize` and `selfcheck`.  The fraction-field routines
-(determinant, rank, inverse) work on Fraction / FqRationalFunction entries
-directly and share one forward elimination.
+`sarith.factorize` and `selfcheck`, and its elimination also yields the
+units det U and det V, so `factorize` needs no determinant.  The Hermite
+form and the column reduction skip zero entries in their row and column
+operations, and the Hermite form touches only the columns from its
+current pivot on.  The fraction-field routines (determinant, rank,
+inverse) work on Fraction / FqRationalFunction entries directly and share
+one forward elimination.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .errors import (DimensionError, DomainError, ProjectivityError,
-                     RankDeficiencyError, SingularityError)
+from .errors import (DimensionError, ProjectivityError, RankDeficiencyError,
+                     SingularityError)
+from .fq import poly
 
 
 def freeze(rows):
@@ -143,53 +148,58 @@ def hnf(ring, rows, ncols=None):
     Pivots are the leading entries of their rows, normalized (positive /
     monic), with strictly increasing pivot columns and entries above each
     pivot reduced modulo it.  Zero rows are dropped, so the result is the
-    canonical basis of the row module.
+    canonical basis of the row module.  Rows at or below the pivot row are
+    zero left of the current column, so every row operation runs on the
+    suffix from that column on and skips the zero entries it would subtract.
     """
     work = [list(r) for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     nrows = len(work)
+    norm = ring.norm_key
     pivot_row = 0
     for col in range(ncols):
-        while True:
-            nz = [i for i in range(pivot_row, nrows) if work[i][col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: ring.norm_key(work[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = work[i][col] // work[base][col]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[base])]
-                else:
-                    work[i], work[base] = work[base], work[i]
-                    base = i
+        if pivot_row == nrows:
+            break
         nz = [i for i in range(pivot_row, nrows) if work[i][col]]
         if not nz:
             continue
-        i0 = nz[0]
-        work[pivot_row], work[i0] = work[i0], work[pivot_row]
-        unit, normalized = ring.unit_normalize(work[pivot_row][col])
-        if normalized != work[pivot_row][col]:
+        # Euclid: reduce the column's other entries by its least one; each
+        # remainder is smaller than that pivot, so the least norm falls
+        while len(nz) > 1:
+            base = min(nz, key=lambda i: norm(work[i][col]))
+            b = work[base][col:]
+            left = [base]
+            for i in nz:
+                if i != base:
+                    r = work[i]
+                    q = r[col] // b[0]
+                    r[col:] = [x - q * y if y else x for x, y in zip(r[col:], b)]
+                    if r[col]:
+                        left.append(i)
+            nz = left
+        row = work[nz[0]]
+        work[nz[0]], work[pivot_row] = work[pivot_row], row
+        unit, normalized = ring.unit_normalize(row[col])
+        if normalized != row[col]:
             inv = _unit_inverse(unit)
-            work[pivot_row] = [inv * x for x in work[pivot_row]]
-        piv = work[pivot_row][col]
+            row[col:] = [inv * x if x else x for x in row[col:]]
+        b = row[col:]
         for i in range(pivot_row):
-            q = work[i][col] // piv
+            r = work[i]
+            q = r[col] // b[0]
             if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+                r[col:] = [x - q * y if y else x for x, y in zip(r[col:], b)]
         pivot_row += 1
     return freeze(work[:pivot_row])
 
 
 def _unit_inverse(u):
-    # units of Z are +-1; units of F_q[t] are the nonzero constants
-    from .fq import FqPolynomial, poly
+    # units of Z are +-1, their own inverses; units of F_q[t] are the
+    # nonzero constants
     if isinstance(u, int):
         return u
-    if isinstance(u, FqPolynomial):
-        return poly(u.field, [u.field.inv(u.leading())])
-    raise DomainError(f"cannot invert unit {u!r}")  # pragma: no cover
+    return poly(u.field, [u.field.inv(u.leading())])
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +214,22 @@ class _SNFState:
         self.U = [list(r) for r in identity_rows(m, one, zero)]
         self.V = [list(r) for r in identity_rows(n, one, zero)]
         self.m, self.n = m, n
+        self.det_u = self.det_v = one  # swaps negate them, scale_row divides det U
 
     # maintain U*D*V = M
     def swap_rows(self, i, j):
-        self.D[i], self.D[j] = self.D[j], self.D[i]
-        for row in self.U:
-            row[i], row[j] = row[j], row[i]
+        if i != j:
+            self.D[i], self.D[j] = self.D[j], self.D[i]
+            for row in self.U:
+                row[i], row[j] = row[j], row[i]
+            self.det_u = -self.det_u
 
     def swap_cols(self, i, j):
-        for row in self.D:
-            row[i], row[j] = row[j], row[i]
-        self.V[i], self.V[j] = self.V[j], self.V[i]
+        if i != j:
+            for row in self.D:
+                row[i], row[j] = row[j], row[i]
+            self.V[i], self.V[j] = self.V[j], self.V[i]
+            self.det_v = -self.det_v
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j on D."""
@@ -234,6 +249,7 @@ class _SNFState:
         self.D[i] = [unit * x for x in self.D[i]]
         for row in self.U:
             row[i] = row[i] * inv
+        self.det_u = self.det_u * inv
 
 
 def snf(ring, M):
@@ -242,6 +258,11 @@ def snf(ring, M):
     U and V are unimodular over the ring; D is diagonal with each diagonal
     entry normalized and dividing the next.
     """
+    return _smith(ring, M)[:3]
+
+
+def _smith(ring, M):
+    """`snf`'s (U, D, V), then the units det U and det V its steps multiplied."""
     st = _SNFState(ring, M)
     m, n = st.m, st.n
     k = 0
@@ -292,7 +313,7 @@ def snf(ring, M):
             unit, norm = ring.unit_normalize(st.D[i][i])
             if norm != st.D[i][i]:
                 st.scale_row(i, _unit_inverse(unit))
-    return freeze(st.U), freeze(st.D), freeze(st.V)
+    return freeze(st.U), freeze(st.D), freeze(st.V), st.det_u, st.det_v
 
 
 def _column_echelon(ring, M):
@@ -302,8 +323,9 @@ def _column_echelon(ring, M):
     the gcd steps of the Smith form's column pass clear the row right of
     its pivot column, so each row holds a pivot in the next column or is
     zero from it on: with independent rows, T is square lower triangular.
-    V tracks the column operations as `_SNFState.col_sub` does; there are
-    no row operations and no divisibility pass.
+    V tracks the column operations as `_SNFState.col_sub` does, skipping
+    the zero entries they would add; there are no row operations and no
+    divisibility pass.
     """
     m, n = shape(M)
     D = [list(r) for r in M]
@@ -328,8 +350,9 @@ def _column_echelon(ring, M):
                 if row[j]:
                     q = row[j] // piv
                     for r in below:
-                        r[j] = r[j] - q * r[k]
-                    V[k] = [a + q * b for a, b in zip(V[k], V[j])]
+                        if r[k]:
+                            r[j] = r[j] - q * r[k]
+                    V[k] = [a + q * b if b else a for a, b in zip(V[k], V[j])]
     return k, freeze(r[:k] for r in D), freeze(V)
 
 

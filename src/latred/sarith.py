@@ -32,9 +32,11 @@ substitution on those triangular rows.  Every invertible matrix over Q
 splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor, U
 diag(T-parts) and diag(T-free parts) V, from the Smith form U D V of its
 cleared matrix (`matrices.clear_denominators`), whose diagonal also
-decides singularity; this is the one Smith form of the layer.  The split
-holds by construction and is checked by the test suite, not on every
-call.
+decides singularity; this is the one Smith form of the layer.  SL mode
+takes det A and the determinant of the first factor from that diagonal
+and the units det U and det V of the same elimination, so the layer
+computes no determinant beyond B's singularity check.  The split holds by
+construction and is checked by the test suite, not on every call.
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
 context uses.
@@ -42,6 +44,7 @@ context uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -400,33 +403,39 @@ def factorize(A, ctx, mode="GL"):
     GL_n(Z_T); in SL mode both determinants are exactly 1.  Clears
     denominators, takes the Smith form, and splits each invariant factor,
     and the cleared denominator once, into a T-part and a T-free part over
-    the base ring.  A is singular exactly when an invariant factor is 0;
-    only SL mode computes det A, for its det = 1 check.
+    the base ring.  A is singular exactly when an invariant factor is 0.
+    SL mode reads det A and det Bm off the same elimination: det U and det
+    V are the units its swaps and scalings multiplied, so no determinant is
+    computed.
     """
     ring = ctx.base_ring()
     A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionError("factorization needs a square matrix")
-    zero, one = ring.field_zero(), ring.field_one()
+    one = ring.field_one()
     denf, mA = matrices.clear_denominators(ring, A)
-    U, D, V = matrices.snf(ring, mA)
-    if not all(D[i][i] for i in range(n)):
+    den = _num_den(denf)[0]
+    U, D, V, det_u, det_v = matrices._smith(ring, mA)
+    diag = [D[i][i] for i in range(n)]
+    if not all(diag):
         raise SingularityError("factorization needs an invertible matrix")
     if mode not in ("GL", "SL"):
         raise DomainError(f"unknown factorization mode {mode!r}")
-    if mode == "SL" and matrices.det_field(A, zero, one) != one:
+    # den^n det A = det(U D V) = det U prod(D_ii) det V
+    if mode == "SL" and math.prod(diag, start=det_u * det_v) != den ** n:
         raise DeterminantError("SL-mode factorization needs determinant 1")
-    # D_ii / denf splits into its T-part u_i, a unit of Z[T^-1], and its
+    # D_ii / den splits into its T-part u_i, a unit of Z[T^-1], and its
     # T-free part v_i, a unit of Z_T; B = U diag(u) and C = diag(v) V
-    den_t, den_free = (ring.to_field(x) for x in ctx.t_split(_num_den(denf)[0]))
-    parts = [ctx.t_split(D[i][i]) for i in range(n)]
+    den_t, den_free = (ring.to_field(x) for x in ctx.t_split(den))
+    parts = [ctx.t_split(d) for d in diag]
     u = [ring.to_field(d_t) / den_t for d_t, _ in parts]
     v = [ring.to_field(d_free) / den_free for _, d_free in parts]
     Bm = matrices.freeze([[ring.to_field(x) * u_i for x, u_i in zip(row, u)] for row in U])
     Cm = matrices.freeze([[v_i * ring.to_field(x) for x in row] for row, v_i in zip(V, v)])
-    if mode == "SL" and (dB := matrices.det_field(Bm, zero, one)) != one:
-        # det(B) is a unit of both rings, i.e. a unit of Z; push it into C
+    if mode == "SL" and (dB := math.prod(u, start=ring.to_field(det_u))) != one:
+        # det(B) = det U prod(u_i) is a unit of both rings, i.e. a unit of Z;
+        # push it into C
         fix = one / dB
         Bm = matrices.freeze([[x * fix if j == 0 else x
                                for j, x in enumerate(row)] for row in Bm])

@@ -146,6 +146,75 @@ def kernel(ring, M):
                               matrices.identity_rows(n, ring.one(), ring.zero()))
 
 
+def reference_hnf(ring, rows, ncols=None):
+    """Reference Hermite form: full-row operations, a re-sorted Euclid pass."""
+    work = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    nrows = len(work)
+    pivot_row = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(pivot_row, nrows) if work[i][col]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: ring.norm_key(work[i][col]))
+            base = nz[0]
+            for i in nz[1:]:
+                q = work[i][col] // work[base][col]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[base])]
+                else:
+                    work[i], work[base] = work[base], work[i]
+                    base = i
+        nz = [i for i in range(pivot_row, nrows) if work[i][col]]
+        if not nz:
+            continue
+        i0 = nz[0]
+        work[pivot_row], work[i0] = work[i0], work[pivot_row]
+        unit, normalized = ring.unit_normalize(work[pivot_row][col])
+        if normalized != work[pivot_row][col]:
+            inv = matrices._unit_inverse(unit)
+            work[pivot_row] = [inv * x for x in work[pivot_row]]
+        piv = work[pivot_row][col]
+        for i in range(pivot_row):
+            q = work[i][col] // piv
+            if q:
+                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+        pivot_row += 1
+    return matrices.freeze(work[:pivot_row])
+
+
+def reference_column_echelon(ring, M):
+    """Reference (rank, T, V) of `matrices._column_echelon`, updating zero entries too."""
+    m, n = matrices.shape(M)
+    D = [list(r) for r in M]
+    V = [list(r) for r in matrices.identity_rows(n, ring.one(), ring.zero())]
+    k = 0
+    for i in range(m):
+        row, below = D[i], D[i:]
+        while True:
+            nz = [j for j in range(k, n) if row[j]]
+            if not nz:
+                break
+            p = min(nz, key=lambda j: ring.norm_key(row[j]))
+            if p != k:
+                for r in below:
+                    r[k], r[p] = r[p], r[k]
+                V[k], V[p] = V[p], V[k]
+            if len(nz) == 1:
+                k += 1
+                break
+            piv = row[k]
+            for j in range(k + 1, n):
+                if row[j]:
+                    q = row[j] // piv
+                    for r in below:
+                        r[j] = r[j] - q * r[k]
+                    V[k] = [a + q * b for a, b in zip(V[k], V[j])]
+    return k, matrices.freeze(r[:k] for r in D), matrices.freeze(V)
+
+
 def smith_saturate(ring, rows, ncols=None):
     """Reference saturation from a Smith form U D V: the HNF of V's first m rows."""
     rows = matrices.freeze(rows)

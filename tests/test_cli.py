@@ -374,6 +374,12 @@ class TestContract:
         res = run_cli(["factorize"], doc)
         assert res.exit_code == 3
 
+    def test_sl_mode_empty_matrix(self):
+        for doc in ({"ring": "z", "T": [2]}, {"ring": "ff", "q": 3, "T": [[0, 1]]}):
+            res = run_cli(["factorize"], dict(doc, A=[], mode="SL"))
+            assert res.exit_code == 0
+            assert json.loads(res.output) == {"B": [], "C": []}
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -23,8 +23,8 @@ from latred.latff import (FFOracle, FFSummand, VolumeSpace,
 from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import (kernel, minors, random_poly, random_ratfunc, smith_completion_rows,
-                      smith_saturate)
+from conftest import (kernel, minors, random_poly, random_ratfunc, reference_column_echelon,
+                      reference_hnf, smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -420,6 +420,70 @@ class TestColumnEchelon:
                 assert matrices.rank_over_field(ring, rows) < len(rows)
                 expected = smith_saturate(ring, matrices.hnf(ring, rows), n)
                 assert x.join(y).basis == expected
+
+
+def _hermite_inputs(q, tag):
+    """The ring, and seeded matrices over it: wide, tall and square, some
+    with a zero row, a zero column or an inserted combination of two rows."""
+    rng = random.Random(f"lean-kernels/{tag}/{q}")
+    ring, draw = _ring_and_draw(q, rng)
+    zero = ring.zero()
+    cases = [()]
+    for m, n in [(1, 1), (1, 4), (2, 5), (3, 3), (4, 4), (3, 6), (5, 2), (6, 3)] * 8:
+        rows = [[draw() for _ in range(n)] for _ in range(m)]
+        pick = rng.random()
+        if pick < 0.25:
+            rows[rng.randrange(m)] = [zero] * n
+        elif pick < 0.5:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = zero
+        elif pick < 0.75 and m > 1:
+            a, b = rng.sample(range(m), 2)
+            c = draw()
+            rows.insert(rng.randrange(m + 1), [x + c * y for x, y in zip(rows[a], rows[b])])
+        cases.append(matrices.freeze(rows))
+    return ring, cases
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 4], ids=["Z", "F2", "F3", "F4"])
+class TestLeanKernels:
+    """The Hermite form and the column reduction against their earlier,
+    full-row bodies, kept as references."""
+
+    def test_hnf_matches_reference(self, q):
+        ring, cases = _hermite_inputs(q, "hnf")
+        for rows in cases:
+            assert matrices.hnf(ring, rows) == reference_hnf(ring, rows)
+
+    def test_column_echelon_matches_reference(self, q):
+        ring, cases = _hermite_inputs(q, "column-echelon")
+        ranks = set()
+        for rows in cases:
+            got = matrices._column_echelon(ring, rows)
+            assert got == reference_column_echelon(ring, rows)
+            ranks.add(got[0] < len(rows))
+        assert ranks == {False, True}
+
+    def test_only_units_reach_unit_inverse(self, q, monkeypatch):
+        # hnf normalizes each pivot, and snf each invariant factor, by the
+        # inverse of a unit of the ring; that inverse takes nothing else
+        ring, cases = _hermite_inputs(q, "unit-inverse")
+        inverse, seen = matrices._unit_inverse, []
+
+        def recording_inverse(u):
+            seen.append(u)
+            return inverse(u)
+        monkeypatch.setattr(matrices, "_unit_inverse", recording_inverse)
+        for rows in cases:
+            for h in matrices.hnf(ring, rows):
+                lead = next(x for x in h if x)
+                assert ring.unit_normalize(lead)[1] == lead
+            matrices.snf(ring, rows)
+        assert bool(seen) == (q != 2)  # over F_2 every nonzero polynomial is monic
+        for u in seen:
+            assert type(u) is type(ring.one()) and ring.is_unit(u)
+            assert u * inverse(u) == ring.one()
 
 
 class TestHermite:

@@ -28,6 +28,21 @@ class TestVolumes:
         assert gram_vol2(I2, ZSummand.full(2).basis) == 1
         assert gram_vol2(I2, ()) == 1  # the zero summand
 
+    def test_stored_gram_determinant(self, rng):
+        # the LDL^T check keeps det(gram); the top-rank minimum reads it
+        for n in (1, 2, 3, 4):
+            for _ in range(4):
+                s = random_spd(rng, n)
+                assert s.det == gram_vol2(s, ZSummand.full(n).basis)
+                lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                assert s.scaled(lam).det == lam ** n * s.det
+                assert s.pulled_back(random_unimodular_z(rng, n)).det == s.det
+        s = InnerProduct.diagonal([1, 4])
+        assert s.det == 4
+        assert ZOracle(s).min_logvol_above(ZSummand.from_rows(2, [[1, 0]]), 2) == \
+            ExactLog.half_log(4)
+        assert instability_z(s, ZSummand.from_rows(2, [[1, 0]])) == ExactLog.half_log(4)
+
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
             gram_vol2(InnerProduct.identity(2), [[1, 1], [2, 2]])

@@ -906,6 +906,47 @@ class TestFactorize:
                 if mode == "SL":
                     assert dB == dC == one
 
+    @pytest.mark.parametrize("name", sorted(PIN_CTXS))
+    def test_sl_mode_against_reference_determinant(self, name):
+        # SL mode reads det A and det B off the Smith elimination; det_field
+        # on A and on both factors is the reference
+        ctx = PIN_CTXS[name]
+        ring = ctx.base_ring()
+        zero, one = ring.field_zero(), ring.field_one()
+        rng = random.Random(f"factorize-sl/{name}")
+        two = one + one
+        cases = [((-one, zero), (zero, one)), ((zero, one), (one, zero))]
+        if two:  # det 2: over Z, and the constant 2 over F_3
+            cases.append(((two, zero), (zero, one)))
+        if ctx.kind == "FF":
+            cases.append(((ring.to_field(poly_t(ctx.q)), zero), (zero, one)))
+        for n in (1, 2, 3):
+            for _ in range(6):
+                A = _random_gl_over(rng, ctx, n)
+                d = matrices.det_field(A, zero, one)
+                cases.append(A)
+                for unit in (one, -one):  # row 0 divided by the determinant, up to sign
+                    cases.append(matrices.freeze(
+                        [[unit * x / d for x in row] if i == 0 else row
+                         for i, row in enumerate(A)]))
+                if n > 1:
+                    cases.append(_random_sl_over(rng, ctx, n))
+        outcomes = set()
+        for A in cases:
+            A = matrices.freeze(A)
+            if matrices.det_field(A, zero, one) != one:
+                outcomes.add("refused")
+                with pytest.raises(DeterminantError):
+                    factorize(A, ctx, "SL")
+                continue
+            outcomes.add("split")
+            Bm, Cm = factorize(A, ctx, "SL")
+            assert matrices.matmul(Bm, Cm, zero) == A
+            assert matrices.det_field(Bm, zero, one) == one
+            assert matrices.det_field(Cm, zero, one) == one
+        assert outcomes == {"refused", "split"}
+        assert factorize([], ctx, "SL") == ((), ())
+
     def test_conjugated(self, rng):
         for _ in range(5):
             n = 2
