@@ -24,16 +24,18 @@ Oracle protocol (duck-typed)::
     rank(h) -> int
     logvol(h) -> Fraction | ExactLog
     leq(a, b) -> bool          poset order
-    rank_minima(m)             -> (handles, value): every rank-m handle of
-                                  least logvol, in the oracle's enumeration
-                                  order, and that least logvol
+    rank_minima(m)             -> (handles, value): least-logvol rank-m
+                                  handles; every one when m is a hull
+                                  vertex; and that least logvol
     min_logvol_below(w, m)     min logvol over rank-m elements <= w
     min_logvol_above(w, m)     min logvol over rank-m elements >= w
 
-The oracle owns the search for minima.  `ZOracle` and `FFOracle` answer
-with one complete enumeration at a bound certified by a reduced basis
-(exact LLL over Z, the diagonal basis over F_q[t]), so the engine runs no
-volume-window loop.
+The oracle owns the search for minima, so the engine runs no volume-window
+loop.  `ZOracle` answers with one complete enumeration at a bound certified
+by an exact LLL basis; `FFOracle` reads its minima off the diagonal basis
+rather than from an enumeration (the rank-m minimum is r_1 + ... + r_m).
+The top point comes from `min_logvol_above(zero, top_rank)`, which both
+oracles answer from a stored value.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def canonical_filtration(oracle):
     n = oracle.top_rank
     zero, one = oracle.zero(), oracle.one()
     minima_reps = {0: ([zero], oracle.logvol(zero)),
-                   n: ([one], oracle.logvol(one))}
+                   n: ([one], oracle.min_logvol_above(zero, n))}
     for m in range(1, n):
         minima_reps[m] = oracle.rank_minima(m)
     points = [GradedPoint(minima_reps[m][0][0], m, minima_reps[m][1])

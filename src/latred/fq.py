@@ -84,7 +84,8 @@ class GF:
         modulus = next(f for f in monic_irreducibles(Fp, e) if f.degree == e)
         self._modulus = modulus.coeffs
         one = poly_one(Fp)
-        # the first g >= 2 of multiplicative order q - 1 generates F_q^*
+        # the first g >= 2 of multiplicative order q - 1 generates F_q^*,
+        # and one exists because F_q^* is cyclic
         for g in range(2, q):
             x = poly(Fp, [g // p ** i % p for i in range(e)])
             powers, acc = [one], x
@@ -93,8 +94,6 @@ class GF:
                 acc = acc * x % modulus
             if len(powers) == q - 1:
                 break
-        else:  # pragma: no cover
-            raise DomainError("no generator found")
         self._exp = [sum(c * p ** i for i, c in enumerate(f.coeffs)) for f in powers]
         self._log = [0] * q
         for i, y in enumerate(self._exp):

@@ -28,19 +28,14 @@ bisection between the two.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import filtration, gflinalg, matrices
-from .errors import DimensionError, DomainError, ScaleError, SingularityError
+from .errors import DimensionError, DomainError, SingularityError
 from .fq import FqRationalFunction, gf, poly, poly_one, t_power
 from .rings import poly_ring
-
-ENUM_SPACE_LIMIT = 1 << 13
-ENUM_LINE_LIMIT = 700
 
 
 def _as_ratfunc_rows(rows):
@@ -462,33 +457,26 @@ def diagonal_basis(vs):
 
 def ff_invariants_and_filtration(vs):
     """The orbit r-vector and the canonical filtration report."""
-    diag = diagonal_basis(vs)
-    r = diag.r
-    n = vs.n
-    partial = [0]
-    for x in r:
-        partial.append(partial[-1] + x)
-    minima = [filtration.GradedPoint(diag.chain_summand(m), m, Fraction(partial[m]))
-              for m in range(n + 1)]
-    report = filtration.canonical_plot(minima, n)
-    chain = []
-    c_values = {}
-    for pt in report.path:
-        chain.append(pt.id)
-        m = pt.rank
-        if 0 < m < n:
-            c_values[pt.id] = Fraction(r[m] - r[m - 1])
-    return r, filtration.FiltrationReport(minima=report.minima, path=report.path,
-                                          chain=tuple(chain), c_values=c_values)
+    oracle = FFOracle(vs)
+    return oracle.diag.r, filtration.canonical_filtration(oracle)
 
 
 class FFOracle:
-    """Lattice oracle for (summands of F_q[t]^n, rank, logvol(S))."""
+    """Lattice oracle for (summands of F_q[t]^n, rank, logvol(S)).
+
+    Per-rank minima come from one diagonal basis, `diag`: the rank-m
+    minimum is r_1 + ... + r_m, attained by the span of the first m diagonal
+    vectors, which is the only minimizer where r jumps.
+    """
 
     def __init__(self, vs):
         self.vs = vs
         self.top_rank = vs.n
         self._rho_cache = {}
+
+    @cached_property
+    def diag(self):
+        return diagonal_basis(self.vs)
 
     def zero(self):
         return FFSummand.zero(self.vs.q, self.vs.n)
@@ -513,16 +501,8 @@ class FFOracle:
         return self._rho_cache[key]
 
     def rank_minima(self, m):
-        """Rank-m minimizers from one enumeration at the diagonal-basis bound.
-
-        The r-vector only bounds the search; the minimum and its witnesses
-        come from `enumerate_ff_summands`.
-        """
-        r = self._r_vector("sigma", self.zero())
-        cands = enumerate_ff_summands(self.vs, m, sum(r[:m]), r1=r[0])
-        vals = [self.logvol(h) for h in cands]
-        best = min(vals)
-        return [h for h, v in zip(cands, vals) if v == best], best
+        """The span of the m shortest diagonal vectors and its log-volume."""
+        return [self.diag.chain_summand(m)], Fraction(sum(self.diag.r[:m]))
 
     def min_logvol_below(self, w, m):
         if m == 0:
@@ -560,56 +540,3 @@ def instability_ff(vs, w):
     come from constrained per-rank minima.
     """
     return filtration.c_value(FFOracle(vs), w)
-
-
-def enumerate_ff_summands(vs, m, bound, r1=None):
-    """All rank-m summands with logvol <= bound (complete, test scale).
-
-    Every low-volume summand is spanned by its own diagonal vectors, whose
-    log-volumes are at least the global minimum r_1; so a pool of vectors
-    below `bound - (m-1) * min(r_1, ...)` generates all candidates.
-    """
-    n = vs.n
-    bound = math.floor(bound)
-    if m == 0:
-        return [FFSummand.zero(vs.q, n)]
-    ring = poly_ring(vs.q)
-    if m == n:
-        return [FFSummand.full(vs.q, n)] if vs.logvol <= bound else []
-    if r1 is None:
-        r1 = shortest_vector(vs)[1]
-    if m * r1 > bound:  # every rank-m volume is at least m * r1
-        return []
-    pool_bound = bound - (m - 1) * min(r1, 0) if m > 1 else bound
-    space = _logvol_solution_space(vs, pool_bound)
-    vectors = _projective_points(vs.q, space, ring)
-    if len(vectors) > ENUM_LINE_LIMIT:
-        raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")
-    spans = matrices.assemble_summands(ring, n, vectors, m)
-    out = [FFSummand(vs.q, n, sat) for sat in spans if ff_logvol(vs, sat) <= bound]
-    out.sort(key=lambda w: tuple(tuple(str(x) for x in row) for row in w.basis))
-    return out
-
-
-def _projective_points(q, basis, ring):
-    """Nonzero F_q-combinations of the basis, one per scalar class."""
-    if not basis:
-        return []
-    F = gf(q)
-    k = len(basis)
-    if q ** k > ENUM_SPACE_LIMIT:
-        raise ScaleError(f"short-vector space of {q ** k} vectors exceeds the limit "
-                         f"{ENUM_SPACE_LIMIT}")
-    n = len(basis[0])
-    seen = []
-    for coeffs in itertools.product(range(q), repeat=k):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:  # one representative per projective class
-            continue
-        vec = [ring.zero()] * n
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(n):
-                    vec[j] = vec[j] + row[j] * poly(F, [c])
-        seen.append(tuple(vec))
-    return seen

@@ -1,15 +1,17 @@
 """Shared random generators and reference helpers for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from latred.errors import (DimensionError, LatredError, ProjectivityError,
-                           RankDeficiencyError)
-from latred.fq import FqRationalFunction, poly
-from latred.latff import FFSummand, VolumeSpace
+                           RankDeficiencyError, ScaleError)
+from latred.fq import FqRationalFunction, gf, poly
+from latred.latff import (FFOracle, FFSummand, VolumeSpace, _logvol_solution_space,
+                          ff_logvol, shortest_vector)
 from latred.latz import InnerProduct, ZSummand
 from latred import matrices
 from latred.rings import ZZ, poly_ring
@@ -317,3 +319,77 @@ def span_meet(ring, W, P, R):
     _, Kz = matrices.clear_denominators(ring, K)
     PK = matrices.matmul(P, matrices.transpose(Kz), ring.zero())
     return matrices.split_hnf(ring, PK, R)
+
+
+# -- brute-force F_q[t] summand enumeration --------------------------------
+
+ENUM_SPACE_LIMIT = 1 << 13
+ENUM_LINE_LIMIT = 700
+
+
+def enumerate_ff_summands(vs, m, bound, r1=None):
+    """All rank-m summands with logvol <= bound (complete, test scale).
+
+    Every low-volume summand is spanned by its own diagonal vectors, whose
+    log-volumes are at least the global minimum r_1; so a pool of vectors
+    below `bound - (m-1) * min(r_1, ...)` generates all candidates.
+    """
+    n = vs.n
+    bound = math.floor(bound)
+    if m == 0:
+        return [FFSummand.zero(vs.q, n)]
+    ring = poly_ring(vs.q)
+    if m == n:
+        return [FFSummand.full(vs.q, n)] if vs.logvol <= bound else []
+    if r1 is None:
+        r1 = shortest_vector(vs)[1]
+    if m * r1 > bound:  # every rank-m volume is at least m * r1
+        return []
+    pool_bound = bound - (m - 1) * min(r1, 0) if m > 1 else bound
+    space = _logvol_solution_space(vs, pool_bound)
+    vectors = _projective_points(vs.q, space, ring)
+    if len(vectors) > ENUM_LINE_LIMIT:
+        raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")
+    spans = matrices.assemble_summands(ring, n, vectors, m)
+    out = [FFSummand(vs.q, n, sat) for sat in spans if ff_logvol(vs, sat) <= bound]
+    out.sort(key=lambda w: tuple(tuple(str(x) for x in row) for row in w.basis))
+    return out
+
+
+def _projective_points(q, basis, ring):
+    """Nonzero F_q-combinations of the basis, one per scalar class."""
+    if not basis:
+        return []
+    F = gf(q)
+    k = len(basis)
+    if q ** k > ENUM_SPACE_LIMIT:
+        raise ScaleError(f"short-vector space of {q ** k} vectors exceeds the limit "
+                         f"{ENUM_SPACE_LIMIT}")
+    n = len(basis[0])
+    seen = []
+    for coeffs in itertools.product(range(q), repeat=k):
+        first = next((c for c in coeffs if c), None)
+        if first != 1:  # one representative per projective class
+            continue
+        vec = [ring.zero()] * n
+        for c, row in zip(coeffs, basis):
+            if c:
+                for j in range(n):
+                    vec[j] = vec[j] + row[j] * poly(F, [c])
+        seen.append(tuple(vec))
+    return seen
+
+
+class BruteFFOracle(FFOracle):
+    """FFOracle whose rank minima come from one complete enumeration.
+
+    The diagonal basis only bounds the search; the minimum and every one of
+    its witnesses come from `enumerate_ff_summands`.
+    """
+
+    def rank_minima(self, m):
+        r = self.diag.r
+        cands = enumerate_ff_summands(self.vs, m, sum(r[:m]), r1=r[0])
+        vals = [self.logvol(h) for h in cands]
+        best = min(vals)
+        return [h for h, v in zip(cands, vals) if v == best], best

@@ -153,6 +153,22 @@ class TestVerbExamples:
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
 
+    def test_ff_agreement_check_can_fail(self, monkeypatch):
+        # a c-value one off the hull's fails the check
+        import random
+
+        from latred import cli, latff
+        exact = latff.instability_ff
+        calls = []
+
+        def off_by_one(vs, w):
+            calls.append(w)
+            return exact(vs, w) + 1
+
+        monkeypatch.setattr(latff, "instability_ff", off_by_one)
+        assert cli._check_ff_agreement(random.Random(1), 6)["ok"] is False
+        assert calls
+
 
 GRAM3 = {"n": 3, "gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 LOC_Z = {"ring": "z", "T": [2], "B": {"n": 2, "basis": [["1", "0"], ["0", "1"]]},

@@ -18,13 +18,13 @@ from latred.errors import (DimensionError, InvalidPlaceError, ProjectivityError,
                            ZeroArgumentError)
 from latred.filtration import canonical_filtration
 from latred.fq import poly, poly_t, ratfunc
-from latred.latff import (FFOracle, FFSummand, VolumeSpace,
-                          ff_invariants_and_filtration)
+from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import (kernel, minors, random_poly, random_ratfunc, reference_column_echelon,
-                      reference_hnf, smith_completion_rows, smith_saturate)
+from conftest import (BruteFFOracle, kernel, minors, random_poly, random_ratfunc,
+                      reference_column_echelon, reference_hnf, smith_completion_rows,
+                      smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -667,13 +667,13 @@ class TestAssembleSummands:
         assert matrices.primitive(poly_ring(3), v) == (poly(3, [1]), poly(3, [2, 2]))
 
     def test_ff_oracle_matches_diagonal_filtration_at_rank_3(self):
-        # r = (0, 1, 2): a full flag, so the oracle assembles rank-1 and rank-2 spans
+        # r = (0, 1, 2): a full flag, so the brute oracle assembles rank-1 and rank-2 spans
         inv = ratfunc(2, [1], [1, 1])  # 1/(t+1)
         vs = VolumeSpace(2, 3, [[ratfunc(2, [1, 1]), ratfunc(2, [1, 1], [0, 1]), inv],
                                 [inv, ratfunc(2, []), ratfunc(2, [1])],
                                 [ratfunc(2, []), inv, ratfunc(2, [0, 1])]])
         r, report = ff_invariants_and_filtration(vs)
         assert r == (0, 1, 2)
-        oracle = canonical_filtration(FFOracle(vs))
+        oracle = canonical_filtration(BruteFFOracle(vs))
         assert [w.basis for w in oracle.chain] == [w.basis for w in report.chain]
         assert oracle.c_values == report.c_values

@@ -169,6 +169,9 @@ class TestCanonicalFiltration:
             def rank_minima(self, m):
                 return ["a", "b"], Fraction(-1)
 
+            def min_logvol_above(self, w, m):
+                return {1: Fraction(-1), 2: Fraction(0)}[m]
+
         with pytest.raises(ViolatedUniquenessError):
             canonical_filtration(BrokenOracle())
 

@@ -191,6 +191,7 @@ class TestFieldTables:
     @pytest.mark.parametrize("q", EXTENSION_FIELDS)
     def test_mul_is_the_product_modulo_the_modulus(self, q):
         F = gf(q)
+        assert sorted(F._exp) == list(range(1, q))  # the powers of a generator of F_q^*
         p, e = F.p, F.e
         modulus = poly(p, F._modulus)
 
