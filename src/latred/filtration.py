@@ -31,9 +31,10 @@ Oracle protocol (duck-typed)::
     min_logvol_above(w, m)     min logvol over rank-m elements >= w
 
 The oracle owns the search for minima, so the engine runs no volume-window
-loop.  `ZOracle` answers with one complete enumeration at a bound certified
-by an exact LLL basis; `FFOracle` reads its minima off the diagonal basis
-rather than from an enumeration (the rank-m minimum is r_1 + ... + r_m).
+loop.  `ZOracle` answers with one complete rank-by-rank search at a
+bound certified by an exact LLL basis; `FFOracle` reads its minima off the
+diagonal basis rather than from an enumeration (the rank-m minimum is
+r_1 + ... + r_m).
 The top point comes from `min_logvol_above(zero, top_rank)`, which both
 oracles answer from a stored value.
 """

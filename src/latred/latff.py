@@ -466,13 +466,20 @@ class FFOracle:
 
     Per-rank minima come from one diagonal basis, `diag`: the rank-m
     minimum is r_1 + ... + r_m, attained by the span of the first m diagonal
-    vectors, which is the only minimizer where r jumps.
+    vectors, which is the only minimizer where r jumps.  A summand's
+    log-volume and its restricted and quotient r-vectors are kept.
     """
 
     def __init__(self, vs):
         self.vs = vs
         self.top_rank = vs.n
-        self._rho_cache = {}
+        self._cache = {}
+
+    def _once(self, fn, w):
+        key = (fn, w.basis)
+        if key not in self._cache:
+            self._cache[key] = fn(self.vs, w)
+        return self._cache[key]
 
     @cached_property
     def diag(self):
@@ -488,17 +495,10 @@ class FFOracle:
         return w.rank
 
     def logvol(self, w):
-        return Fraction(ff_logvol(self.vs, w))
+        return Fraction(self._once(ff_logvol, w))
 
     def leq(self, a, b):
         return b.contains(a)
-
-    def _r_vector(self, kind, w):
-        key = (kind, w.basis)
-        if key not in self._rho_cache:
-            rv = restricted_r_vector if kind == "rho" else quotient_r_vector
-            self._rho_cache[key] = rv(self.vs, w)
-        return self._rho_cache[key]
 
     def rank_minima(self, m):
         """The span of the m shortest diagonal vectors and its log-volume."""
@@ -507,12 +507,12 @@ class FFOracle:
     def min_logvol_below(self, w, m):
         if m == 0:
             return Fraction(0)
-        return Fraction(sum(self._r_vector("rho", w)[:m]))
+        return Fraction(sum(self._once(restricted_r_vector, w)[:m]))
 
     def min_logvol_above(self, w, m):
         if m == self.top_rank:
             return Fraction(self.vs.logvol)
-        return self.logvol(w) + Fraction(sum(self._r_vector("sigma", w)[:m - w.rank]))
+        return self.logvol(w) + Fraction(sum(self._once(quotient_r_vector, w)[:m - w.rank]))
 
 
 def restricted_r_vector(vs, w):

@@ -6,12 +6,13 @@ rational, and log-volumes are `ExactLog` half-logs of those rationals.
 Floating point appears only in the Riemannian distance between inner
 products, and numpy is imported only when that distance is computed.
 
-Summand enumeration below a volume bound is complete: a Fincke-Pohst
-descent over the exact LDL^T cone finds every short vector, and
-Minkowski-type bounds on successive minima confine the generators of any
-low-volume summand.  Per-rank minima take one such enumeration at a
-certified upper bound, the least principal minor of an exact LLL-reduced
-Gram matrix, so their cost does not depend on the scale or the basis.
+Summand search below a volume bound is complete and runs rank by rank:
+short vectors come from a Fincke-Pohst descent in an LLL-reduced basis,
+and a rank-m summand is a Rankin-bounded rank-(m-1) summand W plus a
+primitive short vector of the quotient form on Z^n / W (a Schur
+complement), which multiplies W's squared volume.  Per-rank minima search
+at the least principal minor of the reduced Gram matrix, so their cost
+does not depend on the scale or the basis.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ class InnerProduct:
         return InnerProduct(len(P), G)
 
     @cached_property
-    def _reduced_gram(self):
-        return _lll_gram(self.gram)
+    def _reduced(self):
+        """(U, g, d, u): an LLL-reduced basis U of Z^n, g = U gram U^T, g's LDL^T."""
+        g, U = _lll_gram(self.gram)
+        d, u, _ = _ldl(g)
+        return U, g, d, u
 
 
 @dataclass(frozen=True)
@@ -151,19 +155,21 @@ def _ldl(gram, pivots=None):
 
 
 def _lll_gram(gram):
-    """Gram matrix of an LLL-reduced basis of (Z^n, gram), delta = 3/4, exact.
+    """(g, U): an LLL-reduced basis U of (Z^n, gram), delta = 3/4, exact.
 
-    Gram-Schmidt data are recomputed from the current Gram matrix at every
-    step; n is at most DESK_RANK_LIMIT.
+    U is unimodular with g = U gram U^T.  Gram-Schmidt data are recomputed
+    from the current Gram matrix at every step; n is at most DESK_RANK_LIMIT.
     """
     g = [list(row) for row in gram]
     n = len(g)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
     k = 1
     while k < n:
         d, u, _ = _ldl(g)  # mu[k][j] = u[j][k], |b*_i|^2 = d[i]
         for j in range(k - 1, -1, -1):
             q = round(u[j][k])
             if q:  # b_k -= q b_j
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
                 for i in range(n):
                     g[k][i] -= q * g[j][i]
                 for i in range(n):
@@ -174,12 +180,13 @@ def _lll_gram(gram):
         mu = u[k - 1][k]
         if d[k] < (Fraction(3, 4) - mu * mu) * d[k - 1]:  # Lovasz condition fails
             g[k - 1], g[k] = g[k], g[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
             for row in g:
                 row[k - 1], row[k] = row[k], row[k - 1]
             k = max(k - 1, 1)
         else:
             k += 1
-    return g
+    return g, U
 
 
 def _rank_bound(s, m):
@@ -188,7 +195,7 @@ def _rank_bound(s, m):
     A certified upper bound on the rank-m minimum: any m vectors of a basis
     of Z^n span a direct summand.
     """
-    g = s._reduced_gram
+    g = s._reduced[1]
     return min(matrices.det_field(matrices.freeze([[g[i][j] for j in idx] for i in idx]),
                                   Fraction(0), Fraction(1))
                for idx in itertools.combinations(range(s.n), m))
@@ -217,57 +224,39 @@ def _int_range_abs_le(center, bound_sq):
 def short_vectors(s, norm2_bound):
     """All +-classes of nonzero integer vectors with s(v,v) <= norm2_bound.
 
-    Representatives have a positive first nonzero coordinate.  Complete by
-    construction: recursive enumeration over the exact LDL^T cone with
-    per-coordinate budgets.
+    A dict v -> s(v, v), each v with a positive first nonzero coordinate.
+    Complete by construction: recursive enumeration of the coefficients y
+    (one of y and -y) over the exact LDL^T cone of the LLL-reduced basis U,
+    mapped back to v = y U.
     """
     n = s.n
     if n > DESK_RANK_LIMIT:
         raise ScaleError(f"rank {n} exceeds the desk-scale limit {DESK_RANK_LIMIT}")
     X = Fraction(norm2_bound)
     if X <= 0:
-        return []
-    d, u, _ = _ldl(s.gram)
-    out = []
+        return {}
+    U, _, d, u = s._reduced
+    out = {}
     vec = [0] * n
 
-    def descend(i, budget):
+    def descend(i, budget, top):
+        # top: every coefficient above i is zero
         if i < 0:
-            if any(vec):
-                v = tuple(vec)
-                for x in v:
-                    if x:
-                        out.append(v if x > 0 else tuple(-y for y in v))
-                        break
+            if not top:
+                v = [sum(y * row[j] for y, row in zip(vec, U) if y) for j in range(n)]
+                if next(x for x in v if x) < 0:
+                    v = [-x for x in v]
+                out[tuple(v)] = X - budget
             return
         center = sum(u[i][j] * vec[j] for j in range(i + 1, n))
         lo, hi = _int_range_abs_le(center, budget / d[i])
-        for x in range(lo, hi + 1):
+        for x in range(max(lo, 0) if top else lo, hi + 1):
             vec[i] = x
-            descend(i - 1, budget - d[i] * (x + center) ** 2)
+            descend(i - 1, budget - d[i] * (x + center) ** 2, top and not x)
         vec[i] = 0
 
-    descend(n - 1, X)
-    seen = set()
-    uniq = []
-    for v in out:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    return uniq
-
-
-def shortest_norm2(s):
-    """Exact minimal value of s(v,v) over nonzero integer vectors."""
-    budget = _rank_bound(s, 1)
-    vecs = short_vectors(s, budget)
-    best = None
-    for v in vecs:
-        q = sum(Fraction(v[i]) * s.gram[i][j] * v[j]
-                for i in range(s.n) for j in range(s.n))
-        if best is None or q < best:
-            best = q
-    return best  # nonempty: a reduced basis vector is a candidate
+    descend(n - 1, X, True)
+    return out
 
 
 def _lv_cmp(vol2, bound):
@@ -290,15 +279,49 @@ def _vol2_bound_from(bound):
     return X
 
 
-def _candidates(s, X, m, lam1):
-    """Saturated rank-m spans (0 < m < n) that include every summand of vol^2 <= X.
+# gamma_m^m for Hermite's constant gamma_m, m = 2..5
+_HERMITE_POWER = {2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4), 5: Fraction(8)}
 
-    A rank-m summand of squared volume <= X contains m independent vectors
-    of squared norm <= (4/3)^{m(m-1)/2} X / lam1^{m-1}, lam1 the squared
-    length of a shortest vector; their saturated span recovers it.
+
+def _root_ceil(a, m):
+    """The least integer r >= 0 with r^m >= a, for an integer a >= 0."""
+    x = 1 << -(-a.bit_length() // m)  # x^m >= a: Newton descends from above
+    while True:
+        y = ((m - 1) * x + a // x ** (m - 1)) // m
+        if y >= x:
+            break
+        x = y
+    return x if x ** m >= a else x + 1
+
+
+def _rankin_bound(X, m):
+    """A rational Y >= (gamma_m^m X^(m-1))^(1/m), within a factor 1 + 2^-20.
+
+    A rank-m summand of vol^2 <= X contains a rank-(m-1) summand of
+    vol^2 <= Y (Rankin, J. London Math. Soc. 28, 1953; gamma_{m,m-1} = gamma_m).
     """
-    R2 = Fraction(4, 3) ** (m * (m - 1) // 2) * X / (lam1 ** (m - 1) if m > 1 else 1)
-    return matrices.assemble_summands(ZZ, s.n, short_vectors(s, R2), m)
+    T = _HERMITE_POWER[m] * X ** (m - 1)
+    den = T.denominator << 20
+    return Fraction(_root_ceil(T.numerator * T.denominator ** (m - 1) << 20 * m, m), den)
+
+
+def _summands(s, X, m):
+    """{Hermite basis: vol^2} of every rank-m summand (0 < m < n) of vol^2 <= X.
+
+    Each rank-(m-1) summand W under the Rankin bound (which exceeds X when
+    quotient norms are below 1) extends by every primitive l with
+    q_W(l) <= X / vol^2(W), lifted through W's completion rows.
+    """
+    if m == 1:
+        return {(v,): q for v, q in short_vectors(s, X).items() if math.gcd(*v) == 1}
+    out = {}
+    for W, vol2 in _summands(s, _rankin_bound(X, m), m - 1).items():
+        C, q = _quotient(s, W)
+        for l, q_l in short_vectors(q, X / vol2).items():
+            if math.gcd(*l) == 1:
+                lift = tuple(sum(x * row[j] for x, row in zip(l, C) if x) for j in range(s.n))
+                out[matrices.hnf(ZZ, W + (lift,))] = vol2 * q_l
+    return out
 
 
 def enumerate_summands(s, bound, ranks=None):
@@ -311,23 +334,17 @@ def enumerate_summands(s, bound, ranks=None):
     if n > DESK_RANK_LIMIT:
         raise ScaleError(f"rank {n} exceeds the desk-scale limit {DESK_RANK_LIMIT}")
     X = _vol2_bound_from(bound)
-    lam1 = None
-    want_ranks = range(0, n + 1) if ranks is None else sorted(set(ranks))
     found = []
-    for m in want_ranks:
+    for m in (range(n + 1) if ranks is None else sorted(set(ranks))):
         if m == 0:
             # the zero summand is always part of the lattice, at log-volume 0
             found.append(ZSummand.zero(n))
-            continue
-        if m == n:
+        elif m == n:
             if _lv_cmp(s.det, bound) <= 0:
                 found.append(ZSummand.full(n))
-            continue
-        if m > 1 and lam1 is None:
-            lam1 = shortest_norm2(s)
-        for sat in _candidates(s, X, m, lam1):
-            if _lv_cmp(gram_vol2(s, sat), bound) <= 0:
-                found.append(ZSummand(n, sat))
+        else:
+            found.extend(ZSummand(n, basis) for basis, vol2 in _summands(s, X, m).items()
+                         if _lv_cmp(vol2, bound) <= 0)
     found.sort(key=lambda w: (w.rank, w.basis))
     return found
 
@@ -335,17 +352,16 @@ def enumerate_summands(s, bound, ranks=None):
 def _rank_minima(s, m):
     """All rank-m summands of least volume, sorted by basis, and that log-volume.
 
-    One enumeration at the certified bound `_rank_bound(s, m)`.
+    One search at the certified bound `_rank_bound(s, m)`.
     """
     n = s.n
     if m == 0:
         return [ZSummand.zero(n)], ExactLog.zero()
     if m == n:
         return [ZSummand.full(n)], ExactLog.half_log(s.det)
-    lam1 = shortest_norm2(s) if m > 1 else None
-    vols = {sat: gram_vol2(s, sat) for sat in _candidates(s, _rank_bound(s, m), m, lam1)}
+    vols = _summands(s, _rank_bound(s, m), m)
     best = min(vols.values())
-    return ([ZSummand(n, sat) for sat in sorted(sat for sat, v in vols.items() if v == best)],
+    return ([ZSummand(n, basis) for basis in sorted(b for b, v in vols.items() if v == best)],
             ExactLog.half_log(best))
 
 
@@ -354,11 +370,21 @@ def _rank_minima(s, m):
 # ---------------------------------------------------------------------------
 
 class ZOracle:
-    """Lattice oracle for (direct summands of Z^n, rank, ln vol(s))."""
+    """Lattice oracle for (direct summands of Z^n, rank, ln vol(s)).
+
+    A summand's log-volume and its restricted and quotient forms are kept.
+    """
 
     def __init__(self, s):
         self.s = s
         self.top_rank = s.n
+        self._cache = {}
+
+    def _once(self, fn, w):
+        key = (fn, w)
+        if key not in self._cache:
+            self._cache[key] = fn(self.s, w)
+        return self._cache[key]
 
     def zero(self):
         return ZSummand.zero(self.s.n)
@@ -370,7 +396,7 @@ class ZOracle:
         return w.rank
 
     def logvol(self, w):
-        return gram_logvol(self.s, w)
+        return self._once(gram_logvol, w)
 
     def leq(self, a, b):
         return b.contains(a)
@@ -382,13 +408,13 @@ class ZOracle:
         """Min log-volume over rank-m summands contained in w."""
         if m == 0:
             return ExactLog.zero()
-        return _rank_minima(_restricted_form(self.s, w), m)[1]
+        return _rank_minima(self._once(_restricted_form, w), m)[1]
 
     def min_logvol_above(self, w, m):
         """Min log-volume over rank-m summands containing w."""
         if m == self.top_rank:
             return ExactLog.half_log(self.s.det)
-        return self.logvol(w) + _rank_minima(_quotient_form(self.s, w), m - w.rank)[1]
+        return self.logvol(w) + _rank_minima(self._once(_quotient_form, w), m - w.rank)[1]
 
 
 def _restricted_form(s, w):
@@ -396,14 +422,20 @@ def _restricted_form(s, w):
     return s.pulled_back(w.basis)
 
 
-def _quotient_form(s, w):
-    """Inner product induced on Z^n / w: the Schur complement of w's block.
+def _quotient(s, basis):
+    """(C, q): rows C completing a saturated basis of Z^n, and the form on Z^n / basis.
 
-    In a basis of Z^n that starts with w's basis, the trailing block left
-    after rank(w) LDL^T pivots is D - B^T A^-1 B.
+    q is in C's coordinates: the Schur complement D - B^T A^-1 B, the block
+    left after len(basis) LDL^T pivots in the basis (basis; C).
     """
-    U = matrices.completion_rows(ZZ, w.basis)
-    return InnerProduct(w.n - w.rank, _ldl(s.pulled_back(U).gram, w.rank)[2])
+    U = matrices.completion_rows(ZZ, basis)
+    r = len(basis)
+    return U[r:], InnerProduct(s.n - r, _ldl(s.pulled_back(U).gram, r)[2])
+
+
+def _quotient_form(s, w):
+    """Inner product induced on Z^n / w: the Schur complement of w's block."""
+    return _quotient(s, w.basis)[1]
 
 
 def canonical_filtration_z(s):

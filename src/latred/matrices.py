@@ -449,7 +449,7 @@ def lattice_intersect(ring, A, B):
 
 
 # ---------------------------------------------------------------------------
-# saturated summands and spans of vector pools
+# saturated summands
 # ---------------------------------------------------------------------------
 
 class Summand:
@@ -516,48 +516,6 @@ class Summand:
         if self.is_zero():
             return self
         return self._span(matmul(self.basis, freeze(phi_rows), self.ring.zero()))
-
-
-def primitive(ring, v):
-    """v divided by its content, normalized at its first nonzero entry.
-
-    Positive there over Z, monic over F_q[t]; None for the zero vector.  Two
-    vectors span the same saturated line exactly when these agree.
-    """
-    g = ring.zero()
-    for x in v:
-        g = ring.gcd(g, x)
-    if not g:
-        return None
-    lead = next(x for x in v if x)
-    g = g * ring.unit_normalize(lead)[0]
-    return tuple(ring.exact_div(x, g) for x in v)
-
-
-def assemble_summands(ring, n, pool, m):
-    """Saturations of all rank-m spans of pool vectors in R^n, deduplicated.
-
-    Extensions are keyed by the primitive quotient class of the new vector:
-    for saturated W, saturate(W + v) only depends on the saturated line of
-    v's image in R^n / W.
-    """
-    pool = freeze(pool)
-    lines = (primitive(ring, v) for v in pool)
-    level = list(dict.fromkeys((prim,) for prim in lines if prim is not None))
-    for k in range(1, m):
-        nxt = {}
-        for rows in level:
-            Uinv = inverse_unimodular(ring, completion_rows(ring, rows))
-            coords = matmul(pool, tuple(row[k:] for row in Uinv), ring.zero())
-            seen = set()
-            for v, c in zip(pool, coords):
-                key = primitive(ring, c)
-                if key is None or key in seen:
-                    continue
-                seen.add(key)
-                nxt[saturate(ring, list(rows) + [v], n)] = None
-        level = list(nxt)
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from latred.fq import FqRationalFunction, gf, poly
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, _logvol_solution_space,
                           ff_logvol, shortest_vector)
 from latred.latz import InnerProduct, ZSummand
-from latred import matrices
+from latred.logs import ExactLog
+from latred import latz, matrices
 from latred.rings import ZZ, poly_ring
 
 
@@ -321,6 +322,103 @@ def span_meet(ring, W, P, R):
     return matrices.split_hnf(ring, PK, R)
 
 
+# -- pool-span summand assembly, the reference Z summand search ------------
+
+def primitive(ring, v):
+    """v divided by its content, normalized at its first nonzero entry.
+
+    Positive there over Z, monic over F_q[t]; None for the zero vector.  Two
+    vectors span the same saturated line exactly when these agree.
+    """
+    g = ring.zero()
+    for x in v:
+        g = ring.gcd(g, x)
+    if not g:
+        return None
+    lead = next(x for x in v if x)
+    g = g * ring.unit_normalize(lead)[0]
+    return tuple(ring.exact_div(x, g) for x in v)
+
+
+def assemble_summands(ring, n, pool, m):
+    """Saturations of all rank-m spans of pool vectors in R^n, deduplicated.
+
+    Extensions are keyed by the primitive quotient class of the new vector:
+    for saturated W, saturate(W + v) only depends on the saturated line of
+    v's image in R^n / W.
+    """
+    pool = matrices.freeze(pool)
+    lines = (primitive(ring, v) for v in pool)
+    level = list(dict.fromkeys((prim,) for prim in lines if prim is not None))
+    for k in range(1, m):
+        nxt = {}
+        for rows in level:
+            Uinv = matrices.inverse_unimodular(ring, matrices.completion_rows(ring, rows))
+            coords = matrices.matmul(pool, tuple(row[k:] for row in Uinv), ring.zero())
+            seen = set()
+            for v, c in zip(pool, coords):
+                key = primitive(ring, c)
+                if key is None or key in seen:
+                    continue
+                seen.add(key)
+                nxt[matrices.saturate(ring, list(rows) + [v], n)] = None
+        level = list(nxt)
+    return level
+
+
+def shortest_norm2(s):
+    """Exact minimal value of s(v,v) over nonzero integer vectors."""
+    return min(latz.short_vectors(s, latz._rank_bound(s, 1)).values())
+
+
+def pool_span_candidates(s, X, m, lam1):
+    """Saturated rank-m spans (0 < m < n) that include every summand of vol^2 <= X.
+
+    A rank-m summand of squared volume <= X contains m independent vectors
+    of squared norm <= (4/3)^{m(m-1)/2} X / lam1^{m-1}, lam1 the squared
+    length of a shortest vector; their saturated span recovers it.
+    """
+    R2 = Fraction(4, 3) ** (m * (m - 1) // 2) * X / (lam1 ** (m - 1) if m > 1 else 1)
+    return assemble_summands(ZZ, s.n, latz.short_vectors(s, R2), m)
+
+
+def pool_span_enumerate_summands(s, bound, ranks=None):
+    """`latz.enumerate_summands` by saturating every rank-m span of one pool."""
+    n = s.n
+    X = latz._vol2_bound_from(bound)
+    lam1 = None
+    found = []
+    for m in (range(n + 1) if ranks is None else sorted(set(ranks))):
+        if m == 0:
+            found.append(ZSummand.zero(n))
+        elif m == n:
+            if latz._lv_cmp(s.det, bound) <= 0:
+                found.append(ZSummand.full(n))
+        else:
+            if m > 1 and lam1 is None:
+                lam1 = shortest_norm2(s)
+            for sat in pool_span_candidates(s, X, m, lam1):
+                if latz._lv_cmp(latz.gram_vol2(s, sat), bound) <= 0:
+                    found.append(ZSummand(n, sat))
+    found.sort(key=lambda w: (w.rank, w.basis))
+    return found
+
+
+def pool_span_rank_minima(s, m):
+    """`latz._rank_minima` by saturating every rank-m span of one pool."""
+    n = s.n
+    if m == 0:
+        return [ZSummand.zero(n)], ExactLog.zero()
+    if m == n:
+        return [ZSummand.full(n)], ExactLog.half_log(s.det)
+    lam1 = shortest_norm2(s) if m > 1 else None
+    vols = {sat: latz.gram_vol2(s, sat)
+            for sat in pool_span_candidates(s, latz._rank_bound(s, m), m, lam1)}
+    best = min(vols.values())
+    return ([ZSummand(n, sat) for sat in sorted(sat for sat, v in vols.items() if v == best)],
+            ExactLog.half_log(best))
+
+
 # -- brute-force F_q[t] summand enumeration --------------------------------
 
 ENUM_SPACE_LIMIT = 1 << 13
@@ -350,7 +448,7 @@ def enumerate_ff_summands(vs, m, bound, r1=None):
     vectors = _projective_points(vs.q, space, ring)
     if len(vectors) > ENUM_LINE_LIMIT:
         raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")
-    spans = matrices.assemble_summands(ring, n, vectors, m)
+    spans = assemble_summands(ring, n, vectors, m)
     out = [FFSummand(vs.q, n, sat) for sat in spans if ff_logvol(vs, sat) <= bound]
     out.sort(key=lambda w: tuple(tuple(str(x) for x in row) for row in w.basis))
     return out

@@ -22,9 +22,9 @@ from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import (BruteFFOracle, kernel, minors, random_poly, random_ratfunc,
-                      reference_column_echelon, reference_hnf, smith_completion_rows,
-                      smith_saturate)
+from conftest import (BruteFFOracle, assemble_summands, kernel, minors, primitive,
+                      random_poly, random_ratfunc, reference_column_echelon, reference_hnf,
+                      smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -632,7 +632,7 @@ class TestDvrColumnReduce:
 
 
 class TestAssembleSummands:
-    """The shared span assembler against saturating every independent m-subset."""
+    """The reference span assembler against saturating every independent m-subset."""
 
     @staticmethod
     def _brute(ring, n, pool, m):
@@ -655,16 +655,16 @@ class TestAssembleSummands:
         pool = [tuple(draw() for _ in range(n)) for _ in range(8)]
         pool += [pool[0], tuple(ring.zero() for _ in range(n))]  # repeat and zero
         for m in range(1, n):
-            got = matrices.assemble_summands(ring, n, pool, m)
+            got = assemble_summands(ring, n, pool, m)
             assert len(set(got)) == len(got)
             assert set(got) == self._brute(ring, n, pool, m)
 
     def test_primitive(self):
-        assert matrices.primitive(ZZ, (0, -4, 6)) == (0, 2, -3)
-        assert matrices.primitive(ZZ, (0, 0)) is None
+        assert primitive(ZZ, (0, -4, 6)) == (0, 2, -3)
+        assert primitive(ZZ, (0, 0)) is None
         # over F_3[t]: content t, then monic at the first nonzero entry
         v = (poly(3, [0, 2]), poly(3, [0, 1, 1]))
-        assert matrices.primitive(poly_ring(3), v) == (poly(3, [1]), poly(3, [2, 2]))
+        assert primitive(poly_ring(3), v) == (poly(3, [1]), poly(3, [2, 2]))
 
     def test_ff_oracle_matches_diagonal_filtration_at_rank_3(self):
         # r = (0, 1, 2): a full flag, so the brute oracle assembles rank-1 and rank-2 spans

@@ -347,6 +347,23 @@ def test_shortest_vector_bisects_the_instability_gap(monkeypatch):
     assert diagonal_basis(vs).r == (-200, 0)
 
 
+
+def test_oracle_computes_each_logvol_once(monkeypatch):
+    calls = []
+    logvol = latff.ff_logvol
+
+    def counted(vs, w):
+        calls.append(w)
+        return logvol(vs, w)
+
+    monkeypatch.setattr(latff, "ff_logvol", counted)
+    rng = random.Random(5)
+    for _ in range(3):
+        vs = random_volume_space(rng, 2, 4)
+        calls.clear()
+        instability_ff(vs, random_ff_summand(rng, 2, 4, 1))
+        assert len(calls) == 1
+
 class TestInvariantsAndFiltration:
     def test_slope_profile_example(self):
         # build a diagonal lattice with r = (-2,-2,-1,1,1,1,2) and read the

@@ -4,20 +4,23 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latred import matrices
+from latred import latz, matrices
 from latred.errors import DefinitenessError, RankDeficiencyError, ScaleError
-from latred.latz import (InnerProduct, ZOracle, ZSummand, _quotient_form,
-                         _vol2_bound_from, canonical_filtration_z, enumerate_summands,
-                         gram_logvol, gram_vol2, instability_z, spd_distance)
+from latred.latz import (InnerProduct, ZOracle, ZSummand, _quotient_form, _rank_bound,
+                         _rank_minima, _vol2_bound_from, canonical_filtration_z,
+                         enumerate_summands, gram_logvol, gram_vol2, instability_z,
+                         short_vectors, spd_distance)
 from latred.logs import ExactLog
 from latred.rings import ZZ
 
-from conftest import random_spd, random_unimodular_z, random_z_summand
+from conftest import (kernel, pool_span_enumerate_summands, pool_span_rank_minima,
+                      random_spd, random_unimodular_z, random_z_summand)
 
 
 class TestVolumes:
@@ -97,6 +100,25 @@ class TestEnumeration:
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
             enumerate_summands(InnerProduct.identity(7), 1)
+
+    @pytest.mark.parametrize("gram, bound", [
+        ([[3, 0, 1], [0, 1, 0], [1, 0, 3]], Fraction(21, 10)),
+        ([[3, 2, 0], [2, 4, 1], [0, 1, 2]], Fraction(14, 5)),
+    ], ids=["a", "b"])
+    def test_moderate_bounds_at_rank_three(self, gram, bound):
+        # vol^2 <= 128 here: a pool-span assembly of 1,619 rank-2 candidates
+        # once ran past 20 s.  The rank-2 summands of Z^3 are the
+        # annihilators of the dual's lines, vol^2(W) = det(s) s^-1(x, x).
+        s = InnerProduct(3, gram)
+        got, seconds = _timed(enumerate_summands, s, bound)
+        assert seconds < 10.0
+        dual = InnerProduct(3, matrices.inverse_field(s.gram, Fraction(0), Fraction(1)))
+        planes = {ZSummand(3, kernel(ZZ, (x,)))
+                  for x, q in short_vectors(dual, _vol2_bound_from(bound) / s.det).items()
+                  if math.gcd(*x) == 1 and latz._lv_cmp(s.det * q, bound) <= 0}
+        assert {w for w in got if w.rank == 2} == planes
+        assert [w for w in got if w.rank < 2] == \
+            pool_span_enumerate_summands(s, bound, ranks=[0, 1])
 
     def test_completeness_against_direct_subsets(self, rng):
         # independent route: numpy-boxed vector scan + all m-subsets of the
@@ -204,10 +226,93 @@ class TestCertifiedRankMinima:
                 assert instability_z(s, w) == c
             assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("n, k, budget", [(5, 0, 5.0), (5, 1, 5.0), (5, 2, 5.0),
+                                              (5, 3, 5.0), (6, 0, 20.0), (6, 1, 20.0)],
+                             ids=["n5-0", "n5-1", "n5-2", "n5-3", "n6-0", "n6-1"])
+    def test_desk_rank_limit_forms(self, n, k, budget):
+        # DESK_RANK_LIMIT = 6 is met within a stated budget per form
+        rng = random.Random(5)
+        s = [random_spd(rng, n, spread=1) for _ in range(k + 1)][k]
+        start = time.perf_counter()
+        rep = canonical_filtration_z(s)
+        for w in rep.interior_chain():
+            assert instability_z(s, w) == rep.c_values[w]
+        assert time.perf_counter() - start < budget
+
     def test_vol2_bound_tracks_small_bounds(self):
         for k in range(31):
             v2 = Fraction(1, 10 ** k)
             assert v2 <= _vol2_bound_from(ExactLog.half_log(v2)) <= 4 * v2
+
+
+class TestPoolSpanReference:
+    """The rank-by-rank search against the pool-span assembly it replaced."""
+
+    @staticmethod
+    def _forms():
+        rng = random.Random(22)
+        for n in (2, 3, 4):
+            s = random_spd(rng, n, spread=1)
+            for lam in (Fraction(1, 100), 1, 100):
+                yield s.scaled(lam)
+
+    def test_rank_minima(self):
+        for s in self._forms():
+            for m in range(1, s.n):
+                got, want = _rank_minima(s, m), pool_span_rank_minima(s, m)
+                assert [w.basis for w in got[0]] == [w.basis for w in want[0]]
+                assert got[1] == want[1]
+
+    def test_enumerate_summands(self):
+        # ranks 1 and 2: the reference's assembly at rank 3 of Z^4 takes
+        # over 10 s even at the rank-3 minimum
+        for s in self._forms():
+            for m in range(1, min(s.n, 3)):
+                bound = _rank_minima(s, m)[1] + ExactLog.half_log(3)
+                assert enumerate_summands(s, bound, ranks=[m]) == \
+                    pool_span_enumerate_summands(s, bound, ranks=[m])
+
+    def test_lines_above_the_bound_extend_to_planes_below_it(self):
+        # every line has vol^2 >= 1/100, every coordinate plane 1/10^4: a
+        # search that kept only lines of vol^2 <= X would find no plane
+        s = InnerProduct.identity(3).scaled(Fraction(1, 100))
+        X = _rank_bound(s, 2)
+        assert X == Fraction(1, 10 ** 4)
+        assert not enumerate_summands(s, ExactLog.half_log(4 * X), ranks=[1])
+        got = _rank_minima(s, 2)
+        assert got[1] == ExactLog.half_log(X)
+        assert [w.basis for w in got[0]] == [w.basis for w in pool_span_rank_minima(s, 2)[0]]
+        assert len(got[0]) == 3
+        planes = enumerate_summands(s, ExactLog.half_log(X), ranks=[2])
+        assert planes == pool_span_enumerate_summands(s, ExactLog.half_log(X), ranks=[2])
+        assert len(planes) == 3
+
+    def test_short_vectors_do_not_depend_on_the_basis(self):
+        rng = random.Random(23)
+        for n in (2, 3, 4):
+            s = random_spd(rng, n, spread=1)
+            g = random_unimodular_z(rng, n, steps=24, spread=3)
+            for X in (Fraction(1, 2), 3, 10):
+                mapped = set()
+                for y in short_vectors(s.pulled_back(g), X):
+                    v = [sum(y[i] * g[i][j] for i in range(n)) for j in range(n)]
+                    mapped.add(tuple(v) if next(x for x in v if x) > 0
+                               else tuple(-x for x in v))
+                assert mapped == set(short_vectors(s, X))
+
+
+def test_oracle_computes_each_summand_fact_once(monkeypatch):
+    counts = Counter()
+    for name in ("gram_logvol", "_quotient_form"):
+        def counting(*args, _name=name, _original=getattr(latz, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(latz, name, counting)
+    rng = random.Random(5)
+    for s in [random_spd(rng, 4, spread=1) for _ in range(4)]:
+        counts.clear()
+        instability_z(s, ZSummand.from_rows(4, [[1, 2, 0, -1]]))
+        assert counts == {"gram_logvol": 1, "_quotient_form": 1}
 
 
 class TestScalingAndSubadditivity:
