@@ -31,12 +31,14 @@ Oracle protocol (duck-typed)::
     min_logvol_above(w, m)     min logvol over rank-m elements >= w
 
 The oracle owns the search for minima, so the engine runs no volume-window
-loop.  `ZOracle` answers with one complete rank-by-rank search at a
+loop.  `LatticeOracle` answers `rank`, `leq`, `logvol` and both constrained
+minima.  A side supplies `zero()`, `one()`, `rank_minima(m)`, `zero_value`,
+the top rank and the stored total log-volume, and two hooks: `_logvol(w)`
+and `_split(w)`, the oracles of w's restricted and quotient spaces.
+`ZOracle` answers `rank_minima` with one complete rank-by-rank search at a
 bound certified by an exact LLL basis; `FFOracle` reads its minima off the
 diagonal basis rather than from an enumeration (the rank-m minimum is
 r_1 + ... + r_m).
-The top point comes from `min_logvol_above(zero, top_rank)`, which both
-oracles answer from a stored value.
 """
 
 from __future__ import annotations
@@ -148,6 +150,51 @@ def c_value(oracle, w):
         if outgoing is None or s < outgoing:
             outgoing = s
     return outgoing - incoming
+
+
+class LatticeOracle:
+    """The oracle protocol on summands, from one split of each summand.
+
+    The rank-m minimum below w is the rank-m minimum of the restricted space
+    of w; above w it is logvol(w) plus the rank-(m - rk w) minimum of the
+    quotient space, since log-volumes add along w <= x.  Rank 0 and the top
+    rank read stored values, so they split nothing.  A summand's log-volume
+    and its split are computed once per oracle.
+    """
+
+    def __init__(self, top_rank, total):
+        self.top_rank = top_rank
+        self.total = total
+        self._cache = {}
+
+    def _once(self, fn, w):
+        key = (fn, w)
+        if key not in self._cache:
+            self._cache[key] = fn(w)
+        return self._cache[key]
+
+    def rank(self, w):
+        return w.rank
+
+    def leq(self, a, b):
+        return b.contains(a)
+
+    def logvol(self, w):
+        return self._once(self._logvol, w)
+
+    def rank_minimum(self, m):
+        """The least log-volume of a rank-m element."""
+        return self.rank_minima(m)[1]
+
+    def min_logvol_below(self, w, m):
+        if m == 0:
+            return self.zero_value
+        return self._once(self._split, w)[0].rank_minimum(m)
+
+    def min_logvol_above(self, w, m):
+        if m == self.top_rank:
+            return self.total
+        return self.logvol(w) + self._once(self._split, w)[1].rank_minimum(m - w.rank)
 
 
 # ---------------------------------------------------------------------------

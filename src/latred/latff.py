@@ -461,25 +461,21 @@ def ff_invariants_and_filtration(vs):
     return oracle.diag.r, filtration.canonical_filtration(oracle)
 
 
-class FFOracle:
+class FFOracle(filtration.LatticeOracle):
     """Lattice oracle for (summands of F_q[t]^n, rank, logvol(S)).
 
     Per-rank minima come from one diagonal basis, `diag`: the rank-m
     minimum is r_1 + ... + r_m, attained by the span of the first m diagonal
-    vectors, which is the only minimizer where r jumps.  A summand's
-    log-volume and its restricted and quotient r-vectors are kept.
+    vectors, which is the only minimizer where r jumps.  A summand splits
+    once, by `sub_quotient`, into the oracles of its restricted and
+    quotient spaces.
     """
 
-    def __init__(self, vs):
-        self.vs = vs
-        self.top_rank = vs.n
-        self._cache = {}
+    zero_value = Fraction(0)
 
-    def _once(self, fn, w):
-        key = (fn, w.basis)
-        if key not in self._cache:
-            self._cache[key] = fn(self.vs, w)
-        return self._cache[key]
+    def __init__(self, vs):
+        super().__init__(vs.n, Fraction(vs.logvol))
+        self.vs = vs
 
     @cached_property
     def diag(self):
@@ -491,46 +487,19 @@ class FFOracle:
     def one(self):
         return FFSummand.full(self.vs.q, self.vs.n)
 
-    def rank(self, w):
-        return w.rank
-
-    def logvol(self, w):
-        return Fraction(self._once(ff_logvol, w))
-
-    def leq(self, a, b):
-        return b.contains(a)
+    def rank_minimum(self, m):
+        return Fraction(sum(self.diag.r[:m]))
 
     def rank_minima(self, m):
         """The span of the m shortest diagonal vectors and its log-volume."""
-        return [self.diag.chain_summand(m)], Fraction(sum(self.diag.r[:m]))
+        return [self.diag.chain_summand(m)], self.rank_minimum(m)
 
-    def min_logvol_below(self, w, m):
-        if m == 0:
-            return Fraction(0)
-        return Fraction(sum(self._once(restricted_r_vector, w)[:m]))
+    def _logvol(self, w):
+        return Fraction(ff_logvol(self.vs, w))
 
-    def min_logvol_above(self, w, m):
-        if m == self.top_rank:
-            return Fraction(self.vs.logvol)
-        return self.logvol(w) + Fraction(sum(self._once(quotient_r_vector, w)[:m - w.rank]))
-
-
-def restricted_r_vector(vs, w):
-    """r-vector of the restriction of the lattice to a summand."""
-    if w.rank == 0:
-        return ()
-    if w.is_full():
-        return diagonal_basis(vs).r
-    return diagonal_basis(sub_quotient(vs, w).res).r
-
-
-def quotient_r_vector(vs, w):
-    """r-vector of the quotient volume space along a summand."""
-    if w.rank == 0:
-        return diagonal_basis(vs).r
-    if w.is_full():
-        return ()
-    return diagonal_basis(sub_quotient(vs, w).quot).r
+    def _split(self, w):
+        sq = sub_quotient(self.vs, w)
+        return FFOracle(sq.res), FFOracle(sq.quot)
 
 
 def instability_ff(vs, w):

@@ -78,9 +78,7 @@ class InnerProduct:
     @cached_property
     def _reduced(self):
         """(U, g, d, u): an LLL-reduced basis U of Z^n, g = U gram U^T, g's LDL^T."""
-        g, U = _lll_gram(self.gram)
-        d, u, _ = _ldl(g)
-        return U, g, d, u
+        return _lll_gram(self.gram)
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,12 @@ def _ldl(gram, pivots=None):
 
 
 def _lll_gram(gram):
-    """(g, U): an LLL-reduced basis U of (Z^n, gram), delta = 3/4, exact.
+    """(U, g, d, u): an LLL-reduced basis U of (Z^n, gram), delta = 3/4, exact.
 
-    U is unimodular with g = U gram U^T.  Gram-Schmidt data are recomputed
-    from the current Gram matrix at every step; n is at most DESK_RANK_LIMIT.
+    U is unimodular with g = U gram U^T, and (d, u) is g's LDL^T data.
+    Gram-Schmidt data are recomputed from the current Gram matrix at every
+    step; n is at most DESK_RANK_LIMIT.  Size reduction keeps d and updates
+    u, so the data of the last step are exact for the returned g.
     """
     g = [list(row) for row in gram]
     n = len(g)
@@ -186,7 +186,9 @@ def _lll_gram(gram):
             k = max(k - 1, 1)
         else:
             k += 1
-    return g, U
+    if n < 2:  # the loop never ran
+        d, u, _ = _ldl(g)
+    return U, g, d, u
 
 
 def _rank_bound(s, m):
@@ -316,7 +318,7 @@ def _summands(s, X, m):
         return {(v,): q for v, q in short_vectors(s, X).items() if math.gcd(*v) == 1}
     out = {}
     for W, vol2 in _summands(s, _rankin_bound(X, m), m - 1).items():
-        C, q = _quotient(s, W)
+        C, _, q = _split_forms(s, W)
         for l, q_l in short_vectors(q, X / vol2).items():
             if math.gcd(*l) == 1:
                 lift = tuple(sum(x * row[j] for x, row in zip(l, C) if x) for j in range(s.n))
@@ -369,22 +371,18 @@ def _rank_minima(s, m):
 # the filtration oracle
 # ---------------------------------------------------------------------------
 
-class ZOracle:
+class ZOracle(filtration.LatticeOracle):
     """Lattice oracle for (direct summands of Z^n, rank, ln vol(s)).
 
-    A summand's log-volume and its restricted and quotient forms are kept.
+    Supplies per-rank minima, `gram_logvol`, the stored total ln sqrt(det),
+    and the split of a summand into its restricted and quotient forms.
     """
 
-    def __init__(self, s):
-        self.s = s
-        self.top_rank = s.n
-        self._cache = {}
+    zero_value = ExactLog.zero()
 
-    def _once(self, fn, w):
-        key = (fn, w)
-        if key not in self._cache:
-            self._cache[key] = fn(self.s, w)
-        return self._cache[key]
+    def __init__(self, s):
+        super().__init__(s.n, ExactLog.half_log(s.det))
+        self.s = s
 
     def zero(self):
         return ZSummand.zero(self.s.n)
@@ -392,50 +390,30 @@ class ZOracle:
     def one(self):
         return ZSummand.full(self.s.n)
 
-    def rank(self, w):
-        return w.rank
-
-    def logvol(self, w):
-        return self._once(gram_logvol, w)
-
-    def leq(self, a, b):
-        return b.contains(a)
-
     def rank_minima(self, m):
         return _rank_minima(self.s, m)
 
-    def min_logvol_below(self, w, m):
-        """Min log-volume over rank-m summands contained in w."""
-        if m == 0:
-            return ExactLog.zero()
-        return _rank_minima(self._once(_restricted_form, w), m)[1]
+    def _logvol(self, w):
+        return gram_logvol(self.s, w)
 
-    def min_logvol_above(self, w, m):
-        """Min log-volume over rank-m summands containing w."""
-        if m == self.top_rank:
-            return ExactLog.half_log(self.s.det)
-        return self.logvol(w) + _rank_minima(self._once(_quotient_form, w), m - w.rank)[1]
+    def _split(self, w):
+        _, res, quot = _split_forms(self.s, w.basis)
+        return ZOracle(InnerProduct(w.rank, res)), ZOracle(quot)
 
 
-def _restricted_form(s, w):
-    """Inner product induced on w in its basis coordinates."""
-    return s.pulled_back(w.basis)
+def _split_forms(s, basis):
+    """(C, A, q): rows C completing a saturated basis of Z^n, and its two forms.
 
-
-def _quotient(s, basis):
-    """(C, q): rows C completing a saturated basis of Z^n, and the form on Z^n / basis.
-
-    q is in C's coordinates: the Schur complement D - B^T A^-1 B, the block
-    left after len(basis) LDL^T pivots in the basis (basis; C).
+    With U = (basis; C) unimodular and G = U gram U^T, G's leading r x r
+    block A is the Gram matrix of the form on the span of basis, and q, the
+    Schur complement D - B^T A^-1 B left after r = len(basis) LDL^T pivots
+    of G, is the form on Z^n / basis in C's coordinates.
     """
     U = matrices.completion_rows(ZZ, basis)
     r = len(basis)
-    return U[r:], InnerProduct(s.n - r, _ldl(s.pulled_back(U).gram, r)[2])
-
-
-def _quotient_form(s, w):
-    """Inner product induced on Z^n / w: the Schur complement of w's block."""
-    return _quotient(s, w.basis)[1]
+    G = matrices.matmul(matrices.matmul(U, s.gram, Fraction(0)),
+                        matrices.transpose(U), Fraction(0))
+    return U[r:], [row[:r] for row in G[:r]], InnerProduct(s.n - r, _ldl(G, r)[2])
 
 
 def canonical_filtration_z(s):

@@ -131,10 +131,6 @@ class ExactLog:
             return Fraction(1), 1
         denom = reduce(math.lcm, (c.denominator for c in self.terms.values()), 1)
         nums = [int(c * denom) for c in self.terms.values()]
-        g = reduce(math.gcd, (abs(v) for v in nums), 0)
-        if g > 1 and denom % g == 0:
-            denom //= g
-            nums = [v // g for v in nums]
         prod = Fraction(1)
         for b, v in zip(self.terms.keys(), nums):
             prod *= b ** v

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,8 @@ import pytest
 from latred import filtration, latff, matrices
 from latred.errors import DomainError, ProjectivityError, RankDeficiencyError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
-from latred.latff import (FFSummand, VolumeSpace, diagonal_basis,
+from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
-                          quotient_r_vector, restricted_r_vector,
                           short_vector_space_dim, shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
@@ -348,21 +348,30 @@ def test_shortest_vector_bisects_the_instability_gap(monkeypatch):
 
 
 
-def test_oracle_computes_each_logvol_once(monkeypatch):
-    calls = []
+def test_oracle_splits_and_measures_each_summand_once(monkeypatch):
+    counts = Counter()
+    split = FFOracle._split
     logvol = latff.ff_logvol
 
-    def counted(vs, w):
-        calls.append(w)
+    def counted_split(self, w):
+        counts["split", w] += 1
+        return split(self, w)
+
+    def counted_logvol(vs, w):
+        counts["logvol", w] += 1
         return logvol(vs, w)
 
-    monkeypatch.setattr(latff, "ff_logvol", counted)
+    monkeypatch.setattr(FFOracle, "_split", counted_split)
+    monkeypatch.setattr(latff, "ff_logvol", counted_logvol)
     rng = random.Random(5)
-    for _ in range(3):
+    for _ in range(2):
         vs = random_volume_space(rng, 2, 4)
-        calls.clear()
-        instability_ff(vs, random_ff_summand(rng, 2, 4, 1))
-        assert len(calls) == 1
+        for r in (1, 2, 3):
+            w = random_ff_summand(rng, 2, 4, r)
+            counts.clear()
+            instability_ff(vs, w)
+            assert counts == {("split", w): 1, ("logvol", w): 1}
+
 
 class TestInvariantsAndFiltration:
     def test_slope_profile_example(self):
@@ -457,8 +466,8 @@ class TestConstrainedMinima:
         for _ in range(4):
             vs = random_volume_space(rng, 2, 2, maxdeg=1)
             w = random_ff_summand(rng, 2, 2, 1)
-            rho = restricted_r_vector(vs, w)
-            sigma = quotient_r_vector(vs, w)
+            res, quot = FFOracle(vs)._split(w)
+            rho, sigma = res.diag.r, quot.diag.r
             assert sum(rho) == ff_logvol(vs, w)
             assert instability_ff(vs, w) == sigma[0] - rho[-1]
 

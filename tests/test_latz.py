@@ -12,7 +12,7 @@ import pytest
 
 from latred import latz, matrices
 from latred.errors import DefinitenessError, RankDeficiencyError, ScaleError
-from latred.latz import (InnerProduct, ZOracle, ZSummand, _quotient_form, _rank_bound,
+from latred.latz import (InnerProduct, ZOracle, ZSummand, _ldl, _rank_bound,
                          _rank_minima, _vol2_bound_from, canonical_filtration_z,
                          enumerate_summands, gram_logvol, gram_vol2, instability_z,
                          short_vectors, spd_distance)
@@ -59,7 +59,7 @@ class TestVolumes:
         with pytest.raises(DefinitenessError, match="not symmetric"):
             InnerProduct(2, [[1, 2], [3, 4]])
 
-    def test_quotient_form_is_the_schur_complement(self, rng):
+    def test_split_forms_are_the_restriction_and_the_schur_complement(self, rng):
         for n in (2, 3, 4):
             for r in range(1, n):
                 s = random_spd(rng, n)
@@ -76,7 +76,9 @@ class TestVolumes:
                     matrices.freeze(B), Fraction(0))
                 want = [[D[i][j] - sum(B[k][i] * Ainv_B[k][j] for k in range(r))
                          for j in range(n - r)] for i in range(n - r)]
-                assert _quotient_form(s, w).gram == matrices.freeze(want)
+                res, quot = ZOracle(s)._split(w)
+                assert quot.s.gram == matrices.freeze(want)
+                assert res.s == s.pulled_back(w.basis)
 
 
 class TestEnumeration:
@@ -225,6 +227,10 @@ class TestCertifiedRankMinima:
                 assert c.sign() > 0
                 assert instability_z(s, w) == c
             assert time.perf_counter() - start < 5.0
+            # the LLL reduction returns the LDL^T data of its reduced Gram matrix
+            _, g, d, u = s._reduced
+            assert (d, u) == _ldl(g)[:2]
+        assert InnerProduct.diagonal([3])._reduced == ([[1]], [[3]], [3], [[0]])
 
     @pytest.mark.parametrize("n, k, budget", [(5, 0, 5.0), (5, 1, 5.0), (5, 2, 5.0),
                                               (5, 3, 5.0), (6, 0, 20.0), (6, 1, 20.0)],
@@ -301,18 +307,28 @@ class TestPoolSpanReference:
                 assert mapped == set(short_vectors(s, X))
 
 
-def test_oracle_computes_each_summand_fact_once(monkeypatch):
+def test_oracle_splits_and_measures_each_summand_once(monkeypatch):
     counts = Counter()
-    for name in ("gram_logvol", "_quotient_form"):
-        def counting(*args, _name=name, _original=getattr(latz, name)):
-            counts[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(latz, name, counting)
+    split = ZOracle._split
+    logvol = latz.gram_logvol
+
+    def counted_split(self, w):
+        counts["split", w] += 1
+        return split(self, w)
+
+    def counted_logvol(s, w):
+        counts["logvol", w] += 1
+        return logvol(s, w)
+
+    monkeypatch.setattr(ZOracle, "_split", counted_split)
+    monkeypatch.setattr(latz, "gram_logvol", counted_logvol)
     rng = random.Random(5)
     for s in [random_spd(rng, 4, spread=1) for _ in range(4)]:
-        counts.clear()
-        instability_z(s, ZSummand.from_rows(4, [[1, 2, 0, -1]]))
-        assert counts == {"gram_logvol": 1, "_quotient_form": 1}
+        for r in (1, 2, 3):
+            w = random_z_summand(rng, 4, r)
+            counts.clear()
+            instability_z(s, w)
+            assert counts == {("split", w): 1, ("logvol", w): 1}
 
 
 class TestScalingAndSubadditivity:

@@ -15,10 +15,13 @@ from fractions import Fraction
 import pytest
 
 from latred import latz, matrices
-from latred.latz import InnerProduct, ZSummand, canonical_filtration_z
+from latred.fq import t_power
+from latred.latff import ff_invariants_and_filtration, instability_ff
+from latred.latz import InnerProduct, ZSummand, canonical_filtration_z, instability_z
 from latred.rings import ZZ
 
-from conftest import kernel, random_spd, random_unimodular_z
+from conftest import (kernel, random_ff_summand, random_spd, random_unimodular_poly,
+                      random_unimodular_z, random_volume_space, random_z_summand)
 
 _SEED5 = random.Random(5)
 FORMS = [random_spd(_SEED5, 4, spread=1) for _ in range(4)]  # the seed-5 n = 4 forms
@@ -89,3 +92,63 @@ def test_duality_builds_as_many_candidates_within_a_factor_three(k, monkeypatch)
     _, spans = _counted_filtration(monkeypatch, s, matrices, "hnf")
     _, spans_dual = _counted_filtration(monkeypatch, _dual(s), matrices, "hnf")
     assert spans_dual <= 3 * spans and spans <= 3 * spans_dual, (spans, spans_dual)
+
+
+# ---------------------------------------------------------------------------
+# c-values of single summands, on and off the canonical chain
+# ---------------------------------------------------------------------------
+
+def _z_summands(k):
+    """The interior chain of FORMS[k] and three seeded off-chain summands of each proper rank."""
+    s = FORMS[k]
+    rng = random.Random(f"symmetries-z-{k}")
+    chain = list(canonical_filtration_z(s).interior_chain())
+    return chain + [random_z_summand(rng, 4, r) for r in (1, 2, 3) for _ in range(3)]
+
+
+@pytest.mark.parametrize("g", list(PULLBACKS.values()), ids=list(PULLBACKS))
+@pytest.mark.parametrize("k", range(len(FORMS)))
+def test_instability_z_is_pullback_invariant(k, g):
+    s = FORMS[k]
+    s_g = s.pulled_back(g)
+    g_inv = matrices.inverse_unimodular(ZZ, g)
+    for w in _z_summands(k):
+        # w.apply(g_inv) is carried to w by g
+        assert instability_z(s_g, w.apply(g_inv)) == instability_z(s, w), w
+
+
+@pytest.mark.parametrize("k", range(len(FORMS)))
+def test_instability_z_of_the_annihilator_in_the_dual(k):
+    s = FORMS[k]
+    s_dual = _dual(s)
+    for w in _z_summands(k):
+        assert instability_z(s_dual, _annihilator(w)) == instability_z(s, w), w
+
+
+def _ff_cases():
+    """Seeded (volume space, summands) at n = 3 and 4: the interior chain and
+    two off-chain summands of each proper rank."""
+    rng = random.Random("symmetries-ff")
+    for q, n in ((2, 3), (3, 3), (2, 4), (2, 4)):
+        vs = random_volume_space(rng, q, n, maxdeg=1)
+        chain = list(ff_invariants_and_filtration(vs)[1].interior_chain())
+        yield vs, chain + [random_ff_summand(rng, q, n, r, maxdeg=1)
+                           for r in range(1, n) for _ in range(2)]
+
+
+def test_instability_ff_is_gl_n_invariant():
+    rng = random.Random("symmetries-ff-g")
+    for vs, summands in _ff_cases():
+        g = random_unimodular_poly(rng, vs.q, vs.n, steps=8)
+        gT = matrices.transpose(g)
+        moved = vs.transformed(g)
+        for w in summands:
+            assert instability_ff(moved, w.apply(gT)) == instability_ff(vs, w), w
+
+
+@pytest.mark.parametrize("k", [-2, 1, 3])
+def test_instability_ff_is_invariant_under_t_power_scaling(k):
+    for vs, summands in _ff_cases():
+        scaled = vs.scaled(t_power(vs.q, k))
+        for w in summands:
+            assert instability_ff(scaled, w) == instability_ff(vs, w), w
