@@ -255,12 +255,12 @@ def vertices_adjacent_or_equal(v1, v2, ctx=None):
 # chamber counting
 # ---------------------------------------------------------------------------
 
-def count_chambers_on_edge(n, r, k, verify=None):
+def count_chambers_on_edge(n, r, k):
     """Number of top-dimensional simplices containing an edge of label k.
 
     Closed form: prod_{i<=k} (r^i-1)/(r-1) * prod_{i<=n-k} (r^i-1)/(r-1).
-    When feasible (n <= 4, r <= 3, or verify=True) the count is also checked
-    against brute-force flag enumeration through a fixed k-subspace.
+    When feasible (n <= 4, r <= 3) the count is also checked against
+    brute-force flag enumeration through a fixed k-subspace.
     Returns (count, verified_flag).
     """
     if not 1 <= k <= n - 1:
@@ -271,13 +271,11 @@ def count_chambers_on_edge(n, r, k, verify=None):
         value *= (r ** i - 1) // (r - 1)
     for i in range(1, n - k + 1):
         value *= (r ** i - 1) // (r - 1)
-    do_verify = verify if verify is not None else (n <= 4 and r <= 3)
-    verified = False
-    if do_verify:
+    verified = n <= 4 and r <= 3
+    if verified:
         brute = _count_flags_through(n, r, k)
         if brute != value:  # pragma: no cover - the formula is exact
             raise DomainError(f"chamber formula mismatch: {value} vs {brute}")
-        verified = True
     return value, verified
 
 

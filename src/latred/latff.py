@@ -175,15 +175,16 @@ def ff_logvol(vs, submodule):
 class SubQuotient:
     """Restriction to a saturated summand and the induced quotient space.
 
-    `full_rows` is unimodular over F_q[t] with the summand's basis as its
-    first rows; `res`/`quot` are volume spaces in those coordinates, and
-    `quot_lift_cols` are ambient preimages in S of the quotient basis.
+    `full_rows` is unimodular over F_q[t] with the summand's m basis rows
+    first.  In those coordinates the column reduction leaves S with the
+    block basis [[A, X], [0, Q]]: `res` is the volume space of A, `quot`
+    that of Q, and `cross` is the m x (n - m) block X.
     """
 
     res: VolumeSpace
     quot: VolumeSpace
     full_rows: tuple
-    quot_lift_cols: tuple
+    cross: tuple
 
 
 def sub_quotient(vs, w):
@@ -198,8 +199,7 @@ def sub_quotient(vs, w):
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
-    full_rat = _as_ratfunc_rows(full)
-    Minv = matrices.inverse_field(matrices.transpose(full_rat),
+    Minv = matrices.inverse_field(matrices.transpose(_as_ratfunc_rows(full)),
                                   ring.field_zero(), ring.field_one())
     coords = matrices.matmul(Minv, vs.basis, ring.field_zero())
     cols = [list(col) for col in matrices.transpose(coords)]
@@ -207,22 +207,13 @@ def sub_quotient(vs, w):
     steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1),
                                        FqRationalFunction.nu)
     pivots = [j for _, j, _ in reversed(steps)]
-    available = [j for j in range(n) if j not in pivots]
-    res_cols = [cols[j] for j in available]
-    res_rows = [[res_cols[j][i] for j in range(m)] for i in range(m)]
-    quot_rows = [[cols[pivots[j]][m + i] for j in range(n - m)] for i in range(n - m)]
-    res = VolumeSpace(vs.q, m, res_rows)
-    quot = VolumeSpace(vs.q, n - m, quot_rows)
-    # ambient preimages of the quotient basis columns: Mfull^T . column
-    fullT = matrices.transpose(full_rat)
-    lifts = []
-    for j in pivots:
-        col = cols[j]
-        amb = [sum((fullT[i][k] * col[k] for k in range(n)), ring.field_zero())
-               for i in range(n)]
-        lifts.append(tuple(amb))
-    return SubQuotient(res=res, quot=quot, full_rows=full,
-                       quot_lift_cols=tuple(lifts))
+    res_cols = [col for j, col in enumerate(cols) if j not in pivots]
+    quot_cols = [cols[j] for j in pivots]
+    return SubQuotient(
+        res=VolumeSpace(vs.q, m, [[c[i] for c in res_cols] for i in range(m)]),
+        quot=VolumeSpace(vs.q, n - m, [[c[i] for c in quot_cols] for i in range(m, n)]),
+        full_rows=full,
+        cross=tuple(tuple(c[i] for c in quot_cols) for i in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +335,17 @@ def shortest_vector(vs):
 
 @dataclass(frozen=True)
 class DiagonalBasisResult:
-    """Bases w (of V) and b (of S) with w_i = t^{r_i} b_i, r ascending."""
+    """A basis w of V and ascending integers r with t^{-r_i} w_i a basis b of S."""
 
     space: VolumeSpace
     w: tuple  # rows over F_q[t]
-    b: tuple  # rows over F_q(t)
     r: tuple  # ascending integers
+
+    @cached_property
+    def b(self):
+        """The lattice basis b_i = t^{-r_i} w_i, rows over F_q(t)."""
+        return tuple(tuple(t_power(self.space.q, -r_i) * FqRationalFunction.of(x)
+                           for x in w_i) for w_i, r_i in zip(self.w, self.r))
 
     def chain_summand(self, m):
         """The canonical summand spanned by the m shortest diagonal vectors."""
@@ -358,19 +354,13 @@ class DiagonalBasisResult:
     def validate(self):
         vs = self.space
         ring = poly_ring(vs.q)
-        n = vs.n
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        for w_i, b_i, r_i in zip(self.w, self.b, self.r):
-            scale = t_power(vs.q, r_i)
-            if any(FqRationalFunction.of(a) != scale * bb for a, bb in zip(w_i, b_i)):
-                raise DomainError("w_i != t^{r_i} b_i")
         dw = matrices.det_field(_as_ratfunc_rows(self.w), ring.field_zero(),
                                 ring.field_one())
         if not dw.is_integral() or dw.num.degree != 0:
             raise DomainError("w is not unimodular over F_q[t]")
-        coeff = matrices.matmul(vs.inverse_basis,
-                                matrices.transpose(_as_ratfunc_rows(self.b)),
+        coeff = matrices.matmul(vs.inverse_basis, matrices.transpose(self.b),
                                 ring.field_zero())
         if any(x.nu() < 0 for row in coeff for x in row):
             raise DomainError("b is not contained in the lattice")
@@ -378,77 +368,40 @@ class DiagonalBasisResult:
         if dk.nu() != 0:
             raise DomainError("b does not span the lattice over R")
         if sum(self.r) != ff_logvol(vs, matrices.identity_rows(
-                n, ring.one(), ring.zero())):
+                vs.n, ring.one(), ring.zero())):
             raise DomainError("sum of r-values != total log-volume")
 
 
 def diagonal_basis(vs):
     """Diagonal shape of a volume space, by shortest-vector splitting.
 
-    Finds a shortest primitive vector, splits off the saturated line it
-    spans, recurses on the quotient, lifts, and clears the off-diagonal
-    coefficients by Laurent-tail reduction.  A rank-0 space has the empty
+    Finds a shortest primitive vector v, of log-volume r_1, splits off the
+    saturated line it spans and recurses on the quotient.  In the split's
+    coordinates S has the basis [[A, X], [0, Q]], and a quotient diagonal
+    vector wbar_i lifts to the coordinates (floor(x_i), wbar_i), with
+    x_i = X Q^-1 wbar_i and floor the polynomial part.  t^{-r_i} (x_i, wbar_i)
+    lies in S, and t^{-r_i} (x_i - floor(x_i)) has valuation > r_i >= r_1 =
+    nu(A), so it is an R-multiple of A.  A rank-0 space has the empty
     diagonal basis.
     """
     ring = poly_ring(vs.q)
     n = vs.n
     if n == 0:
-        return DiagonalBasisResult(vs, (), (), ())
+        return DiagonalBasisResult(vs, (), ())
     if n == 1:
-        r1 = vs.logvol
-        return DiagonalBasisResult(vs, ((ring.one(),),), ((t_power(vs.q, -r1),),), (r1,))
+        return DiagonalBasisResult(vs, ((ring.one(),),), (vs.logvol,))
     v, r1 = shortest_vector(vs)
-    b1 = tuple(t_power(vs.q, -r1) * FqRationalFunction.of(x) for x in v)
-    lead = next(j for j, x in enumerate(v) if x)
-    line = FFSummand.from_rows(vs.q, n, [v])
-    sq = sub_quotient(vs, line)
+    sq = sub_quotient(vs, FFSummand.from_rows(vs.q, n, [v]))
     inner = diagonal_basis(sq.quot)
-    comp_rows = sq.full_rows[1:]
-    quot_inv = sq.quot.inverse_basis
-    w_rows = [tuple(v)]
-    b_rows = [b1]
-    r_list = [r1]
-    for i in range(n - 1):
-        # lift the quotient diagonal vectors through the chosen splitting
-        wbar = inner.w[i]
-        w_i = [ring.zero()] * n
-        for kidx in range(n - 1):
-            if wbar[kidx]:
-                for col in range(n):
-                    w_i[col] = w_i[col] + wbar[kidx] * comp_rows[kidx][col]
-        bbar = inner.b[i]
-        kappa = [sum((quot_inv[a][c] * bbar[c] for c in range(n - 1)),
-                     ring.field_zero()) for a in range(n - 1)]
-        b_i = [ring.field_zero()] * n
-        for kidx in range(n - 1):
-            if not kappa[kidx].is_zero():
-                for col in range(n):
-                    b_i[col] = b_i[col] + kappa[kidx] * sq.quot_lift_cols[kidx][col]
-        r_i = inner.r[i]
-        # w_i - t^{r_i} b_i = s_i b1 lies on the split-off line, so one
-        # coordinate where b1 is nonzero gives s_i; clear its coefficient
-        s_i = (FqRationalFunction.of(w_i[lead]) - t_power(vs.q, r_i) * b_i[lead]) / b1[lead]
-        if not s_i.is_zero() and -s_i.nu() >= r1:
-            head = s_i.truncate_at_infinity(r1)
-            # subtract the integral multiple (head / t^{r1}) * w_1
-            mult = (head / t_power(vs.q, r1)).as_polynomial()
-            for col in range(n):
-                w_i[col] = w_i[col] - mult * v[col]
-            s_i = s_i - head
-        if not s_i.is_zero():
-            shift = s_i / t_power(vs.q, r_i)
-            b_i = [bb + shift * b1c for bb, b1c in zip(b_i, b1)]
-        w_rows.append(tuple(w_i))
-        b_rows.append(tuple(b_i))
-        r_list.append(r_i)
-    order = sorted(range(n), key=lambda i: r_list[i])
-    result = DiagonalBasisResult(
-        vs,
-        tuple(w_rows[i] for i in order),
-        tuple(b_rows[i] for i in order),
-        tuple(r_list[i] for i in order),
-    )
-    return result
+    (xq,) = matrices.matmul(sq.cross, sq.quot.inverse_basis, ring.field_zero())
+    full_cols = matrices.transpose(sq.full_rows)
+    w_rows = [tuple(v)]  # full_rows[0] is v only up to a unit
+    for wbar in inner.w:
+        x = sum((a * c for a, c in zip(xq, wbar) if c), ring.field_zero())
+        coords = (x.num // x.den, *wbar)
+        w_rows.append(tuple(sum((c * e for c, e in zip(coords, col) if c), ring.zero())
+                            for col in full_cols))
+    return DiagonalBasisResult(vs, tuple(w_rows), (r1, *inner.r))
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_criterion_05_chamber_count_formula():
     for n in range(2, 5):
         for r in (2, 3):
             for k in range(1, n):
-                count, verified = count_chambers_on_edge(n, r, k, verify=True)
+                count, verified = count_chambers_on_edge(n, r, k)
                 assert verified
                 table[(n, r, k)] = count
     assert table[(3, 2, 1)] == 3

@@ -199,36 +199,28 @@ def _strs(M):
     return [[str(x) for x in row] for row in M]
 
 
-# restriction bases, quotient bases and quotient lifts of _sub_quotient_pins,
-# frozen before the valuation-ring column reduction became one kernel
+# restriction and quotient bases of _sub_quotient_pins, frozen before the
+# valuation-ring column reduction became one kernel
 SUB_QUOTIENT_PINS = [
     [[["0", "1"], ["(t+1)/t", "t"]],
-     [["1"]],
-     [["1", "0", "0"]]],
+     [["1"]]],
     [[["(t+1)/t", "1/(t+1)"], ["(t+1)/t", "1/t"]],
-     [["1"]],
-     [["1", "1/(t+1)", "1"]]],
+     [["1"]]],
     [[["1/t"]],
-     [["2*t/(t^2+2*t+2)", "2*t^2+t"], ["0", "t^2+2*t+2"]],
-     [["2*t/(t^2+2*t+2)", "0", "2/(t^2+2*t+2)"], ["2", "0", "2*t+1"]]],
+     [["2*t/(t^2+2*t+2)", "2*t^2+t"], ["0", "t^2+2*t+2"]]],
     [[["(3*t^2+3*t+3)/(t^2+1)"]],
-     [["2*t+2", "t+3"], ["0", "2"]],
-     [["3", "2*t+1", "3"], ["0", "t+3", "2"]]],
+     [["2*t+2", "t+3"], ["0", "2"]]],
     [[["0", "1/(t^3+1)"], ["1/(t+1)", "(t+1)/(t^2+t+1)"]],
-     [["(t^2+t+1)/(t^2+1)", "t^2"], ["0", "t^2+t"]],
-     [["1", "1/(t+1)", "1/(t^2+1)", "1"], ["0", "0", "t", "0"]]],
+     [["(t^2+t+1)/(t^2+1)", "t^2"], ["0", "t^2+t"]]],
     [[["(t^4+2*t^3+t+1)/(t^6+t^4+2*t^2+t+2)"]],
      [["(2*t^6+2*t^4+t^2+2*t+1)/(t^6+t^4+t^3+t^2+2*t)", "(2*t^2+t+1)/(t+1)",
-      "(2*t+1)/(t+1)"], ["0", "(2*t^3+t+2)/(t^2+2)", "2"], ["0", "0", "(2*t+1)/t"]],
-     [["0", "(2*t+2)/(t+2)", "(t^4+2*t^3+t+1)/(t^5+2*t^4+2*t^3+2*t^2+2*t)",
-      "(t^4+2*t^3+t+1)/(t^6+t^4+t^3+t^2+2*t)"], ["0", "0", "2/(t+1)",
-      "(t^2+2*t+2)/(t^2+2)"], ["(2*t+1)/t", "0", "0", "1/(t+1)"]]],
+      "(2*t+1)/(t+1)"], ["0", "(2*t^3+t+2)/(t^2+2)", "2"], ["0", "0", "(2*t+1)/t"]]],
 ]
 
 
 class TestPinnedSubQuotient:
     def test_outputs(self):
-        got = [[_strs(sq.res.basis), _strs(sq.quot.basis), _strs(sq.quot_lift_cols)]
+        got = [[_strs(sq.res.basis), _strs(sq.quot.basis)]
                for sq in (sub_quotient(vs, w) for vs, w in _sub_quotient_pins())]
         assert got == SUB_QUOTIENT_PINS
 
@@ -296,6 +288,118 @@ def _seeded_spaces(label, per_shape=2):
         for n in range(1, 6):
             for _ in range(per_shape):
                 yield random_volume_space(rng, q, n, maxdeg=1 if n > 3 else 2)
+
+
+def _diagonal_basis_pin_spaces():
+    """Seeded volume spaces over F_2, F_3 and F_4 of ranks 2..5, then the t^200 gap."""
+    rng = random.Random("latff-diagonal-pins")
+    for q in (2, 3, 4):
+        for n in range(2, 6):
+            for _ in range(2):
+                yield random_volume_space(rng, q, n, maxdeg=1 if n > 3 else 2)
+    yield _gap_space(200)
+
+
+# r, the coefficient lists of w and the strings of b for
+# _diagonal_basis_pin_spaces, frozen while diagonal_basis still carried b
+# through its recursion
+DIAGONAL_BASIS_PINS = [[[0, 1], [[[1], []], [[0, 0, 0, 1], [1]]], [['1', '0'], ['t^2', '1/t']]],
+                      [[-2, 0], [[[1], []], [[], [1]]], [['t^2', '0'], ['0', '1']]],
+                      [[0, 0, 0], [[[], [1], []], [[], [1, 1], [1]], [[1], [], [1, 1]]],
+                       [['0', '1', '0'], ['0', 't+1', '1'], ['1', '0', 't+1']]],
+                      [[0, 0, 1],
+                       [[[1, 1], [0, 1], []], [[1], [1, 1], [1]], [[0, 1], [1, 1], []]],
+                       [['t+1', 't', '0'], ['1', 't+1', '1'], ['1', '(t+1)/t', '0']]],
+                      [[0, 0, 0, 1],
+                       [[[1], [], [], []], [[1], [], [1], []], [[], [], [1], [1]],
+                        [[1, 0, 1], [1], [], []]],
+                       [['1', '0', '0', '0'], ['1', '0', '1', '0'], ['0', '0', '1', '1'],
+                        ['(t^2+1)/t', '1/t', '0', '0']]],
+                      [[-1, 0, 0, 1],
+                       [[[], [1], [], []], [[1], [1], [1], []], [[1], [0, 1], [1], [1]],
+                        [[1], [0, 1], [], []]],
+                       [['0', 't', '0', '0'], ['1', '1', '1', '0'], ['1', 't', '1', '1'],
+                        ['1/t', '1', '0', '0']]],
+                      [[-1, 0, 0, 0, 0],
+                       [[[], [1], [], [], []], [[1], [], [], [], []], [[1], [0, 1], [1], [], []],
+                        [[0, 1], [], [1], [1], []], [[1], [1], [], [], [1]]],
+                       [['0', 't', '0', '0', '0'], ['1', '0', '0', '0', '0'],
+                        ['1', 't', '1', '0', '0'], ['t', '0', '1', '1', '0'],
+                        ['1', '1', '0', '0', '1']]],
+                      [[-1, 0, 0, 0, 0],
+                       [[[1], [], [], [], []], [[0, 1], [1], [], [], []], [[], [1], [1], [], []],
+                        [[0, 1], [1], [1], [1], []], [[1], [1], [], [1], [1]]],
+                       [['t', '0', '0', '0', '0'], ['t', '1', '0', '0', '0'],
+                        ['0', '1', '1', '0', '0'], ['t', '1', '1', '1', '0'],
+                        ['1', '1', '0', '1', '1']]],
+                      [[0, 2], [[[1], []], [[2, 0, 1], [1]]],
+                       [['1', '0'], ['(t^2+2)/t^2', '1/t^2']]],
+                      [[0, 0], [[[], [1]], [[1], [2, 1]]], [['0', '1'], ['1', 't+2']]],
+                      [[0, 0, 1], [[[1], [], []], [[2], [1], []], [[1, 2], [], [1]]],
+                       [['1', '0', '0'], ['2', '1', '0'], ['(2*t+1)/t', '0', '1/t']]],
+                      [[-1, -1, -1], [[[1], [], []], [[2, 1], [1], []], [[], [], [1]]],
+                       [['t', '0', '0'], ['t^2+2*t', 't', '0'], ['0', '0', 't']]],
+                      [[-1, -1, -1, 0],
+                       [[[1], [], [], []], [[], [], [1], []], [[1], [], [], [1]],
+                        [[], [1], [], []]],
+                       [['t', '0', '0', '0'], ['0', '0', 't', '0'], ['t', '0', '0', 't'],
+                        ['0', '1', '0', '0']]],
+                      [[-1, 0, 0, 2],
+                       [[[], [], [1], []], [[1], [], [], []], [[], [2, 1], [], [1]],
+                        [[], [1], [2, 1], []]],
+                       [['0', '0', 't', '0'], ['1', '0', '0', '0'], ['0', 't+2', '0', '1'],
+                        ['0', '1/t^2', '(t+2)/t^2', '0']]],
+                      [[-1, -1, 0, 0, 0],
+                       [[[], [1], [], [], []], [[1], [], [2], [], [1]],
+                        [[], [1, 1], [1], [], []], [[], [2], [], [1], []],
+                        [[2], [], [], [], []]],
+                       [['0', 't', '0', '0', '0'], ['t', '0', '2*t', '0', 't'],
+                        ['0', 't+1', '1', '0', '0'], ['0', '2', '0', '1', '0'],
+                        ['2', '0', '0', '0', '0']]],
+                      [[-1, -1, 0, 0, 0],
+                       [[[], [1], [], [], []], [[], [], [], [1], []], [[], [2], [1], [], []],
+                        [[1], [], [], [], []], [[], [], [], [], [1]]],
+                       [['0', 't', '0', '0', '0'], ['0', '0', '0', 't', '0'],
+                        ['0', '2', '1', '0', '0'], ['1', '0', '0', '0', '0'],
+                        ['0', '0', '0', '0', '1']]],
+                      [[0, 0], [[[2, 3], [1]], [[1, 1, 2], [0, 3]]],
+                       [['3*t+2', '1'], ['2*t^2+t+1', '3*t']]],
+                      [[0, 1], [[[2, 0, 3], [1]], [[1], []]], [['3*t^2+2', '1'], ['1/t', '0']]],
+                      [[-1, 0, 0], [[[1], [], []], [[], [], [1]], [[], [1], [2, 2, 3]]],
+                       [['t', '0', '0'], ['0', '0', '1'], ['0', '1', '3*t^2+2*t+2']]],
+                      [[-2, 0, 2],
+                       [[[], [], [1]], [[1], [3], [0, 1]], [[], [3], [1, 2, 3, 0, 1]]],
+                       [['0', '0', 't^2'], ['1', '3', 't'],
+                        ['0', '3/t^2', '(t^4+3*t^2+2*t+1)/t^2']]],
+                      [[-1, -1, 0, 0],
+                       [[[], [1], [], []], [[], [3], [], [1]], [[], [3], [1], []],
+                        [[1], [0, 2], [], []]],
+                       [['0', 't', '0', '0'], ['0', '3*t', '0', 't'], ['0', '3', '1', '0'],
+                        ['1', '2*t', '0', '0']]],
+                      [[-1, 0, 0, 0],
+                       [[[], [], [], [1]], [[], [], [1], []], [[], [1], [1, 2], [2]],
+                        [[1], [1], [1], []]],
+                       [['0', '0', '0', 't'], ['0', '0', '1', '0'], ['0', '1', '2*t+1', '2'],
+                        ['1', '1', '1', '0']]],
+                      [[-1, -1, 0, 0, 0],
+                       [[[3], [1], [], [], []], [[1], [2], [], [1], []], [[2], [2], [], [], []],
+                        [[1, 2], [2], [1], [], []], [[2], [], [0, 1], [2], [1]]],
+                       [['3*t', 't', '0', '0', '0'], ['t', '2*t', '0', 't', '0'],
+                        ['2', '2', '0', '0', '0'], ['2*t+1', '2', '1', '0', '0'],
+                        ['2', '0', 't', '2', '1']]],
+                      [[-1, -1, -1, 0, 0],
+                       [[[1], [], [], [], []], [[], [], [], [1], []], [[], [], [], [], [1]],
+                        [[2], [1], [], [], []], [[], [], [1], [], []]],
+                       [['t', '0', '0', '0', '0'], ['0', '0', '0', 't', '0'],
+                        ['0', '0', '0', '0', 't'], ['2', '1', '0', '0', '0'],
+                        ['0', '0', '1', '0', '0']]],
+                      [[-200, 0], [[[1], []], [[1], [1]]], [['t^200', '0'], ['1', '1']]]]
+
+
+def test_pinned_diagonal_bases():
+    got = [[list(d.r), [[list(x.coeffs) for x in row] for row in d.w], _strs(d.b)]
+           for d in map(diagonal_basis, _diagonal_basis_pin_spaces())]
+    assert got == DIAGONAL_BASIS_PINS
 
 
 def test_diagonal_basis_invariants():

@@ -16,9 +16,10 @@ import pytest
 
 from latred import latz, matrices
 from latred.fq import t_power
-from latred.latff import ff_invariants_and_filtration, instability_ff
+from latred.latff import (FFSummand, VolumeSpace, diagonal_basis,
+                          ff_invariants_and_filtration, instability_ff)
 from latred.latz import InnerProduct, ZSummand, canonical_filtration_z, instability_z
-from latred.rings import ZZ
+from latred.rings import ZZ, poly_ring
 
 from conftest import (kernel, random_ff_summand, random_spd, random_unimodular_poly,
                       random_unimodular_z, random_volume_space, random_z_summand)
@@ -152,3 +153,28 @@ def test_instability_ff_is_invariant_under_t_power_scaling(k):
         scaled = vs.scaled(t_power(vs.q, k))
         for w in summands:
             assert instability_ff(scaled, w) == instability_ff(vs, w), w
+
+
+def _ff_dual(vs):
+    """The dual lattice {x : x . S in R^n}, spanned by the columns of S^-T."""
+    return VolumeSpace(vs.q, vs.n, matrices.transpose(vs.inverse_basis))
+
+
+def test_ff_duality_negates_logvol_and_reverses_r():
+    rng = random.Random("symmetries-ff-dual")
+    for q in (2, 3, 4):
+        for n in (2, 3, 4):
+            for _ in range(3):
+                vs = random_volume_space(rng, q, n, maxdeg=1)
+                dual = _ff_dual(vs)
+                assert dual.logvol == -vs.logvol
+                r = diagonal_basis(vs).r
+                assert diagonal_basis(dual).r == tuple(sorted(-x for x in r)), vs
+
+
+def test_instability_ff_of_the_annihilator_in_the_dual():
+    for vs, summands in _ff_cases():
+        dual = _ff_dual(vs)
+        for w in summands:
+            perp = FFSummand.from_rows(vs.q, vs.n, kernel(poly_ring(vs.q), w.basis))
+            assert instability_ff(dual, perp) == instability_ff(vs, w), w
