@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
-from .fq import FqRationalFunction, gf, poly, poly_one, prime_power, t_power
+from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power, t_power
 from .rings import ZZ, is_prime_int
 
 NEIGHBOR_RESIDUE_LIMIT = 5
@@ -110,8 +110,10 @@ class BuildingContext:
             mod = self.p ** a
             rep = (y.numerator * pow(y.denominator, -1, mod)) % mod
             return Fraction(rep)
-        y = FqRationalFunction.of(y)
-        return y.truncate_at_infinity(-(a - 1))
+        # the terms of y's expansion at infinity down to t^(1-a):
+        # floor(y t^(a-1)) / t^(a-1), the floor being the polynomial part
+        y, s = FqRationalFunction.of(y), poly_t(self.q) ** (a - 1)
+        return FqRationalFunction(y.num * s // y.den, s)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +188,14 @@ def standard_vertex(ctx):
 # neighbors and labels
 # ---------------------------------------------------------------------------
 
-def neighbors(v, ctx=None):
+def neighbors(v):
     """All adjacent vertices with their directed label differences.
 
     One neighbor per proper nonzero residue subspace U of pi^{-1}L/L, via
     the intermediate lattice with L' / L = U; the reported label difference
     is dim U.
     """
-    ctx = ctx or v.ctx
+    ctx = v.ctx
     n = ctx.n
     r = ctx.residue_size
     if r > NEIGHBOR_RESIDUE_LIMIT or n > NEIGHBOR_RANK_LIMIT:
@@ -218,25 +220,21 @@ def neighbors(v, ctx=None):
     return out
 
 
-def label_difference(v1, v2, ctx=None):
+def label_difference(v1, v2):
     """Edge label difference in (Z/n)/{x ~ -x}, as an integer 0..n//2.
 
-    Computed from the valuation of the determinant of the base change
-    matrix between any representatives; independent of those choices.
+    The valuation of the determinant of the base change between any
+    representatives, mod n.  Canonical vertices are triangular with
+    diagonal pi^{a_j}, so that valuation is sum a(v1) - sum a(v2).
     """
-    ctx = ctx or v1.ctx
-    n = ctx.n
-    zero, one = ctx.zero(), ctx.one()
-    M2inv = matrices.inverse_field(v2.matrix, zero, one)
-    A = matrices.matmul(M2inv, v1.matrix, zero)
-    d = matrices.det_field(A, zero, one)
-    k = ctx.val(d) % n
+    n = v1.ctx.n
+    k = (sum(v1.diagonal_exponents()) - sum(v2.diagonal_exponents())) % n
     return min(k, n - k)
 
 
-def relative_exponents(v1, v2, ctx=None):
+def relative_exponents(v1, v2):
     """Sorted elementary-divisor valuations of the base change v1 -> v2."""
-    ctx = ctx or v1.ctx
+    ctx = v1.ctx
     zero, one = ctx.zero(), ctx.one()
     M1inv = matrices.inverse_field(v1.matrix, zero, one)
     A = matrices.matmul(M1inv, v2.matrix, zero)
@@ -245,9 +243,9 @@ def relative_exponents(v1, v2, ctx=None):
     return tuple(sorted(v for _, _, v in steps))
 
 
-def vertices_adjacent_or_equal(v1, v2, ctx=None):
+def vertices_adjacent_or_equal(v1, v2):
     """Whether the classes coincide or span an edge of the complex."""
-    exps = relative_exponents(v1, v2, ctx)
+    exps = relative_exponents(v1, v2)
     return exps[-1] - exps[0] <= 1
 
 

@@ -196,7 +196,7 @@ def _neighbors_payload(p, q, n):
     from . import building, jsonio
     ctx = _building_ctx(p, q, n)
     v = jsonio.vertex_from_json(ctx, _read_stdin())
-    nbs = building.neighbors(v, ctx)
+    nbs = building.neighbors(v)
     return {
         "count": len(nbs),
         "neighbors": [{"vertex": jsonio.vertex_to_json(w), "label_difference": d}
@@ -238,7 +238,7 @@ def label_diff(p, q, n):
         doc = _read_stdin()
         v1 = jsonio.vertex_from_json(ctx, doc["v1"])
         v2 = jsonio.vertex_from_json(ctx, doc["v2"])
-        return {"label_difference": building.label_difference(v1, v2, ctx)}
+        return {"label_difference": building.label_difference(v1, v2)}
     _run(go)
 
 

@@ -43,6 +43,13 @@ class CoverSystem:
     threshold_const: Fraction = Fraction(0)
     threshold_log: ExactLog = field(default_factory=ExactLog.zero)
 
+    def __post_init__(self):
+        # the canonical chain holds every summand with c > theta only when
+        # theta >= 0, since a summand off the chain can have any c <= 0
+        if self.exceeded_by(0):
+            log = f" + {self.threshold_log!r}" if self.threshold_log.terms else ""
+            raise DomainError(f"cover threshold {self.threshold_const}{log} is negative")
+
     @staticmethod
     def semistability(n):
         """theta = 0: the sets of unstable directions."""
@@ -158,31 +165,10 @@ def _chain_with_values(x):
             out.append((w, val))
         return out
     if isinstance(x, tuple) and len(x) == 2:
-        return _localized_chain_with_values(*x)
+        from . import filtration, sarith
+        rep = filtration.canonical_filtration(sarith.frame_oracle(*x))
+        return [(sarith.from_frame(w, x[1]), rep.c_values[w]) for w in rep.interior_chain()]
     raise DomainError(f"unsupported cover point {type(x).__name__}")
-
-
-def _localized_chain_with_values(x_part, B):
-    from . import latff, latz, sarith
-    x_new = sarith.lattice_frame(x_part, B)
-    if B.ctx.kind == "Z":
-        rep = latz.canonical_filtration_z(x_new)
-    else:
-        _, rep = latff.ff_invariants_and_filtration(x_new)
-    return [(_pull_back_summand(w, B), rep.c_values[w]) for w in rep.interior_chain()]
-
-
-def _pull_back_summand(w_coords, B):
-    """Localized summand whose intersection with B has the given coordinates.
-
-    The coordinates are over B's Hermite rows B.H, a scalar multiple of the
-    lattice basis of `sarith.lattice_frame`, so the span is the same.  Those
-    rows are ring rows, so their saturation is the stored W cap Z^n.
-    """
-    from . import matrices, sarith
-    ring = B.ctx.base_ring()
-    rows = matrices.matmul(w_coords.basis, B.H, ring.zero())
-    return sarith.LocSummand(B.ctx, B.n, matrices.saturate(ring, rows, B.n))
 
 
 def cover_membership(x, sys, with_values=False):
@@ -210,17 +196,17 @@ def core_test(x, sys):
     return not cover_membership(x, sys)
 
 
-def core_orbit_reps(n, threshold, window=None):
-    """Ascending integer r-vectors with bounded jumps and windowed sum.
+def core_orbit_reps(n, threshold):
+    """Ascending integer r-vectors with bounded jumps and sum in [0, n-1].
 
     These classify the lattice classes in the core up to automorphisms and
-    rescaling; the window defaults to [0, n-1].
+    rescaling.
     """
     if n > CORE_RANK_LIMIT or n < 1:
         raise ScaleError(f"rank {n} outside 1..{CORE_RANK_LIMIT}")
     if threshold > CORE_THRESHOLD_LIMIT or threshold < 0:
         raise ScaleError(f"threshold {threshold} outside 0..{CORE_THRESHOLD_LIMIT}")
-    lo, hi = window if window is not None else (0, n - 1)
+    lo, hi = 0, n - 1
     step = math.floor(threshold)
     out = []
     for deltas in itertools.product(range(step + 1), repeat=n - 1):
@@ -240,20 +226,6 @@ def core_orbit_reps(n, threshold, window=None):
             out.append(tuple(vec))
     out.sort()
     return out
-
-
-def core_test_via_reps(x, sys, reps=None):
-    """Vertex core test by normalized r-vector lookup (cross-check path)."""
-    from . import building
-    if not isinstance(x, building.Vertex):
-        raise DomainError("representative lookup needs a building vertex")
-    r = normalize_r_vector(vertex_r_vector(x))
-    if reps is None:
-        theta = sys.threshold_const
-        if sys.threshold_log.terms:
-            raise DomainError("representative enumeration needs a rational threshold")
-        reps = core_orbit_reps(len(r), theta)
-    return r in set(reps)
 
 
 def thinned_membership(x, sys, beta, lipschitz_constant):

@@ -606,24 +606,6 @@ class FqRationalFunction:
                         rem[idx] = F.sub(rem.get(idx, 0), F.mul(coef, dj))
         return [out.get(k, 0) for k in range(lo, hi + 1)]
 
-    def truncate_at_infinity(self, lo):
-        """The part of the expansion with exponents >= lo, as a rational function.
-
-        The result is sum_{k >= lo} c_k t^k, a Laurent polynomial; exact in the
-        sense that self - result has valuation > -lo ... i.e. nu > -lo.
-        """
-        if self.is_zero():
-            return self
-        top = -self.nu()
-        if top < lo:
-            return FqRationalFunction(poly(self.field, []), poly_one(self.field))
-        coeffs = self.laurent_coefficients(lo, top)
-        p = poly(self.field, coeffs)  # polynomial in t, to be shifted by lo
-        if lo >= 0:
-            return FqRationalFunction.of(p.shift(lo))
-        tpow = poly_t(self.field) ** (-lo)
-        return FqRationalFunction(p, tpow)
-
     def __str__(self):
         if self.is_integral():
             return str(self.num)

@@ -144,7 +144,7 @@ class ExactLog:
         for b, c in self.terms.items():
             yield b, Decimal(c.numerator) / Decimal(c.denominator)
 
-    def compare_to_real(self, x, digits=50):
+    def compare_to_real(self, x):
         """Sign of (self - x) for a real threshold x given as int/Fraction/float.
 
         ln of a rational never equals a nonzero rational, so for rational x a
@@ -153,7 +153,7 @@ class ExactLog:
         """
         if isinstance(x, (int, Fraction)) and x == 0:
             return self.sign()
-        for prec in (digits, 4 * digits):
+        for prec in (50, 200):
             ctx_prec = getcontext().prec
             try:
                 getcontext().prec = prec

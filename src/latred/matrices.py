@@ -142,7 +142,7 @@ def inverse_field(M, zero, one):
 # Hermite normal form (row style, canonical)
 # ---------------------------------------------------------------------------
 
-def hnf(ring, rows, ncols=None):
+def hnf(ring, rows):
     """Canonical row echelon form over a Euclidean domain.
 
     Pivots are the leading entries of their rows, normalized (positive /
@@ -153,8 +153,7 @@ def hnf(ring, rows, ncols=None):
     suffix from that column on and skips the zero entries it would subtract.
     """
     work = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
+    ncols = len(work[0]) if work else 0
     nrows = len(work)
     norm = ring.norm_key
     pivot_row = 0

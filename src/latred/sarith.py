@@ -19,23 +19,26 @@ is derived only for output, by `localized_basis`.
 Intersecting with an integral structure B is a rank-preserving lattice
 isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting.  That
-lattice path runs on Hermite forms alone: Z[T^-1]^n cap B is the Hermite
-form of B's cleared basis together with c I, c the T-part of its
-determinant, and W cap B its intersection with W cap Z^n, read off one
+lattice path runs on ring rows alone: Z[T^-1]^n cap B is the Hermite form
+of B's cleared basis together with c I, c the T-part of its determinant,
+read off the diagonal of one column reduction that also decides
+singularity, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
 denominator, and divides by it once, at the end.  An `IntegralStructure`
 is stored as that lattice: the denominator and the n-row Hermite form of
 Z[T^-1]^n cap B, built once when B is, so every W intersected with one B
-meets the same n rows, and a volume space changes frame by forward
-substitution on those triangular rows.  Every invertible matrix over Q
-splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T) factor, U
-diag(T-parts) and diag(T-free parts) V, from the Smith form U D V of its
-cleared matrix (`matrices.clear_denominators`), whose diagonal also
-decides singularity; this is the one Smith form of the layer.  SL mode
-takes det A and the determinant of the first factor from that diagonal
-and the units det U and det V of the same elimination, so the layer
-computes no determinant beyond B's singularity check.  The split holds by
+meets the same n rows.  Instability numbers and cover chains run in one
+frame, V cap B in the coordinates of those rows: `frame_oracle` moves the
+point there and is the only step that branches on the side, `to_frame`
+maps W into it and `from_frame` maps a summand back.  Every invertible
+matrix over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T)
+factor, U diag(T-parts) and diag(T-free parts) V, from the Smith form
+U D V of its cleared matrix (`matrices.clear_denominators`), whose
+diagonal also decides singularity; this is the one Smith form of the
+layer.  SL mode takes det A and the determinant of the first factor from
+that diagonal and the units det U and det V of the same elimination, so
+the layer computes no fraction-field determinant.  The split holds by
 construction and is checked by the test suite, not on every call.
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
@@ -44,13 +47,14 @@ context uses.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import matrices
-from .errors import (BoundaryModuleError, DeterminantError, DimensionError,
-                     DomainError, InvalidPlaceError, SingularityError)
+from .errors import (DeterminantError, DimensionError, DomainError,
+                     InvalidPlaceError, SingularityError)
 from .fq import FqRationalFunction
 from .rings import ZZ, poly_ring
 
@@ -160,10 +164,7 @@ class IntegralStructure:
         rows = matrices.freeze([[ring.to_field(x) for x in row] for row in self.basis])
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise DimensionError("integral structure must be n x n")
-        d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
-        if not d:
-            raise SingularityError("integral structure basis is singular")
-        den, gens = _t_lattice(self.ctx, rows, d)
+        den, gens = _t_lattice(self.ctx, rows)
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "H", matrices.hnf(ring, gens))
@@ -262,25 +263,28 @@ def localized_basis(w):
 # intersection with integral structures
 # ---------------------------------------------------------------------------
 
-def _t_lattice(ctx, basis, det):
+def _t_lattice(ctx, basis):
     """(den, rows): Z[T^-1]^n cap B is the Z-span of rows / den, rows over Z.
 
-    B is spanned by the columns of `basis`, of determinant det.  Let zB =
-    den B be B's cleared basis and c the T-part of det zB = den^n det B.
-    The lattice zB Z^n + c Z^n agrees with zB Z^n at every place in T,
-    where c Z^n lies inside it, and with Z^n at every other place, where c
-    is a unit.  Its generators are the columns of zB, reduced mod c, and c
-    times the unit vectors; den is the T-part of the cleared denominator,
-    as a ring element.
+    B is spanned by the columns of `basis`.  Let zB = den B be B's cleared
+    basis and c the T-part of det zB.  The column reduction zB = [T | 0] V
+    reveals the rank, so a singular B is rejected there, and det zB is
+    prod T_ii up to the unit det V.  The lattice zB Z^n + c Z^n agrees with
+    zB Z^n at every place in T, where c Z^n lies inside it, and with Z^n at
+    every other place, where c is a unit.  Its generators are the columns
+    of zB, reduced mod c, and c times the unit vectors; den is the T-part
+    of the cleared denominator, as a ring element.
     """
     ring = ctx.base_ring()
+    n = len(basis)
     denf, zB = matrices.clear_denominators(ring, basis)
-    den = _num_den(denf)[0]
-    num, d = _num_den(det)
-    c = ctx.t_split(num * (den ** len(basis) // d))[0]
+    rank, T, _ = matrices._column_echelon(ring, zB)
+    if rank < n:
+        raise SingularityError("integral structure basis is singular")
+    c = ctx.t_split(math.prod((T[i][i] for i in range(n)), start=ring.one()))[0]
     rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
-    rows += matrices.identity_rows(len(basis), c, ring.zero())
-    return ctx.t_split(den)[0], rows
+    rows += matrices.identity_rows(n, c, ring.zero())
+    return ctx.t_split(_num_den(denf)[0])[0], rows
 
 
 def _divided(den, H):
@@ -326,14 +330,15 @@ def loc_logvol(w, x, B):
     return latff.ff_logvol(x, rows)
 
 
-def lattice_frame(x, B):
-    """x in L-coordinates, L = B.H / B.den the canonical basis of Z[T^-1]^n cap B.
+def frame_oracle(x, B):
+    """The lattice oracle of V cap B, in the coordinates of B's Hermite rows.
 
-    The point moves with the basis: a Gram matrix becomes L . gram . L^T,
-    and a volume space's columns become L^-T . columns = den H^-T . columns,
-    solved by forward substitution on the lower-triangular H^T.
-    Coordinates and spans in L can be taken on B's ring rows B.H, a scalar
-    multiple of L.
+    V cap B has the basis L = B.H / B.den, and the point moves with it: a
+    Gram matrix becomes L . gram . L^T, and a volume space's columns become
+    L^-T . columns = den H^-T . columns, solved by forward substitution on
+    the lower-triangular H^T.  Coordinates and spans in L can be taken on
+    B's ring rows B.H, a scalar multiple of L.  This is the one place where
+    the localized instability and cover paths branch on the side.
     """
     ctx = B.ctx
     ring = ctx.base_ring()
@@ -342,7 +347,7 @@ def lattice_frame(x, B):
         zero = ring.field_zero()
         L = _divided(B.den, B.H)
         G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        return latz.InnerProduct(B.n, G)
+        return latz.ZOracle(latz.InnerProduct(B.n, G))
     from . import latff
     H, one = B.H, ring.one()
     cols = []
@@ -358,38 +363,38 @@ def lattice_frame(x, B):
     if B.den != one:
         d = ring.to_field(B.den)
         cols = [[d * a if a else a for a in row] for row in cols]
-    return latff.VolumeSpace(ctx.q, B.n, cols)
+    return latff.FFOracle(latff.VolumeSpace(ctx.q, B.n, cols))
 
 
-def _transport(w, x, B):
-    """Move (W, x) to the plain Z-side lattice V cap B in its own coordinates.
+def to_frame(oracle, w, B):
+    """W cap B as a summand of the frame: its coordinates over the rows B.H.
 
-    The coordinates of W cap B over the rows B.H are the x with x B.H in
-    W cap Z^n, that is x B.H + y W = 0 for some ring row y.
+    These are the x with x B.H in W cap Z^n, that is x B.H + y W = 0 for
+    some ring row y.  W cap Z^n is saturated, so they form a summand.
     """
-    ctx = w.ctx
-    ring = ctx.base_ring()
+    ring = B.ctx.base_ring()
     zero = ring.zero()
-    x_new = lattice_frame(x, B)
     R = matrices.identity_rows(w.n, ring.one(), zero) + ((zero,) * w.n,) * w.rank
-    Hw = matrices.split_hnf(ring, matrices.stack(B.H, w.basis), R)
-    if ctx.kind == "Z":
-        from . import latz
-        return x_new, latz.ZSummand(w.n, Hw)
-    from . import latff
-    return x_new, latff.FFSummand(ctx.q, w.n, Hw)
+    coords = matrices.split_hnf(ring, matrices.stack(B.H, w.basis), R)
+    return dataclasses.replace(oracle.zero(), basis=coords)
+
+
+def from_frame(w_coords, B):
+    """The localized summand W whose intersection with B has these coordinates.
+
+    The coordinates are over B's ring rows B.H, so the rows they give span
+    W's Q-span, and their saturation is the stored W cap Z^n.
+    """
+    ring = B.ctx.base_ring()
+    rows = matrices.matmul(w_coords.basis, B.H, ring.zero())
+    return LocSummand(B.ctx, B.n, matrices.saturate(ring, rows, B.n))
 
 
 def loc_c(w, x, B):
     """Instability number of a localized summand at (x, B), computed on V cap B."""
-    if w.is_zero() or w.is_full():
-        raise BoundaryModuleError("c is undefined for the bottom and top element")
-    xs, ws = _transport(w, x, B)
-    if w.ctx.kind == "Z":
-        from . import latz
-        return latz.instability_z(xs, ws)
-    from . import latff
-    return latff.instability_ff(xs, ws)
+    from . import filtration
+    oracle = frame_oracle(x, B)
+    return filtration.c_value(oracle, to_frame(oracle, w, B))
 
 
 # ---------------------------------------------------------------------------

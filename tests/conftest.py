@@ -149,11 +149,10 @@ def kernel(ring, M):
                               matrices.identity_rows(n, ring.one(), ring.zero()))
 
 
-def reference_hnf(ring, rows, ncols=None):
+def reference_hnf(ring, rows):
     """Reference Hermite form: full-row operations, a re-sorted Euclid pass."""
     work = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
+    ncols = len(work[0]) if work else 0
     nrows = len(work)
     pivot_row = 0
     for col in range(ncols):
@@ -260,6 +259,15 @@ def snf_t_lattice(ctx, B):
     return ctx.t_split(den)[0], rows
 
 
+def core_test_via_reps(v, reps):
+    """Vertex core test by lookup of the normalized r-vector among `reps`.
+
+    The cross-check of `covers.core_test` against `covers.core_orbit_reps`.
+    """
+    from latred.covers import normalize_r_vector, vertex_r_vector
+    return normalize_r_vector(vertex_r_vector(v)) in set(reps)
+
+
 def uncached_intersect_integral(w, B):
     """Reference W cap B, rebuilt from B's basis on every call.
 
@@ -272,8 +280,7 @@ def uncached_intersect_integral(w, B):
     if w.is_zero():
         return ()
     ring = w.ring
-    det = matrices.det_field(B.basis, ring.field_zero(), ring.field_one())
-    den, rows = sarith._t_lattice(w.ctx, B.basis, det)
+    den, rows = sarith._t_lattice(w.ctx, B.basis)
     den = ring.to_field(den)
     return matrices.freeze([[ring.to_field(x) / den for x in row]
                             for row in matrices.lattice_intersect(ring, rows, w.basis)])

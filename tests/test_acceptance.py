@@ -15,9 +15,8 @@ from latred.building import (BuildingContext, canonical_vertex,
                              count_chambers_on_edge, neighbors,
                              triangulate_point)
 from latred.covers import (CoverSystem, core_orbit_reps, core_test,
-                           core_test_via_reps, cover_membership,
-                           normalize_r_vector, vertex_r_vector,
-                           vertex_volume_space)
+                           cover_membership, normalize_r_vector,
+                           vertex_r_vector, vertex_volume_space)
 from latred.filtration import GradedPoint, canonical_plot
 from latred.fq import FqRationalFunction
 from latred.latff import (FFSummand, VolumeSpace, diagonal_basis, ff_logvol,
@@ -29,9 +28,9 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, loc_c, span_localized)
 
-from conftest import (fractional_hnf, random_ff_summand, random_invertible_rational,
-                      random_spd, random_unimodular_z, random_volume_space,
-                      random_z_summand)
+from conftest import (core_test_via_reps, fractional_hnf, random_ff_summand,
+                      random_invertible_rational, random_spd, random_unimodular_z,
+                      random_volume_space, random_z_summand)
 
 
 def _report(number, name, detail, elapsed):
@@ -422,7 +421,7 @@ def test_criterion_11_core_classification():
         vs = random_volume_space(rng, 2, 2, maxdeg=2)
         cols = [[vs.basis[i][j] for i in range(2)] for j in range(2)]
         v = canonical_vertex(cols, ctx)
-        assert core_test(v, sys1) == core_test_via_reps(v, sys1, reps)
+        assert core_test(v, sys1) == core_test_via_reps(v, reps)
         assert core_test(v, sys1) == \
             (normalize_r_vector(vertex_r_vector(v)) in set(reps))
         agree += 1

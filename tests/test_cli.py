@@ -337,6 +337,20 @@ class TestContract:
         assert res.exit_code == 3
         assert json.loads(res.output)["kind"] == "domain"
 
+    @pytest.mark.parametrize("verb", ["cover-membership", "core-test"])
+    @pytest.mark.parametrize("doc", [
+        {"side": "z", "x": {"n": 2, "gram": [["1", "0"], ["0", "1"]]}},
+        {"side": "ff", "q": 2, "n": 2, "x": STD_VERTEX},
+    ], ids=["z-identity", "ff-standard-vertex"])
+    def test_negative_threshold_exits_3(self, verb, doc):
+        # membership is read off the canonical chain, which holds every c > theta
+        # only for theta >= 0: at theta = -1 the identity form's <e1> has
+        # c = 0 > theta but lies on no chain
+        res = run_cli([verb], dict(doc, threshold=-1))
+        assert res.exit_code == 3
+        assert json.loads(res.output) == {"error": "cover threshold -1 is negative",
+                                          "kind": "domain"}
+
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_selfcheck_scale_below_one_exits_2(self, scale):
         res = run_cli(["selfcheck", "--scale", scale])

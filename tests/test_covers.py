@@ -8,9 +8,9 @@ import pytest
 from latred import matrices
 from latred.building import BuildingContext, canonical_vertex, neighbors, standard_vertex
 from latred.covers import (CoverSystem, SimplexPoint, core_orbit_reps,
-                           core_test, core_test_via_reps, cover_membership,
-                           normalize_r_vector, thinned_membership,
-                           vertex_r_vector, vertex_volume_space)
+                           core_test, cover_membership, normalize_r_vector,
+                           thinned_membership, vertex_r_vector,
+                           vertex_volume_space)
 from latred.errors import DomainError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import diagonal_basis, instability_ff
@@ -18,7 +18,7 @@ from latred.latz import InnerProduct
 from latred.logs import ExactLog
 from latred.sarith import IntegralStructure, LocalizedContext, LocSummand
 
-from conftest import (random_invertible_rational, random_spd,
+from conftest import (core_test_via_reps, random_invertible_rational, random_spd,
                       random_unimodular_poly, random_volume_space)
 
 CTX_FF2 = BuildingContext.function_field(2, 2)
@@ -167,12 +167,24 @@ class TestCoreTest:
         reps = core_orbit_reps(2, 3)
         for _ in range(20):
             v = _random_vertex(rng, CTX_FF2)
-            assert core_test(v, sys3) == core_test_via_reps(v, sys3, reps)
+            assert core_test(v, sys3) == core_test_via_reps(v, reps)
 
     def test_normalization(self):
         assert normalize_r_vector((-2, 0)) == (-1, 1)
         assert normalize_r_vector((5, 5)) == (0, 0)
         assert normalize_r_vector((0, 1)) == (0, 1)
+
+
+class TestNegativeThreshold:
+    def test_rejected_exactly_below_zero(self):
+        # theta < 0 exactly when c = 0 exceeds it, rational or exact-log
+        with pytest.raises(DomainError, match="cover threshold -1 is negative"):
+            CoverSystem(2, Fraction(-1))
+        with pytest.raises(DomainError, match="is negative"):
+            CoverSystem(2, Fraction(-1), ExactLog.log(2, 1))  # ln 2 - 1 < 0
+        sys_ = CoverSystem(2, Fraction(-1), ExactLog.log(3, 1))  # ln 3 - 1 > 0
+        assert sys_.exceeded_by(Fraction(1, 10)) and not sys_.exceeded_by(Fraction(1, 20))
+        assert not CoverSystem(2).exceeded_by(0)
 
 
 class TestLocalizedPreset:

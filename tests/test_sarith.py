@@ -266,16 +266,16 @@ class TestPinnedOutputs:
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
         # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
-        # when B is: _transport, loc_c and intersect_integral build none.
+        # when B is: to_frame, loc_c and intersect_integral build none.
         # Moving W onto it takes no Smith form, and loc_c runs none on B's
         # cleared basis
         ring = PIN_CTXS[name].base_ring()
         builds, smith = [], []
         t_lattice, snf = sarith._t_lattice, matrices.snf
 
-        def counting_t_lattice(ctx, basis, det):
+        def counting_t_lattice(ctx, basis):
             builds.append(basis)
-            return t_lattice(ctx, basis, det)
+            return t_lattice(ctx, basis)
 
         def counting_snf(r, M):
             smith.append(matrices.freeze(M))
@@ -288,7 +288,7 @@ class TestPinnedOutputs:
             B = IntegralStructure(B.ctx, B.n, B.basis)
             assert builds == [B.basis]
             smith.clear()
-            sarith._transport(w, x, B)
+            sarith.to_frame(sarith.frame_oracle(x, B), w, B)
             assert smith == []
             loc_c(w, x, B)
             intersect_integral(w, B)
@@ -356,14 +356,29 @@ def test_criterion_10_poset_builds_lattice_once(monkeypatch):
     builds = []
     t_lattice = sarith._t_lattice
 
-    def counting_t_lattice(c, basis, det):
+    def counting_t_lattice(c, basis):
         builds.append(basis)
-        return t_lattice(c, basis, det)
+        return t_lattice(c, basis)
     monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
     B = IntegralStructure(ctx, n, Bm)
     for w in list(lines) + list(planes):
         assert len(intersect_integral(w, B)) == w.rank
     assert builds == [B.basis]
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CTXS))
+def test_singular_structure_is_rejected(name):
+    # the column reduction of B's cleared basis reveals its rank: a column
+    # that is a multiple of another, or a sum of two, is rejected
+    ctx = PIN_CTXS[name]
+    ring = ctx.base_ring()
+    a = ring.field_one() / ring.to_field(ctx.T[0])
+    b = ring.to_field(ctx.T[-1]) + ring.field_one()
+    zero, one = ring.field_zero(), ring.field_one()
+    for rows in ([[a, a * b], [one, b]],
+                 [[a, one, a + one], [zero, b, b], [one, zero, one]]):
+        with pytest.raises(SingularityError, match="integral structure basis is singular"):
+            IntegralStructure(ctx, len(rows), rows)
 
 
 class TestIntersect:
@@ -587,13 +602,13 @@ def test_w_cap_b_matches_q_annihilator(name):
             random_volume_space(rng, ctx.q, B.n, maxdeg=1)
         cases.append((w, x, B))
     for w, x, B in cases:
-        den, rows = sarith._t_lattice(ctx, B.basis, matrices.det_field(
-            B.basis, ring.field_zero(), ring.field_one()))
+        den, rows = sarith._t_lattice(ctx, B.basis)
         want = [[ring.to_field(v) / ring.to_field(den) for v in row]
                 for row in span_meet(ring, w.basis, rows, rows)]
         assert intersect_integral(w, B) == matrices.freeze(want)
         ident = matrices.identity_rows(w.n, ring.one(), ring.zero())
-        assert sarith._transport(w, x, B)[1].basis == span_meet(ring, w.basis, B.H, ident)
+        frame = sarith.frame_oracle(x, B)
+        assert sarith.to_frame(frame, w, B).basis == span_meet(ring, w.basis, B.H, ident)
 
 
 def _skewed_det_cases(name):
@@ -633,8 +648,7 @@ def test_t_lattice_matches_smith_form(name):
     ctx = PIN_CTXS[name]
     ring = ctx.base_ring()
     for B in itertools.chain(_skewed_det_cases(name), (b for b, _ in _outside_t_cases(name))):
-        den, rows = sarith._t_lattice(ctx, B.basis, matrices.det_field(
-            B.basis, ring.field_zero(), ring.field_one()))
+        den, rows = sarith._t_lattice(ctx, B.basis)
         ref_den, ref_rows = snf_t_lattice(ctx, B)
         assert den == ref_den
         assert matrices.hnf(ring, rows) == matrices.hnf(ring, ref_rows)
@@ -776,7 +790,7 @@ def test_lattice_frame_on_nontrivial_ff_structure(q):
         L = matrices.freeze([[ring.to_field(h) / den for h in row] for row in H])
         Linv = matrices.inverse_field(L, zero, one)
         expected = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
-        assert sarith.lattice_frame(x, B).basis == expected
+        assert sarith.frame_oracle(x, B).vs.basis == expected
         w = LocSummand.from_rows(ctx, n, [[random_poly(rng, q, 2) for _ in range(n)]])
         if not w.is_zero():
             assert loc_c(w, x, B) == loc_c(w, x, B.scaled(t))
