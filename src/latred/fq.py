@@ -523,11 +523,6 @@ class FqRationalFunction:
         """Whether the value lies in F_q[t] (denominator is 1)."""
         return self.den.degree == 0
 
-    def as_polynomial(self):
-        if not self.is_integral():
-            raise DomainError(f"{self} is not a polynomial")
-        return self.num
-
     def _coerce(self, other):
         if isinstance(other, FqRationalFunction):
             return other

@@ -106,7 +106,11 @@ def poly_from_coeffs(q, coeffs):
     if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
         raise ValidationError(f"polynomial {coeffs!r} must be a list of integer "
                               "coefficients, lowest degree first ([0, 1] for t)")
-    return poly(gf(q), coeffs)
+    F = gf(q)
+    if not all(0 <= c < q for c in coeffs):
+        raise ValidationError(f"polynomial {coeffs!r} has a coefficient outside the "
+                              f"F_{q} elements 0..{q - 1}")
+    return poly(F, coeffs)
 
 
 def ratfunc_to_str(x):

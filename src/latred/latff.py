@@ -7,6 +7,13 @@ integers: the volume of a submodule W is the largest (-nu) of the maximal
 minors of the matrix expressing a basis of W in a basis of S.  For W = V
 that matrix is S^{-1}, so logvol(V) = nu(det S).
 
+The answers that are polynomial come from F_q[t] rows, not from F_q(t)
+elimination: logvol(V) and singularity from one column reduction of the
+cleared basis, the coordinates of a split from the polynomial inverse of
+a unimodular completion, and the unimodularity of a diagonal basis from
+the same column reduction.  The lattice inverse S^{-1} is the only
+inverse taken over F_q(t).
+
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
 r-vector classifies the GL_n(F_q[t])-orbit of S, carries the canonical
@@ -21,6 +28,7 @@ the quotient space.
 Short-vector searches never enumerate F_q[t]-points: the set of v in V with
 logvol<v> <= D is an F_q-vector space cut out by linear conditions on the
 Laurent tails of S^{-1} v, so a nullspace computation over F_q finds it.
+Short vectors inside a summand W are those of the restricted space.
 The least feasible D lies above nu_min - 1 (nu_min the least valuation of an
 entry of S) and at most at the average slope logvol(V) / n, and is found by
 bisection between the two.
@@ -49,7 +57,9 @@ class VolumeSpace:
     `basis` is an n x n matrix over F_q(t); its columns are an R-basis of
     the lattice S inside Q otimes V, written in the standard coordinates of
     V = F_q[t]^n.  `logvol` is the total log-volume logvol(V) = nu(det S),
-    kept from the singularity check.
+    kept from the singularity check: with S = P / den cleared once, one
+    column reduction P = [T | 0] V over F_q[t] gives rank P and
+    deg det P = sum deg T_ii, so nu(det S) = n deg den - deg det P.
     """
 
     q: int
@@ -62,11 +72,13 @@ class VolumeSpace:
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise DimensionError("basis matrix must be n x n")
         ring = poly_ring(self.q)
-        d = matrices.det_field(rows, ring.field_zero(), ring.field_one())
-        if d.is_zero():
+        den, P = matrices.clear_denominators(ring, rows)
+        rank, T, _ = matrices._column_echelon(ring, P)
+        if rank < self.n:
             raise SingularityError("lattice basis is singular")
         object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "logvol", d.nu())
+        object.__setattr__(self, "logvol", self.n * den.num.degree
+                           - sum(T[i][i].degree for i in range(self.n)))
 
     @staticmethod
     def standard(q, n):
@@ -199,8 +211,8 @@ def sub_quotient(vs, w):
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
-    Minv = matrices.inverse_field(matrices.transpose(_as_ratfunc_rows(full)),
-                                  ring.field_zero(), ring.field_one())
+    # coordinates of S in the basis of V given by full's rows: full^-T S
+    Minv = _as_ratfunc_rows(matrices.transpose(matrices.inverse_unimodular(ring, full)))
     coords = matrices.matmul(Minv, vs.basis, ring.field_zero())
     cols = [list(col) for col in matrices.transpose(coords)]
     # valuation-ring column reduction: clear the bottom (n-m) rows
@@ -220,56 +232,33 @@ def sub_quotient(vs, w):
 # short vectors as an F_q-vector space
 # ---------------------------------------------------------------------------
 
-def _logvol_solution_space(vs, D, gens=None):
-    """Echelonized F_q-basis of {v : logvol<v> <= D}, v in the span of gens.
+def _logvol_solution_space(vs, D):
+    """Echelonized F_q-basis of {v in V : logvol<v> <= D}, as polynomial vectors.
 
-    gens defaults to the standard basis of V; rows are polynomial vectors.
-    Returns a list of polynomial coordinate vectors (ambient coordinates).
+    The unknowns are the coefficients of v's polynomial entries up to degree
+    dmax, and S^{-1} v, a combination of the columns of S^{-1}, must vanish
+    in every Laurent degree above D.
     """
-    ring = poly_ring(vs.q)
     F = gf(vs.q)
     n = vs.n
-    if gens is None:
-        gens = matrices.identity_rows(n, ring.one(), ring.zero())
-        deg_slack = 0
-    else:
-        gens = matrices.freeze(gens)
-        full = matrices.completion_rows(ring, gens)
-        inv = matrices.inverse_unimodular(ring, full)
-        deg_slack = max(max((x.degree for x in row), default=0) for row in inv)
-        deg_slack = max(deg_slack, 0)
-    k = len(gens)
     Hinv = vs.inverse_basis
     d_prime = max(max((-x.nu() if not x.is_zero() else -10 ** 9) for x in row)
                   for row in vs.basis)
-    dmax = D + max(d_prime, 0) + deg_slack
+    dmax = D + max(d_prime, 0)
     if dmax < 0:
         return []
-    ring_zero = ring.field_zero()
-    # images of the generators under S^{-1}
-    HG = []
-    for g_row in gens:
-        gcol = [FqRationalFunction.of(x) for x in g_row]
-        img = [sum((Hinv[i][j] * gcol[j] for j in range(n)), ring_zero)
-               for i in range(n)]
-        HG.append(img)
-    unknowns = [(j, d) for j in range(k) for d in range(dmax + 1)]
+    unknowns = [(j, d) for j in range(n) for d in range(dmax + 1)]
+    base = D + 1 - dmax
     rows = []
-    for i in range(n):
-        hi = max((-HG[j][i].nu() for j in range(k) if not HG[j][i].is_zero()),
-                 default=None)
+    for h_row in Hinv:
+        hi = max((-x.nu() for x in h_row if not x.is_zero()), default=None)
         if hi is None:
             continue
         kmax = hi + dmax
         if kmax <= D:
             continue
-        coeff_cache = {}
-        for j in range(k):
-            if HG[j][i].is_zero():
-                coeff_cache[j] = None
-            else:
-                coeff_cache[j] = HG[j][i].laurent_coefficients(D + 1 - dmax, kmax)
-        base = D + 1 - dmax
+        coeff_cache = [None if x.is_zero() else x.laurent_coefficients(base, kmax)
+                       for x in h_row]
         for kk in range(D + 1, kmax + 1):
             row = []
             for (j, d) in unknowns:
@@ -282,28 +271,19 @@ def _logvol_solution_space(vs, D, gens=None):
             if any(row):
                 rows.append(row)
     null = gflinalg.nullspace(F, rows, ncols=len(unknowns))
-    vectors = []
-    for sol in null:
-        pcoeffs = [[0] * (dmax + 1) for _ in range(k)]
-        for (j, d), c in zip(unknowns, sol):
-            pcoeffs[j][d] = c
-        ps = [poly(F, cs) for cs in pcoeffs]
-        vec = [ring.zero()] * n
-        for j in range(k):
-            if ps[j]:
-                for col in range(n):
-                    vec[col] = vec[col] + ps[j] * gens[j][col]
-        vectors.append(tuple(vec))
-    return vectors
+    width = dmax + 1
+    return [tuple(poly(F, sol[j * width:(j + 1) * width]) for j in range(n))
+            for sol in null]
 
 
-def short_vector_space_dim(vs, D, gens=None):
-    """dim_Fq of {v : logvol<v> <= D, v in the span of gens} (default: all of V).
+def short_vector_space_dim(vs, D):
+    """dim_Fq of {v in V : logvol<v> <= D}.
 
     A volume probe independent of the diagonal-basis induction: the dimension
-    jumps read off the multiset of diagonal exponents.
+    jumps read off the multiset of diagonal exponents.  On a summand W the
+    same probe runs on the restricted space `sub_quotient(vs, W).res`.
     """
-    return len(_logvol_solution_space(vs, D, gens=gens))
+    return len(_logvol_solution_space(vs, D))
 
 
 def shortest_vector(vs):
@@ -356,17 +336,16 @@ class DiagonalBasisResult:
         ring = poly_ring(vs.q)
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        dw = matrices.det_field(_as_ratfunc_rows(self.w), ring.field_zero(),
-                                ring.field_one())
-        if not dw.is_integral() or dw.num.degree != 0:
+        # w = T V with V unimodular: w is unimodular when T's pivots are units
+        rank, T, _ = matrices._column_echelon(ring, self.w)
+        if rank < vs.n or not all(ring.is_unit(T[i][i]) for i in range(vs.n)):
             raise DomainError("w is not unimodular over F_q[t]")
         coeff = matrices.matmul(vs.inverse_basis, matrices.transpose(self.b),
                                 ring.field_zero())
         if any(x.nu() < 0 for row in coeff for x in row):
             raise DomainError("b is not contained in the lattice")
-        dk = matrices.det_field(coeff, ring.field_zero(), ring.field_one())
-        if dk.nu() != 0:
-            raise DomainError("b does not span the lattice over R")
+        # b inside S spans it exactly when nu(det S^-1 b^T) = sum r - logvol(V)
+        # is zero
         if sum(self.r) != ff_logvol(vs, matrices.identity_rows(
                 vs.n, ring.one(), ring.zero())):
             raise DomainError("sum of r-values != total log-volume")

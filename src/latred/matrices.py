@@ -11,9 +11,10 @@ form is left to the callers that read its invariant factors,
 units det U and det V, so `factorize` needs no determinant.  The Hermite
 form and the column reduction skip zero entries in their row and column
 operations, and the Hermite form touches only the columns from its
-current pivot on.  The fraction-field routines (determinant, rank,
-inverse) work on Fraction / FqRationalFunction entries directly and share
-one forward elimination.
+current pivot on.  A unimodular matrix is inverted on ring rows, as the
+right block of hnf([U | I]).  The fraction-field routines (determinant,
+rank, inverse) work on Fraction / FqRationalFunction entries directly and
+share one forward elimination.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .errors import (DimensionError, ProjectivityError, RankDeficiencyError,
-                     SingularityError)
+from .errors import (DimensionError, DomainError, ProjectivityError,
+                     RankDeficiencyError, SingularityError)
 from .fq import poly
 
 
@@ -375,10 +376,18 @@ def rank_over_field(ring, M):
 
 
 def inverse_unimodular(ring, U):
-    """Inverse of a unimodular ring matrix, with integral entries."""
-    lifted = freeze([[ring.to_field(x) for x in row] for row in U])
-    inv = inverse_field(lifted, ring.field_zero(), ring.field_one())
-    return freeze([[ring.from_field(x) for x in row] for row in inv])
+    """Inverse of a unimodular ring matrix, read off hnf([U | I]) = [I | U^-1].
+
+    The rows (x U, x) span exactly the graph of x -> x U, so the Hermite
+    form's left block is the canonical basis of U's row module, I exactly
+    when U is unimodular, and its right block is then U^-1.
+    """
+    n = len(U)
+    H = hnf(ring, [tuple(u) + e for u, e in
+                   zip(U, identity_rows(n, ring.one(), ring.zero()))])
+    if any(H[i][i] != ring.one() for i in range(n)):
+        raise DomainError("matrix is not unimodular over the ring")
+    return freeze(h[n:] for h in H)
 
 
 def saturate(ring, rows, ncols=None):

@@ -106,12 +106,6 @@ class IntegerRing(_EuclideanRing):
     def field_one(self):
         return Fraction(1)
 
-    def from_field(self, x):
-        x = Fraction(x)
-        if x.denominator != 1:
-            raise DomainError(f"{x} is not integral")
-        return x.numerator
-
     def __repr__(self):
         return "ZZ"
 
@@ -156,9 +150,6 @@ class PolynomialRing(_EuclideanRing):
 
     def field_one(self):
         return FqRationalFunction.of(self.one())
-
-    def from_field(self, x):
-        return FqRationalFunction.of(x).as_polynomial()
 
     def __repr__(self):
         return f"PolyRing(F{self.q})"

@@ -107,6 +107,21 @@ def random_invertible_rational(rng, n, num_max=9, den_max=9):
             return matrices.freeze(A)
 
 
+def integral(ring, x):
+    """The fraction-field element x as a ring element; x must be integral."""
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x.num, x.den)
+    assert den == ring.one(), f"{x} is not integral"
+    return num
+
+
+def field_inverse_unimodular(ring, U):
+    """Reference inverse of a unimodular ring matrix: Gauss-Jordan over the
+    fraction field, each entry of the inverse checked to be integral."""
+    lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in U])
+    inv = matrices.inverse_field(lifted, ring.field_zero(), ring.field_one())
+    return matrices.freeze([[integral(ring, x) for x in row] for row in inv])
+
+
 def minors(M, m, det):
     """All m x m minors keyed by 1-based index tuples in lexicographic order.
 

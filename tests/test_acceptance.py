@@ -18,19 +18,16 @@ from latred.covers import (CoverSystem, core_orbit_reps, core_test,
                            cover_membership, normalize_r_vector,
                            vertex_r_vector, vertex_volume_space)
 from latred.filtration import GradedPoint, canonical_plot
-from latred.fq import FqRationalFunction
-from latred.latff import (FFSummand, VolumeSpace, diagonal_basis, ff_logvol,
-                          instability_ff, short_vector_space_dim,
-                          sub_quotient)
-from latred.latz import InnerProduct, ZSummand, gram_logvol, gram_vol2, \
-    instability_z, spd_distance
+from latred.latff import (diagonal_basis, ff_logvol, instability_ff,
+                          short_vector_space_dim, sub_quotient)
+from latred.latz import gram_logvol, gram_vol2, instability_z, spd_distance
 from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, loc_c, span_localized)
 
 from conftest import (core_test_via_reps, fractional_hnf, random_ff_summand,
-                      random_invertible_rational, random_spd, random_unimodular_z,
-                      random_volume_space, random_z_summand)
+                      random_invertible_rational, random_spd, random_volume_space,
+                      random_z_summand)
 
 
 def _report(number, name, detail, elapsed):
@@ -52,18 +49,16 @@ def test_criterion_01_canonical_plot_reproduction():
             f"vertices {rep.path_ranks()}, best run {best * 1e6:.0f}us", best)
 
 
-def _r_probe(vs, gens=None, total=None):
+def _r_probe(vs):
     """Diagonal exponents read off solution-space dimension jumps."""
-    n = len(gens) if gens is not None else vs.n
+    n = vs.n
     ring = poly_ring(vs.q)
-    if total is None:
-        ident = matrices.identity_rows(vs.n, ring.one(), ring.zero())
-        total = ff_logvol(vs, gens if gens is not None else ident)
+    total = ff_logvol(vs, matrices.identity_rows(n, ring.one(), ring.zero()))
     cache = {}
 
     def dim(D):
         if D not in cache:
-            cache[D] = short_vector_space_dim(vs, D, gens=gens)
+            cache[D] = short_vector_space_dim(vs, D)
         return cache[D]
 
     D = total // n
@@ -83,9 +78,9 @@ def _independent_instability(vs, w):
     """Def-of-c minimum over per-rank minima found by dimension probes."""
     n = vs.n
     m = w.rank
-    rho = _r_probe(vs, gens=w.basis, total=ff_logvol(vs, w))
-    lv_w = Fraction(sum(rho))
     sq = sub_quotient(vs, w)
+    rho = _r_probe(sq.res)
+    lv_w = Fraction(sum(rho))
     sigma = _r_probe(sq.quot)
     incoming = max((lv_w - Fraction(sum(rho[:k]))) / (m - k) for k in range(m))
     outgoing = min(Fraction(sum(sigma[:k - m])) / (k - m)

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latred import matrices
-from latred.building import (BuildingContext, SimplexDecomposition, Vertex,
-                             apartment_coords, canonical_vertex,
+from latred.building import (BuildingContext, apartment_coords, canonical_vertex,
                              count_chambers_on_edge, edge_length,
                              edge_length_sq, label_difference, neighbors,
                              relative_exponents, standard_vertex,

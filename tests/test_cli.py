@@ -203,6 +203,19 @@ FIELD_ERRORS = {
     "ff-T-bool": (["intersect"], dict(LOC_Z, ring="ff", q=2, T=[[False, True]]),
                   "polynomial [False, True] must be a list of integer coefficients, "
                   "lowest degree first ([0, 1] for t)"),
+    # F_q elements are the integers 0..q-1, not residues reduced mod q
+    "ff-coeff-2-over-F2": (["volume", "--ring", "ff"],
+                           {"x": VS_T2, "summand": {"basis": [[[], [2]]]}},
+                           "polynomial [2] has a coefficient outside the F_2 elements 0..1"),
+    "ff-coeff-3-over-F2": (["volume", "--ring", "ff"],
+                           {"x": VS_T2, "summand": {"basis": [[[], [3]]]}},
+                           "polynomial [3] has a coefficient outside the F_2 elements 0..1"),
+    "ff-coeff-negative": (["cvalue", "--ring", "ff"],
+                          {"x": VS_T2, "summand": {"basis": [[[1], [0, -1]]]}},
+                          "polynomial [0, -1] has a coefficient outside the F_2 elements "
+                          "0..1"),
+    "ff-T-6-over-F4": (["intersect"], dict(LOC_Z, ring="ff", q=4, T=[[6, 1]]),
+                       "polynomial [6, 1] has a coefficient outside the F_4 elements 0..3"),
     "loc-ff-side-z-ring": (["cover-membership"], dict(LOC_Z_POINT, side="loc-ff"),
                            "ring 'z' contradicts side 'loc-ff'"),
     "loc-z-side-ff-ring": (["cover-membership"], dict(LOC_FF_POINT, side="loc-z"),

@@ -13,10 +13,10 @@ from latred.covers import (CoverSystem, SimplexPoint, core_orbit_reps,
                            vertex_volume_space)
 from latred.errors import DomainError, ScaleError
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
-from latred.latff import diagonal_basis, instability_ff
+from latred.latff import instability_ff
 from latred.latz import InnerProduct
 from latred.logs import ExactLog
-from latred.sarith import IntegralStructure, LocalizedContext, LocSummand
+from latred.sarith import IntegralStructure, LocalizedContext
 
 from conftest import (core_test_via_reps, random_invertible_rational, random_spd,
                       random_unimodular_poly, random_volume_space)

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latred import matrices
-from latred.errors import (DimensionError, InvalidPlaceError, ProjectivityError,
-                           RankDeficiencyError, SingularityError,
+from latred.errors import (DimensionError, DomainError, InvalidPlaceError,
+                           ProjectivityError, RankDeficiencyError, SingularityError,
                            ZeroArgumentError)
 from latred.filtration import canonical_filtration
 from latred.fq import poly, poly_t, ratfunc
@@ -22,9 +22,10 @@ from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import (BruteFFOracle, assemble_summands, kernel, minors, primitive,
-                      random_poly, random_ratfunc, reference_column_echelon, reference_hnf,
-                      smith_completion_rows, smith_saturate)
+from conftest import (BruteFFOracle, assemble_summands, field_inverse_unimodular, integral,
+                      kernel, minors, primitive, random_poly, random_ratfunc,
+                      random_unimodular_poly, random_unimodular_z, reference_column_echelon,
+                      reference_hnf, smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -218,7 +219,7 @@ def _clear_by_field_products(ring, rows):
             d = x.denominator if isinstance(x, Fraction) else x.den
             den = ring.exact_div(den * d, ring.gcd(den, d))
     den = ring.to_field(ring.unit_normalize(den)[1])
-    return den, matrices.freeze([[ring.from_field(den * x) for x in row] for row in rows])
+    return den, matrices.freeze([[integral(ring, den * x) for x in row] for row in rows])
 
 
 def random_rows_to_clear(kind, count=40):
@@ -260,7 +261,7 @@ class TestClearDenominators:
         ring_type = int if kind == "Z" else type(ring.one())
         for rows in cases:
             den, cleared = matrices.clear_denominators(ring, rows)
-            d = ring.from_field(den)
+            d = integral(ring, den)
             assert ring.unit_normalize(d)[1] == d
             # minimal: no prime of den divides every cleared entry
             g = d
@@ -397,7 +398,7 @@ class TestColumnEchelon:
             assert matrices.shape(full) == (n, n) and full[:m] == rows
             lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in full])
             det = matrices.det_field(lifted, ring.field_zero(), ring.field_one())
-            assert ring.is_unit(ring.from_field(det))
+            assert ring.is_unit(integral(ring, det))
         assert outcomes == {"completed", "refused"}
 
     def test_join_matches_saturated_hermite_rows(self, q):
@@ -484,6 +485,31 @@ class TestLeanKernels:
         for u in seen:
             assert type(u) is type(ring.one()) and ring.is_unit(u)
             assert u * inverse(u) == ring.one()
+
+    def test_inverse_unimodular_matches_field_reference(self, q):
+        rng = random.Random(f"inverse-unimodular/{q}")
+        ring = ZZ if q is None else poly_ring(q)
+        unit = -1 if q is None else poly(q, [q - 1])
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            U = [list(r) for r in (random_unimodular_z(rng, n, spread=3) if q is None
+                                   else random_unimodular_poly(rng, q, n, maxdeg=2))]
+            i, j = rng.randrange(n), rng.randrange(n)
+            U[i], U[j] = U[j], [unit * x for x in U[i]]
+            U = matrices.freeze(U)
+            inv = matrices.inverse_unimodular(ring, U)
+            assert inv == field_inverse_unimodular(ring, U)
+            assert matrices.matmul(U, inv, ring.zero()) == \
+                matrices.identity_rows(n, ring.one(), ring.zero())
+
+    def test_inverse_unimodular_rejects_other_matrices(self, q):
+        ring = ZZ if q is None else poly_ring(q)
+        one, zero = ring.one(), ring.zero()
+        prime = 2 if q is None else poly_t(q)
+        for M in (((prime, zero), (zero, one)), ((one, one), (one, one)),
+                  ((one, prime), (zero, zero))):
+            with pytest.raises(DomainError, match="not unimodular"):
+                matrices.inverse_unimodular(ring, M)
 
 
 class TestHermite:

@@ -4,12 +4,12 @@ import dataclasses
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from latred import filtration, latff, matrices
-from latred.errors import DomainError, ProjectivityError, RankDeficiencyError, ScaleError
+from latred.errors import (DomainError, ProjectivityError, RankDeficiencyError, ScaleError,
+                           SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
@@ -432,15 +432,101 @@ def test_stored_logvol_laws():
         assert vs.transformed(g).logvol == vs.logvol
 
 
+def test_logvol_matches_field_determinant():
+    # logvol(V) = nu(det S); a basis with dependent columns is singular
+    rng = random.Random("latff-logvol-det")
+    singular = 0
+    for q in (2, 3, 4):
+        ring = poly_ring(q)
+        zero, one = ring.field_zero(), ring.field_one()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[random_ratfunc(rng, q, 2) if rng.random() < 0.85 else zero
+                     for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                i, j = rng.sample(range(n), 2)
+                lam = random_ratfunc(rng, q, 1)
+                for row in rows:
+                    row[j] = lam * row[i]
+            d = matrices.det_field(matrices.freeze(rows), zero, one)
+            if d.is_zero():
+                singular += 1
+                with pytest.raises(SingularityError, match="lattice basis is singular"):
+                    VolumeSpace(q, n, rows)
+            else:
+                assert VolumeSpace(q, n, rows).logvol == d.nu()
+    assert singular > 5
+
+
+# (q, n, rank W, D_lo, the dims at D = D_lo, D_lo + 1, ...) of
+# short_vector_space_dim(vs, D, gens=W.basis), the short vectors inside a
+# summand W, frozen while the probe still took a generator argument
+RESTRICTED_PROBE_PINS = [
+    (2, 4, 3, -2, [0, 1, 3, 6, 9]),
+    (2, 3, 2, -2, [0, 2, 4]),
+    (2, 4, 2, -1, [0, 2, 4]),
+    (2, 3, 2, -1, [0, 1, 3, 5]),
+    (2, 4, 3, -2, [0, 2, 5, 8]),
+    (3, 2, 1, -1, [0, 1, 2]),
+    (3, 3, 1, -2, [0, 1, 2]),
+    (3, 4, 1, 0, [0, 1, 2]),
+    (3, 4, 2, -1, [0, 2, 4]),
+    (3, 2, 1, -3, [0, 1, 2]),
+    (4, 4, 2, -1, [0, 1, 3, 5]),
+    (4, 2, 1, -1, [0, 1, 2]),
+    (4, 4, 3, -1, [0, 3, 6]),
+    (4, 4, 1, 1, [0, 1, 2]),
+    (4, 2, 1, 0, [0, 1, 2])]
+
+
+def test_restricted_probe_matches_pins():
+    got = []
+    for q in (2, 3, 4):
+        rng = random.Random(f"latff-svs-restricted/{q}")
+        for _ in range(5):
+            n = rng.randint(2, 4)
+            vs = random_volume_space(rng, q, n, maxdeg=2)
+            w = random_ff_summand(rng, q, n, rng.randint(1, n - 1), maxdeg=1)
+            lo = RESTRICTED_PROBE_PINS[len(got)][3]
+            res = sub_quotient(vs, w).res
+            dims = [short_vector_space_dim(res, D)
+                    for D in range(lo, lo + len(RESTRICTED_PROBE_PINS[len(got)][4]))]
+            got.append((q, n, w.rank, lo, dims))
+    assert got == RESTRICTED_PROBE_PINS
+
+
+def test_volume_spaces_split_and_validate_without_field_elimination(monkeypatch):
+    # the lattice inverse S^-1 is the one fraction-field inverse left; the
+    # constructor, the split and validation run on F_q[t] rows
+    rng = random.Random("latff-ring-rows")
+    cases = []
+    for q in (2, 3, 4):
+        for n in (2, 3, 4):
+            vs = random_volume_space(rng, q, n, maxdeg=2)
+            diag = diagonal_basis(vs)  # caches vs.inverse_basis
+            cases.append((vs, diag, random_ff_summand(rng, q, n, rng.randint(1, n - 1))))
+    calls = Counter()
+    for name in ("det_field", "inverse_field"):
+        def counted(*args, _name=name, _fn=getattr(matrices, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(matrices, name, counted)
+    for vs, diag, w in cases:
+        VolumeSpace(vs.q, vs.n, vs.basis)
+        sub_quotient(vs, w)
+        diag.validate()
+    assert calls == {}
+
+
 def test_shortest_vector_bisects_the_instability_gap(monkeypatch):
     # the bound is bisected between nu_min - 1 = -201 and the average
     # slope -100, so the solves grow with the log of the gap, not the gap
     calls = []
     solve = latff._logvol_solution_space
 
-    def counted(vs, D, gens=None):
+    def counted(vs, D):
         calls.append(D)
-        return solve(vs, D, gens)
+        return solve(vs, D)
 
     monkeypatch.setattr(latff, "_logvol_solution_space", counted)
     vs = _gap_space(200)

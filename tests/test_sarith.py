@@ -11,7 +11,7 @@ from latred.errors import (DeterminantError, DimensionError, DomainError,
                            RankDeficiencyError, SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.jsonio import value_to_json
-from latred.latff import VolumeSpace, ff_logvol
+from latred.latff import VolumeSpace
 from latred.latz import InnerProduct
 from latred.logs import ExactLog
 from latred.rings import poly_ring
@@ -19,7 +19,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, factorize_conjugated, intersect_integral,
                            loc_c, loc_logvol, localized_basis, span_localized)
 
-from conftest import (fractional_hnf, minors, random_invertible_rational, random_poly,
+from conftest import (fractional_hnf, integral, minors, random_invertible_rational, random_poly,
                       random_ratfunc, random_spd, random_unimodular_poly,
                       random_unimodular_z, random_volume_space, snf_t_lattice,
                       span_meet, uncached_intersect_integral)
@@ -567,7 +567,7 @@ class TestDenominatorsOutsideT:
             C = matrices.matmul(rows, matrices.inverse_field(L, zero, one), zero)
             g = ring.zero()
             for m in minors(C, w.rank, lambda sub: matrices.det_field(sub, zero, one)).values():
-                g = ring.gcd(g, ring.from_field(m))
+                g = ring.gcd(g, integral(ring, m))
             assert ring.is_unit(g)
             assert fractional_hnf(ring, rows) == rows
 
