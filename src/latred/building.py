@@ -235,9 +235,8 @@ def label_difference(v1, v2):
 def relative_exponents(v1, v2):
     """Sorted elementary-divisor valuations of the base change v1 -> v2."""
     ctx = v1.ctx
-    zero, one = ctx.zero(), ctx.one()
-    M1inv = matrices.inverse_field(v1.matrix, zero, one)
-    A = matrices.matmul(M1inv, v2.matrix, zero)
+    # canonical vertices are upper triangular, so M1^-1 M2 is one back substitution
+    A = matrices.solve_upper(v1.matrix, v2.matrix)
     cols = [list(c) for c in matrices.transpose(A)]
     steps = matrices.dvr_column_reduce(cols, range(ctx.n), ctx.val, any_row=True)
     return tuple(sorted(v for _, _, v in steps))

@@ -379,17 +379,6 @@ class FqPolynomial:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if k < 0:
-            raise DomainError(f"shift by t^{k} leaves F_q[t]")
-        c = self._c
-        if c.__class__ is int:
-            return _from_bits(self.field, c << k)
-        if not c:
-            return self
-        return FqPolynomial(self.field, (0,) * k + c)
-
     def __pow__(self, n):
         if n < 0:
             raise DomainError(f"negative power {n} leaves F_q[t]")

@@ -43,9 +43,9 @@ def ratio_to_str(x):
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 
 
-def poly_from_str(q, s):
+def poly_from_str(q, text):
     F = gf(q)
-    s = s.strip().replace(" ", "")
+    s = text.strip().replace(" ", "")
     if not s or s == "0":
         return poly(F, [])
     coeffs = {}
@@ -63,7 +63,9 @@ def poly_from_str(q, s):
             deg = 0
         else:
             deg = int(m.group(3)) if m.group(3) is not None else 1
-        coeff %= F.q
+        if coeff >= F.q:
+            raise ValidationError(f"polynomial {text!r} has a coefficient outside the "
+                                  f"F_{q} elements 0..{q - 1}")
         if neg:
             coeff = F.neg(coeff)
         coeffs[deg] = F.add(coeffs.get(deg, 0), coeff)

@@ -7,12 +7,12 @@ integers: the volume of a submodule W is the largest (-nu) of the maximal
 minors of the matrix expressing a basis of W in a basis of S.  For W = V
 that matrix is S^{-1}, so logvol(V) = nu(det S).
 
-The answers that are polynomial come from F_q[t] rows, not from F_q(t)
-elimination: logvol(V) and singularity from one column reduction of the
-cleared basis, the coordinates of a split from the polynomial inverse of
-a unimodular completion, and the unimodularity of a diagonal basis from
-the same column reduction.  The lattice inverse S^{-1} is the only
-inverse taken over F_q(t).
+Every elimination runs on F_q[t] rows, not over F_q(t): logvol(V) and
+singularity come from one column reduction of the cleared basis, the
+coordinates of a split from the polynomial inverse of a unimodular
+completion, the unimodularity of a diagonal basis from the same column
+reduction, and the lattice inverse S^{-1} = den H^{-1} U from the Hermite
+form [H | U] of [P | I] for the cleared basis S = P / den.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -114,8 +114,7 @@ class VolumeSpace:
 
     @cached_property
     def inverse_basis(self):
-        ring = poly_ring(self.q)
-        return matrices.inverse_field(self.basis, ring.field_zero(), ring.field_one())
+        return matrices.inverse(poly_ring(self.q), self.basis)
 
     def contains_lattice(self, other):
         """Whether other's lattice is contained in this one (S' subset S)."""

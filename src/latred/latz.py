@@ -3,8 +3,10 @@
 An inner product enters as an exact rational Gram matrix; the squared
 volume of a summand is the Gram determinant of any basis, kept as an exact
 rational, and log-volumes are `ExactLog` half-logs of those rationals.
-Floating point appears only in the Riemannian distance between inner
-products, and numpy is imported only when that distance is computed.
+Every Gram determinant is the product of the pivots of an exact LDL^T,
+the decomposition that also checks positive definiteness.  Floating point
+appears only in the Riemannian distance between inner products, and numpy
+is imported only when that distance is computed.
 
 Summand search below a volume bound is complete and runs rank by rank:
 short vectors come from a Fincke-Pohst descent in an LLL-reduced basis,
@@ -114,10 +116,11 @@ def gram_vol2(s, rows):
         return Fraction(1)
     G = matrices.matmul(matrices.matmul(rows, s.gram, Fraction(0)),
                         matrices.transpose(rows), Fraction(0))
-    d = matrices.det_field(G, Fraction(0), Fraction(1))
-    if d == 0:
-        raise RankDeficiencyError("basis rows are dependent")
-    return d
+    # G is positive semidefinite, so a pivot <= 0 is a zero pivot
+    try:
+        return math.prod(_ldl(G)[0], start=Fraction(1))
+    except DefinitenessError:
+        raise RankDeficiencyError("basis rows are dependent") from None
 
 
 def gram_logvol(s, summand):
@@ -198,8 +201,7 @@ def _rank_bound(s, m):
     of Z^n span a direct summand.
     """
     g = s._reduced[1]
-    return min(matrices.det_field(matrices.freeze([[g[i][j] for j in idx] for i in idx]),
-                                  Fraction(0), Fraction(1))
+    return min(math.prod(_ldl([[g[i][j] for j in idx] for i in idx])[0], start=Fraction(1))
                for idx in itertools.combinations(range(s.n), m))
 
 

@@ -11,10 +11,12 @@ form is left to the callers that read its invariant factors,
 units det U and det V, so `factorize` needs no determinant.  The Hermite
 form and the column reduction skip zero entries in their row and column
 operations, and the Hermite form touches only the columns from its
-current pivot on.  A unimodular matrix is inverted on ring rows, as the
-right block of hnf([U | I]).  The fraction-field routines (determinant,
-rank, inverse) work on Fraction / FqRationalFunction entries directly and
-share one forward elimination.
+current pivot on.  Inverses run on ring rows too: a unimodular matrix is
+the right block of hnf([U | I]), and a fraction-field matrix P / den is
+den H^-1 U for hnf([P | I]) = [H | U], by one back substitution
+(`solve_upper`).  The one elimination over a fraction field is
+`dvr_column_reduce`, which pivots on valuations; ranks are Hermite-form
+lengths, and determinants are products of echelon or LDL^T pivots.
 """
 
 from __future__ import annotations
@@ -65,78 +67,6 @@ def matmul(A, B, zero):
 
 def stack(A, B):
     return tuple(A) + tuple(B)
-
-
-# ---------------------------------------------------------------------------
-# fraction-field linear algebra: one forward elimination
-# ---------------------------------------------------------------------------
-
-def _echelon(M, zero, one):
-    """Forward Gaussian elimination over a field.
-
-    Returns (rows, pivot columns, swap parity): each column's pivot is its
-    first nonzero entry at or below the next pivot row, and the entries
-    below it are cleared, updating only the columns from the pivot onwards.
-    Stops once every row holds a pivot.
-    """
-    m, n = shape(M)
-    a = [list(row) for row in M]
-    pivots = []
-    odd = False
-    for col in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][col] != zero), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            odd = not odd
-        inv = one / a[r][col]
-        for i in range(r + 1, m):
-            if a[i][col] != zero:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        pivots.append(col)
-    return a, pivots, odd
-
-
-def det_field(M, zero, one):
-    """Determinant over a field: the product of the echelon pivots."""
-    n, m = shape(M)
-    if n != m:
-        raise DimensionError("determinant of a non-square matrix")
-    a, pivots, odd = _echelon(M, zero, one)
-    if len(pivots) < n:
-        return zero
-    det = math.prod((row[i] for i, row in enumerate(a)), start=one)
-    return -det if odd else det
-
-
-def rank_field(M, zero, one):
-    return len(_echelon(M, zero, one)[1])
-
-
-def inverse_field(M, zero, one):
-    """Inverse by elimination on [M | I]; M is singular when a pivot lands in I."""
-    n, m = shape(M)
-    if n != m:
-        raise DimensionError("inverse of a non-square matrix")
-    ident = identity_rows(n, one, zero)
-    a, pivots, _ = _echelon([row + e for row, e in zip(freeze(M), ident)], zero, one)
-    if pivots != list(range(n)):
-        raise SingularityError("matrix is singular")
-    # back substitution: scale each pivot to 1, then clear the column above it
-    for r in range(n - 1, -1, -1):
-        inv = one / a[r][r]
-        a[r][r:] = [x * inv for x in a[r][r:]]
-        for i in range(r):
-            f = a[i][r]
-            if f != zero:
-                a[i][r:] = [x - f * y for x, y in zip(a[i][r:], a[r][r:])]
-    return freeze([row[n:] for row in a])
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +299,42 @@ def split_hnf(ring, A, R):
     return freeze(h[k:] for h in H if not any(h[:k]))
 
 
-def rank_over_field(ring, M):
-    """Rank of a ring matrix over its fraction field."""
-    lifted = freeze([[ring.to_field(x) for x in row] for row in M])
-    return rank_field(lifted, ring.field_zero(), ring.field_one())
+def solve_upper(H, R):
+    """X with H X = R, for H upper triangular with a nonzero diagonal.
+
+    Back substitution from the last row; R's rows are fraction-field
+    elements.  Zero entries of H cost no row operation, and a pivot equal
+    to 1 (the only nonzero idempotent) costs no division.
+    """
+    n = len(H)
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        row, h = list(R[i]), H[i]
+        for j in range(i + 1, n):
+            if h[j]:
+                row = [a - h[j] * b if b else a for a, b in zip(row, X[j])]
+        piv = h[i]
+        if piv * piv != piv:
+            row = [a / piv for a in row]
+        X[i] = tuple(row)
+    return tuple(X)
+
+
+def inverse(ring, M):
+    """Inverse of a square fraction-field matrix, computed on ring rows.
+
+    With M = P / den cleared once, hnf([P | I]) = [H | U] has U P = H upper
+    triangular, so M^-1 = den H^-1 U.  The Hermite form always has n rows;
+    P is singular exactly when a pivot lands right of the diagonal.
+    """
+    n, m = shape(M)
+    if n != m:
+        raise DimensionError("inverse of a non-square matrix")
+    den, P = clear_denominators(ring, M)
+    HU = hnf(ring, [p + e for p, e in zip(P, identity_rows(n, ring.one(), ring.zero()))])
+    if not all(HU[i][i] for i in range(n)):
+        raise SingularityError("matrix is singular")
+    return solve_upper([h[:n] for h in HU], [[den * x for x in h[n:]] for h in HU])
 
 
 def inverse_unimodular(ring, U):
@@ -506,7 +468,8 @@ class Summand:
             return False
         if not other.basis:
             return True
-        return rank_over_field(self.ring, stack(self.basis, other.basis)) == self.rank
+        # hnf drops zero rows, so its length is the rank of the stacked rows
+        return len(hnf(self.ring, stack(self.basis, other.basis))) == self.rank
 
     def meet(self, other):
         # the intersection of two summands is a summand, and lattice_intersect

@@ -452,10 +452,10 @@ def factorize(A, ctx, mode="GL"):
 def factorize_conjugated(A, ctx, conjugator):
     """Split A in SL_n(Q) as (SL_n(Z[T^-1]) factor) * (g SL_n(Z_T) g^-1 factor)."""
     ring = ctx.base_ring()
-    zero, one = ring.field_zero(), ring.field_one()
+    zero = ring.field_zero()
     G = matrices.freeze([[ring.to_field(x) for x in row] for row in conjugator])
     B1, _ = factorize(G, ctx, mode="GL")
-    B1inv = matrices.inverse_field(B1, zero, one)
+    B1inv = matrices.inverse(ring, B1)
     A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     inner = matrices.matmul(matrices.matmul(B1inv, A, zero), B1, zero)
     P, Q = factorize(inner, ctx, mode="SL")

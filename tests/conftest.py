@@ -8,14 +8,94 @@ from fractions import Fraction
 import pytest
 
 from latred.errors import (DimensionError, LatredError, ProjectivityError,
-                           RankDeficiencyError, ScaleError)
+                           RankDeficiencyError, ScaleError, SingularityError)
 from latred.fq import FqRationalFunction, gf, poly
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, _logvol_solution_space,
                           ff_logvol, shortest_vector)
 from latred.latz import InnerProduct, ZSummand
 from latred.logs import ExactLog
 from latred import latz, matrices
+from latred.matrices import freeze, identity_rows, shape
 from latred.rings import ZZ, poly_ring
+
+
+# ---------------------------------------------------------------------------
+# fraction-field Gauss elimination: the reference for determinants, ranks
+# and inverses that the library takes on ring rows or LDL^T pivots
+# ---------------------------------------------------------------------------
+
+def _echelon(M, zero, one):
+    """Forward Gaussian elimination over a field.
+
+    Returns (rows, pivot columns, swap parity): each column's pivot is its
+    first nonzero entry at or below the next pivot row, and the entries
+    below it are cleared, updating only the columns from the pivot onwards.
+    Stops once every row holds a pivot.
+    """
+    m, n = shape(M)
+    a = [list(row) for row in M]
+    pivots = []
+    odd = False
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col] != zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            odd = not odd
+        inv = one / a[r][col]
+        for i in range(r + 1, m):
+            if a[i][col] != zero:
+                f = a[i][col] * inv
+                for j in range(col, n):
+                    a[i][j] = a[i][j] - f * a[r][j]
+        pivots.append(col)
+    return a, pivots, odd
+
+
+def det_field(M, zero, one):
+    """Determinant over a field: the product of the echelon pivots."""
+    n, m = shape(M)
+    if n != m:
+        raise DimensionError("determinant of a non-square matrix")
+    a, pivots, odd = _echelon(M, zero, one)
+    if len(pivots) < n:
+        return zero
+    det = math.prod((row[i] for i, row in enumerate(a)), start=one)
+    return -det if odd else det
+
+
+def rank_field(M, zero, one):
+    return len(_echelon(M, zero, one)[1])
+
+
+def inverse_field(M, zero, one):
+    """Inverse by elimination on [M | I]; M is singular when a pivot lands in I."""
+    n, m = shape(M)
+    if n != m:
+        raise DimensionError("inverse of a non-square matrix")
+    ident = identity_rows(n, one, zero)
+    a, pivots, _ = _echelon([row + e for row, e in zip(freeze(M), ident)], zero, one)
+    if pivots != list(range(n)):
+        raise SingularityError("matrix is singular")
+    # back substitution: scale each pivot to 1, then clear the column above it
+    for r in range(n - 1, -1, -1):
+        inv = one / a[r][r]
+        a[r][r:] = [x * inv for x in a[r][r:]]
+        for i in range(r):
+            f = a[i][r]
+            if f != zero:
+                a[i][r:] = [x - f * y for x, y in zip(a[i][r:], a[r][r:])]
+    return freeze([row[n:] for row in a])
+
+
+def rank_over_field(ring, M):
+    """Rank of a ring matrix over its fraction field."""
+    lifted = freeze([[ring.to_field(x) for x in row] for row in M])
+    return rank_field(lifted, ring.field_zero(), ring.field_one())
 
 
 @pytest.fixture
@@ -39,7 +119,7 @@ def random_z_summand(rng, n, rank, spread=3):
     while True:
         rows = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(rank)]
         lifted = matrices.freeze([[Fraction(x) for x in r] for r in rows])
-        if matrices.rank_field(lifted, Fraction(0), Fraction(1)) == rank:
+        if rank_field(lifted, Fraction(0), Fraction(1)) == rank:
             return ZSummand.from_rows(n, rows)
 
 
@@ -83,7 +163,7 @@ def random_ff_summand(rng, q, n, rank, maxdeg=2):
     while True:
         rows = [[random_poly(rng, q, maxdeg) if rng.random() < 0.8 else ring.zero()
                  for _ in range(n)] for _ in range(rank)]
-        if matrices.rank_over_field(ring, matrices.freeze(rows)) == rank:
+        if rank_over_field(ring, matrices.freeze(rows)) == rank:
             return FFSummand.from_rows(q, n, rows)
 
 
@@ -103,7 +183,7 @@ def random_invertible_rational(rng, n, num_max=9, den_max=9):
     while True:
         A = [[Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max))
               for _ in range(n)] for _ in range(n)]
-        if matrices.det_field(matrices.freeze(A), Fraction(0), Fraction(1)) != 0:
+        if det_field(matrices.freeze(A), Fraction(0), Fraction(1)) != 0:
             return matrices.freeze(A)
 
 
@@ -118,7 +198,7 @@ def field_inverse_unimodular(ring, U):
     """Reference inverse of a unimodular ring matrix: Gauss-Jordan over the
     fraction field, each entry of the inverse checked to be integral."""
     lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in U])
-    inv = matrices.inverse_field(lifted, ring.field_zero(), ring.field_one())
+    inv = inverse_field(lifted, ring.field_zero(), ring.field_one())
     return matrices.freeze([[integral(ring, x) for x in row] for row in inv])
 
 

@@ -25,9 +25,9 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, loc_c, span_localized)
 
-from conftest import (core_test_via_reps, fractional_hnf, random_ff_summand,
+from conftest import (core_test_via_reps, det_field, fractional_hnf, random_ff_summand,
                       random_invertible_rational, random_spd, random_volume_space,
-                      random_z_summand)
+                      random_z_summand, rank_field)
 
 
 def _report(number, name, detail, elapsed):
@@ -196,8 +196,8 @@ def test_criterion_06_factorization():
         assert matrices.matmul(Bm, Cm, Fraction(0)) == A
         assert all(ctx.in_t_inverted(x) for row in Bm for x in row)
         assert all(ctx.in_t_integral(x) for row in Cm for x in row)
-        dB = matrices.det_field(Bm, Fraction(0), Fraction(1))
-        dC = matrices.det_field(Cm, Fraction(0), Fraction(1))
+        dB = det_field(Bm, Fraction(0), Fraction(1))
+        dC = det_field(Cm, Fraction(0), Fraction(1))
         assert ctx.in_t_inverted(dB) and ctx.in_t_inverted(1 / dB)
         assert ctx.in_t_integral(dC) and ctx.in_t_integral(1 / dC)
     sl_count = 0
@@ -211,8 +211,8 @@ def test_criterion_06_factorization():
                 for k in range(n):
                     A[i][k] += c * A[j][k]
         Bm, Cm = factorize(matrices.freeze(A), ctx, mode="SL")
-        assert matrices.det_field(Bm, Fraction(0), Fraction(1)) == 1
-        assert matrices.det_field(Cm, Fraction(0), Fraction(1)) == 1
+        assert det_field(Bm, Fraction(0), Fraction(1)) == 1
+        assert det_field(Cm, Fraction(0), Fraction(1)) == 1
         assert matrices.matmul(Bm, Cm, Fraction(0)) == matrices.freeze(A)
         sl_count += 1
     elapsed = time.time() - t0
@@ -385,7 +385,7 @@ def test_criterion_10_poset_isomorphism():
             hull_rows = list(ia) + list(ib)
             stacked = matrices.freeze([[Fraction(x) for x in row]
                                        for row in hull_rows + list(join_img)])
-            assert matrices.rank_field(stacked, Fraction(0), Fraction(1)) == \
+            assert rank_field(stacked, Fraction(0), Fraction(1)) == \
                 len(join_img)
         instances += 1
     elapsed = time.time() - t0

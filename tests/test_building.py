@@ -19,7 +19,7 @@ from latred.fq import (PRIME_POWER_LIMIT, FqRationalFunction, poly, poly_one,
                        poly_t)
 from latred.gflinalg import count_subspaces
 
-from conftest import minors, random_poly
+from conftest import (det_field, inverse_field, minors, random_poly, rank_field)
 
 
 CTX22 = BuildingContext.p_adic(2, 2)
@@ -114,7 +114,7 @@ def _lattice_cols(rng, ctx, extra=0):
         else:
             cols = [[FqRationalFunction.of(random_poly(rng, ctx.q, 2)) for _ in range(n)]
                     for _ in range(n + extra)]
-        if matrices.rank_field(cols, ctx.zero(), ctx.one()) == n:
+        if rank_field(cols, ctx.zero(), ctx.one()) == n:
             return cols
 
 
@@ -199,10 +199,10 @@ class TestLabelDifference:
         zero, one = ctx.zero(), ctx.one()
         for _ in range(4):
             v1, v2 = (canonical_vertex(_lattice_cols(rng, ctx), ctx) for _ in range(2))
-            A = matrices.matmul(matrices.inverse_field(v1.matrix, zero, one),
+            A = matrices.matmul(inverse_field(v1.matrix, zero, one),
                                 v2.matrix, zero)
             d = [0] + [min(ctx.val(x) for x in minors(
-                A, k, lambda S: matrices.det_field(S, zero, one)).values())
+                A, k, lambda S: det_field(S, zero, one)).values())
                 for k in range(1, ctx.n + 1)]
             assert relative_exponents(v1, v2) == tuple(
                 d[k] - d[k - 1] for k in range(1, ctx.n + 1))

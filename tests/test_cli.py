@@ -216,6 +216,14 @@ FIELD_ERRORS = {
                           "0..1"),
     "ff-T-6-over-F4": (["intersect"], dict(LOC_Z, ring="ff", q=4, T=[[6, 1]]),
                        "polynomial [6, 1] has a coefficient outside the F_4 elements 0..3"),
+    "ff-string-2-over-F2": (["ff-invariants"],
+                            dict(VS_T2, S_basis=[["2*t^2", "0"], ["0", "1"]]),
+                            "polynomial '2*t^2' has a coefficient outside the F_2 elements "
+                            "0..1"),
+    "ff-string-3-over-F2": (["ff-invariants"],
+                            dict(VS_T2, S_basis=[["3*t^2", "0"], ["0", "1"]]),
+                            "polynomial '3*t^2' has a coefficient outside the F_2 elements "
+                            "0..1"),
     "loc-ff-side-z-ring": (["cover-membership"], dict(LOC_Z_POINT, side="loc-ff"),
                            "ring 'z' contradicts side 'loc-ff'"),
     "loc-z-side-ff-ring": (["cover-membership"], dict(LOC_FF_POINT, side="loc-z"),

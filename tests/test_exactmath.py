@@ -22,10 +22,11 @@ from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
-from conftest import (BruteFFOracle, assemble_summands, field_inverse_unimodular, integral,
-                      kernel, minors, primitive, random_poly, random_ratfunc,
-                      random_unimodular_poly, random_unimodular_z, reference_column_echelon,
-                      reference_hnf, smith_completion_rows, smith_saturate)
+from conftest import (BruteFFOracle, assemble_summands, det_field, field_inverse_unimodular,
+                      integral, inverse_field, kernel, minors, primitive, random_poly,
+                      random_ratfunc, random_unimodular_poly, random_unimodular_z, rank_field,
+                      rank_over_field, reference_column_echelon, reference_hnf,
+                      smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -39,7 +40,7 @@ def snf_diagonal(ring, A):
 
 def int_det(M):
     lifted = matrices.freeze([[Fraction(x) for x in row] for row in M])
-    return matrices.det_field(lifted, Fraction(0), Fraction(1))
+    return det_field(lifted, Fraction(0), Fraction(1))
 
 
 def int_minors(M, m):
@@ -181,24 +182,31 @@ class TestFieldElimination:
     def test_det_matches_leibniz(self, kind):
         zero, one, _ = _field(kind)
         for M in random_field_matrices(kind, square=True):
-            assert matrices.det_field(M, zero, one) == leibniz_det(M, zero, one)
+            assert det_field(M, zero, one) == leibniz_det(M, zero, one)
         with pytest.raises(DimensionError):
-            matrices.det_field(((one, zero),), zero, one)
+            det_field(((one, zero),), zero, one)
 
     def test_inverse_or_singular(self, kind):
+        # matrices.inverse runs on cleared ring rows; the Gauss-Jordan
+        # reference runs on the field entries
         zero, one, _ = _field(kind)
+        ring = ZZ if kind == "Q" else poly_ring(kind)
         cases = random_field_matrices(kind, square=True)
         singular = 0
         for M in cases:
             if leibniz_det(M, zero, one) == zero:
                 singular += 1
-                with pytest.raises(SingularityError):
-                    matrices.inverse_field(M, zero, one)
+                with pytest.raises(SingularityError, match="^matrix is singular$"):
+                    matrices.inverse(ring, M)
                 continue
-            inv = matrices.inverse_field(M, zero, one)
+            inv = matrices.inverse(ring, M)
             ident = matrices.identity_rows(len(M), one, zero)
             assert matrices.matmul(inv, M, zero) == ident
+            assert matrices.matmul(M, inv, zero) == ident
+            assert inv == inverse_field(M, zero, one)
         assert 0 < singular < len(cases)
+        with pytest.raises(DimensionError):
+            matrices.inverse(ring, ((one, zero),))
 
     def test_rank_is_largest_nonzero_minor(self, kind):
         zero, one, _ = _field(kind)
@@ -208,7 +216,7 @@ class TestFieldElimination:
                         if any(x != zero for x in minors(
                             M, k, lambda S: leibniz_det(S, zero, one)).values())),
                        default=0)
-            assert matrices.rank_field(M, zero, one) == want
+            assert rank_field(M, zero, one) == want
 
 
 def _clear_by_field_products(ring, rows):
@@ -319,13 +327,13 @@ class TestSaturate:
             m = rng.randint(1, n)
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
             lifted = matrices.freeze([[Fraction(x) for x in r] for r in rows])
-            if matrices.rank_field(lifted, Fraction(0), Fraction(1)) != m:
+            if rank_field(lifted, Fraction(0), Fraction(1)) != m:
                 continue
             sat = matrices.saturate(ZZ, rows)
             assert matrices.saturate(ZZ, sat) == sat
             stacked = matrices.freeze([[Fraction(x) for x in r]
                                        for r in list(rows) + list(sat)])
-            assert matrices.rank_field(stacked, Fraction(0), Fraction(1)) == m
+            assert rank_field(stacked, Fraction(0), Fraction(1)) == m
 
 
 def _ring_and_draw(q, rng):
@@ -375,7 +383,7 @@ class TestColumnEchelon:
             n = rng.randint(1, 4)
             m = rng.randint(1, n)
             rows = [[draw() for _ in range(n)] for _ in range(m)]
-            if matrices.rank_over_field(ring, matrices.freeze(rows)) < m:
+            if rank_over_field(ring, matrices.freeze(rows)) < m:
                 continue
             sat = matrices.saturate(ring, rows, n)
             pick = rng.random()
@@ -397,7 +405,7 @@ class TestColumnEchelon:
             full = matrices.completion_rows(ring, rows)
             assert matrices.shape(full) == (n, n) and full[:m] == rows
             lifted = matrices.freeze([[ring.to_field(x) for x in row] for row in full])
-            det = matrices.det_field(lifted, ring.field_zero(), ring.field_one())
+            det = det_field(lifted, ring.field_zero(), ring.field_one())
             assert ring.is_unit(integral(ring, det))
         assert outcomes == {"completed", "refused"}
 
@@ -411,14 +419,14 @@ class TestColumnEchelon:
             common = [[draw() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
             a_rows = common + [[draw() for _ in range(n)] for _ in range(rng.randint(0, 1))]
             b_rows = common + [[draw() for _ in range(n)] for _ in range(rng.randint(0, 1))]
-            if any(matrices.rank_over_field(ring, matrices.freeze(r)) < len(r)
+            if any(rank_over_field(ring, matrices.freeze(r)) < len(r)
                    for r in (a_rows, b_rows)):
                 continue
             a, b = summand(n, a_rows), summand(n, b_rows)
             assert a.join(summand(n, [])) == a
             for x, y in ((a, b), (b, a), (a, a)):
                 rows = x.basis + y.basis
-                assert matrices.rank_over_field(ring, rows) < len(rows)
+                assert rank_over_field(ring, rows) < len(rows)
                 expected = smith_saturate(ring, matrices.hnf(ring, rows), n)
                 assert x.join(y).basis == expected
 
@@ -616,7 +624,7 @@ class TestKernelAndIntersection:
             for v in K:
                 assert all(not sum((a * x for a, x in zip(row, v)), ring.zero())
                            for row in M)
-            assert matrices.rank_over_field(ring, M) + len(K) == n
+            assert rank_over_field(ring, M) + len(K) == n
             assert matrices.saturate(ring, K, n) == K
 
     def test_lattice_intersection_membership(self):
@@ -664,7 +672,7 @@ class TestAssembleSummands:
     def _brute(ring, n, pool, m):
         out = set()
         for sub in itertools.combinations(pool, m):
-            if matrices.rank_over_field(ring, matrices.freeze(sub)) == m:
+            if rank_over_field(ring, matrices.freeze(sub)) == m:
                 out.add(matrices.saturate(ring, sub, n))
         return out
 

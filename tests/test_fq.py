@@ -307,7 +307,6 @@ class TestPolynomialArithmetic:
         assert (x * y).coeffs == _ref_mul(F, a, b)
         assert (x * c).coeffs == (c * x).coeffs == _ref_mul(F, a, (c % q,))
         assert x.monic().coeffs == _ref_monic(F, a)
-        assert x.shift(k).coeffs == _trim((0,) * k + a)
         assert (x ** k).coeffs == _ref_pow(F, a, k)
         assert x.gcd(y).coeffs == _ref_gcd(F, a, b)
         if b:
@@ -352,10 +351,6 @@ class TestPolynomialArithmetic:
         x = poly(q, [1, 1])
         with pytest.raises(DomainError):
             x ** -1
-        with pytest.raises(DomainError):
-            x.shift(-1)
-        with pytest.raises(DomainError):
-            poly(q, []).shift(-2)
 
 
 def _digits(F, x):

@@ -16,7 +16,7 @@ from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           short_vector_space_dim, shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
-from conftest import (ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, BruteFFOracle,
+from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
                       enumerate_ff_summands, minors, random_ff_summand, random_poly,
                       random_ratfunc, random_unimodular_poly, random_volume_space)
 
@@ -45,7 +45,7 @@ def _logvol_by_minors(vs, rows):
     zero, one = ring.field_zero(), ring.field_one()
     rows = [[_rf(x) for x in row] for row in rows]
     lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis), zero)
-    table = minors(lam, len(rows), lambda S: matrices.det_field(S, zero, one))
+    table = minors(lam, len(rows), lambda S: det_field(S, zero, one))
     return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
 
 
@@ -99,8 +99,7 @@ class TestLogVolume:
                 for j in range(3):
                     if i != j and rng.random() < 0.5:
                         K[i][j] = FqRationalFunction(random_poly(rng, 2, 1), T ** 3)
-            detK = matrices.det_field(matrices.freeze(K), P2.field_zero(),
-                                      P2.field_one())
+            detK = det_field(matrices.freeze(K), P2.field_zero(), P2.field_one())
             assert detK.nu() == 0
             cols2 = matrices.matmul(vs.basis, matrices.freeze(K), P2.field_zero())
             vs2 = VolumeSpace(2, 3, cols2)
@@ -448,7 +447,7 @@ def test_logvol_matches_field_determinant():
                 lam = random_ratfunc(rng, q, 1)
                 for row in rows:
                     row[j] = lam * row[i]
-            d = matrices.det_field(matrices.freeze(rows), zero, one)
+            d = det_field(matrices.freeze(rows), zero, one)
             if d.is_zero():
                 singular += 1
                 with pytest.raises(SingularityError, match="lattice basis is singular"):
@@ -493,29 +492,6 @@ def test_restricted_probe_matches_pins():
                     for D in range(lo, lo + len(RESTRICTED_PROBE_PINS[len(got)][4]))]
             got.append((q, n, w.rank, lo, dims))
     assert got == RESTRICTED_PROBE_PINS
-
-
-def test_volume_spaces_split_and_validate_without_field_elimination(monkeypatch):
-    # the lattice inverse S^-1 is the one fraction-field inverse left; the
-    # constructor, the split and validation run on F_q[t] rows
-    rng = random.Random("latff-ring-rows")
-    cases = []
-    for q in (2, 3, 4):
-        for n in (2, 3, 4):
-            vs = random_volume_space(rng, q, n, maxdeg=2)
-            diag = diagonal_basis(vs)  # caches vs.inverse_basis
-            cases.append((vs, diag, random_ff_summand(rng, q, n, rng.randint(1, n - 1))))
-    calls = Counter()
-    for name in ("det_field", "inverse_field"):
-        def counted(*args, _name=name, _fn=getattr(matrices, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(matrices, name, counted)
-    for vs, diag, w in cases:
-        VolumeSpace(vs.q, vs.n, vs.basis)
-        sub_quotient(vs, w)
-        diag.validate()
-    assert calls == {}
 
 
 def test_shortest_vector_bisects_the_instability_gap(monkeypatch):

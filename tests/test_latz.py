@@ -19,8 +19,9 @@ from latred.latz import (InnerProduct, ZOracle, ZSummand, _ldl, _rank_bound,
 from latred.logs import ExactLog
 from latred.rings import ZZ
 
-from conftest import (kernel, pool_span_enumerate_summands, pool_span_rank_minima,
-                      random_spd, random_unimodular_z, random_z_summand)
+from conftest import (det_field, inverse_field, kernel, pool_span_enumerate_summands,
+                      pool_span_rank_minima, random_spd, random_unimodular_z, random_z_summand,
+                      rank_field)
 
 
 class TestVolumes:
@@ -47,8 +48,13 @@ class TestVolumes:
         assert instability_z(s, ZSummand.from_rows(2, [[1, 0]])) == ExactLog.half_log(4)
 
     def test_rank_deficiency(self):
-        with pytest.raises(RankDeficiencyError):
-            gram_vol2(InnerProduct.identity(2), [[1, 1], [2, 2]])
+        s3 = InnerProduct(3, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        for s, rows in ((InnerProduct.identity(2), [[1, 1], [2, 2]]),
+                        (InnerProduct.identity(2), [[Fraction(1, 2), Fraction(1, 3)],
+                                                    [Fraction(3, 2), 1]]),
+                        (s3, [[1, 0, 1], [0, 1, -1], [1, 1, 0]])):
+            with pytest.raises(RankDeficiencyError, match="^basis rows are dependent$"):
+                gram_vol2(s, rows)
 
     def test_rejects_non_spd(self):
         for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[-1, 0], [0, 1]],
@@ -72,7 +78,7 @@ class TestVolumes:
                 B = [row[r:] for row in G[:r]]
                 D = [row[r:] for row in G[r:]]
                 Ainv_B = matrices.matmul(
-                    matrices.inverse_field(matrices.freeze(A), Fraction(0), Fraction(1)),
+                    inverse_field(matrices.freeze(A), Fraction(0), Fraction(1)),
                     matrices.freeze(B), Fraction(0))
                 want = [[D[i][j] - sum(B[k][i] * Ainv_B[k][j] for k in range(r))
                          for j in range(n - r)] for i in range(n - r)]
@@ -114,7 +120,7 @@ class TestEnumeration:
         s = InnerProduct(3, gram)
         got, seconds = _timed(enumerate_summands, s, bound)
         assert seconds < 10.0
-        dual = InnerProduct(3, matrices.inverse_field(s.gram, Fraction(0), Fraction(1)))
+        dual = InnerProduct(3, inverse_field(s.gram, Fraction(0), Fraction(1)))
         planes = {ZSummand(3, kernel(ZZ, (x,)))
                   for x, q in short_vectors(dual, _vol2_bound_from(bound) / s.det).items()
                   if math.gcd(*x) == 1 and latz._lv_cmp(s.det * q, bound) <= 0}
@@ -149,7 +155,7 @@ class TestEnumeration:
                         vecs.append(v)
                 for subset in itertools.combinations(vecs, m):
                     lifted = matrices.freeze([[Fraction(x) for x in r] for r in subset])
-                    if matrices.rank_field(lifted, Fraction(0), Fraction(1)) != m:
+                    if rank_field(lifted, Fraction(0), Fraction(1)) != m:
                         continue
                     sat = matrices.saturate(ZZ, subset, 3)
                     if ExactLog.half_log(gram_vol2(s, sat)) <= bound:
@@ -210,7 +216,7 @@ class TestCertifiedRankMinima:
     def test_badly_based_form_gives_the_image_chain(self):
         g = [[1, 3, 5], [11, 34, 62], [13, 43, 94]]  # unimodular, det 1
         lifted = matrices.freeze([[Fraction(x) for x in row] for row in g])
-        assert matrices.det_field(lifted, Fraction(0), Fraction(1)) == 1
+        assert det_field(lifted, Fraction(0), Fraction(1)) == 1
         s = InnerProduct.diagonal([1, 1, 100])
         rep, seconds = _timed(canonical_filtration_z, s.pulled_back(g))
         assert seconds < 2.0

@@ -19,10 +19,10 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, factorize_conjugated, intersect_integral,
                            loc_c, loc_logvol, localized_basis, span_localized)
 
-from conftest import (fractional_hnf, integral, minors, random_invertible_rational, random_poly,
-                      random_ratfunc, random_spd, random_unimodular_poly,
-                      random_unimodular_z, random_volume_space, snf_t_lattice,
-                      span_meet, uncached_intersect_integral)
+from conftest import (det_field, fractional_hnf, integral, inverse_field, minors,
+                      random_invertible_rational, random_poly, random_ratfunc, random_spd,
+                      random_unimodular_poly, random_unimodular_z, random_volume_space,
+                      rank_field, snf_t_lattice, span_meet, uncached_intersect_integral)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -69,7 +69,7 @@ def _t_rows(rng, ctx, n, k):
     while True:
         rows = matrices.freeze([[_t_fraction(rng, ctx) for _ in range(n)]
                                 for _ in range(k)])
-        if matrices.rank_field(rows, ring.field_zero(), ring.field_one()) == k:
+        if rank_field(rows, ring.field_zero(), ring.field_one()) == k:
             return rows
 
 
@@ -241,7 +241,7 @@ def _pin_cases(name):
             while True:
                 B = matrices.freeze([[random_ratfunc(rng, ctx.q, 1) for _ in range(n)]
                                      for _ in range(n)])
-                if matrices.det_field(B, zero, one):
+                if det_field(B, zero, one):
                     break
             x = random_volume_space(rng, ctx.q, n, maxdeg=1)
         k = rng.randint(1, n - 1)
@@ -249,7 +249,7 @@ def _pin_cases(name):
             rows = [[rng.randint(-3, 3) if ctx.kind == "Z" else random_poly(rng, ctx.q, 2)
                      for _ in range(n)] for _ in range(k)]
             lifted = matrices.freeze([[ring.to_field(v) for v in r] for r in rows])
-            if matrices.rank_field(lifted, zero, one) == k:
+            if rank_field(lifted, zero, one) == k:
                 break
         scale = one / ring.to_field(ctx.T[0] ** rng.randint(0, 2))
         yield (LocSummand.from_rows(ctx, n, rows), x,
@@ -437,7 +437,7 @@ class TestIntersect:
                     assert matrices.freeze(inter) == meet_img
                     hull = fractional_hnf(ZZ, ia + ib)
                     # join image contains the sum with finite index: same span
-                    assert matrices.rank_field(
+                    assert rank_field(
                         matrices.freeze(list(hull) + list(join_img)),
                         Fraction(0), Fraction(1)) == len(join_img)
 
@@ -506,14 +506,14 @@ def _outside_t_cases(name):
                                                 else random_poly(rng, ctx.q, 2))
                                   / ring.to_field(rng.choice(dens)) for _ in range(n)]
                                  for _ in range(n)])
-            if matrices.det_field(B, zero, one):
+            if det_field(B, zero, one):
                 break
         k = rng.randint(1, n - 1)
         while True:
             rows = matrices.freeze([[ring.to_field(rng.randint(-3, 3) if ctx.kind == "Z"
                                                    else random_poly(rng, ctx.q, 1))
                                      for _ in range(n)] for _ in range(k)])
-            if matrices.rank_field(rows, zero, one) == k:
+            if rank_field(rows, zero, one) == k:
                 break
         yield IntegralStructure(ctx, n, B), LocSummand.from_rows(ctx, n, rows)
 
@@ -524,7 +524,7 @@ def _assert_lattice_in_t_inverted_and_b(ctx, B, rows):
     for row in rows:
         for x in row:
             assert ring.is_unit(_t_free(ctx, _num_den(x)[1]))
-    Binv = matrices.inverse_field(B.basis, ring.field_zero(), ring.field_one())
+    Binv = inverse_field(B.basis, ring.field_zero(), ring.field_one())
     coords = matrices.matmul(Binv, matrices.transpose(rows), ring.field_zero())
     for row in coords:
         for x in row:
@@ -548,8 +548,8 @@ class TestDenominatorsOutsideT:
             assert len(L) == B.n
             _assert_lattice_in_t_inverted_and_b(ctx, B, L)
             # a sublattice of Z[T^-1]^n cap B with its covolume is all of it
-            assert _normalized(ctx, matrices.det_field(L, zero, one)) == \
-                _oracle_t_part(ctx, matrices.det_field(B.basis, zero, one))
+            assert _normalized(ctx, det_field(L, zero, one)) == \
+                _oracle_t_part(ctx, det_field(B.basis, zero, one))
             assert fractional_hnf(ring, L) == L
 
     def test_intersect_integral(self, name):
@@ -560,13 +560,13 @@ class TestDenominatorsOutsideT:
             rows = intersect_integral(w, B)
             assert len(rows) == w.rank
             _assert_lattice_in_t_inverted_and_b(ctx, B, rows)
-            assert matrices.rank_field(localized_basis(w) + rows, zero, one) == w.rank
+            assert rank_field(localized_basis(w) + rows, zero, one) == w.rank
             # saturated in Z[T^-1]^n cap B: integral coordinates over its
             # basis whose maximal minors have a unit gcd
             L = intersect_integral(LocSummand.full(ctx, B.n), B)
-            C = matrices.matmul(rows, matrices.inverse_field(L, zero, one), zero)
+            C = matrices.matmul(rows, inverse_field(L, zero, one), zero)
             g = ring.zero()
-            for m in minors(C, w.rank, lambda sub: matrices.det_field(sub, zero, one)).values():
+            for m in minors(C, w.rank, lambda sub: det_field(sub, zero, one)).values():
                 g = ring.gcd(g, integral(ring, m))
             assert ring.is_unit(g)
             assert fractional_hnf(ring, rows) == rows
@@ -778,7 +778,7 @@ def test_lattice_frame_on_nontrivial_ff_structure(q):
     for _ in range(400):
         n = rng.choice([2, 3])
         rows = [[random_ratfunc(rng, q, 2) for _ in range(n)] for _ in range(n)]
-        if not matrices.det_field(matrices.freeze(rows), zero, one):
+        if not det_field(matrices.freeze(rows), zero, one):
             continue
         B = IntegralStructure(ctx, n, rows)
         H = B.H
@@ -788,7 +788,7 @@ def test_lattice_frame_on_nontrivial_ff_structure(q):
         x = random_volume_space(rng, q, n, maxdeg=1)
         den = ring.to_field(B.den)
         L = matrices.freeze([[ring.to_field(h) / den for h in row] for row in H])
-        Linv = matrices.inverse_field(L, zero, one)
+        Linv = inverse_field(L, zero, one)
         expected = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
         assert sarith.frame_oracle(x, B).vs.basis == expected
         w = LocSummand.from_rows(ctx, n, [[random_poly(rng, q, 2) for _ in range(n)]])
@@ -876,8 +876,8 @@ class TestFactorize:
             n = rng.randint(2, 4)
             A = _random_sl(rng, n)
             Bm, Cm = factorize(A, CTX23, mode="SL")
-            assert matrices.det_field(Bm, Fraction(0), Fraction(1)) == 1
-            assert matrices.det_field(Cm, Fraction(0), Fraction(1)) == 1
+            assert det_field(Bm, Fraction(0), Fraction(1)) == 1
+            assert det_field(Cm, Fraction(0), Fraction(1)) == 1
             assert matrices.matmul(Bm, Cm, Fraction(0)) == A
 
     def test_poly_side(self, rng):
@@ -889,8 +889,7 @@ class TestFactorize:
             n = rng.randint(1, 3)
             while True:
                 A = [[random_ratfunc(rng, q, 2) for _ in range(n)] for _ in range(n)]
-                if matrices.det_field(matrices.freeze(A), ring.field_zero(),
-                                      ring.field_one()):
+                if det_field(matrices.freeze(A), ring.field_zero(), ring.field_one()):
                     break
             Bm, Cm = factorize(A, ctx)
             assert matrices.matmul(Bm, Cm, ring.field_zero()) == matrices.freeze(A)
@@ -914,7 +913,7 @@ class TestFactorize:
                 assert matrices.matmul(Bm, Cm, zero) == A
                 assert all(ctx.in_t_inverted(x) for row in Bm for x in row)
                 assert all(ctx.in_t_integral(x) for row in Cm for x in row)
-                dB, dC = (matrices.det_field(M, zero, one) for M in (Bm, Cm))
+                dB, dC = (det_field(M, zero, one) for M in (Bm, Cm))
                 assert ctx.in_t_inverted(dB) and ctx.in_t_inverted(one / dB)
                 assert ctx.in_t_integral(dC) and ctx.in_t_integral(one / dC)
                 if mode == "SL":
@@ -937,7 +936,7 @@ class TestFactorize:
         for n in (1, 2, 3):
             for _ in range(6):
                 A = _random_gl_over(rng, ctx, n)
-                d = matrices.det_field(A, zero, one)
+                d = det_field(A, zero, one)
                 cases.append(A)
                 for unit in (one, -one):  # row 0 divided by the determinant, up to sign
                     cases.append(matrices.freeze(
@@ -948,7 +947,7 @@ class TestFactorize:
         outcomes = set()
         for A in cases:
             A = matrices.freeze(A)
-            if matrices.det_field(A, zero, one) != one:
+            if det_field(A, zero, one) != one:
                 outcomes.add("refused")
                 with pytest.raises(DeterminantError):
                     factorize(A, ctx, "SL")
@@ -956,8 +955,8 @@ class TestFactorize:
             outcomes.add("split")
             Bm, Cm = factorize(A, ctx, "SL")
             assert matrices.matmul(Bm, Cm, zero) == A
-            assert matrices.det_field(Bm, zero, one) == one
-            assert matrices.det_field(Cm, zero, one) == one
+            assert det_field(Bm, zero, one) == one
+            assert det_field(Cm, zero, one) == one
         assert outcomes == {"refused", "split"}
         assert factorize([], ctx, "SL") == ((), ())
 
@@ -968,16 +967,16 @@ class TestFactorize:
             G = random_invertible_rational(rng, n, 5, 5)
             P, Q = factorize_conjugated(A, CTX23, G)
             assert matrices.matmul(P, Q, Fraction(0)) == A
-            assert matrices.det_field(P, Fraction(0), Fraction(1)) == 1
+            assert det_field(P, Fraction(0), Fraction(1)) == 1
             assert all(CTX23.in_t_inverted(x) for row in P for x in row)
             # Q lies in G' SL_n(Z_T) G'^-1 for the GL factor G' of G: verify
             # by conjugating back with the left factor of G
             B1, _ = factorize(G, CTX23)
-            B1inv = matrices.inverse_field(B1, Fraction(0), Fraction(1))
+            B1inv = inverse_field(B1, Fraction(0), Fraction(1))
             inner = matrices.matmul(matrices.matmul(B1inv, Q, Fraction(0)), B1,
                                     Fraction(0))
             assert all(CTX23.in_t_integral(x) for row in inner for x in row)
-            assert matrices.det_field(inner, Fraction(0), Fraction(1)) == 1
+            assert det_field(inner, Fraction(0), Fraction(1)) == 1
 
 
 def _random_sl(rng, n):
@@ -1005,7 +1004,7 @@ def _random_gl_over(rng, ctx, n):
     while True:
         A = matrices.freeze([[_mixed_fraction(rng, ctx) for _ in range(n)]
                              for _ in range(n)])
-        if matrices.det_field(A, ring.field_zero(), ring.field_one()):
+        if det_field(A, ring.field_zero(), ring.field_one()):
             return A
 
 

@@ -25,9 +25,9 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand, loc_c,
                            loc_logvol)
 
-from conftest import (kernel, random_ff_summand, random_invertible_rational,
-                      random_ratfunc, random_spd, random_unimodular_poly,
-                      random_unimodular_z, random_volume_space, random_z_summand)
+from conftest import (inverse_field, kernel, random_ff_summand, random_invertible_rational,
+                      random_ratfunc, random_spd, random_unimodular_poly, random_unimodular_z,
+                      random_volume_space, random_z_summand, rank_field)
 
 _SEED5 = random.Random(5)
 FORMS = [random_spd(_SEED5, 4, spread=1) for _ in range(4)]  # the seed-5 n = 4 forms
@@ -53,7 +53,7 @@ def _counted_filtration(monkeypatch, s, module=latz, name="_int_range_abs_le"):
 
 
 def _dual(s):
-    return InnerProduct(s.n, matrices.inverse_field(s.gram, Fraction(0), Fraction(1)))
+    return InnerProduct(s.n, inverse_field(s.gram, Fraction(0), Fraction(1)))
 
 
 def _annihilator(w):
@@ -206,7 +206,7 @@ def _loc_cases(name):
             while True:
                 B = matrices.freeze([[random_ratfunc(rng, ctx.q, 1) for _ in range(n)]
                                      for _ in range(n)])
-                if matrices.rank_field(B, ring.field_zero(), ring.field_one()) == n:
+                if rank_field(B, ring.field_zero(), ring.field_one()) == n:
                     break
             x = random_volume_space(rng, ctx.q, n, maxdeg=1)
         B = IntegralStructure(ctx, n, B)
@@ -256,7 +256,7 @@ def _pushed(w, x, B, g):
     w_g = LocSummand.from_rows(ctx, w.n, matrices.matmul(rows, matrices.transpose(g), zero))
     B_g = IntegralStructure(ctx, B.n, matrices.matmul(g, B.basis, zero))
     if ctx.kind == "Z":
-        g_inv = matrices.inverse_field(g, zero, one)
+        g_inv = inverse_field(g, zero, one)
         gram = matrices.matmul(matrices.matmul(matrices.transpose(g_inv), x.gram, zero),
                                g_inv, zero)
         return w_g, InnerProduct(x.n, gram), B_g
