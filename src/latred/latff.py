@@ -12,7 +12,8 @@ singularity come from one column reduction of the cleared basis, the
 coordinates of a split from the polynomial inverse of a unimodular
 completion, the unimodularity of a diagonal basis from the same column
 reduction, and the lattice inverse S^{-1} = den H^{-1} U from the Hermite
-form [H | U] of [P | I] for the cleared basis S = P / den.
+form [H | U] of [P | I] for the cleared basis S = P / den, which the space
+keeps from its constructor.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -56,16 +57,20 @@ class VolumeSpace:
 
     `basis` is an n x n matrix over F_q(t); its columns are an R-basis of
     the lattice S inside Q otimes V, written in the standard coordinates of
-    V = F_q[t]^n.  `logvol` is the total log-volume logvol(V) = nu(det S),
-    kept from the singularity check: with S = P / den cleared once, one
-    column reduction P = [T | 0] V over F_q[t] gives rank P and
-    deg det P = sum deg T_ii, so nu(det S) = n deg den - deg det P.
+    V = F_q[t]^n.  The constructor clears S = P / den once and keeps
+    `cleared` = (den, P), which `inverse_basis` inverts on ring rows.
+    `logvol` is the total log-volume logvol(V) = nu(det S), kept from the
+    singularity check: one column reduction P = [T | 0] V over F_q[t] gives
+    rank P and deg det P = sum deg T_ii, so nu(det S) = n deg den - deg det P.
+    Both are derived from `basis`, so they take no part in equality, hashing
+    or the repr.
     """
 
     q: int
     n: int
     basis: tuple
     logvol: int = field(init=False, repr=False, compare=False)
+    cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _as_ratfunc_rows(self.basis)
@@ -77,6 +82,7 @@ class VolumeSpace:
         if rank < self.n:
             raise SingularityError("lattice basis is singular")
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "cleared", (den, P))
         object.__setattr__(self, "logvol", self.n * den.num.degree
                            - sum(T[i][i].degree for i in range(self.n)))
 
@@ -114,7 +120,7 @@ class VolumeSpace:
 
     @cached_property
     def inverse_basis(self):
-        return matrices.inverse(poly_ring(self.q), self.basis)
+        return matrices.inverse_cleared(poly_ring(self.q), *self.cleared)
 
     def contains_lattice(self, other):
         """Whether other's lattice is contained in this one (S' subset S)."""

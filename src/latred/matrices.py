@@ -11,7 +11,8 @@ form is left to the callers that read its invariant factors,
 units det U and det V, so `factorize` needs no determinant.  The Hermite
 form and the column reduction skip zero entries in their row and column
 operations, and the Hermite form touches only the columns from its
-current pivot on.  Inverses run on ring rows too: a unimodular matrix is
+current pivot on; `split_hnf` takes only its forward Euclid steps on the
+rows it discards.  Inverses run on ring rows too: a unimodular matrix is
 the right block of hnf([U | I]), and a fraction-field matrix P / den is
 den H^-1 U for hnf([P | I]) = [H | U], by one back substitution
 (`solve_upper`).  The one elimination over a fraction field is
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 from .errors import (DimensionError, DomainError, ProjectivityError,
                      RankDeficiencyError, SingularityError)
-from .fq import poly
+from .fq import FqRationalFunction, poly
 
 
 def freeze(rows):
@@ -86,30 +86,13 @@ def hnf(ring, rows):
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     nrows = len(work)
-    norm = ring.norm_key
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == nrows:
             break
-        nz = [i for i in range(pivot_row, nrows) if work[i][col]]
-        if not nz:
+        if not _euclid_pivot(ring.norm_key, work, col, pivot_row):
             continue
-        # Euclid: reduce the column's other entries by its least one; each
-        # remainder is smaller than that pivot, so the least norm falls
-        while len(nz) > 1:
-            base = min(nz, key=lambda i: norm(work[i][col]))
-            b = work[base][col:]
-            left = [base]
-            for i in nz:
-                if i != base:
-                    r = work[i]
-                    q = r[col] // b[0]
-                    r[col:] = [x - q * y if y else x for x, y in zip(r[col:], b)]
-                    if r[col]:
-                        left.append(i)
-            nz = left
-        row = work[nz[0]]
-        work[nz[0]], work[pivot_row] = work[pivot_row], row
+        row = work[pivot_row]
         unit, normalized = ring.unit_normalize(row[col])
         if normalized != row[col]:
             inv = _unit_inverse(unit)
@@ -122,6 +105,34 @@ def hnf(ring, rows):
                 r[col:] = [x - q * y if y else x for x, y in zip(r[col:], b)]
         pivot_row += 1
     return freeze(work[:pivot_row])
+
+
+def _euclid_pivot(norm, work, col, top):
+    """Move a gcd of column `col`'s entries in rows top.. into row `top`.
+
+    Rows from `top` on must be zero left of `col`; afterwards the rows below
+    `top` are zero in `col` too.  Returns False, changing nothing, when the
+    column is zero there.  Euclid: reduce the column's other entries by its
+    least one; each remainder is smaller than that pivot, so the least norm
+    falls.  Each row operation runs on the suffix from `col` on.
+    """
+    nz = [i for i in range(top, len(work)) if work[i][col]]
+    if not nz:
+        return False
+    while len(nz) > 1:
+        base = min(nz, key=lambda i: norm(work[i][col]))
+        b = work[base][col:]
+        left = [base]
+        for i in nz:
+            if i != base:
+                r = work[i]
+                q = r[col] // b[0]
+                r[col:] = [x - q * y if y else x for x, y in zip(r[col:], b)]
+                if r[col]:
+                    left.append(i)
+        nz = left
+    work[nz[0]], work[top] = work[top], work[nz[0]]
+    return True
 
 
 def _unit_inverse(u):
@@ -289,14 +300,25 @@ def _column_echelon(ring, M):
 def split_hnf(ring, A, R):
     """Canonical HNF basis of the row module {x R : x A = 0}.
 
-    A and R have one row per generator.  These are the rows of hnf([A | R])
-    that are zero on the A block, read on the R block: the rows above them
-    have independent A parts, so no combination involving them vanishes
-    there.  A with no columns leaves hnf(R).
+    A and R have one row per generator.  Forward elimination on the A block
+    of [A | R], by `hnf`'s Euclid steps, leaves independent echelon rows
+    above rows whose A part is zero, so no combination involving the rows
+    above vanishes on A: the module is the span of the lower rows' R parts,
+    and their Hermite form is its canonical basis.  The upper rows are
+    discarded, so their pivots are neither normalized nor reduced above.
+    A with no columns leaves hnf(R).
     """
     k = shape(A)[1]
-    H = hnf(ring, [tuple(a) + tuple(r) for a, r in zip(A, R)] if k else R)
-    return freeze(h[k:] for h in H if not any(h[:k]))
+    if not k:
+        return hnf(ring, R)
+    work = [list(a) + list(r) for a, r in zip(A, R)]
+    top = 0
+    for col in range(k):
+        if top == len(work):
+            break
+        if _euclid_pivot(ring.norm_key, work, col, top):
+            top += 1
+    return hnf(ring, [r[k:] for r in work[top:]])
 
 
 def solve_upper(H, R):
@@ -323,18 +345,31 @@ def solve_upper(H, R):
 def inverse(ring, M):
     """Inverse of a square fraction-field matrix, computed on ring rows.
 
-    With M = P / den cleared once, hnf([P | I]) = [H | U] has U P = H upper
-    triangular, so M^-1 = den H^-1 U.  The Hermite form always has n rows;
-    P is singular exactly when a pivot lands right of the diagonal.
+    M = P / den is cleared once (`clear_denominators`), and the cleared rows
+    are inverted by `inverse_cleared`.
     """
     n, m = shape(M)
     if n != m:
         raise DimensionError("inverse of a non-square matrix")
-    den, P = clear_denominators(ring, M)
+    return inverse_cleared(ring, *clear_denominators(ring, M))
+
+
+def inverse_cleared(ring, den, P):
+    """The inverse of P / den, for a square ring matrix P.
+
+    den is a ring element in the fraction field, as `clear_denominators`
+    returns it.  hnf([P | I]) = [H | U] has U P = H upper triangular, so the inverse is
+    den H^-1 U, by one back substitution.  The Hermite form always has n
+    rows; P is singular exactly when a pivot lands right of the diagonal.
+    den U is lifted by one ring product per nonzero entry.
+    """
+    n = len(P)
     HU = hnf(ring, [p + e for p, e in zip(P, identity_rows(n, ring.one(), ring.zero()))])
     if not all(HU[i][i] for i in range(n)):
         raise SingularityError("matrix is singular")
-    return solve_upper([h[:n] for h in HU], [[den * x for x in h[n:]] for h in HU])
+    d, zero = _num_den(den)[0], ring.field_zero()
+    return solve_upper([h[:n] for h in HU],
+                       [[ring.to_field(d * x) if x else zero for x in h[n:]] for h in HU])
 
 
 def inverse_unimodular(ring, U):
@@ -378,8 +413,7 @@ def clear_denominators(ring, rows):
     fraction-field element.  An entry num/d becomes num * (den // d), so no
     fraction-field product is formed.
     """
-    pairs = [[(x.numerator, x.denominator) if isinstance(x, Fraction) else (x.num, x.den)
-              for x in row] for row in rows]
+    pairs = [[_num_den(x) for x in row] for row in rows]
     den = ring.one()
     for row in pairs:
         for _, d in row:
@@ -388,6 +422,13 @@ def clear_denominators(ring, rows):
     den = ring.unit_normalize(den)[1]
     return ring.to_field(den), freeze([[num * (den // d) for num, d in row]
                                        for row in pairs])
+
+
+def _num_den(x):
+    """Reduced numerator and denominator of a fraction-field element."""
+    if isinstance(x, FqRationalFunction):
+        return x.num, x.den
+    return x.numerator, x.denominator
 
 
 def completion_rows(ring, rows):

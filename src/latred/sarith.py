@@ -111,7 +111,7 @@ class LocalizedContext:
         return tp, ring.exact_div(z, tp)
 
     def _denominator_split(self, x):
-        return self.t_split(_num_den(self.base_ring().to_field(x))[1])
+        return self.t_split(matrices._num_den(self.base_ring().to_field(x))[1])
 
     def in_t_inverted(self, x):
         """Membership in Z[T^-1] (denominator supported in T)."""
@@ -120,13 +120,6 @@ class LocalizedContext:
     def in_t_integral(self, x):
         """Membership in Z_T = Z[(P \\ T)^-1] (no T-primes downstairs)."""
         return self.base_ring().is_unit(self._denominator_split(x)[0])
-
-
-def _num_den(x):
-    """Reduced numerator and denominator of a fraction-field element."""
-    if isinstance(x, FqRationalFunction):
-        return x.num, x.den
-    return x.numerator, x.denominator
 
 
 def _inverse_mod(ring, a, m):
@@ -211,7 +204,7 @@ class LocSummand(matrices.Summand):
         ring = ctx.base_ring()
         den, cleared = matrices.clear_denominators(
             ring, [[ring.to_field(x) for x in row] for row in rows])
-        if not ring.is_unit(ctx.t_split(_num_den(den)[0])[1]):
+        if not ring.is_unit(ctx.t_split(matrices._num_den(den)[0])[1]):
             bad = next(x for row in rows for x in row if not ctx.in_t_inverted(x))
             raise DomainError(f"entry {bad} is not in Z[T^-1]")
         w = LocSummand.zero(ctx, n)
@@ -250,7 +243,7 @@ def localized_basis(w):
         tpf = ring.to_field(tp)
         row = [ring.to_field(x) / tpf for x in h]
         for above in rows:
-            num, den = _num_den(above[c])
+            num, den = matrices._num_den(above[c])
             r = num * _inverse_mod(ring, den, d) % d
             f = (above[c] - ring.to_field(r)) / row[c]
             if f:
@@ -284,7 +277,7 @@ def _t_lattice(ctx, basis):
     c = ctx.t_split(math.prod((T[i][i] for i in range(n)), start=ring.one()))[0]
     rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
     rows += matrices.identity_rows(n, c, ring.zero())
-    return ctx.t_split(_num_den(denf)[0])[0], rows
+    return ctx.t_split(matrices._num_den(denf)[0])[0], rows
 
 
 def _divided(den, H):
@@ -420,7 +413,7 @@ def factorize(A, ctx, mode="GL"):
         raise DimensionError("factorization needs a square matrix")
     one = ring.field_one()
     denf, mA = matrices.clear_denominators(ring, A)
-    den = _num_den(denf)[0]
+    den = matrices._num_den(denf)[0]
     U, D, V, det_u, det_v = matrices._smith(ring, mA)
     diag = [D[i][i] for i in range(n)]
     if not all(diag):

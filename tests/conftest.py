@@ -237,6 +237,19 @@ def fractional_hnf(ring, rows):
                             for row in matrices.hnf(ring, scaled)])
 
 
+def reference_split_hnf(ring, A, R):
+    """Reference for `matrices.split_hnf`: the full Hermite form of [A | R].
+
+    Its rows that are zero on the A block, read on the R block, are the
+    canonical HNF basis of {x R : x A = 0}: the rows above them have
+    independent A parts, so no combination involving them vanishes there.
+    A with no columns leaves hnf(R).
+    """
+    k = matrices.shape(A)[1]
+    H = matrices.hnf(ring, [tuple(a) + tuple(r) for a, r in zip(A, R)] if k else R)
+    return matrices.freeze(h[k:] for h in H if not any(h[:k]))
+
+
 def kernel(ring, M):
     """Canonical HNF basis rows of the right kernel {x : M x = 0} over the ring."""
     n = matrices.shape(M)[1]
@@ -421,7 +434,7 @@ def span_meet(ring, W, P, R):
     K = field_kernel(lifted, ring.field_zero(), ring.field_one())
     _, Kz = matrices.clear_denominators(ring, K)
     PK = matrices.matmul(P, matrices.transpose(Kz), ring.zero())
-    return matrices.split_hnf(ring, PK, R)
+    return reference_split_hnf(ring, PK, R)
 
 
 # -- pool-span summand assembly, the reference Z summand search ------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latred import matrices
+from latred import matrices, sarith
 from latred.errors import (DimensionError, DomainError, InvalidPlaceError,
                            ProjectivityError, RankDeficiencyError, SingularityError,
                            ZeroArgumentError)
@@ -23,10 +23,10 @@ from latred.latz import ZSummand
 from latred.rings import ZZ, poly_ring, prime_part, valuation
 
 from conftest import (BruteFFOracle, assemble_summands, det_field, field_inverse_unimodular,
-                      integral, inverse_field, kernel, minors, primitive, random_poly,
-                      random_ratfunc, random_unimodular_poly, random_unimodular_z, rank_field,
-                      rank_over_field, reference_column_echelon, reference_hnf,
-                      smith_completion_rows, smith_saturate)
+                      integral, inverse_field, kernel, minors, primitive, random_ff_summand,
+                      random_poly, random_ratfunc, random_unimodular_poly, random_unimodular_z,
+                      random_z_summand, rank_field, rank_over_field, reference_column_echelon,
+                      reference_hnf, reference_split_hnf, smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -474,6 +474,30 @@ class TestLeanKernels:
             ranks.add(got[0] < len(rows))
         assert ranks == {False, True}
 
+    def test_split_hnf_matches_full_hermite_reference(self, q):
+        # the forward-only split against the rows of the full hnf([A | R])
+        # that vanish on A.  A has dependent, zero or no rows, zero columns
+        # or no columns at all; R is one column wide, wider than A, or the
+        # shape `lattice_intersect` passes, (X; Y) against (X; 0)
+        ring, cases = _hermite_inputs(q, "split-hnf")
+        rng = random.Random(f"lean-kernels/split-hnf/{q}")
+        _, draw = _ring_and_draw(q, rng)
+        zero = ring.zero()
+        inputs = [((), ()), (((),) * 3, [[draw() for _ in range(4)] for _ in range(3)])]
+        for A in cases[1:]:
+            m, k = matrices.shape(A)
+            for width in (1, k + 3):
+                inputs.append((A, [[draw() for _ in range(width)] for _ in range(m)]))
+            if m > 1:
+                cut = rng.randrange(1, m)
+                inputs.append((A, matrices.stack(A[:cut], ((zero,) * k,) * (m - cut))))
+        sizes = set()
+        for A, R in inputs:
+            got = matrices.split_hnf(ring, A, R)
+            assert got == reference_split_hnf(ring, A, R)
+            sizes.add(min(len(got), 2))
+        assert sizes == {0, 1, 2}
+
     def test_only_units_reach_unit_inverse(self, q, monkeypatch):
         # hnf normalizes each pivot, and snf each invariant factor, by the
         # inverse of a unit of the ring; that inverse takes nothing else
@@ -630,6 +654,33 @@ class TestKernelAndIntersection:
     def test_lattice_intersection_membership(self):
         got = matrices.lattice_intersect(ZZ, [[2, 0], [0, 1]], [[1, 1]])
         assert got == ((2, 2),)
+
+    @pytest.mark.parametrize("side", ["Z", "F2", "F3", "F4", "Z[1/6]"])
+    def test_meet_is_symmetric_and_matches_reference(self, side):
+        # Summand.meet runs lattice_intersect, so the forward-only split
+        # serves every side; the meet lies in both summands
+        rng = random.Random(f"meet/{side}")
+        ctx = sarith.LocalizedContext.integers([2, 3])
+        ring = ZZ if side in ("Z", "Z[1/6]") else poly_ring(int(side[1]))
+
+        def summand(n, rank):
+            if side == "Z":
+                return random_z_summand(rng, n, rank)
+            if side == "Z[1/6]":
+                return sarith.span_localized(ctx, n, random_z_summand(rng, n, rank).basis)
+            return random_ff_summand(rng, ring.q, n, rank)
+        ranks = set()
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            a, b = summand(n, rng.randint(1, n)), summand(n, rng.randint(1, n))
+            meet = a.meet(b)
+            assert meet == b.meet(a)
+            zeros = ((ring.zero(),) * n,) * b.rank
+            assert meet.basis == reference_split_hnf(
+                ring, matrices.stack(a.basis, b.basis), matrices.stack(a.basis, zeros))
+            assert a.contains(meet) and b.contains(meet)
+            ranks.add(min(meet.rank, 2))
+        assert ranks == {0, 1, 2}
 
 
 def _val2(x):

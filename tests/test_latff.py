@@ -17,8 +17,8 @@ from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
 from latred.rings import poly_ring
 
 from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
-                      enumerate_ff_summands, minors, random_ff_summand, random_poly,
-                      random_ratfunc, random_unimodular_poly, random_volume_space)
+                      enumerate_ff_summands, inverse_field, minors, random_ff_summand,
+                      random_poly, random_ratfunc, random_unimodular_poly, random_volume_space)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -429,6 +429,54 @@ def test_stored_logvol_laws():
             assert vs.scaled(lam).logvol == vs.logvol + vs.n * lam.nu()
         g = random_unimodular_poly(rng, vs.q, vs.n)
         assert vs.transformed(g).logvol == vs.logvol
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inverse_basis_matches_field_reference(q):
+    # inverse_basis inverts the cleared (den, P) on ring rows; the
+    # Gauss-Jordan reference runs on the F_q(t) entries of the basis
+    rng = random.Random(f"latff-inverse-basis/{q}")
+    ring = poly_ring(q)
+    zero, one = ring.field_zero(), ring.field_one()
+    for n in range(1, 6):
+        vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
+        lam = random_ratfunc(rng, q, 2)
+        spaces = [VolumeSpace.standard(q, n),
+                  VolumeSpace.from_columns(q, [vs.column(j) for j in range(n)]),
+                  vs.scaled(lam if lam else one),
+                  vs.transformed(random_unimodular_poly(rng, q, n))]
+        for space in spaces:
+            assert space.inverse_basis == inverse_field(space.basis, zero, one)
+
+
+def test_inverse_basis_clears_nothing(monkeypatch):
+    # the constructor clears S = P / den once and keeps it; inverse_basis
+    # inverts the kept rows without clearing the basis again
+    clear, calls = matrices.clear_denominators, []
+
+    def counting_clear(ring, rows):
+        calls.append(rows)
+        return clear(ring, rows)
+    monkeypatch.setattr(matrices, "clear_denominators", counting_clear)
+    rng = random.Random("latff-inverse-basis-count")
+    for q in (2, 3, 4):
+        for n in range(1, 5):
+            basis = random_volume_space(rng, q, n).basis
+            calls.clear()
+            vs = VolumeSpace(q, n, basis)
+            assert len(calls) == 1
+            vs.inverse_basis
+            assert len(calls) == 1
+
+
+def test_cleared_basis_takes_no_part_in_equality_or_repr():
+    t_inv, s = _rf(ONE) / _rf(T), _rf(T + ONE) / _rf(T * T)
+    a = VolumeSpace(2, 2, [[t_inv, _rf(ONE)], [_rf(ZERO), s]])
+    b = VolumeSpace.from_columns(2, [[t_inv, ZERO], [ONE, s]])
+    assert a.cleared == matrices.clear_denominators(P2, a.basis)
+    assert a.cleared[0] == _rf(T * T)  # P = t^2 S is not the basis
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"VolumeSpace(q=2, n=2, basis={a.basis!r})"
 
 
 def test_logvol_matches_field_determinant():
