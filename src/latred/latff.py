@@ -7,13 +7,13 @@ integers: the volume of a submodule W is the largest (-nu) of the maximal
 minors of the matrix expressing a basis of W in a basis of S.  For W = V
 that matrix is S^{-1}, so logvol(V) = nu(det S).
 
-Every elimination runs on F_q[t] rows, not over F_q(t): logvol(V) and
-singularity come from one column reduction of the cleared basis, the
-coordinates of a split from the polynomial inverse of a unimodular
-completion, the unimodularity of a diagonal basis from the same column
-reduction, and the lattice inverse S^{-1} = den H^{-1} U from the Hermite
-form [H | U] of [P | I] for the cleared basis S = P / den, which the space
-keeps from its constructor.
+Every elimination runs on F_q[t] rows, not over F_q(t): the constructor
+triangularizes the cleared basis S = P / den once, U P = H, and logvol(V),
+singularity, the lattice inverse S^{-1} = den H^{-1} U and the
+coefficients S^{-1} R^T of a submodule's rows R all come from that (H, U);
+the coordinates of a split come from the polynomial inverse of a
+unimodular completion, and the unimodularity of a diagonal basis from one
+column reduction.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -37,6 +37,7 @@ bisection between the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,12 +59,13 @@ class VolumeSpace:
     `basis` is an n x n matrix over F_q(t); its columns are an R-basis of
     the lattice S inside Q otimes V, written in the standard coordinates of
     V = F_q[t]^n.  The constructor clears S = P / den once and keeps
-    `cleared` = (den, P), which `inverse_basis` inverts on ring rows.
-    `logvol` is the total log-volume logvol(V) = nu(det S), kept from the
-    singularity check: one column reduction P = [T | 0] V over F_q[t] gives
-    rank P and deg det P = sum deg T_ii, so nu(det S) = n deg den - deg det P.
-    Both are derived from `basis`, so they take no part in equality, hashing
-    or the repr.
+    `cleared` = (den, P), and triangularizes P once, U P = H with H upper
+    triangular over F_q[t] (`matrices.triangularize`), keeping
+    `triangular` = (H, U): every solve against S, `inverse_basis` and
+    `ff_logvol`, reuses it.  `logvol` is the total log-volume
+    logvol(V) = nu(det S) = n deg den - sum deg H_ii, and a singular basis
+    is rejected by the same elimination.  All three are derived from
+    `basis`, so they take no part in equality, hashing or the repr.
     """
 
     q: int
@@ -71,6 +73,7 @@ class VolumeSpace:
     basis: tuple
     logvol: int = field(init=False, repr=False, compare=False)
     cleared: tuple = field(init=False, repr=False, compare=False)
+    triangular: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _as_ratfunc_rows(self.basis)
@@ -78,13 +81,15 @@ class VolumeSpace:
             raise DimensionError("basis matrix must be n x n")
         ring = poly_ring(self.q)
         den, P = matrices.clear_denominators(ring, rows)
-        rank, T, _ = matrices._column_echelon(ring, P)
-        if rank < self.n:
-            raise SingularityError("lattice basis is singular")
+        try:
+            H, U = matrices.triangularize(ring, P)
+        except SingularityError:
+            raise SingularityError("lattice basis is singular") from None
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "cleared", (den, P))
+        object.__setattr__(self, "triangular", (H, U))
         object.__setattr__(self, "logvol", self.n * den.num.degree
-                           - sum(T[i][i].degree for i in range(self.n)))
+                           - sum(H[i][i].degree for i in range(self.n)))
 
     @staticmethod
     def standard(q, n):
@@ -120,7 +125,8 @@ class VolumeSpace:
 
     @cached_property
     def inverse_basis(self):
-        return matrices.inverse_cleared(poly_ring(self.q), *self.cleared)
+        return matrices.inverse_cleared(poly_ring(self.q), self.cleared[0],
+                                        *self.triangular)
 
     def contains_lattice(self, other):
         """Whether other's lattice is contained in this one (S' subset S)."""
@@ -159,6 +165,11 @@ class FFSummand(matrices.Summand):
 # log-volume by valuation-ring column reduction
 # ---------------------------------------------------------------------------
 
+def _nu(x):
+    """The degree valuation of a polynomial; +infinity at zero."""
+    return -x.degree if x else math.inf
+
+
 def ff_logvol(vs, submodule):
     """Integer log-volume of a submodule (any independent basis rows).
 
@@ -168,20 +179,29 @@ def ff_logvol(vs, submodule):
     nonzero maximal minor, the product of the pivots: the log-volume is
     minus the sum of the pivot valuations.  Dependent rows (or more rows
     than n) leave a row without a pivot and raise RankDeficiencyError.
+
+    Everything runs on F_q[t] rows.  With the rows R = Rp / r cleared and
+    the space's U P = H, the coefficients are the columns of
+    S^-1 R^T = den H^-1 U Rp^T / r, solved as N / e by one fraction-free
+    back substitution for the m rows alone, and reduced fraction-free; each
+    pivot's valuation is read off N by degrees, and the common scalar
+    den / (e r) adds m (deg e + deg r - deg den).
     """
+    ring = poly_ring(vs.q)
     if isinstance(submodule, FFSummand):
-        rows = submodule.basis
+        deg_r, rows = 0, submodule.basis
     else:
-        rows = matrices.freeze(submodule)
+        r, rows = matrices.clear_denominators(ring, _as_ratfunc_rows(submodule))
+        deg_r = r.num.degree
     if not rows:
         return 0
-    ring = poly_ring(vs.q)
-    rows = _as_ratfunc_rows(rows)
-    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis),
-                          ring.field_zero())
-    cols = [list(c) for c in matrices.transpose(lam)]
-    steps = matrices.dvr_column_reduce(cols, range(len(rows)), FqRationalFunction.nu)
-    return -sum(v for _, _, v in steps)
+    H, U = vs.triangular
+    e, N = matrices.solve_cleared(
+        ring, H, matrices.matmul(U, matrices.transpose(rows), ring.zero()))
+    steps = matrices.dvr_column_reduce([list(c) for c in N], range(len(rows)), _nu,
+                                       scaled=True)
+    shift = e.degree + deg_r - vs.cleared[0].num.degree
+    return -sum(v + shift for _, _, v in steps)
 
 
 # ---------------------------------------------------------------------------

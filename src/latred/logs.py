@@ -4,8 +4,10 @@ Log-volumes on the integer side are half-logs of exact rational squared
 volumes.  All comparisons between such values reduce, after clearing the
 rational coefficients, to comparing a product of rational powers against 1,
 which is decided exactly in big-rational arithmetic.  Floating point enters
-only through `to_float` / comparisons against transcendental thresholds,
-which use a guarded precision ladder.
+only through `to_float` and comparisons against real thresholds, which a
+float evaluation decides outside a stated error margin and a guarded
+Decimal precision ladder inside it.  Arithmetic on canonical values builds
+its results directly; only the public constructor validates its terms.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import DomainError
+
+# The margin of `compare_to_real`'s float evaluation, relative to the sum of
+# the magnitudes it adds up: 2^13 times the unit roundoff 2^-53.
+_FLOAT_SLACK = 2.0 ** -40
 
 
 def _as_fraction(x):
@@ -58,26 +64,52 @@ class ExactLog:
         """ln(sqrt(q)) for a positive rational q (log-volume from vol^2)."""
         return ExactLog({_as_fraction(q): Fraction(1, 2)})
 
+    @classmethod
+    def _of(cls, terms):
+        """Wrap terms that are already canonical, with no check.
+
+        Canonical terms map Fraction bases other than 1 to nonzero Fraction
+        coefficients, as the constructor leaves them; arithmetic on
+        canonical operands keeps them so.
+        """
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
     # -- arithmetic ------------------------------------------------------------
+    # Results are built straight from the canonical operands: a base whose
+    # coefficients cancel is dropped and new bases follow the existing ones,
+    # the same terms in the same order as the constructor gives.
     def __add__(self, other):
         if not isinstance(other, ExactLog):
             return NotImplemented
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            out[b] = out.get(b, Fraction(0)) + c
-        return ExactLog(out)
+        return self._combined(other.terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, ExactLog):
             return NotImplemented
-        return self + (-other)
+        return self._combined((b, -c) for b, c in other.terms.items())
+
+    def _combined(self, pairs):
+        out = dict(self.terms)
+        for b, c in pairs:
+            s = out.get(b)
+            if s is None:
+                out[b] = c
+            elif s := s + c:
+                out[b] = s
+            else:
+                del out[b]
+        return ExactLog._of(out)
 
     def __neg__(self):
-        return ExactLog({b: -c for b, c in self.terms.items()})
+        return ExactLog._of({b: -c for b, c in self.terms.items()})
 
     def scale(self, factor):
         factor = _as_fraction(factor)
-        return ExactLog({b: c * factor for b, c in self.terms.items()})
+        if not factor:
+            return ExactLog._of({})
+        return ExactLog._of({b: c * factor for b, c in self.terms.items()})
 
     def __mul__(self, factor):
         return self.scale(factor)
@@ -147,12 +179,34 @@ class ExactLog:
     def compare_to_real(self, x):
         """Sign of (self - x) for a real threshold x given as int/Fraction/float.
 
-        ln of a rational never equals a nonzero rational, so for rational x a
-        conclusive answer always exists; the precision ladder makes the
-        comparison robust without interval libraries.
+        A float evaluation decides first.  Its error is at most about 12
+        units of 2^-53 of S, the sum of the magnitudes it adds up: each
+        term's two logarithms, their difference, the rounded coefficient and
+        the product, then the correctly rounded `math.fsum` and the final
+        subtraction each add a few.  The margin `_FLOAT_SLACK` * S is over
+        600 times that, so a difference beyond it has the exact sign.  Only a
+        difference inside the margin, or a value out of float range, goes on
+        to the Decimal ladder: ln of a rational never equals a nonzero
+        rational, so for rational x a conclusive answer always exists there.
         """
         if isinstance(x, (int, Fraction)) and x == 0:
             return self.sign()
+        try:
+            xf = float(x)
+            parts, size = [], abs(xf)
+            for b, c in self.terms.items():
+                la, lb, cf = math.log(b.numerator), math.log(b.denominator), float(c)
+                parts.append(cf * (la - lb))
+                size += abs(cf) * (la + lb)
+            diff = math.fsum(parts) - xf
+        except (OverflowError, ValueError):
+            return self._compare_decimal(x)
+        if abs(diff) > _FLOAT_SLACK * size:  # false for nan and inf
+            return 1 if diff > 0 else -1
+        return self._compare_decimal(x)
+
+    def _compare_decimal(self, x):
+        """`compare_to_real` by the Decimal precision ladder alone."""
         for prec in (50, 200):
             ctx_prec = getcontext().prec
             try:

@@ -14,16 +14,21 @@ operations, and the Hermite form touches only the columns from its
 current pivot on; `split_hnf` takes only its forward Euclid steps on the
 rows it discards.  Inverses run on ring rows too: a unimodular matrix is
 the right block of hnf([U | I]), and a fraction-field matrix P / den is
-den H^-1 U for hnf([P | I]) = [H | U], by one back substitution
-(`solve_upper`).  The one elimination over a fraction field is
-`dvr_column_reduce`, which pivots on valuations; ranks are Hermite-form
-lengths, and determinants are products of echelon or LDL^T pivots.
+den H^-1 U for U P = H upper triangular, from forward Euclid steps on
+[P | I] alone (`triangularize`), by one fraction-free back substitution
+over one denominator (`solve_cleared`).  `solve_upper`, a back
+substitution over a fraction field, serves the building's triangular
+vertices.  The one elimination over a fraction field is
+`dvr_column_reduce`, which pivots on valuations and can also run
+fraction-free on ring rows; ranks are Hermite-form lengths, and
+determinants are products of echelon or LDL^T pivots.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 from .errors import (DimensionError, DomainError, ProjectivityError,
                      RankDeficiencyError, SingularityError)
@@ -342,34 +347,83 @@ def solve_upper(H, R):
     return tuple(X)
 
 
+def triangularize(ring, P):
+    """(H, U) with U P = H, for a square ring matrix P: H upper triangular.
+
+    Forward Euclid steps (`_euclid_pivot`) on [P | I], with no pivot
+    normalization and no reduction above pivots, so H is not canonical, but
+    U is unimodular and det P is prod H_ii up to a unit.  P is singular
+    exactly when a column has no pivot on or below the diagonal.
+    """
+    n = len(P)
+    work = [list(p) + list(e) for p, e in zip(P, identity_rows(n, ring.one(), ring.zero()))]
+    for col in range(n):
+        if not _euclid_pivot(ring.norm_key, work, col, col):
+            raise SingularityError("matrix is singular")
+    return freeze(r[:n] for r in work), freeze(r[n:] for r in work)
+
+
+def solve_cleared(ring, H, Y):
+    """(e, N) with H N = e Y, for H upper triangular with a nonzero diagonal.
+
+    Fraction-free back substitution on ring rows over one denominator e, so
+    N / e = H^-1 Y with no fraction-field element formed (in the manner of
+    Bareiss, Math. Comp. 22, 1968).  A unit pivot divides its row; any other
+    pivot h joins e, and the rows solved before it are scaled by h.  Zero
+    entries cost no ring operation.
+    """
+    n, one = len(H), ring.one()
+    e = one
+    N = [None] * n
+    for i in range(n - 1, -1, -1):
+        h = H[i]
+        row = list(Y[i]) if e == one else [e * y if y else y for y in Y[i]]
+        for j in range(i + 1, n):
+            if h[j]:
+                row = [a - h[j] * b if b else a for a, b in zip(row, N[j])]
+        piv = h[i]
+        if ring.is_unit(piv):
+            if piv != one:
+                inv = _unit_inverse(piv)
+                row = [inv * a if a else a for a in row]
+        else:
+            for j in range(i + 1, n):
+                N[j] = [piv * a if a else a for a in N[j]]
+            e = e * piv
+        N[i] = row
+    return e, freeze(N)
+
+
 def inverse(ring, M):
     """Inverse of a square fraction-field matrix, computed on ring rows.
 
-    M = P / den is cleared once (`clear_denominators`), and the cleared rows
-    are inverted by `inverse_cleared`.
+    M = P / den is cleared once (`clear_denominators`), P is triangularized
+    (`triangularize`) and the result inverted by `inverse_cleared`.
     """
     n, m = shape(M)
     if n != m:
         raise DimensionError("inverse of a non-square matrix")
-    return inverse_cleared(ring, *clear_denominators(ring, M))
+    den, P = clear_denominators(ring, M)
+    return inverse_cleared(ring, den, *triangularize(ring, P))
 
 
-def inverse_cleared(ring, den, P):
-    """The inverse of P / den, for a square ring matrix P.
+def inverse_cleared(ring, den, H, U):
+    """The inverse den H^-1 U of P / den, for U P = H from `triangularize`.
 
     den is a ring element in the fraction field, as `clear_denominators`
-    returns it.  hnf([P | I]) = [H | U] has U P = H upper triangular, so the inverse is
-    den H^-1 U, by one back substitution.  The Hermite form always has n
-    rows; P is singular exactly when a pivot lands right of the diagonal.
-    den U is lifted by one ring product per nonzero entry.
+    returns it.  One fraction-free back substitution gives H^-1 U = N / e
+    (`solve_cleared`), and each entry d N_ij / e is one fraction-field
+    constructor call.
     """
-    n = len(P)
-    HU = hnf(ring, [p + e for p, e in zip(P, identity_rows(n, ring.one(), ring.zero()))])
-    if not all(HU[i][i] for i in range(n)):
-        raise SingularityError("matrix is singular")
-    d, zero = _num_den(den)[0], ring.field_zero()
-    return solve_upper([h[:n] for h in HU],
-                       [[ring.to_field(d * x) if x else zero for x in h[n:]] for h in HU])
+    e, N = solve_cleared(ring, H, U)
+    d = _num_den(den)[0]
+    return divided(e, [[d * x if x else x for x in row] for row in N])
+
+
+def divided(den, rows):
+    """The fraction-field rows rows / den, one constructor call per entry."""
+    frac = Fraction if isinstance(den, int) else FqRationalFunction
+    return freeze([[frac(x, den) for x in row] for row in rows])
 
 
 def inverse_unimodular(ring, U):
@@ -534,7 +588,7 @@ class Summand:
 # column reduction over a valuation ring
 # ---------------------------------------------------------------------------
 
-def dvr_column_reduce(cols, rows, val, any_row=False):
+def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
     """Column reduction over the valuation ring of `val` (val(0) = inf).
 
     `cols` are mutable column lists over the fraction field.  Each step
@@ -544,23 +598,41 @@ def dvr_column_reduce(cols, rows, val, any_row=False):
     multiples of the pivot column, each of valuation >= 0, from the other
     unused columns.  Returns the steps as (row, pivot column, valuation);
     a row without a pivot raises RankDeficiencyError.
+
+    With `scaled`, the columns are ring rows over one common denominator
+    and `val` is the valuation on the ring.  A step stays fraction-free: it
+    replaces column j by a N_j - b N_p, with a and b the entries of the
+    pivot column N_p and of N_j in the step's row, so column j stands for
+    its ring row over a denominator whose valuation is tracked as an integer.
+    The steps report the valuations of the entries the columns stand for,
+    up to the common denominator's, which the caller adds once per row.
+    Scaled columns serve the steps alone, so the last row's pivot updates
+    no column: no later step reads them.
     """
     avail = list(range(len(cols)))
     todo = list(rows)
+    shift = [0] * len(cols)  # valuation of a scaled column's own denominator
     steps = []
     while todo:
-        vals = {(i, j): val(cols[j][i])
+        vals = {(i, j): val(cols[j][i]) - shift[j]
                 for i in (todo if any_row else todo[:1]) for j in avail}
         (i, p), v = min(vals.items(), key=lambda kv: kv[1],
                         default=((None, None), math.inf))
         if v == math.inf:
             raise RankDeficiencyError("columns do not span a full lattice")
-        piv = cols[p]
-        for j in avail:
-            if j != p and vals[i, j] != math.inf:
-                f = cols[j][i] / piv[i]
-                cols[j] = [a - f * b for a, b in zip(cols[j], piv)]
         avail.remove(p)
         todo.remove(i)
         steps.append((i, p, v))
+        if scaled and not todo:
+            break
+        piv = cols[p]
+        for j in avail:
+            if vals[i, j] != math.inf:
+                if scaled:
+                    a, b = piv[i], cols[j][i]
+                    cols[j] = [a * x - b * y for x, y in zip(cols[j], piv)]
+                    shift[j] += val(a)
+                else:
+                    f = cols[j][i] / piv[i]
+                    cols[j] = [a - f * b for a, b in zip(cols[j], piv)]
     return steps

@@ -50,12 +50,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import matrices
 from .errors import (DeterminantError, DimensionError, DomainError,
                      InvalidPlaceError, SingularityError)
-from .fq import FqRationalFunction
 from .rings import ZZ, poly_ring
 
 
@@ -280,10 +278,17 @@ def _t_lattice(ctx, basis):
     return ctx.t_split(matrices._num_den(denf)[0])[0], rows
 
 
-def _divided(den, H):
-    """The fraction-field rows H / den, one constructor call per entry."""
-    frac = Fraction if isinstance(den, int) else FqRationalFunction
-    return matrices.freeze([[frac(x, den) for x in row] for row in H])
+def _check_setting(w, B):
+    """Reject a summand and an integral structure of different settings.
+
+    The contexts are compared by identity first, so the usual shared
+    context costs no dataclass comparison.
+    """
+    if w.ctx is not B.ctx and w.ctx != B.ctx:
+        raise DomainError("summand and integral structure have different localizations")
+    if w.n != B.n:
+        raise DimensionError(f"summand of ambient rank {w.n} against an integral "
+                             f"structure of rank {B.n}")
 
 
 def intersect_integral(w, B):
@@ -295,9 +300,10 @@ def intersect_integral(w, B):
     is its intersection with W cap Z^n.  The final Hermite form is
     canonical because hnf(c M) = c hnf(M) for a normalized scalar c.
     """
+    _check_setting(w, B)
     if w.is_zero():
         return ()
-    return _divided(B.den, matrices.lattice_intersect(w.ring, B.H, w.basis))
+    return matrices.divided(B.den, matrices.lattice_intersect(w.ring, B.H, w.basis))
 
 
 def span_localized(ctx, n, z_rows):
@@ -327,20 +333,26 @@ def frame_oracle(x, B):
     """The lattice oracle of V cap B, in the coordinates of B's Hermite rows.
 
     V cap B has the basis L = B.H / B.den, and the point moves with it: a
-    Gram matrix becomes L . gram . L^T, and a volume space's columns become
+    Gram matrix becomes L . gram . L^T, formed as the integer product
+    H . Gn . H^T over the one denominator g den^2, with g the least integer
+    making Gn = g gram integral; a volume space's columns become
     L^-T . columns = den H^-T . columns, solved by forward substitution on
     the lower-triangular H^T.  Coordinates and spans in L can be taken on
     B's ring rows B.H, a scalar multiple of L.  This is the one place where
-    the localized instability and cover paths branch on the side.
+    the localized instability and cover paths branch on the side.  A point
+    of another rank than B raises DimensionError.
     """
+    if x.n != B.n:
+        raise DimensionError(f"point of rank {x.n} against an integral structure of "
+                             f"rank {B.n}")
     ctx = B.ctx
     ring = ctx.base_ring()
     if ctx.kind == "Z":
         from . import latz
-        zero = ring.field_zero()
-        L = _divided(B.den, B.H)
-        G = matrices.matmul(matrices.matmul(L, x.gram, zero), matrices.transpose(L), zero)
-        return latz.ZOracle(latz.InnerProduct(B.n, G))
+        g = math.lcm(*(a.denominator for row in x.gram for a in row))
+        Gn = [[a.numerator * (g // a.denominator) for a in row] for row in x.gram]
+        M = matrices.matmul(matrices.matmul(B.H, Gn, 0), matrices.transpose(B.H), 0)
+        return latz.ZOracle(latz.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
     from . import latff
     H, one = B.H, ring.one()
     cols = []
@@ -386,6 +398,7 @@ def from_frame(w_coords, B):
 def loc_c(w, x, B):
     """Instability number of a localized summand at (x, B), computed on V cap B."""
     from . import filtration
+    _check_setting(w, B)
     oracle = frame_oracle(x, B)
     return filtration.c_value(oracle, to_frame(oracle, w, B))
 

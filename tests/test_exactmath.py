@@ -564,6 +564,12 @@ class TestHermite:
         assert H == ((2, 2), (0, 3))
 
 
+_LOG_BASES = st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3),
+                              Fraction(6), Fraction(1), 4])
+_LOG_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                               Fraction(2, 3), 0, 3])
+
+
 class TestExactLog:
     def test_basic_identities(self):
         from latred.logs import ExactLog
@@ -590,6 +596,85 @@ class TestExactLog:
     def test_log_of_product_is_sum(self, a, b):
         from latred.logs import ExactLog
         assert (ExactLog.log(a * b) - ExactLog.log(a) - ExactLog.log(b)).is_zero()
+
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_LOG_BASES, _LOG_COEFFS), max_size=4),
+           st.lists(st.tuples(_LOG_BASES, _LOG_COEFFS), max_size=4),
+           st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4), 5]))
+    def test_arithmetic_matches_validating_constructor(self, a_terms, b_terms, k):
+        # +, -, negation and scale skip the constructor; the result must be
+        # the one the constructor gives, term order included, since to_float
+        # and the printed decimal sum the terms in that order
+        from latred.logs import ExactLog
+
+        def merged(x, y, sign):
+            out = dict(x.terms)
+            for base, c in y.terms.items():
+                out[base] = out.get(base, Fraction(0)) + sign * c
+            return ExactLog(out)
+
+        def same(got, want):
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(b) is Fraction and type(c) is Fraction and c
+                       for b, c in got.terms.items())
+            assert got.to_float() == want.to_float()
+        a, b = ExactLog(dict(a_terms)), ExactLog(dict(b_terms))
+        same(a + b, merged(a, b, 1))
+        same(a - b, merged(a, b, -1))
+        same(-a, ExactLog({base: -c for base, c in a.terms.items()}))
+        same(a.scale(k), ExactLog({base: c * k for base, c in a.terms.items()}))
+        same(k * a, a.scale(k))
+        if k:
+            same(a / k, ExactLog({base: c / k for base, c in a.terms.items()}))
+
+    def test_compare_to_real_matches_the_decimal_ladder(self):
+        # seeded values against random thresholds and near-ties: floats one
+        # ulp around the value and rationals within 10^-30 of it, which the
+        # float evaluation cannot separate and hands to the ladder
+        from decimal import Decimal, localcontext
+
+        from latred.logs import ExactLog
+        rng = random.Random("exactlog-compare-to-real")
+        for _ in range(150):
+            v = ExactLog({Fraction(rng.randint(1, 60), rng.randint(1, 60)):
+                          Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                          for _ in range(rng.randint(1, 3))})
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = sum((c.numerator * (Decimal(b.numerator).ln()
+                                            - Decimal(b.denominator).ln()) / c.denominator
+                             for b, c in v.terms.items()), Decimal(0))
+            near = Fraction(exact)
+            approx = v.to_float()
+            xs = [Fraction(rng.randint(-90, 90), rng.randint(1, 30)), rng.uniform(-5, 5),
+                  approx, math.nextafter(approx, math.inf), math.nextafter(approx, -math.inf),
+                  near + Fraction(1, 10 ** 30), near - Fraction(1, 10 ** 30)]
+            for x in xs:
+                if v.terms:
+                    assert v.compare_to_real(x) == v._compare_decimal(x), (v, x)
+
+    def test_clear_comparison_takes_no_decimal_log(self, monkeypatch):
+        from decimal import Decimal
+
+        from latred import logs
+        from latred.logs import ExactLog
+        calls = []
+
+        class CountingDecimal(Decimal):
+            def ln(self, context=None):
+                calls.append(self)
+                return super().ln(context)
+        monkeypatch.setattr(logs, "Decimal", CountingDecimal)
+        v = ExactLog.half_log(Fraction(14, 5)) - ExactLog.log(3, Fraction(1, 7))  # ~0.358
+        assert v.compare_to_real(Fraction(1, 3)) == 1
+        assert v.compare_to_real(0.4) == -1
+        assert v.compare_to_real(-2) == 1
+        assert calls == []
+        # a threshold within 10^-30 of the value needs the ladder
+        near = Fraction(str(v.to_float())) + Fraction(1, 10 ** 30)
+        assert v.compare_to_real(near) == v._compare_decimal(near)
+        assert calls
 
 
 class TestExtensionFields:
@@ -714,6 +799,40 @@ class TestDvrColumnReduce:
             matrices.dvr_column_reduce(cols, [1, 0], _val2)
         with pytest.raises(RankDeficiencyError):
             matrices.dvr_column_reduce([[Fraction(1), Fraction(0)]], [1, 0], _val2)
+
+
+    def test_scaled_columns_skip_the_last_update(self):
+        # row 1 pivots on column 2 and clears it fraction-free from columns 0
+        # and 1; row 0, the last, pivots on column 0 and leaves column 1 as it
+        # was, where an update would have cleared its entry 21
+        cols = [[3, 2], [5, 4], [1, 5]]
+        steps = matrices.dvr_column_reduce(cols, [1, 0], _val2, scaled=True)
+        assert steps == [(1, 2, 0), (0, 0, 0)]
+        assert cols == [[5 * 3 - 2 * 1, 0], [5 * 5 - 4 * 1, 0], [1, 5]]
+
+    def test_scaled_ring_columns_give_the_same_steps(self):
+        # integer columns over one denominator, reduced fraction-free, pivot
+        # exactly where the rational columns do and at the same valuations
+        rng = random.Random("dvr-scaled")
+        checked = 0
+        for _ in range(200):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            cols = [[rng.choice([0, rng.randint(-40, 40)]) for _ in range(m)]
+                    for _ in range(n)]
+            order = rng.sample(range(m), m)
+            any_row = rng.random() < 0.5
+            try:
+                want = matrices.dvr_column_reduce([[Fraction(x) for x in c] for c in cols],
+                                                  order, _val2, any_row=any_row)
+            except RankDeficiencyError:
+                with pytest.raises(RankDeficiencyError):
+                    matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
+                                               scaled=True)
+                continue
+            checked += 1
+            assert matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
+                                              scaled=True) == want
+        assert checked > 50
 
 
 class TestAssembleSummands:

@@ -469,6 +469,81 @@ def test_inverse_basis_clears_nothing(monkeypatch):
             assert len(calls) == 1
 
 
+def _field_logvol(basis, rows, q):
+    """Reference log-volume, all over F_q(t) by the conftest eliminations:
+    the largest -nu of a maximal minor of rows . S^-T with S^-1 from
+    Gauss-Jordan (None when every maximal minor vanishes)."""
+    ring = poly_ring(q)
+    zero, one = ring.field_zero(), ring.field_one()
+    lam = matrices.matmul([[FqRationalFunction.of(x) for x in row] for row in rows],
+                          matrices.transpose(inverse_field(basis, zero, one)), zero)
+    table = minors(lam, len(rows), lambda S: det_field(S, zero, one))
+    return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ring_row_solves_match_field_references(q):
+    # logvol, inverse_basis and ff_logvol all reuse the constructor's U P = H;
+    # the references eliminate over F_q(t) on the basis itself
+    rng = random.Random(f"latff-ring-row-solves/{q}")
+    ring = poly_ring(q)
+    zero, one = ring.field_zero(), ring.field_one()
+    for n in range(1, 6):
+        vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
+        spaces = [vs] if n > 3 else [vs, vs.transformed(random_unimodular_poly(rng, q, n))]
+        for space in spaces:
+            assert space.logvol == det_field(space.basis, zero, one).nu()
+            assert space.inverse_basis == inverse_field(space.basis, zero, one)
+            for m in range(1, n + 1):
+                w = random_ff_summand(rng, q, n, m, maxdeg=1)
+                raw_poly = [[random_poly(rng, q, 2) for _ in range(n)] for _ in range(m)]
+                raw_frac = [[random_ratfunc(rng, q, 1) for _ in range(n)] for _ in range(m)]
+                for rows in (w.basis, raw_poly, raw_frac):
+                    expected = _field_logvol(space.basis, rows, q)
+                    if expected is None:
+                        with pytest.raises(RankDeficiencyError):
+                            ff_logvol(space, rows)
+                    else:
+                        assert ff_logvol(space, rows) == expected
+                assert ff_logvol(space, w) == _field_logvol(space.basis, w.basis, q)
+                # a row that depends on the others, or one row too many
+                c = random_poly(rng, q, 1)
+                dependent = list(w.basis) + [[c * a + b for a, b in zip(w.basis[0],
+                                                                        w.basis[-1])]]
+                with pytest.raises(RankDeficiencyError):
+                    ff_logvol(space, dependent)
+
+
+def test_one_elimination_per_space_and_no_inverse_in_logvol(monkeypatch):
+    # the constructor triangularizes the cleared basis once; inverse_basis and
+    # ff_logvol reuse it, and ff_logvol inverts no n x n matrix
+    tri, calls = matrices.triangularize, []
+
+    def counting_triangularize(ring, P):
+        calls.append(P)
+        return tri(ring, P)
+
+    def no_inverse(*args):
+        raise AssertionError("an n x n inverse was taken")
+    monkeypatch.setattr(matrices, "triangularize", counting_triangularize)
+    rng = random.Random("latff-one-elimination")
+    for q in (2, 3, 4):
+        for n in range(1, 5):
+            basis = random_volume_space(rng, q, n).basis
+            summands = [random_ff_summand(rng, q, n, m) for m in range(1, n + 1)]
+            calls.clear()
+            vs = VolumeSpace(q, n, basis)
+            assert len(calls) == 1
+            with monkeypatch.context() as inside:
+                inside.setattr(matrices, "inverse_cleared", no_inverse)
+                inside.setattr(matrices, "inverse", no_inverse)
+                for w in summands:
+                    ff_logvol(vs, w)
+            assert "inverse_basis" not in vs.__dict__
+            vs.inverse_basis
+            assert len(calls) == 1
+
+
 def test_cleared_basis_takes_no_part_in_equality_or_repr():
     t_inv, s = _rf(ONE) / _rf(T), _rf(T + ONE) / _rf(T * T)
     a = VolumeSpace(2, 2, [[t_inv, _rf(ONE)], [_rf(ZERO), s]])

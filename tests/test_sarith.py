@@ -685,6 +685,43 @@ class TestLocalizedVolume:
                 assert a.rank > b.rank
 
 
+class TestMismatchedSettings:
+    """A summand and an integral structure must share localization and rank."""
+
+    def test_other_localization_rejected(self):
+        # W over Z[1/2] against B over Z[1/6]: once answered ((3, 3),) and a
+        # negative c-value
+        w = LocSummand.from_rows(CTX2, 2, [[1, 1]])
+        B = _structure(CTX23, [[3, 0], [0, 3]])
+        s = InnerProduct.identity(2)
+        for call in (lambda: intersect_integral(w, B), lambda: loc_logvol(w, s, B),
+                     lambda: loc_c(w, s, B),
+                     lambda: intersect_integral(LocSummand.zero(CTX2, 2), B)):
+            with pytest.raises(DomainError, match="different localizations"):
+                call()
+        ff_w = LocSummand.from_rows(F2_CTX, 2, [[poly(2, []), poly_one(2)]])
+        with pytest.raises(DomainError, match="different localizations"):
+            intersect_integral(ff_w, IntegralStructure.standard(CTX2, 2))
+
+    def test_other_rank_rejected(self):
+        # a rank-3 W against a 2 x 2 B: once answered a log-volume
+        w = LocSummand.from_rows(CTX2, 3, [[1, 2, 0]])
+        B = IntegralStructure.standard(CTX2, 2)
+        s = InnerProduct.identity(2)
+        for call in (lambda: intersect_integral(w, B), lambda: loc_logvol(w, s, B),
+                     lambda: loc_c(w, s, B)):
+            with pytest.raises(DimensionError, match="ambient rank 3"):
+                call()
+        with pytest.raises(DimensionError, match="point of rank 3"):
+            loc_c(LocSummand.from_rows(CTX2, 2, [[1, 2]]), InnerProduct.identity(3), B)
+
+    def test_equal_contexts_need_not_be_one_object(self):
+        w = LocSummand.from_rows(LocalizedContext.integers([3, 2]), 2, [[1, 1]])
+        B = IntegralStructure.standard(CTX23, 2)
+        assert w.ctx is not B.ctx and w.ctx == B.ctx
+        assert intersect_integral(w, B) == ((1, 1),)
+
+
 class TestLocalizedInstability:
     def test_boundary_rejected(self):
         from latred.errors import BoundaryModuleError
