@@ -10,10 +10,11 @@ that matrix is S^{-1}, so logvol(V) = nu(det S).
 Every elimination runs on F_q[t] rows, not over F_q(t): the constructor
 triangularizes the cleared basis S = P / den once, U P = H, and logvol(V),
 singularity, the lattice inverse S^{-1} = den H^{-1} U and the
-coefficients S^{-1} R^T of a submodule's rows R all come from that (H, U);
-the coordinates of a split come from the polynomial inverse of a
-unimodular completion, and the unimodularity of a diagonal basis from one
-column reduction.
+coefficients S^{-1} R^T of a submodule's rows R all come from that (H, U).
+The same triangularization and back substitution (`matrices.triangularize`,
+`matrices.solve_cleared`) give the coordinates of a split, by solving
+against the transposed unimodular completion of the summand, and decide
+that a diagonal basis is unimodular.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -236,10 +237,12 @@ def sub_quotient(vs, w):
     if m == 0 or m == n:
         raise DimensionError("restriction needs a proper nonzero summand")
     full = matrices.completion_rows(ring, w.basis)
-    # coordinates of S in the basis of V given by full's rows: full^-T S
-    Minv = _as_ratfunc_rows(matrices.transpose(matrices.inverse_unimodular(ring, full)))
-    coords = matrices.matmul(Minv, vs.basis, ring.field_zero())
-    cols = [list(col) for col in matrices.transpose(coords)]
+    # coordinates of S = P / den in the basis of V given by full's rows:
+    # full^-T S = N / (e den), for U full^T = H and H N = e U P
+    den, P = vs.cleared
+    H, U = matrices.triangularize(ring, matrices.transpose(full))
+    e, N = matrices.solve_cleared(ring, H, matrices.matmul(U, P, ring.zero()))
+    cols = [list(col) for col in matrices.transpose(matrices.divided(e * den.num, N))]
     # valuation-ring column reduction: clear the bottom (n-m) rows
     steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1),
                                        FqRationalFunction.nu)
@@ -361,9 +364,12 @@ class DiagonalBasisResult:
         ring = poly_ring(vs.q)
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        # w = T V with V unimodular: w is unimodular when T's pivots are units
-        rank, T, _ = matrices._column_echelon(ring, self.w)
-        if rank < vs.n or not all(ring.is_unit(T[i][i]) for i in range(vs.n)):
+        # U w = H with U unimodular: w is unimodular when H's pivots are units
+        try:
+            H, _ = matrices.triangularize(ring, self.w)
+        except SingularityError:
+            H = None
+        if H is None or not all(ring.is_unit(H[i][i]) for i in range(vs.n)):
             raise DomainError("w is not unimodular over F_q[t]")
         coeff = matrices.matmul(vs.inverse_basis, matrices.transpose(self.b),
                                 ring.field_zero())

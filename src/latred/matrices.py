@@ -5,23 +5,23 @@ multiplied and divided with the operators.  Algorithms that need more ring
 structure (Hermite and Smith forms, column reduction, saturation) take one
 of the ring objects from `rings` for its units, norm and gcd.  Saturation,
 basis completion and summand joins run on one rank-revealing column
-reduction M = [T | 0] V with V unimodular (`_column_echelon`); the Smith
-form is left to the callers that read its invariant factors,
-`sarith.factorize` and `selfcheck`, and its elimination also yields the
-units det U and det V, so `factorize` needs no determinant.  The Hermite
-form and the column reduction skip zero entries in their row and column
-operations, and the Hermite form touches only the columns from its
-current pivot on; `split_hnf` takes only its forward Euclid steps on the
-rows it discards.  Inverses run on ring rows too: a unimodular matrix is
-the right block of hnf([U | I]), and a fraction-field matrix P / den is
-den H^-1 U for U P = H upper triangular, from forward Euclid steps on
-[P | I] alone (`triangularize`), by one fraction-free back substitution
-over one denominator (`solve_cleared`).  `solve_upper`, a back
-substitution over a fraction field, serves the building's triangular
-vertices.  The one elimination over a fraction field is
-`dvr_column_reduce`, which pivots on valuations and can also run
-fraction-free on ring rows; ranks are Hermite-form lengths, and
-determinants are products of echelon or LDL^T pivots.
+reduction M = [T | 0] V with V unimodular (`_column_echelon`), the only
+callers that read V; the Smith form is left to the callers that read its
+invariant factors, `sarith.factorize` and `selfcheck`, and its elimination
+also yields the units det U and det V, so `factorize` needs no
+determinant.  The Hermite form and the column reduction skip zero entries
+in their row and column operations, and the Hermite form touches only the
+columns from its current pivot on; `split_hnf` takes only its forward
+Euclid steps on the rows it discards.  Every square solve runs on ring
+rows by one triangularization: forward Euclid steps on [P | I] alone give
+U P = H with H upper triangular (`triangularize`), which decides
+singularity and gives det P as prod H_ii up to a unit, and one
+fraction-free back substitution over one denominator solves H N = e Y
+(`solve_cleared`), so the inverse of P / den is den H^-1 U.  The one
+elimination over a fraction field is `dvr_column_reduce`, which pivots on
+valuations and can also run fraction-free on ring rows; ranks are
+Hermite-form lengths, and determinants are products of triangular, Smith
+or LDL^T pivots.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .errors import (DimensionError, DomainError, ProjectivityError,
-                     RankDeficiencyError, SingularityError)
+from .errors import (DimensionError, ProjectivityError, RankDeficiencyError,
+                     SingularityError)
 from .fq import FqRationalFunction, poly
 
 
@@ -326,27 +326,6 @@ def split_hnf(ring, A, R):
     return hnf(ring, [r[k:] for r in work[top:]])
 
 
-def solve_upper(H, R):
-    """X with H X = R, for H upper triangular with a nonzero diagonal.
-
-    Back substitution from the last row; R's rows are fraction-field
-    elements.  Zero entries of H cost no row operation, and a pivot equal
-    to 1 (the only nonzero idempotent) costs no division.
-    """
-    n = len(H)
-    X = [None] * n
-    for i in range(n - 1, -1, -1):
-        row, h = list(R[i]), H[i]
-        for j in range(i + 1, n):
-            if h[j]:
-                row = [a - h[j] * b if b else a for a, b in zip(row, X[j])]
-        piv = h[i]
-        if piv * piv != piv:
-            row = [a / piv for a in row]
-        X[i] = tuple(row)
-    return tuple(X)
-
-
 def triangularize(ring, P):
     """(H, U) with U P = H, for a square ring matrix P: H upper triangular.
 
@@ -426,22 +405,7 @@ def divided(den, rows):
     return freeze([[frac(x, den) for x in row] for row in rows])
 
 
-def inverse_unimodular(ring, U):
-    """Inverse of a unimodular ring matrix, read off hnf([U | I]) = [I | U^-1].
-
-    The rows (x U, x) span exactly the graph of x -> x U, so the Hermite
-    form's left block is the canonical basis of U's row module, I exactly
-    when U is unimodular, and its right block is then U^-1.
-    """
-    n = len(U)
-    H = hnf(ring, [tuple(u) + e for u, e in
-                   zip(U, identity_rows(n, ring.one(), ring.zero()))])
-    if any(H[i][i] != ring.one() for i in range(n)):
-        raise DomainError("matrix is not unimodular over the ring")
-    return freeze(h[n:] for h in H)
-
-
-def saturate(ring, rows, ncols=None):
+def saturate(ring, rows):
     """Basis (in HNF) of the saturation of the row span inside the free module.
 
     The saturation is the smallest direct summand containing the row span;
@@ -451,9 +415,7 @@ def saturate(ring, rows, ncols=None):
     rows = freeze(rows)
     if not rows:
         return ()
-    m, n = shape(rows)
-    if ncols is not None and ncols != n:
-        raise DimensionError("ambient rank mismatch")
+    m = len(rows)
     rank, _, V = _column_echelon(ring, rows)
     if rank != m:
         raise RankDeficiencyError("rows are dependent over the fraction field")
@@ -551,7 +513,7 @@ class Summand:
 
     def _saturated(self, rows):
         """The summand spanned by independent, nonempty rows over R."""
-        return dataclasses.replace(self, basis=saturate(self.ring, rows, self.n))
+        return dataclasses.replace(self, basis=saturate(self.ring, rows))
 
     def _span(self, rows):
         """The summand spanned by independent rows (zero rows are dropped)."""
@@ -607,7 +569,11 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
     The steps report the valuations of the entries the columns stand for,
     up to the common denominator's, which the caller adds once per row.
     Scaled columns serve the steps alone, so the last row's pivot updates
-    no column: no later step reads them.
+    no column: no later step reads them.  The two options combine: a step
+    with `any_row` compares the tracked valuations, so it picks the same
+    (row, column) as on the fraction-field columns.  `ff_logvol` reduces
+    scaled columns in row order, and `building.relative_exponents` with
+    `any_row`.
     """
     avail = list(range(len(cols)))
     todo = list(rows)

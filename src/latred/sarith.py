@@ -21,7 +21,7 @@ isomorphism onto the summands of the plain Z-module V cap B, which
 transports volumes and instability numbers to the localized setting.  That
 lattice path runs on ring rows alone: Z[T^-1]^n cap B is the Hermite form
 of B's cleared basis together with c I, c the T-part of its determinant,
-read off the diagonal of one column reduction that also decides
+read off the diagonal of one triangularization that also decides
 singularity, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
@@ -258,9 +258,9 @@ def _t_lattice(ctx, basis):
     """(den, rows): Z[T^-1]^n cap B is the Z-span of rows / den, rows over Z.
 
     B is spanned by the columns of `basis`.  Let zB = den B be B's cleared
-    basis and c the T-part of det zB.  The column reduction zB = [T | 0] V
-    reveals the rank, so a singular B is rejected there, and det zB is
-    prod T_ii up to the unit det V.  The lattice zB Z^n + c Z^n agrees with
+    basis and c the T-part of det zB.  The triangularization U zB = H
+    (`matrices.triangularize`) rejects a singular B, and det zB is
+    prod H_ii up to the unit det U.  The lattice zB Z^n + c Z^n agrees with
     zB Z^n at every place in T, where c Z^n lies inside it, and with Z^n at
     every other place, where c is a unit.  Its generators are the columns
     of zB, reduced mod c, and c times the unit vectors; den is the T-part
@@ -269,10 +269,11 @@ def _t_lattice(ctx, basis):
     ring = ctx.base_ring()
     n = len(basis)
     denf, zB = matrices.clear_denominators(ring, basis)
-    rank, T, _ = matrices._column_echelon(ring, zB)
-    if rank < n:
-        raise SingularityError("integral structure basis is singular")
-    c = ctx.t_split(math.prod((T[i][i] for i in range(n)), start=ring.one()))[0]
+    try:
+        H, _ = matrices.triangularize(ring, zB)
+    except SingularityError:
+        raise SingularityError("integral structure basis is singular") from None
+    c = ctx.t_split(math.prod((H[i][i] for i in range(n)), start=ring.one()))[0]
     rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
     rows += matrices.identity_rows(n, c, ring.zero())
     return ctx.t_split(matrices._num_den(denf)[0])[0], rows
@@ -315,18 +316,33 @@ def span_localized(ctx, n, z_rows):
 # localized volumes and instability
 # ---------------------------------------------------------------------------
 
+def _point_layer(x, B):
+    """The layer of B's side (`latz` or `latff`), once x is its point of B's rank.
+
+    The localized volume, instability and cover paths all check their point
+    here, so they reject it alike.
+    """
+    if B.ctx.kind == "Z":
+        from . import latz as layer
+        if not isinstance(x, layer.InnerProduct):
+            raise DomainError("integer-side localized point needs an InnerProduct")
+    else:
+        from . import latff as layer
+        if not isinstance(x, layer.VolumeSpace):
+            raise DomainError("function-field localized point needs a VolumeSpace")
+    if x.n != B.n:
+        raise DimensionError(f"point of rank {x.n} against an integral structure of "
+                             f"rank {B.n}")
+    return layer
+
+
 def loc_logvol(w, x, B):
     """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side."""
     rows = intersect_integral(w, B)
-    if w.ctx.kind == "Z":
-        from . import latz
-        if not isinstance(x, latz.InnerProduct):
-            raise DomainError("integer-side localized volume needs an InnerProduct")
-        return latz.gram_logvol(x, rows)
-    from . import latff
-    if not isinstance(x, latff.VolumeSpace):
-        raise DomainError("function-field localized volume needs a VolumeSpace")
-    return latff.ff_logvol(x, rows)
+    layer = _point_layer(x, B)
+    if B.ctx.kind == "Z":
+        return layer.gram_logvol(x, rows)
+    return layer.ff_logvol(x, rows)
 
 
 def frame_oracle(x, B):
@@ -340,20 +356,16 @@ def frame_oracle(x, B):
     the lower-triangular H^T.  Coordinates and spans in L can be taken on
     B's ring rows B.H, a scalar multiple of L.  This is the one place where
     the localized instability and cover paths branch on the side.  A point
-    of another rank than B raises DimensionError.
+    of the other side or of another rank than B is rejected (`_point_layer`).
     """
-    if x.n != B.n:
-        raise DimensionError(f"point of rank {x.n} against an integral structure of "
-                             f"rank {B.n}")
+    layer = _point_layer(x, B)
     ctx = B.ctx
     ring = ctx.base_ring()
     if ctx.kind == "Z":
-        from . import latz
         g = math.lcm(*(a.denominator for row in x.gram for a in row))
         Gn = [[a.numerator * (g // a.denominator) for a in row] for row in x.gram]
         M = matrices.matmul(matrices.matmul(B.H, Gn, 0), matrices.transpose(B.H), 0)
-        return latz.ZOracle(latz.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
-    from . import latff
+        return layer.ZOracle(layer.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
     H, one = B.H, ring.one()
     cols = []
     for i, row in enumerate(x.basis):
@@ -368,7 +380,7 @@ def frame_oracle(x, B):
     if B.den != one:
         d = ring.to_field(B.den)
         cols = [[d * a if a else a for a in row] for row in cols]
-    return latff.FFOracle(latff.VolumeSpace(ctx.q, B.n, cols))
+    return layer.FFOracle(layer.VolumeSpace(ctx.q, B.n, cols))
 
 
 def to_frame(oracle, w, B):
@@ -392,7 +404,7 @@ def from_frame(w_coords, B):
     """
     ring = B.ctx.base_ring()
     rows = matrices.matmul(w_coords.basis, B.H, ring.zero())
-    return LocSummand(B.ctx, B.n, matrices.saturate(ring, rows, B.n))
+    return LocSummand(B.ctx, B.n, matrices.saturate(ring, rows))
 
 
 def loc_c(w, x, B):

@@ -202,6 +202,19 @@ def field_inverse_unimodular(ring, U):
     return matrices.freeze([[integral(ring, x) for x in row] for row in inv])
 
 
+def solve_upper(H, R):
+    """Reference X with H X = R, for H upper triangular with a nonzero diagonal:
+    back substitution from the last row over the fraction field."""
+    n = len(H)
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        row, h = list(R[i]), H[i]
+        for j in range(i + 1, n):
+            row = [a - h[j] * b for a, b in zip(row, X[j])]
+        X[i] = tuple(a / h[i] for a in row)
+    return tuple(X)
+
+
 def minors(M, m, det):
     """All m x m minors keyed by 1-based index tuples in lexicographic order.
 
@@ -325,14 +338,12 @@ def reference_column_echelon(ring, M):
     return k, matrices.freeze(r[:k] for r in D), matrices.freeze(V)
 
 
-def smith_saturate(ring, rows, ncols=None):
+def smith_saturate(ring, rows):
     """Reference saturation from a Smith form U D V: the HNF of V's first m rows."""
     rows = matrices.freeze(rows)
     if not rows:
         return ()
     m, n = matrices.shape(rows)
-    if ncols is not None and ncols != n:
-        raise DimensionError("ambient rank mismatch")
     _, D, V = matrices.snf(ring, rows)
     if sum(1 for i in range(min(m, n)) if D[i][i]) != m:
         raise RankDeficiencyError("rows are dependent over the fraction field")
@@ -468,7 +479,7 @@ def assemble_summands(ring, n, pool, m):
     for k in range(1, m):
         nxt = {}
         for rows in level:
-            Uinv = matrices.inverse_unimodular(ring, matrices.completion_rows(ring, rows))
+            Uinv = field_inverse_unimodular(ring, matrices.completion_rows(ring, rows))
             coords = matrices.matmul(pool, tuple(row[k:] for row in Uinv), ring.zero())
             seen = set()
             for v, c in zip(pool, coords):
@@ -476,7 +487,7 @@ def assemble_summands(ring, n, pool, m):
                 if key is None or key in seen:
                     continue
                 seen.add(key)
-                nxt[matrices.saturate(ring, list(rows) + [v], n)] = None
+                nxt[matrices.saturate(ring, list(rows) + [v])] = None
         level = list(nxt)
     return level
 

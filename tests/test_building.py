@@ -19,7 +19,7 @@ from latred.fq import (PRIME_POWER_LIMIT, FqRationalFunction, poly, poly_one,
                        poly_t)
 from latred.gflinalg import count_subspaces
 
-from conftest import (det_field, inverse_field, minors, random_poly, rank_field)
+from conftest import (det_field, inverse_field, minors, random_poly, rank_field, solve_upper)
 
 
 CTX22 = BuildingContext.p_adic(2, 2)
@@ -206,6 +206,23 @@ class TestLabelDifference:
                 for k in range(1, ctx.n + 1)]
             assert relative_exponents(v1, v2) == tuple(
                 d[k] - d[k - 1] for k in range(1, ctx.n + 1))
+
+    @pytest.mark.parametrize("ctx", VERTEX_PIN_CTXS + [BuildingContext.function_field(3, 2)],
+                             ids=lambda ctx: f"{ctx.kind}-{ctx.residue_size}-{ctx.n}")
+    def test_relative_exponents_match_field_back_substitution(self, ctx):
+        # the base change M1^-1 M2 by back substitution over the fraction
+        # field, column-reduced there
+        rng = random.Random(f"relexp-field/{ctx}")
+        for _ in range(12):
+            v1, v2 = (canonical_vertex(_lattice_cols(rng, ctx, rng.randint(0, 1)), ctx)
+                      for _ in range(2))
+            # and a neighbor of v1: its lattice with pi^-1 times one basis column
+            first = v1.columns()[0]
+            nb = canonical_vertex([*v1.columns(), [ctx.unif_pow(-1) * x for x in first]], ctx)
+            for a, b in ((v1, v2), (v2, v1), (v1, nb), (nb, v1)):
+                cols = [list(c) for c in matrices.transpose(solve_upper(a.matrix, b.matrix))]
+                steps = matrices.dvr_column_reduce(cols, range(ctx.n), ctx.val, any_row=True)
+                assert relative_exponents(a, b) == tuple(sorted(v for _, _, v in steps))
 
     def test_adjacency_predicate(self):
         v0 = standard_vertex(CTX32)

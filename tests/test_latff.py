@@ -251,6 +251,9 @@ class TestDiagonalBasis:
                                   r=(diag.r[0], diag.r[1] + 1))
         with pytest.raises(DomainError, match="not unimodular"):
             bad.validate()
+        # a singular w, with w_2 = w_1
+        with pytest.raises(DomainError, match="not unimodular"):
+            dataclasses.replace(diag, w=(diag.w[0], diag.w[0])).validate()
 
     def test_random_validation(self, rng):
         for _ in range(15):

@@ -157,7 +157,7 @@ class TestEnumeration:
                     lifted = matrices.freeze([[Fraction(x) for x in r] for r in subset])
                     if rank_field(lifted, Fraction(0), Fraction(1)) != m:
                         continue
-                    sat = matrices.saturate(ZZ, subset, 3)
+                    sat = matrices.saturate(ZZ, subset)
                     if ExactLog.half_log(gram_vol2(s, sat)) <= bound:
                         slow.add((m, sat))
             assert fast == slow

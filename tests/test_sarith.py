@@ -715,6 +715,22 @@ class TestMismatchedSettings:
         with pytest.raises(DimensionError, match="point of rank 3"):
             loc_c(LocSummand.from_rows(CTX2, 2, [[1, 2]]), InnerProduct.identity(3), B)
 
+    def test_point_of_other_side_rejected(self):
+        # a volume space against a Z structure, and an inner product against
+        # an F_q[t] one: loc_c and the cover path once raised AttributeError
+        from latred.covers import CoverSystem, cover_membership
+        f0, f1 = poly(2, []), poly_one(2)
+        cases = [(LocSummand.from_rows(CTX2, 2, [[1, 1]]), IntegralStructure.standard(CTX2, 2),
+                  VolumeSpace.standard(2, 2), "integer-side .* needs an InnerProduct"),
+                 (LocSummand.from_rows(F2_CTX, 2, [[f0, f1]]),
+                  IntegralStructure.standard(F2_CTX, 2), InnerProduct.identity(2),
+                  "function-field .* needs a VolumeSpace")]
+        for w, B, x, msg in cases:
+            for call in (lambda: loc_logvol(w, x, B), lambda: loc_c(w, x, B),
+                         lambda: cover_membership((x, B), CoverSystem(2, Fraction(0)))):
+                with pytest.raises(DomainError, match=msg):
+                    call()
+
     def test_equal_contexts_need_not_be_one_object(self):
         w = LocSummand.from_rows(LocalizedContext.integers([3, 2]), 2, [[1, 1]])
         B = IntegralStructure.standard(CTX23, 2)

@@ -25,9 +25,10 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand, loc_c,
                            loc_logvol)
 
-from conftest import (inverse_field, kernel, random_ff_summand, random_invertible_rational,
-                      random_ratfunc, random_spd, random_unimodular_poly, random_unimodular_z,
-                      random_volume_space, random_z_summand, rank_field)
+from conftest import (field_inverse_unimodular, inverse_field, kernel, random_ff_summand,
+                      random_invertible_rational, random_ratfunc, random_spd,
+                      random_unimodular_poly, random_unimodular_z, random_volume_space,
+                      random_z_summand, rank_field)
 
 _SEED5 = random.Random(5)
 FORMS = [random_spd(_SEED5, 4, spread=1) for _ in range(4)]  # the seed-5 n = 4 forms
@@ -117,7 +118,7 @@ def _z_summands(k):
 def test_instability_z_is_pullback_invariant(k, g):
     s = FORMS[k]
     s_g = s.pulled_back(g)
-    g_inv = matrices.inverse_unimodular(ZZ, g)
+    g_inv = field_inverse_unimodular(ZZ, g)
     for w in _z_summands(k):
         # w.apply(g_inv) is carried to w by g
         assert instability_z(s_g, w.apply(g_inv)) == instability_z(s, w), w
