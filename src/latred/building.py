@@ -235,18 +235,11 @@ def label_difference(v1, v2):
 def relative_exponents(v1, v2):
     """Sorted elementary-divisor valuations of the base change v1 -> v2."""
     ctx = v1.ctx
-    # canonical vertices are upper triangular, and so is P1 for M1 = P1 / d1:
-    # with M2 = P2 / d2 and P1 N = e P2, the base change M1^-1 M2 is
-    # (d1 / d2) N / e, reduced on N's ring rows
     ring = ZZ if ctx.kind == "p-adic" else poly_ring(ctx.q)
-    d1, P1 = matrices.clear_denominators(ring, v1.matrix)
-    d2, P2 = matrices.clear_denominators(ring, v2.matrix)
-    e, N = matrices.solve_cleared(ring, P1, P2)
-    shift = ctx.val(d1) - ctx.val(d2) - ctx.val(e)
-    cols = [list(c) for c in matrices.transpose(N)]
-    steps = matrices.dvr_column_reduce(cols, range(ctx.n), ctx.val, any_row=True,
-                                       scaled=True)
-    return tuple(sorted(v + shift for _, _, v in steps))
+    A = matrices.matmul(matrices.inverse(ring, v1.matrix), v2.matrix, ctx.zero())
+    cols = [list(c) for c in matrices.transpose(A)]
+    steps = matrices.dvr_column_reduce(cols, range(ctx.n), ctx.val, any_row=True)
+    return tuple(sorted(v for _, _, v in steps))
 
 
 def vertices_adjacent_or_equal(v1, v2):

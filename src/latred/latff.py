@@ -364,11 +364,14 @@ class DiagonalBasisResult:
         ring = poly_ring(vs.q)
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        # U w = H with U unimodular: w is unimodular when H's pivots are units
-        try:
-            H, _ = matrices.triangularize(ring, self.w)
-        except SingularityError:
-            H = None
+        # U w = H with U unimodular: a square w is unimodular when H's pivots
+        # are units
+        H = None
+        if len(self.w) == vs.n and all(len(row) == vs.n for row in self.w):
+            try:
+                H, _ = matrices.triangularize(ring, self.w)
+            except SingularityError:
+                pass
         if H is None or not all(ring.is_unit(H[i][i]) for i in range(vs.n)):
             raise DomainError("w is not unimodular over F_q[t]")
         coeff = matrices.matmul(vs.inverse_basis, matrices.transpose(self.b),

@@ -569,11 +569,7 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
     The steps report the valuations of the entries the columns stand for,
     up to the common denominator's, which the caller adds once per row.
     Scaled columns serve the steps alone, so the last row's pivot updates
-    no column: no later step reads them.  The two options combine: a step
-    with `any_row` compares the tracked valuations, so it picks the same
-    (row, column) as on the fraction-field columns.  `ff_logvol` reduces
-    scaled columns in row order, and `building.relative_exponents` with
-    `any_row`.
+    no column: no later step reads them.
     """
     avail = list(range(len(cols)))
     todo = list(rows)

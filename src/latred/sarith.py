@@ -316,33 +316,34 @@ def span_localized(ctx, n, z_rows):
 # localized volumes and instability
 # ---------------------------------------------------------------------------
 
-def _point_layer(x, B):
-    """The layer of B's side (`latz` or `latff`), once x is its point of B's rank.
+def _check_point(x, B):
+    """Reject a point of the other side than B, or of another rank than B.
 
     The localized volume, instability and cover paths all check their point
     here, so they reject it alike.
     """
     if B.ctx.kind == "Z":
-        from . import latz as layer
-        if not isinstance(x, layer.InnerProduct):
+        from .latz import InnerProduct
+        if not isinstance(x, InnerProduct):
             raise DomainError("integer-side localized point needs an InnerProduct")
     else:
-        from . import latff as layer
-        if not isinstance(x, layer.VolumeSpace):
+        from .latff import VolumeSpace
+        if not isinstance(x, VolumeSpace):
             raise DomainError("function-field localized point needs a VolumeSpace")
     if x.n != B.n:
         raise DimensionError(f"point of rank {x.n} against an integral structure of "
                              f"rank {B.n}")
-    return layer
 
 
 def loc_logvol(w, x, B):
     """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side."""
     rows = intersect_integral(w, B)
-    layer = _point_layer(x, B)
-    if B.ctx.kind == "Z":
-        return layer.gram_logvol(x, rows)
-    return layer.ff_logvol(x, rows)
+    _check_point(x, B)
+    if w.ctx.kind == "Z":
+        from . import latz
+        return latz.gram_logvol(x, rows)
+    from . import latff
+    return latff.ff_logvol(x, rows)
 
 
 def frame_oracle(x, B):
@@ -356,16 +357,18 @@ def frame_oracle(x, B):
     the lower-triangular H^T.  Coordinates and spans in L can be taken on
     B's ring rows B.H, a scalar multiple of L.  This is the one place where
     the localized instability and cover paths branch on the side.  A point
-    of the other side or of another rank than B is rejected (`_point_layer`).
+    of the other side or of another rank than B is rejected (`_check_point`).
     """
-    layer = _point_layer(x, B)
+    _check_point(x, B)
     ctx = B.ctx
     ring = ctx.base_ring()
     if ctx.kind == "Z":
+        from . import latz
         g = math.lcm(*(a.denominator for row in x.gram for a in row))
         Gn = [[a.numerator * (g // a.denominator) for a in row] for row in x.gram]
         M = matrices.matmul(matrices.matmul(B.H, Gn, 0), matrices.transpose(B.H), 0)
-        return layer.ZOracle(layer.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
+        return latz.ZOracle(latz.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
+    from . import latff
     H, one = B.H, ring.one()
     cols = []
     for i, row in enumerate(x.basis):
@@ -380,7 +383,7 @@ def frame_oracle(x, B):
     if B.den != one:
         d = ring.to_field(B.den)
         cols = [[d * a if a else a for a in row] for row in cols]
-    return layer.FFOracle(layer.VolumeSpace(ctx.q, B.n, cols))
+    return latff.FFOracle(latff.VolumeSpace(ctx.q, B.n, cols))
 
 
 def to_frame(oracle, w, B):

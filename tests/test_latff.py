@@ -254,6 +254,12 @@ class TestDiagonalBasis:
         # a singular w, with w_2 = w_1
         with pytest.raises(DomainError, match="not unimodular"):
             dataclasses.replace(diag, w=(diag.w[0], diag.w[0])).validate()
+        # n - 1 rows, and n + 1 rows whose first n are unimodular
+        with pytest.raises(DomainError, match="not unimodular"):
+            dataclasses.replace(diag, w=diag.w[:1], r=diag.r[:1]).validate()
+        with pytest.raises(DomainError, match="not unimodular"):
+            dataclasses.replace(diag, w=diag.w + diag.w[:1],
+                                r=diag.r + diag.r[-1:]).validate()
 
     def test_random_validation(self, rng):
         for _ in range(15):
