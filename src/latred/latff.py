@@ -7,14 +7,15 @@ integers: the volume of a submodule W is the largest (-nu) of the maximal
 minors of the matrix expressing a basis of W in a basis of S.  For W = V
 that matrix is S^{-1}, so logvol(V) = nu(det S).
 
-Every elimination runs on F_q[t] rows, not over F_q(t): the constructor
-triangularizes the cleared basis S = P / den once, U P = H, and logvol(V),
-singularity, the lattice inverse S^{-1} = den H^{-1} U and the
-coefficients S^{-1} R^T of a submodule's rows R all come from that (H, U).
-The same triangularization and back substitution (`matrices.triangularize`,
-`matrices.solve_cleared`) give the coordinates of a split, by solving
-against the transposed unimodular completion of the summand, and decide
-that a diagonal basis is unimodular.
+A volume space is stored in one form, on F_q[t] rows: S = P / den with den
+monic and P sharing no factor with it, and the triangularization U P = H.
+Only the public constructor clears F_q(t) entries; scaled, transformed,
+restricted, quotient and frame spaces are built from a denominator and ring
+rows.  logvol(V), singularity, the lattice inverse S^{-1} = den H^{-1} U
+and the coefficients S^{-1} R^T of rows R all come from (H, U), by one
+fraction-free back substitution (`matrices.solve_cleared`); a split solves
+against the transposed unimodular completion of the summand and reduces
+its columns fraction-free.  The F_q(t) basis is derived only on demand.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -38,6 +39,7 @@ bisection between the two.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,95 +47,117 @@ from functools import cached_property
 
 from . import filtration, gflinalg, matrices
 from .errors import DimensionError, DomainError, SingularityError
-from .fq import FqRationalFunction, gf, poly, poly_one, t_power
+from .fq import FqPolynomial, FqRationalFunction, gf, poly, poly_one, t_power
 from .rings import poly_ring
 
 
-def _as_ratfunc_rows(rows):
-    return tuple(tuple(FqRationalFunction.of(x) for x in row) for row in rows)
+def _entry(q, x):
+    """x, checked to be a polynomial or a rational function over F_q: the
+    check on every entry that enters a volume space or `ff_logvol`."""
+    if not isinstance(x, (FqPolynomial, FqRationalFunction)):
+        raise TypeError(f"cannot coerce {x!r} into F_q(t)")
+    if x.field.q != q:
+        raise DomainError(f"entry {x} lies over F_{x.field.q}, not over F_{q}")
+    return x
 
 
-@dataclass(frozen=True)
+def _ring_rows(q, rows):
+    """(den, P) with rows = P / den over F_q[t]: polynomial rows pass through,
+    rows with a rational function are cleared once."""
+    rows = matrices.freeze([[_entry(q, x) for x in row] for row in rows])
+    if all(isinstance(x, FqPolynomial) for row in rows for x in row):
+        return poly_one(q), rows
+    return matrices.clear_denominators(poly_ring(q), rows)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class VolumeSpace:
     """Lattice over the infinite-place valuation ring inside F_q(t)^n.
 
-    `basis` is an n x n matrix over F_q(t); its columns are an R-basis of
-    the lattice S inside Q otimes V, written in the standard coordinates of
-    V = F_q[t]^n.  The constructor clears S = P / den once and keeps
-    `cleared` = (den, P), and triangularizes P once, U P = H with H upper
-    triangular over F_q[t] (`matrices.triangularize`), keeping
-    `triangular` = (H, U): every solve against S, `inverse_basis` and
-    `ff_logvol`, reuses it.  `logvol` is the total log-volume
-    logvol(V) = nu(det S) = n deg den - sum deg H_ii, and a singular basis
-    is rejected by the same elimination.  All three are derived from
-    `basis`, so they take no part in equality, hashing or the repr.
+    `VolumeSpace(q, n, basis)` takes an n x n matrix over F_q(t) (or
+    F_q[t]) whose columns are an R-basis of the lattice S, in the standard
+    coordinates of V = F_q[t]^n.  It is stored as the canonical pair
+    `cleared` = (den, P), S = P / den with den monic and no factor common
+    to den and all of P, on which equality and hashing rest, and as
+    `triangular` = (H, U), U P = H with H upper triangular, which every
+    solve against S reuses.  `logvol` = nu(det S) = n deg den - sum deg H_ii,
+    and a singular basis is rejected by the same elimination.  `basis`,
+    the F_q(t) matrix P / den, is derived on demand.
     """
 
     q: int
     n: int
-    basis: tuple
-    logvol: int = field(init=False, repr=False, compare=False)
-    cleared: tuple = field(init=False, repr=False, compare=False)
-    triangular: tuple = field(init=False, repr=False, compare=False)
+    cleared: tuple
+    triangular: tuple = field(compare=False)
+    logvol: int = field(compare=False)
 
-    def __post_init__(self):
-        rows = _as_ratfunc_rows(self.basis)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+    def __init__(self, q, n, basis):
+        vars(self).update(vars(VolumeSpace._from_cleared(q, n, *_ring_rows(q, basis))))
+
+    @staticmethod
+    def _from_cleared(q, n, den, P):
+        """The space P / den, for a nonzero den and ring rows P over F_q[t].
+
+        Dividing by den's gcd with P's entries, times den's leading
+        coefficient, leaves the canonical pair.
+        """
+        ring = poly_ring(q)
+        P = matrices.freeze(P)
+        if len(P) != n or any(len(r) != n for r in P):
             raise DimensionError("basis matrix must be n x n")
-        ring = poly_ring(self.q)
-        den, P = matrices.clear_denominators(ring, rows)
+        unit, g = ring.unit_normalize(den)
+        for x in itertools.chain.from_iterable(P):
+            if x and not ring.is_unit(g):
+                g = ring.gcd(g, x)
+        if (c := g * unit) != ring.one():
+            den, P = den // c, matrices.freeze([[x // c for x in row] for row in P])
         try:
             H, U = matrices.triangularize(ring, P)
         except SingularityError:
             raise SingularityError("lattice basis is singular") from None
-        object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "cleared", (den, P))
-        object.__setattr__(self, "triangular", (H, U))
-        object.__setattr__(self, "logvol", self.n * den.num.degree
-                           - sum(H[i][i].degree for i in range(self.n)))
+        vs = object.__new__(VolumeSpace)
+        vars(vs).update(q=q, n=n, cleared=(den, P), triangular=(H, U),
+                        logvol=n * den.degree - sum(H[i][i].degree for i in range(n)))
+        return vs
+
+    def __repr__(self):
+        return f"VolumeSpace(q={self.q!r}, n={self.n!r}, basis={self.basis!r})"
+
+    @cached_property
+    def basis(self):
+        return matrices.divided(*self.cleared)
 
     @staticmethod
     def standard(q, n):
-        one = poly_one(q)
-        zero = poly(q, [])
-        rows = [[FqRationalFunction.of(one if i == j else zero) for j in range(n)]
-                for i in range(n)]
-        return VolumeSpace(q, n, rows)
-
-    @staticmethod
-    def from_columns(q, cols):
-        n = len(cols)
-        rows = [[FqRationalFunction.of(cols[j][i]) for j in range(n)] for i in range(n)]
-        return VolumeSpace(q, n, rows)
-
-    def column(self, j):
-        return tuple(self.basis[i][j] for i in range(self.n))
+        return VolumeSpace(q, n, matrices.identity_rows(n, poly_one(q), poly(q, [])))
 
     def scaled(self, lam):
         """The lattice lam * S for a nonzero scalar lam in F_q(t)."""
-        lam = FqRationalFunction.of(lam)
-        if lam.is_zero():
+        a, d = matrices._num_den(_entry(self.q, lam))
+        if not a:
             raise SingularityError("scaling by zero")
-        return VolumeSpace(self.q, self.n,
-                           [[lam * x for x in row] for row in self.basis])
+        den, P = self.cleared
+        return VolumeSpace._from_cleared(self.q, self.n, d * den,
+                                         [[a * x if x else x for x in row] for row in P])
 
     def transformed(self, g_rows):
         """The lattice g(S) for g acting on V by the matrix with the given rows."""
-        G = _as_ratfunc_rows(g_rows)
-        ring = poly_ring(self.q)
-        new = matrices.matmul(G, self.basis, ring.field_zero())
-        return VolumeSpace(self.q, self.n, new)
+        d, G = _ring_rows(self.q, g_rows)
+        den, P = self.cleared
+        return VolumeSpace._from_cleared(self.q, self.n, d * den,
+                                         matrices.matmul(G, P, poly_ring(self.q).zero()))
 
     @cached_property
     def inverse_basis(self):
-        return matrices.inverse_cleared(poly_ring(self.q), self.cleared[0],
-                                        *self.triangular)
+        """S^-1 = den H^-1 U over F_q(t), from the back substitution H N = e U."""
+        e, N = matrices.solve_cleared(poly_ring(self.q), *self.triangular)
+        return matrices.divided(e, [[self.cleared[0] * x for x in row] for row in N])
 
-    def contains_lattice(self, other):
-        """Whether other's lattice is contained in this one (S' subset S)."""
-        ring = poly_ring(self.q)
-        coeffs = matrices.matmul(self.inverse_basis, other.basis, ring.field_zero())
-        return all(x.nu() >= 0 for row in coeffs for x in row)
+    def _solve(self, rows):
+        """(e, N) with S^-1 R^T = den N / e for ring rows R: H N = e U R^T."""
+        ring, (H, U) = poly_ring(self.q), self.triangular
+        return matrices.solve_cleared(
+            ring, H, matrices.matmul(U, matrices.transpose(rows), ring.zero()))
 
 
 @dataclass(frozen=True)
@@ -188,20 +212,14 @@ def ff_logvol(vs, submodule):
     pivot's valuation is read off N by degrees, and the common scalar
     den / (e r) adds m (deg e + deg r - deg den).
     """
-    ring = poly_ring(vs.q)
-    if isinstance(submodule, FFSummand):
-        deg_r, rows = 0, submodule.basis
-    else:
-        r, rows = matrices.clear_denominators(ring, _as_ratfunc_rows(submodule))
-        deg_r = r.num.degree
+    r, rows = _ring_rows(vs.q, submodule.basis if isinstance(submodule, FFSummand)
+                         else submodule)
     if not rows:
         return 0
-    H, U = vs.triangular
-    e, N = matrices.solve_cleared(
-        ring, H, matrices.matmul(U, matrices.transpose(rows), ring.zero()))
-    steps = matrices.dvr_column_reduce([list(c) for c in N], range(len(rows)), _nu,
-                                       scaled=True)
-    shift = e.degree + deg_r - vs.cleared[0].num.degree
+    e, N = vs._solve(rows)
+    steps = matrices.dvr_column_reduce([[*c, r.field.poly_one] for c in N],
+                                       range(len(rows)), _nu, scaled=True)
+    shift = e.degree + r.degree - vs.cleared[0].degree
     return -sum(v + shift for _, _, v in steps)
 
 
@@ -216,7 +234,8 @@ class SubQuotient:
     `full_rows` is unimodular over F_q[t] with the summand's m basis rows
     first.  In those coordinates the column reduction leaves S with the
     block basis [[A, X], [0, Q]]: `res` is the volume space of A, `quot`
-    that of Q, and `cross` is the m x (n - m) block X.
+    that of Q, and `cross` is the m x (n - m) block X as a pair (d, Xn)
+    of a denominator and ring rows, X = Xn / d.
     """
 
     res: VolumeSpace
@@ -230,8 +249,6 @@ def sub_quotient(vs, w):
 
     Log-volumes satisfy logvol(V) = logvol(res) + logvol(quot).
     """
-    if not isinstance(w, FFSummand):
-        w = FFSummand.from_rows(vs.q, vs.n, w)
     ring = poly_ring(vs.q)
     n, m = vs.n, w.rank
     if m == 0 or m == n:
@@ -242,18 +259,29 @@ def sub_quotient(vs, w):
     den, P = vs.cleared
     H, U = matrices.triangularize(ring, matrices.transpose(full))
     e, N = matrices.solve_cleared(ring, H, matrices.matmul(U, P, ring.zero()))
-    cols = [list(col) for col in matrices.transpose(matrices.divided(e * den.num, N))]
-    # valuation-ring column reduction: clear the bottom (n-m) rows
-    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1),
-                                       FqRationalFunction.nu)
+    # fraction-free valuation-ring column reduction of the bottom (n-m)
+    # rows: each column ends with its multiplier d_j and stands for
+    # N_j / (e den d_j)
+    cols = [[*col, ring.one()] for col in matrices.transpose(N)]
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), _nu, scaled=True)
     pivots = [j for _, j, _ in reversed(steps)]
-    res_cols = [col for j, col in enumerate(cols) if j not in pivots]
-    quot_cols = [cols[j] for j in pivots]
-    return SubQuotient(
-        res=VolumeSpace(vs.q, m, [[c[i] for c in res_cols] for i in range(m)]),
-        quot=VolumeSpace(vs.q, n - m, [[c[i] for c in quot_cols] for i in range(m, n)]),
-        full_rows=full,
-        cross=tuple(tuple(c[i] for c in quot_cols) for i in range(m)))
+    res_den, res = _rows_over_lcm(ring, e * den, [c for j, c in enumerate(cols)
+                                                 if j not in pivots])
+    quot_den, quot = _rows_over_lcm(ring, e * den, [cols[j] for j in pivots])
+    return SubQuotient(res=VolumeSpace._from_cleared(vs.q, m, res_den, res[:m]),
+                       quot=VolumeSpace._from_cleared(vs.q, n - m, quot_den, quot[m:]),
+                       full_rows=full, cross=(quot_den, quot[:m]))
+
+
+def _rows_over_lcm(ring, den, cols):
+    """Columns (N_j, d_j) standing for N_j / (den d_j), as (den l, ring rows)
+    over the lcm l of the d_j."""
+    lcm = ring.one()
+    for *_, d in cols:
+        lcm = lcm * (d // ring.gcd(lcm, d))
+    factors = [lcm // d for *_, d in cols]
+    return den * lcm, matrices.transpose([[x * f for x in col[:-1]]
+                                          for col, f in zip(cols, factors)])
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +298,21 @@ def _logvol_solution_space(vs, D):
     F = gf(vs.q)
     n = vs.n
     Hinv = vs.inverse_basis
-    d_prime = max(max((-x.nu() if not x.is_zero() else -10 ** 9) for x in row)
-                  for row in vs.basis)
-    dmax = D + max(d_prime, 0)
+    den, P = vs.cleared
+    dmax = D + max(max(x.degree for row in P for x in row) - den.degree, 0)
     if dmax < 0:
         return []
     unknowns = [(j, d) for j in range(n) for d in range(dmax + 1)]
     base = D + 1 - dmax
     rows = []
     for h_row in Hinv:
-        hi = max((-x.nu() for x in h_row if not x.is_zero()), default=None)
-        if hi is None:
-            continue
-        kmax = hi + dmax
+        kmax = max(-x.nu() for x in h_row if x) + dmax
         if kmax <= D:
             continue
-        coeff_cache = [None if x.is_zero() else x.laurent_coefficients(base, kmax)
-                       for x in h_row]
+        # kk - d - base runs from 0 to kmax - base, inside every expansion
+        coeffs = [x.laurent_coefficients(base, kmax) for x in h_row]
         for kk in range(D + 1, kmax + 1):
-            row = []
-            for (j, d) in unknowns:
-                cc = coeff_cache[j]
-                if cc is None:
-                    row.append(0)
-                else:
-                    idx = kk - d - base
-                    row.append(cc[idx] if 0 <= idx < len(cc) else 0)
+            row = [coeffs[j][kk - d - base] for j, d in unknowns]
             if any(row):
                 rows.append(row)
     null = gflinalg.nullspace(F, rows, ncols=len(unknowns))
@@ -322,7 +339,8 @@ def shortest_vector(vs):
     no vector meets (S^{-1} v has an entry of valuation <= -nu_min), and the
     average slope, which some vector always meets.
     """
-    lo = min(x.nu() for row in vs.basis for x in row if not x.is_zero()) - 1
+    den, P = vs.cleared
+    lo = den.degree - max(x.degree for row in P for x in row) - 1
     hi = vs.logvol // vs.n
     basis = None
     while hi - lo > 1:
@@ -361,27 +379,25 @@ class DiagonalBasisResult:
 
     def validate(self):
         vs = self.space
-        ring = poly_ring(vs.q)
         if tuple(sorted(self.r)) != self.r:
             raise DomainError("r-vector is not ascending")
-        # U w = H with U unimodular: a square w is unimodular when H's pivots
-        # are units
-        H = None
-        if len(self.w) == vs.n and all(len(row) == vs.n for row in self.w):
-            try:
-                H, _ = matrices.triangularize(ring, self.w)
-            except SingularityError:
-                pass
-        if H is None or not all(ring.is_unit(H[i][i]) for i in range(vs.n)):
+        # a square w is unimodular when det w is a unit: the volume space
+        # with basis matrix w has log-volume -deg det w = 0
+        try:
+            unimodular = VolumeSpace(vs.q, vs.n, self.w).logvol == 0
+        except (DimensionError, SingularityError):
+            unimodular = False
+        if not unimodular:
             raise DomainError("w is not unimodular over F_q[t]")
-        coeff = matrices.matmul(vs.inverse_basis, matrices.transpose(self.b),
-                                ring.field_zero())
-        if any(x.nu() < 0 for row in coeff for x in row):
+        # with S^-1 w^T = den N / e, entry (k, i) of S^-1 b^T, b_i = t^-r_i w_i,
+        # has valuation deg e - deg den - deg N_ki + r_i
+        e, N = vs._solve(self.w)
+        top = e.degree - vs.cleared[0].degree
+        if any(x and x.degree > top + r for row in N for x, r in zip(row, self.r)):
             raise DomainError("b is not contained in the lattice")
         # b inside S spans it exactly when nu(det S^-1 b^T) = sum r - logvol(V)
         # is zero
-        if sum(self.r) != ff_logvol(vs, matrices.identity_rows(
-                vs.n, ring.one(), ring.zero())):
+        if sum(self.r) != vs.logvol:
             raise DomainError("sum of r-values != total log-volume")
 
 
@@ -406,13 +422,16 @@ def diagonal_basis(vs):
     v, r1 = shortest_vector(vs)
     sq = sub_quotient(vs, FFSummand.from_rows(vs.q, n, [v]))
     inner = diagonal_basis(sq.quot)
-    (xq,) = matrices.matmul(sq.cross, sq.quot.inverse_basis, ring.field_zero())
+    # with X = Xn / d and Q^-1 wbar_i = den Y_i / e, x_i = den Xn Y_i / (d e)
+    d, (xn,) = sq.cross
+    e, Y = sq.quot._solve(inner.w)
+    (xs,) = matrices.matmul((xn,), Y, ring.zero())
+    den = sq.quot.cleared[0]
     full_cols = matrices.transpose(sq.full_rows)
     w_rows = [tuple(v)]  # full_rows[0] is v only up to a unit
-    for wbar in inner.w:
-        x = sum((a * c for a, c in zip(xq, wbar) if c), ring.field_zero())
-        coords = (x.num // x.den, *wbar)
-        w_rows.append(tuple(sum((c * e for c, e in zip(coords, col) if c), ring.zero())
+    for x, wbar in zip(xs, inner.w):
+        coords = ((den * x) // (d * e), *wbar)
+        w_rows.append(tuple(sum((c * a for c, a in zip(coords, col) if c), ring.zero())
                             for col in full_cols))
     return DiagonalBasisResult(vs, tuple(w_rows), (r1, *inner.r))
 

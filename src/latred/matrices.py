@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import (DimensionError, ProjectivityError, RankDeficiencyError,
                      SingularityError)
-from .fq import FqRationalFunction, poly
+from .fq import FqPolynomial, FqRationalFunction, poly
 
 
 def freeze(rows):
@@ -376,27 +376,17 @@ def solve_cleared(ring, H, Y):
 def inverse(ring, M):
     """Inverse of a square fraction-field matrix, computed on ring rows.
 
-    M = P / den is cleared once (`clear_denominators`), P is triangularized
-    (`triangularize`) and the result inverted by `inverse_cleared`.
+    M = P / den is cleared once (`clear_denominators`) and P triangularized,
+    U P = H (`triangularize`); one fraction-free back substitution gives
+    H^-1 U = N / e (`solve_cleared`), so M^-1 = den N / e, one
+    fraction-field constructor call per entry.
     """
     n, m = shape(M)
     if n != m:
         raise DimensionError("inverse of a non-square matrix")
     den, P = clear_denominators(ring, M)
-    return inverse_cleared(ring, den, *triangularize(ring, P))
-
-
-def inverse_cleared(ring, den, H, U):
-    """The inverse den H^-1 U of P / den, for U P = H from `triangularize`.
-
-    den is a ring element in the fraction field, as `clear_denominators`
-    returns it.  One fraction-free back substitution gives H^-1 U = N / e
-    (`solve_cleared`), and each entry d N_ij / e is one fraction-field
-    constructor call.
-    """
-    e, N = solve_cleared(ring, H, U)
-    d = _num_den(den)[0]
-    return divided(e, [[d * x if x else x for x in row] for row in N])
+    e, N = solve_cleared(ring, *triangularize(ring, P))
+    return divided(e, [[den * x if x else x for x in row] for row in N])
 
 
 def divided(den, rows):
@@ -425,9 +415,9 @@ def saturate(ring, rows):
 def clear_denominators(ring, rows):
     """(den, den * rows) for fraction-field rows: the ring rows they scale to.
 
-    `den` is the normalized lcm of the entries' denominators, as a
-    fraction-field element.  An entry num/d becomes num * (den // d), so no
-    fraction-field product is formed.
+    `den` is the normalized lcm of the entries' denominators, a ring
+    element.  An entry num/d becomes num * (den // d), so no fraction-field
+    product is formed; ring entries count as num/1.
     """
     pairs = [[_num_den(x) for x in row] for row in rows]
     den = ring.one()
@@ -436,14 +426,15 @@ def clear_denominators(ring, rows):
             if den % d:
                 den = den * (d // ring.gcd(den, d))
     den = ring.unit_normalize(den)[1]
-    return ring.to_field(den), freeze([[num * (den // d) for num, d in row]
-                                       for row in pairs])
+    return den, freeze([[num * (den // d) for num, d in row] for row in pairs])
 
 
 def _num_den(x):
-    """Reduced numerator and denominator of a fraction-field element."""
+    """Reduced numerator and denominator of a ring or fraction-field element."""
     if isinstance(x, FqRationalFunction):
         return x.num, x.den
+    if isinstance(x, FqPolynomial):
+        return x, x.field.poly_one
     return x.numerator, x.denominator
 
 
@@ -561,22 +552,20 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
     unused columns.  Returns the steps as (row, pivot column, valuation);
     a row without a pivot raises RankDeficiencyError.
 
-    With `scaled`, the columns are ring rows over one common denominator
-    and `val` is the valuation on the ring.  A step stays fraction-free: it
-    replaces column j by a N_j - b N_p, with a and b the entries of the
-    pivot column N_p and of N_j in the step's row, so column j stands for
-    its ring row over a denominator whose valuation is tracked as an integer.
-    The steps report the valuations of the entries the columns stand for,
-    up to the common denominator's, which the caller adds once per row.
-    Scaled columns serve the steps alone, so the last row's pivot updates
-    no column: no later step reads them.
+    With `scaled`, a column is ring entries followed by its multiplier d,
+    a nonzero ring element outside `rows`, and `val` is the valuation on
+    the ring: column (N_j, d_j) stands for N_j / d_j, up to a denominator
+    common to all columns, which the caller accounts for.  A step stays
+    fraction-free: it replaces (N_j, d_j) by (a N_j - b N_p, a d_j), with a
+    and b the entries of the pivot column N_p and of N_j in the step's
+    row, so the columns stand for the fraction-field columns unscaled
+    reduction leaves, and the steps report those columns' valuations.
     """
     avail = list(range(len(cols)))
     todo = list(rows)
-    shift = [0] * len(cols)  # valuation of a scaled column's own denominator
     steps = []
     while todo:
-        vals = {(i, j): val(cols[j][i]) - shift[j]
+        vals = {(i, j): val(cols[j][i]) - (val(cols[j][-1]) if scaled else 0)
                 for i in (todo if any_row else todo[:1]) for j in avail}
         (i, p), v = min(vals.items(), key=lambda kv: kv[1],
                         default=((None, None), math.inf))
@@ -585,15 +574,12 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
         avail.remove(p)
         todo.remove(i)
         steps.append((i, p, v))
-        if scaled and not todo:
-            break
         piv = cols[p]
         for j in avail:
             if vals[i, j] != math.inf:
                 if scaled:
-                    a, b = piv[i], cols[j][i]
-                    cols[j] = [a * x - b * y for x, y in zip(cols[j], piv)]
-                    shift[j] += val(a)
+                    a, b, (*col, d) = piv[i], cols[j][i], cols[j]
+                    cols[j] = [a * x - b * y for x, y in zip(col, piv)] + [a * d]
                 else:
                     f = cols[j][i] / piv[i]
                     cols[j] = [a - f * b for a, b in zip(cols[j], piv)]

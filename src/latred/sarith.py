@@ -202,7 +202,7 @@ class LocSummand(matrices.Summand):
         ring = ctx.base_ring()
         den, cleared = matrices.clear_denominators(
             ring, [[ring.to_field(x) for x in row] for row in rows])
-        if not ring.is_unit(ctx.t_split(matrices._num_den(den)[0])[1]):
+        if not ring.is_unit(ctx.t_split(den)[1]):
             bad = next(x for row in rows for x in row if not ctx.in_t_inverted(x))
             raise DomainError(f"entry {bad} is not in Z[T^-1]")
         w = LocSummand.zero(ctx, n)
@@ -268,7 +268,7 @@ def _t_lattice(ctx, basis):
     """
     ring = ctx.base_ring()
     n = len(basis)
-    denf, zB = matrices.clear_denominators(ring, basis)
+    den, zB = matrices.clear_denominators(ring, basis)
     try:
         H, _ = matrices.triangularize(ring, zB)
     except SingularityError:
@@ -276,7 +276,7 @@ def _t_lattice(ctx, basis):
     c = ctx.t_split(math.prod((H[i][i] for i in range(n)), start=ring.one()))[0]
     rows = [tuple(x % c for x in col) for col in matrices.transpose(zB)]
     rows += matrices.identity_rows(n, c, ring.zero())
-    return ctx.t_split(matrices._num_den(denf)[0])[0], rows
+    return ctx.t_split(den)[0], rows
 
 
 def _check_setting(w, B):
@@ -352,12 +352,14 @@ def frame_oracle(x, B):
     V cap B has the basis L = B.H / B.den, and the point moves with it: a
     Gram matrix becomes L . gram . L^T, formed as the integer product
     H . Gn . H^T over the one denominator g den^2, with g the least integer
-    making Gn = g gram integral; a volume space's columns become
-    L^-T . columns = den H^-T . columns, solved by forward substitution on
-    the lower-triangular H^T.  Coordinates and spans in L can be taken on
-    B's ring rows B.H, a scalar multiple of L.  This is the one place where
-    the localized instability and cover paths branch on the side.  A point
-    of the other side or of another rank than B is rejected (`_check_point`).
+    making Gn = g gram integral; a volume space's cleared columns P / d
+    become L^-T P / d = den H^-T P / d, solved for every B alike by one
+    fraction-free back substitution (`matrices.solve_cleared`) against the
+    lower-triangular H^T, with no F_q(t) element formed.  Coordinates and
+    spans in L can be taken on B's ring rows B.H, a scalar multiple of L.
+    This is the one place where the localized instability and cover paths
+    branch on the side.  A point of the other side or of another rank than
+    B is rejected (`_check_point`).
     """
     _check_point(x, B)
     ctx = B.ctx
@@ -369,21 +371,13 @@ def frame_oracle(x, B):
         M = matrices.matmul(matrices.matmul(B.H, Gn, 0), matrices.transpose(B.H), 0)
         return latz.ZOracle(latz.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
     from . import latff
-    H, one = B.H, ring.one()
-    cols = []
-    for i, row in enumerate(x.basis):
-        for k in range(i):
-            if H[k][i]:
-                h = ring.to_field(H[k][i])
-                row = [a - h * b if b else a for a, b in zip(row, cols[k])]
-        if H[i][i] != one:
-            p = ring.to_field(H[i][i])
-            row = [a / p if a else a for a in row]
-        cols.append(row)
-    if B.den != one:
-        d = ring.to_field(B.den)
-        cols = [[d * a if a else a for a in row] for row in cols]
-    return latff.FFOracle(latff.VolumeSpace(ctx.q, B.n, cols))
+    # L^-T S = B.den H^-T P / den: H^T is lower triangular, so with the
+    # order of rows and columns reversed one back substitution solves it
+    den, P = x.cleared
+    e, N = matrices.solve_cleared(
+        ring, tuple(row[::-1] for row in matrices.transpose(B.H)[::-1]), P[::-1])
+    rows = [[B.den * a if a else a for a in row] for row in N[::-1]]
+    return latff.FFOracle(latff.VolumeSpace._from_cleared(ctx.q, B.n, e * den, rows))
 
 
 def to_frame(oracle, w, B):
@@ -440,8 +434,7 @@ def factorize(A, ctx, mode="GL"):
     if any(len(row) != n for row in A):
         raise DimensionError("factorization needs a square matrix")
     one = ring.field_one()
-    denf, mA = matrices.clear_denominators(ring, A)
-    den = matrices._num_den(denf)[0]
+    den, mA = matrices.clear_denominators(ring, A)
     U, D, V, det_u, det_v = matrices._smith(ring, mA)
     diag = [D[i][i] for i in range(n)]
     if not all(diag):

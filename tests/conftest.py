@@ -246,7 +246,7 @@ def fractional_hnf(ring, rows):
     if not rows:
         return ()
     den, scaled = matrices.clear_denominators(ring, matrices.freeze(rows))
-    return matrices.freeze([[ring.to_field(x) / den for x in row]
+    return matrices.freeze([[ring.to_field(x) / ring.to_field(den) for x in row]
                             for row in matrices.hnf(ring, scaled)])
 
 
@@ -370,11 +370,10 @@ def snf_t_lattice(ctx, B):
     rows / den.
     """
     ring = ctx.base_ring()
-    denf, zB = matrices.clear_denominators(ring, B.basis)
+    den, zB = matrices.clear_denominators(ring, B.basis)
     U, D, _ = matrices.snf(ring, zB)
     rows = [tuple(ctx.t_split(D[i][i])[0] * u for u in col)
             for i, col in enumerate(matrices.transpose(U))]
-    den = denf.numerator if isinstance(denf, Fraction) else denf.num
     return ctx.t_split(den)[0], rows
 
 

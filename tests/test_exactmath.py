@@ -225,8 +225,9 @@ def _clear_by_field_products(ring, rows):
         for x in row:
             d = x.denominator if isinstance(x, Fraction) else x.den
             den = ring.exact_div(den * d, ring.gcd(den, d))
-    den = ring.to_field(ring.unit_normalize(den)[1])
-    return den, matrices.freeze([[integral(ring, den * x) for x in row] for row in rows])
+    den = ring.unit_normalize(den)[1]
+    return den, matrices.freeze([[integral(ring, ring.to_field(den) * x) for x in row]
+                                 for row in rows])
 
 
 def random_rows_to_clear(kind, count=40):
@@ -267,15 +268,14 @@ class TestClearDenominators:
         ring, cases = random_rows_to_clear(kind)
         ring_type = int if kind == "Z" else type(ring.one())
         for rows in cases:
-            den, cleared = matrices.clear_denominators(ring, rows)
-            d = integral(ring, den)
+            d, cleared = matrices.clear_denominators(ring, rows)
             assert ring.unit_normalize(d)[1] == d
             # minimal: no prime of den divides every cleared entry
             g = d
             for row, crow in zip(rows, cleared):
                 for x, c in zip(row, crow):
                     assert type(c) is ring_type
-                    assert ring.to_field(c) == den * x
+                    assert ring.to_field(c) == ring.to_field(d) * x
                     g = ring.gcd(g, c)
             assert ring.is_unit(g)
 
@@ -793,29 +793,30 @@ class TestDvrColumnReduce:
             matrices.dvr_column_reduce([[Fraction(1), Fraction(0)]], [1, 0], _val2)
 
 
-    def test_scaled_columns_skip_the_last_update(self):
-        # row 1 pivots on column 2 and clears it fraction-free from columns 0
-        # and 1; row 0, the last, pivots on column 0 and leaves column 1 as it
-        # was, where an update would have cleared its entry 21
-        cols = [[3, 2], [5, 4], [1, 5]]
+    def test_scaled_columns_carry_their_multipliers(self):
+        # each column ends with its multiplier; row 1 pivots on column 2 and
+        # clears it fraction-free from columns 0 and 1, multiplying both by
+        # the pivot 5; row 0 pivots on column 0 and clears column 1 by 13
+        cols = [[3, 2, 1], [5, 4, 1], [1, 5, 1]]
         steps = matrices.dvr_column_reduce(cols, [1, 0], _val2, scaled=True)
         assert steps == [(1, 2, 0), (0, 0, 0)]
-        assert cols == [[5 * 3 - 2 * 1, 0], [5 * 5 - 4 * 1, 0], [1, 5]]
+        assert cols == [[5 * 3 - 2 * 1, 0, 5], [0, 0, 13 * 5], [1, 5, 1]]
 
     def test_scaled_ring_columns_give_the_same_steps(self):
-        # integer columns over one denominator, reduced fraction-free, pivot
-        # exactly where the rational columns do and at the same valuations
+        # integer columns, each over its multiplier, reduced fraction-free,
+        # pivot exactly where the rational columns do, at the same
+        # valuations, and stand for the rational columns the reduction leaves
         rng = random.Random("dvr-scaled")
         checked = 0
         for _ in range(200):
             n, m = rng.randint(1, 4), rng.randint(1, 4)
-            cols = [[rng.choice([0, rng.randint(-40, 40)]) for _ in range(m)]
+            cols = [[rng.choice([0, rng.randint(-40, 40)]) for _ in range(m)] + [1]
                     for _ in range(n)]
             order = rng.sample(range(m), m)
             any_row = rng.random() < 0.5
+            field = [[Fraction(x) for x in c[:-1]] for c in cols]
             try:
-                want = matrices.dvr_column_reduce([[Fraction(x) for x in c] for c in cols],
-                                                  order, _val2, any_row=any_row)
+                want = matrices.dvr_column_reduce(field, order, _val2, any_row=any_row)
             except RankDeficiencyError:
                 with pytest.raises(RankDeficiencyError):
                     matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
@@ -824,6 +825,7 @@ class TestDvrColumnReduce:
             checked += 1
             assert matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
                                               scaled=True) == want
+            assert [[Fraction(x, c[-1]) for x in c[:-1]] for c in cols] == field
         assert checked > 50
 
 

@@ -1,7 +1,9 @@
 """Function-field volume spaces: minors, subquotients, diagonal bases."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -27,7 +29,8 @@ ZERO = poly(2, [])
 
 
 def _vs(cols):
-    return VolumeSpace.from_columns(2, cols)
+    """The space over F_2 whose basis has the given columns."""
+    return VolumeSpace(2, len(cols), matrices.transpose(cols))
 
 
 def _standard(n):
@@ -128,21 +131,20 @@ class TestLogVolume:
                 w.rank * lam.nu() + ff_logvol(vs, w)
 
     def test_neighbor_bound(self, rng):
-        # S subset S' subset tS pinches volumes within rk(W) of each other
+        # (1/t) S subset S' subset S pinches volumes within rk(W) of each other
         for _ in range(10):
             vs = random_volume_space(rng, 2, 2, maxdeg=1)
-            # S' = S + (1/t) * (a random S-column): between S and tS
-            cols = [list(vs.column(j)) for j in range(2)]
+            # S' = S with a random column divided by t; 1/t lies in R
             j = rng.randrange(2)
-            extra = [x / _rf(T) for x in cols[j]]
-            mid_cols = [cols[0][:], cols[1][:]]
-            mid_cols[j] = extra
-            vs_up = VolumeSpace.from_columns(2, mid_cols)
-            if not vs_up.contains_lattice(vs):
-                continue
+            vs_in = VolumeSpace(2, 2, [[x / _rf(T) if k == j else x for k, x in enumerate(row)]
+                                       for row in vs.basis])
+            # S' inside S: S^-1 S' is integral over R
+            zero, one = P2.field_zero(), P2.field_one()
+            coeffs = matrices.matmul(inverse_field(vs.basis, zero, one), vs_in.basis, zero)
+            assert all(x.nu() >= 0 for row in coeffs for x in row)
             w = random_ff_summand(rng, 2, 2, rng.randint(1, 2))
             lo = ff_logvol(vs, w)
-            hi = ff_logvol(vs_up, w)
+            hi = ff_logvol(vs_in, w)
             assert lo <= hi <= w.rank + lo
 
 
@@ -217,10 +219,36 @@ SUB_QUOTIENT_PINS = [
 ]
 
 
+def _field_sub_quotient(vs, w):
+    """Reference restriction, quotient and cross blocks, all over F_q(t):
+    full^-T S by Gauss-Jordan, then the column reduction on F_q(t) entries."""
+    ring = poly_ring(vs.q)
+    zero, one = ring.field_zero(), ring.field_one()
+    n, m = vs.n, w.rank
+    full_t = matrices.transpose(matrices.completion_rows(ring, w.basis))
+    coords = matrices.matmul(
+        inverse_field(matrices.freeze([[_rf(x) for x in row] for row in full_t]), zero, one),
+        vs.basis, zero)
+    cols = [list(c) for c in matrices.transpose(coords)]
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), FqRationalFunction.nu)
+    pivots = [j for _, j, _ in reversed(steps)]
+    res = [[c[i] for j, c in enumerate(cols) if j not in pivots] for i in range(m)]
+    return (res, [[cols[j][i] for j in pivots] for i in range(m, n)],
+            matrices.freeze([[cols[j][i] for j in pivots] for i in range(m)]))
+
+
 class TestPinnedSubQuotient:
     def test_outputs(self):
-        got = [[_strs(sq.res.basis), _strs(sq.quot.basis)]
-               for sq in (sub_quotient(vs, w) for vs, w in _sub_quotient_pins())]
+        got = []
+        for vs, w in _sub_quotient_pins():
+            sq = sub_quotient(vs, w)
+            got.append([_strs(sq.res.basis), _strs(sq.quot.basis)])
+            # the ring-row blocks are the field reference's, as spaces
+            res, quot, cross = _field_sub_quotient(vs, w)
+            for space, rows in ((sq.res, res), (sq.quot, quot)):
+                ref = VolumeSpace(vs.q, len(rows), rows)
+                assert space == ref and hash(space) == hash(ref) and repr(space) == repr(ref)
+            assert matrices.divided(*sq.cross) == cross
         assert got == SUB_QUOTIENT_PINS
 
 
@@ -451,7 +479,7 @@ def test_inverse_basis_matches_field_reference(q):
         vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
         lam = random_ratfunc(rng, q, 2)
         spaces = [VolumeSpace.standard(q, n),
-                  VolumeSpace.from_columns(q, [vs.column(j) for j in range(n)]),
+                  VolumeSpace(q, n, vs.basis),
                   vs.scaled(lam if lam else one),
                   vs.transformed(random_unimodular_poly(rng, q, n))]
         for space in spaces:
@@ -544,7 +572,6 @@ def test_one_elimination_per_space_and_no_inverse_in_logvol(monkeypatch):
             vs = VolumeSpace(q, n, basis)
             assert len(calls) == 1
             with monkeypatch.context() as inside:
-                inside.setattr(matrices, "inverse_cleared", no_inverse)
                 inside.setattr(matrices, "inverse", no_inverse)
                 for w in summands:
                     ff_logvol(vs, w)
@@ -553,14 +580,83 @@ def test_one_elimination_per_space_and_no_inverse_in_logvol(monkeypatch):
             assert len(calls) == 1
 
 
-def test_cleared_basis_takes_no_part_in_equality_or_repr():
+def test_equality_rests_on_the_canonical_cleared_pair():
+    # S = P / den with den monic and no factor of den common to all of P;
+    # ring rows over any other denominator give the same pair, and the repr
+    # prints the derived F_q(t) basis
     t_inv, s = _rf(ONE) / _rf(T), _rf(T + ONE) / _rf(T * T)
     a = VolumeSpace(2, 2, [[t_inv, _rf(ONE)], [_rf(ZERO), s]])
-    b = VolumeSpace.from_columns(2, [[t_inv, ZERO], [ONE, s]])
-    assert a.cleared == matrices.clear_denominators(P2, a.basis)
-    assert a.cleared[0] == _rf(T * T)  # P = t^2 S is not the basis
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == f"VolumeSpace(q=2, n=2, basis={a.basis!r})"
+    b = _vs([[t_inv, ZERO], [ONE, s]])
+    assert a.cleared == (T * T, ((T, T * T), (ZERO, T + ONE)))
+    c = VolumeSpace._from_cleared(2, 2, T ** 3 + T * T,
+                                  [[x * (T + ONE) for x in row] for row in a.cleared[1]])
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert repr(a) == repr(c) == f"VolumeSpace(q=2, n=2, basis={a.basis!r})"
+    assert a != VolumeSpace.standard(2, 2)
+    assert pickle.loads(pickle.dumps(c)) == copy.copy(c) == a
+    # over F_3 a non-monic denominator is normalized with the rows
+    two_t = poly(3, [0, 2])
+    d = VolumeSpace._from_cleared(3, 1, two_t, [[poly(3, [2])]])
+    assert d.cleared == (poly_t(3), ((poly_one(3),),))
+    assert d == VolumeSpace(3, 1, [[FqRationalFunction(poly_one(3), poly_t(3))]])
+
+
+@pytest.mark.parametrize("entry_point", ["constructor", "scaled", "transformed"])
+def test_entries_over_another_field_are_a_domain_error(entry_point):
+    one3, zero3 = poly_one(3), poly(3, [])
+    inv_t3 = FqRationalFunction(one3, poly_t(3))
+    build = {"constructor": lambda: VolumeSpace(2, 2, [[inv_t3, zero3], [zero3, one3]]),
+             "scaled": lambda: _standard(2).scaled(inv_t3),
+             "transformed": lambda: _standard(2).transformed([[one3, zero3],
+                                                              [zero3, one3]])}
+    with pytest.raises(DomainError, match="over F_3, not over F_2"):
+        build[entry_point]()
+
+
+def test_derived_spaces_clear_nothing_and_build_no_rational_function(monkeypatch):
+    # only the public constructor clears F_q(t) entries: frame_oracle, for
+    # the standard and a general B, sub_quotient, scaled and transformed
+    # build their spaces on ring rows
+    from latred import sarith
+    q, n = 3, 3
+    ctx = sarith.LocalizedContext.function_field(q, [poly_t(q)])
+    rng = random.Random("latff-derived-spaces")
+    vs = random_volume_space(rng, q, n)
+    w = random_ff_summand(rng, q, n, 1)
+    lam = FqRationalFunction(poly(q, [1, 2]), poly(q, [0, 1, 1]))
+    g = random_unimodular_poly(rng, q, n)
+    B = None
+    while B is None or B.den == poly_one(q) or not any(B.H[0][1:]):
+        rows = [[random_ratfunc(rng, q, 2) for _ in range(n)] for _ in range(n)]
+        if det_field(matrices.freeze(rows), poly_ring(q).field_zero(),
+                     poly_ring(q).field_one()):
+            B = sarith.IntegralStructure(ctx, n, rows)
+    standard = sarith.IntegralStructure.standard(ctx, n)
+    counts = Counter()
+    clear, post_init = matrices.clear_denominators, FqRationalFunction.__post_init__
+    reduced = FqRationalFunction._reduced
+
+    def counting_clear(ring, rows):
+        counts["clear"] += 1
+        return clear(ring, rows)
+
+    def counting_post_init(self):
+        counts["new"] += 1
+        post_init(self)
+
+    def counting_reduced(num, den):
+        counts["new"] += 1
+        return reduced(num, den)
+    monkeypatch.setattr(matrices, "clear_denominators", counting_clear)
+    monkeypatch.setattr(FqRationalFunction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FqRationalFunction, "_reduced", staticmethod(counting_reduced))
+    sq = sub_quotient(vs, w)
+    built = [sarith.frame_oracle(vs, standard).vs, sarith.frame_oracle(vs, B).vs,
+             sq.res, sq.quot, vs.scaled(lam), vs.transformed(g)]
+    assert counts == {}
+    VolumeSpace(q, n, vs.basis)  # the public constructor clears, and the counts see it
+    assert counts["clear"] == 1 and counts["new"] > 0
+    assert [x.n for x in built] == [n, n, 1, n - 1, n, n]
 
 
 def test_logvol_matches_field_determinant():
@@ -682,7 +778,7 @@ class TestInvariantsAndFiltration:
             col = [_rf(ZERO)] * n
             col[i] = _rf(T ** (-ri)) if ri <= 0 else FqRationalFunction(ONE, T ** ri)
             cols.append(col)
-        vs = VolumeSpace.from_columns(2, cols)
+        vs = _vs(cols)
         r, rep = ff_invariants_and_filtration(vs)
         assert r == r_target
         interior = [(w.rank, rep.c_values[w]) for w in rep.interior_chain()]

@@ -580,6 +580,7 @@ class TestDenominatorsOutsideT:
             den, cleared = matrices.clear_denominators(ring, B.basis)
             U, D, V = matrices.snf(ring, cleared)
             n = B.n
+            den = ring.to_field(den)
             parts = [_oracle_t_part(ctx, ring.to_field(D[i][i]) / den) for i in range(n)]
             left = [[ring.to_field(U[r][i]) * parts[i] for i in range(n)] for r in range(n)]
             right = [[ring.to_field(x) * (ring.to_field(D[i][i]) / den / parts[i])
@@ -761,10 +762,7 @@ class TestLocalizedInstability:
         q = 2
         t = poly_t(q)
         ctx = LocalizedContext.function_field(q, [t])
-        vs = VolumeSpace.from_columns(q, [
-            (FqRationalFunction.of(poly_one(q)), FqRationalFunction.of(poly(q, []))),
-            (FqRationalFunction.of(poly(q, [])), FqRationalFunction.of(t ** 2)),
-        ])
+        vs = VolumeSpace(q, 2, [[poly_one(q), poly(q, [])], [poly(q, []), t ** 2]])
         B = IntegralStructure.standard(ctx, 2)
         w = LocSummand.from_rows(ctx, 2, [[poly(q, []), poly_one(q)]])  # <e2>
         assert loc_c(w, vs, B) == 2  # r = (-2, 0) jump
@@ -816,12 +814,13 @@ def t_nu(t):
     return FqRationalFunction.of(t).nu()
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_lattice_frame_on_nontrivial_ff_structure(q):
     # loc_c on F_q moves the volume space by L^-T = den H^-T, solved on the
     # triangular Hermite rows; the workloads only meet the standard B, so
     # here den != 1, some pivot of H is not a unit and H has entries above
-    # its diagonal
+    # its diagonal.  The space built on ring rows, for that B and for the
+    # standard one, is the public constructor's on the F_q(t) reference
     t = poly_t(q)
     ctx = LocalizedContext.function_field(q, [t])
     ring = ctx.base_ring()
@@ -839,11 +838,14 @@ def test_lattice_frame_on_nontrivial_ff_structure(q):
                 or not any(H[i][j] for i in range(n) for j in range(i + 1, n)):
             continue
         x = random_volume_space(rng, q, n, maxdeg=1)
-        den = ring.to_field(B.den)
-        L = matrices.freeze([[ring.to_field(h) / den for h in row] for row in H])
-        Linv = inverse_field(L, zero, one)
-        expected = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
-        assert sarith.frame_oracle(x, B).vs.basis == expected
+        for frame in (IntegralStructure.standard(ctx, n), B):
+            den = ring.to_field(frame.den)
+            L = matrices.freeze([[ring.to_field(h) / den for h in row] for row in frame.H])
+            Linv = inverse_field(L, zero, one)
+            expected = matrices.matmul(matrices.transpose(Linv), x.basis, zero)
+            got, ref = sarith.frame_oracle(x, frame).vs, VolumeSpace(q, n, expected)
+            assert got.basis == expected
+            assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
         w = LocSummand.from_rows(ctx, n, [[random_poly(rng, q, 2) for _ in range(n)]])
         if not w.is_zero():
             assert loc_c(w, x, B) == loc_c(w, x, B.scaled(t))
