@@ -92,33 +92,32 @@ class VolumeSpace:
     logvol: int = field(compare=False)
 
     def __init__(self, q, n, basis):
-        vars(self).update(vars(VolumeSpace._from_cleared(q, n, *_ring_rows(q, basis))))
+        self._fill(q, n, *_ring_rows(q, basis))
 
     @staticmethod
     def _from_cleared(q, n, den, P):
-        """The space P / den, for a nonzero den and ring rows P over F_q[t].
+        """The space P / den, for a nonzero den and ring rows P over F_q[t]."""
+        vs = object.__new__(VolumeSpace)
+        vs._fill(q, n, den, P)
+        return vs
 
-        Dividing by den's gcd with P's entries, times den's leading
-        coefficient, leaves the canonical pair.
-        """
+    def _fill(self, q, n, den, P):
+        """Store P / den as its canonical pair, P and den divided by den's gcd
+        with P's entries times den's leading coefficient, and triangularize."""
         ring = poly_ring(q)
         P = matrices.freeze(P)
         if len(P) != n or any(len(r) != n for r in P):
             raise DimensionError("basis matrix must be n x n")
         unit, g = ring.unit_normalize(den)
-        for x in itertools.chain.from_iterable(P):
-            if x and not ring.is_unit(g):
-                g = ring.gcd(g, x)
+        g = matrices.content(ring, g, itertools.chain.from_iterable(P))
         if (c := g * unit) != ring.one():
             den, P = den // c, matrices.freeze([[x // c for x in row] for row in P])
         try:
             H, U = matrices.triangularize(ring, P)
         except SingularityError:
             raise SingularityError("lattice basis is singular") from None
-        vs = object.__new__(VolumeSpace)
-        vars(vs).update(q=q, n=n, cleared=(den, P), triangular=(H, U),
-                        logvol=n * den.degree - sum(H[i][i].degree for i in range(n)))
-        return vs
+        vars(self).update(q=q, n=n, cleared=(den, P), triangular=(H, U),
+                          logvol=n * den.degree - sum(H[i][i].degree for i in range(n)))
 
     def __repr__(self):
         return f"VolumeSpace(q={self.q!r}, n={self.n!r}, basis={self.basis!r})"
@@ -218,7 +217,7 @@ def ff_logvol(vs, submodule):
         return 0
     e, N = vs._solve(rows)
     steps = matrices.dvr_column_reduce([[*c, r.field.poly_one] for c in N],
-                                       range(len(rows)), _nu, scaled=True)
+                                       range(len(rows)), _nu, scaled=poly_ring(vs.q))
     shift = e.degree + r.degree - vs.cleared[0].degree
     return -sum(v + shift for _, _, v in steps)
 
@@ -249,6 +248,8 @@ def sub_quotient(vs, w):
 
     Log-volumes satisfy logvol(V) = logvol(res) + logvol(quot).
     """
+    if not isinstance(w, FFSummand):
+        w = FFSummand.from_rows(vs.q, vs.n, w)
     ring = poly_ring(vs.q)
     n, m = vs.n, w.rank
     if m == 0 or m == n:
@@ -263,7 +264,7 @@ def sub_quotient(vs, w):
     # rows: each column ends with its multiplier d_j and stands for
     # N_j / (e den d_j)
     cols = [[*col, ring.one()] for col in matrices.transpose(N)]
-    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), _nu, scaled=True)
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), _nu, scaled=ring)
     pivots = [j for _, j, _ in reversed(steps)]
     res_den, res = _rows_over_lcm(ring, e * den, [c for j, c in enumerate(cols)
                                                  if j not in pivots])
@@ -427,13 +428,10 @@ def diagonal_basis(vs):
     e, Y = sq.quot._solve(inner.w)
     (xs,) = matrices.matmul((xn,), Y, ring.zero())
     den = sq.quot.cleared[0]
-    full_cols = matrices.transpose(sq.full_rows)
-    w_rows = [tuple(v)]  # full_rows[0] is v only up to a unit
-    for x, wbar in zip(xs, inner.w):
-        coords = ((den * x) // (d * e), *wbar)
-        w_rows.append(tuple(sum((c * a for c, a in zip(coords, col) if c), ring.zero())
-                            for col in full_cols))
-    return DiagonalBasisResult(vs, tuple(w_rows), (r1, *inner.r))
+    coords = [((den * x) // (d * e), *wbar) for x, wbar in zip(xs, inner.w)]
+    # full_rows[0] is v only up to a unit
+    w_rows = (tuple(v), *matrices.matmul(coords, sq.full_rows, ring.zero()))
+    return DiagonalBasisResult(vs, w_rows, (r1, *inner.r))
 
 
 # ---------------------------------------------------------------------------

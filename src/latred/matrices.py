@@ -541,7 +541,7 @@ class Summand:
 # column reduction over a valuation ring
 # ---------------------------------------------------------------------------
 
-def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
+def dvr_column_reduce(cols, rows, val, any_row=False, scaled=None):
     """Column reduction over the valuation ring of `val` (val(0) = inf).
 
     `cols` are mutable column lists over the fraction field.  Each step
@@ -552,14 +552,14 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
     unused columns.  Returns the steps as (row, pivot column, valuation);
     a row without a pivot raises RankDeficiencyError.
 
-    With `scaled`, a column is ring entries followed by its multiplier d,
-    a nonzero ring element outside `rows`, and `val` is the valuation on
-    the ring: column (N_j, d_j) stands for N_j / d_j, up to a denominator
-    common to all columns, which the caller accounts for.  A step stays
-    fraction-free: it replaces (N_j, d_j) by (a N_j - b N_p, a d_j), with a
-    and b the entries of the pivot column N_p and of N_j in the step's
-    row, so the columns stand for the fraction-field columns unscaled
-    reduction leaves, and the steps report those columns' valuations.
+    With `scaled` the ring of the entries, a column is ring entries and
+    then its nonzero multiplier, and `val` is the valuation on the ring:
+    (N_j, d_j) stands for N_j / d_j, up to a denominator common to all
+    columns, which the caller accounts for.  A step replaces (N_j, d_j) by
+    (a N_j - b N_p, a d_j) over its content, with a and b the entries of
+    the pivot column N_p and of N_j in the step's row: the fraction-field
+    column unscaled reduction leaves, on small ring entries.  Once every
+    ring row has a pivot, the last step updates no column (all would be 0).
     """
     avail = list(range(len(cols)))
     todo = list(rows)
@@ -575,12 +575,24 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=False):
         todo.remove(i)
         steps.append((i, p, v))
         piv = cols[p]
+        if scaled and len(steps) == len(piv) - 1:
+            break
         for j in avail:
             if vals[i, j] != math.inf:
                 if scaled:
                     a, b, (*col, d) = piv[i], cols[j][i], cols[j]
-                    cols[j] = [a * x - b * y for x, y in zip(col, piv)] + [a * d]
+                    col = [a * x - b * y if y else a * x for x, y in zip(col, piv)] + [a * d]
+                    g = content(scaled, col[-1], col)
+                    cols[j] = col if scaled.is_unit(g) else [x // g for x in col]
                 else:
                     f = cols[j][i] / piv[i]
                     cols[j] = [a - f * b for a, b in zip(cols[j], piv)]
     return steps
+
+
+def content(ring, g, xs):
+    """gcd(g, *xs) for a nonzero g, up to a unit."""
+    for x in xs:
+        if x and not ring.is_unit(g):
+            g = ring.gcd(g, x)
+    return g

@@ -793,26 +793,30 @@ class TestDvrColumnReduce:
             matrices.dvr_column_reduce([[Fraction(1), Fraction(0)]], [1, 0], _val2)
 
 
-    def test_scaled_columns_carry_their_multipliers(self):
-        # each column ends with its multiplier; row 1 pivots on column 2 and
-        # clears it fraction-free from columns 0 and 1, multiplying both by
-        # the pivot 5; row 0 pivots on column 0 and clears column 1 by 13
-        cols = [[3, 2, 1], [5, 4, 1], [1, 5, 1]]
-        steps = matrices.dvr_column_reduce(cols, [1, 0], _val2, scaled=True)
-        assert steps == [(1, 2, 0), (0, 0, 0)]
-        assert cols == [[5 * 3 - 2 * 1, 0, 5], [0, 0, 13 * 5], [1, 5, 1]]
+    def test_scaled_columns_skip_the_last_update(self):
+        # each column ends with its multiplier; row 1 pivots on column 1
+        # (entry 3) and clears it fraction-free from column 0, to
+        # 3 * (5, 6, 1) - 6 * (1, 3, 0) = (9, 0, 3) over its content 3, and
+        # from column 2, to (2, 0, 3); row 0 then pivots on column 0, and
+        # with every row cleared the last step updates no column
+        cols = [[5, 6, 1], [1, 3, 1], [2, 4, 1]]
+        steps = matrices.dvr_column_reduce(cols, [1, 0], _val2, scaled=ZZ)
+        assert steps == [(1, 1, 0), (0, 0, 0)]
+        assert cols == [[3, 0, 1], [1, 3, 1], [2, 0, 3]]
 
     def test_scaled_ring_columns_give_the_same_steps(self):
         # integer columns, each over its multiplier, reduced fraction-free,
         # pivot exactly where the rational columns do, at the same
-        # valuations, and stand for the rational columns the reduction leaves
+        # valuations, and stand for the rational columns the reduction
+        # leaves; once every row is cleared the unused columns, zero over
+        # the field, are left as they are
         rng = random.Random("dvr-scaled")
         checked = 0
         for _ in range(200):
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             cols = [[rng.choice([0, rng.randint(-40, 40)]) for _ in range(m)] + [1]
                     for _ in range(n)]
-            order = rng.sample(range(m), m)
+            order = rng.sample(range(m), rng.randint(1, m))
             any_row = rng.random() < 0.5
             field = [[Fraction(x) for x in c[:-1]] for c in cols]
             try:
@@ -820,12 +824,14 @@ class TestDvrColumnReduce:
             except RankDeficiencyError:
                 with pytest.raises(RankDeficiencyError):
                     matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
-                                               scaled=True)
+                                               scaled=ZZ)
                 continue
             checked += 1
             assert matrices.dvr_column_reduce(cols, order, _val2, any_row=any_row,
-                                              scaled=True) == want
-            assert [[Fraction(x, c[-1]) for x in c[:-1]] for c in cols] == field
+                                              scaled=ZZ) == want
+            kept = {p for _, p, _ in want} if len(order) == m else range(n)
+            assert [[Fraction(x, cols[j][-1]) for x in cols[j][:-1]] for j in kept] == \
+                [field[j] for j in kept]
         assert checked > 50
 
 

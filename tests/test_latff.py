@@ -179,6 +179,7 @@ class TestSubQuotient:
             vs = random_volume_space(rng, 2, 3, maxdeg=1)
             w = random_ff_summand(rng, 2, 3, rng.randint(1, 2))
             sq = sub_quotient(vs, w)
+            assert sub_quotient(vs, w.basis) == sq  # raw rows are spanned first
             total = ff_logvol(vs, ident)
             res_total = ff_logvol(
                 sq.res, matrices.identity_rows(w.rank, ONE, ZERO))
