@@ -21,8 +21,9 @@ is already coprime to every numerator.  The degree valuation
     nu(p/q) = deg(q) - deg(p),    nu(0) = +infinity
 
 is the one discrete valuation of F_q(t) that does not come from a monic
-irreducible polynomial; expansions "at infinity" (Laurent series in 1/t)
-are provided for it.
+irreducible polynomial.  Its expansions "at infinity" (Laurent series in
+1/t) are read off polynomial floors by the callers that need them, with no
+rational function formed.
 """
 
 from __future__ import annotations
@@ -567,28 +568,6 @@ class FqRationalFunction:
 
     def __rtruediv__(self, other):
         return FqRationalFunction.of(other) / self
-
-    def laurent_coefficients(self, lo, hi):
-        """Coefficients of t^lo .. t^hi of the expansion at infinity, ascending."""
-        F = self.field
-        if self.is_zero() or hi < lo:
-            return [0] * max(hi - lo + 1, 0)
-        num, den = self.num, self.den
-        dd = den.degree
-        top = num.degree - dd
-        out = {}
-        # long division in descending powers of t; exponents may go negative
-        rem = {i: c for i, c in enumerate(num.coeffs) if c}
-        lead_inv = F.inv(den.leading())
-        for k in range(top, lo - 1, -1):
-            coef = F.mul(rem.get(k + dd, 0), lead_inv)
-            out[k] = coef
-            if coef:
-                for j, dj in enumerate(den.coeffs):
-                    if dj:
-                        idx = k + j
-                        rem[idx] = F.sub(rem.get(idx, 0), F.mul(coef, dj))
-        return [out.get(k, 0) for k in range(lo, hi + 1)]
 
     def __str__(self):
         if self.is_integral():

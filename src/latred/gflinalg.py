@@ -75,12 +75,8 @@ def rank(F, rows):
     return len(rref(F, rows)[0])
 
 
-def nullspace(F, rows, ncols=None):
-    """Echelonized basis of {x : rows . x = 0}, deterministic order."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+def nullspace(F, rows, ncols):
+    """Echelonized basis of {x : rows . x = 0} in F^ncols, deterministic order."""
     if F.q == 2:
         packed, pivots = _rref2_packed(rows, ncols)
         pivset = set(pivots)

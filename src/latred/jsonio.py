@@ -289,7 +289,7 @@ def vertex_to_json(v):
 # exact values and filtration reports
 # ---------------------------------------------------------------------------
 
-def value_to_json(v, tag="c_sq_ratio", decimals=True):
+def value_to_json(v, tag="c_sq_ratio"):
     """Exact scalar payload; natural logs only as decimal annotations.
 
     An ExactLog value ln(arg)/m is emitted as {tag: arg'} with
@@ -306,8 +306,7 @@ def value_to_json(v, tag="c_sq_ratio", decimals=True):
         else:
             out["log_arg"] = ratio_to_str(arg)
             out["log_index"] = index
-        if decimals:
-            out["decimal"] = f"{v.to_float():.12g}"
+        out["decimal"] = f"{v.to_float():.12g}"
         return out
     return rational_to_str(v)
 

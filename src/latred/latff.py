@@ -30,7 +30,8 @@ the quotient space.
 
 Short-vector searches never enumerate F_q[t]-points: the set of v in V with
 logvol<v> <= D is an F_q-vector space cut out by linear conditions on the
-Laurent tails of S^{-1} v, so a nullspace computation over F_q finds it.
+Laurent tails of S^{-1} v, read off polynomial floors of its ring rows, so
+a nullspace computation over F_q finds it.
 Short vectors inside a summand W are those of the restricted space.
 The least feasible D lies above nu_min - 1 (nu_min the least valuation of an
 entry of S) and at most at the average slope logvol(V) / n, and is found by
@@ -147,10 +148,10 @@ class VolumeSpace:
                                          matrices.matmul(G, P, poly_ring(self.q).zero()))
 
     @cached_property
-    def inverse_basis(self):
-        """S^-1 = den H^-1 U over F_q(t), from the back substitution H N = e U."""
+    def _inverse(self):
+        """(e, M) with S^-1 = M / e on ring rows: H N = e U and M = den N."""
         e, N = matrices.solve_cleared(poly_ring(self.q), *self.triangular)
-        return matrices.divided(e, [[self.cleared[0] * x for x in row] for row in N])
+        return e, matrices.freeze([[self.cleared[0] * x for x in row] for row in N])
 
     def _solve(self, rows):
         """(e, N) with S^-1 R^T = den N / e for ring rows R: H N = e U R^T."""
@@ -293,30 +294,36 @@ def _logvol_solution_space(vs, D):
     """Echelonized F_q-basis of {v in V : logvol<v> <= D}, as polynomial vectors.
 
     The unknowns are the coefficients of v's polynomial entries up to degree
-    dmax, and S^{-1} v, a combination of the columns of S^{-1}, must vanish
-    in every Laurent degree above D.
+    dmax, and S^{-1} v, a combination of the columns of S^{-1} = M / e, must
+    vanish in every Laurent degree above D.  The coefficients of t^base ..
+    t^kmax of an entry a / e are those of the polynomial floor of a t^-base / e.
     """
     F = gf(vs.q)
     n = vs.n
-    Hinv = vs.inverse_basis
+    e, M = vs._inverse
     den, P = vs.cleared
     dmax = D + max(max(x.degree for row in P for x in row) - den.degree, 0)
     if dmax < 0:
         return []
     unknowns = [(j, d) for j in range(n) for d in range(dmax + 1)]
     base = D + 1 - dmax
+    # the floor is (a t^-base) // e for base <= 0 and a // (e t^base) above
+    shift = (0,) * -base if base < 0 else ()
+    div = e * FqPolynomial(F, (0,) * base + (1,)) if base > 0 else e
     rows = []
-    for h_row in Hinv:
-        kmax = max(-x.nu() for x in h_row if x) + dmax
+    for m_row in M:
+        kmax = max(x.degree for x in m_row if x) - e.degree + dmax
         if kmax <= D:
             continue
         # kk - d - base runs from 0 to kmax - base, inside every expansion
-        coeffs = [x.laurent_coefficients(base, kmax) for x in h_row]
+        floors = [((FqPolynomial(F, shift + a.coeffs) if shift else a) // div).coeffs
+                  for a in m_row]
+        coeffs = [c + (0,) * (kmax - base + 1 - len(c)) for c in floors]
         for kk in range(D + 1, kmax + 1):
             row = [coeffs[j][kk - d - base] for j, d in unknowns]
             if any(row):
                 rows.append(row)
-    null = gflinalg.nullspace(F, rows, ncols=len(unknowns))
+    null = gflinalg.nullspace(F, rows, len(unknowns))
     width = dmax + 1
     return [tuple(poly(F, sol[j * width:(j + 1) * width]) for j in range(n))
             for sol in null]

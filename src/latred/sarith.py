@@ -25,10 +25,10 @@ read off the diagonal of one triangularization that also decides
 singularity, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
-denominator, and divides by it once, at the end.  An `IntegralStructure`
-is stored as that lattice: the denominator and the n-row Hermite form of
-Z[T^-1]^n cap B, built once when B is, so every W intersected with one B
-meets the same n rows.  Instability numbers and cover chains run in one
+denominator: `intersect_integral` divides by it once, at the end, and
+`loc_logvol` never does.  An `IntegralStructure` is stored as that lattice:
+the denominator and the n-row Hermite form of Z[T^-1]^n cap B, built once
+when B is, so every W intersected with one B meets the same n rows.  Instability numbers and cover chains run in one
 frame, V cap B in the coordinates of those rows: `frame_oracle` moves the
 point there and is the only step that branches on the side, `to_frame`
 maps W into it and `from_frame` maps a summand back.  Every invertible
@@ -36,10 +36,11 @@ matrix over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T)
 factor, U diag(T-parts) and diag(T-free parts) V, from the Smith form
 U D V of its cleared matrix (`matrices.clear_denominators`), whose
 diagonal also decides singularity; this is the one Smith form of the
-layer.  SL mode takes det A and the determinant of the first factor from
-that diagonal and the units det U and det V of the same elimination, so
-the layer computes no fraction-field determinant.  The split holds by
-construction and is checked by the test suite, not on every call.
+layer, taken only once the factorization mode is known.  SL mode takes
+det A and the determinant of the first factor from that diagonal and the
+units det U and det V of the same elimination, so the layer computes no
+fraction-field determinant.  The split holds by construction and is
+checked by the test suite, not on every call.
 
 The Z and F_q[t] layers (`latz`, `latff`) are imported only on the side a
 context uses.
@@ -292,19 +293,24 @@ def _check_setting(w, B):
                              f"structure of rank {B.n}")
 
 
-def intersect_integral(w, B):
-    """Canonical Z-basis rows of W cap B for a localized summand W.
+def _intersect_rows(w, B):
+    """Ring rows of B.den (W cap B): the Hermite form of the intersection.
 
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
     W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  With that lattice on
     the n Hermite rows H over one denominator, its part in the Q-span of W
-    is its intersection with W cap Z^n.  The final Hermite form is
-    canonical because hnf(c M) = c hnf(M) for a normalized scalar c.
+    is its intersection with W cap Z^n.
     """
     _check_setting(w, B)
     if w.is_zero():
         return ()
-    return matrices.divided(B.den, matrices.lattice_intersect(w.ring, B.H, w.basis))
+    return matrices.lattice_intersect(w.ring, B.H, w.basis)
+
+
+def intersect_integral(w, B):
+    """Canonical Z-basis rows of W cap B for a localized summand W: canonical
+    because hnf(c M) = c hnf(M) for a normalized scalar c."""
+    return matrices.divided(B.den, _intersect_rows(w, B))
 
 
 def span_localized(ctx, n, z_rows):
@@ -336,14 +342,20 @@ def _check_point(x, B):
 
 
 def loc_logvol(w, x, B):
-    """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side."""
-    rows = intersect_integral(w, B)
+    """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side.
+
+    On the m ring rows R of B.den (W cap B): vol^2 of R / B.den is that of R
+    over B.den^2m, and the FF log-volume that of R less m deg B.den.
+    """
+    rows = _intersect_rows(w, B)
     _check_point(x, B)
+    m = len(rows)
     if w.ctx.kind == "Z":
         from . import latz
-        return latz.gram_logvol(x, rows)
+        from .logs import ExactLog
+        return ExactLog.half_log(latz.gram_vol2(x, rows) / B.den ** (2 * m))
     from . import latff
-    return latff.ff_logvol(x, rows)
+    return latff.ff_logvol(x, rows) - m * B.den.degree
 
 
 def frame_oracle(x, B):
@@ -428,6 +440,8 @@ def factorize(A, ctx, mode="GL"):
     V are the units its swaps and scalings multiplied, so no determinant is
     computed.
     """
+    if mode not in ("GL", "SL"):
+        raise DomainError(f"unknown factorization mode {mode!r}")
     ring = ctx.base_ring()
     A = matrices.freeze([[ring.to_field(x) for x in row] for row in A])
     n = len(A)
@@ -439,8 +453,6 @@ def factorize(A, ctx, mode="GL"):
     diag = [D[i][i] for i in range(n)]
     if not all(diag):
         raise SingularityError("factorization needs an invertible matrix")
-    if mode not in ("GL", "SL"):
-        raise DomainError(f"unknown factorization mode {mode!r}")
     # den^n det A = det(U D V) = det U prod(D_ii) det V
     if mode == "SL" and math.prod(diag, start=det_u * det_v) != den ** n:
         raise DeterminantError("SL-mode factorization needs determinant 1")

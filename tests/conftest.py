@@ -14,7 +14,7 @@ from latred.latff import (FFOracle, FFSummand, VolumeSpace, _logvol_solution_spa
                           ff_logvol, shortest_vector)
 from latred.latz import InnerProduct, ZSummand
 from latred.logs import ExactLog
-from latred import latz, matrices
+from latred import gflinalg, latz, matrices
 from latred.matrices import freeze, identity_rows, shape
 from latred.rings import ZZ, poly_ring
 
@@ -213,6 +213,57 @@ def solve_upper(H, R):
             row = [a - h[j] * b for a, b in zip(row, X[j])]
         X[i] = tuple(a / h[i] for a in row)
     return tuple(X)
+
+
+def laurent_coefficients(x, lo, hi):
+    """Coefficients of t^lo .. t^hi of the expansion at infinity of a rational
+    function x, ascending, by long division in descending powers of t
+    (exponents may go negative)."""
+    F = x.field
+    if x.is_zero() or hi < lo:
+        return [0] * max(hi - lo + 1, 0)
+    num, den = x.num, x.den
+    dd = den.degree
+    out = {}
+    rem = {i: c for i, c in enumerate(num.coeffs) if c}
+    lead_inv = F.inv(den.leading())
+    for k in range(num.degree - dd, lo - 1, -1):
+        coef = F.mul(rem.get(k + dd, 0), lead_inv)
+        out[k] = coef
+        if coef:
+            for j, dj in enumerate(den.coeffs):
+                if dj:
+                    rem[k + j] = F.sub(rem.get(k + j, 0), F.mul(coef, dj))
+    return [out.get(k, 0) for k in range(lo, hi + 1)]
+
+
+def reference_solution_space(vs, D):
+    """Reference for `latff._logvol_solution_space`: the same conditions on
+    the coefficients of v up to degree dmax, read entry by entry off the
+    F_q(t) inverse S^-1 (`matrices.inverse` on the basis) by long division."""
+    F = gf(vs.q)
+    n = vs.n
+    Hinv = matrices.inverse(poly_ring(vs.q), vs.basis)
+    den, P = vs.cleared
+    dmax = D + max(max(x.degree for row in P for x in row) - den.degree, 0)
+    if dmax < 0:
+        return []
+    unknowns = [(j, d) for j in range(n) for d in range(dmax + 1)]
+    base = D + 1 - dmax
+    rows = []
+    for h_row in Hinv:
+        kmax = max(-x.nu() for x in h_row if x) + dmax
+        if kmax <= D:
+            continue
+        coeffs = [laurent_coefficients(x, base, kmax) for x in h_row]
+        for kk in range(D + 1, kmax + 1):
+            row = [coeffs[j][kk - d - base] for j, d in unknowns]
+            if any(row):
+                rows.append(row)
+    null = gflinalg.nullspace(F, rows, len(unknowns))
+    width = dmax + 1
+    return [tuple(poly(F, sol[j * width:(j + 1) * width]) for j in range(n))
+            for sol in null]
 
 
 def minors(M, m, det):

@@ -12,7 +12,7 @@ import pytest
 from latred import filtration, latff, matrices
 from latred.errors import (DomainError, ProjectivityError, RankDeficiencyError, ScaleError,
                            SingularityError)
-from latred.fq import FqRationalFunction, poly, poly_one, poly_t
+from latred.fq import FqRationalFunction, poly, poly_one, poly_t, t_power
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
                           short_vector_space_dim, shortest_vector, sub_quotient)
@@ -20,7 +20,8 @@ from latred.rings import poly_ring
 
 from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
                       enumerate_ff_summands, inverse_field, minors, random_ff_summand,
-                      random_poly, random_ratfunc, random_unimodular_poly, random_volume_space)
+                      random_poly, random_ratfunc, random_unimodular_poly, random_volume_space,
+                      reference_solution_space)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -47,7 +48,7 @@ def _logvol_by_minors(vs, rows):
     ring = poly_ring(vs.q)
     zero, one = ring.field_zero(), ring.field_one()
     rows = [[_rf(x) for x in row] for row in rows]
-    lam = matrices.matmul(rows, matrices.transpose(vs.inverse_basis), zero)
+    lam = matrices.matmul(rows, matrices.transpose(matrices.inverse(ring, vs.basis)), zero)
     table = minors(lam, len(rows), lambda S: det_field(S, zero, one))
     return max((-d.nu() for d in table.values() if not d.is_zero()), default=None)
 
@@ -470,8 +471,9 @@ def test_stored_logvol_laws():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_inverse_basis_matches_field_reference(q):
-    # inverse_basis inverts the cleared (den, P) on ring rows; the
+def test_lattice_inverse_matches_field_reference(q):
+    # the short-vector probe's S^-1 = M / e comes from the cleared (den, P)
+    # on ring rows, as does matrices.inverse of the F_q(t) basis; the
     # Gauss-Jordan reference runs on the F_q(t) entries of the basis
     rng = random.Random(f"latff-inverse-basis/{q}")
     ring = poly_ring(q)
@@ -484,27 +486,86 @@ def test_inverse_basis_matches_field_reference(q):
                   vs.scaled(lam if lam else one),
                   vs.transformed(random_unimodular_poly(rng, q, n))]
         for space in spaces:
-            assert space.inverse_basis == inverse_field(space.basis, zero, one)
+            expected = inverse_field(space.basis, zero, one)
+            assert matrices.inverse(ring, space.basis) == expected
+            assert matrices.divided(*space._inverse) == expected
 
 
-def test_inverse_basis_clears_nothing(monkeypatch):
-    # the constructor clears S = P / den once and keeps it; inverse_basis
-    # inverts the kept rows without clearing the basis again
-    clear, calls = matrices.clear_denominators, []
+def test_probe_and_localized_volume_build_no_field_element(monkeypatch):
+    # the constructor clears S = P / den once and keeps it; the short-vector
+    # probe reads the Laurent tails of S^-1 off ring rows, and loc_logvol on
+    # the F_q side takes the ring rows of W cap B undivided (B.den = t): none
+    # of them clears again, builds an F_q(t) element or divides rows
+    from latred import sarith
+    events = []
+    clear, divided = matrices.clear_denominators, matrices.divided
+    post_init, reduced = FqRationalFunction.__post_init__, FqRationalFunction._reduced
 
     def counting_clear(ring, rows):
-        calls.append(rows)
+        events.append("clear")
         return clear(ring, rows)
-    monkeypatch.setattr(matrices, "clear_denominators", counting_clear)
+
+    def counting_divided(den, rows):
+        events.append("divided")
+        return divided(den, rows)
+
+    def counting_post_init(self):
+        events.append("ratfunc")
+        post_init(self)
+
+    def counting_reduced(num, den):
+        events.append("ratfunc")
+        return reduced(num, den)
+    ctx = sarith.LocalizedContext.function_field(2, [T])
+    t_inv, s = ONE / T, ONE / (T * T + T + ONE)
+    B = sarith.IntegralStructure(ctx, 3, [[t_inv, T + ONE, ZERO], [ZERO, T, ONE],
+                                          [ONE, ZERO, s]])
+    assert B.den == T
+    x = VolumeSpace(2, 3, [[T ** 4, T ** 3 + ONE, ZERO], [ZERO, ONE, T],
+                           [T, ZERO, ONE / T ** 5]])
+    w = sarith.LocSummand.from_rows(ctx, 3, [[ONE, T + ONE, T]])
     rng = random.Random("latff-inverse-basis-count")
-    for q in (2, 3, 4):
-        for n in range(1, 5):
-            basis = random_volume_space(rng, q, n).basis
-            calls.clear()
+    cases = [(q, n, random_volume_space(rng, q, n).basis) for q in (2, 3, 4)
+             for n in range(1, 5)]
+    summands = [sarith.LocSummand.from_rows(ctx, 3, random_ff_summand(rng, 2, 3, m).basis)
+                for m in (1, 2, 3)]
+    with monkeypatch.context() as inside:
+        inside.setattr(matrices, "clear_denominators", counting_clear)
+        inside.setattr(matrices, "divided", counting_divided)
+        inside.setattr(FqRationalFunction, "__post_init__", counting_post_init)
+        inside.setattr(FqRationalFunction, "_reduced", staticmethod(counting_reduced))
+        for q, n, basis in cases:
             vs = VolumeSpace(q, n, basis)
-            assert len(calls) == 1
-            vs.inverse_basis
-            assert len(calls) == 1
+            assert events == ["clear"]
+            events.clear()
+            short_vector_space_dim(vs, shortest_vector(vs)[1])
+            assert events == []
+        assert sarith.loc_logvol(w, x, B) == 5
+        for u in summands:
+            sarith.loc_logvol(u, x, B)
+        assert events == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_probe_matches_long_division_reference(q):
+    # the ring-row probe against the reference that long-divides each entry
+    # of the F_q(t) inverse, at every bound from nu_min - 1, which no vector
+    # meets, to two above the average slope; t-power scalings move the
+    # expansion window to either side of t^0
+    rng = random.Random(f"latff-probe-reference/{q}")
+    bounds = 0
+    for n in range(2, 6):
+        for _ in range(4):
+            vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
+            for k in (-2, 0, 2):
+                space = vs.scaled(t_power(q, k))
+                den, P = space.cleared
+                lo = den.degree - max(x.degree for row in P for x in row) - 1
+                for D in range(lo, space.logvol // n + 3):
+                    assert latff._logvol_solution_space(space, D) == \
+                        reference_solution_space(space, D), (n, k, D)
+                    bounds += 1
+    assert bounds > 150
 
 
 def _field_logvol(basis, rows, q):
@@ -531,7 +592,8 @@ def test_ring_row_solves_match_field_references(q):
         spaces = [vs] if n > 3 else [vs, vs.transformed(random_unimodular_poly(rng, q, n))]
         for space in spaces:
             assert space.logvol == det_field(space.basis, zero, one).nu()
-            assert space.inverse_basis == inverse_field(space.basis, zero, one)
+            assert matrices.inverse(ring, space.basis) == inverse_field(space.basis,
+                                                                        zero, one)
             for m in range(1, n + 1):
                 w = random_ff_summand(rng, q, n, m, maxdeg=1)
                 raw_poly = [[random_poly(rng, q, 2) for _ in range(n)] for _ in range(m)]
@@ -553,8 +615,8 @@ def test_ring_row_solves_match_field_references(q):
 
 
 def test_one_elimination_per_space_and_no_inverse_in_logvol(monkeypatch):
-    # the constructor triangularizes the cleared basis once; inverse_basis and
-    # ff_logvol reuse it, and ff_logvol inverts no n x n matrix
+    # the constructor triangularizes the cleared basis once; the short-vector
+    # probe and ff_logvol reuse it, and ff_logvol inverts no n x n matrix
     tri, calls = matrices.triangularize, []
 
     def counting_triangularize(ring, P):
@@ -576,8 +638,8 @@ def test_one_elimination_per_space_and_no_inverse_in_logvol(monkeypatch):
                 inside.setattr(matrices, "inverse", no_inverse)
                 for w in summands:
                     ff_logvol(vs, w)
-            assert "inverse_basis" not in vs.__dict__
-            vs.inverse_basis
+            assert "_inverse" not in vs.__dict__
+            shortest_vector(vs)
             assert len(calls) == 1
 
 

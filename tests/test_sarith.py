@@ -11,8 +11,8 @@ from latred.errors import (DeterminantError, DimensionError, DomainError,
                            RankDeficiencyError, SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.jsonio import value_to_json
-from latred.latff import VolumeSpace
-from latred.latz import InnerProduct
+from latred.latff import VolumeSpace, ff_logvol
+from latred.latz import InnerProduct, gram_logvol
 from latred.logs import ExactLog
 from latred.rings import poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
@@ -259,10 +259,25 @@ def _pin_cases(name):
 @pytest.mark.parametrize("name", sorted(PIN_CTXS))
 class TestPinnedOutputs:
     def test_intersect_and_c(self, name):
-        got = [([[str(v) for v in row] for row in intersect_integral(w, B)],
-                value_to_json(loc_c(w, x, B), decimals=False))
-               for w, x, B in _pin_cases(name)]
+        got = []
+        for w, x, B in _pin_cases(name):
+            c = value_to_json(loc_c(w, x, B))
+            if isinstance(c, dict):
+                del c["decimal"]
+            got.append(([[str(v) for v in row] for row in intersect_integral(w, B)], c))
         assert got == PINNED[name]
+
+    def test_loc_logvol_matches_the_divided_rows(self, name):
+        # loc_logvol corrects the volume of the undivided ring rows by B.den;
+        # the volume of the canonical rows of W cap B gives the same value,
+        # down to the ExactLog's terms
+        for w, x, B in _pin_cases(name):
+            rows = intersect_integral(w, B)
+            got = loc_logvol(w, x, B)
+            if PIN_CTXS[name].kind == "Z":
+                assert got.terms == gram_logvol(x, rows).terms
+            else:
+                assert got == ff_logvol(x, rows)
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
         # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
@@ -903,8 +918,8 @@ class TestFactorize:
                    for row in Bm for x in row)  # B is an integer matrix here
 
     def test_singular_rejected(self):
-        # singularity is checked before the mode, and the mode before det = 1
-        for mode in ("GL", "SL", "XL"):
+        # the mode is checked first, then singularity, then det = 1
+        for mode in ("GL", "SL"):
             with pytest.raises(SingularityError, match="needs an invertible matrix"):
                 factorize([[1, 1], [1, 1]], CTX2, mode)
         with pytest.raises(DomainError, match="unknown factorization mode 'XL'"):
@@ -912,6 +927,16 @@ class TestFactorize:
         for A in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]):
             with pytest.raises(DimensionError):
                 factorize(A, CTX2)
+
+    def test_unknown_mode_takes_no_smith_form(self, monkeypatch):
+        # an unknown mode is rejected before the matrix is read: a singular or
+        # non-square A reports the mode, and no Smith form is taken
+        def no_smith(*args):
+            raise AssertionError("a Smith form was taken")
+        monkeypatch.setattr(matrices, "_smith", no_smith)
+        for A in ([[1, 1], [1, 1]], [[1, 2, 3], [4, 5, 6]], [[0]]):
+            with pytest.raises(DomainError, match="unknown factorization mode 'XY'"):
+                factorize(A, CTX2, mode="XY")
 
     def test_sl_mode_det_guard(self):
         with pytest.raises(DeterminantError):

@@ -163,7 +163,8 @@ def test_instability_ff_is_invariant_under_t_power_scaling(k):
 
 def _ff_dual(vs):
     """The dual lattice {x : x . S in R^n}, spanned by the columns of S^-T."""
-    return VolumeSpace(vs.q, vs.n, matrices.transpose(vs.inverse_basis))
+    inverse = matrices.inverse(poly_ring(vs.q), vs.basis)
+    return VolumeSpace(vs.q, vs.n, matrices.transpose(inverse))
 
 
 def test_ff_duality_negates_logvol_and_reverses_r():
