@@ -15,12 +15,12 @@ diagonal-apartment picture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
-from .fq import FqRationalFunction, gf, poly, poly_one, poly_t, prime_power, t_power
+from .fq import FqRationalFunction, gf, poly, prime_power, t_power
 from .rings import ZZ, is_prime_int, poly_ring
 
 NEIGHBOR_RESIDUE_LIMIT = 5
@@ -35,17 +35,20 @@ class BuildingContext:
     n: int
     p: int | None = None
     q: int | None = None
+    ring: object = field(init=False, repr=False, compare=False)  # ZZ or F_q[t]
 
     def __post_init__(self):
         if self.kind == "p-adic":
             if not isinstance(self.p, int) or not is_prime_int(self.p):
                 raise InvalidPlaceError(f"{self.p!r} is not a prime")
+            ring = ZZ
         elif self.kind == "FF":
-            gf(self.q)  # validates the prime power
+            ring = poly_ring(self.q)  # validates the prime power
         else:
             raise DomainError(f"unknown building kind {self.kind!r}")
         if self.n < 1:
             raise DimensionError("rank must be positive")
+        object.__setattr__(self, "ring", ring)
 
     @staticmethod
     def p_adic(p, n):
@@ -79,18 +82,14 @@ class BuildingContext:
         return t_power(self.q, -k)
 
     def zero(self):
-        return Fraction(0) if self.kind == "p-adic" else \
-            FqRationalFunction.of(poly(self.q, []))
+        return self.ring.field_zero()
 
     def one(self):
-        return Fraction(1) if self.kind == "p-adic" else \
-            FqRationalFunction.of(poly_one(self.q))
+        return self.ring.field_one()
 
     def residue_lift(self, c):
         """Lift a residue-field element (integer 0..r-1) into the local ring."""
-        if self.kind == "p-adic":
-            return Fraction(c)
-        return FqRationalFunction.of(poly(self.q, [c]))
+        return self.ring.to_field(self.ring.one() * c)
 
     def canonical_residue(self, x, a):
         """Canonical representative of x modulo pi^a * O, for any x in k."""
@@ -112,7 +111,7 @@ class BuildingContext:
             return Fraction(rep)
         # the terms of y's expansion at infinity down to t^(1-a):
         # floor(y t^(a-1)) / t^(a-1), the floor being the polynomial part
-        y, s = FqRationalFunction.of(y), poly_t(self.q) ** (a - 1)
+        y, s = FqRationalFunction.of(y), poly(self.q, [0] * (a - 1) + [1])
         return FqRationalFunction(y.num * s // y.den, s)
 
 
@@ -317,14 +316,6 @@ class SimplexDecomposition:
 
     points: tuple
     coeffs: tuple
-
-    def reconstruct(self):
-        n = len(self.points[0])
-        acc = [Fraction(0)] * n
-        for p, c in zip(self.points, self.coeffs):
-            for i in range(n):
-                acc[i] += c * p[i]
-        return tuple(acc)
 
     def validate(self):
         if abs(sum(self.coeffs) - 1) != 0:

@@ -127,14 +127,6 @@ def vertex_r_vector(v):
     return latff.diagonal_basis(vertex_volume_space(v)).r
 
 
-def normalize_r_vector(r):
-    """Shift by a constant so the sum lands in the window [0, n-1]."""
-    n = len(r)
-    s = sum(r)
-    k = -(s // n)
-    return tuple(x + k for x in r)
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------

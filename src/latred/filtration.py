@@ -69,9 +69,6 @@ class FiltrationReport:
     chain: tuple = ()
     c_values: dict = field(default_factory=dict)
 
-    def path_ranks(self):
-        return tuple(p.rank for p in self.path)
-
     def interior_chain(self):
         return self.chain[1:-1] if len(self.chain) >= 2 else ()
 
@@ -98,7 +95,7 @@ def _strictly_below(a, b, c):
     return lhs < rhs
 
 
-def canonical_plot(points, top_rank=None):
+def canonical_plot(points, top_rank):
     """Lower convex hull of per-rank minima; points on segments are omitted.
 
     `points` are GradedPoint minima, at most one per rank, containing rank 0
@@ -108,8 +105,6 @@ def canonical_plot(points, top_rank=None):
     ranks = [p.rank for p in pts]
     if len(set(ranks)) != len(ranks):
         raise IncompletePlotError("two minima share a rank")
-    if top_rank is None:
-        top_rank = ranks[-1] if ranks else 0
     if not pts or pts[0].rank != 0 or pts[-1].rank != top_rank:
         raise IncompletePlotError("plot must contain its rank-0 and top-rank points")
     if not _is_zero_value(pts[0].logvol):

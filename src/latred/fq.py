@@ -249,9 +249,6 @@ class FqPolynomial:
     def is_zero(self):
         return not self._c
 
-    def is_unit(self):
-        return self.degree == 0
-
     def leading(self):
         c = self._c
         if not c:
@@ -327,9 +324,10 @@ class FqPolynomial:
         if not a or not b:
             return FqPolynomial(F, ())
         out = [0] * (len(a) + len(b) - 1)
+        bs = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in bs:
                     out[i + j] = F.add(out[i + j], F.mul(x, y))
         return FqPolynomial(F, tuple(out))
 
@@ -583,14 +581,9 @@ class FqRationalFunction:
     __repr__ = __str__
 
 
-def ratfunc(field_or_q, num_coeffs, den_coeffs=(1,)):
-    F = field_or_q if isinstance(field_or_q, GF) else gf(field_or_q)
-    return FqRationalFunction(poly(F, num_coeffs), poly(F, den_coeffs))
-
-
 def t_power(q, k):
     """t^k in F_q(t), for any integer k."""
-    t = poly_t(q)
+    t_k = poly(q, [0] * abs(k) + [1])
     if k >= 0:
-        return FqRationalFunction.of(t ** k)
-    return FqRationalFunction(poly_one(q), t ** (-k))
+        return FqRationalFunction.of(t_k)
+    return FqRationalFunction(poly_one(q), t_k)

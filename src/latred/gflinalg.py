@@ -130,12 +130,3 @@ def enumerate_subspaces(F, n, d):
                 rows[r][c] = v
             out.append(tuple(tuple(r) for r in rows))
     return out
-
-
-def count_subspaces(q, n, d):
-    """Gaussian binomial coefficient [n choose d]_q."""
-    num = den = 1
-    for i in range(d):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den

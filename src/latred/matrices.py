@@ -476,10 +476,8 @@ class Summand:
     The base of the Z, F_q[t] and Z[T^-1] summands: frozen dataclasses with
     fields `n` and `basis` and an attribute `ring`, the Euclidean ring R (the
     base ring for Z[T^-1]).  `basis` is the Hermite form over R of the
-    summand's intersection with R^n, so containment, meets, joins and images
-    run here on ring rows.  The one hook, `_integral_rows`, turns spanning
-    rows into ring rows with the same span; it is the identity over Z and
-    F_q[t], and a localized summand clears T-denominators with it.
+    summand's intersection with R^n, so spans, containment, meets and joins
+    run here on ring rows.
     """
 
     def __post_init__(self):
@@ -495,20 +493,13 @@ class Summand:
     def is_zero(self):
         return not self.basis
 
-    def is_full(self):
-        return self.rank == self.n
-
-    def _integral_rows(self, rows):
-        """Rows over R with the same span as `rows`."""
-        return rows
-
     def _saturated(self, rows):
         """The summand spanned by independent, nonempty rows over R."""
         return dataclasses.replace(self, basis=saturate(self.ring, rows))
 
     def _span(self, rows):
         """The summand spanned by independent rows (zero rows are dropped)."""
-        rows = [r for r in self._integral_rows(rows) if any(r)]
+        rows = [r for r in rows if any(r)]
         return self._saturated(rows) if rows else dataclasses.replace(self, basis=())
 
     def contains(self, other):
@@ -529,12 +520,6 @@ class Summand:
         # the first `rank` rows of V span the saturation of the (dependent) rows
         rank, _, V = _column_echelon(self.ring, self.basis + other.basis)
         return dataclasses.replace(self, basis=hnf(self.ring, V[:rank]))
-
-    def apply(self, phi_rows):
-        """Image under the automorphism with matrix rows phi (basis * phi)."""
-        if self.is_zero():
-            return self
-        return self._span(matmul(self.basis, freeze(phi_rows), self.ring.zero()))
 
 
 # ---------------------------------------------------------------------------

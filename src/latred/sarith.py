@@ -109,16 +109,10 @@ class LocalizedContext:
             tp = tp * p ** ring.element_valuation(z, p)
         return tp, ring.exact_div(z, tp)
 
-    def _denominator_split(self, x):
-        return self.t_split(matrices._num_den(self.base_ring().to_field(x))[1])
-
     def in_t_inverted(self, x):
         """Membership in Z[T^-1] (denominator supported in T)."""
-        return self.base_ring().is_unit(self._denominator_split(x)[1])
-
-    def in_t_integral(self, x):
-        """Membership in Z_T = Z[(P \\ T)^-1] (no T-primes downstairs)."""
-        return self.base_ring().is_unit(self._denominator_split(x)[0])
+        den = matrices._num_den(self.base_ring().to_field(x))[1]
+        return self.base_ring().is_unit(self.t_split(den)[1])
 
 
 def _inverse_mod(ring, a, m):
@@ -173,13 +167,6 @@ class IntegralStructure:
         return IntegralStructure(self.ctx, self.n,
                                  [[f * x for x in row] for row in self.basis])
 
-    def right_multiplied(self, k_rows):
-        """B . K for K integral over Z_T with T-unit determinant bounds checked by caller."""
-        ring = self.ctx.base_ring()
-        K = matrices.freeze([[ring.to_field(x) for x in row] for row in k_rows])
-        new = matrices.matmul(self.basis, K, ring.field_zero())
-        return IntegralStructure(self.ctx, self.n, new)
-
 
 @dataclass(frozen=True)
 class LocSummand(matrices.Summand):
@@ -218,12 +205,6 @@ class LocSummand(matrices.Summand):
     def full(ctx, n):
         ring = ctx.base_ring()
         return LocSummand(ctx, n, matrices.identity_rows(n, ring.one(), ring.zero()))
-
-    def _integral_rows(self, rows):
-        """The rows times their common T-denominator: the same span, in Z^n."""
-        ring = self.ring
-        return matrices.clear_denominators(ring, [[ring.to_field(x) for x in row]
-                                                  for row in rows])[1]
 
 
 def localized_basis(w):

@@ -187,6 +187,56 @@ def random_invertible_rational(rng, n, num_max=9, den_max=9):
             return matrices.freeze(A)
 
 
+# ---------------------------------------------------------------------------
+# constructions the tests state properties with, kept out of the library:
+# rational functions by coefficients, summand images, Z_T membership, B K,
+# Gaussian binomials and normalized r-vectors
+# ---------------------------------------------------------------------------
+
+def ratfunc(q, num_coeffs, den_coeffs=(1,)):
+    """num / den in F_q(t), from ascending coefficient lists."""
+    return FqRationalFunction(poly(q, num_coeffs), poly(q, den_coeffs))
+
+
+def apply(w, phi_rows):
+    """Image of a Z or F_q[t] summand under the automorphism with matrix rows
+    phi: the summand spanned by basis * phi."""
+    if not w.basis:
+        return w
+    return w._span(matrices.matmul(w.basis, freeze(phi_rows), w.ring.zero()))
+
+
+def in_t_integral(ctx, x):
+    """Membership in Z_T = Z[(P \\ T)^-1]: no prime of T divides the denominator."""
+    ring = ctx.base_ring()
+    den = matrices._num_den(ring.to_field(x))[1]
+    return ring.is_unit(ctx.t_split(den)[0])
+
+
+def right_multiplied(B, k_rows):
+    """The integral structure B K, spanned by the columns of basis * K."""
+    from latred.sarith import IntegralStructure
+    ring = B.ctx.base_ring()
+    K = matrices.freeze([[ring.to_field(x) for x in row] for row in k_rows])
+    return IntegralStructure(B.ctx, B.n, matrices.matmul(B.basis, K, ring.field_zero()))
+
+
+def count_subspaces(q, n, d):
+    """Gaussian binomial coefficient [n choose d]_q."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def normalize_r_vector(r):
+    """Shift by a constant so the sum lands in the window [0, n-1]."""
+    n = len(r)
+    k = -(sum(r) // n)
+    return tuple(x + k for x in r)
+
+
 def integral(ring, x):
     """The fraction-field element x as a ring element; x must be integral."""
     num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x.num, x.den)
@@ -433,7 +483,7 @@ def core_test_via_reps(v, reps):
 
     The cross-check of `covers.core_test` against `covers.core_orbit_reps`.
     """
-    from latred.covers import normalize_r_vector, vertex_r_vector
+    from latred.covers import vertex_r_vector
     return normalize_r_vector(vertex_r_vector(v)) in set(reps)
 
 

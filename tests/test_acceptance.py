@@ -15,7 +15,7 @@ from latred.building import (BuildingContext, canonical_vertex,
                              count_chambers_on_edge, neighbors,
                              triangulate_point)
 from latred.covers import (CoverSystem, core_orbit_reps, core_test,
-                           cover_membership, normalize_r_vector,
+                           cover_membership,
                            vertex_r_vector, vertex_volume_space)
 from latred.filtration import GradedPoint, canonical_plot
 from latred.latff import (diagonal_basis, ff_logvol, instability_ff,
@@ -25,7 +25,8 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
                            factorize, loc_c, span_localized)
 
-from conftest import (core_test_via_reps, det_field, fractional_hnf, random_ff_summand,
+from conftest import (core_test_via_reps, det_field, fractional_hnf, in_t_integral,
+                      normalize_r_vector, random_ff_summand,
                       random_invertible_rational, random_spd, random_volume_space,
                       random_z_summand, rank_field)
 
@@ -43,10 +44,11 @@ def test_criterion_01_canonical_plot_reproduction():
         t0 = time.perf_counter()
         rep = canonical_plot(points, 7)
         best = min(best, time.perf_counter() - t0)
-    assert rep.path_ranks() == (0, 1, 3, 4, 5, 7)
+    ranks = tuple(p.rank for p in rep.path)
+    assert ranks == (0, 1, 3, 4, 5, 7)
     assert best < 1e-3
     _report(1, "canonical plot reproduction",
-            f"vertices {rep.path_ranks()}, best run {best * 1e6:.0f}us", best)
+            f"vertices {ranks}, best run {best * 1e6:.0f}us", best)
 
 
 def _r_probe(vs):
@@ -195,11 +197,11 @@ def test_criterion_06_factorization():
         Bm, Cm = factorize(A, ctx)
         assert matrices.matmul(Bm, Cm, Fraction(0)) == A
         assert all(ctx.in_t_inverted(x) for row in Bm for x in row)
-        assert all(ctx.in_t_integral(x) for row in Cm for x in row)
+        assert all(in_t_integral(ctx, x) for row in Cm for x in row)
         dB = det_field(Bm, Fraction(0), Fraction(1))
         dC = det_field(Cm, Fraction(0), Fraction(1))
         assert ctx.in_t_inverted(dB) and ctx.in_t_inverted(1 / dB)
-        assert ctx.in_t_integral(dC) and ctx.in_t_integral(1 / dC)
+        assert in_t_integral(ctx, dC) and in_t_integral(ctx, 1 / dC)
     sl_count = 0
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -220,6 +222,12 @@ def test_criterion_06_factorization():
     _report(6, "matrix factorization", f"100 GL + {sl_count} SL instances", elapsed)
 
 
+def _combination(dec):
+    """sum mu_i p_i of a simplex decomposition, coordinate by coordinate."""
+    return tuple(sum(c * p[i] for p, c in zip(dec.points, dec.coeffs))
+                 for i in range(len(dec.points[0])))
+
+
 def test_criterion_07_triangulation():
     rng = random.Random(23)
     t0 = time.time()
@@ -228,7 +236,7 @@ def test_criterion_07_triangulation():
         x = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
         dec = triangulate_point(x)
         dec.validate()
-        assert dec.reconstruct() == tuple(x)
+        assert _combination(dec) == tuple(x)
         # uniqueness re-derivation from coordinate comparisons
         base = dec.points[0]
         frac = [xi - b for xi, b in zip(x, base)]
@@ -242,9 +250,7 @@ def test_criterion_07_triangulation():
         lam = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         shifted = triangulate_point([xi + lam for xi in x])
         shifted.validate()
-        mean = lambda p: sum(p) / len(p)  # noqa: E731
-        pr = lambda p: tuple(c - mean(p) for c in p)  # noqa: E731
-        assert pr(shifted.reconstruct()) == pr(tuple(x))
+        assert _combination(shifted) == tuple(xi + lam for xi in x)
         if lam.denominator == 1:
             assert shifted.coeffs == dec.coeffs
             assert shifted.points == tuple(tuple(c + lam for c in p)

@@ -45,7 +45,8 @@ class TestVerbExamples:
 
     def test_building_neighbors_both_spellings(self):
         for args in (["building-neighbors", "--p", "2", "--n", "2"],
-                     ["building", "neighbors", "--p", "2", "--n", "2"]):
+                     ["building", "neighbors", "--p", "2", "--n", "2"],
+                     ["building", "neighbors", "--q", "2", "--n", "2"]):
             res = run_cli(args, STD_VERTEX)
             assert res.exit_code == 0
             data = json.loads(res.output)
@@ -85,6 +86,14 @@ class TestVerbExamples:
         doc["x"] = {"n": 2, "gram": [["1", "0"], ["0", "1"]]}
         res = run_cli(["loc-volume"], doc)
         assert json.loads(res.output)["logvol"]["vol_sq"] == "1/4"
+
+    def test_loc_volume_over_f_q(self):
+        doc = {"ring": "ff", "q": 2, "T": [[0, 1]],
+               "B": {"n": 2, "basis": [["1", "0"], ["0", "1/t"]]},
+               "summand": {"basis": [["0", "1"]]}, "x": VS_T2}
+        res = run_cli(["loc-volume"], doc)
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {"logvol": -3}
 
     def test_factorize(self):
         doc = {"ring": "z", "T": [2], "A": [["1", "1/6"], ["0", "1"]],
@@ -249,6 +258,24 @@ FIELD_ERRORS = {
 }
 
 
+class TestParsers:
+    def test_rational_function_with_parentheses(self):
+        from latred.fq import FqRationalFunction, poly
+        from latred.jsonio import ratfunc_from_str
+        assert ratfunc_from_str(2, "(t+1)/(t^2+t+1)") == \
+            FqRationalFunction(poly(2, [1, 1]), poly(2, [1, 1, 1]))
+
+    def test_zero_denominator_is_a_validation_error(self):
+        from latred.errors import ValidationError
+        from latred.jsonio import ratfunc_from_str
+        with pytest.raises(ValidationError, match="zero denominator"):
+            ratfunc_from_str(2, "t/0")
+
+    def test_negative_term(self):
+        from latred.jsonio import poly_from_str
+        assert poly_from_str(3, "t^2-1").coeffs == (2, 0, 1)
+
+
 class TestContract:
     def test_determinism(self):
         a = run_cli(["canfilt", "--ring", "z"], DIAG14).output
@@ -291,6 +318,9 @@ class TestContract:
                              "summand": {"basis": [["1"]]}}),
             (["building-neighbors", "--p", "2", "--n", "2"],
              {"matrix": [["1", "0", "5"], ["0", "1", "7"]]}),
+            # exactly one of --p and --q names the valuation ring
+            (["building", "neighbors", "--p", "2", "--q", "2", "--n", "2"], STD_VERTEX),
+            (["building", "neighbors", "--n", "2"], STD_VERTEX),
             # integer fields take JSON integers only, and the ring is named
             *((verb, payload) for verb, payload, _ in FIELD_ERRORS.values()),
         ]:

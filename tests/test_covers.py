@@ -8,7 +8,7 @@ import pytest
 from latred import matrices
 from latred.building import BuildingContext, canonical_vertex, neighbors, standard_vertex
 from latred.covers import (CoverSystem, SimplexPoint, core_orbit_reps,
-                           core_test, cover_membership, normalize_r_vector,
+                           core_test, cover_membership,
                            thinned_membership, vertex_r_vector,
                            vertex_volume_space)
 from latred.errors import DomainError, ScaleError
@@ -18,8 +18,9 @@ from latred.latz import InnerProduct
 from latred.logs import ExactLog
 from latred.sarith import IntegralStructure, LocalizedContext
 
-from conftest import (core_test_via_reps, random_invertible_rational, random_spd,
-                      random_unimodular_poly, random_volume_space)
+from conftest import (apply, core_test_via_reps, normalize_r_vector, random_invertible_rational,
+                      random_spd, random_unimodular_poly, random_volume_space,
+                      right_multiplied)
 
 CTX_FF2 = BuildingContext.function_field(2, 2)
 CTX_FF3 = BuildingContext.function_field(2, 3)
@@ -87,7 +88,7 @@ class TestMembership:
             moved = cover_membership(vs.transformed(g), sys0)
             gT = matrices.transpose(g)
             assert [w.basis for w in moved] == \
-                [w.apply(gT).basis for w in base]
+                [apply(w, gT).basis for w in base]
 
     def test_z_equivariance(self, rng):
         from conftest import random_unimodular_z
@@ -97,7 +98,7 @@ class TestMembership:
             sys0 = CoverSystem.semistability(3)
             base = cover_membership(s, sys0)
             moved = cover_membership(s.pulled_back(g), sys0)
-            assert [w.basis for w in base] == [w.apply(g).basis for w in moved]
+            assert [w.basis for w in base] == [apply(w, g).basis for w in moved]
 
 
 class TestLocalizedMembership:
@@ -287,8 +288,8 @@ class TestAdjacentLipschitz:
             vs = random_volume_space(rng, q, n, maxdeg=1)
             B = IntegralStructure.standard(ctx, n)
             # B' = B * diag(1, t): tB subset B' subset B
-            Bp = B.right_multiplied([[FqRationalFunction.of(one), ring.field_zero()],
-                                     [ring.field_zero(), FqRationalFunction.of(t)]])
+            Bp = right_multiplied(B, [[FqRationalFunction.of(one), ring.field_zero()],
+                                      [ring.field_zero(), FqRationalFunction.of(t)]])
             w = span_localized(ctx, n, [[one, poly(q, [rng.randrange(2)])]])
             gap = abs(loc_c(w, vs, B) - loc_c(w, vs, Bp))
             assert gap <= 4 * n * t.degree  # exact integers
@@ -309,7 +310,7 @@ class TestAdjacentLipschitz:
             K = matrices.matmul(
                 matrices.freeze([[Fraction(x) for x in row] for row in U]),
                 matrices.freeze(D), Fraction(0))
-            Bp = B.right_multiplied(K)
+            Bp = right_multiplied(B, K)
             w = None
             while w is None:
                 cand = random_z_summand(rng, n, 1, spread=2)

@@ -16,16 +16,17 @@ from latred import matrices, sarith
 from latred.errors import (DimensionError, InvalidPlaceError, ProjectivityError,
                            RankDeficiencyError, SingularityError, ZeroArgumentError)
 from latred.filtration import canonical_filtration
-from latred.fq import poly, poly_t, ratfunc
+from latred.fq import poly, poly_t
 from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
-from latred.rings import ZZ, poly_ring, prime_part, valuation
+from latred.rings import ZZ, is_prime_int, poly_ring, prime_part, valuation
 
 from conftest import (BruteFFOracle, assemble_summands, det_field, field_inverse_unimodular,
                       integral, inverse_field, kernel, minors, primitive, random_ff_summand,
                       random_poly, random_ratfunc, random_unimodular_poly, random_unimodular_z,
-                      random_z_summand, rank_field, rank_over_field, reference_column_echelon,
-                      reference_hnf, reference_split_hnf, smith_completion_rows, smith_saturate)
+                      random_z_summand, rank_field, rank_over_field, ratfunc,
+                      reference_column_echelon, reference_hnf, reference_split_hnf,
+                      smith_completion_rows, smith_saturate)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -95,6 +96,20 @@ class TestValuation:
         if f.is_zero() or g.is_zero():
             return
         assert valuation(f * g, "degree") == valuation(f, "degree") + valuation(g, "degree")
+
+
+class TestPrimality:
+    """Primes past the trial divisors reach the Miller-Rabin rounds."""
+
+    @pytest.mark.parametrize("n", [41, 7919, 2 ** 61 - 1, 2 ** 89 - 1])
+    def test_primes(self, n):
+        assert is_prime_int(n)
+
+    # Carmichael numbers, 41^2, a strong pseudoprime to the bases 2, 3, 5 and
+    # 7, and one to every base up to 23
+    @pytest.mark.parametrize("n", [561, 1105, 1681, 3215031751, 3825123056546413051])
+    def test_composites(self, n):
+        assert not is_prime_int(n)
 
 
 class TestPrimePart:

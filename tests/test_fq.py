@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from latred.errors import DomainError
 from latred.fq import (GF, FqPolynomial, FqRationalFunction, gf, monic_irreducibles, poly,
-                       poly_one, poly_t, prime_power)
+                       poly_one, poly_t, prime_power, t_power)
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -351,6 +351,25 @@ class TestPolynomialArithmetic:
         x = poly(q, [1, 1])
         with pytest.raises(DomainError):
             x ** -1
+
+
+def test_powers_of_t_take_few_field_products(monkeypatch):
+    """t^k is built as one monomial and a product skips the zero coefficients
+    of both factors, so t^400 takes no GF.mul (923 by repeated squaring), and
+    the canonical residue of y mod t^-400 pays for its floor division alone
+    (3739 by squaring and a dense product)."""
+    from latred.building import BuildingContext
+    t400 = poly_t(3) ** 400
+    y = FqRationalFunction(poly(3, [1, 2, 0, 1, 2]), poly(3, [2, 1]))
+    residue = FqRationalFunction(y.num * t400 // y.den, t400)
+    ctx = BuildingContext.function_field(3, 2)
+    calls = []
+    mul = GF.mul
+    monkeypatch.setattr(GF, "mul", lambda F, a, b: calls.append(1) or mul(F, a, b))
+    assert t_power(3, 400) == FqRationalFunction.of(t400)
+    assert len(calls) == 0
+    assert ctx._canres_integral(y, 401) == residue
+    assert len(calls) == 2016
 
 
 def _digits(F, x):

@@ -291,6 +291,19 @@ class TestDiagonalBasis:
             dataclasses.replace(diag, w=diag.w + diag.w[:1],
                                 r=diag.r + diag.r[-1:]).validate()
 
+    def test_validation_rejects_a_bad_r_vector(self):
+        vs = _vs([(_rf(ONE), _rf(ZERO)), (_rf(ZERO), _rf(T * T))])
+        diag = diagonal_basis(vs)
+        (r1, r2) = diag.r
+        with pytest.raises(DomainError, match="r-vector is not ascending"):
+            dataclasses.replace(diag, r=(r2, r1)).validate()
+        # b_1 = t^{1 - r_1} w_1 is t times a shortest vector, outside S
+        with pytest.raises(DomainError, match="b is not contained in the lattice"):
+            dataclasses.replace(diag, r=(r1 - 1, r2)).validate()
+        # b_2 = t^{-r_2 - 1} w_2 stays in S, but no longer spans it
+        with pytest.raises(DomainError, match="sum of r-values != total log-volume"):
+            dataclasses.replace(diag, r=(r1, r2 + 1)).validate()
+
     def test_random_validation(self, rng):
         for _ in range(15):
             n = rng.choice([2, 3])

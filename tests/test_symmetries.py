@@ -25,10 +25,10 @@ from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand, loc_c,
                            loc_logvol)
 
-from conftest import (field_inverse_unimodular, inverse_field, kernel, random_ff_summand,
+from conftest import (apply, field_inverse_unimodular, inverse_field, kernel, random_ff_summand,
                       random_invertible_rational, random_ratfunc, random_spd,
                       random_unimodular_poly, random_unimodular_z, random_volume_space,
-                      random_z_summand, rank_field)
+                      random_z_summand, rank_field, right_multiplied)
 
 _SEED5 = random.Random(5)
 FORMS = [random_spd(_SEED5, 4, spread=1) for _ in range(4)]  # the seed-5 n = 4 forms
@@ -60,7 +60,7 @@ def _dual(s):
 def _annihilator(w):
     if w.is_zero():
         return ZSummand.full(w.n)
-    if w.is_full():
+    if w.rank == w.n:
         return ZSummand.zero(w.n)
     return ZSummand(w.n, kernel(ZZ, w.basis))
 
@@ -72,9 +72,9 @@ class TestPullback:
         s = FORMS[k]
         rep = canonical_filtration_z(s)
         rep_g = canonical_filtration_z(s.pulled_back(g))
-        images = [w.apply(g) for w in rep_g.chain]
+        images = [apply(w, g) for w in rep_g.chain]
         assert [w.basis for w in images] == [w.basis for w in rep.chain]
-        assert {w.apply(g): c for w, c in rep_g.c_values.items()} == rep.c_values
+        assert {apply(w, g): c for w, c in rep_g.c_values.items()} == rep.c_values
 
     def test_search_tree_within_twice_the_unpulled(self, k, g, monkeypatch):
         s = FORMS[k]
@@ -120,8 +120,8 @@ def test_instability_z_is_pullback_invariant(k, g):
     s_g = s.pulled_back(g)
     g_inv = field_inverse_unimodular(ZZ, g)
     for w in _z_summands(k):
-        # w.apply(g_inv) is carried to w by g
-        assert instability_z(s_g, w.apply(g_inv)) == instability_z(s, w), w
+        # apply(w, g_inv) is carried to w by g
+        assert instability_z(s_g, apply(w, g_inv)) == instability_z(s, w), w
 
 
 @pytest.mark.parametrize("k", range(len(FORMS)))
@@ -150,7 +150,7 @@ def test_instability_ff_is_gl_n_invariant():
         gT = matrices.transpose(g)
         moved = vs.transformed(g)
         for w in summands:
-            assert instability_ff(moved, w.apply(gT)) == instability_ff(vs, w), w
+            assert instability_ff(moved, apply(w, gT)) == instability_ff(vs, w), w
 
 
 @pytest.mark.parametrize("k", [-2, 1, 3])
@@ -285,6 +285,6 @@ def test_loc_c_is_invariant_under_b_times_gl_n_z_t(name):
     ctx = LOC_CTXS[name]
     rng = random.Random(f"symmetries-loc-k/{name}")
     for w, x, B in _loc_cases(name):
-        BK = B.right_multiplied(_gl(rng, ctx, B.n, _t_free_units(ctx)))
+        BK = right_multiplied(B, _gl(rng, ctx, B.n, _t_free_units(ctx)))
         assert BK.basis != B.basis
         assert loc_c(w, x, BK) == loc_c(w, x, B), w
