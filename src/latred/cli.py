@@ -1,25 +1,80 @@
 """Batch JSON command line: one verb per operation, stdin to stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 domain error.  Output is
-deterministic byte-for-byte for a fixed input document.
+deterministic byte-for-byte for a fixed input document.  A usage error (no
+verb, an unknown verb or option, a missing or invalid option value) exits 2
+with argparse's usage on stderr and nothing on stdout; `--help` exits 0.
 
-Each verb imports the layers it calls, so a request loads only those.
+`main` is a table of verbs, each an argparse option list and a callback; a
+request builds the parser of its own verb only, then calls the callback
+with the parsed options.  Each verb imports the layers it calls, so a
+request loads only those.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
 from fractions import Fraction
 
-import click
-
 from .errors import DomainError, LatredError, SingularityError, ValidationError
 
 
+class _Verb:
+    """A verb's options, as `(flag, add_argument keywords)` pairs, and its body."""
+
+    def __init__(self, callback, options):
+        self.callback, self.options, self.doc = callback, options, callback.__doc__
+
+
+class _Group:
+    """Verbs and nested groups by name, dispatched on the first argument."""
+
+    def __init__(self, doc):
+        self.doc, self.commands = doc, {}
+
+    def command(self, name=None, options=()):
+        def register(fn):
+            verb = _Verb(fn, options)
+            self.commands[name or fn.__name__] = verb
+            return verb
+        return register
+
+    def group(self, name):
+        def register(fn):
+            group = _Group(fn.__doc__)
+            self.commands[name] = group
+            return group
+        return register
+
+    def __call__(self, args=None, prog_name="latred"):
+        args = sys.argv[1:] if args is None else list(args)
+        cmd, prog = self, prog_name
+        while isinstance(cmd, _Group):
+            if not args or args[0] not in cmd.commands:
+                # no verb, an unknown one or --help: parse_args prints the help
+                # (exit 0) or the usage and the error (exit 2) and exits
+                verbs = "".join(f"\n  {name:20}{sub.doc}"
+                                for name, sub in cmd.commands.items())
+                parser = argparse.ArgumentParser(
+                    prog=prog, description=cmd.doc, epilog="verbs:" + verbs,
+                    formatter_class=argparse.RawDescriptionHelpFormatter,
+                    allow_abbrev=False)
+                parser.add_argument("verb", choices=list(cmd.commands), metavar="VERB")
+                parser.parse_args(args[:1])
+            cmd, prog, args = cmd.commands[args[0]], f"{prog} {args[0]}", args[1:]
+        parser = argparse.ArgumentParser(prog=prog, description=cmd.doc,
+                                         allow_abbrev=False)
+        for flag, kwargs in cmd.options:
+            parser.add_argument(flag, **kwargs)
+        # read the callback now: a tracer may have replaced it
+        cmd.callback(**vars(parser.parse_args(args)))
+
+
 def _emit(payload):
-    click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _read_stdin():
@@ -46,13 +101,18 @@ def _run(fn):
         sys.exit(2)
 
 
-@click.group()
-def main():
-    """Exact reduction theory: filtrations, volumes, buildings, covers."""
+main = _Group("Exact reduction theory: filtrations, volumes, buildings, covers.")
 
 
-@main.command()
-@click.option("--ring", type=click.Choice(["z", "ff"]), required=True)
+def _int(flag, **kwargs):
+    return flag, dict(kwargs, type=int)
+
+
+_RING = ("--ring", {"choices": ["z", "ff"], "required": True})
+_BUILDING = [_int("--p"), _int("--q"), _int("--n", required=True)]
+
+
+@main.command(options=[_RING])
 def canfilt(ring):
     """Canonical filtration of an inner product (z) or volume space (ff)."""
     def go():
@@ -70,8 +130,7 @@ def canfilt(ring):
     _run(go)
 
 
-@main.command()
-@click.option("--ring", type=click.Choice(["z", "ff"]), required=True)
+@main.command(options=[_RING])
 def volume(ring):
     """Log-volume of a summand: {"x": ..., "summand": ...}."""
     def go():
@@ -93,8 +152,7 @@ def volume(ring):
     _run(go)
 
 
-@main.command()
-@click.option("--ring", type=click.Choice(["z", "ff"]), required=True)
+@main.command(options=[_RING])
 def cvalue(ring):
     """Instability number of a proper nonzero summand."""
     def go():
@@ -177,7 +235,10 @@ def factorize():
         doc = _read_stdin()
         ctx = jsonio.localized_context_from_json(doc)
         A = jsonio.square_matrix_from_json(ctx.q, doc["A"], "A")
-        Bm, Cm = sarith.factorize(A, ctx, mode=doc.get("mode", "GL"))
+        mode = doc.get("mode", "GL")
+        if mode not in ("GL", "SL"):
+            raise ValidationError(f"mode must be GL or SL, got {mode!r}")
+        Bm, Cm = sarith.factorize(A, ctx, mode=mode)
         return {"B": [[jsonio.field_to_json(x) for x in row] for row in Bm],
                 "C": [[jsonio.field_to_json(x) for x in row] for row in Cm]}
     _run(go)
@@ -204,10 +265,7 @@ def _neighbors_payload(p, q, n):
     }
 
 
-@main.command(name="building-neighbors")
-@click.option("--p", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--n", type=int, required=True)
+@main.command(name="building-neighbors", options=_BUILDING)
 def building_neighbors(p, q, n):
     """Neighbors of a lattice-class vertex with directed label differences."""
     _run(lambda: _neighbors_payload(p, q, n))
@@ -218,18 +276,13 @@ def building_group():
     """Building verbs (alias spelling: `building neighbors`)."""
 
 
-@building_group.command(name="neighbors")
-@click.option("--p", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--n", type=int, required=True)
+@building_group.command(name="neighbors", options=_BUILDING)
 def building_neighbors_alias(p, q, n):
+    """Neighbors of a lattice-class vertex (as `building-neighbors`)."""
     _run(lambda: _neighbors_payload(p, q, n))
 
 
-@main.command(name="label-diff")
-@click.option("--p", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--n", type=int, required=True)
+@main.command(name="label-diff", options=_BUILDING)
 def label_diff(p, q, n):
     """Label difference of two vertices: {"v1": ..., "v2": ...}."""
     def go():
@@ -242,10 +295,9 @@ def label_diff(p, q, n):
     _run(go)
 
 
-@main.command(name="chamber-count")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
+@main.command(name="chamber-count", options=[_int("--n", required=True),
+                                             _int("--r", required=True),
+                                             _int("--k", required=True)])
 def chamber_count(n, r, k):
     """Chambers through an edge of label difference k (with verification)."""
     def go():
@@ -302,11 +354,14 @@ def _cover_point_and_system(doc):
     else:
         raise ValidationError(f"unknown side {side!r}")
     theta = doc.get("threshold")
-    if theta is None:
-        sys_ = covers.CoverSystem.building_preset(n) if side != "z" \
-            else covers.CoverSystem.semistability(n)
-    else:
+    if theta is not None:
         sys_ = covers.CoverSystem(n, Fraction(str(theta)))
+    elif side == "z":
+        sys_ = covers.CoverSystem.semistability(n)
+    elif side == "ff":
+        sys_ = covers.CoverSystem.building_preset(n)
+    else:
+        sys_ = covers.CoverSystem.localized_preset(n, lctx)
     return x, sys_
 
 
@@ -334,18 +389,16 @@ def core_test_cmd():
     _run(go)
 
 
-@main.command(name="core-reps")
-@click.option("--n", type=int, required=True)
-@click.option("--theta", type=int, required=True)
+@main.command(name="core-reps", options=[_int("--n", required=True),
+                                         _int("--theta", required=True)])
 def core_reps(n, theta):
     """Normalized r-vectors classifying core lattice classes."""
     from . import covers
     _run(lambda: {"reps": [list(r) for r in covers.core_orbit_reps(n, theta)]})
 
 
-@main.command()
-@click.option("--seed", type=int, default=0)
-@click.option("--scale", type=int, default=6, help="instances per check")
+@main.command(options=[_int("--seed", default=0),
+                       _int("--scale", default=6, help="instances per check")])
 def selfcheck(seed, scale):
     """Randomized cross-checks of the closed forms against independent computations."""
     def go():

@@ -209,13 +209,15 @@ def localized_context_from_json(doc):
     from .sarith import LocalizedContext
     ring = doc.get("ring", "z")
     kind = ring.lower() if isinstance(ring, str) else ring
+    T = doc["T"]
+    if not isinstance(T, list):
+        raise ValidationError(f"T must be a JSON list, got {T!r}")
     if kind in ("z", "int", "integers"):
-        return LocalizedContext.integers([int_from_json(p, "T entry")
-                                          for p in doc["T"]])
+        return LocalizedContext.integers([int_from_json(p, "T entry") for p in T])
     if kind != "ff":
         raise ValidationError(f"ring must be one of z, int, integers, ff, got {ring!r}")
     q = int_from_json(doc["q"], "q")
-    primes = [poly_from_coeffs(q, c) for c in doc["T"]]
+    primes = [poly_from_coeffs(q, c) for c in T]
     return LocalizedContext.function_field(q, primes)
 
 

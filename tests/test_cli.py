@@ -1,21 +1,36 @@
 """End-to-end CLI: JSON in, JSON out, deterministic, correct exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latred.cli import main
 
 
 def run_cli(args, payload=None):
-    runner = CliRunner()
+    """Run the CLI in process: its exit code, stdout (`output`) and stderr."""
     stdin = json.dumps(payload) if isinstance(payload, (dict, list)) else payload
-    return runner.invoke(main, args, input=stdin, catch_exceptions=False)
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(args, prog_name="latred")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code or 0
+    finally:
+        sys.stdin = saved
+    return SimpleNamespace(exit_code=code, output=out.getvalue(), stderr=err.getvalue())
 
 
 DIAG14 = {"n": 2, "gram": [["1", "0"], ["0", "4"]]}
@@ -152,6 +167,29 @@ class TestVerbExamples:
             assert res.exit_code == 0, res.output
             assert json.loads(res.output) == want
 
+    @pytest.mark.parametrize("side, point, between, above", [
+        # T = {2}: 4n(R+1) = 8 + 8 ln 2 ~ 13.55; c = ln(d)/2 is 11.51, then 13.82
+        ("loc-z", LOC_Z_POINT, {"n": 2, "gram": [["1", "0"], ["0", "10000000000"]]},
+         {"n": 2, "gram": [["1", "0"], ["0", "1000000000000"]]}),
+        # T = {t}: 4n(R+1) = 16; c is 13, then 17
+        ("loc-ff", LOC_FF_POINT, dict(VS_T2, S_basis=[["1", "0"], ["0", "t^12"]]),
+         dict(VS_T2, S_basis=[["1", "0"], ["0", "t^16"]])),
+    ])
+    def test_localized_point_takes_the_localized_preset(self, side, point, between,
+                                                        above):
+        # with no threshold a localized point takes 4n(R+1), R the log-size of
+        # T, not the building preset 4n = 8 that the first point exceeds
+        doc = {k: v for k, v in point.items() if k != "threshold"}
+
+        def answer(verb, x, **threshold):
+            res = run_cli([verb], dict(doc, side=side, x=x, **threshold))
+            assert res.exit_code == 0, res.output
+            return json.loads(res.output)
+        assert len(answer("cover-membership", between, threshold=8)["members"]) == 1
+        assert answer("cover-membership", between) == {"members": []}
+        assert answer("core-test", between) == {"in_core": True}
+        assert len(answer("cover-membership", above)["members"]) == 1
+
     def test_core_reps(self):
         res = run_cli(["core-reps", "--n", "2", "--theta", "1"])
         assert json.loads(res.output)["reps"] == [[0, 0], [0, 1]]
@@ -255,6 +293,13 @@ FIELD_ERRORS = {
                         "A must be a list of 2 rows of length 2"),
     "factorize-string-A": (["factorize"], dict(FACTORIZE_Z, A="x"),
                            "A must be a square list of lists"),
+    # found by changing one value of a valid request document: a T that is no
+    # list was the empty prime set, and an unknown mode a domain error (exit 3)
+    "T-empty-string": (["intersect"], dict(LOC_Z, T=""), "T must be a JSON list, got ''"),
+    "ff-T-object": (["factorize"], dict(FACTORIZE_Z, ring="ff", q=2, T={}, A=[["1"]]),
+                    "T must be a JSON list, got {}"),
+    "factorize-mode": (["factorize"], dict(FACTORIZE_Z, A=[["1"]], mode="XL"),
+                       "mode must be GL or SL, got 'XL'"),
 }
 
 
@@ -462,11 +507,120 @@ class TestContract:
             assert json.loads(res.output) == {"B": [], "C": []}
 
 
+class TestUsage:
+    @pytest.mark.parametrize("args", [
+        ["no-such-verb"], [], ["building"], ["building", "no-such-verb"],
+        ["canfilt"], ["canfilt", "--ring", "q"],
+        ["chamber-count", "--n", "x", "--r", "2", "--k", "1"],
+        ["canfilt", "--ri", "z"], ["canfilt", "--ring", "z", "extra"],
+    ], ids=["unknown-verb", "no-verb", "bare-building", "unknown-building-verb",
+            "missing-ring", "ring-q", "n-not-int", "abbreviated-ring", "extra-argument"])
+    def test_usage_error_exits_2_with_nothing_on_stdout(self, args):
+        # rejected before stdin is read: no JSON body, the usage on stderr
+        res = run_cli(args, DIAG14)
+        assert res.exit_code == 2
+        assert res.output == ""
+        assert res.stderr.startswith("usage: latred")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["canfilt", "--help"],
+                                      ["building", "--help"],
+                                      ["building", "neighbors", "-h"]])
+    def test_help_exits_0(self, args):
+        res = run_cli(args)
+        assert res.exit_code == 0
+        assert res.output.startswith("usage: latred")
+        assert res.stderr == ""
+
+
+# valid request documents of the examples above, one per verb and ring that
+# reads stdin
+FUZZ_REQUESTS = [
+    (["canfilt", "--ring", "z"], DIAG14),
+    (["canfilt", "--ring", "ff"], VS_T2),
+    (["volume", "--ring", "z"], {"x": DIAG14, "summand": {"basis": [[0, 1]]}}),
+    (["volume", "--ring", "ff"], {"x": VS_T2, "summand": {"basis": [[[], [1]]]}}),
+    (["cvalue", "--ring", "z"], {"x": DIAG14, "summand": {"basis": [[1, 0]]}}),
+    (["cvalue", "--ring", "ff"], {"x": VS_T2, "summand": {"basis": [[[1], []]]}}),
+    (["ff-invariants"], VS_T2),
+    (["diagonal-basis"], VS_T2),
+    (["intersect"], LOC_Z),
+    (["loc-volume"], dict(LOC_Z, x=DIAG14)),
+    (["loc-volume"], {"ring": "ff", "q": 2, "T": [[0, 1]],
+                      "B": {"n": 2, "basis": [["1", "0"], ["0", "1/t"]]},
+                      "summand": {"basis": [["0", "1"]]}, "x": VS_T2}),
+    (["factorize"], {"ring": "z", "T": [2], "A": [["1", "1/6"], ["0", "1"]],
+                     "mode": "GL"}),
+    (["factorize"], {"ring": "ff", "q": 3, "T": [[0, 1]], "A": [], "mode": "SL"}),
+    (["building-neighbors", "--p", "2", "--n", "2"], STD_VERTEX),
+    (["building", "neighbors", "--q", "2", "--n", "2"], STD_VERTEX),
+    (["label-diff", "--p", "2", "--n", "2"],
+     {"v1": STD_VERTEX, "v2": {"matrix": [["1", "0"], ["0", "1/2"]]}}),
+    (["apartment"], {"m": [1, 0]}),
+    (["triangulate"], {"x": ["1/2", "1/4"]}),
+    (["cover-membership"], {"side": "z", "x": DIAG14, "threshold": 0}),
+    (["cover-membership"], {"side": "ff", "q": 2, "n": 2, "threshold": 8,
+                            "x": {"matrix": [["t^5", "0"], ["0", "1/t^5"]]}}),
+    (["cover-membership"], dict(LOC_Z_POINT, side="loc-z")),
+    (["cover-membership"], dict(LOC_FF_POINT, side="loc-ff")),
+    (["core-test"], {"side": "z", "x": {"n": 2, "gram": [["1", "0"], ["0", "1"]]},
+                     "threshold": 0}),
+]
+DROP = object()
+REPLACEMENTS = [None, "", [], {}, 1.5, True, -1, 0]
+
+
+def _value_paths(doc, path=()):
+    """(path, whether its container is a dict) for every value inside `doc`."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), isinstance(doc, dict)
+        yield from _value_paths(value, path + (key,))
+
+
+def _changed(doc, path, value):
+    """A copy of `doc` with the value at `path` replaced, or dropped for DROP."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def changed_requests(draw):
+    args, doc = draw(st.sampled_from(FUZZ_REQUESTS))
+    path, in_dict = draw(st.sampled_from(list(_value_paths(doc))))
+    value = draw(st.sampled_from(REPLACEMENTS + [DROP] * in_dict))
+    return args, _changed(doc, path, value)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(changed_requests())
+def test_changed_request_documents_get_a_json_answer(request):
+    # one key dropped or one value replaced: exit 0, 2 or 3 with one JSON
+    # line, and the error and its kind on a nonzero exit
+    args, doc = request
+    res = run_cli(args, doc)
+    assert res.exit_code in (0, 2, 3), res.output
+    assert res.output.endswith("\n") and res.output.count("\n") == 1
+    body = json.loads(res.output)
+    if res.exit_code:
+        kind = {2: "validation", 3: "domain"}[res.exit_code]
+        assert body == {"error": body["error"], "kind": kind}
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter: `import latred`, then (unless argv[1] is
 # "null") `import latred.cli` and the verb argv[1] with stdin argv[2]; the
-# last stdout line lists the latred modules loaded and whether numpy was.
+# last stdout line lists the latred modules loaded and whether numpy and
+# click were.
 IMPORT_PROBE = """
 import io, json, sys
 args = json.loads(sys.argv[1])
@@ -480,7 +634,7 @@ if args is not None:
         except SystemExit as exc:
             assert not exc.code, exc.code
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("latred.")),
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules, "click" in sys.modules]))
 """
 ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
               "gflinalg", "jsonio", "latff", "latz", "logs", "matrices", "rings",
@@ -498,15 +652,17 @@ ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
      {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg"}),
 ], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z", "core-reps"])
 def test_import_set(args, stdin, unloaded):
-    # each verb loads only the layers it calls, and numpy (imported inside
-    # latz.spd_distance) never; module sets are checked, never times
+    # each verb loads only the layers it calls, numpy (imported inside
+    # latz.spd_distance) never, and click never; module sets are checked,
+    # never times
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(args), stdin],
                          env=env, check=True, capture_output=True, text=True).stdout
-    modules, numpy_loaded = json.loads(out.splitlines()[-1])
+    modules, numpy_loaded, click_loaded = json.loads(out.splitlines()[-1])
     loaded = {m.removeprefix("latred.") for m in modules}
     assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)
     assert not numpy_loaded
+    assert not click_loaded
 
 
 def test_spd_distance_loads_numpy_on_demand():
