@@ -102,8 +102,6 @@ class BuildingContext:
         return rep * self.unif_pow(-e)
 
     def _canres_integral(self, y, a):
-        if a <= 0:
-            return self.zero()
         if self.kind == "p-adic":
             y = Fraction(y)
             mod = self.p ** a

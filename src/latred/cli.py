@@ -5,10 +5,12 @@ deterministic byte-for-byte for a fixed input document.  A usage error (no
 verb, an unknown verb or option, a missing or invalid option value) exits 2
 with argparse's usage on stderr and nothing on stdout; `--help` exits 0.
 
-`main` is a table of verbs, each an argparse option list and a callback; a
-request builds the parser of its own verb only, then calls the callback
-with the parsed options.  Each verb imports the layers it calls, so a
-request loads only those.
+`main` is a table of verbs, each an argparse option list and a plain
+function that maps the options and the request document to a payload.  A
+request builds the parser of its own verb only and calls its function;
+`main` alone prints the payload or maps the raised error to an exit code
+and an error body.  Each verb imports the layers it calls, so a request
+loads only those.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ class _Group:
 
     def command(self, name=None, options=()):
         def register(fn):
-            verb = _Verb(fn, options)
-            self.commands[name or fn.__name__] = verb
-            return verb
+            self.commands[name or fn.__name__] = _Verb(fn, options)
+            return fn
         return register
 
     def group(self, name):
@@ -69,8 +70,9 @@ class _Group:
                                          allow_abbrev=False)
         for flag, kwargs in cmd.options:
             parser.add_argument(flag, **kwargs)
-        # read the callback now: a tracer may have replaced it
-        cmd.callback(**vars(parser.parse_args(args)))
+        opts = vars(parser.parse_args(args))
+        # read the callback at call time: a tracer may have replaced it
+        _run(lambda: cmd.callback(**opts))
 
 
 def _emit(payload):
@@ -115,133 +117,117 @@ _BUILDING = [_int("--p"), _int("--q"), _int("--n", required=True)]
 @main.command(options=[_RING])
 def canfilt(ring):
     """Canonical filtration of an inner product (z) or volume space (ff)."""
-    def go():
-        from . import jsonio
-        doc = _read_stdin()
-        if ring == "z":
-            from . import latz
-            s = jsonio.inner_product_from_json(doc)
-            report = latz.canonical_filtration_z(s)
-        else:
-            from . import latff
-            vs = jsonio.volume_space_from_json(doc)
-            _, report = latff.ff_invariants_and_filtration(vs)
-        return jsonio.report_to_json(report)
-    _run(go)
+    from . import jsonio
+    doc = _read_stdin()
+    if ring == "z":
+        from . import latz
+        s = jsonio.inner_product_from_json(doc)
+        report = latz.canonical_filtration_z(s)
+    else:
+        from . import latff
+        vs = jsonio.volume_space_from_json(doc)
+        _, report = latff.ff_invariants_and_filtration(vs)
+    return jsonio.report_to_json(report)
+
+
+def _point_and_summand(ring):
+    """The point x and the summand of a {"x": ..., "summand": ...} request."""
+    from . import jsonio
+    doc = _read_stdin()
+    if ring == "z":
+        x = jsonio.inner_product_from_json(doc["x"])
+        return x, jsonio.z_summand_from_json(doc["summand"], x.n)
+    x = jsonio.volume_space_from_json(doc["x"])
+    return x, jsonio.ff_summand_from_json(doc["summand"], x.q, x.n)
 
 
 @main.command(options=[_RING])
 def volume(ring):
     """Log-volume of a summand: {"x": ..., "summand": ...}."""
-    def go():
-        from . import jsonio
-        doc = _read_stdin()
-        if ring == "z":
-            from . import latz
-            from .logs import ExactLog
-            s = jsonio.inner_product_from_json(doc["x"])
-            w = jsonio.z_summand_from_json(doc["summand"], s.n)
-            v2 = latz.gram_vol2(s, w.basis)
-            return {"vol_sq": jsonio.ratio_to_str(v2),
-                    "logvol": jsonio.value_to_json(ExactLog.half_log(v2),
-                                                   tag="vol_sq")}
-        from . import latff
-        vs = jsonio.volume_space_from_json(doc["x"])
-        w = jsonio.ff_summand_from_json(doc["summand"], vs.q, vs.n)
-        return {"logvol": latff.ff_logvol(vs, w)}
-    _run(go)
+    x, w = _point_and_summand(ring)
+    if ring == "z":
+        from . import jsonio, latz
+        from .logs import ExactLog
+        v2 = latz.gram_vol2(x, w.basis)
+        return {"vol_sq": jsonio.ratio_to_str(v2),
+                "logvol": jsonio.value_to_json(ExactLog.half_log(v2), tag="vol_sq")}
+    from . import latff
+    return {"logvol": latff.ff_logvol(x, w)}
 
 
 @main.command(options=[_RING])
 def cvalue(ring):
     """Instability number of a proper nonzero summand."""
-    def go():
-        from . import jsonio
-        doc = _read_stdin()
-        if ring == "z":
-            from . import latz
-            s = jsonio.inner_product_from_json(doc["x"])
-            w = jsonio.z_summand_from_json(doc["summand"], s.n)
-            return {"c": jsonio.value_to_json(latz.instability_z(s, w))}
-        from . import latff
-        vs = jsonio.volume_space_from_json(doc["x"])
-        w = jsonio.ff_summand_from_json(doc["summand"], vs.q, vs.n)
-        return {"c": str(latff.instability_ff(vs, w))}
-    _run(go)
+    x, w = _point_and_summand(ring)
+    if ring == "z":
+        from . import jsonio, latz
+        return {"c": jsonio.value_to_json(latz.instability_z(x, w))}
+    from . import latff
+    return {"c": str(latff.instability_ff(x, w))}
 
 
 @main.command(name="ff-invariants")
 def ff_invariants():
     """Orbit r-vector and canonical filtration of a volume space."""
-    def go():
-        from . import jsonio, latff
-        vs = jsonio.volume_space_from_json(_read_stdin())
-        r, report = latff.ff_invariants_and_filtration(vs)
-        return {"r": list(r), "filtration": jsonio.report_to_json(report)}
-    _run(go)
+    from . import jsonio, latff
+    vs = jsonio.volume_space_from_json(_read_stdin())
+    r, report = latff.ff_invariants_and_filtration(vs)
+    return {"r": list(r), "filtration": jsonio.report_to_json(report)}
 
 
 @main.command(name="diagonal-basis")
 def diagonal_basis_cmd():
     """Diagonal bases w_i = t^{r_i} b_i of a volume space."""
-    def go():
-        from . import jsonio, latff
-        vs = jsonio.volume_space_from_json(_read_stdin())
-        diag = latff.diagonal_basis(vs)
-        return {
-            "r": list(diag.r),
-            "w": [[jsonio.poly_to_coeffs(x) for x in row] for row in diag.w],
-            "b": [[jsonio.ratfunc_to_str(x) for x in row] for row in diag.b],
-        }
-    _run(go)
+    from . import jsonio, latff
+    vs = jsonio.volume_space_from_json(_read_stdin())
+    diag = latff.diagonal_basis(vs)
+    return {
+        "r": list(diag.r),
+        "w": [[jsonio.poly_to_coeffs(x) for x in row] for row in diag.w],
+        "b": [[jsonio.ratfunc_to_str(x) for x in row] for row in diag.b],
+    }
 
 
 @main.command()
 def intersect():
     """W cap B for a localized summand and an integral structure."""
-    def go():
-        from . import jsonio, sarith
-        doc = _read_stdin()
-        ctx = jsonio.localized_context_from_json(doc)
-        B = jsonio.integral_structure_from_json(ctx, doc["B"])
-        w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
-        rows = sarith.intersect_integral(w, B)
-        return {"basis": [[jsonio.field_to_json(x) for x in row] for row in rows]}
-    _run(go)
+    from . import jsonio, sarith
+    doc = _read_stdin()
+    ctx = jsonio.localized_context_from_json(doc)
+    B = jsonio.integral_structure_from_json(ctx, doc["B"])
+    w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
+    rows = sarith.intersect_integral(w, B)
+    return {"basis": [[jsonio.field_to_json(x) for x in row] for row in rows]}
 
 
 @main.command(name="loc-volume")
 def loc_volume():
     """Localized log-volume of (W, x, B)."""
-    def go():
-        from . import jsonio, sarith
-        doc = _read_stdin()
-        ctx = jsonio.localized_context_from_json(doc)
-        B = jsonio.integral_structure_from_json(ctx, doc["B"])
-        w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
-        x = jsonio.loc_point_from_json(ctx, B.n, doc["x"])
-        logvol = sarith.loc_logvol(w, x, B)
-        if ctx.kind == "Z":
-            return {"logvol": jsonio.value_to_json(logvol, tag="vol_sq")}
-        return {"logvol": logvol}
-    _run(go)
+    from . import jsonio, sarith
+    doc = _read_stdin()
+    ctx = jsonio.localized_context_from_json(doc)
+    B = jsonio.integral_structure_from_json(ctx, doc["B"])
+    w = jsonio.loc_summand_from_json(ctx, B.n, doc["summand"])
+    x = jsonio.loc_point_from_json(ctx, B.n, doc["x"])
+    logvol = sarith.loc_logvol(w, x, B)
+    if ctx.kind == "Z":
+        return {"logvol": jsonio.value_to_json(logvol, tag="vol_sq")}
+    return {"logvol": logvol}
 
 
 @main.command()
 def factorize():
     """Split A in GL_n(Q) into GL_n(Z[T^-1]) * GL_n(Z_T) factors."""
-    def go():
-        from . import jsonio, sarith
-        doc = _read_stdin()
-        ctx = jsonio.localized_context_from_json(doc)
-        A = jsonio.square_matrix_from_json(ctx.q, doc["A"], "A")
-        mode = doc.get("mode", "GL")
-        if mode not in ("GL", "SL"):
-            raise ValidationError(f"mode must be GL or SL, got {mode!r}")
-        Bm, Cm = sarith.factorize(A, ctx, mode=mode)
-        return {"B": [[jsonio.field_to_json(x) for x in row] for row in Bm],
-                "C": [[jsonio.field_to_json(x) for x in row] for row in Cm]}
-    _run(go)
+    from . import jsonio, sarith
+    doc = _read_stdin()
+    ctx = jsonio.localized_context_from_json(doc)
+    A = jsonio.square_matrix_from_json(ctx.q, doc["A"], "A")
+    mode = doc.get("mode", "GL")
+    if mode not in ("GL", "SL"):
+        raise ValidationError(f"mode must be GL or SL, got {mode!r}")
+    Bm, Cm = sarith.factorize(A, ctx, mode=mode)
+    return {"B": [[jsonio.field_to_json(x) for x in row] for row in Bm],
+            "C": [[jsonio.field_to_json(x) for x in row] for row in Cm]}
 
 
 def _building_ctx(p, q, n):
@@ -253,7 +239,9 @@ def _building_ctx(p, q, n):
     return building.BuildingContext.function_field(q, n)
 
 
-def _neighbors_payload(p, q, n):
+@main.command(name="building-neighbors", options=_BUILDING)
+def building_neighbors(p, q, n):
+    """Neighbors of a lattice-class vertex with directed label differences."""
     from . import building, jsonio
     ctx = _building_ctx(p, q, n)
     v = jsonio.vertex_from_json(ctx, _read_stdin())
@@ -265,34 +253,23 @@ def _neighbors_payload(p, q, n):
     }
 
 
-@main.command(name="building-neighbors", options=_BUILDING)
-def building_neighbors(p, q, n):
-    """Neighbors of a lattice-class vertex with directed label differences."""
-    _run(lambda: _neighbors_payload(p, q, n))
-
-
 @main.group(name="building")
 def building_group():
     """Building verbs (alias spelling: `building neighbors`)."""
 
 
-@building_group.command(name="neighbors", options=_BUILDING)
-def building_neighbors_alias(p, q, n):
-    """Neighbors of a lattice-class vertex (as `building-neighbors`)."""
-    _run(lambda: _neighbors_payload(p, q, n))
+building_group.command(name="neighbors", options=_BUILDING)(building_neighbors)
 
 
 @main.command(name="label-diff", options=_BUILDING)
 def label_diff(p, q, n):
     """Label difference of two vertices: {"v1": ..., "v2": ...}."""
-    def go():
-        from . import building, jsonio
-        ctx = _building_ctx(p, q, n)
-        doc = _read_stdin()
-        v1 = jsonio.vertex_from_json(ctx, doc["v1"])
-        v2 = jsonio.vertex_from_json(ctx, doc["v2"])
-        return {"label_difference": building.label_difference(v1, v2)}
-    _run(go)
+    from . import building, jsonio
+    ctx = _building_ctx(p, q, n)
+    doc = _read_stdin()
+    v1 = jsonio.vertex_from_json(ctx, doc["v1"])
+    v2 = jsonio.vertex_from_json(ctx, doc["v2"])
+    return {"label_difference": building.label_difference(v1, v2)}
 
 
 @main.command(name="chamber-count", options=[_int("--n", required=True),
@@ -300,36 +277,29 @@ def label_diff(p, q, n):
                                              _int("--k", required=True)])
 def chamber_count(n, r, k):
     """Chambers through an edge of label difference k (with verification)."""
-    def go():
-        from . import building
-        count, verified = building.count_chambers_on_edge(n, r, k)
-        return {"count": count, "verified": verified}
-    _run(go)
+    from . import building
+    count, verified = building.count_chambers_on_edge(n, r, k)
+    return {"count": count, "verified": verified}
 
 
 @main.command()
 def apartment():
     """Apartment coordinates of an integer exponent vector: {"m": [...]}."""
-    def go():
-        from . import building, jsonio
-        doc = _read_stdin()
-        coords = building.apartment_coords([jsonio.int_from_json(x, "m entry")
-                                            for x in doc["m"]])
-        return {"coords": [jsonio.rational_to_str(c) for c in coords]}
-    _run(go)
+    from . import building, jsonio
+    doc = _read_stdin()
+    coords = building.apartment_coords([jsonio.int_from_json(x, "m entry")
+                                        for x in doc["m"]])
+    return {"coords": [jsonio.rational_to_str(c) for c in coords]}
 
 
 @main.command()
 def triangulate():
     """Simplicial decomposition of a rational point: {"x": [...]}."""
-    def go():
-        from . import building, jsonio
-        doc = _read_stdin()
-        dec = building.triangulate_point([jsonio.rational_from_str(v)
-                                          for v in doc["x"]])
-        return {"points": [list(p) for p in dec.points],
-                "coeffs": [jsonio.rational_to_str(c) for c in dec.coeffs]}
-    _run(go)
+    from . import building, jsonio
+    doc = _read_stdin()
+    dec = building.triangulate_point([jsonio.rational_from_str(v) for v in doc["x"]])
+    return {"points": [list(p) for p in dec.points],
+            "coeffs": [jsonio.rational_to_str(c) for c in dec.coeffs]}
 
 
 def _cover_point_and_system(doc):
@@ -355,7 +325,7 @@ def _cover_point_and_system(doc):
         raise ValidationError(f"unknown side {side!r}")
     theta = doc.get("threshold")
     if theta is not None:
-        sys_ = covers.CoverSystem(n, Fraction(str(theta)))
+        sys_ = covers.CoverSystem(n, jsonio.rational_from_str(theta))
     elif side == "z":
         sys_ = covers.CoverSystem.semistability(n)
     elif side == "ff":
@@ -368,25 +338,19 @@ def _cover_point_and_system(doc):
 @main.command(name="cover-membership")
 def cover_membership_cmd():
     """Summands whose instability at the point exceeds the threshold."""
-    def go():
-        from . import covers, jsonio
-        doc = _read_stdin()
-        x, sys_ = _cover_point_and_system(doc)
-        hits = covers.cover_membership(x, sys_, with_values=True)
-        return {"members": [{"summand": jsonio.summand_to_json(w),
-                             "c": jsonio.value_to_json(c)} for w, c in hits]}
-    _run(go)
+    from . import covers, jsonio
+    x, sys_ = _cover_point_and_system(_read_stdin())
+    hits = covers.cover_membership(x, sys_, with_values=True)
+    return {"members": [{"summand": jsonio.summand_to_json(w),
+                         "c": jsonio.value_to_json(c)} for w, c in hits]}
 
 
 @main.command(name="core-test")
 def core_test_cmd():
     """Whether the point lies in the cocompact core (no set exceeds theta)."""
-    def go():
-        from . import covers
-        doc = _read_stdin()
-        x, sys_ = _cover_point_and_system(doc)
-        return {"in_core": covers.core_test(x, sys_)}
-    _run(go)
+    from . import covers
+    x, sys_ = _cover_point_and_system(_read_stdin())
+    return {"in_core": covers.core_test(x, sys_)}
 
 
 @main.command(name="core-reps", options=[_int("--n", required=True),
@@ -394,26 +358,22 @@ def core_test_cmd():
 def core_reps(n, theta):
     """Normalized r-vectors classifying core lattice classes."""
     from . import covers
-    _run(lambda: {"reps": [list(r) for r in covers.core_orbit_reps(n, theta)]})
+    return {"reps": [list(r) for r in covers.core_orbit_reps(n, theta)]}
 
 
 @main.command(options=[_int("--seed", default=0),
                        _int("--scale", default=6, help="instances per check")])
 def selfcheck(seed, scale):
     """Randomized cross-checks of the closed forms against independent computations."""
-    def go():
-        if scale < 1:
-            raise ValidationError(f"--scale must be at least 1, got {scale}")
-        rng = random.Random(seed)
-        checks = []
-        checks.append(_check_snf(rng, scale))
-        checks.append(_check_hull_vs_instability(rng, max(2, scale // 2)))
-        checks.append(_check_ff_agreement(rng, max(2, scale // 2)))
-        checks.append(_check_factorization(rng, scale))
-        checks.append(_check_chambers())
-        ok = all(c["ok"] for c in checks)
-        return {"ok": ok, "checks": checks}
-    _run(go)
+    if scale < 1:
+        raise ValidationError(f"--scale must be at least 1, got {scale}")
+    rng = random.Random(seed)
+    checks = [_check_snf(rng, scale),
+              _check_hull_vs_instability(rng, max(2, scale // 2)),
+              _check_ff_agreement(rng, max(2, scale // 2)),
+              _check_factorization(rng, scale),
+              _check_chambers()]
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def _check_snf(rng, scale):

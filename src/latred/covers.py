@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError, ScaleError
 from .logs import ExactLog
-from .rings import valuation
 
 CORE_RANK_LIMIT = 6
 CORE_THRESHOLD_LIMIT = 16
@@ -71,9 +70,7 @@ class CoverSystem:
                 z *= p
             R_log = ExactLog.log(Fraction(z), Fraction(4 * n))
         else:
-            R_const = Fraction(sum(-valuation(
-                ctx.base_ring().to_field(p), "degree") for p in ctx.T))
-            R_const *= 4 * n
+            R_const = Fraction(4 * n * sum(p.degree for p in ctx.T))
         return CoverSystem(n, R_const + Fraction(4 * n), R_log)
 
     def exceeded_by(self, c):

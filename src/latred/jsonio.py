@@ -1,7 +1,7 @@
 """JSON encoding of the exact value types used at the CLI boundary.
 
 Conventions:
-    * rationals as strings "p/q" or "p",
+    * rationals as strings "p/q" or "p" or as JSON integers, never floats,
     * F_q elements as integers 0..q-1,
     * polynomials over F_q as ascending coefficient arrays,
     * rational functions as strings like "t^2/(t^3+1)",
@@ -28,6 +28,9 @@ def rational_to_str(x):
 
 
 def rational_from_str(s):
+    if isinstance(s, float):
+        raise ValidationError(f"bad rational {s!r}: a JSON float; give a string "
+                              "\"p/q\" or a JSON integer")
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -46,7 +49,9 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 def poly_from_str(q, text):
     F = gf(q)
     s = text.strip().replace(" ", "")
-    if not s or s == "0":
+    if not s:
+        raise ValidationError(f"empty polynomial {text!r}")
+    if s == "0":
         return poly(F, [])
     coeffs = {}
     for term in s.replace("-", "+-").split("+"):

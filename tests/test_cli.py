@@ -300,6 +300,15 @@ FIELD_ERRORS = {
                     "T must be a JSON list, got {}"),
     "factorize-mode": (["factorize"], dict(FACTORIZE_Z, A=[["1"]], mode="XL"),
                        "mode must be GL or SL, got 'XL'"),
+    # an empty polynomial string was the zero polynomial, and a JSON float in a
+    # rational field was read through its decimal spelling
+    "ff-empty-polynomial": (["ff-invariants"], dict(VS_T2, S_basis=[["1", ""], ["", "t^2"]]),
+                            "empty polynomial ''"),
+    "gram-float": (["canfilt", "--ring", "z"], dict(DIAG14, gram=[["1", "0"], ["0", 4.5]]),
+                   'bad rational 4.5: a JSON float; give a string "p/q" or a JSON integer'),
+    "threshold-float": (["cover-membership"], {"side": "z", "x": DIAG14, "threshold": 0.5},
+                        'bad rational 0.5: a JSON float; give a string "p/q" or a JSON '
+                        "integer"),
 }
 
 
@@ -315,6 +324,19 @@ class TestParsers:
         from latred.jsonio import ratfunc_from_str
         with pytest.raises(ValidationError, match="zero denominator"):
             ratfunc_from_str(2, "t/0")
+
+    @pytest.mark.parametrize("text", ["", " ", "1/", "()/t"])
+    def test_empty_polynomial_is_a_validation_error(self, text):
+        from latred.errors import ValidationError
+        from latred.jsonio import ratfunc_from_str
+        with pytest.raises(ValidationError, match="empty polynomial"):
+            ratfunc_from_str(2, text)
+
+    def test_blank_polynomial_is_named(self):
+        from latred.errors import ValidationError
+        from latred.jsonio import poly_from_str
+        with pytest.raises(ValidationError, match="empty polynomial ' '"):
+            poly_from_str(2, " ")
 
     def test_negative_term(self):
         from latred.jsonio import poly_from_str
@@ -403,6 +425,14 @@ class TestContract:
         assert [p["rank"] for p in z["path"]] == [p["rank"] for p in ff["path"]] == [0]
         assert inv == {"r": [], "filtration": ff}
         assert diag == {"r": [], "w": [], "b": []}
+
+    def test_zero_strings_and_json_integers_are_accepted(self):
+        as_ints = run_cli(["canfilt", "--ring", "z"], dict(DIAG14, gram=[[1, 0], [0, 4]]))
+        assert as_ints.exit_code == 0
+        assert as_ints.output == run_cli(["canfilt", "--ring", "z"], DIAG14).output
+        res = run_cli(["ff-invariants"], dict(VS_T2, S_basis=[["1", "0"], ["0", "t^2"]]))
+        assert res.exit_code == 0
+        assert json.loads(res.output)["r"] == [-2, 0]
 
     def test_malformed_json_exits_2(self):
         res = run_cli(["canfilt", "--ring", "z"], "{not json")
@@ -505,6 +535,46 @@ class TestContract:
             res = run_cli(["factorize"], dict(doc, A=[], mode="SL"))
             assert res.exit_code == 0
             assert json.loads(res.output) == {"B": [], "C": []}
+
+
+class TestVerbTable:
+    """The hooks the benchmark uses: `main.commands[...].callback` and
+    `main(args, prog_name=...)`."""
+
+    def test_a_verb_returns_its_payload(self):
+        assert main.commands["core-reps"].callback(n=2, theta=1) == {"reps": [[0, 0], [0, 1]]}
+
+    def test_alias_is_a_second_verb_for_one_function(self):
+        from latred import cli
+        verb = main.commands["building-neighbors"]
+        alias = main.commands["building"].commands["neighbors"]
+        assert verb is not alias
+        assert verb.callback is alias.callback is cli.building_neighbors
+        assert verb.options == alias.options
+
+    def test_replaced_callbacks_run_once_per_request(self, monkeypatch):
+        requests = [(["apartment"], {"m": [1, 0]}),
+                    (["building-neighbors", "--p", "2", "--n", "2"], STD_VERTEX),
+                    (["building", "neighbors", "--p", "2", "--n", "2"], STD_VERTEX)]
+        verbs = [main.commands["apartment"], main.commands["building-neighbors"],
+                 main.commands["building"].commands["neighbors"]]
+        before = [run_cli(args, doc).output for args, doc in requests]
+        calls = []
+
+        def counting(verb):
+            fn = verb.callback
+
+            def wrapped(**opts):
+                calls.append(verb)
+                return fn(**opts)
+            return wrapped
+
+        for verb in verbs:
+            monkeypatch.setattr(verb, "callback", counting(verb))
+        after = [run_cli(args, doc) for args, doc in requests]
+        assert [res.exit_code for res in after] == [0, 0, 0]
+        assert [res.output for res in after] == before
+        assert calls == verbs
 
 
 class TestUsage:
@@ -649,7 +719,8 @@ ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
     (["canfilt", "--ring", "z"], json.dumps(DIAG14),
      {"latff", "sarith", "building", "covers", "gflinalg"}),
     (["core-reps", "--n", "3", "--theta", "2"], "",
-     {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg"}),
+     {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg",
+      "fq", "rings"}),
 ], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z", "core-reps"])
 def test_import_set(args, stdin, unloaded):
     # each verb loads only the layers it calls, numpy (imported inside
