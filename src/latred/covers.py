@@ -120,8 +120,7 @@ def vertex_volume_space(v):
 
 
 def vertex_r_vector(v):
-    from . import latff
-    return latff.diagonal_basis(vertex_volume_space(v)).r
+    return vertex_volume_space(v)._reduced[1]
 
 
 # ---------------------------------------------------------------------------

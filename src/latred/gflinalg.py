@@ -1,8 +1,9 @@
 """Dense linear algebra over F_q on plain integer entries.
 
 Entries are field elements encoded as integers 0..q-1 under a `GF` context.
-Used for short-vector solution spaces over F_q[t] and for residue-space
-combinatorics of local lattices.
+Used for the leading-coefficient kernels and the shortest-vector echelon
+form of the F_q[t] column reduction, and for residue-space combinatorics of
+local lattices.
 """
 
 from __future__ import annotations

@@ -54,9 +54,10 @@ def poly_from_str(q, text):
     if s == "0":
         return poly(F, [])
     coeffs = {}
-    for term in s.replace("-", "+-").split("+"):
+    terms = s.replace("-", "+-").split("+")
+    for term in terms[s.startswith("-"):]:  # a leading "-" leaves one empty term
         if not term:
-            continue
+            raise ValidationError(f"polynomial {text!r} has an empty term")
         neg = term.startswith("-")
         if neg:
             term = term[1:]

@@ -28,14 +28,13 @@ and makes all constrained volume minima explicit:
 for the r-vector rho of the restricted space, and similarly above W through
 the quotient space.
 
-Short-vector searches never enumerate F_q[t]-points: the set of v in V with
-logvol<v> <= D is an F_q-vector space cut out by linear conditions on the
-Laurent tails of S^{-1} v, read off polynomial floors of its ring rows, so
-a nullspace computation over F_q finds it.
-Short vectors inside a summand W are those of the restricted space.
-The least feasible D lies above nu_min - 1 (nu_min the least valuation of an
-entry of S) and at most at the average slope logvol(V) / n, and is found by
-bisection between the two.
+Short vectors never enumerate F_q[t]-points and never search a bound: a
+vector v has logvol<v> = deg(M v) - deg e for S^{-1} = M / e, and one column
+reduction of M (Lenstra, J. Comput. Syst. Sci. 30, 1985) gives a basis W of
+V with M W column reduced.  The column degrees of M W minus deg e are the
+r-vector, and the vectors of least log-volume r_1 are the F_q-span of the
+columns of degree r_1.  Short vectors inside a summand W are those of the
+restricted space.
 """
 
 from __future__ import annotations
@@ -152,6 +151,44 @@ class VolumeSpace:
         """(e, M) with S^-1 = M / e on ring rows: H N = e U and M = den N."""
         e, N = matrices.solve_cleared(poly_ring(self.q), *self.triangular)
         return e, matrices.freeze([[self.cleared[0] * x for x in row] for row in N])
+
+    @cached_property
+    def _reduced(self):
+        """(w, r), sorted by ascending r (stable): rows w_i, a basis of V
+        that makes M W column reduced for S^-1 = M / e and W the matrix with
+        columns w_i, and r_i = deg(M w_i) - deg e.
+
+        Lenstra's column reduction of A = M W from W = I: while the leading
+        coefficients at infinity, L_kj the coefficient of t^{d_j} in A_kj for
+        d_j the degree of column j, are singular, a kernel vector c of L
+        lowers the highest-degree column j of its support to
+        A_j + sum_i (c_i / c_j) t^(d_j - d_i) A_i, which has no t^{d_j} term,
+        and W follows.  Each step lowers sum_j d_j, which never falls below
+        deg det A = deg det M, so at most sum_j d_j - deg det M steps run.
+        With L invertible, v = W c has deg(M v) = max_i (deg c_i + d_i): r is
+        the splitting type, and the vectors of logvol <= r_1 are the F_q-span
+        of the w_i with r_i = r_1.
+        """
+        F, n = gf(self.q), self.n
+        e, M = self._inverse
+        a = [list(col) for col in matrices.transpose(M)]
+        w = [list(row) for row in matrices.identity_rows(n, poly_one(F), poly(F, []))]
+        deg = [max(x.degree for x in col) for col in a]
+        while kernel := gflinalg.nullspace(
+                F, [[x.leading() if x.degree == d else 0 for x, d in zip(row, deg)]
+                    for row in matrices.transpose(a)], n):
+            c = kernel[0]
+            j = max((i for i in range(n) if c[i]), key=deg.__getitem__)
+            inv = F.inv(c[j])
+            for i in range(n):
+                if c[i] and i != j:
+                    m = poly(F, [0] * (deg[j] - deg[i]) + [F.mul(c[i], inv)])
+                    a[j] = [x + m * y for x, y in zip(a[j], a[i])]
+                    w[j] = [x + m * y for x, y in zip(w[j], w[i])]
+            deg[j] = max(x.degree for x in a[j])
+        order = sorted(range(n), key=deg.__getitem__)
+        return (tuple(tuple(w[j]) for j in order),
+                tuple(deg[j] - e.degree for j in order))
 
     def _solve(self, rows):
         """(e, N) with S^-1 R^T = den N / e for ring rows R: H N = e U R^T."""
@@ -287,80 +324,29 @@ def _rows_over_lcm(ring, den, cols):
 
 
 # ---------------------------------------------------------------------------
-# short vectors as an F_q-vector space
+# shortest vectors
 # ---------------------------------------------------------------------------
 
-def _logvol_solution_space(vs, D):
-    """Echelonized F_q-basis of {v in V : logvol<v> <= D}, as polynomial vectors.
+def shortest_vector(vs):
+    """A primitive vector of minimal log-volume r_1, with that minimum.
 
-    The unknowns are the coefficients of v's polynomial entries up to degree
-    dmax, and S^{-1} v, a combination of the columns of S^{-1} = M / e, must
-    vanish in every Laurent degree above D.  The coefficients of t^base ..
-    t^kmax of an entry a / e are those of the polynomial floor of a t^-base / e.
+    The vectors v with logvol<v> <= r_1 are the F_q-span of the reduced w_i
+    with r_i = r_1.  Flattened entry by entry in ascending degree, the span
+    has one echelon vector whose last nonzero coordinate comes first, scaled
+    to 1 there; it depends on the span and the coordinate order alone, so it
+    is deterministic.
     """
     F = gf(vs.q)
-    n = vs.n
-    e, M = vs._inverse
-    den, P = vs.cleared
-    dmax = D + max(max(x.degree for row in P for x in row) - den.degree, 0)
-    if dmax < 0:
-        return []
-    unknowns = [(j, d) for j in range(n) for d in range(dmax + 1)]
-    base = D + 1 - dmax
-    # the floor is (a t^-base) // e for base <= 0 and a // (e t^base) above
-    shift = (0,) * -base if base < 0 else ()
-    div = e * FqPolynomial(F, (0,) * base + (1,)) if base > 0 else e
-    rows = []
-    for m_row in M:
-        kmax = max(x.degree for x in m_row if x) - e.degree + dmax
-        if kmax <= D:
-            continue
-        # kk - d - base runs from 0 to kmax - base, inside every expansion
-        floors = [((FqPolynomial(F, shift + a.coeffs) if shift else a) // div).coeffs
-                  for a in m_row]
-        coeffs = [c + (0,) * (kmax - base + 1 - len(c)) for c in floors]
-        for kk in range(D + 1, kmax + 1):
-            row = [coeffs[j][kk - d - base] for j, d in unknowns]
-            if any(row):
-                rows.append(row)
-    null = gflinalg.nullspace(F, rows, len(unknowns))
-    width = dmax + 1
-    return [tuple(poly(F, sol[j * width:(j + 1) * width]) for j in range(n))
-            for sol in null]
-
-
-def short_vector_space_dim(vs, D):
-    """dim_Fq of {v in V : logvol<v> <= D}.
-
-    A volume probe independent of the diagonal-basis induction: the dimension
-    jumps read off the multiset of diagonal exponents.  On a summand W the
-    same probe runs on the restricted space `sub_quotient(vs, W).res`.
-    """
-    return len(_logvol_solution_space(vs, D))
-
-
-def shortest_vector(vs):
-    """A primitive vector of minimal log-volume, with that minimum.
-
-    Deterministic: the first vector of the echelonized solution space at the
-    minimal feasible bound.  That bound is bisected between nu_min - 1, which
-    no vector meets (S^{-1} v has an entry of valuation <= -nu_min), and the
-    average slope, which some vector always meets.
-    """
-    den, P = vs.cleared
-    lo = den.degree - max(x.degree for row in P for x in row) - 1
-    hi = vs.logvol // vs.n
-    basis = None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        found = _logvol_solution_space(vs, mid)
-        if found:
-            hi, basis = mid, found
-        else:
-            lo = mid
-    if basis is None:
-        basis = _logvol_solution_space(vs, hi)
-    return basis[0], hi
+    w, r = vs._reduced
+    short = [w_i for w_i, r_i in zip(w, r) if r_i == r[0]]
+    width = 1 + max(x.degree for w_i in short for x in w_i)
+    # reversed coordinates: the last echelon row pivots on the least last
+    # nonzero coordinate
+    rows, _ = gflinalg.rref(F, [tuple(c for x in reversed(w_i) for c in
+                                      reversed(x.coeffs + (0,) * (width - 1 - x.degree)))
+                                for w_i in short])
+    v = rows[-1][::-1]
+    return tuple(poly(F, v[j * width:(j + 1) * width]) for j in range(vs.n)), r[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +440,11 @@ def ff_invariants_and_filtration(vs):
 class FFOracle(filtration.LatticeOracle):
     """Lattice oracle for (summands of F_q[t]^n, rank, logvol(S)).
 
-    Per-rank minima come from one diagonal basis, `diag`: the rank-m
-    minimum is r_1 + ... + r_m, attained by the span of the first m diagonal
-    vectors, which is the only minimizer where r jumps.  A summand splits
-    once, by `sub_quotient`, into the oracles of its restricted and
-    quotient spaces.
+    The rank-m minimum is r_1 + ... + r_m, read off the space's column
+    reduction.  It is attained by the span of the first m vectors of one
+    diagonal basis, `diag`, which is the only minimizer where r jumps and is
+    built only where `rank_minima` asks for it.  A summand splits once, by
+    `sub_quotient`, into the oracles of its restricted and quotient spaces.
     """
 
     zero_value = Fraction(0)
@@ -478,7 +464,7 @@ class FFOracle(filtration.LatticeOracle):
         return FFSummand.full(self.vs.q, self.vs.n)
 
     def rank_minimum(self, m):
-        return Fraction(sum(self.diag.r[:m]))
+        return Fraction(sum(self.vs._reduced[1][:m]))
 
     def rank_minima(self, m):
         """The span of the m shortest diagonal vectors and its log-volume."""

@@ -10,8 +10,7 @@ import pytest
 from latred.errors import (DimensionError, LatredError, ProjectivityError,
                            RankDeficiencyError, ScaleError, SingularityError)
 from latred.fq import FqRationalFunction, gf, poly
-from latred.latff import (FFOracle, FFSummand, VolumeSpace, _logvol_solution_space,
-                          ff_logvol, shortest_vector)
+from latred.latff import FFOracle, FFSummand, VolumeSpace, ff_logvol, shortest_vector
 from latred.latz import InnerProduct, ZSummand
 from latred.logs import ExactLog
 from latred import gflinalg, latz, matrices
@@ -288,9 +287,13 @@ def laurent_coefficients(x, lo, hi):
 
 
 def reference_solution_space(vs, D):
-    """Reference for `latff._logvol_solution_space`: the same conditions on
-    the coefficients of v up to degree dmax, read entry by entry off the
-    F_q(t) inverse S^-1 (`matrices.inverse` on the basis) by long division."""
+    """Echelonized F_q-basis of {v in V : logvol<v> <= D}, as polynomial vectors.
+
+    The unknowns are the coefficients of v's entries up to degree dmax, and
+    S^-1 v must vanish in every Laurent degree above D; those conditions are
+    read entry by entry off the F_q(t) inverse S^-1 (`matrices.inverse` on
+    the basis) by long division.  Neither a diagonal basis nor the column
+    reduction enters, so it is an independent probe of short vectors."""
     F = gf(vs.q)
     n = vs.n
     Hinv = matrices.inverse(poly_ring(vs.q), vs.basis)
@@ -314,6 +317,30 @@ def reference_solution_space(vs, D):
     width = dmax + 1
     return [tuple(poly(F, sol[j * width:(j + 1) * width]) for j in range(n))
             for sol in null]
+
+
+def reduction_steps(monkeypatch, vs):
+    """The steps of a fresh space's column reduction (`VolumeSpace._reduced`):
+    one leading-coefficient kernel is taken per step, and a last one finds
+    the kernel empty."""
+    calls = []
+    nullspace = gflinalg.nullspace
+
+    def counted(F, rows, ncols):
+        calls.append(rows)
+        return nullspace(F, rows, ncols)
+
+    with monkeypatch.context() as inside:
+        inside.setattr(gflinalg, "nullspace", counted)
+        vs._reduced
+    return len(calls) - 1
+
+
+def short_vector_space_dim(vs, D):
+    """dim_Fq of {v in V : logvol<v> <= D}: the r-vector of a space is read
+    off its jumps, and that of a summand W off the restricted space
+    `sub_quotient(vs, W).res`."""
+    return len(reference_solution_space(vs, D))
 
 
 def minors(M, m, det):
@@ -670,7 +697,7 @@ def enumerate_ff_summands(vs, m, bound, r1=None):
     if m * r1 > bound:  # every rank-m volume is at least m * r1
         return []
     pool_bound = bound - (m - 1) * min(r1, 0) if m > 1 else bound
-    space = _logvol_solution_space(vs, pool_bound)
+    space = reference_solution_space(vs, pool_bound)
     vectors = _projective_points(vs.q, space, ring)
     if len(vectors) > ENUM_LINE_LIMIT:
         raise ScaleError(f"{len(vectors)} candidate lines exceed the limit {ENUM_LINE_LIMIT}")

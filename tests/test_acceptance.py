@@ -18,8 +18,7 @@ from latred.covers import (CoverSystem, core_orbit_reps, core_test,
                            cover_membership,
                            vertex_r_vector, vertex_volume_space)
 from latred.filtration import GradedPoint, canonical_plot
-from latred.latff import (diagonal_basis, ff_logvol, instability_ff,
-                          short_vector_space_dim, sub_quotient)
+from latred.latff import diagonal_basis, ff_logvol, instability_ff, sub_quotient
 from latred.latz import gram_logvol, gram_vol2, instability_z, spd_distance
 from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
@@ -28,7 +27,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
 from conftest import (core_test_via_reps, det_field, fractional_hnf, in_t_integral,
                       normalize_r_vector, random_ff_summand,
                       random_invertible_rational, random_spd, random_volume_space,
-                      random_z_summand, rank_field)
+                      random_z_summand, rank_field, short_vector_space_dim)
 
 
 def _report(number, name, detail, elapsed):

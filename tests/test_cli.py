@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,9 @@ FIELD_ERRORS = {
     # rational field was read through its decimal spelling
     "ff-empty-polynomial": (["ff-invariants"], dict(VS_T2, S_basis=[["1", ""], ["", "t^2"]]),
                             "empty polynomial ''"),
+    # a dangling "+" was skipped as an empty term
+    "ff-empty-term": (["ff-invariants"], dict(VS_T2, S_basis=[["1", "0"], ["0", "t^2+"]]),
+                      "polynomial 't^2+' has an empty term"),
     "gram-float": (["canfilt", "--ring", "z"], dict(DIAG14, gram=[["1", "0"], ["0", 4.5]]),
                    'bad rational 4.5: a JSON float; give a string "p/q" or a JSON integer'),
     "threshold-float": (["cover-membership"], {"side": "z", "x": DIAG14, "threshold": 0.5},
@@ -341,6 +345,19 @@ class TestParsers:
     def test_negative_term(self):
         from latred.jsonio import poly_from_str
         assert poly_from_str(3, "t^2-1").coeffs == (2, 0, 1)
+
+    @pytest.mark.parametrize("text", ["t+", "+t", "1++t", "t^2+"])
+    def test_empty_term_is_a_validation_error(self, text):
+        from latred.errors import ValidationError
+        from latred.jsonio import poly_from_str
+        with pytest.raises(ValidationError, match=f"polynomial '{re.escape(text)}' has an "
+                                                  "empty term"):
+            poly_from_str(3, text)
+
+    def test_leading_minus_and_coefficients_parse(self):
+        from latred.jsonio import poly_from_str
+        assert poly_from_str(3, "-t").coeffs == (0, 2)
+        assert poly_from_str(3, "2*t^2+1").coeffs == (1, 0, 2)
 
 
 class TestContract:

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import math
 import pickle
 import random
 from collections import Counter
@@ -12,16 +11,16 @@ import pytest
 from latred import filtration, latff, matrices
 from latred.errors import (DomainError, ProjectivityError, RankDeficiencyError, ScaleError,
                            SingularityError)
-from latred.fq import FqRationalFunction, poly, poly_one, poly_t, t_power
+from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
-                          short_vector_space_dim, shortest_vector, sub_quotient)
+                          shortest_vector, sub_quotient)
 from latred.rings import poly_ring
 
 from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
                       enumerate_ff_summands, inverse_field, minors, random_ff_summand,
                       random_poly, random_ratfunc, random_unimodular_poly, random_volume_space,
-                      reference_solution_space)
+                      reduction_steps, reference_solution_space, short_vector_space_dim)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -505,10 +504,10 @@ def test_lattice_inverse_matches_field_reference(q):
 
 
 def test_probe_and_localized_volume_build_no_field_element(monkeypatch):
-    # the constructor clears S = P / den once and keeps it; the short-vector
-    # probe reads the Laurent tails of S^-1 off ring rows, and loc_logvol on
-    # the F_q side takes the ring rows of W cap B undivided (B.den = t): none
-    # of them clears again, builds an F_q(t) element or divides rows
+    # the constructor clears S = P / den once and keeps it; shortest_vector
+    # column-reduces the ring rows of S^-1, and loc_logvol on the F_q side
+    # takes the ring rows of W cap B undivided (B.den = t): none of them
+    # clears again, builds an F_q(t) element or divides rows
     from latred import sarith
     events = []
     clear, divided = matrices.clear_denominators, matrices.divided
@@ -551,34 +550,12 @@ def test_probe_and_localized_volume_build_no_field_element(monkeypatch):
             vs = VolumeSpace(q, n, basis)
             assert events == ["clear"]
             events.clear()
-            short_vector_space_dim(vs, shortest_vector(vs)[1])
+            shortest_vector(vs)
             assert events == []
         assert sarith.loc_logvol(w, x, B) == 5
         for u in summands:
             sarith.loc_logvol(u, x, B)
         assert events == []
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_probe_matches_long_division_reference(q):
-    # the ring-row probe against the reference that long-divides each entry
-    # of the F_q(t) inverse, at every bound from nu_min - 1, which no vector
-    # meets, to two above the average slope; t-power scalings move the
-    # expansion window to either side of t^0
-    rng = random.Random(f"latff-probe-reference/{q}")
-    bounds = 0
-    for n in range(2, 6):
-        for _ in range(4):
-            vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
-            for k in (-2, 0, 2):
-                space = vs.scaled(t_power(q, k))
-                den, P = space.cleared
-                lo = den.degree - max(x.degree for row in P for x in row) - 1
-                for D in range(lo, space.logvol // n + 3):
-                    assert latff._logvol_solution_space(space, D) == \
-                        reference_solution_space(space, D), (n, k, D)
-                    bounds += 1
-    assert bounds > 150
 
 
 def _field_logvol(basis, rows, q):
@@ -798,24 +775,27 @@ def test_restricted_probe_matches_pins():
     assert got == RESTRICTED_PROBE_PINS
 
 
-def test_shortest_vector_bisects_the_instability_gap(monkeypatch):
-    # the bound is bisected between nu_min - 1 = -201 and the average
-    # slope -100, so the solves grow with the log of the gap, not the gap
-    calls = []
-    solve = latff._logvol_solution_space
+def test_shortest_vector_is_the_reference_echelon_vector():
+    # the first vector of the long-division reference at the bound r_1, which
+    # is the least bound with a nonzero solution, on fields up to F_9 and
+    # ranks up to 6, and across the instability gap
+    rng = random.Random("latff-shortest-vector-reference")
+    spaces = [_gap_space(200)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(2, 7):
+            spaces.append(random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1))
+    for vs in spaces:
+        v, r1 = shortest_vector(vs)
+        assert v == reference_solution_space(vs, r1)[0], vs
+        assert reference_solution_space(vs, r1 - 1) == [], vs
 
-    def counted(vs, D):
-        calls.append(D)
-        return solve(vs, D)
 
-    monkeypatch.setattr(latff, "_logvol_solution_space", counted)
-    vs = _gap_space(200)
-    v, r1 = shortest_vector(vs)
-    assert r1 == -200 and ff_logvol(vs, [v]) == -200
-    assert len(calls) <= math.ceil(math.log2(-100 - (-201))) + 1
-    monkeypatch.undo()
-    assert diagonal_basis(vs).r == (-200, 0)
-
+def test_gap_reduction_steps_do_not_grow_with_the_gap(monkeypatch):
+    # S^-1 of the gap space is column reduced as it comes: the r-vector
+    # (-k, 0) costs the same number of steps at every k
+    steps = [reduction_steps(monkeypatch, _gap_space(k)) for k in (200, 3200)]
+    assert steps[0] == steps[1]
+    assert _gap_space(3200)._reduced[1] == (-3200, 0)
 
 
 def test_oracle_splits_and_measures_each_summand_once(monkeypatch):

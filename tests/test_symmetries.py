@@ -7,8 +7,9 @@ Math. 27, 1976; Grayson, Comment. Math. Helv. 59, 1984).  Over Z[T^-1], g
 in GL_n(Z[T^-1]) moves W, the point and B together and keeps the localized
 log-volume and c-value, and B K for K in GL_n(Z_T) is the same B.  Cost is
 measured by deterministic counts, never by wall time: the Fincke-Pohst tree
-nodes (`_int_range_abs_le` calls) and the candidate summands put in Hermite
-form (`matrices.hnf` calls).
+nodes (`_int_range_abs_le` calls), the candidate summands put in Hermite
+form (`matrices.hnf` calls) and the steps of the F_q[t] column reduction
+(`conftest.reduction_steps`).
 """
 
 import random
@@ -28,7 +29,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand, loc_
 from conftest import (apply, field_inverse_unimodular, inverse_field, kernel, random_ff_summand,
                       random_invertible_rational, random_ratfunc, random_spd,
                       random_unimodular_poly, random_unimodular_z, random_volume_space,
-                      random_z_summand, rank_field, right_multiplied)
+                      random_z_summand, rank_field, reduction_steps, right_multiplied)
 
 _SEED5 = random.Random(5)
 FORMS = [random_spd(_SEED5, 4, spread=1) for _ in range(4)]  # the seed-5 n = 4 forms
@@ -159,6 +160,22 @@ def test_instability_ff_is_invariant_under_t_power_scaling(k):
         scaled = vs.scaled(t_power(vs.q, k))
         for w in summands:
             assert instability_ff(scaled, w) == instability_ff(vs, w), w
+
+
+def test_ff_reduction_steps_under_g_and_t_power_scaling(monkeypatch):
+    # t^k S has S^-1 times one scalar: the same leading coefficients and the
+    # same steps; g(S) for g a product of 8 elementary moves with entries of
+    # degree <= 1 stays within twice the steps of S plus n
+    rng = random.Random("symmetries-ff-steps")
+    for q in (2, 3, 4, 5):
+        for n in range(2, 6):
+            for _ in range(3):
+                vs = random_volume_space(rng, q, n, maxdeg=1 if n > 3 else 2)
+                g = random_unimodular_poly(rng, q, n, steps=8)
+                steps = reduction_steps(monkeypatch, vs)
+                for k in (-3, 5, 40):
+                    assert reduction_steps(monkeypatch, vs.scaled(t_power(q, k))) == steps
+                assert reduction_steps(monkeypatch, vs.transformed(g)) <= 2 * (steps + n)
 
 
 def _ff_dual(vs):
