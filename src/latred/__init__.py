@@ -19,7 +19,7 @@ _EXPORTS = {
              "spd_distance"),
     "latff": ("DiagonalBasisResult", "FFSummand", "VolumeSpace",
               "diagonal_basis", "ff_invariants_and_filtration", "ff_logvol",
-              "instability_ff", "sub_quotient"),
+              "instability_ff"),
     "logs": ("ExactLog",),
     "sarith": ("IntegralStructure", "LocalizedContext", "LocSummand",
                "factorize", "factorize_conjugated", "intersect_integral",

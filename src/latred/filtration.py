@@ -36,9 +36,10 @@ minima.  A side supplies `zero()`, `one()`, `rank_minima(m)`, `zero_value`,
 the top rank and the stored total log-volume, and two hooks: `_logvol(w)`
 and `_split(w)`, the oracles of w's restricted and quotient spaces.
 `ZOracle` answers `rank_minima` with one complete rank-by-rank search at a
-bound certified by an exact LLL basis; `FFOracle` reads its minima off the
-diagonal basis rather than from an enumeration (the rank-m minimum is
-r_1 + ... + r_m).
+bound certified by an exact LLL basis; `FFOracle` reads its minima off
+the splitting type of one column reduction rather than from an
+enumeration (the rank-m minimum is r_1 + ... + r_m), and its splits off
+the r-vectors of the restricted and quotient spaces.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ that matrix is S^{-1}, so logvol(V) = nu(det S).
 A volume space is stored in one form, on F_q[t] rows: S = P / den with den
 monic and P sharing no factor with it, and the triangularization U P = H.
 Only the public constructor clears F_q(t) entries; scaled, transformed,
-restricted, quotient and frame spaces are built from a denominator and ring
-rows.  logvol(V), singularity, the lattice inverse S^{-1} = den H^{-1} U
-and the coefficients S^{-1} R^T of rows R all come from (H, U), by one
-fraction-free back substitution (`matrices.solve_cleared`); a split solves
-against the transposed unimodular completion of the summand and reduces
-its columns fraction-free.  The F_q(t) basis is derived only on demand.
+quotient and frame spaces are built from a denominator and ring rows.
+logvol(V), singularity, the lattice inverse S^{-1} = den H^{-1} U and the
+coefficients S^{-1} R^T of rows R all come from (H, U), by one
+fraction-free back substitution (`matrices.solve_cleared`); the quotient
+by a line, which a diagonal basis recurses on, solves against the
+transposed unimodular completion of the line and reduces its columns
+fraction-free.  The F_q(t) basis is derived only on demand.
 
 Every volume space admits a diagonal shape: bases (w_i) of V and (b_i) of S
 with w_i = t^{r_i} b_i and ascending integers r_1 <= ... <= r_n.  The
@@ -33,8 +34,10 @@ vector v has logvol<v> = deg(M v) - deg e for S^{-1} = M / e, and one column
 reduction of M (Lenstra, J. Comput. Syst. Sci. 30, 1985) gives a basis W of
 V with M W column reduced.  The column degrees of M W minus deg e are the
 r-vector, and the vectors of least log-volume r_1 are the F_q-span of the
-columns of degree r_1.  Short vectors inside a summand W are those of the
-restricted space.
+columns of degree r_1.  The same reduction of S^{-1} R^T, for a basis R of
+a summand W, gives W's restricted r-vector, whose sum is logvol(W), and
+that of W's annihilator in the dual space gives the quotient's, since
+(V/W)^v = W^perp; so a split builds no volume space.
 """
 
 from __future__ import annotations
@@ -155,37 +158,15 @@ class VolumeSpace:
     @cached_property
     def _reduced(self):
         """(w, r), sorted by ascending r (stable): rows w_i, a basis of V
-        that makes M W column reduced for S^-1 = M / e and W the matrix with
-        columns w_i, and r_i = deg(M w_i) - deg e.
-
-        Lenstra's column reduction of A = M W from W = I: while the leading
-        coefficients at infinity, L_kj the coefficient of t^{d_j} in A_kj for
-        d_j the degree of column j, are singular, a kernel vector c of L
-        lowers the highest-degree column j of its support to
-        A_j + sum_i (c_i / c_j) t^(d_j - d_i) A_i, which has no t^{d_j} term,
-        and W follows.  Each step lowers sum_j d_j, which never falls below
-        deg det A = deg det M, so at most sum_j d_j - deg det M steps run.
-        With L invertible, v = W c has deg(M v) = max_i (deg c_i + d_i): r is
-        the splitting type, and the vectors of logvol <= r_1 are the F_q-span
-        of the w_i with r_i = r_1.
+        that makes M W column reduced (`matrices.column_reduce` from W = I)
+        for S^-1 = M / e, and r_i = deg(M w_i) - deg e.  Then v = W c has
+        deg(M v) = max_i (deg c_i + deg M w_i): r is the splitting type, and
+        the vectors of logvol <= r_1 are the F_q-span of the w_i with r_i = r_1.
         """
         F, n = gf(self.q), self.n
         e, M = self._inverse
-        a = [list(col) for col in matrices.transpose(M)]
         w = [list(row) for row in matrices.identity_rows(n, poly_one(F), poly(F, []))]
-        deg = [max(x.degree for x in col) for col in a]
-        while kernel := gflinalg.nullspace(
-                F, [[x.leading() if x.degree == d else 0 for x, d in zip(row, deg)]
-                    for row in matrices.transpose(a)], n):
-            c = kernel[0]
-            j = max((i for i in range(n) if c[i]), key=deg.__getitem__)
-            inv = F.inv(c[j])
-            for i in range(n):
-                if c[i] and i != j:
-                    m = poly(F, [0] * (deg[j] - deg[i]) + [F.mul(c[i], inv)])
-                    a[j] = [x + m * y for x, y in zip(a[j], a[i])]
-                    w[j] = [x + m * y for x, y in zip(w[j], w[i])]
-            deg[j] = max(x.degree for x in a[j])
+        deg = matrices.column_reduce(F, [list(col) for col in matrices.transpose(M)], (w,))
         order = sorted(range(n), key=deg.__getitem__)
         return (tuple(tuple(w[j]) for j in order),
                 tuple(deg[j] - e.degree for j in order))
@@ -224,103 +205,75 @@ class FFSummand(matrices.Summand):
 
 
 # ---------------------------------------------------------------------------
-# log-volume by valuation-ring column reduction
+# log-volumes, restrictions and quotients
 # ---------------------------------------------------------------------------
+
+def ff_logvol(vs, submodule):
+    """Integer log-volume of a submodule (any independent basis rows): the
+    sum of its restricted r-vector.  Dependent rows (or more rows than n)
+    raise RankDeficiencyError."""
+    r, rows = _ring_rows(vs.q, submodule.basis if isinstance(submodule, FFSummand)
+                         else submodule)
+    return sum(_restricted_r(vs, r, rows)) if rows else 0
+
+
+def _restricted_r(vs, r, rows):
+    """The unsorted r-vector of the space restricted to the span W of the
+    rows R = rows / r, a basis of W: R^T x has logvol = deg(S^-1 R^T x), so
+    with S^-1 R^T = den N / (e r), solved against the kept (H, U) for these
+    rows alone, it is N's reduced column degrees + deg den - deg e - deg r.
+    Their sum is the largest degree of a maximal minor, logvol(W)."""
+    e, N = vs._solve(rows)
+    shift = vs.cleared[0].degree - e.degree - r.degree
+    return [d + shift for d in matrices.column_reduce(
+        gf(vs.q), [list(col) for col in matrices.transpose(N)])]
+
+
+def _quotient_r(vs, w):
+    """The r-vector of the quotient by a saturated summand W.  (V/W)^v is
+    W's annihilator, with basis K, in the dual space, whose lattice S^-T has
+    inverse P^T / den: its r-vector is the reduced column degrees of P^T K^T
+    minus deg den, and the quotient's is minus that one reversed."""
+    ring = poly_ring(vs.q)
+    K = matrices.split_hnf(ring, matrices.transpose(w.basis),
+                           matrices.identity_rows(vs.n, ring.one(), ring.zero()))
+    den, P = vs.cleared
+    # the columns of P^T K^T are the rows of K P
+    deg = matrices.column_reduce(gf(vs.q), [list(row) for row in
+                                            matrices.matmul(K, P, ring.zero())])
+    return tuple(sorted(den.degree - d for d in deg))
+
 
 def _nu(x):
     """The degree valuation of a polynomial; +infinity at zero."""
     return -x.degree if x else math.inf
 
 
-def ff_logvol(vs, submodule):
-    """Integer log-volume of a submodule (any independent basis rows).
-
-    Expresses the rows in the lattice basis and maximizes -nu over the
-    maximal minors of that coefficient matrix.  R-column operations keep
-    the least nu of a maximal minor, and column reduction leaves one
-    nonzero maximal minor, the product of the pivots: the log-volume is
-    minus the sum of the pivot valuations.  Dependent rows (or more rows
-    than n) leave a row without a pivot and raise RankDeficiencyError.
-
-    Everything runs on F_q[t] rows.  With the rows R = Rp / r cleared and
-    the space's U P = H, the coefficients are the columns of
-    S^-1 R^T = den H^-1 U Rp^T / r, solved as N / e by one fraction-free
-    back substitution for the m rows alone, and reduced fraction-free; each
-    pivot's valuation is read off N by degrees, and the common scalar
-    den / (e r) adds m (deg e + deg r - deg den).
-    """
-    r, rows = _ring_rows(vs.q, submodule.basis if isinstance(submodule, FFSummand)
-                         else submodule)
-    if not rows:
-        return 0
-    e, N = vs._solve(rows)
-    steps = matrices.dvr_column_reduce([[*c, r.field.poly_one] for c in N],
-                                       range(len(rows)), _nu, scaled=poly_ring(vs.q))
-    shift = e.degree + r.degree - vs.cleared[0].degree
-    return -sum(v + shift for _, _, v in steps)
-
-
-# ---------------------------------------------------------------------------
-# restriction / quotient volume spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubQuotient:
-    """Restriction to a saturated summand and the induced quotient space.
-
-    `full_rows` is unimodular over F_q[t] with the summand's m basis rows
-    first.  In those coordinates the column reduction leaves S with the
-    block basis [[A, X], [0, Q]]: `res` is the volume space of A, `quot`
-    that of Q, and `cross` is the m x (n - m) block X as a pair (d, Xn)
-    of a denominator and ring rows, X = Xn / d.
-    """
-
-    res: VolumeSpace
-    quot: VolumeSpace
-    full_rows: tuple
-    cross: tuple
-
-
-def sub_quotient(vs, w):
-    """Split (V, S) along a saturated summand W into restriction and quotient.
-
-    Log-volumes satisfy logvol(V) = logvol(res) + logvol(quot).
-    """
-    if not isinstance(w, FFSummand):
-        w = FFSummand.from_rows(vs.q, vs.n, w)
-    ring = poly_ring(vs.q)
-    n, m = vs.n, w.rank
-    if m == 0 or m == n:
-        raise DimensionError("restriction needs a proper nonzero summand")
-    full = matrices.completion_rows(ring, w.basis)
+def _line_quotient(vs, v):
+    """(full, quot, cross) for the saturated line L spanned by v: `full` is
+    unimodular with L's basis row first, in whose coordinates the column
+    reduction leaves S with the block basis [[A, X], [0, Q]]; `quot` is the
+    space of Q, and `cross` the block X as (d, Xn), X = Xn / d."""
+    ring, n = poly_ring(vs.q), vs.n
+    full = matrices.completion_rows(ring, FFSummand.from_rows(vs.q, n, [v]).basis)
     # coordinates of S = P / den in the basis of V given by full's rows:
     # full^-T S = N / (e den), for U full^T = H and H N = e U P
     den, P = vs.cleared
     H, U = matrices.triangularize(ring, matrices.transpose(full))
     e, N = matrices.solve_cleared(ring, H, matrices.matmul(U, P, ring.zero()))
-    # fraction-free valuation-ring column reduction of the bottom (n-m)
+    # fraction-free valuation-ring column reduction of the bottom n - 1
     # rows: each column ends with its multiplier d_j and stands for
     # N_j / (e den d_j)
     cols = [[*col, ring.one()] for col in matrices.transpose(N)]
-    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), _nu, scaled=ring)
-    pivots = [j for _, j, _ in reversed(steps)]
-    res_den, res = _rows_over_lcm(ring, e * den, [c for j, c in enumerate(cols)
-                                                 if j not in pivots])
-    quot_den, quot = _rows_over_lcm(ring, e * den, [cols[j] for j in pivots])
-    return SubQuotient(res=VolumeSpace._from_cleared(vs.q, m, res_den, res[:m]),
-                       quot=VolumeSpace._from_cleared(vs.q, n - m, quot_den, quot[m:]),
-                       full_rows=full, cross=(quot_den, quot[:m]))
-
-
-def _rows_over_lcm(ring, den, cols):
-    """Columns (N_j, d_j) standing for N_j / (den d_j), as (den l, ring rows)
-    over the lcm l of the d_j."""
-    lcm = ring.one()
-    for *_, d in cols:
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, 0, -1), _nu, scaled=ring)
+    pivots = [cols[j] for _, j, _ in reversed(steps)]
+    lcm = ring.one()  # of the pivot columns' multipliers
+    for *_, d in pivots:
         lcm = lcm * (d // ring.gcd(lcm, d))
-    factors = [lcm // d for *_, d in cols]
-    return den * lcm, matrices.transpose([[x * f for x in col[:-1]]
-                                          for col, f in zip(cols, factors)])
+    quot_den = e * den * lcm
+    quot = matrices.transpose([[x * (lcm // col[-1]) for x in col[:-1]] for col in pivots])
+    return (full, VolumeSpace._from_cleared(vs.q, n - 1, quot_den, quot[1:]),
+            (quot_den, quot[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +367,15 @@ def diagonal_basis(vs):
     if n == 1:
         return DiagonalBasisResult(vs, ((ring.one(),),), (vs.logvol,))
     v, r1 = shortest_vector(vs)
-    sq = sub_quotient(vs, FFSummand.from_rows(vs.q, n, [v]))
-    inner = diagonal_basis(sq.quot)
+    full, quot, (d, (xn,)) = _line_quotient(vs, v)
+    inner = diagonal_basis(quot)
     # with X = Xn / d and Q^-1 wbar_i = den Y_i / e, x_i = den Xn Y_i / (d e)
-    d, (xn,) = sq.cross
-    e, Y = sq.quot._solve(inner.w)
+    e, Y = quot._solve(inner.w)
     (xs,) = matrices.matmul((xn,), Y, ring.zero())
-    den = sq.quot.cleared[0]
+    den = quot.cleared[0]
     coords = [((den * x) // (d * e), *wbar) for x, wbar in zip(xs, inner.w)]
-    # full_rows[0] is v only up to a unit
-    w_rows = (tuple(v), *matrices.matmul(coords, sq.full_rows, ring.zero()))
+    # full[0] is v only up to a unit
+    w_rows = (tuple(v), *matrices.matmul(coords, full, ring.zero()))
     return DiagonalBasisResult(vs, w_rows, (r1, *inner.r))
 
 
@@ -443,8 +395,9 @@ class FFOracle(filtration.LatticeOracle):
     The rank-m minimum is r_1 + ... + r_m, read off the space's column
     reduction.  It is attained by the span of the first m vectors of one
     diagonal basis, `diag`, which is the only minimizer where r jumps and is
-    built only where `rank_minima` asks for it.  A summand splits once, by
-    `sub_quotient`, into the oracles of its restricted and quotient spaces.
+    built only where `rank_minima` asks for it.  A summand splits once into
+    the r-vectors of its restricted and quotient spaces, each read off one
+    column reduction, and no volume space is built for either.
     """
 
     zero_value = Fraction(0)
@@ -474,8 +427,18 @@ class FFOracle(filtration.LatticeOracle):
         return Fraction(ff_logvol(self.vs, w))
 
     def _split(self, w):
-        sq = sub_quotient(self.vs, w)
-        return FFOracle(sq.res), FFOracle(sq.quot)
+        res = sorted(_restricted_r(self.vs, poly_one(self.vs.q), w.basis))
+        return _RVector(tuple(res)), _RVector(_quotient_r(self.vs, w))
+
+
+@dataclass(frozen=True)
+class _RVector:
+    """The rank minima r_1 + ... + r_m of a space with ascending r-vector r."""
+
+    r: tuple
+
+    def rank_minimum(self, m):
+        return Fraction(sum(self.r[:m]))
 
 
 def instability_ff(vs, w):

@@ -19,9 +19,10 @@ singularity and gives det P as prod H_ii up to a unit, and one
 fraction-free back substitution over one denominator solves H N = e Y
 (`solve_cleared`), so the inverse of P / den is den H^-1 U.  The one
 elimination over a fraction field is `dvr_column_reduce`, which pivots on
-valuations and can also run fraction-free on ring rows; ranks are
-Hermite-form lengths, and determinants are products of triangular, Smith
-or LDL^T pivots.
+valuations and can also run fraction-free on ring rows, and the one
+reduction of F_q[t] columns to their splitting type is `column_reduce`;
+ranks are Hermite-form lengths, and determinants are products of
+triangular, Smith or LDL^T pivots.
 """
 
 from __future__ import annotations
@@ -573,6 +574,39 @@ def dvr_column_reduce(cols, rows, val, any_row=False, scaled=None):
                     f = cols[j][i] / piv[i]
                     cols[j] = [a - f * b for a, b in zip(cols[j], piv)]
     return steps
+
+
+def column_reduce(F, cols, track=()):
+    """Column degrees d_j of the F_q[t] columns `cols`, reduced in place.
+
+    Lenstra's reduction (J. Comput. Syst. Sci. 30, 1985): while the leading
+    coefficients at infinity, L_kj the t^{d_j} coefficient of entry k of
+    column j, are singular, a kernel vector c of L lowers the highest-degree
+    column j of its support to A_j + sum_i (c_i / c_j) t^(d_j - d_i) A_i; the
+    column lists in `track` take the same steps.  Each step lowers sum_j d_j
+    but keeps the largest degree of a maximal minor, a lower bound that a
+    reduced matrix attains (Kailath, Linear Systems, 1980); dependent
+    columns end in a zero column and raise RankDeficiencyError.
+    """
+    from . import gflinalg  # F_q linear algebra, loaded by F_q[t] callers only
+    deg = [max(x.degree for x in col) for col in cols]
+    while True:
+        if min(deg, default=0) < 0:
+            raise RankDeficiencyError("polynomial columns are dependent")
+        kernel = gflinalg.nullspace(
+            F, [[x.leading() if x.degree == d else 0 for x, d in zip(row, deg)]
+                for row in zip(*cols)], len(cols))
+        if not kernel:
+            return deg
+        c = kernel[0]
+        j = max((i for i in range(len(cols)) if c[i]), key=deg.__getitem__)
+        inv = F.inv(c[j])
+        for i in range(len(cols)):
+            if c[i] and i != j:
+                m = poly(F, [0] * (deg[j] - deg[i]) + [F.mul(c[i], inv)])
+                for a in (cols, *track):
+                    a[j] = [x + m * y for x, y in zip(a[j], a[i])]
+        deg[j] = max(x.degree for x in cols[j])
 
 
 def content(ring, g, xs):

@@ -319,10 +319,10 @@ def reference_solution_space(vs, D):
             for sol in null]
 
 
-def reduction_steps(monkeypatch, vs):
-    """The steps of a fresh space's column reduction (`VolumeSpace._reduced`):
-    one leading-coefficient kernel is taken per step, and a last one finds
-    the kernel empty."""
+def reduction_steps(monkeypatch, vs, w=None):
+    """The steps of a fresh space's column reduction (`VolumeSpace._reduced`),
+    or with a summand w those of `ff_logvol(vs, w)`'s: one leading-coefficient
+    kernel is taken per step, and a last one finds the kernel empty."""
     calls = []
     nullspace = gflinalg.nullspace
 
@@ -332,15 +332,47 @@ def reduction_steps(monkeypatch, vs):
 
     with monkeypatch.context() as inside:
         inside.setattr(gflinalg, "nullspace", counted)
-        vs._reduced
+        if w is None:
+            vs._reduced
+        else:
+            ff_logvol(vs, w)
     return len(calls) - 1
 
 
 def short_vector_space_dim(vs, D):
     """dim_Fq of {v in V : logvol<v> <= D}: the r-vector of a space is read
     off its jumps, and that of a summand W off the restricted space
-    `sub_quotient(vs, W).res`."""
+    `sub_quotient(vs, W)[0]`."""
     return len(reference_solution_space(vs, D))
+
+
+def sub_quotient(vs, w):
+    """Reference restriction to a saturated summand W (or the summand its
+    rows span) and quotient by it, all over F_q(t): (res, quot, cross).
+
+    full^-T S comes by Gauss-Jordan, for `full` the unimodular completion
+    of W's basis, and the unscaled valuation-ring column reduction of its
+    bottom rows leaves the block basis [[A, X], [0, Q]]: `res` and `quot`
+    are the volume spaces of A and Q, and `cross` is the block X.  Neither
+    `matrices.column_reduce` nor a fraction-free reduction enters, so it is
+    an independent probe of restricted and quotient r-vectors."""
+    if not isinstance(w, FFSummand):
+        w = FFSummand.from_rows(vs.q, vs.n, w)
+    ring = poly_ring(vs.q)
+    zero, one = ring.field_zero(), ring.field_one()
+    n, m = vs.n, w.rank
+    full_t = matrices.transpose(matrices.completion_rows(ring, w.basis))
+    coords = matrices.matmul(
+        inverse_field(freeze([[FqRationalFunction.of(x) for x in row] for row in full_t]),
+                      zero, one),
+        vs.basis, zero)
+    cols = [list(c) for c in matrices.transpose(coords)]
+    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), FqRationalFunction.nu)
+    pivots = [j for _, j, _ in reversed(steps)]
+    res = [[c[i] for j, c in enumerate(cols) if j not in pivots] for i in range(m)]
+    quot = [[cols[j][i] for j in pivots] for i in range(m, n)]
+    return (VolumeSpace(vs.q, m, res), VolumeSpace(vs.q, n - m, quot),
+            freeze([[cols[j][i] for j in pivots] for i in range(m)]))
 
 
 def minors(M, m, det):

@@ -18,7 +18,7 @@ from latred.covers import (CoverSystem, core_orbit_reps, core_test,
                            cover_membership,
                            vertex_r_vector, vertex_volume_space)
 from latred.filtration import GradedPoint, canonical_plot
-from latred.latff import diagonal_basis, ff_logvol, instability_ff, sub_quotient
+from latred.latff import diagonal_basis, ff_logvol, instability_ff
 from latred.latz import gram_logvol, gram_vol2, instability_z, spd_distance
 from latred.rings import ZZ, poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
@@ -27,7 +27,7 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
 from conftest import (core_test_via_reps, det_field, fractional_hnf, in_t_integral,
                       normalize_r_vector, random_ff_summand,
                       random_invertible_rational, random_spd, random_volume_space,
-                      random_z_summand, rank_field, short_vector_space_dim)
+                      random_z_summand, rank_field, short_vector_space_dim, sub_quotient)
 
 
 def _report(number, name, detail, elapsed):
@@ -79,10 +79,10 @@ def _independent_instability(vs, w):
     """Def-of-c minimum over per-rank minima found by dimension probes."""
     n = vs.n
     m = w.rank
-    sq = sub_quotient(vs, w)
-    rho = _r_probe(sq.res)
+    res, quot, _ = sub_quotient(vs, w)
+    rho = _r_probe(res)
     lv_w = Fraction(sum(rho))
-    sigma = _r_probe(sq.quot)
+    sigma = _r_probe(quot)
     incoming = max((lv_w - Fraction(sum(rho[:k]))) / (m - k) for k in range(m))
     outgoing = min(Fraction(sum(sigma[:k - m])) / (k - m)
                    for k in range(m + 1, n + 1))

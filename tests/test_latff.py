@@ -14,13 +14,14 @@ from latred.errors import (DomainError, ProjectivityError, RankDeficiencyError, 
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
-                          shortest_vector, sub_quotient)
+                          shortest_vector)
 from latred.rings import poly_ring
 
 from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
                       enumerate_ff_summands, inverse_field, minors, random_ff_summand,
                       random_poly, random_ratfunc, random_unimodular_poly, random_volume_space,
-                      reduction_steps, reference_solution_space, short_vector_space_dim)
+                      reduction_steps, reference_solution_space, short_vector_space_dim,
+                      sub_quotient)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -149,23 +150,25 @@ class TestLogVolume:
 
 
 class TestSubQuotient:
+    # the F_q(t) reference `conftest.sub_quotient`, on which the split and
+    # line-quotient tests below rest
     def test_standard_split(self):
         vs = _standard(2)
-        sq = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ONE, ZERO]]))
-        assert ff_logvol(sq.res, ((ONE,),)) == 0
-        assert ff_logvol(sq.quot, ((ONE,),)) == 0
+        res, quot, _ = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ONE, ZERO]]))
+        assert ff_logvol(res, ((ONE,),)) == 0
+        assert ff_logvol(quot, ((ONE,),)) == 0
 
     def test_diagonal_lattice(self):
         vs = _vs([(_rf(ONE), _rf(ZERO)), (_rf(ZERO), _rf(T * T))])
-        sq = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ONE, ZERO]]))
-        assert ff_logvol(sq.res, ((ONE,),)) == 0
-        assert ff_logvol(sq.quot, ((ONE,),)) == -2
+        res, quot, _ = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ONE, ZERO]]))
+        assert ff_logvol(res, ((ONE,),)) == 0
+        assert ff_logvol(quot, ((ONE,),)) == -2
 
     def test_shear_lattice(self):
         vs = _vs([(_rf(ONE), _rf(ZERO)), (_rf(ONE), _rf(T))])
-        sq = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ZERO, ONE]]))
-        assert ff_logvol(sq.res, ((ONE,),)) == -1
-        assert ff_logvol(sq.quot, ((ONE,),)) == 0
+        res, quot, _ = sub_quotient(vs, FFSummand.from_rows(2, 2, [[ZERO, ONE]]))
+        assert ff_logvol(res, ((ONE,),)) == -1
+        assert ff_logvol(quot, ((ONE,),)) == 0
 
     def test_rejects_non_saturated(self):
         vs = _standard(2)
@@ -178,13 +181,11 @@ class TestSubQuotient:
         for _ in range(12):
             vs = random_volume_space(rng, 2, 3, maxdeg=1)
             w = random_ff_summand(rng, 2, 3, rng.randint(1, 2))
-            sq = sub_quotient(vs, w)
-            assert sub_quotient(vs, w.basis) == sq  # raw rows are spanned first
+            res, quot, cross = sub_quotient(vs, w)
+            assert sub_quotient(vs, w.basis) == (res, quot, cross)  # rows are spanned first
             total = ff_logvol(vs, ident)
-            res_total = ff_logvol(
-                sq.res, matrices.identity_rows(w.rank, ONE, ZERO))
-            quot_total = ff_logvol(
-                sq.quot, matrices.identity_rows(3 - w.rank, ONE, ZERO))
+            res_total = ff_logvol(res, matrices.identity_rows(w.rank, ONE, ZERO))
+            quot_total = ff_logvol(quot, matrices.identity_rows(3 - w.rank, ONE, ZERO))
             assert total == res_total + quot_total
             assert res_total == ff_logvol(vs, w)
 
@@ -202,7 +203,8 @@ def _strs(M):
 
 
 # restriction and quotient bases of _sub_quotient_pins, frozen before the
-# valuation-ring column reduction became one kernel
+# valuation-ring column reduction became one kernel; the F_q(t) reference
+# still gives them
 SUB_QUOTIENT_PINS = [
     [[["0", "1"], ["(t+1)/t", "t"]],
      [["1"]]],
@@ -220,37 +222,29 @@ SUB_QUOTIENT_PINS = [
 ]
 
 
-def _field_sub_quotient(vs, w):
-    """Reference restriction, quotient and cross blocks, all over F_q(t):
-    full^-T S by Gauss-Jordan, then the column reduction on F_q(t) entries."""
-    ring = poly_ring(vs.q)
-    zero, one = ring.field_zero(), ring.field_one()
-    n, m = vs.n, w.rank
-    full_t = matrices.transpose(matrices.completion_rows(ring, w.basis))
-    coords = matrices.matmul(
-        inverse_field(matrices.freeze([[_rf(x) for x in row] for row in full_t]), zero, one),
-        vs.basis, zero)
-    cols = [list(c) for c in matrices.transpose(coords)]
-    steps = matrices.dvr_column_reduce(cols, range(n - 1, m - 1, -1), FqRationalFunction.nu)
-    pivots = [j for _, j, _ in reversed(steps)]
-    res = [[c[i] for j, c in enumerate(cols) if j not in pivots] for i in range(m)]
-    return (res, [[cols[j][i] for j in pivots] for i in range(m, n)],
-            matrices.freeze([[cols[j][i] for j in pivots] for i in range(m)]))
-
-
 class TestPinnedSubQuotient:
     def test_outputs(self):
         got = []
         for vs, w in _sub_quotient_pins():
-            sq = sub_quotient(vs, w)
-            got.append([_strs(sq.res.basis), _strs(sq.quot.basis)])
-            # the ring-row blocks are the field reference's, as spaces
-            res, quot, cross = _field_sub_quotient(vs, w)
-            for space, rows in ((sq.res, res), (sq.quot, quot)):
-                ref = VolumeSpace(vs.q, len(rows), rows)
-                assert space == ref and hash(space) == hash(ref) and repr(space) == repr(ref)
-            assert matrices.divided(*sq.cross) == cross
+            res, quot, _ = sub_quotient(vs, w)
+            got.append([_strs(res.basis), _strs(quot.basis)])
         assert got == SUB_QUOTIENT_PINS
+
+
+def test_line_quotient_matches_the_field_reference():
+    # diagonal_basis splits off one line at a time: its quotient space and
+    # cross block on ring rows are the F_q(t) reference's
+    rng = random.Random("latff-line-quotient")
+    for q in (2, 3, 4, 5, 7, 9):
+        for n in range(2, 6):
+            vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
+            for w in (random_ff_summand(rng, q, n, 1), FFSummand.from_rows(
+                    q, n, [shortest_vector(vs)[0]])):
+                full, quot, cross = latff._line_quotient(vs, w.basis[0])
+                _, ref_quot, ref_cross = sub_quotient(vs, w)
+                assert full[0] == w.basis[0]
+                assert quot == ref_quot and repr(quot) == repr(ref_quot)
+                assert matrices.divided(*cross) == ref_cross
 
 
 class TestDiagonalBasis:
@@ -668,8 +662,8 @@ def test_entries_over_another_field_are_a_domain_error(entry_point):
 
 def test_derived_spaces_clear_nothing_and_build_no_rational_function(monkeypatch):
     # only the public constructor clears F_q(t) entries: frame_oracle, for
-    # the standard and a general B, sub_quotient, scaled and transformed
-    # build their spaces on ring rows
+    # the standard and a general B, the line quotient of diagonal_basis,
+    # scaled and transformed build their spaces on ring rows
     from latred import sarith
     q, n = 3, 3
     ctx = sarith.LocalizedContext.function_field(q, [poly_t(q)])
@@ -703,13 +697,12 @@ def test_derived_spaces_clear_nothing_and_build_no_rational_function(monkeypatch
     monkeypatch.setattr(matrices, "clear_denominators", counting_clear)
     monkeypatch.setattr(FqRationalFunction, "__post_init__", counting_post_init)
     monkeypatch.setattr(FqRationalFunction, "_reduced", staticmethod(counting_reduced))
-    sq = sub_quotient(vs, w)
     built = [sarith.frame_oracle(vs, standard).vs, sarith.frame_oracle(vs, B).vs,
-             sq.res, sq.quot, vs.scaled(lam), vs.transformed(g)]
+             latff._line_quotient(vs, w.basis[0])[1], vs.scaled(lam), vs.transformed(g)]
     assert counts == {}
     VolumeSpace(q, n, vs.basis)  # the public constructor clears, and the counts see it
     assert counts["clear"] == 1 and counts["new"] > 0
-    assert [x.n for x in built] == [n, n, 1, n - 1, n, n]
+    assert [x.n for x in built] == [n, n, n - 1, n, n]
 
 
 def test_logvol_matches_field_determinant():
@@ -768,7 +761,7 @@ def test_restricted_probe_matches_pins():
             vs = random_volume_space(rng, q, n, maxdeg=2)
             w = random_ff_summand(rng, q, n, rng.randint(1, n - 1), maxdeg=1)
             lo = RESTRICTED_PROBE_PINS[len(got)][3]
-            res = sub_quotient(vs, w).res
+            res = sub_quotient(vs, w)[0]
             dims = [short_vector_space_dim(res, D)
                     for D in range(lo, lo + len(RESTRICTED_PROBE_PINS[len(got)][4]))]
             got.append((q, n, w.rank, lo, dims))
@@ -911,15 +904,32 @@ class TestSubadditivityFF:
 
 class TestConstrainedMinima:
     def test_restricted_and_quotient_sums(self, rng):
-        # diagonal r-vectors of res/quot spaces give constrained minima that
-        # match brute-force enumeration on tiny instances
+        # the split's r-vectors of the res/quot spaces give the summand's
+        # log-volume and its c-value on tiny instances
         for _ in range(4):
             vs = random_volume_space(rng, 2, 2, maxdeg=1)
             w = random_ff_summand(rng, 2, 2, 1)
             res, quot = FFOracle(vs)._split(w)
-            rho, sigma = res.diag.r, quot.diag.r
+            rho, sigma = res.r, quot.r
             assert sum(rho) == ff_logvol(vs, w)
             assert instability_ff(vs, w) == sigma[0] - rho[-1]
+
+    def test_split_matches_the_field_reference(self):
+        # the split's rank minima are the prefix sums of the reference
+        # restricted and quotient spaces' r-vectors, and ff_logvol their sum
+        rng = random.Random("latff-split-reference")
+        for q in (2, 3, 4, 5, 7, 9):
+            for n in range(2, 7):
+                for _ in range(2):
+                    vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
+                    w = random_ff_summand(rng, q, n, rng.randint(1, n - 1), maxdeg=1)
+                    ref_res, ref_quot, _ = sub_quotient(vs, w)
+                    res, quot = FFOracle(vs)._split(w)
+                    for got, ref in ((res, ref_res), (quot, ref_quot)):
+                        r = ref._reduced[1]
+                        assert [got.rank_minimum(k) for k in range(ref.n + 1)] == [
+                            sum(r[:k]) for k in range(ref.n + 1)], (vs, w)
+                    assert ff_logvol(vs, w) == sum(ref_res._reduced[1]) == ref_res.logvol
 
 
 class TestEnumerationLimits:

@@ -165,17 +165,22 @@ def test_instability_ff_is_invariant_under_t_power_scaling(k):
 def test_ff_reduction_steps_under_g_and_t_power_scaling(monkeypatch):
     # t^k S has S^-1 times one scalar: the same leading coefficients and the
     # same steps; g(S) for g a product of 8 elementary moves with entries of
-    # degree <= 1 stays within twice the steps of S plus n
+    # degree <= 1 stays within twice the steps of S plus n.  The same bounds
+    # hold for the reduction of ff_logvol(S, W), against ff_logvol(t^k S, W)
+    # and ff_logvol(g S, g W)
     rng = random.Random("symmetries-ff-steps")
+    summands = random.Random("symmetries-ff-steps-summands")
     for q in (2, 3, 4, 5):
         for n in range(2, 6):
             for _ in range(3):
                 vs = random_volume_space(rng, q, n, maxdeg=1 if n > 3 else 2)
                 g = random_unimodular_poly(rng, q, n, steps=8)
-                steps = reduction_steps(monkeypatch, vs)
-                for k in (-3, 5, 40):
-                    assert reduction_steps(monkeypatch, vs.scaled(t_power(q, k))) == steps
-                assert reduction_steps(monkeypatch, vs.transformed(g)) <= 2 * (steps + n)
+                summand = random_ff_summand(summands, q, n, summands.randint(1, n - 1), maxdeg=1)
+                for w, gw in ((None, None), (summand, apply(summand, matrices.transpose(g)))):
+                    steps = reduction_steps(monkeypatch, vs, w)
+                    for k in (-3, 5, 40):
+                        assert reduction_steps(monkeypatch, vs.scaled(t_power(q, k)), w) == steps
+                    assert reduction_steps(monkeypatch, vs.transformed(g), gw) <= 2 * (steps + n)
 
 
 def _ff_dual(vs):
