@@ -33,8 +33,8 @@ Oracle protocol (duck-typed)::
 The oracle owns the search for minima, so the engine runs no volume-window
 loop.  `LatticeOracle` answers `rank`, `leq`, `logvol` and both constrained
 minima.  A side supplies `zero()`, `one()`, `rank_minima(m)`, `zero_value`,
-the top rank and the stored total log-volume, and two hooks: `_logvol(w)`
-and `_split(w)`, the oracles of w's restricted and quotient spaces.
+the top rank and the stored total log-volume, and two hooks, `_restricted(w)`
+and `_quotient(w)`: the oracles of w's restricted and quotient spaces.
 `ZOracle` answers `rank_minima` with one complete rank-by-rank search at a
 bound certified by an exact LLL basis; `FFOracle` reads its minima off
 the splitting type of one column reduction rather than from an
@@ -149,13 +149,13 @@ def c_value(oracle, w):
 
 
 class LatticeOracle:
-    """The oracle protocol on summands, from one split of each summand.
+    """The oracle protocol on summands, from their restricted and quotient spaces.
 
-    The rank-m minimum below w is the rank-m minimum of the restricted space
-    of w; above w it is logvol(w) plus the rank-(m - rk w) minimum of the
-    quotient space, since log-volumes add along w <= x.  Rank 0 and the top
-    rank read stored values, so they split nothing.  A summand's log-volume
-    and its split are computed once per oracle.
+    logvol(w) is the `total` of w's restricted space, and the rank-m minimum
+    below w is that space's `rank_minimum(m)`; above w it is logvol(w) plus
+    the rank-(m - rk w) minimum of the quotient space, since log-volumes add
+    along w <= x.  Each space is built at most once, and only when a value
+    needs it: rank 0 and the top rank read stored values.
     """
 
     def __init__(self, top_rank, total):
@@ -176,7 +176,9 @@ class LatticeOracle:
         return b.contains(a)
 
     def logvol(self, w):
-        return self._once(self._logvol, w)
+        if w.rank == 0:
+            return self.zero_value
+        return self._once(self._restricted, w).total
 
     def rank_minimum(self, m):
         """The least log-volume of a rank-m element."""
@@ -185,12 +187,12 @@ class LatticeOracle:
     def min_logvol_below(self, w, m):
         if m == 0:
             return self.zero_value
-        return self._once(self._split, w)[0].rank_minimum(m)
+        return self._once(self._restricted, w).rank_minimum(m)
 
     def min_logvol_above(self, w, m):
         if m == self.top_rank:
             return self.total
-        return self.logvol(w) + self._once(self._split, w)[1].rank_minimum(m - w.rank)
+        return self.logvol(w) + self._once(self._quotient, w).rank_minimum(m - w.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ r-vector, and the vectors of least log-volume r_1 are the F_q-span of the
 columns of degree r_1.  The same reduction of S^{-1} R^T, for a basis R of
 a summand W, gives W's restricted r-vector, whose sum is logvol(W), and
 that of W's annihilator in the dual space gives the quotient's, since
-(V/W)^v = W^perp; so a split builds no volume space.
+(V/W)^v = W^perp: one reduction each, and no volume space for either.
 """
 
 from __future__ import annotations
@@ -395,9 +395,9 @@ class FFOracle(filtration.LatticeOracle):
     The rank-m minimum is r_1 + ... + r_m, read off the space's column
     reduction.  It is attained by the span of the first m vectors of one
     diagonal basis, `diag`, which is the only minimizer where r jumps and is
-    built only where `rank_minima` asks for it.  A summand splits once into
-    the r-vectors of its restricted and quotient spaces, each read off one
-    column reduction, and no volume space is built for either.
+    built only where `rank_minima` asks for it.  A summand's restricted and
+    quotient spaces are their r-vectors, each read off one column reduction,
+    and no volume space is built for either.
     """
 
     zero_value = Fraction(0)
@@ -423,12 +423,11 @@ class FFOracle(filtration.LatticeOracle):
         """The span of the m shortest diagonal vectors and its log-volume."""
         return [self.diag.chain_summand(m)], self.rank_minimum(m)
 
-    def _logvol(self, w):
-        return Fraction(ff_logvol(self.vs, w))
+    def _restricted(self, w):
+        return _RVector(tuple(sorted(_restricted_r(self.vs, poly_one(self.vs.q), w.basis))))
 
-    def _split(self, w):
-        res = sorted(_restricted_r(self.vs, poly_one(self.vs.q), w.basis))
-        return _RVector(tuple(res)), _RVector(_quotient_r(self.vs, w))
+    def _quotient(self, w):
+        return _RVector(_quotient_r(self.vs, w))
 
 
 @dataclass(frozen=True)
@@ -439,6 +438,10 @@ class _RVector:
 
     def rank_minimum(self, m):
         return Fraction(sum(self.r[:m]))
+
+    @property
+    def total(self):
+        return self.rank_minimum(len(self.r))
 
 
 def instability_ff(vs, w):

@@ -110,15 +110,10 @@ class ZSummand(matrices.Summand):
 # ---------------------------------------------------------------------------
 
 def gram_vol2(s, rows):
-    """Exact squared volume of the span of (rational) rows."""
-    rows = matrices.freeze([[Fraction(x) for x in row] for row in rows])
-    if not rows:
-        return Fraction(1)
-    G = matrices.matmul(matrices.matmul(rows, s.gram, Fraction(0)),
-                        matrices.transpose(rows), Fraction(0))
-    # G is positive semidefinite, so a pivot <= 0 is a zero pivot
+    """Exact squared volume of the span of (rational) rows: det of the pullback."""
+    # the pullback is positive semidefinite, so a pivot <= 0 is a zero pivot
     try:
-        return math.prod(_ldl(G)[0], start=Fraction(1))
+        return s.pulled_back(rows).det
     except DefinitenessError:
         raise RankDeficiencyError("basis rows are dependent") from None
 
@@ -320,7 +315,7 @@ def _summands(s, X, m):
         return {(v,): q for v, q in short_vectors(s, X).items() if math.gcd(*v) == 1}
     out = {}
     for W, vol2 in _summands(s, _rankin_bound(X, m), m - 1).items():
-        C, _, q = _split_forms(s, W)
+        C, q = _split_forms(s, W)
         for l, q_l in short_vectors(q, X / vol2).items():
             if math.gcd(*l) == 1:
                 lift = tuple(sum(x * row[j] for x, row in zip(l, C) if x) for j in range(s.n))
@@ -376,8 +371,9 @@ def _rank_minima(s, m):
 class ZOracle(filtration.LatticeOracle):
     """Lattice oracle for (direct summands of Z^n, rank, ln vol(s)).
 
-    Supplies per-rank minima, `gram_logvol`, the stored total ln sqrt(det),
-    and the split of a summand into its restricted and quotient forms.
+    Supplies per-rank minima and the stored total ln sqrt(det).  A summand's
+    restricted space is the form pulled back to its basis, and its quotient
+    space the Schur complement from `_split_forms`.
     """
 
     zero_value = ExactLog.zero()
@@ -395,27 +391,25 @@ class ZOracle(filtration.LatticeOracle):
     def rank_minima(self, m):
         return _rank_minima(self.s, m)
 
-    def _logvol(self, w):
-        return gram_logvol(self.s, w)
+    def _restricted(self, w):
+        return ZOracle(self.s.pulled_back(w.basis))
 
-    def _split(self, w):
-        _, res, quot = _split_forms(self.s, w.basis)
-        return ZOracle(InnerProduct(w.rank, res)), ZOracle(quot)
+    def _quotient(self, w):
+        return ZOracle(_split_forms(self.s, w.basis)[1])
 
 
 def _split_forms(s, basis):
-    """(C, A, q): rows C completing a saturated basis of Z^n, and its two forms.
+    """(C, q): rows C completing a saturated basis of Z^n, and the quotient form.
 
-    With U = (basis; C) unimodular and G = U gram U^T, G's leading r x r
-    block A is the Gram matrix of the form on the span of basis, and q, the
-    Schur complement D - B^T A^-1 B left after r = len(basis) LDL^T pivots
-    of G, is the form on Z^n / basis in C's coordinates.
+    With U = (basis; C) unimodular and G = U gram U^T, q is the Schur
+    complement D - B^T A^-1 B of G's leading r x r block A left after
+    r = len(basis) LDL^T pivots: the form on Z^n / basis in C's coordinates.
     """
     U = matrices.completion_rows(ZZ, basis)
     r = len(basis)
     G = matrices.matmul(matrices.matmul(U, s.gram, Fraction(0)),
                         matrices.transpose(U), Fraction(0))
-    return U[r:], [row[:r] for row in G[:r]], InnerProduct(s.n - r, _ldl(G, r)[2])
+    return U[r:], InnerProduct(s.n - r, _ldl(G, r)[2])
 
 
 def canonical_filtration_z(s):

@@ -319,6 +319,18 @@ def reference_solution_space(vs, D):
             for sol in null]
 
 
+def count_calls(monkeypatch, counts, owner, name, keyed=False):
+    """Count the calls of owner.name in counts[name], or with `keyed` in
+    counts[name, w] for each call's second argument w: a method's summand."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[(name, args[1]) if keyed else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
 def reduction_steps(monkeypatch, vs, w=None):
     """The steps of a fresh space's column reduction (`VolumeSpace._reduced`),
     or with a summand w those of `ff_logvol(vs, w)`'s: one leading-coefficient

@@ -17,11 +17,11 @@ from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           shortest_vector)
 from latred.rings import poly_ring
 
-from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, det_field,
-                      enumerate_ff_summands, inverse_field, minors, random_ff_summand,
-                      random_poly, random_ratfunc, random_unimodular_poly, random_volume_space,
-                      reduction_steps, reference_solution_space, short_vector_space_dim,
-                      sub_quotient)
+from conftest import (BruteFFOracle, ENUM_LINE_LIMIT, ENUM_SPACE_LIMIT, count_calls,
+                      det_field, enumerate_ff_summands, inverse_field, minors,
+                      random_ff_summand, random_poly, random_ratfunc, random_unimodular_poly,
+                      random_volume_space, reduction_steps, reference_solution_space,
+                      short_vector_space_dim, sub_quotient)
 
 P2 = poly_ring(2)
 T = poly_t(2)
@@ -792,28 +792,25 @@ def test_gap_reduction_steps_do_not_grow_with_the_gap(monkeypatch):
 
 
 def test_oracle_splits_and_measures_each_summand_once(monkeypatch):
+    # a c-value builds its summand's restricted space once, for the
+    # log-volume and the minima below, from one solve of its rows and one
+    # column reduction; the quotient, one more reduction, only where a
+    # minimum above needs it, below rank n - 1
     counts = Counter()
-    split = FFOracle._split
-    logvol = latff.ff_logvol
-
-    def counted_split(self, w):
-        counts["split", w] += 1
-        return split(self, w)
-
-    def counted_logvol(vs, w):
-        counts["logvol", w] += 1
-        return logvol(vs, w)
-
-    monkeypatch.setattr(FFOracle, "_split", counted_split)
-    monkeypatch.setattr(latff, "ff_logvol", counted_logvol)
+    count_calls(monkeypatch, counts, FFOracle, "_restricted", keyed=True)
+    count_calls(monkeypatch, counts, FFOracle, "_quotient", keyed=True)
+    count_calls(monkeypatch, counts, VolumeSpace, "_solve")
+    count_calls(monkeypatch, counts, matrices, "column_reduce")
     rng = random.Random(5)
-    for _ in range(2):
-        vs = random_volume_space(rng, 2, 4)
-        for r in (1, 2, 3):
-            w = random_ff_summand(rng, 2, 4, r)
+    for n, ranks in ((4, (1, 2, 3)), (4, (1, 2, 3)), (2, (1,)), (2, (1,))):
+        vs = random_volume_space(rng, 2, n)
+        for r in ranks:
+            w = random_ff_summand(rng, 2, n, r)
             counts.clear()
             instability_ff(vs, w)
-            assert counts == {("split", w): 1, ("logvol", w): 1}
+            above = r < n - 1
+            assert counts == {("_restricted", w): 1, "_solve": 1, "column_reduce": 1 + above,
+                              **({("_quotient", w): 1} if above else {})}
 
 
 class TestInvariantsAndFiltration:
@@ -904,19 +901,20 @@ class TestSubadditivityFF:
 
 class TestConstrainedMinima:
     def test_restricted_and_quotient_sums(self, rng):
-        # the split's r-vectors of the res/quot spaces give the summand's
+        # the r-vectors of the res/quot spaces give the summand's
         # log-volume and its c-value on tiny instances
         for _ in range(4):
             vs = random_volume_space(rng, 2, 2, maxdeg=1)
             w = random_ff_summand(rng, 2, 2, 1)
-            res, quot = FFOracle(vs)._split(w)
+            oracle = FFOracle(vs)
+            res, quot = oracle._restricted(w), oracle._quotient(w)
             rho, sigma = res.r, quot.r
-            assert sum(rho) == ff_logvol(vs, w)
+            assert sum(rho) == res.total == ff_logvol(vs, w)
             assert instability_ff(vs, w) == sigma[0] - rho[-1]
 
     def test_split_matches_the_field_reference(self):
-        # the split's rank minima are the prefix sums of the reference
-        # restricted and quotient spaces' r-vectors, and ff_logvol their sum
+        # the restricted and quotient spaces' rank minima are the prefix sums
+        # of the reference spaces' r-vectors, and ff_logvol the restricted sum
         rng = random.Random("latff-split-reference")
         for q in (2, 3, 4, 5, 7, 9):
             for n in range(2, 7):
@@ -924,12 +922,14 @@ class TestConstrainedMinima:
                     vs = random_volume_space(rng, q, n, maxdeg=2 if n < 4 else 1)
                     w = random_ff_summand(rng, q, n, rng.randint(1, n - 1), maxdeg=1)
                     ref_res, ref_quot, _ = sub_quotient(vs, w)
-                    res, quot = FFOracle(vs)._split(w)
+                    oracle = FFOracle(vs)
+                    res, quot = oracle._restricted(w), oracle._quotient(w)
                     for got, ref in ((res, ref_res), (quot, ref_quot)):
                         r = ref._reduced[1]
                         assert [got.rank_minimum(k) for k in range(ref.n + 1)] == [
                             sum(r[:k]) for k in range(ref.n + 1)], (vs, w)
-                    assert ff_logvol(vs, w) == sum(ref_res._reduced[1]) == ref_res.logvol
+                    assert ff_logvol(vs, w) == res.total == sum(ref_res._reduced[1]) == \
+                        ref_res.logvol
 
 
 class TestEnumerationLimits:

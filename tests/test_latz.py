@@ -19,9 +19,9 @@ from latred.latz import (InnerProduct, ZOracle, ZSummand, _ldl, _rank_bound,
 from latred.logs import ExactLog
 from latred.rings import ZZ
 
-from conftest import (apply, det_field, inverse_field, kernel, pool_span_enumerate_summands,
-                      pool_span_rank_minima, random_spd, random_unimodular_z, random_z_summand,
-                      rank_field)
+from conftest import (apply, count_calls, det_field, inverse_field, kernel,
+                      pool_span_enumerate_summands, pool_span_rank_minima, random_spd,
+                      random_unimodular_z, random_z_summand, rank_field)
 
 
 class TestVolumes:
@@ -82,9 +82,11 @@ class TestVolumes:
                     matrices.freeze(B), Fraction(0))
                 want = [[D[i][j] - sum(B[k][i] * Ainv_B[k][j] for k in range(r))
                          for j in range(n - r)] for i in range(n - r)]
-                res, quot = ZOracle(s)._split(w)
+                oracle = ZOracle(s)
+                res, quot = oracle._restricted(w), oracle._quotient(w)
                 assert quot.s.gram == matrices.freeze(want)
                 assert res.s == s.pulled_back(w.basis)
+                assert res.s.gram == matrices.freeze(A)
 
 
 class TestEnumeration:
@@ -314,27 +316,26 @@ class TestPoolSpanReference:
 
 
 def test_oracle_splits_and_measures_each_summand_once(monkeypatch):
+    # a c-value builds its summand's restricted form once, for the log-volume
+    # and the minima below, and the quotient form only where a minimum above
+    # needs it, below rank n - 1; at n <= 3 and rank n - 1 no summand is
+    # completed to a basis of Z^n
     counts = Counter()
-    split = ZOracle._split
-    logvol = latz.gram_logvol
-
-    def counted_split(self, w):
-        counts["split", w] += 1
-        return split(self, w)
-
-    def counted_logvol(s, w):
-        counts["logvol", w] += 1
-        return logvol(s, w)
-
-    monkeypatch.setattr(ZOracle, "_split", counted_split)
-    monkeypatch.setattr(latz, "gram_logvol", counted_logvol)
+    count_calls(monkeypatch, counts, ZOracle, "_restricted", keyed=True)
+    count_calls(monkeypatch, counts, ZOracle, "_quotient", keyed=True)
+    count_calls(monkeypatch, counts, matrices, "completion_rows")
     rng = random.Random(5)
-    for s in [random_spd(rng, 4, spread=1) for _ in range(4)]:
-        for r in (1, 2, 3):
-            w = random_z_summand(rng, 4, r)
-            counts.clear()
-            instability_z(s, w)
-            assert counts == {("split", w): 1, ("logvol", w): 1}
+    forms = [random_spd(rng, 4, spread=1) for _ in range(4)]
+    cases = [(s, random_z_summand(rng, 4, r)) for s in forms for r in (1, 2, 3)]
+    cases += [(s, random_z_summand(rng, n, n - 1))
+              for n in (3, 3, 2, 2) for s in [random_spd(rng, n, spread=1)]]
+    for s, w in cases:
+        counts.clear()
+        instability_z(s, w)
+        completed = counts.pop("completion_rows", 0)
+        above = w.rank < s.n - 1
+        assert counts == {("_restricted", w): 1, **({("_quotient", w): 1} if above else {})}
+        assert completed == 0 or s.n == 4
 
 
 class TestScalingAndSubadditivity:

@@ -39,8 +39,8 @@ PULLBACKS = {"r101": random_unimodular_z(random.Random(101), 4, steps=32, spread
              "r205": random_unimodular_z(random.Random(205), 4, steps=32, spread=3)}
 
 
-def _counted_filtration(monkeypatch, s, module=latz, name="_int_range_abs_le"):
-    """The canonical filtration of s and how often it called module.name."""
+def _counted(monkeypatch, fn, *args, module=latz, name="_int_range_abs_le"):
+    """fn(*args) and how often it called module.name."""
     calls = [0]
     original = getattr(module, name)
 
@@ -49,9 +49,9 @@ def _counted_filtration(monkeypatch, s, module=latz, name="_int_range_abs_le"):
         return original(*args)
 
     monkeypatch.setattr(module, name, counting)
-    rep = canonical_filtration_z(s)
+    out = fn(*args)
     monkeypatch.setattr(module, name, original)
-    return rep, calls[0]
+    return out, calls[0]
 
 
 def _dual(s):
@@ -78,10 +78,18 @@ class TestPullback:
         assert {apply(w, g): c for w, c in rep_g.c_values.items()} == rep.c_values
 
     def test_search_tree_within_twice_the_unpulled(self, k, g, monkeypatch):
+        # the canonical filtration, then the c-value of each chain and seeded
+        # summand against that of its image under the pullback
         s = FORMS[k]
-        _, nodes = _counted_filtration(monkeypatch, s)
-        _, nodes_g = _counted_filtration(monkeypatch, s.pulled_back(g))
+        s_g = s.pulled_back(g)
+        _, nodes = _counted(monkeypatch, canonical_filtration_z, s)
+        _, nodes_g = _counted(monkeypatch, canonical_filtration_z, s_g)
         assert nodes_g <= 2 * nodes, (nodes_g, nodes)
+        g_inv = field_inverse_unimodular(ZZ, g)
+        for w in _z_summands(k):
+            _, nodes = _counted(monkeypatch, instability_z, s, w)
+            _, nodes_g = _counted(monkeypatch, instability_z, s_g, apply(w, g_inv))
+            assert nodes_g <= 2 * nodes, (w, nodes_g, nodes)
 
 
 @pytest.mark.parametrize("k", range(len(FORMS)))
@@ -97,8 +105,9 @@ def test_duality_reverses_the_chain_with_equal_c_values(k):
 @pytest.mark.parametrize("k", range(len(FORMS)))
 def test_duality_builds_as_many_candidates_within_a_factor_three(k, monkeypatch):
     s = FORMS[k]
-    _, spans = _counted_filtration(monkeypatch, s, matrices, "hnf")
-    _, spans_dual = _counted_filtration(monkeypatch, _dual(s), matrices, "hnf")
+    _, spans = _counted(monkeypatch, canonical_filtration_z, s, module=matrices, name="hnf")
+    _, spans_dual = _counted(monkeypatch, canonical_filtration_z, _dual(s),
+                             module=matrices, name="hnf")
     assert spans_dual <= 3 * spans and spans <= 3 * spans_dual, (spans, spans_dual)
 
 
