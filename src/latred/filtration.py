@@ -14,15 +14,16 @@ element lies on that chain exactly when its instability number
 
     c(W) = inf_{W0 < W < W2} slope(W2, W) - slope(W, W0)
 
-is positive.  Log-volume values are exact: `Fraction` on ultrametric sides,
-`ExactLog` on the archimedean side.
+is positive.  Log-volume values are exact: `int` on ultrametric sides,
+`ExactLog` on the archimedean side.  Slopes and c-values divide by rank
+differences, so on ultrametric sides they are `Fraction`s.
 
 Oracle protocol (duck-typed)::
 
     top_rank : int
     zero() / one()             -> handles of the extreme elements
     rank(h) -> int
-    logvol(h) -> Fraction | ExactLog
+    logvol(h) -> int | ExactLog
     leq(a, b) -> bool          poset order
     rank_minima(m)             -> (handles, value): least-logvol rank-m
                                   handles; every one when m is a hull

@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import filtration, gflinalg, matrices
@@ -400,10 +399,10 @@ class FFOracle(filtration.LatticeOracle):
     and no volume space is built for either.
     """
 
-    zero_value = Fraction(0)
+    zero_value = 0
 
     def __init__(self, vs):
-        super().__init__(vs.n, Fraction(vs.logvol))
+        super().__init__(vs.n, vs.logvol)
         self.vs = vs
 
     @cached_property
@@ -417,7 +416,7 @@ class FFOracle(filtration.LatticeOracle):
         return FFSummand.full(self.vs.q, self.vs.n)
 
     def rank_minimum(self, m):
-        return Fraction(sum(self.vs._reduced[1][:m]))
+        return sum(self.vs._reduced[1][:m])
 
     def rank_minima(self, m):
         """The span of the m shortest diagonal vectors and its log-volume."""
@@ -437,7 +436,7 @@ class _RVector:
     r: tuple
 
     def rank_minimum(self, m):
-        return Fraction(sum(self.r[:m]))
+        return sum(self.r[:m])
 
     @property
     def total(self):

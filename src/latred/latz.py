@@ -4,7 +4,8 @@ An inner product enters as an exact rational Gram matrix; the squared
 volume of a summand is the Gram determinant of any basis, kept as an exact
 rational, and log-volumes are `ExactLog` half-logs of those rationals.
 Every Gram determinant is the product of the pivots of an exact LDL^T,
-the decomposition that also checks positive definiteness.  Floating point
+the decomposition that also checks positive definiteness.  Every Gram
+congruence is one integer product over one denominator (`_congruence`).  Floating point
 appears only in the Riemannian distance between inner products, and numpy
 is imported only when that distance is computed.
 
@@ -70,12 +71,14 @@ class InnerProduct:
         factor = Fraction(factor)
         return InnerProduct(self.n, [[x * factor for x in row] for row in self.gram])
 
-    def pulled_back(self, phi_rows):
-        """Gram of the pullback along the map with matrix rows phi (k x n)."""
-        P = matrices.freeze([[Fraction(x) for x in row] for row in phi_rows])
-        G = matrices.matmul(matrices.matmul(P, self.gram, Fraction(0)),
-                            matrices.transpose(P), Fraction(0))
-        return InnerProduct(len(P), G)
+    def pulled_back(self, rows, den=1):
+        """Gram of the pullback along the map with matrix rows / den (k x n)."""
+        return InnerProduct(len(rows), _congruence(self, rows, den))
+
+    @cached_property
+    def _cleared(self):
+        """(g, G): the least integer g > 0 with G = g gram integral, and G."""
+        return matrices.clear_denominators(ZZ, self.gram)
 
     @cached_property
     def _reduced(self):
@@ -108,6 +111,13 @@ class ZSummand(matrices.Summand):
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
+
+def _congruence(s, rows, den=1):
+    """P gram P^T for P = rows / den: rows G rows^T / (g den^2), (g, G) the cleared form."""
+    g, G = s._cleared
+    M = matrices.matmul(matrices.matmul(rows, G, 0), matrices.transpose(rows), 0)
+    return matrices.divided(g * den ** 2, M)
+
 
 def gram_vol2(s, rows):
     """Exact squared volume of the span of (rational) rows: det of the pullback."""
@@ -351,13 +361,9 @@ def enumerate_summands(s, bound, ranks=None):
 def _rank_minima(s, m):
     """All rank-m summands of least volume, sorted by basis, and that log-volume.
 
-    One search at the certified bound `_rank_bound(s, m)`.
+    One search at the certified bound `_rank_bound(s, m)`, for 0 < m < n.
     """
     n = s.n
-    if m == 0:
-        return [ZSummand.zero(n)], ExactLog.zero()
-    if m == n:
-        return [ZSummand.full(n)], ExactLog.half_log(s.det)
     vols = _summands(s, _rank_bound(s, m), m)
     best = min(vols.values())
     return ([ZSummand(n, basis) for basis in sorted(b for b, v in vols.items() if v == best)],
@@ -407,9 +413,7 @@ def _split_forms(s, basis):
     """
     U = matrices.completion_rows(ZZ, basis)
     r = len(basis)
-    G = matrices.matmul(matrices.matmul(U, s.gram, Fraction(0)),
-                        matrices.transpose(U), Fraction(0))
-    return U[r:], InnerProduct(s.n - r, _ldl(G, r)[2])
+    return U[r:], InnerProduct(s.n - r, _ldl(_congruence(s, U), r)[2])
 
 
 def canonical_filtration_z(s):

@@ -25,13 +25,15 @@ read off the diagonal of one triangularization that also decides
 singularity, and W cap B its intersection with W cap Z^n, read off one
 Hermite form (`matrices.lattice_intersect`) with no kernel over Q.  It
 stays on base-ring rows over one denominator, the T-part of B's cleared
-denominator: `intersect_integral` divides by it once, at the end, and
-`loc_logvol` never does.  An `IntegralStructure` is stored as that lattice:
-the denominator and the n-row Hermite form of Z[T^-1]^n cap B, built once
-when B is, so every W intersected with one B meets the same n rows.  Instability numbers and cover chains run in one
-frame, V cap B in the coordinates of those rows: `frame_oracle` moves the
-point there and is the only step that branches on the side, `to_frame`
-maps W into it and `from_frame` maps a summand back.  Every invertible
+denominator, which `intersect_integral` divides by once, at the end.  An
+`IntegralStructure` is stored as that lattice: the denominator and the
+n-row Hermite form of Z[T^-1]^n cap B, built once when B is, so every W
+intersected with one B meets the same n rows.  Localized volumes,
+instability numbers and cover chains are values of W cap B in the lattice
+V cap B, so all run in one frame, V cap B in the coordinates of those rows:
+`frame_oracle` moves the point there and is their only step that branches
+on the side, `to_frame` maps W into it and `from_frame` maps a summand
+back.  Every invertible
 matrix over Q splits into a GL_n(Z[T^-1]) factor times a GL_n(Z_T)
 factor, U diag(T-parts) and diag(T-free parts) V, from the Smith form
 U D V of its cleared matrix (`matrices.clear_denominators`), whose
@@ -274,24 +276,19 @@ def _check_setting(w, B):
                              f"structure of rank {B.n}")
 
 
-def _intersect_rows(w, B):
-    """Ring rows of B.den (W cap B): the Hermite form of the intersection.
+def intersect_integral(w, B):
+    """Canonical Z-basis rows of W cap B for a localized summand W.
 
     Saturation makes W the intersection of its Q-span with Z[T^-1]^n, so
     W cap B = (Q-span of W) cap (Z[T^-1]^n cap B).  With that lattice on
     the n Hermite rows H over one denominator, its part in the Q-span of W
-    is its intersection with W cap Z^n.
+    is its intersection with W cap Z^n, and dividing by B.den once keeps
+    the rows canonical, since hnf(c M) = c hnf(M) for a normalized scalar c.
     """
     _check_setting(w, B)
     if w.is_zero():
         return ()
-    return matrices.lattice_intersect(w.ring, B.H, w.basis)
-
-
-def intersect_integral(w, B):
-    """Canonical Z-basis rows of W cap B for a localized summand W: canonical
-    because hnf(c M) = c hnf(M) for a normalized scalar c."""
-    return matrices.divided(B.den, _intersect_rows(w, B))
+    return matrices.divided(B.den, matrices.lattice_intersect(w.ring, B.H, w.basis))
 
 
 def span_localized(ctx, n, z_rows):
@@ -303,72 +300,47 @@ def span_localized(ctx, n, z_rows):
 # localized volumes and instability
 # ---------------------------------------------------------------------------
 
-def _check_point(x, B):
-    """Reject a point of the other side than B, or of another rank than B.
-
-    The localized volume, instability and cover paths all check their point
-    here, so they reject it alike.
-    """
-    if B.ctx.kind == "Z":
-        from .latz import InnerProduct
-        if not isinstance(x, InnerProduct):
-            raise DomainError("integer-side localized point needs an InnerProduct")
-    else:
-        from .latff import VolumeSpace
-        if not isinstance(x, VolumeSpace):
-            raise DomainError("function-field localized point needs a VolumeSpace")
-    if x.n != B.n:
-        raise DimensionError(f"point of rank {x.n} against an integral structure of "
-                             f"rank {B.n}")
-
-
 def loc_logvol(w, x, B):
-    """Log-volume of W cap B: ExactLog on the Z side, integer on the FF side.
-
-    On the m ring rows R of B.den (W cap B): vol^2 of R / B.den is that of R
-    over B.den^2m, and the FF log-volume that of R less m deg B.den.
-    """
-    rows = _intersect_rows(w, B)
-    _check_point(x, B)
-    m = len(rows)
-    if w.ctx.kind == "Z":
-        from . import latz
-        from .logs import ExactLog
-        return ExactLog.half_log(latz.gram_vol2(x, rows) / B.den ** (2 * m))
-    from . import latff
-    return latff.ff_logvol(x, rows) - m * B.den.degree
+    """Log-volume of W cap B in V cap B, read in the frame as `loc_c` reads it:
+    ExactLog on the Z side, integer on the FF side."""
+    _check_setting(w, B)
+    oracle = frame_oracle(x, B)
+    return oracle.logvol(to_frame(oracle, w, B))
 
 
 def frame_oracle(x, B):
     """The lattice oracle of V cap B, in the coordinates of B's Hermite rows.
 
     V cap B has the basis L = B.H / B.den, and the point moves with it: a
-    Gram matrix becomes L . gram . L^T, formed as the integer product
-    H . Gn . H^T over the one denominator g den^2, with g the least integer
-    making Gn = g gram integral; a volume space's cleared columns P / d
-    become L^-T P / d = den H^-T P / d, solved for every B alike by one
-    fraction-free back substitution (`matrices.solve_cleared`) against the
-    lower-triangular H^T, with no F_q(t) element formed.  Coordinates and
-    spans in L can be taken on B's ring rows B.H, a scalar multiple of L.
-    This is the one place where the localized instability and cover paths
-    branch on the side.  A point of the other side or of another rank than
-    B is rejected (`_check_point`).
+    Gram matrix becomes its pullback along L (`InnerProduct.pulled_back`,
+    one integer congruence over one denominator); a volume space's cleared
+    columns P / d become L^-T P / d = den H^-T P / d, solved for every B
+    alike by one fraction-free back substitution (`matrices.solve_cleared`)
+    against the lower-triangular H^T, with no F_q(t) element formed.
+    Coordinates and spans in L can be taken on B's ring rows B.H, a scalar
+    multiple of L.  This is the one place where the localized volume,
+    instability and cover paths branch on the side, so a point of the other
+    side or of another rank than B is rejected here, alike for all of them.
     """
-    _check_point(x, B)
     ctx = B.ctx
-    ring = ctx.base_ring()
     if ctx.kind == "Z":
         from . import latz
-        g = math.lcm(*(a.denominator for row in x.gram for a in row))
-        Gn = [[a.numerator * (g // a.denominator) for a in row] for row in x.gram]
-        M = matrices.matmul(matrices.matmul(B.H, Gn, 0), matrices.transpose(B.H), 0)
-        return latz.ZOracle(latz.InnerProduct(B.n, matrices.divided(g * B.den ** 2, M)))
-    from . import latff
+        if not isinstance(x, latz.InnerProduct):
+            raise DomainError("integer-side localized point needs an InnerProduct")
+    else:
+        from . import latff
+        if not isinstance(x, latff.VolumeSpace):
+            raise DomainError("function-field localized point needs a VolumeSpace")
+    if x.n != B.n:
+        raise DimensionError(f"point of rank {x.n} against an integral structure of "
+                             f"rank {B.n}")
+    if ctx.kind == "Z":
+        return latz.ZOracle(x.pulled_back(B.H, B.den))
     # L^-T S = B.den H^-T P / den: H^T is lower triangular, so with the
     # order of rows and columns reversed one back substitution solves it
     den, P = x.cleared
     e, N = matrices.solve_cleared(
-        ring, tuple(row[::-1] for row in matrices.transpose(B.H)[::-1]), P[::-1])
+        ctx.base_ring(), tuple(row[::-1] for row in matrices.transpose(B.H)[::-1]), P[::-1])
     rows = [[B.den * a if a else a for a in row] for row in N[::-1]]
     return latff.FFOracle(latff.VolumeSpace._from_cleared(ctx.q, B.n, e * den, rows))
 

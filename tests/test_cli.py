@@ -154,6 +154,21 @@ class TestVerbExamples:
         assert len(data["members"]) == 1
         assert data["members"][0]["c"] == "10"
 
+    @pytest.mark.parametrize("k, members, in_core", [
+        (9, '{"members":[{"c":"18","summand":{"basis":[[[1],[]]],"rank":1}}]}', "false"),
+        (3, '{"members":[]}', "true"),
+    ])
+    def test_ff_vertex_takes_the_building_preset(self, k, members, in_core):
+        # with no threshold an F_q[t] vertex takes theta = 4n = 8: the vertex
+        # diag(t^k, t^-k) has c = 2k, so k = 9 lies in the cover and k = 3 in
+        # the core, byte for byte
+        doc = {"side": "ff", "q": 2, "n": 2,
+               "x": {"matrix": [[f"t^{k}", "0"], ["0", f"1/t^{k}"]]}}
+        res = run_cli(["cover-membership"], doc)
+        assert (res.exit_code, res.output) == (0, members + "\n")
+        res = run_cli(["core-test"], doc)
+        assert (res.exit_code, res.output) == (0, f'{{"in_core":{in_core}}}\n')
+
     @pytest.mark.parametrize("side, point, member", [
         ("loc-z", LOC_Z_POINT, {"c": {"c_sq_ratio": "4/1", "decimal": "0.69314718056"},
                                 "summand": {"basis": [["1", "0"]], "rank": 1}}),

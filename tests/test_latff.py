@@ -500,7 +500,7 @@ def test_lattice_inverse_matches_field_reference(q):
 def test_probe_and_localized_volume_build_no_field_element(monkeypatch):
     # the constructor clears S = P / den once and keeps it; shortest_vector
     # column-reduces the ring rows of S^-1, and loc_logvol on the F_q side
-    # takes the ring rows of W cap B undivided (B.den = t): none of them
+    # reads W cap B in the frame of B's ring rows (B.den = t): none of them
     # clears again, builds an F_q(t) element or divides rows
     from latred import sarith
     events = []

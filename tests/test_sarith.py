@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from latred import matrices, sarith
+from latred import latff, latz, matrices, sarith
 from latred.errors import (DeterminantError, DimensionError, DomainError,
                            RankDeficiencyError, SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
 from latred.jsonio import value_to_json
 from latred.latff import VolumeSpace, ff_logvol
-from latred.latz import InnerProduct, gram_logvol
+from latred.latz import (InnerProduct, canonical_filtration_z, gram_logvol, gram_vol2,
+                         instability_z)
 from latred.logs import ExactLog
 from latred.rings import poly_ring
 from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
@@ -22,8 +23,8 @@ from latred.sarith import (IntegralStructure, LocalizedContext, LocSummand,
 from conftest import (det_field, fractional_hnf, in_t_integral, integral, inverse_field, minors,
                       random_invertible_rational, random_poly, random_ratfunc, random_spd,
                       random_unimodular_poly, random_unimodular_z, random_volume_space,
-                      rank_field, right_multiplied, snf_t_lattice, span_meet,
-                      uncached_intersect_integral)
+                      random_z_summand, rank_field, right_multiplied, snf_t_lattice,
+                      span_meet, uncached_intersect_integral)
 
 CTX2 = LocalizedContext.integers([2])
 CTX23 = LocalizedContext.integers([2, 3])
@@ -282,22 +283,29 @@ class TestPinnedOutputs:
 
     def test_one_lattice_build_per_c(self, name, monkeypatch):
         # Z[T^-1]^n cap B is one Hermite form of B's cleared generators, built
-        # when B is: to_frame, loc_c and intersect_integral build none.
-        # Moving W onto it takes no Smith form, and loc_c runs none on B's
-        # cleared basis
+        # when B is: to_frame, loc_c, loc_logvol and intersect_integral build
+        # none.  Moving W onto it takes no Smith form, loc_c and loc_logvol
+        # run none on B's cleared basis, and loc_logvol reads its value in the
+        # frame, with no volume of the undivided rows.  `_smith` is counted,
+        # since `snf` wraps it and `factorize` calls it directly
         ring = PIN_CTXS[name].base_ring()
         builds, smith = [], []
-        t_lattice, snf = sarith._t_lattice, matrices.snf
+        t_lattice, _smith = sarith._t_lattice, matrices._smith
 
         def counting_t_lattice(ctx, basis):
             builds.append(basis)
             return t_lattice(ctx, basis)
 
-        def counting_snf(r, M):
+        def counting_smith(r, M):
             smith.append(matrices.freeze(M))
-            return snf(r, M)
+            return _smith(r, M)
+
+        def unexpected(*args):
+            raise AssertionError("loc_logvol took a volume outside the frame")
         monkeypatch.setattr(sarith, "_t_lattice", counting_t_lattice)
-        monkeypatch.setattr(matrices, "snf", counting_snf)
+        monkeypatch.setattr(matrices, "_smith", counting_smith)
+        monkeypatch.setattr(latz, "gram_vol2", unexpected)
+        monkeypatch.setattr(latff, "ff_logvol", unexpected)
         for w, x, B in list(_pin_cases(name)):
             zB = matrices.clear_denominators(ring, B.basis)[1]
             builds.clear()
@@ -308,6 +316,7 @@ class TestPinnedOutputs:
             assert smith == []
             loc_c(w, x, B)
             intersect_integral(w, B)
+            loc_logvol(w, x, B)
             assert zB not in smith
             assert builds == [B.basis]
 
@@ -669,6 +678,33 @@ def test_t_lattice_matches_smith_form(name):
         ref_den, ref_rows = snf_t_lattice(ctx, B)
         assert den == ref_den
         assert matrices.hnf(ring, rows) == matrices.hnf(ring, ref_rows)
+
+
+def test_every_z_congruence_is_one_integer_product(monkeypatch):
+    # a Z Gram congruence is one integer matmul pair over one denominator,
+    # on the form cleared once: the filtration, its c-values, volumes and the
+    # localized c-values and volumes multiply no Fraction matrices
+    fraction_products = []
+    matmul = matrices.matmul
+
+    def counting_matmul(A, B, zero):
+        if isinstance(zero, Fraction):
+            fraction_products.append((A, B))
+        return matmul(A, B, zero)
+    monkeypatch.setattr(matrices, "matmul", counting_matmul)
+    rng = random.Random("one-integer-congruence")
+    for n in (2, 3, 4):
+        for _ in range(3):
+            s = random_spd(rng, n, spread=1).scaled(_Q(rng.randint(1, 9), rng.randint(1, 9)))
+            for w in canonical_filtration_z(s).interior_chain():
+                instability_z(s, w)
+            w = random_z_summand(rng, n, rng.randint(1, n - 1))
+            gram_vol2(s, w.basis)
+            B = IntegralStructure(CTX23, n, random_invertible_rational(rng, n, 4, 6))
+            lw = LocSummand.from_rows(CTX23, n, w.basis)
+            loc_c(lw, s, B)
+            loc_logvol(lw, s, B)
+    assert fraction_products == []
 
 
 class TestLocalizedVolume:
