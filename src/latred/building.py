@@ -15,27 +15,30 @@ diagonal-apartment picture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
 from .fq import FqRationalFunction, gf, poly, prime_power, t_power
+from .frozen import Frozen
 from .rings import ZZ, is_prime_int, poly_ring
 
 NEIGHBOR_RESIDUE_LIMIT = 5
 NEIGHBOR_RANK_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class BuildingContext:
-    """Local data: residue size, rank, and which valuation ring is meant."""
+class BuildingContext(Frozen):
+    """Local data: residue size, rank, and which valuation ring is meant.
 
-    kind: str  # "p-adic" | "FF"
-    n: int
-    p: int | None = None
-    q: int | None = None
-    ring: object = field(init=False, repr=False, compare=False)  # ZZ or F_q[t]
+    `kind` is "p-adic" (with the prime `p`) or "FF" (with the field size
+    `q`); `ring`, ZZ or F_q[t], is derived and not compared.
+    """
+
+    _fields = ("kind", "n", "p", "q")
+
+    def __init__(self, kind, n, p=None, q=None):
+        vars(self).update(kind=kind, n=n, p=p, q=q)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind == "p-adic":
@@ -117,8 +120,7 @@ class BuildingContext:
 # canonical vertex form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Frozen):
     """Canonical representative of a lattice homothety class.
 
     `matrix[i][j]` is the i-th coordinate of the j-th basis vector; the
@@ -126,8 +128,10 @@ class Vertex:
     canonical residues above the diagonal.
     """
 
-    ctx: BuildingContext
-    matrix: tuple
+    _fields = ("ctx", "matrix")
+
+    def __init__(self, ctx, matrix):
+        vars(self).update(ctx=ctx, matrix=matrix)
 
     def diagonal_exponents(self):
         return tuple(self.ctx.val(self.matrix[i][i]) for i in range(self.ctx.n))
@@ -308,12 +312,13 @@ def apartment_coords(m):
     return tuple(Fraction(x) - mean for x in m)
 
 
-@dataclass(frozen=True)
-class SimplexDecomposition:
+class SimplexDecomposition(Frozen):
     """x = sum mu_i p_i with p_0 < ... < p_m <= p_0 + (1,..,1), mu_i > 0."""
 
-    points: tuple
-    coeffs: tuple
+    _fields = ("points", "coeffs")
+
+    def __init__(self, points, coeffs):
+        vars(self).update(points=points, coeffs=coeffs)
 
     def validate(self):
         if abs(sum(self.coeffs) - 1) != 0:

@@ -1,6 +1,7 @@
 """Batch JSON command line: one verb per operation, stdin to stdout.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error.  Output is
+Exit codes: 0 success, 2 malformed input, 3 domain error, 4 an answer our
+own code cannot serialize (an internal fault, not the request's).  Output is
 deterministic byte-for-byte for a fixed input document.  A usage error (no
 verb, an unknown verb or option, a missing or invalid option value) exits 2
 with argparse's usage on stderr and nothing on stdout; `--help` exits 0.
@@ -89,7 +90,7 @@ def _read_stdin():
 
 def _run(fn):
     try:
-        _emit(fn())
+        payload = fn()
     except ValidationError as exc:
         _emit({"error": str(exc), "kind": "validation"})
         sys.exit(2)
@@ -101,6 +102,13 @@ def _run(fn):
         # any shape mismatch while picking the request apart is bad input
         _emit({"error": f"bad request document: {exc!r}", "kind": "validation"})
         sys.exit(2)
+    try:
+        _emit(payload)
+    except (TypeError, ValueError) as exc:
+        # json.dumps raises before printing anything: the payload is ours
+        _emit({"error": f"internal error: unserializable answer: {exc!r}",
+               "kind": "internal"})
+        sys.exit(4)
 
 
 main = _Group("Exact reduction theory: filtrations, volumes, buildings, covers.")

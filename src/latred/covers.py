@@ -24,23 +24,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, ScaleError
+from .frozen import Frozen
 from .logs import ExactLog
 
 CORE_RANK_LIMIT = 6
 CORE_THRESHOLD_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class CoverSystem:
+class CoverSystem(Frozen):
     """Instability threshold theta = (exact-log part) + (rational part)."""
 
-    n: int
-    threshold_const: Fraction = Fraction(0)
-    threshold_log: ExactLog = field(default_factory=ExactLog.zero)
+    _fields = ("n", "threshold_const", "threshold_log")
+
+    def __init__(self, n, threshold_const=Fraction(0), threshold_log=None):
+        vars(self).update(n=n, threshold_const=threshold_const,
+                          threshold_log=ExactLog.zero() if threshold_log is None
+                          else threshold_log)
+        self.__post_init__()
 
     def __post_init__(self):
         # the canonical chain holds every summand with c > theta only when
@@ -90,12 +93,14 @@ class CoverSystem:
                            self.threshold_log)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(Frozen):
     """Formal convex combination of pairwise adjacent building vertices."""
 
-    vertices: tuple
-    coeffs: tuple
+    _fields = ("vertices", "coeffs")
+
+    def __init__(self, vertices, coeffs):
+        vars(self).update(vertices=vertices, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         cs = tuple(Fraction(c) for c in self.coeffs)

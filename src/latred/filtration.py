@@ -45,31 +45,31 @@ the r-vectors of the restricted and quotient spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (BoundaryModuleError, DomainError, IncompletePlotError,
                      ViolatedUniquenessError)
+from .frozen import Frozen
 from .logs import ExactLog
 
 
-@dataclass(frozen=True)
-class GradedPoint:
+class GradedPoint(Frozen):
     """A summand handle plotted at (rank, logvol)."""
 
-    id: object
-    rank: int
-    logvol: object
+    _fields = ("id", "rank", "logvol")
+
+    def __init__(self, id, rank, logvol):
+        vars(self).update(id=id, rank=rank, logvol=logvol)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Frozen):
     """Per-rank minima, hull path, the canonical chain, and c-values."""
 
-    minima: tuple
-    path: tuple
-    chain: tuple = ()
-    c_values: dict = field(default_factory=dict)
+    _fields = ("minima", "path", "chain", "c_values")
+
+    def __init__(self, minima, path, chain=(), c_values=None):
+        vars(self).update(minima=minima, path=path, chain=chain,
+                          c_values={} if c_values is None else c_values)
 
     def interior_chain(self):
         return self.chain[1:-1] if len(self.chain) >= 2 else ()

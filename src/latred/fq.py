@@ -29,7 +29,6 @@ rational function formed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
@@ -447,12 +446,14 @@ def is_irreducible_poly(f):
     return True
 
 
-@dataclass(frozen=True)
 class FqRationalFunction:
-    """Reduced fraction of polynomials over F_q with a monic denominator."""
+    """Reduced fraction of polynomials over F_q with a monic denominator,
+    immutable; equality, hashing and printing read `num` and `den`."""
 
-    num: FqPolynomial
-    den: FqPolynomial
+    def __init__(self, num, den):
+        _set(self, "num", num)
+        _set(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
         num, den = self.num, self.den
@@ -472,16 +473,30 @@ class FqRationalFunction:
                 inv = den.field.inv(lc)
                 num = num * inv
                 den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def _reduced(num, den):
         """Wrap a fraction already in lowest terms with a monic denominator."""
-        out = object.__new__(FqRationalFunction)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        out = _new(FqRationalFunction)
+        _set(out, "num", num)
+        _set(out, "den", den)
         return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FqRationalFunction:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @staticmethod
     def of(x):

@@ -7,8 +7,9 @@ Conventions:
     * rational functions as strings like "t^2/(t^3+1)",
     * integer fields (sizes, primes, exponents) as JSON integers only.
 
-The Z, F_q[t] and localized layers are imported by the functions that build
-their objects, so a verb that never touches a layer does not load it.
+The F_q scalars (`fq`) and the Z, F_q[t] and localized layers are imported
+by the functions that build or read their objects, so a verb that never
+touches a layer does not load it: a Z-side request loads no `fq`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fq import FqRationalFunction, gf, poly
 from .logs import ExactLog
 from .matrices import Summand
 
@@ -47,6 +47,7 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 
 
 def poly_from_str(q, text):
+    from .fq import gf, poly
     F = gf(q)
     s = text.strip().replace(" ", "")
     if not s:
@@ -80,6 +81,7 @@ def poly_from_str(q, text):
 
 
 def ratfunc_from_str(q, s):
+    from .fq import FqRationalFunction
     s = str(s).strip().replace(" ", "")
     depth = 0
     split_at = None
@@ -114,6 +116,7 @@ def poly_from_coeffs(q, coeffs):
     if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
         raise ValidationError(f"polynomial {coeffs!r} must be a list of integer "
                               "coefficients, lowest degree first ([0, 1] for t)")
+    from .fq import gf, poly
     F = gf(q)
     if not all(0 <= c < q for c in coeffs):
         raise ValidationError(f"polynomial {coeffs!r} has a coefficient outside the "
@@ -122,14 +125,15 @@ def poly_from_coeffs(q, coeffs):
 
 
 def ratfunc_to_str(x):
+    from .fq import FqRationalFunction
     return str(FqRationalFunction.of(x))
 
 
 def field_to_json(x):
     """A fraction-field scalar: rational or rational-function string."""
-    if isinstance(x, FqRationalFunction):
-        return ratfunc_to_str(x)
-    return rational_to_str(x)
+    if isinstance(x, (int, Fraction)):
+        return rational_to_str(x)
+    return ratfunc_to_str(x)
 
 
 def field_from_json(q, s):

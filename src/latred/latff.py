@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import filtration, gflinalg, matrices
 from .errors import DimensionError, DomainError, SingularityError
 from .fq import FqPolynomial, FqRationalFunction, gf, poly, poly_one, t_power
+from .frozen import Frozen
 from .rings import poly_ring
 
 
@@ -72,8 +72,7 @@ def _ring_rows(q, rows):
     return matrices.clear_denominators(poly_ring(q), rows)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class VolumeSpace:
+class VolumeSpace(Frozen):
     """Lattice over the infinite-place valuation ring inside F_q(t)^n.
 
     `VolumeSpace(q, n, basis)` takes an n x n matrix over F_q(t) (or
@@ -87,11 +86,7 @@ class VolumeSpace:
     the F_q(t) matrix P / den, is derived on demand.
     """
 
-    q: int
-    n: int
-    cleared: tuple
-    triangular: tuple = field(compare=False)
-    logvol: int = field(compare=False)
+    _fields = ("q", "n", "cleared")
 
     def __init__(self, q, n, basis):
         self._fill(q, n, *_ring_rows(q, basis))
@@ -177,13 +172,14 @@ class VolumeSpace:
             ring, H, matrices.matmul(U, matrices.transpose(rows), ring.zero()))
 
 
-@dataclass(frozen=True)
 class FFSummand(matrices.Summand):
     """Saturated F_q[t]-submodule of F_q[t]^n in canonical HNF basis form."""
 
-    q: int
-    n: int
-    basis: tuple
+    _fields = ("q", "n", "basis")
+
+    def __init__(self, q, n, basis):
+        vars(self).update(q=q, n=n, basis=basis)
+        self.__post_init__()
 
     @property
     def ring(self):
@@ -305,13 +301,16 @@ def shortest_vector(vs):
 # diagonal bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalBasisResult:
-    """A basis w of V and ascending integers r with t^{-r_i} w_i a basis b of S."""
+class DiagonalBasisResult(Frozen):
+    """A basis w of V and ascending integers r with t^{-r_i} w_i a basis b of S.
 
-    space: VolumeSpace
-    w: tuple  # rows over F_q[t]
-    r: tuple  # ascending integers
+    `w` holds rows over F_q[t] and `r` ascending integers.
+    """
+
+    _fields = ("space", "w", "r")
+
+    def __init__(self, space, w, r):
+        vars(self).update(space=space, w=w, r=r)
 
     @cached_property
     def b(self):
@@ -429,11 +428,13 @@ class FFOracle(filtration.LatticeOracle):
         return _RVector(_quotient_r(self.vs, w))
 
 
-@dataclass(frozen=True)
-class _RVector:
+class _RVector(Frozen):
     """The rank minima r_1 + ... + r_m of a space with ascending r-vector r."""
 
-    r: tuple
+    _fields = ("r",)
+
+    def __init__(self, r):
+        vars(self).update(r=r)
 
     def rank_minimum(self, m):
         return sum(self.r[:m])

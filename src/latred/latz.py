@@ -22,30 +22,32 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import filtration, matrices
 from .errors import (DefinitenessError, DimensionError, RankDeficiencyError,
                      ScaleError)
+from .frozen import Frozen
 from .logs import ExactLog
 from .rings import ZZ
 
 DESK_RANK_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(Frozen):
     """Symmetric positive-definite rational form on R^n, checked exactly.
 
     `det` is det(gram), the squared volume of Z^n: the product of the LDL^T
-    pivots that the positive-definiteness check computes.
+    pivots that the positive-definiteness check computes.  Equality, hashing
+    and the repr read `n` and `gram`.
     """
 
-    n: int
-    gram: tuple
-    det: Fraction = field(init=False, repr=False, compare=False)
+    _fields = ("n", "gram")
+
+    def __init__(self, n, gram):
+        vars(self).update(n=n, gram=gram)
+        self.__post_init__()
 
     def __post_init__(self):
         g = matrices.freeze([[Fraction(x) for x in row] for row in self.gram])
@@ -86,14 +88,15 @@ class InnerProduct:
         return _lll_gram(self.gram)
 
 
-@dataclass(frozen=True)
 class ZSummand(matrices.Summand):
     """Saturated direct summand of Z^n, stored as its canonical HNF basis."""
 
-    n: int
-    basis: tuple
-
+    _fields = ("n", "basis")
     ring = ZZ
+
+    def __init__(self, n, basis):
+        vars(self).update(n=n, basis=basis)
+        self.__post_init__()
 
     @staticmethod
     def from_rows(n, rows):

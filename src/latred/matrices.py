@@ -27,13 +27,12 @@ triangular, Smith or LDL^T pivots.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
 from .errors import (DimensionError, ProjectivityError, RankDeficiencyError,
                      SingularityError)
-from .fq import FqPolynomial, FqRationalFunction, poly
+from .frozen import Frozen
 
 
 def freeze(rows):
@@ -146,7 +145,7 @@ def _unit_inverse(u):
     # nonzero constants
     if isinstance(u, int):
         return u
-    return poly(u.field, [u.field.inv(u.leading())])
+    return u.field.poly_one * u.field.inv(u.leading())
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,10 @@ def inverse(ring, M):
 
 def divided(den, rows):
     """The fraction-field rows rows / den, one constructor call per entry."""
-    frac = Fraction if isinstance(den, int) else FqRationalFunction
+    if isinstance(den, int):
+        frac = Fraction
+    else:
+        from .fq import FqRationalFunction as frac
     return freeze([[frac(x, den) for x in row] for row in rows])
 
 
@@ -432,11 +434,12 @@ def clear_denominators(ring, rows):
 
 def _num_den(x):
     """Reduced numerator and denominator of a ring or fraction-field element."""
-    if isinstance(x, FqRationalFunction):
-        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    from .fq import FqPolynomial
     if isinstance(x, FqPolynomial):
         return x, x.field.poly_one
-    return x.numerator, x.denominator
+    return x.num, x.den
 
 
 def completion_rows(ring, rows):
@@ -471,14 +474,15 @@ def lattice_intersect(ring, A, B):
 # saturated summands
 # ---------------------------------------------------------------------------
 
-class Summand:
+class Summand(Frozen):
     """Saturated summand of R^n, kept as its canonical basis rows.
 
-    The base of the Z, F_q[t] and Z[T^-1] summands: frozen dataclasses with
-    fields `n` and `basis` and an attribute `ring`, the Euclidean ring R (the
-    base ring for Z[T^-1]).  `basis` is the Hermite form over R of the
-    summand's intersection with R^n, so spans, containment, meets and joins
-    run here on ring rows.
+    The base of the Z, F_q[t] and Z[T^-1] summands: immutable values whose
+    compared fields end with `n` and `basis`, after the field size `q` or
+    the localization `ctx` that fixes R, and with an attribute `ring`, the
+    Euclidean ring R (the base ring for Z[T^-1]).  `basis` is the Hermite
+    form over R of the summand's intersection with R^n, so spans,
+    containment, meets and joins run here on ring rows.
     """
 
     def __post_init__(self):
@@ -494,14 +498,18 @@ class Summand:
     def is_zero(self):
         return not self.basis
 
+    def _with(self, basis):
+        """The summand of the same R^n with the given basis, shape-checked."""
+        return self.__class__(*(getattr(self, f) for f in self._fields[:-1]), basis)
+
     def _saturated(self, rows):
         """The summand spanned by independent, nonempty rows over R."""
-        return dataclasses.replace(self, basis=saturate(self.ring, rows))
+        return self._with(saturate(self.ring, rows))
 
     def _span(self, rows):
         """The summand spanned by independent rows (zero rows are dropped)."""
         rows = [r for r in rows if any(r)]
-        return self._saturated(rows) if rows else dataclasses.replace(self, basis=())
+        return self._saturated(rows) if rows else self._with(())
 
     def contains(self, other):
         if other.rank > self.rank:
@@ -514,13 +522,12 @@ class Summand:
     def meet(self, other):
         # the intersection of two summands is a summand, and lattice_intersect
         # returns its canonical Hermite form
-        return dataclasses.replace(
-            self, basis=lattice_intersect(self.ring, self.basis, other.basis))
+        return self._with(lattice_intersect(self.ring, self.basis, other.basis))
 
     def join(self, other):
         # the first `rank` rows of V span the saturation of the (dependent) rows
         rank, _, V = _column_echelon(self.ring, self.basis + other.basis)
-        return dataclasses.replace(self, basis=hnf(self.ring, V[:rank]))
+        return self._with(hnf(self.ring, V[:rank]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +595,9 @@ def column_reduce(F, cols, track=()):
     reduced matrix attains (Kailath, Linear Systems, 1980); dependent
     columns end in a zero column and raise RankDeficiencyError.
     """
-    from . import gflinalg  # F_q linear algebra, loaded by F_q[t] callers only
+    # F_q scalars and linear algebra, loaded by F_q[t] callers only
+    from . import gflinalg
+    from .fq import poly
     deg = [max(x.degree for x in col) for col in cols]
     while True:
         if min(deg, default=0) < 0:

@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import gcd, inf
 
 from .errors import DomainError, InvalidPlaceError, ZeroArgumentError
-from .fq import (FqPolynomial, FqRationalFunction, gf, is_irreducible_poly, poly,
-                 poly_one)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -111,18 +109,24 @@ class IntegerRing(_EuclideanRing):
 
 
 class PolynomialRing(_EuclideanRing):
-    """F_q[t] with degree Euclidean norm; units F_q^*, normalized = monic."""
+    """F_q[t] with degree Euclidean norm; units F_q^*, normalized = monic.
+
+    Building one, and its methods, import the F_q layer, so Z-side callers
+    never load it.
+    """
 
     def __init__(self, q):
+        from .fq import gf, poly
         self.field = gf(q)
         self.q = q
         self.name = f"F{q}[t]"
+        self._zero = poly(self.field, [])
 
     def zero(self):
-        return poly(self.field, [])
+        return self._zero
 
     def one(self):
-        return poly_one(self.field)
+        return self.field.poly_one
 
     def is_unit(self, x):
         return x.degree == 0
@@ -130,7 +134,7 @@ class PolynomialRing(_EuclideanRing):
     def unit_normalize(self, x):
         if not x:
             return self.one(), x
-        return poly(self.field, [x.leading()]), x.monic()
+        return self.one() * x.leading(), x.monic()
 
     def norm_key(self, x):
         return x.degree
@@ -139,17 +143,19 @@ class PolynomialRing(_EuclideanRing):
         return a.gcd(b)
 
     def is_prime(self, p):
+        from .fq import FqPolynomial, is_irreducible_poly
         return isinstance(p, FqPolynomial) and is_irreducible_poly(p)
 
     # -- fraction field ------------------------------------------------------
     def to_field(self, x):
+        from .fq import FqRationalFunction
         return FqRationalFunction.of(x)
 
     def field_zero(self):
-        return FqRationalFunction.of(self.zero())
+        return self.to_field(self.zero())
 
     def field_one(self):
-        return FqRationalFunction.of(self.one())
+        return self.to_field(self.one())
 
     def __repr__(self):
         return f"PolyRing(F{self.q})"
@@ -176,15 +182,14 @@ def valuation(x, place):
 
     Returns +infinity exactly at x = 0.
     """
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, FqPolynomial):
-        x = FqRationalFunction.of(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         if not isinstance(place, int) or not is_prime_int(place):
             raise InvalidPlaceError(f"{place!r} is not a prime of Z")
         return (ZZ.element_valuation(x.numerator, place)
                 - ZZ.element_valuation(x.denominator, place))
+    from .fq import FqPolynomial, FqRationalFunction, is_irreducible_poly
+    if isinstance(x, FqPolynomial):
+        x = FqRationalFunction.of(x)
     if isinstance(x, FqRationalFunction):
         if place == DEGREE_PLACE:
             return x.nu()

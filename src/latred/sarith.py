@@ -50,23 +50,26 @@ context uses.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 
 from . import matrices
 from .errors import (DeterminantError, DimensionError, DomainError,
                      InvalidPlaceError, SingularityError)
+from .frozen import Frozen
 from .rings import ZZ, poly_ring
 
 
-@dataclass(frozen=True)
-class LocalizedContext:
-    """Ground ring Z together with the finite normalized prime set T."""
+class LocalizedContext(Frozen):
+    """Ground ring Z together with the finite normalized prime set T.
 
-    kind: str  # "Z" | "FF"
-    T: tuple
-    q: int | None = None
+    `kind` is "Z" or "FF", and `q` the field size on the F_q[t] side.
+    """
+
+    _fields = ("kind", "T", "q")
+
+    def __init__(self, kind, T, q=None):
+        vars(self).update(kind=kind, T=T, q=q)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("Z", "FF"):
@@ -130,8 +133,7 @@ def _inverse_mod(ring, a, m):
 # integral structures and localized summands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegralStructure:
+class IntegralStructure(Frozen):
     """Rank-n Z_T-submodule B of Q^n, spanned by the columns of `basis`.
 
     B is stored as its lattice Z[T^-1]^n cap B, the Z-span of the rows
@@ -141,11 +143,14 @@ class IntegralStructure:
     equal exactly when they span the same Z_T-module.
     """
 
-    ctx: LocalizedContext
-    n: int
-    basis: tuple = field(compare=False)
-    den: object = field(init=False, repr=False)
-    H: tuple = field(init=False, repr=False)
+    _fields = ("ctx", "n", "den", "H")
+
+    def __init__(self, ctx, n, basis):
+        vars(self).update(ctx=ctx, n=n, basis=basis)
+        self.__post_init__()
+
+    def __repr__(self):
+        return f"IntegralStructure(ctx={self.ctx!r}, n={self.n!r}, basis={self.basis!r})"
 
     def __post_init__(self):
         ring = self.ctx.base_ring()
@@ -170,16 +175,17 @@ class IntegralStructure:
                                  [[f * x for x in row] for row in self.basis])
 
 
-@dataclass(frozen=True)
 class LocSummand(matrices.Summand):
     """Saturated Z[T^-1]-summand W, stored as the Hermite form of W cap Z^n.
 
     `localized_basis` gives W's own canonical Hermite basis over Z[T^-1].
     """
 
-    ctx: LocalizedContext
-    n: int
-    basis: tuple
+    _fields = ("ctx", "n", "basis")
+
+    def __init__(self, ctx, n, basis):
+        vars(self).update(ctx=ctx, n=n, basis=basis)
+        self.__post_init__()
 
     @property
     def ring(self):
@@ -267,7 +273,7 @@ def _check_setting(w, B):
     """Reject a summand and an integral structure of different settings.
 
     The contexts are compared by identity first, so the usual shared
-    context costs no dataclass comparison.
+    context costs no comparison of field tuples.
     """
     if w.ctx is not B.ctx and w.ctx != B.ctx:
         raise DomainError("summand and integral structure have different localizations")
@@ -355,7 +361,7 @@ def to_frame(oracle, w, B):
     zero = ring.zero()
     R = matrices.identity_rows(w.n, ring.one(), zero) + ((zero,) * w.n,) * w.rank
     coords = matrices.split_hnf(ring, matrices.stack(B.H, w.basis), R)
-    return dataclasses.replace(oracle.zero(), basis=coords)
+    return oracle.zero()._with(coords)
 
 
 def from_frame(w_coords, B):

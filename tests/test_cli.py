@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -584,6 +585,17 @@ class TestVerbTable:
         assert verb.callback is alias.callback is cli.building_neighbors
         assert verb.options == alias.options
 
+    def test_an_unserializable_answer_is_an_internal_fault(self, monkeypatch):
+        # a payload our own code cannot serialize is our fault, not bad input
+        monkeypatch.setattr(main.commands["core-reps"], "callback",
+                            lambda **opts: Fraction(1, 2))
+        res = run_cli(["core-reps", "--n", "2", "--theta", "1"])
+        assert res.exit_code == 4
+        body = json.loads(res.output)
+        assert body == {"error": body["error"], "kind": "internal"}
+        assert "Fraction" in body["error"]
+        assert res.stderr == ""
+
     def test_replaced_callbacks_run_once_per_request(self, monkeypatch):
         requests = [(["apartment"], {"m": [1, 0]}),
                     (["building-neighbors", "--p", "2", "--n", "2"], STD_VERTEX),
@@ -721,8 +733,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter: `import latred`, then (unless argv[1] is
 # "null") `import latred.cli` and the verb argv[1] with stdin argv[2]; the
-# last stdout line lists the latred modules loaded and whether numpy and
-# click were.
+# last stdout line lists the latred modules loaded and whether numpy, click,
+# dataclasses and inspect were.
 IMPORT_PROBE = """
 import io, json, sys
 args = json.loads(sys.argv[1])
@@ -736,7 +748,8 @@ if args is not None:
         except SystemExit as exc:
             assert not exc.code, exc.code
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("latred.")),
-                  "numpy" in sys.modules, "click" in sys.modules]))
+                  "numpy" in sys.modules, "click" in sys.modules,
+                  "dataclasses" in sys.modules, "inspect" in sys.modules]))
 """
 ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
               "gflinalg", "jsonio", "latff", "latz", "logs", "matrices", "rings",
@@ -749,23 +762,30 @@ ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
     (["chamber-count", "--n", "3", "--r", "2", "--k", "1"], "",
      {"latz", "latff", "sarith", "covers", "filtration", "logs"}),
     (["canfilt", "--ring", "z"], json.dumps(DIAG14),
-     {"latff", "sarith", "building", "covers", "gflinalg"}),
+     {"latff", "sarith", "building", "covers", "gflinalg", "fq"}),
+    (["ff-invariants"], json.dumps(VS_T2), {"latz", "sarith", "building", "covers"}),
+    (["factorize"], json.dumps(dict(FACTORIZE_Z, A=[["1", "1/6"], ["0", "1"]], mode="GL")),
+     {"fq", "latz", "latff"}),
     (["core-reps", "--n", "3", "--theta", "2"], "",
      {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg",
       "fq", "rings"}),
-], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z", "core-reps"])
+], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z",
+        "ff-invariants", "factorize-z", "core-reps"])
 def test_import_set(args, stdin, unloaded):
     # each verb loads only the layers it calls, numpy (imported inside
-    # latz.spd_distance) never, and click never; module sets are checked,
-    # never times
+    # latz.spd_distance) never, and click, dataclasses and inspect never;
+    # module sets are checked, never times
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(args), stdin],
                          env=env, check=True, capture_output=True, text=True).stdout
-    modules, numpy_loaded, click_loaded = json.loads(out.splitlines()[-1])
+    modules, numpy_loaded, click_loaded, dataclasses_loaded, inspect_loaded = \
+        json.loads(out.splitlines()[-1])
     loaded = {m.removeprefix("latred.") for m in modules}
     assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)
     assert not numpy_loaded
     assert not click_loaded
+    assert not dataclasses_loaded
+    assert not inspect_loaded
 
 
 def test_spd_distance_loads_numpy_on_demand():

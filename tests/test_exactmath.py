@@ -1,10 +1,12 @@
-"""Scalars, valuations, normal forms and minors.
+"""Scalars, valuations, normal forms, minors and the immutable value classes.
 
 The normal forms are called in `matrices` with the ring given explicitly.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -896,3 +898,62 @@ class TestAssembleSummands:
         oracle = canonical_filtration(BruteFFOracle(vs))
         assert [w.basis for w in oracle.chain] == [w.basis for w in report.chain]
         assert oracle.c_values == report.c_values
+
+
+def _value_samples():
+    """One instance of each immutable value class, with the fields its
+    equality and hash read, in order, and those its repr shows."""
+    from latred import building, covers, latff, latz
+    ip = latz.InnerProduct.diagonal([1, 4])
+    report = latz.canonical_filtration_z(ip)
+    vs = VolumeSpace.standard(2, 2)
+    ctx = sarith.LocalizedContext("Z", (2,))
+    bctx = building.BuildingContext.p_adic(2, 2)
+    v = building.standard_vertex(bctx)
+    diag = latff.diagonal_basis(vs)
+    assert diag.b  # a cached_property, filled before pickling
+    compared = [
+        (ratfunc(3, [1, 2], [1, 1]), ("num", "den")),
+        (ip, ("n", "gram")),
+        (ZSummand.from_rows(2, [[1, 1]]), ("n", "basis")),
+        (report, ("minima", "path", "chain", "c_values")),
+        (report.path[1], ("id", "rank", "logvol")),
+        (vs, ("q", "n", "cleared")),
+        (FFSummand.from_rows(2, 2, [[poly_t(2), poly(2, [1])]]), ("q", "n", "basis")),
+        (diag, ("space", "w", "r")),
+        (latff._RVector((-1, 2)), ("r",)),
+        (ctx, ("kind", "T", "q")),
+        (sarith.IntegralStructure.standard(ctx, 2), ("ctx", "n", "den", "H")),
+        (sarith.LocSummand.full(ctx, 2), ("ctx", "n", "basis")),
+        (bctx, ("kind", "n", "p", "q")),
+        (v, ("ctx", "matrix")),
+        (building.triangulate_point([Fraction(1, 2), Fraction(1, 4)]), ("points", "coeffs")),
+        (covers.CoverSystem.building_preset(2), ("n", "threshold_const", "threshold_log")),
+        (covers.SimplexPoint((v,), (1,)), ("vertices", "coeffs")),
+    ]
+    shown = {"IntegralStructure": ("ctx", "n", "basis")}
+    return [(x, fields, shown.get(type(x).__name__, fields)) for x, fields in compared]
+
+
+def test_value_classes_are_immutable_field_tuples():
+    # equal as field tuples of one class, hashed as the tuple when its
+    # fields are hashable, shown as Class(field=...); assignment and deletion
+    # raise, and pickle and copy give an equal value
+    samples = _value_samples()
+    assert len({type(x) for x, _, _ in samples}) == 17
+    for x, fields, shown in samples:
+        key = tuple(getattr(x, f) for f in fields)
+        try:
+            assert hash(x) == hash(key)
+        except TypeError:  # a dict or ExactLog field: unhashable either way
+            with pytest.raises(TypeError):
+                hash(key)
+        if type(x).__name__ not in ("VolumeSpace", "FqRationalFunction"):
+            assert repr(x) == f"{type(x).__qualname__}(" + ", ".join(
+                f"{f}={getattr(x, f)!r}" for f in shown) + ")"
+        with pytest.raises(AttributeError):
+            setattr(x, fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(x, fields[-1])
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x and y != key

@@ -1,7 +1,6 @@
 """Function-field volume spaces: minors, subquotients, diagonal bases."""
 
 import copy
-import dataclasses
 import pickle
 import random
 from collections import Counter
@@ -12,7 +11,7 @@ from latred import filtration, latff, matrices
 from latred.errors import (DomainError, ProjectivityError, RankDeficiencyError, ScaleError,
                            SingularityError)
 from latred.fq import FqRationalFunction, poly, poly_one, poly_t
-from latred.latff import (FFOracle, FFSummand, VolumeSpace, diagonal_basis,
+from latred.latff import (DiagonalBasisResult, FFOracle, FFSummand, VolumeSpace, diagonal_basis,
                           ff_invariants_and_filtration, ff_logvol, instability_ff,
                           shortest_vector)
 from latred.rings import poly_ring
@@ -270,32 +269,32 @@ class TestDiagonalBasis:
     def test_validation_rejects_a_non_unimodular_w(self):
         diag = diagonal_basis(_standard(2))
         # w_2 -> t w_2 with r_2 -> r_2 + 1 keeps w_i = t^{r_i} b_i; det w becomes t
-        bad = dataclasses.replace(diag, w=(diag.w[0], tuple(T * x for x in diag.w[1])),
-                                  r=(diag.r[0], diag.r[1] + 1))
+        bad = DiagonalBasisResult(diag.space, (diag.w[0], tuple(T * x for x in diag.w[1])),
+                                  (diag.r[0], diag.r[1] + 1))
         with pytest.raises(DomainError, match="not unimodular"):
             bad.validate()
         # a singular w, with w_2 = w_1
         with pytest.raises(DomainError, match="not unimodular"):
-            dataclasses.replace(diag, w=(diag.w[0], diag.w[0])).validate()
+            DiagonalBasisResult(diag.space, (diag.w[0], diag.w[0]), diag.r).validate()
         # n - 1 rows, and n + 1 rows whose first n are unimodular
         with pytest.raises(DomainError, match="not unimodular"):
-            dataclasses.replace(diag, w=diag.w[:1], r=diag.r[:1]).validate()
+            DiagonalBasisResult(diag.space, diag.w[:1], diag.r[:1]).validate()
         with pytest.raises(DomainError, match="not unimodular"):
-            dataclasses.replace(diag, w=diag.w + diag.w[:1],
-                                r=diag.r + diag.r[-1:]).validate()
+            DiagonalBasisResult(diag.space, diag.w + diag.w[:1],
+                                diag.r + diag.r[-1:]).validate()
 
     def test_validation_rejects_a_bad_r_vector(self):
         vs = _vs([(_rf(ONE), _rf(ZERO)), (_rf(ZERO), _rf(T * T))])
         diag = diagonal_basis(vs)
         (r1, r2) = diag.r
         with pytest.raises(DomainError, match="r-vector is not ascending"):
-            dataclasses.replace(diag, r=(r2, r1)).validate()
+            DiagonalBasisResult(diag.space, diag.w, (r2, r1)).validate()
         # b_1 = t^{1 - r_1} w_1 is t times a shortest vector, outside S
         with pytest.raises(DomainError, match="b is not contained in the lattice"):
-            dataclasses.replace(diag, r=(r1 - 1, r2)).validate()
+            DiagonalBasisResult(diag.space, diag.w, (r1 - 1, r2)).validate()
         # b_2 = t^{-r_2 - 1} w_2 stays in S, but no longer spans it
         with pytest.raises(DomainError, match="sum of r-values != total log-volume"):
-            dataclasses.replace(diag, r=(r1, r2 + 1)).validate()
+            DiagonalBasisResult(diag.space, diag.w, (r1, r2 + 1)).validate()
 
     def test_random_validation(self, rng):
         for _ in range(15):

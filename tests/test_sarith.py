@@ -270,9 +270,9 @@ class TestPinnedOutputs:
         assert got == PINNED[name]
 
     def test_loc_logvol_matches_the_divided_rows(self, name):
-        # loc_logvol corrects the volume of the undivided ring rows by B.den;
-        # the volume of the canonical rows of W cap B gives the same value,
-        # down to the ExactLog's terms
+        # loc_logvol reads the value in the frame of B; the volume of the
+        # divided rows of W cap B (gram_logvol over Z, ff_logvol over F_q[t])
+        # gives the same value, down to the ExactLog's terms
         for w, x, B in _pin_cases(name):
             rows = intersect_integral(w, B)
             got = loc_logvol(w, x, B)
