@@ -10,6 +10,11 @@ Neighbor enumeration runs over the proper nonzero residue subspaces of
 pi^{-1}L / L; labels differences, chamber counts through an edge, apartment
 coordinates and the simplicial decomposition of R^n follow the standard
 diagonal-apartment picture.
+
+The F_q scalars (`fq`), residue-space linear algebra (`gflinalg`) and
+`matrices` are imported by the functions that use them, so the apartment
+and triangulation verbs load none of them, and p-adic vertices load `fq`
+only for the residue field that their neighbours are enumerated over.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import gflinalg, matrices
 from .errors import DimensionError, DomainError, InvalidPlaceError, ScaleError
-from .fq import FqRationalFunction, gf, poly, prime_power, t_power
 from .frozen import Frozen
 from .rings import ZZ, is_prime_int, poly_ring
 
@@ -66,6 +69,7 @@ class BuildingContext(Frozen):
         return self.p if self.kind == "p-adic" else self.q
 
     def residue_field(self):
+        from .fq import gf
         return gf(self.residue_size)
 
     # -- local scalar helpers -------------------------------------------------
@@ -75,13 +79,14 @@ class BuildingContext(Frozen):
             x = Fraction(x)
             return (ZZ.element_valuation(x.numerator, self.p)
                     - ZZ.element_valuation(x.denominator, self.p))
-        x = FqRationalFunction.of(x)
-        return x.nu()
+        from .fq import FqRationalFunction
+        return FqRationalFunction.of(x).nu()
 
     def unif_pow(self, k):
         """pi^k: p^k on the integer side, t^{-k} on the function-field side."""
         if self.kind == "p-adic":
             return Fraction(self.p) ** k
+        from .fq import t_power
         return t_power(self.q, -k)
 
     def zero(self):
@@ -112,6 +117,7 @@ class BuildingContext(Frozen):
             return Fraction(rep)
         # the terms of y's expansion at infinity down to t^(1-a):
         # floor(y t^(a-1)) / t^(a-1), the floor being the polynomial part
+        from .fq import FqRationalFunction, poly
         y, s = FqRationalFunction.of(y), poly(self.q, [0] * (a - 1) + [1])
         return FqRationalFunction(y.num * s // y.den, s)
 
@@ -137,11 +143,12 @@ class Vertex(Frozen):
         return tuple(self.ctx.val(self.matrix[i][i]) for i in range(self.ctx.n))
 
     def columns(self):
-        return matrices.transpose(self.matrix)
+        return tuple(zip(*self.matrix))
 
 
 def _column_reduce(ctx, cols):
     """Upper-triangular O-basis (as columns) of the column span."""
+    from . import matrices
     cols = [list(c) for c in cols]
     chosen = [None] * ctx.n
     for i, p, v in matrices.dvr_column_reduce(cols, range(ctx.n - 1, -1, -1), ctx.val):
@@ -175,7 +182,7 @@ def canonical_vertex(lattice_cols, ctx):
         scale = ctx.unif_pow(-shift)
         tri = [[x * scale for x in col] for col in tri]
     tri = _reduce_above(ctx, tri)
-    mat = matrices.freeze([[tri[j][i] for j in range(ctx.n)] for i in range(ctx.n)])
+    mat = tuple(tuple(tri[j][i] for j in range(ctx.n)) for i in range(ctx.n))
     return Vertex(ctx, mat)
 
 
@@ -196,6 +203,7 @@ def neighbors(v):
     the intermediate lattice with L' / L = U; the reported label difference
     is dim U.
     """
+    from . import gflinalg
     ctx = v.ctx
     n = ctx.n
     r = ctx.residue_size
@@ -235,6 +243,7 @@ def label_difference(v1, v2):
 
 def relative_exponents(v1, v2):
     """Sorted elementary-divisor valuations of the base change v1 -> v2."""
+    from . import matrices
     ctx = v1.ctx
     ring = ZZ if ctx.kind == "p-adic" else poly_ring(ctx.q)
     A = matrices.matmul(matrices.inverse(ring, v1.matrix), v2.matrix, ctx.zero())
@@ -263,6 +272,7 @@ def count_chambers_on_edge(n, r, k):
     """
     if not 1 <= k <= n - 1:
         raise DimensionError(f"label difference {k} out of range 1..{n - 1}")
+    from .fq import prime_power
     prime_power(r)  # a residue field of size r must exist
     value = 1
     for i in range(1, k + 1):
@@ -279,17 +289,20 @@ def count_chambers_on_edge(n, r, k):
 
 def _count_flags_through(n, r, k):
     """Complete flags of F_r^n containing the standard k-subspace."""
+    from . import gflinalg
+    from .fq import gf
     F = gf(r)
     fixed = tuple(tuple(int(j == i) for j in range(n)) for i in range(k))
 
     def count_between(lower_rows, upper_rows, lo, hi):
-        # full chains lower < ... < upper with one subspace per dimension
+        # full chains lower < ... < upper with one subspace per dimension;
+        # every basis here is independent, so each containment is one rank
         if hi - lo <= 1:
             return 1
         total = 0
         for cand in gflinalg.enumerate_subspaces(F, n, lo + 1):
-            if all(gflinalg.in_span(F, cand, row) for row in lower_rows) and \
-               all(gflinalg.in_span(F, upper_rows, row) for row in cand):
+            if gflinalg.rank(F, cand + lower_rows) == len(cand) and \
+               gflinalg.rank(F, upper_rows + cand) == len(upper_rows):
                 total += count_between(cand, upper_rows, lo + 1, hi)
         return total
 

@@ -311,12 +311,13 @@ def triangulate():
 
 
 def _cover_point_and_system(doc):
-    from . import building, covers, jsonio
+    from . import covers, jsonio
     side = doc.get("side", "z")
     if side == "z":
         x = jsonio.inner_product_from_json(doc["x"])
         n = x.n
     elif side == "ff":
+        from . import building
         ctx = building.BuildingContext.function_field(
             jsonio.int_from_json(doc["q"], "q"), jsonio.int_from_json(doc["n"], "n"))
         x = jsonio.vertex_from_json(ctx, doc["x"])

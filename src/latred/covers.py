@@ -17,7 +17,8 @@ Thresholds carry an exact-log part and a rational part so that the
 localized integer-side preset 4n(ln(prod T) + 1) stays decidable.
 
 The Z, F_q[t], localized and building layers are imported by the functions
-that use them, so `core_orbit_reps` loads none of them.
+that use them, so `core_orbit_reps` loads none of them, and a point's type
+is told apart without loading the layers of the other sides.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from sys import modules
 
 from .errors import DimensionError, DomainError, ScaleError
 from .frozen import Frozen
@@ -132,18 +134,30 @@ def vertex_r_vector(v):
 # membership
 # ---------------------------------------------------------------------------
 
+def _is_a(x, layer, cls):
+    """isinstance(x, layer.cls), importing no layer.
+
+    A point of a layer that was never loaded cannot exist, so the type tests
+    of a point load no layer that its side does not use.
+    """
+    mod = modules.get(f"{__package__}.{layer}")
+    return mod is not None and isinstance(x, getattr(mod, cls))
+
+
 def _chain_with_values(x):
     """Interior canonical-chain members of a point with their c-values."""
-    from . import building, latff, latz
-    if isinstance(x, latz.InnerProduct):
+    if _is_a(x, "latz", "InnerProduct"):
+        from . import latz
         rep = latz.canonical_filtration_z(x)
         return [(w, rep.c_values[w]) for w in rep.interior_chain()]
-    if isinstance(x, building.Vertex):
+    if _is_a(x, "building", "Vertex"):
         x = vertex_volume_space(x)
-    if isinstance(x, latff.VolumeSpace):
+    if _is_a(x, "latff", "VolumeSpace"):
+        from . import latff
         _, rep = latff.ff_invariants_and_filtration(x)
         return [(w, rep.c_values[w]) for w in rep.interior_chain()]
     if isinstance(x, SimplexPoint):
+        from . import latff
         spaces = [vertex_volume_space(v) for v in x.vertices]
         candidates = {}
         for vs in spaces:
@@ -181,8 +195,7 @@ def cover_membership(x, sys, with_values=False):
 
 def core_test(x, sys):
     """Whether x lies in the beta = 0 cocompact core (no set of the system)."""
-    from . import building
-    if isinstance(x, building.Vertex):
+    if _is_a(x, "building", "Vertex"):
         r = vertex_r_vector(x)
         return all(not sys.exceeded_by(Fraction(b - a))
                    for a, b in zip(r, r[1:]))

@@ -50,7 +50,6 @@ from fractions import Fraction
 from .errors import (BoundaryModuleError, DomainError, IncompletePlotError,
                      ViolatedUniquenessError)
 from .frozen import Frozen
-from .logs import ExactLog
 
 
 class GradedPoint(Frozen):
@@ -76,9 +75,9 @@ class FiltrationReport(Frozen):
 
 
 def _is_zero_value(v):
-    if isinstance(v, ExactLog):
-        return v.is_zero()
-    return v == 0
+    if isinstance(v, (int, Fraction)):
+        return v == 0
+    return v.is_zero()
 
 
 def slope(point_hi, point_lo):

@@ -105,12 +105,6 @@ def nullspace(F, rows, ncols):
     return basis
 
 
-def in_span(F, rows, vec):
-    if not any(vec):
-        return True
-    return rank(F, list(rows) + [list(vec)]) == rank(F, rows)
-
-
 def enumerate_subspaces(F, n, d):
     """All d-dimensional subspaces of F_q^n as canonical RREF bases."""
     if d == 0:

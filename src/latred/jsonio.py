@@ -7,9 +7,11 @@ Conventions:
     * rational functions as strings like "t^2/(t^3+1)",
     * integer fields (sizes, primes, exponents) as JSON integers only.
 
-The F_q scalars (`fq`) and the Z, F_q[t] and localized layers are imported
-by the functions that build or read their objects, so a verb that never
-touches a layer does not load it: a Z-side request loads no `fq`.
+The F_q scalars (`fq`), `matrices`, `logs` and the Z, F_q[t] and localized
+layers are imported by the functions that build or read their objects, so
+a verb that never touches a layer does not load it: a Z-side request loads
+no `fq`, an F_q-side filtration request no `logs`, and a request rejected
+at `json.loads` none of them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
-from .logs import ExactLog
-from .matrices import Summand
 
 
 def rational_to_str(x):
@@ -207,6 +207,7 @@ def ff_summand_from_json(doc, q, n):
 def summand_to_json(w):
     # told apart by their fields, so no summand layer need be imported: a
     # localized summand carries its context, an F_q[t] one its field size
+    from .matrices import Summand
     if not isinstance(w, Summand):
         raise ValidationError(f"unknown summand type {type(w).__name__}")
     if hasattr(w, "ctx"):
@@ -306,21 +307,21 @@ def value_to_json(v, tag="c_sq_ratio"):
 
     An ExactLog value ln(arg)/m is emitted as {tag: arg'} with
     value = (1/2) ln(arg') whenever m divides 2, else with an explicit
-    log-root pair.
+    log-root pair; a rational is its string.
     """
-    if isinstance(v, ExactLog):
-        arg, index = v.as_log_root()
-        out = {}
-        if index == 2:
-            out[tag] = ratio_to_str(arg)
-        elif index == 1:
-            out[tag] = ratio_to_str(arg * arg)
-        else:
-            out["log_arg"] = ratio_to_str(arg)
-            out["log_index"] = index
-        out["decimal"] = f"{v.to_float():.12g}"
-        return out
-    return rational_to_str(v)
+    if isinstance(v, (int, Fraction)):
+        return rational_to_str(v)
+    arg, index = v.as_log_root()
+    out = {}
+    if index == 2:
+        out[tag] = ratio_to_str(arg)
+    elif index == 1:
+        out[tag] = ratio_to_str(arg * arg)
+    else:
+        out["log_arg"] = ratio_to_str(arg)
+        out["log_index"] = index
+    out["decimal"] = f"{v.to_float():.12g}"
+    return out
 
 
 def point_to_json(p):

@@ -3,24 +3,26 @@
 Matrices are immutable tuples of row tuples, and entries are added,
 multiplied and divided with the operators.  Algorithms that need more ring
 structure (Hermite and Smith forms, column reduction, saturation) take one
-of the ring objects from `rings` for its units, norm and gcd.  Saturation,
-basis completion and summand joins run on one rank-revealing column
-reduction M = [T | 0] V with V unimodular (`_column_echelon`), the only
-callers that read V; the Smith form is left to the callers that read its
-invariant factors, `sarith.factorize` and `selfcheck`, and its elimination
-also yields the units det U and det V, so `factorize` needs no
-determinant.  The Hermite form and the column reduction skip zero entries
-in their row and column operations, and the Hermite form touches only the
-columns from its current pivot on; `split_hnf` takes only its forward
-Euclid steps on the rows it discards.  Every square solve runs on ring
-rows by one triangularization: forward Euclid steps on [P | I] alone give
-U P = H with H upper triangular (`triangularize`), which decides
-singularity and gives det P as prod H_ii up to a unit, and one
-fraction-free back substitution over one denominator solves H N = e Y
-(`solve_cleared`), so the inverse of P / den is den H^-1 U.  The one
-elimination over a fraction field is `dvr_column_reduce`, which pivots on
-valuations and can also run fraction-free on ring rows, and the one
-reduction of F_q[t] columns to their splitting type is `column_reduce`;
+of the ring objects from `rings` for its units, norm (a plain callable,
+read once per elimination) and gcd.  Saturation and summand joins take the
+Hermite form of their rows first and return it as it stands when every
+pivot is a unit; only otherwise do they, like basis completion, run one
+rank-revealing column reduction M = [T | 0] V with V unimodular
+(`_column_echelon`), the only callers that read V.  The Smith form is left
+to the callers that read its invariant factors, `sarith.factorize` and
+`selfcheck`, and its elimination also yields the units det U and det V, so
+`factorize` needs no determinant.  The Hermite form and the column
+reduction skip zero entries in their row and column operations, and the
+Hermite form touches only the columns from its current pivot on;
+`split_hnf` takes only its forward Euclid steps on the rows it discards.
+Every square solve runs on ring rows by one triangularization: forward
+Euclid steps on [P | I] alone give U P = H with H upper triangular
+(`triangularize`), which decides singularity and gives det P as prod H_ii
+up to a unit, and one fraction-free back substitution over one denominator
+solves H N = e Y (`solve_cleared`), so the inverse of P / den is den H^-1
+U.  The one elimination over a fraction field is `dvr_column_reduce`, which
+pivots on valuations and can also run fraction-free on ring rows, and the
+one reduction of F_q[t] columns to their splitting type is `column_reduce`;
 ranks are Hermite-form lengths, and determinants are products of
 triangular, Smith or LDL^T pivots.
 """
@@ -91,11 +93,12 @@ def hnf(ring, rows):
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     nrows = len(work)
+    norm = ring.norm_key
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == nrows:
             break
-        if not _euclid_pivot(ring.norm_key, work, col, pivot_row):
+        if not _euclid_pivot(norm, work, col, pivot_row):
             continue
         row = work[pivot_row]
         unit, normalized = ring.unit_normalize(row[col])
@@ -118,14 +121,19 @@ def _euclid_pivot(norm, work, col, top):
     Rows from `top` on must be zero left of `col`; afterwards the rows below
     `top` are zero in `col` too.  Returns False, changing nothing, when the
     column is zero there.  Euclid: reduce the column's other entries by its
-    least one; each remainder is smaller than that pivot, so the least norm
-    falls.  Each row operation runs on the suffix from `col` on.
+    least one (the first on a tie, read in one pass); each remainder is
+    smaller than that pivot, so the least norm falls.  Each row operation
+    runs on the suffix from `col` on.
     """
     nz = [i for i in range(top, len(work)) if work[i][col]]
     if not nz:
         return False
     while len(nz) > 1:
-        base = min(nz, key=lambda i: norm(work[i][col]))
+        base, least = nz[0], norm(work[nz[0]][col])
+        for i in nz:
+            v = norm(work[i][col])
+            if v < least:
+                base, least = i, v
         b = work[base][col:]
         left = [base]
         for i in nz:
@@ -211,6 +219,7 @@ def _smith(ring, M):
     """`snf`'s (U, D, V), then the units det U and det V its steps multiplied."""
     st = _SNFState(ring, M)
     m, n = st.m, st.n
+    norm = ring.norm_key
     k = 0
     while k < min(m, n):
         piv = None
@@ -218,7 +227,7 @@ def _smith(ring, M):
         for i in range(k, m):
             for j in range(k, n):
                 if st.D[i][j]:
-                    key = ring.norm_key(st.D[i][j])
+                    key = norm(st.D[i][j])
                     if best is None or key < best:
                         best = key
                         piv = (i, j)
@@ -271,11 +280,13 @@ def _column_echelon(ring, M):
     zero from it on: with independent rows, T is square lower triangular.
     V tracks the column operations as `_SNFState.col_sub` does, skipping
     the zero entries they would add; there are no row operations and no
-    divisibility pass.
+    divisibility pass.  Saturation and joins call it only on a Hermite
+    form with a non-unit pivot (`_saturated_hnf`), basis completion always.
     """
     m, n = shape(M)
     D = [list(r) for r in M]
-    V = [list(r) for r in identity_rows(n, ring.one(), ring.zero())]
+    one, zero, norm = ring.one(), ring.zero(), ring.norm_key
+    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     k = 0
     for i in range(m):
         row, below = D[i], D[i:]
@@ -283,7 +294,11 @@ def _column_echelon(ring, M):
             nz = [j for j in range(k, n) if row[j]]
             if not nz:
                 break
-            p = min(nz, key=lambda j: ring.norm_key(row[j]))
+            p, least = nz[0], norm(row[nz[0]])
+            for j in nz:
+                v = norm(row[j])
+                if v < least:
+                    p, least = j, v
             if p != k:
                 for r in below:
                     r[k], r[p] = r[p], r[k]
@@ -317,11 +332,12 @@ def split_hnf(ring, A, R):
     if not k:
         return hnf(ring, R)
     work = [list(a) + list(r) for a, r in zip(A, R)]
+    norm = ring.norm_key
     top = 0
     for col in range(k):
         if top == len(work):
             break
-        if _euclid_pivot(ring.norm_key, work, col, top):
+        if _euclid_pivot(norm, work, col, top):
             top += 1
     return hnf(ring, [r[k:] for r in work[top:]])
 
@@ -336,8 +352,9 @@ def triangularize(ring, P):
     """
     n = len(P)
     work = [list(p) + list(e) for p, e in zip(P, identity_rows(n, ring.one(), ring.zero()))]
+    norm = ring.norm_key
     for col in range(n):
-        if not _euclid_pivot(ring.norm_key, work, col, col):
+        if not _euclid_pivot(norm, work, col, col):
             raise SingularityError("matrix is singular")
     return freeze(r[:n] for r in work), freeze(r[n:] for r in work)
 
@@ -402,17 +419,28 @@ def saturate(ring, rows):
     """Basis (in HNF) of the saturation of the row span inside the free module.
 
     The saturation is the smallest direct summand containing the row span;
-    rows must be independent over the fraction field.  With rows = T V[:m]
-    from `_column_echelon`, the first m rows of the unimodular V span it.
+    rows must be independent over the fraction field.
     """
-    rows = freeze(rows)
-    if not rows:
-        return ()
-    m = len(rows)
-    rank, _, V = _column_echelon(ring, rows)
-    if rank != m:
+    H = hnf(ring, rows)
+    if len(H) != len(rows):
         raise RankDeficiencyError("rows are dependent over the fraction field")
-    return hnf(ring, V[:m])
+    return _saturated_hnf(ring, H)
+
+
+def _saturated_hnf(ring, H):
+    """HNF basis of the saturation of the span of the Hermite form H.
+
+    When every pivot of H is a unit, the minor of H on its pivot columns is
+    triangular with a unit determinant, so the span is already a direct
+    summand and H, being canonical, is returned as it stands.  Otherwise,
+    with H = T V[:m] from `_column_echelon`, the first m rows of the
+    unimodular V span the saturation.
+    """
+    one = ring.one()
+    if all(next(x for x in r if x) == one for r in H):
+        return H
+    _, _, V = _column_echelon(ring, H)
+    return hnf(ring, V[:len(H)])
 
 
 def clear_denominators(ring, rows):
@@ -463,7 +491,6 @@ def lattice_intersect(ring, A, B):
     x A lies in the span of B exactly when x A + y B = 0 for some y, so the
     intersection is {(x, y) (A; 0) : (x, y) (A; B) = 0}.
     """
-    A, B = freeze(A), freeze(B)
     if not A or not B:
         return ()
     zeros = ((ring.zero(),) * len(A[0]),) * len(B)
@@ -525,9 +552,9 @@ class Summand(Frozen):
         return self._with(lattice_intersect(self.ring, self.basis, other.basis))
 
     def join(self, other):
-        # the first `rank` rows of V span the saturation of the (dependent) rows
-        rank, _, V = _column_echelon(self.ring, self.basis + other.basis)
-        return self._with(hnf(self.ring, V[:rank]))
+        # the saturation of the Hermite form of the (dependent) stacked rows
+        ring = self.ring
+        return self._with(_saturated_hnf(ring, hnf(ring, self.basis + other.basis)))
 
 
 # ---------------------------------------------------------------------------

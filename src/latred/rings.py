@@ -3,10 +3,11 @@
 Ring elements are `int` and `FqPolynomial`, and the matrix algorithms do
 their arithmetic with the operators: `+`, `-`, `*`, `divmod` and truth
 value.  A ring object carries only what the operators cannot say: zero and
-one, units and their normalization, the Euclidean norm, gcds, primality,
-exact division, prime valuations and the embedding into the fraction field,
-whose elements are `fractions.Fraction` on the integer side and
-`FqRationalFunction` on the function-field side.
+one, units and their normalization, the Euclidean norm (`norm_key`, a plain
+callable: `abs`, or a degree getter), gcds, primality, exact division,
+prime valuations and the embedding into the fraction field, whose elements
+are `fractions.Fraction` on the integer side and `FqRationalFunction` on
+the function-field side.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
+from operator import attrgetter
 
 from .errors import DomainError, InvalidPlaceError, ZeroArgumentError
 
@@ -86,9 +88,7 @@ class IntegerRing(_EuclideanRing):
             return 1, 0
         return (1, x) if x > 0 else (-1, -x)
 
-    def norm_key(self, x):
-        return abs(x)
-
+    norm_key = staticmethod(abs)
     gcd = staticmethod(gcd)
 
     def is_prime(self, p):
@@ -136,8 +136,7 @@ class PolynomialRing(_EuclideanRing):
             return self.one(), x
         return self.one() * x.leading(), x.monic()
 
-    def norm_key(self, x):
-        return x.degree
+    norm_key = staticmethod(attrgetter("degree"))
 
     def gcd(self, a, b):
         return a.gcd(b)

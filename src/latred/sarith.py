@@ -11,7 +11,8 @@ A saturated Z[T^-1]-summand W is fixed by its Q-span, so W cap Z^n is a
 saturated Z-summand that determines it.  `LocSummand` therefore stores
 the Hermite form of W cap Z^n and shares the summand algebra of Z and
 F_q[t] (`matrices.Summand`): spans, meets and joins run on plain Z (or
-F_q[t]) Hermite forms and one column reduction, and spanning rows are
+F_q[t]) Hermite forms, with one column reduction only where a Hermite form
+has a non-unit pivot, and spanning rows are
 cleared on the way in, where their one common denominator must be a
 T-power.  The canonical Hermite basis over Z[T^-1] (pivots T-free and
 normalized, entries above a pivot d reduced to canonical residues mod d)

@@ -732,9 +732,9 @@ def test_changed_request_documents_get_a_json_answer(request):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs in a fresh interpreter: `import latred`, then (unless argv[1] is
-# "null") `import latred.cli` and the verb argv[1] with stdin argv[2]; the
-# last stdout line lists the latred modules loaded and whether numpy, click,
-# dataclasses and inspect were.
+# "null") `import latred.cli` and the verb argv[1] with stdin argv[2], which
+# must exit with code argv[3]; the last stdout line lists the latred modules
+# loaded and whether numpy, click, dataclasses and inspect were.
 IMPORT_PROBE = """
 import io, json, sys
 args = json.loads(sys.argv[1])
@@ -746,7 +746,7 @@ if args is not None:
         try:
             latred.cli.main(args, prog_name="latred")
         except SystemExit as exc:
-            assert not exc.code, exc.code
+            assert (exc.code or 0) == int(sys.argv[3]), exc.code
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("latred.")),
                   "numpy" in sys.modules, "click" in sys.modules,
                   "dataclasses" in sys.modules, "inspect" in sys.modules]))
@@ -756,27 +756,36 @@ ALL_LAYERS = {"building", "cli", "covers", "errors", "filtration", "fq",
               "sarith"}
 
 
-@pytest.mark.parametrize("args,stdin,unloaded", [
-    (None, "", ALL_LAYERS),
-    ([], "", ALL_LAYERS - {"cli", "errors"}),
+@pytest.mark.parametrize("args,stdin,unloaded,code", [
+    (None, "", ALL_LAYERS, 0),
+    ([], "", ALL_LAYERS - {"cli", "errors"}, 0),
     (["chamber-count", "--n", "3", "--r", "2", "--k", "1"], "",
-     {"latz", "latff", "sarith", "covers", "filtration", "logs"}),
+     {"latz", "latff", "sarith", "covers", "filtration", "logs", "matrices"}, 0),
+    (["apartment"], json.dumps({"m": [1, 0, 2]}),
+     {"fq", "gflinalg", "matrices", "logs", "latz", "latff", "sarith"}, 0),
+    (["triangulate"], json.dumps({"x": ["1/2", "1/3", "0"]}),
+     {"fq", "gflinalg", "matrices", "logs", "latz", "latff", "sarith"}, 0),
     (["canfilt", "--ring", "z"], json.dumps(DIAG14),
-     {"latff", "sarith", "building", "covers", "gflinalg", "fq"}),
-    (["ff-invariants"], json.dumps(VS_T2), {"latz", "sarith", "building", "covers"}),
+     {"latff", "sarith", "building", "covers", "gflinalg", "fq"}, 0),
+    (["cover-membership"], json.dumps({"side": "z", "x": DIAG14}),
+     {"building", "fq", "gflinalg", "latff", "sarith"}, 0),
+    (["ff-invariants"], json.dumps(VS_T2),
+     {"latz", "sarith", "building", "covers", "logs"}, 0),
     (["factorize"], json.dumps(dict(FACTORIZE_Z, A=[["1", "1/6"], ["0", "1"]], mode="GL")),
-     {"fq", "latz", "latff"}),
+     {"fq", "latz", "latff"}, 0),
     (["core-reps", "--n", "3", "--theta", "2"], "",
      {"latz", "latff", "sarith", "building", "matrices", "filtration", "gflinalg",
-      "fq", "rings"}),
-], ids=["import-latred", "import-latred.cli", "chamber-count", "canfilt-z",
-        "ff-invariants", "factorize-z", "core-reps"])
-def test_import_set(args, stdin, unloaded):
+      "fq", "rings"}, 0),
+    (["canfilt", "--ring", "z"], '{"n": 2, "gram"', ALL_LAYERS - {"cli", "errors", "jsonio"}, 2),
+], ids=["import-latred", "import-latred.cli", "chamber-count", "apartment", "triangulate",
+        "canfilt-z", "cover-membership-z", "ff-invariants", "factorize-z", "core-reps",
+        "malformed-json"])
+def test_import_set(args, stdin, unloaded, code):
     # each verb loads only the layers it calls, numpy (imported inside
     # latz.spd_distance) never, and click, dataclasses and inspect never;
     # module sets are checked, never times
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(args), stdin],
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(args), stdin, str(code)],
                          env=env, check=True, capture_output=True, text=True).stdout
     modules, numpy_loaded, click_loaded, dataclasses_loaded, inspect_loaded = \
         json.loads(out.splitlines()[-1])

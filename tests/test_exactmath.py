@@ -8,6 +8,7 @@ import itertools
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,10 @@ from latred.latff import FFSummand, VolumeSpace, ff_invariants_and_filtration
 from latred.latz import ZSummand
 from latred.rings import ZZ, is_prime_int, poly_ring, prime_part, valuation
 
-from conftest import (BruteFFOracle, assemble_summands, det_field, field_inverse_unimodular,
-                      integral, inverse_field, kernel, minors, primitive, random_ff_summand,
-                      random_poly, random_ratfunc, random_unimodular_poly, random_unimodular_z,
+from conftest import (BruteFFOracle, assemble_summands, count_calls, det_field,
+                      field_inverse_unimodular, integral, inverse_field, kernel, minors,
+                      primitive, random_ff_summand, random_poly, random_ratfunc,
+                      random_unimodular_poly, random_unimodular_z,
                       random_z_summand, rank_field, rank_over_field, ratfunc,
                       reference_column_echelon, reference_hnf, reference_split_hnf,
                       smith_completion_rows, smith_saturate)
@@ -360,14 +362,17 @@ def _ring_and_draw(q, rng):
 
 @pytest.mark.parametrize("q", [None, 2, 3], ids=["Z", "F2", "F3"])
 class TestColumnEchelon:
-    """Saturation, completion and join share one column reduction; the
+    """Saturation, completion and join share one column reduction, which
+    saturation and join skip when the Hermite form has unit pivots; the
     Smith-form versions they replaced are the references."""
 
-    def test_saturate_matches_smith_form(self, q):
+    def test_saturate_matches_smith_form(self, q, monkeypatch):
         rng = random.Random(f"column-echelon/saturate/{q}")
         ring, draw = _ring_and_draw(q, rng)
         nonunit = 2 if q is None else poly_t(q)
-        outcomes = set()
+        counts = Counter()
+        count_calls(monkeypatch, counts, matrices, "_column_echelon")
+        outcomes, paths = set(), set()
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rng.randint(1, n)
@@ -387,8 +392,12 @@ class TestColumnEchelon:
                     matrices.saturate(ring, rows)
                 continue
             outcomes.add("independent")
+            before = counts["_column_echelon"]
             assert matrices.saturate(ring, rows) == expected
+            paths.add(counts["_column_echelon"] - before)
         assert outcomes == {"dependent", "independent"}
+        # both paths ran: the Hermite form as it stands, and one reduction
+        assert paths == {0, 1}
 
     def test_completion_is_unimodular_or_refused(self, q):
         rng = random.Random(f"column-echelon/completion/{q}")
@@ -425,11 +434,14 @@ class TestColumnEchelon:
             assert ring.is_unit(integral(ring, det))
         assert outcomes == {"completed", "refused"}
 
-    def test_join_matches_saturated_hermite_rows(self, q):
+    def test_join_matches_saturated_hermite_rows(self, q, monkeypatch):
         rng = random.Random(f"column-echelon/join/{q}")
         ring, draw = _ring_and_draw(q, rng)
         summand = (lambda n, rows: ZSummand.from_rows(n, rows)) if q is None else \
             (lambda n, rows: FFSummand.from_rows(q, n, rows))
+        counts = Counter()
+        count_calls(monkeypatch, counts, matrices, "_column_echelon")
+        paths = set()
         for _ in range(30):
             n = rng.randint(2, 4)
             common = [[draw() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
@@ -444,7 +456,25 @@ class TestColumnEchelon:
                 rows = x.basis + y.basis
                 assert rank_over_field(ring, rows) < len(rows)
                 expected = smith_saturate(ring, matrices.hnf(ring, rows))
+                before = counts["_column_echelon"]
                 assert x.join(y).basis == expected
+                paths.add(counts["_column_echelon"] - before)
+        assert paths == {0, 1}
+
+
+def test_join_reduces_columns_only_off_a_saturated_hermite_form(monkeypatch):
+    counts = Counter()
+    count_calls(monkeypatch, counts, matrices, "_column_echelon")
+
+    def join(u, v):
+        counts.clear()
+        out = ZSummand.from_rows(3, [u]).join(ZSummand.from_rows(3, [v]))
+        return out.basis, counts["_column_echelon"]
+
+    # Hermite form ((1,0,0),(0,1,1)): unit pivots, already saturated
+    assert join((1, 0, 0), (0, 1, 1)) == (((1, 0, 0), (0, 1, 1)), 0)
+    # Hermite form ((1,1,0),(0,2,0)): pivot 2, so one column reduction
+    assert join((1, 1, 0), (1, -1, 0)) == (((1, 0, 0), (0, 1, 0)), 1)
 
 
 def _hermite_inputs(q, tag):
